@@ -931,53 +931,6 @@ let alloc_probe () =
       ],
     failed )
 
-(* Events/s versus cluster size versus domain count: every node runs a
-   self-yielding compute thread plus the heartbeat plane, and the windowed
-   engine steps the nodes on 1..8 domains.  Speedup is relative to the
-   domains=1 run of the same cluster size; on a single-core container the
-   honest answer is ~1.0x, so the checked-in numbers carry "cores". *)
-let parallel_sweep ~quick =
-  let node_counts = if quick then [ 4; 8 ] else [ 4; 8; 16; 32; 64 ] in
-  let domain_counts = if quick then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
-  let until_us = if quick then 4_000.0 else 10_000.0 in
-  let config =
-    {
-      Config.default with
-      Config.heartbeat_interval_us = 300.0;
-      suspect_timeout_us = 100_000.0;
-    }
-  in
-  List.concat_map
-    (fun nodes ->
-      let base = ref 0.0 in
-      List.map
-        (fun domains ->
-          let c = Workload.Cluster.create ~config ~n:nodes () in
-          for i = 0 to nodes - 1 do
-            ignore (Workload.Cluster.spawn_load c i ~iterations:1_000 4)
-          done;
-          let t0 = Unix.gettimeofday () in
-          Workload.Cluster.run ~until_us ~domains c;
-          let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-          let events = sum_counter (Workload.Cluster.insts c) "engine.steps" in
-          let eps = float_of_int events /. (wall_ms /. 1000.0) in
-          if domains = 1 then base := eps;
-          let speedup = if !base > 0.0 then eps /. !base else 1.0 in
-          Printf.printf
-            "  nodes %2d  domains %d  %8.1f ms  %9.0f events/s  speedup %5.2fx\n"
-            nodes domains wall_ms eps speedup;
-          Json.Obj
-            [
-              ("nodes", Json.Int nodes);
-              ("domains", Json.Int domains);
-              ("wall_ms", Json.Float wall_ms);
-              ("events", Json.Int events);
-              ("events_per_sec", Json.Float eps);
-              ("speedup_vs_domains1", Json.Float speedup);
-            ])
-        domain_counts)
-    node_counts
-
 (* -- us/event regression gate against the checked-in baseline -- *)
 
 let jfield name = function Json.Obj f -> List.assoc_opt name f | _ -> None
@@ -1108,8 +1061,6 @@ let wallclock_suite ~quick ~domains =
   let prefetch_json, prefetch_regressed = prefetch_gate () in
   section "WC. Allocation probe (Gc.minor_words per event)";
   let alloc_json, alloc_failed = alloc_probe () in
-  section "WC. Parallel cluster sweep (events/s vs nodes x domains)";
-  let psweep = parallel_sweep ~quick in
   section
     (Printf.sprintf "WC. us/event regression gate vs checked-in baseline (%s mode)"
        mode_key);
@@ -1122,7 +1073,6 @@ let wallclock_suite ~quick ~domains =
         ("scenarios", Json.List rows);
         ("prefetch_gate", prefetch_json);
         ("alloc_probe", alloc_json);
-        ("parallel_sweep", Json.List psweep);
       ]
   in
   let modes =

@@ -9,9 +9,9 @@
      trace  — run one demand-paged program with the event trace enabled
      micro  — print the Table 2 micro-benchmark rows
      audit  — run a workload, then audit every cross-layer invariant
-     cluster — run a multi-node cluster, stepping nodes on --domains
-               OCaml domains; the printed observable digest must not
-               vary with the domain count
+     cluster — run a multi-node cluster and print a digest of every
+               node's metrics and trace; the same flags give the same
+               digest
      checkpoint — run the UNIX session and save its image to a file
      restore    — replay the session in a fresh process, restore the image,
                   and verify memory content and syscall results match *)
@@ -512,12 +512,11 @@ let checkpoint_cmd =
        ~doc:"Run the UNIX session, checkpoint the application kernel to a file, and audit")
     Term.(const run_checkpoint $ cpus $ procs $ pause_us $ out)
 
-(* `ckos cluster`: boot an n-node cluster on one interconnect and step it
-   on one or more OCaml domains — the CLI surface for the parallel
-   engine.  Prints per-node stats plus a digest of every node's
-   metrics+trace JSON; the digest is invariant under --domains, so two
-   invocations differing only in domain count must print the same hash. *)
-let run_cluster nodes domains until_us load chaos chaos_seed partition_at
+(* `ckos cluster`: boot an n-node cluster on one interconnect and run it
+   on the windowed multi-node engine.  Prints per-node stats plus a digest
+   of every node's metrics+trace JSON; a run is deterministic from its
+   flags, so two invocations with the same flags print the same hash. *)
+let run_cluster nodes until_us load chaos chaos_seed partition_at
     partition_for partition_minority metrics_out =
   let chaos_cfg =
     chaos_config ~rate:chaos ~seed:chaos_seed ?partition_at ~partition_for
@@ -538,9 +537,9 @@ let run_cluster nodes domains until_us load chaos chaos_seed partition_at
   for i = 0 to nodes - 1 do
     ignore (Workload.Cluster.spawn_load c i ~iterations:2_000 load)
   done;
-  Workload.Cluster.run ~until_us ~domains c;
+  Workload.Cluster.run ~until_us c;
   let insts = Workload.Cluster.insts c in
-  Fmt.pr "cluster: %d nodes, %d domains, %.0f us simulated@." nodes domains until_us;
+  Fmt.pr "cluster: %d nodes, %.0f us simulated@." nodes until_us;
   Array.iter
     (fun (i : Instance.t) ->
       Fmt.pr "  node %d: now %7d cycles  steps %6d  halted %b@."
@@ -549,17 +548,8 @@ let run_cluster nodes domains until_us load chaos chaos_seed partition_at
         (Metrics.counter i.Instance.metrics "engine.steps")
         i.Instance.halted)
     insts;
-  let observable =
-    String.concat "\n"
-      (Array.to_list
-         (Array.map
-            (fun (i : Instance.t) ->
-              Json.to_string (Instance.metrics_json i)
-              ^ Json.to_string (Trace.to_json i.Instance.trace))
-            insts))
-  in
-  Fmt.pr "observable digest: %s  (must not vary with --domains)@."
-    (Digest.to_hex (Digest.string observable));
+  Fmt.pr "observable digest: %s@."
+    (Digest.to_hex (Digest.string (Workload.Cluster.fingerprint insts)));
   Option.iter
     (fun path ->
       write_json path "metrics"
@@ -568,15 +558,6 @@ let run_cluster nodes domains until_us load chaos chaos_seed partition_at
 
 let cluster_cmd =
   let nodes = Arg.(value & opt int 4 & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size.") in
-  let domains =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Step the nodes on $(docv) OCaml domains inside the conservative \
-             lookahead window; observables are bit-identical for every value.")
-  in
   let until_us =
     Arg.(
       value
@@ -605,9 +586,11 @@ let cluster_cmd =
   in
   Cmd.v
     (Cmd.info "cluster"
-       ~doc:"Run a multi-node cluster, optionally stepping nodes on parallel domains")
+       ~doc:
+         "Run a multi-node cluster and print a digest of every node's metrics and \
+          trace")
     Term.(
-      const run_cluster $ nodes $ domains $ until_us $ load $ chaos $ chaos_seed
+      const run_cluster $ nodes $ until_us $ load $ chaos $ chaos_seed
       $ partition_at_arg $ partition_for_arg $ partition_minority_arg $ metrics_out)
 
 let restore_cmd =

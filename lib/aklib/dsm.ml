@@ -186,7 +186,6 @@ let create ak ~net ~home ~pages ~va_base vsp =
     Hw.Nic.Fiber.create ~node_id:(3000 + node_id) ~net ~events:node.Hw.Mpm.events
       ~now:(fun () -> Hw.Mpm.now node)
   in
-  Instance.register_net instance net;
   let frames = Array.of_list (Frame_alloc.take ak.App_kernel.frames pages) in
   let t =
     {

@@ -22,14 +22,10 @@
    array, scheduler predicates are cached per instance, and the running
    table uses [Oid.none] sentinels instead of options.
 
-   Multi-node runs use a windowed bulk-synchronous schedule built on the
-   same conservative-lookahead argument as the per-step horizon: within a
+   Multi-node runs use a windowed schedule built on the same
+   conservative-lookahead argument as the per-step horizon: within a
    window no peer can deliver earlier than its window-start clock plus the
-   minimum link latency, so nodes step independently (optionally on
-   separate domains) and exchange interconnect frames only at the barrier
-   between windows.  The merge order at the barrier is a function of
-   simulated time alone, so the run is bit-identical whatever the domain
-   count. *)
+   minimum link latency, so each node steps up to that cap in turn. *)
 
 open Instance
 
@@ -649,81 +645,31 @@ let past_deadline until (nd : Instance.t) =
 
 (* -- Windowed multi-node schedule (DESIGN.md section 12) --
 
-   Nodes advance in bulk-synchronous windows.  At each window start the
-   node clocks are snapshot; node [i] may then step freely while its time
-   is below [cap_i] = min over active peers [m] of (time_m + fiber_packet):
-   no frame a peer has not yet sent can arrive below that bound, so the
-   window's work is node-local by construction and nodes can step on
-   separate domains.  Cross-node effects (interconnect frames, topology
-   transitions, failover actions) buffer during the window and apply at
-   the barrier in an order derived from simulated time alone — so runs
-   are bit-identical for any domain count, including 1. *)
-
-type wctx = {
-  w_nodes : Instance.t array;
-  w_qflags : bool array;
-      (* persistent quiescence: nothing node-local can wake a quiescent
-         node, so the flag survives windows and clears only when barrier
-         activity (a delivery, a transition, an action) could wake it *)
-  w_bactions : (int * (unit -> unit)) list ref array; (* per node, reversed *)
-  w_bseq : int array;
-  w_send_bound : int array;
-      (* per node, reset each window: the earliest cycle a reply to a
-         frame this node sent *during the current window* could arrive
-         back — a send can wake a quiescent peer the cap computation
-         excluded, so the sender must not idle-jump past the earliest
-         possible answer *)
-}
-
-(* Which (run, node) this domain is currently stepping — lets
-   {!at_barrier} route cross-node work to the right run's barrier without
-   threading a context through every callback layer. *)
-let dls_ctx : (wctx * int) option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-(* Every interconnect send reports the earliest possible reply arrival;
-   inside a window that collapses the sending node's horizon (see
-   [w_send_bound]).  Outside a windowed run the hook is inert. *)
-let () =
-  Hw.Interconnect.send_hook :=
-    fun bound ->
-      match Domain.DLS.get dls_ctx with
-      | None -> ()
-      | Some (ctx, i) ->
-        if bound < ctx.w_send_bound.(i) then ctx.w_send_bound.(i) <- bound
-
-(** Defer [f] to the current windowed run's barrier, where it executes
-    single-threaded with every node's clock stable; outside a windowed
-    run (or already at the barrier) [f] runs immediately.  Actions run in
-    (enqueuing node, per-node sequence) order — deterministic because each
-    node's window execution is. *)
-let at_barrier f =
-  match Domain.DLS.get dls_ctx with
-  | None -> f ()
-  | Some (ctx, i) ->
-    let s = ctx.w_bseq.(i) in
-    ctx.w_bseq.(i) <- s + 1;
-    ctx.w_bactions.(i) := (s, f) :: !(ctx.w_bactions.(i))
+   Nodes advance in windows, stepped one after another.  At each window
+   start the node clocks are snapshot; node [i] may then step freely while
+   its time is below [cap_i] = min over active peers [m] of
+   (time_m + fiber_packet): no frame a peer has not yet sent can arrive
+   below that bound.  A frame lands on the destination's event queue when
+   it is sent, and topology transitions apply when they are called. *)
 
 (* One node's share of a window: step while below the cap (the final step
    may overshoot it, exactly as the per-step horizon only caps idle
-   jumps).  [budget] bounds runaway nodes; the bound is computed from
-   window-start state so it is domain-count independent.
+   jumps).  [budget] bounds runaway nodes.
 
    A quiescence-flagged node is still probed (one cheap [`Quiescent]
-   step_node when truly idle): an event may have landed on its queue
-   without barrier traffic — an unbuffered net, or a peer's handler
-   scheduling onto it directly — and the probe is what wakes it.  The
-   flag's real job is the cap computation: a flagged peer does not gate
-   the window, so active nodes are not stuck 750 cycles above a node
-   that may stay idle forever. *)
-let window_work ctx ~ubound ~cap ~budget i =
-  let nd = ctx.w_nodes.(i) in
-  Domain.DLS.set dls_ctx (Some (ctx, i));
+   step_node when truly idle): a peer's frame or handler may have put an
+   event on its queue, and the probe is what wakes it.  The flag's real
+   job is the cap computation: a flagged peer does not gate the window,
+   so active nodes are not stuck 750 cycles above a node that may stay
+   idle forever.  Returns the steps taken. *)
+let window_work (nd : Instance.t) qflags ~ubound ~cap ~budget i =
   (* idle jumps stop at the run deadline too: without this a node whose
      peers are all quiescent would leap to a far-future timer, and the
      replies its own frames provoke would land stamped in its past *)
   let horizon = min cap ubound in
-  ctx.w_send_bound.(i) <- max_int;
+  (* a send this window may wake a peer the cap ignored; the interconnect
+     lowers this bound to the earliest reply the send could provoke *)
+  Hw.Interconnect.reply_bound := max_int;
   let taken = ref 0 in
   let go = ref true in
   while !go && !taken < budget do
@@ -734,228 +680,79 @@ let window_work ctx ~ubound ~cap ~budget i =
        refusing it would strand in-bound traffic behind a node whose
        clock out-ran it *)
     let drainable = et <= nt && et <= ubound in
-    (* a send this window may wake a peer the cap ignored; don't outrun
-       the earliest reply it could provoke *)
-    let h = min horizon ctx.w_send_bound.(i) in
+    let h = min horizon !Hw.Interconnect.reply_bound in
     if nt >= h && not drainable then go := false
     else
       match step_node ~horizon:h nd with
       | `Progress ->
         incr taken;
-        ctx.w_qflags.(i) <- false
+        qflags.(i) <- false
       | `Quiescent ->
-        ctx.w_qflags.(i) <- true;
+        qflags.(i) <- true;
         go := false
   done;
-  Domain.DLS.set dls_ctx None;
   !taken
-
-(* Persistent worker pool: one spawn per run, not per window.  The main
-   thread acts as worker 0; workers run [job w] each epoch. *)
-type pool = {
-  n_workers : int; (* spawned domains, excluding the main thread *)
-  m : Mutex.t;
-  cv : Condition.t;
-  mutable job : int -> unit;
-  mutable epoch : int;
-  mutable done_count : int;
-  mutable stop : bool;
-  mutable doms : unit Domain.t array;
-}
-
-let pool_worker p w =
-  let seen = ref 0 in
-  let live = ref true in
-  while !live do
-    Mutex.lock p.m;
-    while p.epoch = !seen && not p.stop do
-      Condition.wait p.cv p.m
-    done;
-    if p.stop then begin
-      Mutex.unlock p.m;
-      live := false
-    end
-    else begin
-      seen := p.epoch;
-      let job = p.job in
-      Mutex.unlock p.m;
-      job w;
-      Mutex.lock p.m;
-      p.done_count <- p.done_count + 1;
-      if p.done_count = p.n_workers then Condition.broadcast p.cv;
-      Mutex.unlock p.m
-    end
-  done
-
-let make_pool n_workers =
-  let p =
-    {
-      n_workers;
-      m = Mutex.create ();
-      cv = Condition.create ();
-      job = ignore;
-      epoch = 0;
-      done_count = 0;
-      stop = false;
-      doms = [||];
-    }
-  in
-  p.doms <- Array.init n_workers (fun k -> Domain.spawn (fun () -> pool_worker p (k + 1)));
-  p
-
-let pool_run p job =
-  Mutex.lock p.m;
-  p.job <- job;
-  p.done_count <- 0;
-  p.epoch <- p.epoch + 1;
-  Condition.broadcast p.cv;
-  Mutex.unlock p.m;
-  job 0;
-  Mutex.lock p.m;
-  while p.done_count < p.n_workers do
-    Condition.wait p.cv p.m
-  done;
-  Mutex.unlock p.m
-
-let pool_shutdown p =
-  Mutex.lock p.m;
-  p.stop <- true;
-  Condition.broadcast p.cv;
-  Mutex.unlock p.m;
-  Array.iter Domain.join p.doms
-
-(* Barrier: apply buffered interconnect ops (merged (time, actor, seq)
-   order), then the deferred barrier actions ((node, seq) order), looping
-   until a round applies nothing — actions may send frames, which must
-   land before the next window.  Returns the total applied, so the caller
-   can clear quiescence flags when anything could have woken a node. *)
-let drain_barrier ctx nets =
-  let total = ref 0 in
-  let more = ref true in
-  while !more do
-    let ops = List.fold_left (fun a net -> a + Hw.Interconnect.flush_window net) 0 nets in
-    let acts = ref 0 in
-    Array.iter
-      (fun buf ->
-        match !buf with
-        | [] -> ()
-        | l ->
-          buf := [];
-          let l = List.rev l in
-          List.iter (fun (_, f) -> f ()) l;
-          acts := !acts + List.length l)
-      ctx.w_bactions;
-    total := !total + ops + !acts;
-    more := ops > 0 || !acts > 0
-  done;
-  !total
-
-let collect_nets (nodes : Instance.t array) =
-  Array.fold_left
-    (fun acc n ->
-      List.fold_left
-        (fun acc net -> if List.memq net acc then acc else net :: acc)
-        acc n.Instance.nets)
-    [] nodes
 
 (* Per-node step bound within one window.  Mostly the conservative cap
    bounds a window, but a node whose peers are all quiescent has
    [cap = max_int] and would otherwise burn the entire run's step budget
-   before a sleeping peer is ever probed again (its wake-up event sits on
-   its queue until the next window).  A constant keeps the schedule
-   domain-count independent; barriers with nothing buffered are cheap, so
-   the bound costs little. *)
+   before a sleeping peer is ever probed again. *)
 let window_max_steps = 4096
 
-let run_windowed ~until ~max_steps ~domains (nodes : Instance.t array) node_steps =
+let run_multi ~until ~max_steps (nodes : Instance.t array) node_steps =
   let n = Array.length nodes in
-  let domains = max 1 (min domains n) in
   let ubound = match until with Some u -> u | None -> max_int in
-  let nets = collect_nets nodes in
-  List.iter Hw.Interconnect.begin_window nets;
-  let ctx =
-    {
-      w_nodes = nodes;
-      w_qflags = Array.make n false;
-      w_bactions = Array.init n (fun _ -> ref []);
-      w_bseq = Array.make n 0;
-      w_send_bound = Array.make n max_int;
-    }
-  in
+  (* persistent quiescence: nothing node-local can wake a quiescent node,
+     so the flag survives windows and clears only when a frame was sent *)
+  let qflags = Array.make n false in
   let caps = Array.make n max_int in
   let times = Array.make n 0 in
-  let taken = Array.make n 0 in
-  let pool = if domains > 1 then Some (make_pool (domains - 1)) else None in
+  let sent = ref false in
   let steps = ref 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      (match pool with Some p -> pool_shutdown p | None -> ());
-      List.iter Hw.Interconnect.end_window nets)
-    (fun () ->
-      let continue = ref true in
-      while !continue && !steps < max_steps do
-        for i = 0 to n - 1 do
-          times.(i) <- node_time nodes.(i)
-        done;
-        for i = 0 to n - 1 do
-          (* the conservative per-node cap: the earliest instant any still-
-             active peer could deliver to [i] (quiescent and halted peers
-             cannot originate traffic and do not gate the window) *)
-          let cap = ref max_int in
-          for m = 0 to n - 1 do
-            if m <> i && (not ctx.w_qflags.(m)) && not nodes.(m).halted then
-              cap := min !cap (times.(m) + Hw.Cost.fiber_packet)
-          done;
-          caps.(i) <- !cap
-        done;
-        let budget = min window_max_steps (max_steps - !steps) in
-        Array.fill taken 0 n 0;
-        let work w =
-          let i = ref w in
-          while !i < n do
-            taken.(!i) <- window_work ctx ~ubound ~cap:caps.(!i) ~budget !i;
-            i := !i + domains
-          done
-        in
-        (match pool with Some p -> pool_run p work | None -> work 0);
-        (if Sys.getenv_opt "CK_WINDOW_DEBUG" <> None then
-           let b = Buffer.create 128 in
-           for i = 0 to n - 1 do
-             Buffer.add_string b
-               (Printf.sprintf " n%d[t=%d cap=%s q=%b taken=%d ev=%s]" i times.(i)
-                  (if caps.(i) = max_int then "inf" else string_of_int caps.(i))
-                  ctx.w_qflags.(i) taken.(i)
-                  (let e =
-                     Hw.Event_queue.next_time_or nodes.(i).node.Hw.Mpm.events
-                       ~default:max_int
-                   in
-                   if e = max_int then "-" else string_of_int e))
-           done;
-           Printf.eprintf "WDBG%s\n%!" (Buffer.contents b));
-        let wsteps = Array.fold_left ( + ) 0 taken in
-        for i = 0 to n - 1 do
-          node_steps.(i) <- node_steps.(i) + taken.(i)
-        done;
-        steps := !steps + wsteps;
-        let applied = drain_barrier ctx nets in
-        if applied > 0 then Array.fill ctx.w_qflags 0 n false;
-        (* The least-time unflagged node always has cap > its own time, so
-           each window either steps or newly flags at least one node — the
-           loop below cannot spin. *)
-        (if wsteps = 0 && applied = 0 then begin
-           (* done only when every node is quiescence-flagged or past the
-              deadline: a node can take zero steps merely because its cap
-              was computed before a peer went quiescent mid-window, and
-              the next window's fresh caps unstick it *)
-           let all_done = ref true in
-           for i = 0 to n - 1 do
-             if not (ctx.w_qflags.(i) || node_time nodes.(i) >= ubound) then
-               all_done := false
-           done;
-           if !all_done then continue := false
-         end)
+  let continue = ref true in
+  while !continue && !steps < max_steps do
+    for i = 0 to n - 1 do
+      times.(i) <- node_time nodes.(i)
+    done;
+    for i = 0 to n - 1 do
+      (* the conservative per-node cap: the earliest instant any still-
+         active peer could deliver to [i] (quiescent and halted peers
+         cannot originate traffic and do not gate the window) *)
+      let cap = ref max_int in
+      for m = 0 to n - 1 do
+        if m <> i && (not qflags.(m)) && not nodes.(m).halted then
+          cap := min !cap (times.(m) + Hw.Cost.fiber_packet)
       done;
-      !steps)
+      caps.(i) <- !cap
+    done;
+    let budget = min window_max_steps (max_steps - !steps) in
+    sent := false;
+    let wsteps = ref 0 in
+    for i = 0 to n - 1 do
+      let taken = window_work nodes.(i) qflags ~ubound ~cap:caps.(i) ~budget i in
+      if !Hw.Interconnect.reply_bound <> max_int then sent := true;
+      node_steps.(i) <- node_steps.(i) + taken;
+      wsteps := !wsteps + taken
+    done;
+    steps := !steps + !wsteps;
+    (* a frame may wake a flagged node, which must gate the next window *)
+    if !sent then Array.fill qflags 0 n false;
+    (* The least-time unflagged node always has cap > its own time, so
+       each window either steps or newly flags at least one node — the
+       loop below cannot spin. *)
+    if !wsteps = 0 then begin
+      (* done only when every node is quiescence-flagged or past the
+         deadline: a node can take zero steps merely because its cap was
+         computed before a peer went quiescent mid-window, and the next
+         window's fresh caps unstick it *)
+      let all_done = ref true in
+      for i = 0 to n - 1 do
+        if not (qflags.(i) || node_time nodes.(i) >= ubound) then all_done := false
+      done;
+      if !all_done then continue := false
+    end
+  done;
+  !steps
 
 let run_single ~until ~max_steps nd node_steps =
   let steps = ref 0 in
@@ -972,11 +769,9 @@ let run_single ~until ~max_steps nd node_steps =
 
 (** Run a cluster of Cache Kernel instances until every node is quiescent,
     the optional simulated-time bound is reached, or [max_steps] engine
-    steps have executed.  Multi-node clusters use the windowed schedule;
-    [domains] > 1 steps the window's per-node work on that many OCaml
-    domains (results are bit-identical to [domains = 1]).  Returns the
-    number of steps taken. *)
-let run ?until_us ?(max_steps = 200_000_000) ?(domains = 1) (nodes : Instance.t array) =
+    steps have executed.  Multi-node clusters use the windowed schedule.
+    Returns the number of steps taken. *)
+let run ?until_us ?(max_steps = 200_000_000) (nodes : Instance.t array) =
   let until = Option.map Hw.Cost.cycles_of_us until_us in
   let n = Array.length nodes in
   if n = 0 then 0
@@ -984,7 +779,7 @@ let run ?until_us ?(max_steps = 200_000_000) ?(domains = 1) (nodes : Instance.t 
     let node_steps = Array.make n 0 in
     let steps =
       if n = 1 then run_single ~until ~max_steps nodes.(0) node_steps
-      else run_windowed ~until ~max_steps ~domains nodes node_steps
+      else run_multi ~until ~max_steps nodes node_steps
     in
     Array.iter sync_clocks nodes;
     (* per-node step attribution: the wall-clock harness divides the

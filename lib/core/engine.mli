@@ -5,8 +5,7 @@
     charges the hardware and supervisor cycle costs, and handles the
     scheduling, fault-forwarding (Figure 2) and signal consequences.
     Simulations are deterministic: the same programs produce the same
-    event sequence and the same simulated times on every run — including
-    under domain-parallel stepping ({!run}'s [domains]). *)
+    event sequence and the same simulated times on every run. *)
 
 exception Kernel_bug of string
 
@@ -21,21 +20,14 @@ val sync_clocks : Instance.t -> unit
 (** Level all CPU clocks to the node's latest time (end-of-run idle
     accounting). *)
 
-val at_barrier : (unit -> unit) -> unit
-(** Defer a cross-node action (a failover decision, a chaos crash) to the
-    current windowed run's barrier, where it executes single-threaded with
-    every node's clocks stable, in a deterministic (node, sequence) order.
-    Outside a windowed multi-node run the action runs immediately. *)
-
-val run :
-  ?until_us:float -> ?max_steps:int -> ?domains:int -> Instance.t array -> int
+val run : ?until_us:float -> ?max_steps:int -> Instance.t array -> int
 (** Run a cluster of Cache Kernel instances until every node is quiescent,
     the simulated-time bound is reached, or [max_steps] engine steps have
     executed.  Returns the number of steps taken.
 
-    Multi-node clusters advance in bulk-synchronous windows bounded by the
-    conservative lookahead cap (each node may run while below every active
-    peer's clock plus the minimum link latency); cross-node effects apply
-    only at the window barrier in an order derived from simulated time.
-    [domains] > 1 steps the per-node window work on that many OCaml
-    domains; metrics and traces are bit-identical to [domains = 1]. *)
+    Multi-node clusters advance in windows bounded by the conservative
+    lookahead cap: each node steps in turn while below every active
+    peer's clock plus the minimum link latency, and a node that sends a
+    frame stops at the earliest instant a reply could come back.
+    Interconnect frames land on the destination's event queue when they
+    are sent. *)

@@ -79,10 +79,6 @@ type t = {
   mutable elig_normal : (Oid.t -> Thread_obj.t -> bool) array; (* per CPU *)
   mutable elig_idle : (Oid.t -> Thread_obj.t -> bool) array; (* per CPU *)
   cpu_time_scratch : int array;
-  mutable nets : Hw.Interconnect.t list;
-      (* interconnects this node sends on (registered by the layers that
-         attach NICs); the windowed engine puts them in buffered mode so
-         cross-node traffic only moves at window barriers *)
 }
 
 let node_id t = t.node.Hw.Mpm.node_id
@@ -203,7 +199,6 @@ let create ?(config = Config.default) node =
       elig_normal = [||]; (* filled lazily by {!Engine} *)
       elig_idle = [||];
       cpu_time_scratch = Array.make (Hw.Mpm.n_cpus node) 0;
-      nets = [];
     }
   in
   t.sched_resolve <-
@@ -276,10 +271,6 @@ let resolve_ready t oid = t.sched_resolve oid
 let running_thread t ~cpu_id =
   let oid = t.running.(cpu_id) in
   if Oid.is_none oid then None else find_thread t oid
-
-(** Register an interconnect this node sends on; the windowed engine
-    switches registered nets into buffered mode during parallel runs. *)
-let register_net t net = if not (List.memq net t.nets) then t.nets <- net :: t.nets
 
 (** Mark a loaded thread ready and enqueue it. *)
 let make_ready t (th : Thread_obj.t) =

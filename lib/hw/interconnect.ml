@@ -4,25 +4,8 @@
    Nodes register a delivery callback; [send] schedules delivery on the
    destination node's event queue after the link latency.  A node can be
    marked failed, after which it silently drops traffic — the substrate for
-   the fault-containment experiments (section 3).
-
-   Window (buffered) mode — DESIGN.md section 12: while the parallel
-   engine steps nodes concurrently inside a conservative lookahead window,
-   cross-node effects must not touch another node's state mid-window.
-   [begin_window] switches the net to buffering: [send] still computes its
-   sender-local timing (outbound-link occupancy is the sender's own state)
-   but records the frame as a pending op instead of scheduling delivery,
-   and the topology transitions ([fail_node], [restore_node], [partition],
-   [heal]) record timed ops likewise.  At each barrier, [flush_window]
-   sorts pending ops by (time, actor, per-actor sequence) — a total,
-   domain-count-independent order — and applies them: transitions mutate
-   port state, and each frame checks failure/partition state as of its
-   place in that merged order before scheduling delivery on the
-   destination's queue.  Relative to unbuffered mode, a frame whose
-   destination is down still occupies the sender's outbound link (the
-   sender cannot know), and a transition takes effect at its stamped time
-   within the merged order rather than at OCaml call order; both are
-   deterministic refinements, pinned by the replay tests. *)
+   the fault-containment experiments (section 3).  Sends and topology
+   transitions take effect when they are called. *)
 
 type packet = { src : int; dst : int; data : Bytes.t; tag : int }
 
@@ -34,24 +17,9 @@ type port = {
   mutable failed : bool;
   mutable group : int;  (* partition group; cross-group frames are dropped *)
   mutable tx_free : Cost.cycles;  (* when this port's outbound link drains *)
-  mutable op_seq : int;  (* per-actor sequence for buffered-op ordering *)
 }
 
 type link_kind = Vme | Fiber
-
-(* A cross-node effect deferred to the window barrier.  [time] is when it
-   happened on the actor's clock; [actor]/[seq] break ties so the merged
-   order is total and independent of which domain buffered first. *)
-type op = {
-  op_time : Cost.cycles;
-  op_actor : int;
-  op_op_seq : int;
-  op_kind : op_kind;
-}
-
-and op_kind =
-  | Op_frame of { sp : port; dp : port; pkt : packet; deliver_at : Cost.cycles }
-  | Op_transition of (unit -> unit)
 
 type t = {
   latency : Cost.cycles;
@@ -59,9 +27,6 @@ type t = {
   mutable ports : port list;
   mutable sent : int;
   mutable dropped : int;
-  mutable window : bool; (* buffering cross-node effects until the barrier *)
-  op_lock : Mutex.t; (* guards [pending] (appended from several domains) *)
-  mutable pending : op list;
 }
 
 let create ?(kind = Fiber) () =
@@ -70,97 +35,39 @@ let create ?(kind = Fiber) () =
     | Vme -> (Cost.vme_packet, Cost.vme_serialize)
     | Fiber -> (Cost.fiber_packet, Cost.fiber_serialize)
   in
-  {
-    latency;
-    serialize;
-    ports = [];
-    sent = 0;
-    dropped = 0;
-    window = false;
-    op_lock = Mutex.create ();
-    pending = [];
-  }
+  { latency; serialize; ports = []; sent = 0; dropped = 0 }
 
 (** Attach a node.  [deliver] runs on the destination node's event queue. *)
 let attach t ~node_id ~deliver ~now ~at =
-  let port =
-    { node_id; deliver; now; at; failed = false; group = 0; tx_free = 0; op_seq = 0 }
-  in
+  let port = { node_id; deliver; now; at; failed = false; group = 0; tx_free = 0 } in
   t.ports <- port :: t.ports;
   port
 
 let port t node_id = List.find_opt (fun p -> p.node_id = node_id) t.ports
 
-(* Buffer [kind] as a pending op stamped with the actor port's clock-time
-   and its private sequence counter (actor-local state, so concurrent
-   windows never race on it; the shared list append is mutex-guarded). *)
-let push_op t (actor : port) ~time kind =
-  let seq = actor.op_seq in
-  actor.op_seq <- seq + 1;
-  let op = { op_time = time; op_actor = actor.node_id; op_op_seq = seq; op_kind = kind } in
-  Mutex.lock t.op_lock;
-  t.pending <- op :: t.pending;
-  Mutex.unlock t.op_lock
-
-(* Topology transitions: immediate outside a window; inside one they are
-   buffered as timed ops.  [at_time] defaults to the actor's current clock
-   (only consulted in window mode); [actor] identifies the node whose
-   simulated action this is, for the deterministic merge order. *)
-
-let transition t ?at_time ?actor ~name apply =
-  if not t.window then apply ()
-  else begin
-    let ap =
-      match actor with
-      | Some id -> (
-        match port t id with
-        | Some p -> p
-        | None -> invalid_arg (name ^ ": unknown actor"))
-      | None -> (
-        match t.ports with
-        | [] -> invalid_arg (name ^ ": no ports")
-        | ps -> List.fold_left (fun a p -> if p.node_id < a.node_id then p else a) (List.hd ps) ps)
-    in
-    let time = match at_time with Some c -> c | None -> ap.now () in
-    push_op t ap ~time (Op_transition apply)
-  end
+let find_port t node_id ~name =
+  match port t node_id with Some p -> p | None -> invalid_arg (name ^ ": unknown node")
 
 (** Halt a node: it stops receiving (and its kernel stops running).  Other
     nodes are unaffected — "an MPM hardware failure only halts the local
     Cache Kernel instance and applications running on top of it". *)
-let fail_node ?at_time ?actor t node_id =
-  match port t node_id with
-  | Some p ->
-    let actor = match actor with Some a -> a | None -> node_id in
-    transition t ?at_time ~actor ~name:"Interconnect.fail_node" (fun () ->
-        p.failed <- true)
-  | None -> invalid_arg "Interconnect.fail_node: unknown node"
+let fail_node t node_id = (find_port t node_id ~name:"Interconnect.fail_node").failed <- true
 
 let node_failed t node_id =
   match port t node_id with Some p -> p.failed | None -> false
 
 (** Restore a failed node's port (it rebooted): it receives again. *)
-let restore_node ?at_time ?actor t node_id =
-  match port t node_id with
-  | Some p ->
-    let actor = match actor with Some a -> a | None -> node_id in
-    transition t ?at_time ~actor ~name:"Interconnect.restore_node" (fun () ->
-        p.failed <- false)
-  | None -> invalid_arg "Interconnect.restore_node: unknown node"
+let restore_node t node_id =
+  (find_port t node_id ~name:"Interconnect.restore_node").failed <- false
 
 (** Sever the interconnect: ports of nodes in [minority] land in their own
     partition group; frames between groups are dropped at send time
     (frames already on the wire still deliver).  Idempotent. *)
-let partition ?at_time ?actor t ~minority =
-  transition t ?at_time ?actor ~name:"Interconnect.partition" (fun () ->
-      List.iter
-        (fun p -> p.group <- (if List.mem p.node_id minority then 1 else 0))
-        t.ports)
+let partition t ~minority =
+  List.iter (fun p -> p.group <- (if List.mem p.node_id minority then 1 else 0)) t.ports
 
 (** Heal any partition: every port rejoins group 0.  Idempotent. *)
-let heal ?at_time ?actor t =
-  transition t ?at_time ?actor ~name:"Interconnect.heal" (fun () ->
-      List.iter (fun p -> p.group <- 0) t.ports)
+let heal t = List.iter (fun p -> p.group <- 0) t.ports
 
 let partitioned t ~src ~dst =
   match (port t src, port t dst) with
@@ -170,57 +77,36 @@ let partitioned t ~src ~dst =
 let sent t = t.sent
 let dropped t = t.dropped
 
-(* Every [send] reports the earliest cycle at which a *reply* to the frame
-   could arrive back at the sender (frame drained + one hop out + one hop
-   back).  The parallel engine installs a hook here to collapse the
-   sending node's lookahead window to that bound: a quiescent peer woken
-   by this frame may answer, so the sender must not idle-jump past the
-   earliest possible answer.  Outside a windowed run the hook is inert. *)
-let send_hook : (Cost.cycles -> unit) ref = ref (fun (_ : Cost.cycles) -> ())
-
-(* Deliver or drop one frame against the current (merged-order) failure
-   and partition state, exactly the unbuffered check. *)
-let commit_frame t sp dp pkt deliver_at =
-  if sp.failed || dp.failed || sp.group <> dp.group then t.dropped <- t.dropped + 1
-  else begin
-    t.sent <- t.sent + 1;
-    dp.at ~time:deliver_at (fun () -> if not dp.failed then dp.deliver pkt)
-  end
+(* Every [send] lowers this to the earliest cycle at which a *reply* to
+   the frame could arrive back at the sender (frame drained + one hop out
+   + one hop back).  The multi-node engine resets it before stepping a
+   node and stops the node there: a quiescent peer woken by the frame may
+   answer, so the sender must not idle-jump past the earliest possible
+   answer. *)
+let reply_bound = ref max_int
 
 (** Send [data] from node [src] to node [dst]: the frame first waits for
     the source port's outbound link to drain, occupies it for the wire
     serialization time of its length, then arrives after the hop latency —
-    unless either end has failed.  Delivery is stamped on the sender's
-    clock; a receiver that is already past that instant processes the
-    frame at its own current time (the event queue runs past-due events
-    immediately), which models queueing at the receiver. *)
+    unless either end has failed or a partition separates them, in which
+    case it is dropped.  The sender cannot see the far end, so a dropped
+    frame still occupies its outbound link.  Delivery is stamped on the
+    sender's clock; a receiver that is already past that instant processes
+    the frame at its own current time (the event queue runs past-due
+    events immediately), which models queueing at the receiver. *)
 let send t ~src ~dst ?(tag = 0) data =
   match (port t src, port t dst) with
   | Some sp, Some dp ->
-    if not t.window then begin
-      if sp.failed || dp.failed || sp.group <> dp.group then
-        t.dropped <- t.dropped + 1
-      else begin
-        t.sent <- t.sent + 1;
-        let start = max (sp.now ()) sp.tx_free in
-        let drained = start + t.serialize (Bytes.length data) in
-        sp.tx_free <- drained;
-        let deliver_at = drained + t.latency in
-        let pkt = { src; dst; data; tag } in
-        !send_hook (deliver_at + t.latency);
-        dp.at ~time:deliver_at (fun () -> if not dp.failed then dp.deliver pkt)
-      end
-    end
+    let start = max (sp.now ()) sp.tx_free in
+    let drained = start + t.serialize (Bytes.length data) in
+    sp.tx_free <- drained;
+    let deliver_at = drained + t.latency in
+    if deliver_at + t.latency < !reply_bound then reply_bound := deliver_at + t.latency;
+    if sp.failed || dp.failed || sp.group <> dp.group then t.dropped <- t.dropped + 1
     else begin
-      (* window mode: timing is sender-local (computed now); the state
-         checks and the delivery wait for the barrier's merged order *)
-      let start = max (sp.now ()) sp.tx_free in
-      let drained = start + t.serialize (Bytes.length data) in
-      sp.tx_free <- drained;
-      let deliver_at = drained + t.latency in
+      t.sent <- t.sent + 1;
       let pkt = { src; dst; data; tag } in
-      !send_hook (deliver_at + t.latency);
-      push_op t sp ~time:start (Op_frame { sp; dp; pkt; deliver_at })
+      dp.at ~time:deliver_at (fun () -> if not dp.failed then dp.deliver pkt)
     end
   | _ -> invalid_arg "Interconnect.send: unknown node"
 
@@ -229,41 +115,3 @@ let broadcast t ~src ?(tag = 0) data =
   List.iter
     (fun p -> if p.node_id <> src then send t ~src ~dst:p.node_id ~tag data)
     t.ports
-
-(* -- Window (buffered) mode control, driven by the parallel engine -- *)
-
-let begin_window t = t.window <- true
-
-(** Apply every buffered op in (time, actor, seq) order; returns how many
-    were applied (the engine clears quiescence when any were).  Runs on
-    the barrier's single thread; the net stays in window mode. *)
-let flush_window t =
-  Mutex.lock t.op_lock;
-  let ops = t.pending in
-  t.pending <- [];
-  Mutex.unlock t.op_lock;
-  match ops with
-  | [] -> 0
-  | ops ->
-    let ops =
-      List.sort
-        (fun a b ->
-          let c = compare a.op_time b.op_time in
-          if c <> 0 then c
-          else
-            let c = compare a.op_actor b.op_actor in
-            if c <> 0 then c else compare a.op_op_seq b.op_op_seq)
-        ops
-    in
-    List.iter
-      (fun op ->
-        match op.op_kind with
-        | Op_transition f -> f ()
-        | Op_frame { sp; dp; pkt; deliver_at } -> commit_frame t sp dp pkt deliver_at)
-      ops;
-    List.length ops
-
-(** Leave window mode, applying anything still buffered. *)
-let end_window t =
-  ignore (flush_window t);
-  t.window <- false

@@ -21,25 +21,19 @@ val attach :
   at:(time:Cost.cycles -> (unit -> unit) -> unit) ->
   port
 
-val fail_node : ?at_time:Cost.cycles -> ?actor:int -> t -> int -> unit
-(** Halt a node: it stops receiving; other nodes are unaffected.  In
-    window mode the transition is buffered as a timed op: it takes effect
-    at the barrier, ordered by [at_time] (default: the actor's clock) with
-    [actor] (default: the failed node) breaking ties deterministically. *)
+val fail_node : t -> int -> unit
+(** Halt a node: it stops receiving; other nodes are unaffected. *)
 
-val restore_node : ?at_time:Cost.cycles -> ?actor:int -> t -> int -> unit
-(** Restore a failed node's port (it rebooted): it receives again.
-    Window-mode semantics as for {!fail_node}. *)
+val restore_node : t -> int -> unit
+(** Restore a failed node's port (it rebooted): it receives again. *)
 
-val partition : ?at_time:Cost.cycles -> ?actor:int -> t -> minority:int list -> unit
+val partition : t -> minority:int list -> unit
 (** Sever the interconnect: nodes in [minority] form their own partition
     group and frames between the groups are dropped at send time (frames
-    already on the wire still deliver).  Idempotent.  Window-mode
-    semantics as for {!fail_node} ([actor] defaults to the lowest port). *)
+    already on the wire still deliver).  Idempotent. *)
 
-val heal : ?at_time:Cost.cycles -> ?actor:int -> t -> unit
-(** Heal any partition: every node rejoins one group.  Idempotent.
-    Window-mode semantics as for {!partition}. *)
+val heal : t -> unit
+(** Heal any partition: every node rejoins one group.  Idempotent. *)
 
 val partitioned : t -> src:int -> dst:int -> bool
 val node_failed : t -> int -> bool
@@ -47,28 +41,16 @@ val sent : t -> int
 val dropped : t -> int
 
 val send : t -> src:int -> dst:int -> ?tag:int -> Bytes.t -> unit
+(** Send a frame.  It waits for the sender's outbound link, occupies it
+    for its serialization time, and is delivered one hop latency later.
+    A frame to or from a failed node, or across a partition, is counted
+    in {!dropped} instead of delivered, but still occupies the sender's
+    link. *)
+
 val broadcast : t -> src:int -> ?tag:int -> Bytes.t -> unit
 
-val send_hook : (Cost.cycles -> unit) ref
-(** Called on every (non-dropped) send with the earliest cycle a reply to
-    that frame could arrive back at the sender — drained + 2 hop
-    latencies.  The parallel engine installs a hook to bound the sending
-    node's lookahead window; defaults to a no-op. *)
-
-(** {2 Window (buffered) mode}
-
-    Used by the parallel engine: while nodes step concurrently inside a
-    conservative lookahead window, cross-node effects (frame deliveries
-    and topology transitions) buffer as timed ops and apply only at the
-    window barrier, in (time, actor, per-actor-sequence) order — a total
-    order independent of domain count, so a run is bit-identical however
-    many domains step it. *)
-
-val begin_window : t -> unit
-
-val flush_window : t -> int
-(** Apply every buffered op in merged order; returns the number applied.
-    Must run on a single thread (the barrier).  Window mode stays on. *)
-
-val end_window : t -> unit
-(** Apply anything still buffered and return to unbuffered operation. *)
+val reply_bound : Cost.cycles ref
+(** Lowered by every {!send} (delivered or dropped) to the earliest cycle
+    a reply to that frame could arrive back at the sender — drained + 2
+    hop latencies.  The multi-node engine resets it to [max_int] before
+    stepping a node and uses it to bound that node's idle jumps. *)

@@ -51,27 +51,6 @@ type residue = {
 
 let registry : (int * int, residue) Hashtbl.t = Hashtbl.create 32
 
-(* The residue registry is process-global (it is how an image finds its
-   continuations across kernel instances), so under domain-parallel
-   stepping two nodes' planes may touch it concurrently. *)
-let registry_lock = Mutex.create ()
-
-let registry_put key res =
-  Mutex.lock registry_lock;
-  Hashtbl.replace registry key res;
-  Mutex.unlock registry_lock
-
-let registry_find key =
-  Mutex.lock registry_lock;
-  let r = Hashtbl.find_opt registry key in
-  Mutex.unlock registry_lock;
-  r
-
-let registry_remove key =
-  Mutex.lock registry_lock;
-  Hashtbl.remove registry key;
-  Mutex.unlock registry_lock
-
 type outgoing = {
   o_dst : int;
   o_chunks : Bytes.t array;
@@ -280,7 +259,7 @@ let thread_image_of ~xfer ~space (e : Thread_lib.entry) =
 
 let deposit_residue ~xfer (e : Thread_lib.entry) =
   let saved = match e.Thread_lib.run with Thread_lib.Unloaded s -> s | _ -> None in
-  registry_put (xfer, e.Thread_lib.id)
+  Hashtbl.replace registry (xfer, e.Thread_lib.id)
     { res_saved = saved; res_body = e.Thread_lib.body }
 
 (* -- shipping ----------------------------------------------------------- *)
@@ -649,7 +628,7 @@ let apply t ~xfer ~src ~epoch (img : Codec.image) =
               | Some idx -> (List.nth vsps idx).Segment_mgr.tag
               | None -> own
             in
-            let res = registry_find (th.Codec.xfer, th.Codec.thread_tag) in
+            let res = Hashtbl.find_opt registry (th.Codec.xfer, th.Codec.thread_tag) in
             let saved = Option.bind res (fun r -> r.res_saved) in
             let body = Option.bind res (fun r -> r.res_body) in
             let id =
@@ -739,7 +718,7 @@ let readopt_impl t ~xfer ~tags chunks =
       Instance.count i "migrate.readopt_failed"
     | Ok l ->
       schedule_landing t ~xfer l ~counter:"migrate.readopt_loads";
-      List.iter (fun tag -> registry_remove (xfer, tag)) tags;
+      List.iter (fun tag -> Hashtbl.remove registry (xfer, tag)) tags;
       Instance.count i "migrate.readopted";
       Instance.trace i (Trace.Migrate_readopt { xfer }))
 
@@ -852,7 +831,7 @@ let recv_ctl t ~src ~xfer ~op =
     | None -> ()
     | Some c ->
       Hashtbl.remove t.committing xfer;
-      List.iter (fun tag -> registry_remove (xfer, tag)) c.c_tags;
+      List.iter (fun tag -> Hashtbl.remove registry (xfer, tag)) c.c_tags;
       Instance.observe i "migrate.pause_us" (now_us t -. c.c_started);
       Instance.count i "migrate.completed";
       step t "src.done"

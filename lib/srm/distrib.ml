@@ -238,13 +238,7 @@ and declare_dead t ~node =
   let leader = List.fold_left min t.node_id live in
   if t.node_id = leader then begin
     Instance.count i "fd.failovers";
-    (* the callback touches the victim node's state (restart, clock idle,
-       rejoin) — cross-node work, deferred to the window barrier so a
-       domain-parallel run applies it single-threaded and in a
-       deterministic order *)
-    match t.on_failover with
-    | Some f -> Engine.at_barrier (fun () -> f ~node ~epoch:next)
-    | None -> ()
+    match t.on_failover with Some f -> f ~node ~epoch:next | None -> ()
   end
 
 and detector_tick t =
@@ -544,10 +538,6 @@ let start srm ~net =
     }
   in
   Hw.Nic.Fiber.set_receiver nic (fun pkt -> handle t pkt);
-  (* let the engine see this net: windowed runs buffer its cross-node
-     frames to the barrier, which is what makes domain-parallel stepping
-     deterministic *)
-  Instance.register_net inst net;
   arm_balance t;
   arm_heartbeat t;
   t

@@ -71,17 +71,26 @@ let create ?config ?(cpus = 2) ?(auto_failover = true) ~n () =
     state) and fail its interconnect port so in-flight frames to and from
     it drop — the two always travel together in a real machine crash. *)
 let crash t i =
-  (* chaos scripts call this from another node's event handler: crossing
-     node state mid-window would race under domain-parallel stepping, so
-     the kill lands at the barrier (immediately when not windowed) *)
-  Engine.at_barrier (fun () ->
-      Instance.crash t.nodes.(i).inst;
-      Hw.Interconnect.fail_node t.net (Instance.node_id t.nodes.(i).inst))
+  Instance.crash t.nodes.(i).inst;
+  Hw.Interconnect.fail_node t.net (Instance.node_id t.nodes.(i).inst)
 
-(** Run the cluster's engines until [until_us] (or quiescence).
-    [domains] > 1 steps nodes on that many OCaml domains; observables are
-    bit-identical to a single-domain run. *)
-let run ?until_us ?domains t = ignore (Engine.run ?until_us ?domains (insts t))
+(** Run the cluster's engines until [until_us] (or quiescence). *)
+let run ?until_us t = ignore (Engine.run ?until_us (insts t))
+
+(** The full observable surface of a run, for same-seed replay checks:
+    every node's clock, halted flag, metrics JSON (counters and histogram
+    summaries) and trace JSON (events with simulated timestamps), in node
+    order. *)
+let fingerprint (insts : Instance.t array) =
+  String.concat "\n"
+    (Array.to_list
+       (Array.map
+          (fun (i : Instance.t) ->
+            Printf.sprintf "node%d now=%d halted=%b\n%s\n%s" (Instance.node_id i)
+              (Hw.Mpm.now i.Instance.node) i.Instance.halted
+              (Json.to_string (Metrics.to_json i.Instance.metrics))
+              (Json.to_string (Trace.to_json i.Instance.trace)))
+          insts))
 
 (** Spawn [count] self-yielding compute threads on node [i] — detectable
     load for balancing/failover experiments.  Returns the thread oids. *)

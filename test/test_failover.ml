@@ -92,6 +92,37 @@ let test_auto_failover () =
     (List.mem_assoc 2 (Srm.Distrib.load_reports (C.dist c 0)));
   Array.iter (audit_clean "failover") (C.insts c)
 
+(* A crash issued from inside a run (here a timer on node 0) and the
+   recovery leader's failover callback act when they are called: the
+   victim is halted with its port failed before [crash] returns, and it is
+   running again under the fenced epoch before the callback returns. *)
+let test_call_time_crash_and_failover () =
+  let c = C.create ~config:(fo_config ()) ~n:3 () in
+  ignore (C.spawn_load c 2 3);
+  let down_at_once = ref false in
+  Hw.Mpm.after (C.inst c 0).Instance.node ~delay:(Hw.Cost.cycles_of_us 2_000.0) (fun () ->
+      C.crash c 2;
+      down_at_once :=
+        (C.inst c 2).Instance.halted && Hw.Interconnect.node_failed (C.net c) 2);
+  let in_callback = ref [] in
+  Srm.Distrib.set_failover (C.dist c 0)
+    (Some
+       (fun ~node ~epoch ->
+         C.failover c ~node ~epoch;
+         in_callback :=
+           (node, (C.inst c node).Instance.halted, Srm.Distrib.epoch (C.dist c node))
+           :: !in_callback));
+  C.run ~until_us:30_000.0 c;
+  Alcotest.(check bool) "crash took effect inside the call" true !down_at_once;
+  Alcotest.(check (list (triple int bool int)))
+    "victim restarted under the fenced epoch inside the callback" [ (2, false, 2) ]
+    !in_callback;
+  Alcotest.(check bool) "frames to the dead port were dropped" true
+    (Hw.Interconnect.dropped (C.net c) > 0);
+  Alcotest.(check bool) "port restored with the restart" false
+    (Hw.Interconnect.node_failed (C.net c) 2);
+  Array.iter (audit_clean "call-time failover") (C.insts c)
+
 (* -- stale load reports (satellite) -------------------------------------- *)
 
 let test_stale_reports_expire () =
@@ -147,7 +178,10 @@ let test_partition_quorum_and_selffence () =
   | _ -> Alcotest.fail "majority should see node 3 alive again");
   Array.iter (audit_clean "partition") (C.insts c)
 
-(* -- chaos-driven partition with deterministic replay -------------------- *)
+(* -- chaos-driven partition with deterministic replay --------------------
+
+   The replay compares the full observable surface ({!C.fingerprint}):
+   every node's clock, metrics and trace must be byte-identical. *)
 
 let partition_chaos_run seed =
   let chaos =
@@ -160,33 +194,9 @@ let partition_chaos_run seed =
     }
   in
   let c = C.create ~config:(fo_config ~chaos ()) ~n:4 () in
-  Trace.enable (C.inst c 0).Instance.trace;
+  Array.iter (fun (i : Instance.t) -> Trace.enable i.Instance.trace) (C.insts c);
   C.run ~until_us:40_000.0 c;
   let per_node name = Array.to_list (Array.map (fun i -> counter i name) (C.insts c)) in
-  let summary =
-    String.concat ";"
-      (List.map
-         (fun name ->
-           name ^ "="
-           ^ String.concat "," (List.map string_of_int (per_node name)))
-         [
-           "fd.suspects"; "fd.deaths"; "fd.self_fenced"; "fd.rejoins"; "fence.rejected";
-           "srm.restart"; "inject.net.partition"; "recover.net.partition";
-         ])
-    ^ "|trace:"
-    ^ String.concat ","
-        (List.map
-           (fun (e : Trace.entry) ->
-             Printf.sprintf "%d:%s" e.Trace.time (Trace.event_name e.Trace.event))
-           (List.filter
-              (fun (e : Trace.entry) ->
-                match e.Trace.event with
-                | Trace.Net_partition _ | Trace.Node_suspect _ | Trace.Node_dead _
-                | Trace.Node_restart _ | Trace.Fence_reject _ ->
-                  true
-                | _ -> false)
-              (Trace.entries (C.inst c 0).Instance.trace)))
-  in
   let self_fenced = List.fold_left ( + ) 0 (per_node "fd.self_fenced") in
   let restarts = List.fold_left ( + ) 0 (per_node "srm.restart") in
   let all_up = Array.for_all (fun (i : Instance.t) -> not i.Instance.halted) (C.insts c) in
@@ -195,7 +205,12 @@ let partition_chaos_run seed =
       (fun n -> Srm.Distrib.node_state (C.dist c 0) n = Srm.Distrib.Alive)
       [ 1; 2; 3 ]
   in
-  (summary, self_fenced, restarts, counter (C.inst c 0) "fd.deaths", all_up, all_alive_at_0)
+  ( C.fingerprint (C.insts c),
+    self_fenced,
+    restarts,
+    counter (C.inst c 0) "fd.deaths",
+    all_up,
+    all_alive_at_0 )
 
 let test_partition_chaos_replay () =
   List.iter
@@ -217,6 +232,41 @@ let test_partition_chaos_replay () =
         (Printf.sprintf "seed %d replays identically" seed)
         s1 s2)
     [ 1; 2; 3 ]
+
+(* A loaded cluster with the balancer moving threads, chunk loss and a
+   partition — the traffic mix of [ckos cluster] — replays byte for byte
+   from its seed. *)
+let loaded_cluster_run seed =
+  let chaos =
+    {
+      Config.chaos_default with
+      Config.chaos_seed = seed;
+      migrate_drop = 0.1;
+      partition_at_us = Some 4_000.0;
+      partition_for_us = 3_000.0;
+      partition_minority = 1;
+    }
+  in
+  let config = { (fo_config ~chaos ()) with Config.balance_interval_us = 500.0 } in
+  let c = C.create ~config ~n:4 () in
+  Array.iter (fun (i : Instance.t) -> Trace.enable i.Instance.trace) (C.insts c);
+  ignore (C.spawn_load c 0 ~iterations:2_000 8);
+  ignore (C.spawn_load c 1 ~iterations:2_000 2);
+  C.run ~until_us:30_000.0 c;
+  let moves = Array.fold_left (fun a i -> a + counter i "balance.moves") 0 (C.insts c) in
+  let all_up = Array.for_all (fun (i : Instance.t) -> not i.Instance.halted) (C.insts c) in
+  (C.fingerprint (C.insts c), moves, all_up)
+
+let test_loaded_cluster_replay () =
+  List.iter
+    (fun seed ->
+      let fp1, moves, all_up = loaded_cluster_run seed in
+      Alcotest.(check bool) (Printf.sprintf "seed %d: balancer moved threads" seed) true
+        (moves > 0);
+      Alcotest.(check bool) (Printf.sprintf "seed %d: every node ends up" seed) true all_up;
+      let fp2, _, _ = loaded_cluster_run seed in
+      Alcotest.(check string) (Printf.sprintf "seed %d replays identically" seed) fp1 fp2)
+    [ 1; 2 ]
 
 (* -- crash-point sweep: crash-atomic migration --------------------------- *)
 
@@ -369,6 +419,8 @@ let () =
         [
           Alcotest.test_case "automatic restart from writeback images" `Quick
             test_auto_failover;
+          Alcotest.test_case "crash and failover act at call time" `Quick
+            test_call_time_crash_and_failover;
         ] );
       ( "partition",
         [
@@ -376,6 +428,8 @@ let () =
             test_partition_quorum_and_selffence;
           Alcotest.test_case "chaos partition: deterministic replay" `Slow
             test_partition_chaos_replay;
+          Alcotest.test_case "loaded cluster with balancing: deterministic replay" `Slow
+            test_loaded_cluster_replay;
         ] );
       ( "crash-atomic migration",
         [

@@ -356,6 +356,54 @@ let test_interconnect () =
   Hw.Interconnect.send net ~src:0 ~dst:1 (Bytes.of_string "lost");
   Alcotest.(check int) "dropped counted" 1 (Hw.Interconnect.dropped net)
 
+(* A dropped frame still occupies the sender's outbound link (the sender
+   cannot see the far end), and topology changes apply from the next
+   send.  All clocks stay at 0, so each delivery time is the link's
+   accumulated serialization plus one hop. *)
+let test_interconnect_drops () =
+  let net = Hw.Interconnect.create () in
+  let queues = Array.init 3 (fun _ -> Hw.Event_queue.create ()) in
+  let got = Array.make 3 0 in
+  Array.iteri
+    (fun id q ->
+      ignore
+        (Hw.Interconnect.attach net ~node_id:id
+           ~deliver:(fun _ -> got.(id) <- got.(id) + 1)
+           ~now:(fun () -> 0)
+           ~at:(fun ~time f -> Hw.Event_queue.schedule q ~time f)))
+    queues;
+  let ser = Hw.Cost.fiber_serialize and hop = Hw.Cost.fiber_packet in
+  let frame n = Bytes.make n 'x' in
+  (* send [n] bytes 0 -> [dst]; return the delivery time it was given *)
+  let send_timed dst n =
+    Hw.Interconnect.send net ~src:0 ~dst (frame n);
+    let at = Hw.Event_queue.next_time_or queues.(dst) ~default:(-1) in
+    ignore (Hw.Event_queue.run_next queues.(dst));
+    at
+  in
+  Alcotest.(check int) "first frame" (ser 400 + hop) (send_timed 2 400);
+  Hw.Interconnect.fail_node net 1;
+  Hw.Interconnect.send net ~src:0 ~dst:1 (frame 800);
+  Alcotest.(check int) "frame to a failed node dropped" 1 (Hw.Interconnect.dropped net);
+  Alcotest.(check bool) "nothing queued at the failed node" true
+    (Hw.Event_queue.is_empty queues.(1));
+  Alcotest.(check int) "next frame waits out the dropped one's serialization"
+    (ser 400 + ser 800 + ser 400 + hop)
+    (send_timed 2 400);
+  Hw.Interconnect.partition net ~minority:[ 2 ];
+  Hw.Interconnect.send net ~src:0 ~dst:2 (frame 200);
+  Alcotest.(check int) "cross-partition frame dropped" 2 (Hw.Interconnect.dropped net);
+  Hw.Interconnect.restore_node net 1;
+  Hw.Interconnect.heal net;
+  let busy = ser 400 + ser 800 + ser 400 + ser 200 in
+  Alcotest.(check int) "restored node receives from the next send"
+    (busy + ser 100 + hop) (send_timed 1 100);
+  Alcotest.(check int) "healed node receives from the next send"
+    (busy + ser 100 + ser 100 + hop) (send_timed 2 100);
+  Alcotest.(check (array int)) "deliveries" [| 0; 1; 3 |] got;
+  Alcotest.(check int) "delivered frames counted" 4 (Hw.Interconnect.sent net);
+  Alcotest.(check int) "no further drops" 2 (Hw.Interconnect.dropped net)
+
 let () =
   Alcotest.run "hw"
     [
@@ -392,5 +440,10 @@ let () =
       ("mmu", [ Alcotest.test_case "translate and fault taxonomy" `Quick test_mmu ]);
       ("exec", [ Alcotest.test_case "effects and continuations" `Quick test_exec ]);
       ("disk", [ Alcotest.test_case "latency and contents" `Quick test_disk ]);
-      ("interconnect", [ Alcotest.test_case "delivery and failure" `Quick test_interconnect ]);
+      ( "interconnect",
+        [
+          Alcotest.test_case "delivery and failure" `Quick test_interconnect;
+          Alcotest.test_case "dropped frames occupy the link; restore and heal" `Quick
+            test_interconnect_drops;
+        ] );
     ]

@@ -183,8 +183,9 @@ let test_live_migration () =
 (* -- chunk loss under chaos, with deterministic replay -- *)
 
 (* Migrate a space with [ws] dirty pages from node 0 to node 1 while the
-   fault plane drops a quarter of the chunks; return every observable the
-   replay must reproduce. *)
+   fault plane drops a quarter of the chunks; return the counters the
+   checks read and the full observable surface the replay must reproduce
+   byte for byte. *)
 let chaos_run seed =
   let config =
     {
@@ -216,31 +217,30 @@ let chaos_run seed =
        (Thread_lib.spawn ak0.App_kernel.threads ~space_tag:vsp.Segment_mgr.tag ~priority:8
           (Hw.Exec.unit_body (spin_body progress))));
   let insts = [| i0; i1 |] in
+  Array.iter (fun (i : Instance.t) -> Trace.enable i.Instance.trace) insts;
   ignore (Engine.run ~until_us:2_000.0 insts);
   ignore (ok (Migrate.Plane.move_space (Srm.Distrib.plane d0) ~dst:1 vsp.Segment_mgr.tag));
   ignore (Engine.run ~until_us:100_000.0 insts);
   let m0 = i0.Instance.metrics in
   let m1 = i1.Instance.metrics in
-  ( Metrics.counter m0 "migrate.bytes_out",
-    Metrics.counter m0 "migrate.chunks_out",
-    Metrics.counter m0 "migrate.chunks_dropped",
+  ( Metrics.counter m0 "migrate.chunks_dropped",
     Metrics.counter m0 "migrate.retransmits",
     Metrics.counter m0 "migrate.completed",
     Metrics.counter m1 "migrate.adopted",
-    Metrics.percentile m0 "migrate.pause_us" 0.5,
     List.length (Audit.run i0).Audit.violations
-    + List.length (Audit.run i1).Audit.violations )
+    + List.length (Audit.run i1).Audit.violations,
+    Workload.Cluster.fingerprint insts )
 
 let test_chaos_recovery () =
-  let (_, _, dropped, retrans, completed, adopted, _, viols) as r1 = chaos_run 1 in
+  let dropped, retrans, completed, adopted, viols, fp1 = chaos_run 1 in
   Alcotest.(check bool) "chunks were dropped" true (dropped > 0);
   Alcotest.(check bool) "watchdog retransmitted" true (retrans > 0);
   Alcotest.(check int) "transfer completed despite loss" 1 completed;
   Alcotest.(check int) "adopted at node 1" 1 adopted;
   Alcotest.(check int) "both nodes audit clean" 0 viols;
-  let r2 = chaos_run 1 in
-  Alcotest.(check bool) "same seed replays identically" true (r1 = r2);
-  let _, _, _, _, completed2, adopted2, _, viols2 = chaos_run 2 in
+  let _, _, _, _, _, fp2 = chaos_run 1 in
+  Alcotest.(check string) "same seed replays identically" fp1 fp2;
+  let _, _, completed2, adopted2, viols2, _ = chaos_run 2 in
   Alcotest.(check int) "seed 2 also recovers" 1 completed2;
   Alcotest.(check int) "seed 2 adoption" 1 adopted2;
   Alcotest.(check int) "seed 2 audits clean" 0 viols2
