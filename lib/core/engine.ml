@@ -699,12 +699,36 @@ let window_work (nd : Instance.t) qflags ~ubound ~cap ~budget i =
    before a sleeping peer is ever probed again. *)
 let window_max_steps = 4096
 
+(* The conservative per-node caps: [caps.(i)] is the earliest instant any
+   active peer [m <> i] could deliver to [i], the minimum of
+   [times.(m) + fiber_packet] (quiescent and halted peers cannot originate
+   traffic and do not gate the window).  One pass keeps the smallest and
+   second-smallest arrival over all active nodes: every node's cap is the
+   smallest, except the node holding it, whose cap is the second. *)
+let window_caps ~times ~active caps =
+  let first = ref max_int and second = ref max_int and argmin = ref (-1) in
+  for m = 0 to Array.length times - 1 do
+    if active.(m) then begin
+      let arrival = times.(m) + Hw.Cost.fiber_packet in
+      if arrival < !first then begin
+        second := !first;
+        first := arrival;
+        argmin := m
+      end
+      else if arrival < !second then second := arrival
+    end
+  done;
+  for i = 0 to Array.length caps - 1 do
+    caps.(i) <- (if i = !argmin then !second else !first)
+  done
+
 let run_multi ~until ~max_steps (nodes : Instance.t array) node_steps =
   let n = Array.length nodes in
   let ubound = match until with Some u -> u | None -> max_int in
   (* persistent quiescence: nothing node-local can wake a quiescent node,
      so the flag survives windows and clears only when a frame was sent *)
   let qflags = Array.make n false in
+  let active = Array.make n false in
   let caps = Array.make n max_int in
   let times = Array.make n 0 in
   let sent = ref false in
@@ -712,19 +736,10 @@ let run_multi ~until ~max_steps (nodes : Instance.t array) node_steps =
   let continue = ref true in
   while !continue && !steps < max_steps do
     for i = 0 to n - 1 do
-      times.(i) <- node_time nodes.(i)
+      times.(i) <- node_time nodes.(i);
+      active.(i) <- not (qflags.(i) || nodes.(i).halted)
     done;
-    for i = 0 to n - 1 do
-      (* the conservative per-node cap: the earliest instant any still-
-         active peer could deliver to [i] (quiescent and halted peers
-         cannot originate traffic and do not gate the window) *)
-      let cap = ref max_int in
-      for m = 0 to n - 1 do
-        if m <> i && (not qflags.(m)) && not nodes.(m).halted then
-          cap := min !cap (times.(m) + Hw.Cost.fiber_packet)
-      done;
-      caps.(i) <- !cap
-    done;
+    window_caps ~times ~active caps;
     let budget = min window_max_steps (max_steps - !steps) in
     sent := false;
     let wsteps = ref 0 in

@@ -20,6 +20,12 @@ val sync_clocks : Instance.t -> unit
 (** Level all CPU clocks to the node's latest time (end-of-run idle
     accounting). *)
 
+val window_caps : times:int array -> active:bool array -> int array -> unit
+(** [window_caps ~times ~active caps] sets each [caps.(i)] to the minimum
+    of [times.(m) + Hw.Cost.fiber_packet] over active nodes [m <> i]
+    ([max_int] when there are none): the window bound {!run} gives node
+    [i].  Linear in the node count. *)
+
 val run : ?until_us:float -> ?max_steps:int -> Instance.t array -> int
 (** Run a cluster of Cache Kernel instances until every node is quiescent,
     the simulated-time bound is reached, or [max_steps] engine steps have

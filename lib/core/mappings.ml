@@ -42,8 +42,11 @@ type m = {
 let pfn (m : m) = m.pte.Hw.Page_table.frame
 
 type t = {
-  slots : m option array;
-  mutable free : int list;
+  capacity : int; (* the replacement bound *)
+  mutable slots : m option array;
+      (* grown on demand up to [capacity]: storage is paid for on first use *)
+  mutable recycled : int list; (* freed slots, most recently freed first *)
+  mutable fresh : int; (* slots [fresh, capacity) have never been used *)
   mutable live : int;
   policy : Policy.t; (* victim selection, owns the clock hand *)
   by_key : (int * int, int) Hashtbl.t; (* (space slot, vpn) -> slot *)
@@ -59,8 +62,10 @@ type t = {
 let create ?(policy = Policy.Fixed Policy.Clock) ~capacity () =
   if capacity <= 0 then invalid_arg "Mappings.create: capacity must be positive";
   {
-    slots = Array.make capacity None;
-    free = List.init capacity Fun.id;
+    capacity;
+    slots = Array.make (min capacity 64) None;
+    recycled = [];
+    fresh = 0;
     live = 0;
     policy = Policy.create ~capacity policy;
     by_key = Hashtbl.create 1024;
@@ -70,9 +75,9 @@ let create ?(policy = Policy.Fixed Policy.Clock) ~capacity () =
     version = 0;
   }
 
-let capacity t = Array.length t.slots
+let capacity t = t.capacity
 let live t = t.live
-let is_full t = t.live = Array.length t.slots
+let is_full t = t.live = t.capacity
 let version t = t.version
 
 (** Count of 16-byte dependency descriptors currently in use (physical-to-
@@ -98,17 +103,36 @@ let multi_remove table k slot =
 let records_of (m : m) =
   1 + (if m.signal_thread = None then 0 else 1) + if m.cow_dst = None then 0 else 1
 
+(* Slots are handed out as an eagerly built free list would: recycled
+   slots most recently freed first, then never-used ones in ascending
+   order.  Returns -1 when the cache is full. *)
+let take_slot t =
+  match t.recycled with
+  | slot :: rest ->
+    t.recycled <- rest;
+    slot
+  | [] when t.fresh < t.capacity ->
+    let slot = t.fresh in
+    t.fresh <- slot + 1;
+    let len = Array.length t.slots in
+    if slot >= len then begin
+      let grown = Array.make (min t.capacity (2 * len)) None in
+      Array.blit t.slots 0 grown 0 len;
+      t.slots <- grown
+    end;
+    slot
+  | [] -> -1
+
 (** Insert a fully built mapping record.  The caller has already installed
     the shared page-table entry.  Returns [None] when the cache is full. *)
 let insert t ~owner ~space_slot ~space ~va ~pte ~signal_thread ~cow_dst ~locked =
-  match t.free with
-  | [] -> None
-  | slot :: rest ->
+  match take_slot t with
+  | -1 -> None
+  | slot ->
     let m =
       { slot; owner; space; va; pte; signal_thread; cow_dst; locked;
         removed = false; aged_referenced = false }
     in
-    t.free <- rest;
     t.slots.(slot) <- Some m;
     t.live <- t.live + 1;
     Policy.on_load t.policy ~slot ~key:(Hashtbl.hash (key_of ~space_slot ~va));
@@ -132,7 +156,7 @@ let remove t ~space_slot (m : m) =
   | _ -> invalid_arg "Mappings.remove: mapping not present");
   m.removed <- true;
   t.slots.(m.slot) <- None;
-  t.free <- m.slot :: t.free;
+  t.recycled <- m.slot :: t.recycled;
   t.live <- t.live - 1;
   Policy.on_unload t.policy ~slot:m.slot;
   Hashtbl.remove t.by_key (key_of ~space_slot ~va:m.va);
@@ -189,7 +213,8 @@ let of_signal_thread t ~thread =
 let victim t ~protected =
   Policy.select_mapping t.policy
     {
-      Policy.get = (fun slot -> t.slots.(slot));
+      (* slots past the grown storage have never held a mapping *)
+      Policy.get = (fun slot -> if slot < Array.length t.slots then t.slots.(slot) else None);
       candidate = (fun m -> not (protected m));
       referenced = (fun m -> m.pte.Hw.Page_table.referenced);
       clear_referenced =

@@ -66,9 +66,10 @@ type t = {
   mutable hand : int; (* clock hand *)
   mutable last_scan : int;
   mutable tick : int; (* virtual time: advances on loads and selections *)
-  stamp : int array; (* per-slot last-known-use tick (LRU recency) *)
-  refcnt : int array; (* per-slot sampled reference count (frequency) *)
-  epoch : int array; (* per-slot load epoch, invalidates stale FIFO entries *)
+  (* per-slot arrays, grown on load to cover the slot (up to [capacity]) *)
+  mutable stamp : int array; (* per-slot last-known-use tick (LRU recency) *)
+  mutable refcnt : int array; (* per-slot sampled reference count (frequency) *)
+  mutable epoch : int array; (* per-slot load epoch, invalidates stale FIFO entries *)
   mutable fifo_front : (int * int) list; (* (slot, epoch), oldest first *)
   mutable fifo_back : (int * int) list; (* reversed *)
   mutable fifo_len : int;
@@ -96,9 +97,9 @@ let create ~capacity choice =
     hand = 0;
     last_scan = 0;
     tick = 0;
-    stamp = Array.make capacity 0;
-    refcnt = Array.make capacity 0;
-    epoch = Array.make capacity 0;
+    stamp = [||];
+    refcnt = [||];
+    epoch = [||];
     fifo_front = [];
     fifo_back = [];
     fifo_len = 0;
@@ -184,7 +185,24 @@ let close_window t =
 
 (* -- Bookkeeping -- *)
 
+(* Only loaded slots are ever indexed, so the arrays need to reach the
+   highest slot loaded so far; they double, starting at 64. *)
+let cover t slot =
+  let len = Array.length t.stamp in
+  if slot >= len then begin
+    let len' = min t.capacity (max (slot + 1) (max 64 (2 * len))) in
+    let extend a =
+      let b = Array.make len' 0 in
+      Array.blit a 0 b 0 len;
+      b
+    in
+    t.stamp <- extend t.stamp;
+    t.refcnt <- extend t.refcnt;
+    t.epoch <- extend t.epoch
+  end
+
 let on_load t ~slot ~key =
+  cover t slot;
   t.tick <- t.tick + 1;
   t.stamp.(slot) <- t.tick;
   t.refcnt.(slot) <- 0;

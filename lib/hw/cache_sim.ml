@@ -4,12 +4,17 @@
    the four processors of an MPM.  The experiments that need it (MP3D page
    locality, miss accounting in section 4.3) only require hit/miss counts,
    so the model is a direct-mapped tag array; contents live in
-   {!Phys_mem}. *)
+   {!Phys_mem}.  The size is the replacement bound: the tags are kept in
+   chunks of [chunk_lines] lines, each allocated by the first fill that
+   lands in it, and an absent chunk reads as all-invalid. *)
+
+let chunk_bits = 12
+let chunk_lines = 1 lsl chunk_bits
 
 type t = {
   line_shift : int;
   n_lines : int;
-  tags : int array; (* -1 = invalid, otherwise line tag *)
+  chunks : int array array; (* [||] = never filled; -1 = invalid, otherwise line tag *)
   mutable hits : int;
   mutable misses : int;
   mutable message_updates : int;
@@ -23,7 +28,9 @@ let create ?(size_bytes = 8 * 1024 * 1024) ?(line_size = Addr.cache_line_size) (
     log2 line_size 0
   in
   let n_lines = size_bytes / line_size in
-  { line_shift; n_lines; tags = Array.make n_lines (-1); hits = 0; misses = 0; message_updates = 0 }
+  let n_chunks = (n_lines + chunk_lines - 1) / chunk_lines in
+  { line_shift; n_lines; chunks = Array.make n_chunks [||]; hits = 0; misses = 0;
+    message_updates = 0 }
 
 let hits t = t.hits
 let misses t = t.misses
@@ -41,13 +48,23 @@ let line_of t paddr = paddr lsr t.line_shift
 let access t paddr =
   let line = line_of t paddr in
   let idx = line mod t.n_lines in
-  if t.tags.(idx) = line then begin
+  let c = idx lsr chunk_bits and off = idx land (chunk_lines - 1) in
+  let tags = t.chunks.(c) in
+  if Array.length tags > 0 && tags.(off) = line then begin
     t.hits <- t.hits + 1;
     `Hit
   end
   else begin
     t.misses <- t.misses + 1;
-    t.tags.(idx) <- line;
+    let tags =
+      if Array.length tags > 0 then tags
+      else begin
+        let fresh = Array.make (min chunk_lines (t.n_lines - (c lsl chunk_bits))) (-1) in
+        t.chunks.(c) <- fresh;
+        fresh
+      end
+    in
+    tags.(off) <- line;
     `Miss
   end
 
@@ -57,13 +74,3 @@ let access t paddr =
 let message_write t paddr =
   t.message_updates <- t.message_updates + 1;
   access t paddr
-
-(** Invalidate every line of physical page [pfn] (page reallocation). *)
-let flush_page t ~pfn =
-  let base = Addr.addr_of_page pfn in
-  let lines = Addr.page_size lsr t.line_shift in
-  for i = 0 to lines - 1 do
-    let line = line_of t (base + (i lsl t.line_shift)) in
-    let idx = line mod t.n_lines in
-    if t.tags.(idx) = line then t.tags.(idx) <- -1
-  done

@@ -1,6 +1,7 @@
 (** Statistics model of the MPM's shared second-level cache (4-8 MB,
     32-byte lines): a direct-mapped tag array tracking hits, misses and
-    message-mode updates; contents live in {!Phys_mem}. *)
+    message-mode updates; contents live in {!Phys_mem}.  The size bounds
+    the tag array; its storage is allocated as lines are first filled. *)
 
 type t
 
@@ -16,5 +17,3 @@ val access : t -> int -> [ `Hit | `Miss ]
 val message_write : t -> int -> [ `Hit | `Miss ]
 (** A write to a message-mode line: updated in place without ownership,
     per ParaDiGM's message-oriented consistency (section 2.2). *)
-
-val flush_page : t -> pfn:int -> unit

@@ -376,6 +376,21 @@ let prop_mapping_records =
       Mappings.live inst.Instance.mappings = List.length uniq
       && Mappings.dependency_records inst.Instance.mappings = expected)
 
+(* Cache capacities are replacement bounds, not up-front allocations: a
+   node with the default 65536-entry mapping cache costs well under a
+   megabyte to create, and still reports the configured bound. *)
+let test_create_allocates_on_use () =
+  let node = Hw.Mpm.create ~node_id:0 ~cpus:2 ~mem_size:(16 * 1024 * 1024) () in
+  let before = Gc.allocated_bytes () in
+  let inst = Instance.create ~config:Config.default node in
+  let allocated = Gc.allocated_bytes () -. before in
+  if allocated >= 1024.0 *. 1024.0 then
+    Alcotest.failf "Instance.create allocated %.0f bytes (bound: 1 MB)" allocated;
+  Alcotest.(check int) "mapping capacity is the configured bound"
+    Config.default.Config.mapping_cache (Mappings.capacity inst.Instance.mappings);
+  Alcotest.(check bool) "an empty cache is not full" false
+    (Mappings.is_full inst.Instance.mappings)
+
 let () =
   Alcotest.run "cachekernel"
     [
@@ -387,6 +402,7 @@ let () =
       ( "replacement",
         [
           Alcotest.test_case "no hard errors past capacity" `Quick test_space_replacement;
+          Alcotest.test_case "storage is allocated on use" `Quick test_create_allocates_on_use;
           Alcotest.test_case "dependency cascade (Figure 6)" `Quick test_dependency_cascade;
           Alcotest.test_case "signal mapping depends on thread" `Quick
             test_signal_mapping_depends_on_thread;

@@ -154,6 +154,36 @@ let test_exit_trap () =
   Alcotest.(check bool) "nothing runs after exit" false !after;
   Alcotest.(check int) "descriptor freed" 0 (Caches.Thread_cache.live inst.Instance.threads)
 
+(* -- Window caps -- *)
+
+(* The per-window cap loop as the engine ran it before the one-pass
+   minimum/second-minimum computation: the reference for its output. *)
+let reference_caps ~times ~quiescent ~halted =
+  let n = Array.length times in
+  Array.init n (fun i ->
+      let cap = ref max_int in
+      for m = 0 to n - 1 do
+        if m <> i && (not quiescent.(m)) && not halted.(m) then
+          cap := min !cap (times.(m) + Hw.Cost.fiber_packet)
+      done;
+      !cap)
+
+(* Small time ranges make ties common; the quiescent and halted flags
+   leave anywhere from no active node to all of them. *)
+let prop_window_caps =
+  QCheck.Test.make ~count:1000 ~name:"window caps match the pairwise loop"
+    QCheck.(
+      list_of_size Gen.(int_range 1 70)
+        (triple (oneof [ int_bound 8; int_bound 1_000_000 ]) bool (int_bound 3)))
+    (fun nodes ->
+      let times = Array.of_list (List.map (fun (t, _, _) -> t) nodes) in
+      let quiescent = Array.of_list (List.map (fun (_, q, _) -> q) nodes) in
+      let halted = Array.of_list (List.map (fun (_, _, h) -> h = 0) nodes) in
+      let active = Array.mapi (fun i q -> not (q || halted.(i))) quiescent in
+      let caps = Array.make (Array.length times) 0 in
+      Engine.window_caps ~times ~active caps;
+      caps = reference_caps ~times ~quiescent ~halted)
+
 let () =
   Alcotest.run "engine"
     [
@@ -171,4 +201,5 @@ let () =
           Alcotest.test_case "signal queue is bounded" `Quick test_signal_queue_bound;
           Alcotest.test_case "exit trap" `Quick test_exit_trap;
         ] );
+      ("window caps", [ QCheck_alcotest.to_alcotest prop_window_caps ]);
     ]

@@ -146,9 +146,68 @@ let test_cache_sim () =
   Alcotest.(check bool) "second access hits" true (Hw.Cache_sim.access c 0x104 = `Hit);
   (* conflicting line (same index, different tag: 1024 bytes = 32 lines) *)
   Alcotest.(check bool) "conflict misses" true (Hw.Cache_sim.access c (0x100 + 1024) = `Miss);
-  Alcotest.(check bool) "original evicted" true (Hw.Cache_sim.access c 0x100 = `Miss);
-  Hw.Cache_sim.flush_page c ~pfn:0;
-  Alcotest.(check bool) "flushed page misses" true (Hw.Cache_sim.access c 0x100 = `Miss)
+  Alcotest.(check bool) "original evicted" true (Hw.Cache_sim.access c 0x100 = `Miss)
+
+(* A flat direct-mapped tag array over the whole geometry: the reference
+   for the chunked, filled-on-demand tags. *)
+module Flat_cache = struct
+  type t = {
+    line_size : int;
+    tags : int array;
+    mutable hits : int;
+    mutable misses : int;
+    mutable updates : int;
+  }
+
+  let create ~size_bytes ~line_size =
+    { line_size; tags = Array.make (size_bytes / line_size) (-1); hits = 0; misses = 0;
+      updates = 0 }
+
+  let access t paddr =
+    let line = paddr / t.line_size in
+    let idx = line mod Array.length t.tags in
+    if t.tags.(idx) = line then begin
+      t.hits <- t.hits + 1;
+      `Hit
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      t.tags.(idx) <- line;
+      `Miss
+    end
+
+  let message_write t paddr =
+    t.updates <- t.updates + 1;
+    access t paddr
+end
+
+(* Geometries: the default 8 MB cache, one whose last 4096-line chunk is
+   partial, and one smaller than a chunk.  Addresses cluster around chunk
+   boundaries (4096 lines of 32 bytes) and alias modulo the cache size. *)
+let prop_cache_sim_model =
+  let geometries = [| 8 * 1024 * 1024; ((2 * 4096) + 100) * 32; 1024 |] in
+  let chunk_bytes = 4096 * 32 in
+  QCheck.Test.make ~count:100 ~name:"cache_sim: chunked tags match a flat tag array"
+    QCheck.(
+      pair (int_bound 2)
+        (list_of_size Gen.(int_range 1 400)
+           (quad bool (int_bound 63) (int_range (-512) 512) (int_bound 3))))
+    (fun (g, ops) ->
+      let size_bytes = geometries.(g) in
+      let real = Hw.Cache_sim.create ~size_bytes ~line_size:32 () in
+      let model = Flat_cache.create ~size_bytes ~line_size:32 in
+      List.for_all
+        (fun (msg, chunk, off, alias) ->
+          let paddr = max 0 ((chunk * chunk_bytes) + off + (alias * size_bytes)) in
+          let r, m =
+            if msg then (Hw.Cache_sim.message_write real paddr, Flat_cache.message_write model paddr)
+            else (Hw.Cache_sim.access real paddr, Flat_cache.access model paddr)
+          in
+          r = m
+          && Hw.Cache_sim.hits real = model.Flat_cache.hits
+          && Hw.Cache_sim.misses real = model.Flat_cache.misses
+          && Hw.Cache_sim.message_updates real = model.Flat_cache.updates)
+        ops)
 
 (* -- Event_queue -- *)
 
@@ -428,7 +487,11 @@ let () =
           Alcotest.test_case "lookup/evict/flush" `Quick test_tlb;
           Alcotest.test_case "reverse tlb" `Quick test_rtlb;
         ] );
-      ("cache_sim", [ Alcotest.test_case "hits and conflicts" `Quick test_cache_sim ]);
+      ( "cache_sim",
+        [
+          Alcotest.test_case "hits and conflicts" `Quick test_cache_sim;
+          qcheck prop_cache_sim_model;
+        ] );
       ( "event_queue",
         [
           Alcotest.test_case "ordering" `Quick test_event_queue;
