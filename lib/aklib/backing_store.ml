@@ -62,7 +62,6 @@ type tiering = {
 type t = {
   disk : Hw.Disk.t;
   mem : Hw.Phys_mem.t;
-  mutable free_blocks : int list;
   mutable page_ins : int;
   mutable page_outs : int;
   mutable retries : int;
@@ -74,7 +73,6 @@ let create ~disk ~mem =
   {
     disk;
     mem;
-    free_blocks = [];
     page_ins = 0;
     page_outs = 0;
     retries = 0;
@@ -185,12 +183,7 @@ let rec tier_attempt t ~promote ~n go =
           Fault_inject.recover fi ~site:(site ^ ".delay");
           go ()))
 
-let alloc_block t =
-  match t.free_blocks with
-  | b :: rest ->
-    t.free_blocks <- rest;
-    b
-  | [] -> Hw.Disk.alloc_block t.disk
+let alloc_block t = Hw.Disk.alloc_block t.disk
 
 let free_block t b =
   (match t.tiers with
@@ -215,7 +208,16 @@ let free_block t b =
       m.referenced <- false;
       m.last_touch <- min_int / 2
     | None -> ()));
-  t.free_blocks <- b :: t.free_blocks
+  Hw.Disk.free_block t.disk b
+
+(* A whole-page image onto the disk, synchronously (boot loading, tier
+   demotion and checkpoint flush). *)
+let write_disk_now t ~block data =
+  Hw.Disk.write_now t.disk ~block ~off:0 data ~pos:0 ~len:(Bytes.length data)
+
+(* A copy of frame [pfn]: the fast tier keeps images of its own. *)
+let frame_image t pfn =
+  Hw.Phys_mem.read_bytes t.mem (Hw.Addr.addr_of_page pfn) Hw.Addr.page_size
 
 (* -- tier metadata -- *)
 
@@ -388,7 +390,7 @@ let rec maybe_demote t tr =
                   (fun (block, gen, data) ->
                     match Hashtbl.find_opt tr.meta block with
                     | Some m when m.gen = gen && m.tier = Fast ->
-                      Hw.Disk.write_now t.disk ~block data;
+                      write_disk_now t ~block data;
                       m.tier <- Slow;
                       Hashtbl.remove tr.fast block;
                       tr.fast_live <- tr.fast_live - 1;
@@ -419,10 +421,7 @@ let page_out t ?block ~pfn k =
     attempt t ~n:1 (fun () ->
         (* the frame is read at transfer time, so a delayed write captures
            the page contents as of when the transfer actually starts *)
-        let data =
-          Hw.Phys_mem.read_bytes t.mem (Hw.Addr.addr_of_page pfn) Hw.Addr.page_size
-        in
-        Hw.Disk.write t.disk ~block data (fun () -> k block))
+        Hw.Disk.write_frame t.disk ~block t.mem ~pfn (fun () -> k block))
   | Some tr ->
     let now = tr.t_now () in
     let hint = take_ref_hint tr ~pfn ~block in
@@ -433,11 +432,8 @@ let page_out t ?block ~pfn k =
     if hot then begin
       tr.obs_count "tier.place.fast";
       attempt t ~n:1 (fun () ->
-          let data =
-            Hw.Phys_mem.read_bytes t.mem (Hw.Addr.addr_of_page pfn) Hw.Addr.page_size
-          in
           m.tier <- Fast;
-          install_fast tr ~block data;
+          install_fast tr ~block (frame_image t pfn);
           Hw.Event_queue.schedule tr.t_events
             ~time:(tr.t_now () + Hw.Cost.fast_tier_setup + Hw.Cost.fast_tier_page_copy)
             (fun () ->
@@ -454,10 +450,7 @@ let page_out t ?block ~pfn k =
       end;
       m.tier <- Slow;
       attempt t ~n:1 (fun () ->
-          let data =
-            Hw.Phys_mem.read_bytes t.mem (Hw.Addr.addr_of_page pfn) Hw.Addr.page_size
-          in
-          Hw.Disk.write t.disk ~block data (fun () -> k block))
+          Hw.Disk.write_frame t.disk ~block t.mem ~pfn (fun () -> k block))
     end
 
 (* Promotion: a slow-tier fault judged hot copies the just-read image into
@@ -484,10 +477,7 @@ let page_in t ~block ~pfn k =
   t.page_ins <- t.page_ins + 1;
   match t.tiers with
   | None ->
-    attempt t ~n:1 (fun () ->
-        Hw.Disk.read t.disk ~block (fun data ->
-            Hw.Phys_mem.write_bytes t.mem (Hw.Addr.addr_of_page pfn) data;
-            k ()))
+    attempt t ~n:1 (fun () -> Hw.Disk.read_frame t.disk ~block t.mem ~pfn k)
   | Some tr ->
     let start = tr.t_now () in
     let m = get_meta tr block in
@@ -510,15 +500,14 @@ let page_in t ~block ~pfn k =
           Hw.Event_queue.schedule tr.t_events
             ~time:(tr.t_now () + Hw.Cost.fast_tier_setup + Hw.Cost.fast_tier_page_copy)
             (fun () ->
-              Hw.Phys_mem.write_bytes t.mem (Hw.Addr.addr_of_page pfn) data;
+              Hw.Phys_mem.copy_page_in t.mem ~pfn data;
               tr.obs_service ~fast:true (tr.t_now () - start);
               k ())
         | None ->
-          Hw.Disk.read t.disk ~block (fun data ->
-              Hw.Phys_mem.write_bytes t.mem (Hw.Addr.addr_of_page pfn) data;
+          Hw.Disk.read_frame t.disk ~block t.mem ~pfn (fun () ->
               tr.obs_service ~fast:false (tr.t_now () - start);
               if (not fast_hit) && classify_in tr m ~prev_touch ~now:(tr.t_now ()) then
-                promote t tr ~block data;
+                promote t tr ~block (frame_image t pfn);
               k ()))
 
 (** Synchronous block write for boot-time loading of program images. *)
@@ -536,7 +525,7 @@ let write_block_now t ~block data =
       Hashtbl.remove tr.fast block;
       tr.fast_live <- tr.fast_live - 1
     end);
-  Hw.Disk.write_now t.disk ~block data
+  write_disk_now t ~block data
 
 (** Synchronous block read that honours the tier split: migration and
     checkpoint capture must see the authoritative copy wherever it lives. *)
@@ -558,7 +547,7 @@ let checkpoint_flush t =
     let entries = Hashtbl.fold (fun block data acc -> (block, data) :: acc) tr.fast [] in
     List.iter
       (fun (block, data) ->
-        Hw.Disk.write_now t.disk ~block data;
+        write_disk_now t ~block data;
         (get_meta tr block).tier <- Slow;
         Hashtbl.remove tr.fast block;
         tr.fast_live <- tr.fast_live - 1;

@@ -62,11 +62,16 @@ val clear_pfn_hint : t -> pfn:int -> unit
     consume the previous tenant's verdict.  No-op on a flat store. *)
 
 val alloc_block : t -> int
+(** A block from the disk's allocator ({!Hw.Disk.alloc_block}). *)
+
 val free_block : t -> int -> unit
+(** Retire any fast-tier image and in-flight tier move of the block, then
+    free it on the disk, which drops its data. *)
 
 val page_out : t -> ?block:int -> pfn:int -> (int -> unit) -> unit
-(** Write a frame to a block (fresh unless supplied); the continuation
-    receives the block on completion.  On a tiered store the image lands
+(** Write a frame to a block (fresh unless supplied: a page that already
+    owns a block rewrites it in place); the continuation receives the
+    block on completion.  On a tiered store the image lands
     in the fast tier when classified hot, at RAM cost. *)
 
 val page_in : t -> block:int -> pfn:int -> (unit -> unit) -> unit

@@ -11,10 +11,9 @@ type t = {
   mutable free : int list; (* free page frame numbers *)
   mutable groups : int list; (* page groups owned *)
   mutable total : int;
-  mutable low_water : int; (* minimum free frames seen, for reporting *)
 }
 
-let create () = { free = []; groups = []; total = 0; low_water = max_int }
+let create () = { free = []; groups = []; total = 0 }
 
 (** Add all frames of page group [g] to the pool. *)
 let add_group t g =
@@ -45,7 +44,6 @@ let alloc t =
   | [] -> None
   | f :: rest ->
     t.free <- rest;
-    t.low_water <- min t.low_water (List.length rest);
     Some f
 
 let free t pfn = t.free <- pfn :: t.free

@@ -8,8 +8,11 @@
 
 type resident = {
   pfn : int;
-  mutable dirty : bool; (* needs page-out before the frame is reused *)
-  mutable backing : int option; (* block holding a clean on-disk copy *)
+  mutable dirty : bool; (* the frame differs from the on-disk copy, if any:
+                           page-out before the frame is reused *)
+  mutable backing : int option;
+      (* the page's own block, kept for the page's life: a dirty page-out
+         rewrites it in place, and whoever drops the page frees it *)
   mutable mappers : (int * int) list; (* (space tag, va) of loaded mappings *)
   mutable cow_pending : (t * int) option;
       (* this residency was created optimistically for a deferred copy from
@@ -29,9 +32,13 @@ and t = {
   pages : int;
   table : (int, page_state) Hashtbl.t; (* sparse: absent = Zero *)
   mutable resident_count : int;
+  mutable file_backed : bool;
+      (* the pages' blocks belong to a file (shared read-only program
+         text): paging reads them but never writes or frees them *)
 }
 
-let create ~id ~name ~pages = { id; name; pages; table = Hashtbl.create 16; resident_count = 0 }
+let create ~id ~name ~pages =
+  { id; name; pages; table = Hashtbl.create 16; resident_count = 0; file_backed = false }
 
 let state t page =
   if page < 0 || page >= t.pages then invalid_arg "Segment.state: page out of range";

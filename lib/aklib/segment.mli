@@ -6,8 +6,12 @@
 
 type resident = {
   pfn : int;
-  mutable dirty : bool;  (** needs page-out before the frame is reused *)
-  mutable backing : int option;  (** block holding a clean on-disk copy *)
+  mutable dirty : bool;
+      (** the frame differs from the on-disk copy, if any: page-out before
+          the frame is reused *)
+  mutable backing : int option;
+      (** the page's own block, kept for the page's life: a dirty page-out
+          rewrites it in place, and whoever drops the page frees it *)
   mutable mappers : (int * int) list;  (** (space tag, va) of loaded mappings *)
   mutable cow_pending : (t * int) option;
       (** optimistic residency for a deferred copy from (segment, page);
@@ -26,6 +30,9 @@ and t = {
   pages : int;
   table : (int, page_state) Hashtbl.t;
   mutable resident_count : int;
+  mutable file_backed : bool;
+      (** the pages' blocks belong to a file (shared read-only program
+          text): paging reads them but never writes or frees them *)
 }
 
 val create : id:int -> name:string -> pages:int -> t

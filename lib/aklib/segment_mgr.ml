@@ -221,39 +221,74 @@ let unmap_residents t (r : Segment.resident) =
       | _ -> ())
     r.Segment.mappers
 
+(* A deferred copy that never happened reverts to the parent's page; a
+   block the residency took for an abandoned page-out goes back. *)
+let revert_cow t seg page (r : Segment.resident) (pseg, ppage) =
+  Option.iter (Backing_store.free_block t.env.store) r.Segment.backing;
+  Segment.set_state seg page (Segment.Cow_of (pseg, ppage))
+
+(* Write a dirty page to its block (allocated on its first page-out),
+   blocking the evicting thread.  The page stays [In_memory] while the
+   write is in flight, so its own threads can soft-fault it back in and
+   write it; the page-out counts only if, at completion, the page is still
+   this residency with no mapping loaded and no modification reported
+   since the write was submitted.  Returns whether the frame may go. *)
+let page_out_victim t ~thread seg page (r : Segment.resident) =
+  let block =
+    match r.Segment.backing with
+    | Some b -> b
+    | None ->
+      let b = Backing_store.alloc_block t.env.store in
+      r.Segment.backing <- Some b;
+      b
+  in
+  r.Segment.dirty <- false;
+  let token = fresh_token t in
+  block_until t ~thread token (fun ~done_ ->
+      Backing_store.page_out t.env.store ~block ~pfn:r.Segment.pfn (fun _ -> done_ ()));
+  match Segment.state seg page with
+  | Segment.In_memory r' when r' == r && r.Segment.mappers = [] && not r.Segment.dirty ->
+    Segment.set_state seg page (Segment.On_disk block);
+    true
+  | _ -> false
+
 (** Evict one resident page, blocking on page-out if it is dirty.  Returns
-    the freed frame, or [None] if there is nothing to evict. *)
-let evict_one t ~thread =
+    the freed frame, or [None] if there is nothing to evict.  A dirty page
+    that was mapped again while its page-out was in flight stays resident
+    (requeued, its block now current up to any new modification) and
+    another victim is chosen. *)
+let rec evict_one t ~thread =
   match t.choose_victim t with
   | None -> None
   | Some (seg, page, r) ->
-    t.stats.evictions <- t.stats.evictions + 1;
     unmap_residents t r;
-    (match r.Segment.cow_pending with
-    | Some (pseg, ppage) when not r.Segment.dirty ->
-      (* Deferred copy that never happened: revert to the parent's page. *)
-      ignore pseg;
-      ignore ppage;
-      Segment.set_state seg page (Segment.Cow_of (pseg, ppage))
-    | _ ->
-      if r.Segment.dirty then begin
-        let token = fresh_token t in
-        block_until t ~thread token (fun ~done_ ->
-            Backing_store.page_out t.env.store ?block:r.Segment.backing
-              ~pfn:r.Segment.pfn (fun block ->
-                Segment.set_state seg page (Segment.On_disk block);
-                done_ ()))
-      end
-      else
-        match r.Segment.backing with
+    let evicted =
+      match r.Segment.cow_pending with
+      | Some parent when not r.Segment.dirty ->
+        revert_cow t seg page r parent;
+        true
+      | _ when r.Segment.dirty -> page_out_victim t ~thread seg page r
+      | _ ->
+        (match r.Segment.backing with
         | Some block -> Segment.set_state seg page (Segment.On_disk block)
         | None -> Segment.set_state seg page Segment.Zero);
-    (* the dirty path's page_out has already consumed the frame's
-       referenced hint (synchronously, at call time); a clean eviction
-       leaves it behind, and the frame's next tenant must not inherit it *)
-    Backing_store.clear_pfn_hint t.env.store ~pfn:r.Segment.pfn;
-    Frame_alloc.free t.env.frames r.Segment.pfn;
-    Some r.Segment.pfn
+        true
+    in
+    if evicted then begin
+      t.stats.evictions <- t.stats.evictions + 1;
+      (* the dirty path's page_out has already consumed the frame's
+         referenced hint (synchronously, at call time); a clean eviction
+         leaves it behind, and the frame's next tenant must not inherit it *)
+      Backing_store.clear_pfn_hint t.env.store ~pfn:r.Segment.pfn;
+      Frame_alloc.free t.env.frames r.Segment.pfn;
+      Some r.Segment.pfn
+    end
+    else begin
+      (match Segment.state seg page with
+      | Segment.In_memory r' when r' == r -> Queue.push (seg, page) t.fifo
+      | _ -> () (* the page left residency while we waited; its frame is not ours *));
+      evict_one t ~thread
+    end
 
 (** Allocate a frame, evicting (and possibly paging out) as needed. *)
 let rec alloc_frame t ~thread =
@@ -689,10 +724,9 @@ let handle_mapping_writeback t ~space_tag (state : Wb.mapping_state) =
       in
       match Segment.state seg page with
       | Segment.In_memory r when r.Segment.pfn = state.Wb.pfn ->
-        if state.Wb.modified then begin
-          r.Segment.dirty <- true;
-          r.Segment.backing <- None (* any on-disk copy is now stale *)
-        end;
+        (* any on-disk copy is now stale; the next page-out rewrites the
+           page's block in place *)
+        if state.Wb.modified then r.Segment.dirty <- true;
         r.Segment.cow_pending <- None;
         drop_mapper r
       | Segment.In_memory r -> (
@@ -700,18 +734,14 @@ let handle_mapping_writeback t ~space_tag (state : Wb.mapping_state) =
            frame.  If unmodified, the copy never happened: revert. *)
         drop_mapper r;
         match r.Segment.cow_pending with
-        | Some (pseg, ppage) when not state.Wb.modified ->
+        | Some ((pseg, ppage) as parent) when not state.Wb.modified ->
           Backing_store.clear_pfn_hint t.env.store ~pfn:r.Segment.pfn;
           Frame_alloc.free t.env.frames r.Segment.pfn;
-          Segment.set_state seg page (Segment.Cow_of (pseg, ppage));
+          revert_cow t seg page r parent;
           (match Segment.state pseg ppage with
           | Segment.In_memory pr -> drop_mapper pr
           | _ -> ())
-        | _ ->
-          if state.Wb.modified then begin
-            r.Segment.dirty <- true;
-            r.Segment.backing <- None
-          end)
+        | _ -> if state.Wb.modified then r.Segment.dirty <- true)
       | Segment.Cow_of (pseg, ppage) -> (
         (* Read-shared parent frame unmapped from this space. *)
         match Segment.state pseg ppage with

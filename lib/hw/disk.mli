@@ -1,6 +1,11 @@
 (** Simulated paging disk: page-granularity transfers with seek + transfer
     latency, completing through the node's event queue.  Paging policy and
-    I/O live in application kernels; the Cache Kernel never touches this. *)
+    I/O live in application kernels; the Cache Kernel never touches this.
+
+    The disk owns block allocation, and each allocated block has one owner
+    that rewrites it in place or frees it.  Transfers are DMA-style blits
+    between a block's own buffer and a frame or caller buffer; a read
+    always returns the block's contents as of its submission. *)
 
 type t
 
@@ -8,22 +13,46 @@ val create : events:Event_queue.t -> now:(unit -> Cost.cycles) -> t
 val reads : t -> int
 val writes : t -> int
 
+val live_blocks : t -> int
+(** Blocks holding data (written and not freed since). *)
+
 val alloc_block : t -> int
-(** Allocate a fresh backing-store block. *)
+(** The most recently freed block first, then never-used numbers in
+    ascending order. *)
+
+val free_block : t -> int -> unit
+(** Return a block to the allocator and drop its data: it reads as zeroes
+    until written again. *)
 
 val latency : unit -> Cost.cycles
 
-val read : t -> block:int -> (Bytes.t -> unit) -> unit
-(** Read a block; the continuation runs from the event queue on
-    completion.  Unwritten blocks read as zeroes. *)
+val write_frame : t -> block:int -> Phys_mem.t -> pfn:int -> (unit -> unit) -> unit
+(** Write a frame to a block.  The frame is captured into the block's
+    buffer (allocated zeroed on first write) at submission; the
+    continuation runs from the event queue on completion. *)
 
-val write : t -> block:int -> Bytes.t -> (unit -> unit) -> unit
-(** Write one page of data to a block. *)
+val read_frame : t -> block:int -> Phys_mem.t -> pfn:int -> (unit -> unit) -> unit
+(** Read a block into a frame.  The block is captured at submission into a
+    reused staging buffer and lands in the frame on completion, just before
+    the continuation runs.  Unwritten blocks read as zeroes. *)
+
+val read_into :
+  t -> block:int -> off:int -> Bytes.t -> pos:int -> len:int -> (unit -> unit) -> unit
+(** [read_into t ~block ~off dst ~pos ~len k] reads [len] bytes at [off] of
+    the block into [dst] at [pos].  The bytes land at submission: [dst] is
+    the caller's private buffer, not to be read before [k] runs. *)
+
+val write_from :
+  t -> block:int -> off:int -> Bytes.t -> pos:int -> len:int -> (unit -> unit) -> unit
+(** [write_from t ~block ~off src ~pos ~len k] writes [len] bytes of [src]
+    at [pos] into the block at [off], landing at submission. *)
 
 val read_now : t -> block:int -> Bytes.t
-(** Synchronous read for boot-time loading (no latency modelled). *)
+(** Synchronous read for boot-time loading and capture (no latency
+    modelled); returns a copy the caller owns. *)
 
-val write_now : t -> block:int -> Bytes.t -> unit
+val write_now : t -> block:int -> off:int -> Bytes.t -> pos:int -> len:int -> unit
+(** Synchronous counterpart of {!write_from}. *)
 
 val export : t -> blocks:int list -> Bytes.t
 (** Concatenate the contents of [blocks] — how a checkpoint image leaves

@@ -85,6 +85,19 @@ let write_bytes t paddr data =
   in
   loop paddr 0 len
 
+(** Copy frame [pfn] into the page-sized buffer [dst]; an untouched frame
+    reads as zeroes and stays unallocated. *)
+let copy_page_out t ~pfn dst =
+  check t (Addr.addr_of_page pfn) Addr.page_size;
+  match Hashtbl.find_opt t.frames pfn with
+  | Some b -> Bytes.blit b 0 dst 0 Addr.page_size
+  | None -> Bytes.fill dst 0 Addr.page_size '\000'
+
+(** Copy the page-sized buffer [src] into frame [pfn]. *)
+let copy_page_in t ~pfn src =
+  check t (Addr.addr_of_page pfn) Addr.page_size;
+  Bytes.blit src 0 (frame t pfn) 0 Addr.page_size
+
 (** Zero the page frame [pfn]. *)
 let zero_page t pfn =
   check t (Addr.addr_of_page pfn) Addr.page_size;

@@ -25,6 +25,12 @@ val read_bytes : t -> int -> int -> Bytes.t
 
 val write_bytes : t -> int -> Bytes.t -> unit
 
+val copy_page_out : t -> pfn:int -> Bytes.t -> unit
+(** DMA a whole frame out into a page-sized buffer. *)
+
+val copy_page_in : t -> pfn:int -> Bytes.t -> unit
+(** DMA a page-sized buffer into a frame. *)
+
 val zero_page : t -> int -> unit
 (** Zero a page frame. *)
 

@@ -65,6 +65,15 @@ let image_of ak ?(extras = []) ?(name_of = fun (_ : Thread_lib.entry) -> "") () 
     extras;
   }
 
+(* Round-trip [bytes] through the paging disk, charged as ordinary block
+   writes and reads; the staging blocks are freed once read back. *)
+let stage ak bytes =
+  let disk = ak.App_kernel.disk in
+  let blocks = Hw.Disk.import disk bytes in
+  let staged = Hw.Disk.export disk ~blocks in
+  List.iter (Hw.Disk.free_block disk) blocks;
+  staged
+
 (* Persist an already-captured image (e.g. one taken mid-session, with
    extras appended later) to [path].  Returns the image size in bytes. *)
 let save_image ak ~path img =
@@ -77,8 +86,7 @@ let save_image ak ~path img =
   let bytes = Codec.encode img in
   (* stage through the paging disk: the checkpoint leaves via the backing
      store, charged as ordinary block writes/reads *)
-  let blocks = Hw.Disk.import ak.App_kernel.disk bytes in
-  let staged = Hw.Disk.export ak.App_kernel.disk ~blocks in
+  let staged = stage ak bytes in
   (* [staged] is page-padded; the codec header records the true length,
      and decode ignores bytes past the checksum *)
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc staged);
@@ -105,8 +113,7 @@ let restore ak ~path ~programs ?(schedule = true) () =
   in
   (* land the image on the local paging disk first — a restore arrives
      from the backing store, charged like any page-in *)
-  let blocks = Hw.Disk.import ak.App_kernel.disk data in
-  let data = Hw.Disk.export ak.App_kernel.disk ~blocks in
+  let data = stage ak data in
   match Codec.decode data with
   | Error msg -> Error msg
   | Ok img -> (

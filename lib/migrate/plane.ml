@@ -452,22 +452,24 @@ let move_thread t ~dst id =
 
 (* Release the source-side storage of a migrated space: frames whose only
    users were this space's mappings, and backing-store blocks.  Shared
-   residencies (other spaces still map the frame) are left alone. *)
+   residencies (other spaces still map the frame) and the blocks of
+   file-backed segments are left alone. *)
 let release_space t (vsp : Segment_mgr.vspace) =
   let ak = t.ak in
   List.iter
     (fun (seg : Segment.t) ->
+      let free_block block =
+        if not seg.Segment.file_backed then Backing_store.free_block ak.App_kernel.store block
+      in
       for page = 0 to seg.Segment.pages - 1 do
         match Segment.state seg page with
         | Segment.In_memory res when res.Segment.mappers = [] ->
-          (match res.Segment.backing with
-          | Some block -> Backing_store.free_block ak.App_kernel.store block
-          | None -> ());
+          Option.iter free_block res.Segment.backing;
           Backing_store.clear_pfn_hint ak.App_kernel.store ~pfn:res.Segment.pfn;
           Frame_alloc.free ak.App_kernel.frames res.Segment.pfn;
           Segment.set_state seg page Segment.Zero
         | Segment.On_disk block ->
-          Backing_store.free_block ak.App_kernel.store block;
+          free_block block;
           Segment.set_state seg page Segment.Zero
         | _ -> ()
       done)

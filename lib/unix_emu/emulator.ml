@@ -43,14 +43,16 @@ let image_byte ~page ~off = (page * 37) + off land 0xFF
 
 (* exec: read the program image from its file-system file; text pages go
    On_disk against the file's own blocks, and demand paging brings them
-   in.  Processes running the same program share the image blocks (text is
-   read-only, so the blocks stay clean). *)
+   in.  Processes running the same program share the image blocks: they
+   belong to the file, and text is read-only, so paging never writes or
+   frees them. *)
 let make_text_segment t (prog : Syscall.program) =
   let seg =
     Segment_mgr.create_segment t.ak.App_kernel.mgr
       ~name:(prog.Syscall.name ^ ".text")
       ~pages:prog.Syscall.text_pages
   in
+  seg.Segment.file_backed <- true;
   let path = "/bin/" ^ prog.Syscall.name in
   let file =
     match Fs.lookup t.fs path with
@@ -157,14 +159,23 @@ let create_process t ?(priority = 12) ~parent ?(inherit_from : Process.t option)
       | None -> ());
       Ok p)
 
-(* Release a dead process's memory: unmap and free frames, free blocks. *)
+(* Release a dead process's memory: unmap and free frames, free the blocks
+   its pages own (text blocks belong to the program's file). *)
 let destroy_memory t (p : Process.t) =
   let mgr = t.ak.App_kernel.mgr in
-  let release seg =
+  let store = t.ak.App_kernel.store in
+  let release (seg : Segment.t) =
     Segment.iter_resident seg (fun _page r ->
         Segment_mgr.unmap_residents mgr r;
-        Backing_store.clear_pfn_hint t.ak.App_kernel.store ~pfn:r.Segment.pfn;
+        Backing_store.clear_pfn_hint store ~pfn:r.Segment.pfn;
         Frame_alloc.free t.ak.App_kernel.frames r.Segment.pfn);
+    if not seg.Segment.file_backed then
+      Hashtbl.iter
+        (fun _ -> function
+          | Segment.In_memory { Segment.backing = Some block; _ } | Segment.On_disk block ->
+            Backing_store.free_block store block
+          | _ -> ())
+        seg.Segment.table;
     Hashtbl.reset seg.Segment.table;
     seg.Segment.resident_count <- 0
   in

@@ -34,11 +34,19 @@ let lookup t name = Hashtbl.find_opt t.files name
 let exists t name = Hashtbl.mem t.files name
 let size f = f.size
 
-(** Create (or truncate) a file. *)
+(** Create a file, or truncate an existing one in place as [O_TRUNC]
+    does: the same record, its blocks freed, size 0. *)
 let create_file t name =
-  let f = { fname = name; blocks = [||]; size = 0 } in
-  Hashtbl.replace t.files name f;
-  f
+  match Hashtbl.find_opt t.files name with
+  | Some f ->
+    Array.iter (Hw.Disk.free_block t.disk) f.blocks;
+    f.blocks <- [||];
+    f.size <- 0;
+    f
+  | None ->
+    let f = { fname = name; blocks = [||]; size = 0 } in
+    Hashtbl.replace t.files name f;
+    f
 
 let block_of t f index =
   while Array.length f.blocks <= index do
@@ -56,9 +64,7 @@ let write_now t f ~offset data =
       let in_block = pos mod Hw.Addr.page_size in
       let chunk = min (len - off) (Hw.Addr.page_size - in_block) in
       let block = block_of t f bidx in
-      let page = Hw.Disk.read_now (t.disk) ~block in
-      Bytes.blit data off page in_block chunk;
-      Hw.Disk.write_now (t.disk) ~block page;
+      Hw.Disk.write_now t.disk ~block ~off:in_block data ~pos:off ~len:chunk;
       loop (off + chunk)
     end
   in
@@ -98,9 +104,7 @@ let read t f ~thread ~offset ~len =
         let chunk = min (len - off) (Hw.Addr.page_size - in_block) in
         let block = block_of t f bidx in
         block_for_io t ~thread (fun ~done_ ->
-            Hw.Disk.read (t.disk) ~block (fun page ->
-                Bytes.blit page in_block out off chunk;
-                done_ ()));
+            Hw.Disk.read_into t.disk ~block ~off:in_block out ~pos:off ~len:chunk done_);
         loop (off + chunk)
       end
     in
@@ -119,11 +123,13 @@ let write t f ~thread ~offset data =
       let in_block = pos mod Hw.Addr.page_size in
       let chunk = min (len - off) (Hw.Addr.page_size - in_block) in
       let block = block_of t f bidx in
+      (* read-modify-write of the extent: the merge happens in the block's
+         own buffer when the write is submitted, so the read moves no bytes
+         but keeps its transfer time *)
       block_for_io t ~thread (fun ~done_ ->
-          Hw.Disk.read (t.disk) ~block (fun page ->
-              Bytes.blit data off page in_block chunk;
-              Hw.Disk.write (t.disk) ~block page (fun () ->
-                  done_ ())));
+          Hw.Disk.read_into t.disk ~block ~off:in_block Bytes.empty ~pos:0 ~len:0 (fun () ->
+              Hw.Disk.write_from t.disk ~block ~off:in_block data ~pos:off ~len:chunk
+                done_));
       loop (off + chunk)
     end
   in

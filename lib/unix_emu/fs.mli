@@ -18,6 +18,8 @@ val lookup : t -> string -> file option
 val exists : t -> string -> bool
 val size : file -> int
 val create_file : t -> string -> file
+(** Create a file; an existing one is truncated in place ([O_TRUNC]): the
+    same record, its blocks freed, size 0. *)
 
 val block_of : t -> file -> int -> int
 (** Disk block of a file's page-sized extent (allocated on demand). *)

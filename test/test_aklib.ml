@@ -65,6 +65,91 @@ let test_demand_paging_with_eviction () =
     "pages came back from disk" true
     (Backing_store.page_ins ak.App_kernel.store > 0)
 
+(* Where the segment manager holds a page's first word now. *)
+let word_of_page ak seg page =
+  match Segment.state seg page with
+  | Segment.In_memory r ->
+    Some
+      (Hw.Phys_mem.read_word ak.App_kernel.inst.Instance.node.Hw.Mpm.mem
+         (Hw.Addr.addr_of_page r.Segment.pfn))
+  | Segment.On_disk block ->
+    let b = Backing_store.read_block_now ak.App_kernel.store ~block in
+    Some (Int32.to_int (Bytes.get_int32_le b 0) land 0xFFFFFFFF)
+  | Segment.Zero -> Some 0
+  | Segment.Cow_of _ -> None
+
+let hostage_all_but ak keep =
+  let avail = Frame_alloc.available ak.App_kernel.frames in
+  ignore (Frame_alloc.take ak.App_kernel.frames (avail - keep))
+
+(* N pages cycle through a 4-frame pool many times: every page keeps one
+   block for life, so the disk never holds more than N blocks, and the
+   last write to each page reads back from wherever the page is. *)
+let test_paging_keeps_one_block_per_page () =
+  let inst, ak = make () in
+  hostage_all_but ak 4;
+  let n = 16 and rounds = 6 in
+  let vsp = user_space ak in
+  let seg = Segment_mgr.create_segment ak.App_kernel.mgr ~name:"cycle" ~pages:n in
+  let base = 0x40000000 in
+  Segment_mgr.attach_region ak.App_kernel.mgr vsp
+    (Region.v ~va_start:base ~pages:n ~segment:seg ~seg_offset:0 ());
+  let value round i = (round * 1000) + i in
+  let body () =
+    for round = 1 to rounds do
+      for i = 0 to n - 1 do
+        let va = base + (((i * 5) + round) mod n * Hw.Addr.page_size) in
+        Hw.Exec.mem_write va (value round (((i * 5) + round) mod n))
+      done
+    done
+  in
+  ignore (spawn_user ak vsp ~priority:8 body);
+  ignore (Engine.run [| inst |]);
+  Alcotest.(check bool) "pages were written out repeatedly" true
+    (Backing_store.page_outs ak.App_kernel.store > 2 * n);
+  for i = 0 to n - 1 do
+    Alcotest.(check (option int)) (Printf.sprintf "page %d last write" i)
+      (Some (value rounds i)) (word_of_page ak seg i)
+  done;
+  let live = Hw.Disk.live_blocks ak.App_kernel.disk in
+  if live > n then Alcotest.failf "%d live disk blocks for %d pages" live n
+
+(* Thread A evicts B's dirty page and blocks in its page-out; meanwhile B
+   faults the still-resident page back in and writes it.  The eviction
+   must not complete under B's live mapping: B's later write survives and
+   B never sees A's data through a recycled frame. *)
+let test_remap_during_page_out () =
+  let inst, ak = make () in
+  hostage_all_but ak 1;
+  let mgr = ak.App_kernel.mgr in
+  let page_space name =
+    let vsp = user_space ak in
+    let seg = Segment_mgr.create_segment mgr ~name ~pages:1 in
+    Segment_mgr.attach_region mgr vsp
+      (Region.v ~va_start:0x40000000 ~pages:1 ~segment:seg ~seg_offset:0 ());
+    (vsp, seg)
+  in
+  let vsp_b, seg_b = page_space "b" in
+  let vsp_a, seg_a = page_space "a" in
+  let io = Hw.Disk.latency () in
+  let seen = ref (-1) in
+  ignore
+    (spawn_user ak vsp_b ~priority:8 (fun () ->
+         Hw.Exec.mem_write 0x40000000 1;
+         Hw.Exec.compute (io / 4);
+         (* A's page-out of this page is in flight now *)
+         Hw.Exec.mem_write 0x40000000 2;
+         Hw.Exec.compute (io * 4);
+         seen := Hw.Exec.mem_read 0x40000000));
+  ignore
+    (spawn_user ak vsp_a ~priority:8 (fun () ->
+         Hw.Exec.compute (io / 8);
+         Hw.Exec.mem_write 0x40000000 7));
+  ignore (Engine.run [| inst |]);
+  Alcotest.(check int) "B reads its own last write" 2 !seen;
+  Alcotest.(check (option int)) "B's page holds its last write" (Some 2) (word_of_page ak seg_b 0);
+  Alcotest.(check (option int)) "A's page holds A's write" (Some 7) (word_of_page ak seg_a 0)
+
 let test_channel_ping_pong () =
   let inst, ak = make () in
   let sender_sp = user_space ak in
@@ -284,6 +369,10 @@ let () =
           Alcotest.test_case "demand paging with eviction" `Quick
             test_demand_paging_with_eviction;
           Alcotest.test_case "deferred-copy fork" `Quick test_deferred_copy_fork;
+          Alcotest.test_case "paging keeps one block per page" `Quick
+            test_paging_keeps_one_block_per_page;
+          Alcotest.test_case "remap during page-out keeps the write" `Quick
+            test_remap_during_page_out;
         ] );
       ( "channels",
         [ Alcotest.test_case "ping-pong over messaging" `Quick test_channel_ping_pong ] );

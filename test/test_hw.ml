@@ -373,20 +373,101 @@ let test_exec () =
 
 (* -- Disk -- *)
 
-let test_disk () =
+let disk_env () =
   let events = Hw.Event_queue.create () in
   let now = ref 0 in
   let disk = Hw.Disk.create ~events ~now:(fun () -> !now) in
+  let mem = Hw.Phys_mem.create ~size:(4 * Hw.Addr.page_size) in
+  let drain () =
+    while not (Hw.Event_queue.is_empty events) do
+      now := Hw.Event_queue.run_next events
+    done
+  in
+  (disk, mem, now, drain)
+
+let fill_frame mem pfn c =
+  Hw.Phys_mem.write_bytes mem (Hw.Addr.addr_of_page pfn) (Bytes.make Hw.Addr.page_size c)
+
+let frame_byte mem pfn = Hw.Phys_mem.read_byte mem (Hw.Addr.addr_of_page pfn)
+
+let test_disk () =
+  let disk, mem, now, drain = disk_env () in
   let b = Hw.Disk.alloc_block disk in
-  let done_w = ref false and got = ref Bytes.empty in
-  Hw.Disk.write disk ~block:b (Bytes.make 4096 'x') (fun () -> done_w := true);
+  fill_frame mem 0 'x';
+  let done_w = ref false in
+  Hw.Disk.write_frame disk ~block:b mem ~pfn:0 (fun () -> done_w := true);
   Alcotest.(check bool) "write pending until event runs" false !done_w;
-  now := Hw.Event_queue.run_next events;
+  drain ();
   Alcotest.(check bool) "write completed" true !done_w;
   Alcotest.(check bool) "latency charged" true (!now >= Hw.Cost.disk_seek);
-  Hw.Disk.read disk ~block:b (fun data -> got := data);
-  ignore (Hw.Event_queue.run_next events);
-  Alcotest.(check char) "data read back" 'x' (Bytes.get !got 0)
+  let done_r = ref false in
+  Hw.Disk.read_frame disk ~block:b mem ~pfn:1 (fun () -> done_r := true);
+  Alcotest.(check char) "frame untouched until completion" '\000'
+    (Char.chr (frame_byte mem 1));
+  drain ();
+  Alcotest.(check bool) "read completed" true !done_r;
+  Alcotest.(check char) "data read back" 'x' (Char.chr (frame_byte mem 1));
+  let out = Bytes.make 8 '.' in
+  Hw.Disk.read_into disk ~block:b ~off:100 out ~pos:2 ~len:4 ignore;
+  Hw.Disk.write_from disk ~block:b ~off:0 (Bytes.of_string "ab") ~pos:0 ~len:2 ignore;
+  drain ();
+  Alcotest.(check string) "byte range read" "..xxxx.." (Bytes.to_string out);
+  Alcotest.(check string) "byte range written over the old page" "abxx"
+    (Bytes.sub_string (Hw.Disk.read_now disk ~block:b) 0 4);
+  Alcotest.(check int) "transfers counted" 2 (Hw.Disk.reads disk);
+  Alcotest.(check int) "writes counted" 2 (Hw.Disk.writes disk)
+
+(* A read captures the block when it is submitted: a write to the same
+   block that lands while the read is in flight is not seen by it. *)
+let test_disk_read_snapshot () =
+  let disk, mem, _, drain = disk_env () in
+  let b = Hw.Disk.alloc_block disk in
+  fill_frame mem 0 'a';
+  Hw.Disk.write_frame disk ~block:b mem ~pfn:0 ignore;
+  drain ();
+  let out = Bytes.make 1 '.' in
+  Hw.Disk.read_frame disk ~block:b mem ~pfn:1 ignore;
+  Hw.Disk.read_into disk ~block:b ~off:0 out ~pos:0 ~len:1 ignore;
+  fill_frame mem 0 'b';
+  Hw.Disk.write_frame disk ~block:b mem ~pfn:0 ignore;
+  Hw.Disk.write_now disk ~block:b ~off:0 (Bytes.of_string "c") ~pos:0 ~len:1;
+  drain ();
+  Alcotest.(check char) "frame read sees the block as submitted" 'a'
+    (Char.chr (frame_byte mem 1));
+  Alcotest.(check char) "range read sees the block as submitted" 'a' (Bytes.get out 0);
+  let again = ref false in
+  Hw.Disk.read_frame disk ~block:b mem ~pfn:2 (fun () -> again := true);
+  drain ();
+  Alcotest.(check bool) "a staging buffer is reused" true !again;
+  Alcotest.(check char) "a later read sees the later write" 'c'
+    (Char.chr (frame_byte mem 2))
+
+(* Freed blocks drop their data and come back most recent first. *)
+let test_disk_alloc_free () =
+  let disk, mem, _, drain = disk_env () in
+  let zero = Bytes.make Hw.Addr.page_size '\000' in
+  let b0 = Hw.Disk.alloc_block disk in
+  let b1 = Hw.Disk.alloc_block disk in
+  let b2 = Hw.Disk.alloc_block disk in
+  Alcotest.(check (list int)) "fresh blocks ascend" [ 0; 1; 2 ] [ b0; b1; b2 ];
+  Alcotest.(check bool) "unwritten block reads zero" true
+    (Bytes.equal zero (Hw.Disk.read_now disk ~block:b2));
+  fill_frame mem 0 'q';
+  List.iter (fun b -> Hw.Disk.write_frame disk ~block:b mem ~pfn:0 ignore) [ b0; b1; b2 ];
+  drain ();
+  Alcotest.(check int) "three live blocks" 3 (Hw.Disk.live_blocks disk);
+  Hw.Disk.free_block disk b0;
+  Hw.Disk.free_block disk b2;
+  Alcotest.(check int) "freed blocks hold no data" 1 (Hw.Disk.live_blocks disk);
+  Alcotest.(check bool) "freed block reads zero" true
+    (Bytes.equal zero (Hw.Disk.read_now disk ~block:b2));
+  fill_frame mem 3 'z';
+  Hw.Disk.read_frame disk ~block:b0 mem ~pfn:3 ignore;
+  drain ();
+  Alcotest.(check char) "freed block pages in as zeroes" '\000'
+    (Char.chr (frame_byte mem 3));
+  let order = List.init 3 (fun _ -> Hw.Disk.alloc_block disk) in
+  Alcotest.(check (list int)) "most recently freed first, then fresh" [ b2; b0; 3 ] order
 
 (* -- Interconnect + NIC -- *)
 
@@ -502,7 +583,13 @@ let () =
         ] );
       ("mmu", [ Alcotest.test_case "translate and fault taxonomy" `Quick test_mmu ]);
       ("exec", [ Alcotest.test_case "effects and continuations" `Quick test_exec ]);
-      ("disk", [ Alcotest.test_case "latency and contents" `Quick test_disk ]);
+      ( "disk",
+        [
+          Alcotest.test_case "latency and contents" `Quick test_disk;
+          Alcotest.test_case "reads snapshot at submission" `Quick test_disk_read_snapshot;
+          Alcotest.test_case "allocation order; freed blocks read zero" `Quick
+            test_disk_alloc_free;
+        ] );
       ( "interconnect",
         [
           Alcotest.test_case "delivery and failure" `Quick test_interconnect;

@@ -303,15 +303,19 @@ let test_checkpoint_restore () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
+      let live ak = Hw.Disk.live_blocks ak.App_kernel.disk in
+      let live_before = live ak in
       let saved_bytes =
         Migrate.Checkpoint.save ak ~path ~extras:[ ("note", "t") ]
           ~name_of:(fun _ -> "worker")
           ()
       in
       Alcotest.(check bool) "image persisted" true (saved_bytes > 0);
+      Alcotest.(check int) "save frees its staging blocks" live_before (live ak);
       (* a fresh instance stands in for a new process run *)
       let inst2 = Workload.Setup.instance () in
       let ak2 = Workload.Setup.first_kernel inst2 in
+      let live_before2 = live ak2 in
       let progress2 = ref 0 in
       let body2 () =
         for _ = 1 to 5 do
@@ -327,6 +331,7 @@ let test_checkpoint_restore () =
       with
       | Error e -> Alcotest.failf "restore: %s" e
       | Ok r ->
+        Alcotest.(check int) "restore frees its staging blocks" live_before2 (live ak2);
         Alcotest.(check int) "one space rebuilt" 1 (List.length r.Migrate.Checkpoint.spaces);
         Alcotest.(check int) "one thread adopted" 1 (List.length r.Migrate.Checkpoint.threads);
         Alcotest.(check (option string)) "extras roundtrip" (Some "t")

@@ -70,7 +70,8 @@ let tier_chaos_cfg seed =
   }
 
 (* -- the seed flat store, replicated verbatim (modulo the [env] clock
-   plumbing) as the equivalence model -- *)
+   plumbing) as the equivalence model.  Its transfers copy through fresh
+   page buffers, as the seed's did, over the disk's byte-range calls. -- *)
 
 module Seed_store = struct
   type chaos_plane = {
@@ -137,16 +138,19 @@ module Seed_store = struct
         let data =
           Hw.Phys_mem.read_bytes t.mem (Hw.Addr.addr_of_page pfn) Hw.Addr.page_size
         in
-        Hw.Disk.write t.disk ~block data (fun () -> k block))
+        Hw.Disk.write_from t.disk ~block ~off:0 data ~pos:0 ~len:Hw.Addr.page_size
+          (fun () -> k block))
 
   let page_in t ~block ~pfn k =
     t.page_ins <- t.page_ins + 1;
     attempt t ~n:1 (fun () ->
-        Hw.Disk.read t.disk ~block (fun data ->
+        let data = Bytes.create Hw.Addr.page_size in
+        Hw.Disk.read_into t.disk ~block ~off:0 data ~pos:0 ~len:Hw.Addr.page_size (fun () ->
             Hw.Phys_mem.write_bytes t.mem (Hw.Addr.addr_of_page pfn) data;
             k ()))
 
-  let write_block_now t ~block data = Hw.Disk.write_now t.disk ~block data
+  let write_block_now t ~block data =
+    Hw.Disk.write_now t.disk ~block ~off:0 data ~pos:0 ~len:(Bytes.length data)
 end
 
 (* -- equivalence: flat real store vs seed replica on random traces --

@@ -288,6 +288,78 @@ let test_files () =
   Alcotest.(check bool) "disk was involved" true
     (Hw.Cost.us_of_cycles (Hw.Mpm.now inst.Instance.node) > 10_000.0)
 
+(* creat on an existing file truncates it in place: its blocks go back to
+   the disk and a read returns only what was written after. *)
+let test_creat_truncates () =
+  let inst, emu = boot () in
+  let disk = emu.Emulator.ak.Aklib.App_kernel.disk in
+  let live () = Hw.Disk.live_blocks disk in
+  let counts = ref [] in
+  let prog =
+    Syscall.program "rewriter" (fun () ->
+        let fd = Syscall.creat "/tmp/log" in
+        ignore (Syscall.write_file fd (String.make (2 * Hw.Addr.page_size) 'o'));
+        Syscall.close fd;
+        let written = live () in
+        let fd = Syscall.creat "/tmp/log" in
+        let truncated = live () in
+        ignore (Syscall.write_file fd "new");
+        Syscall.close fd;
+        counts := [ written; truncated; live () ];
+        let fd = Syscall.open_file "/tmp/log" in
+        Syscall.write ("content: [" ^ Syscall.read_file fd 10_000 ^ "]\n");
+        Syscall.close fd;
+        0)
+  in
+  ignore (ok (Emulator.start_init emu prog));
+  ignore (Engine.run [| inst |]);
+  (match !counts with
+  | [ written; truncated; rewritten ] ->
+    Alcotest.(check int) "truncation frees both blocks" (written - 2) truncated;
+    Alcotest.(check int) "the rewrite takes one block" (truncated + 1) rewritten
+  | _ -> Alcotest.fail "program did not finish");
+  Alcotest.(check bool) "only the new content reads back" true
+    (contains (Emulator.console emu) "content: [new]")
+
+(* Swapped-out pages own their blocks until the process exits, which
+   frees them; the shared program-text blocks belong to the file system
+   and survive both untouched. *)
+let test_exit_frees_blocks_keeps_text () =
+  let inst, emu = boot () in
+  let disk = emu.Emulator.ak.Aklib.App_kernel.disk in
+  let job =
+    Syscall.program "job" (fun () ->
+        Hw.Exec.mem_write Process.data_base 31337;
+        Syscall.sleep "io";
+        0)
+  in
+  let init =
+    Syscall.program "init" (fun () ->
+        let _pid = Syscall.spawn job in
+        Hw.Exec.compute 200_000;
+        0)
+  in
+  ignore (ok (Emulator.start_init emu init));
+  ignore (Engine.run [| inst |]);
+  let text_image () =
+    let f = Option.get (Fs.lookup emu.Emulator.fs "/bin/job") in
+    List.init
+      ((Fs.size f + Hw.Addr.page_size - 1) / Hw.Addr.page_size)
+      (fun i -> Hw.Disk.read_now disk ~block:(Fs.block_of emu.Emulator.fs f i))
+  in
+  let text = text_image () in
+  let live0 = Hw.Disk.live_blocks disk in
+  let p = Option.get (Emulator.proc emu 2) in
+  Swapper.swap_out emu p;
+  Alcotest.(check bool) "swap-out wrote the dirty pages" true
+    (Hw.Disk.live_blocks disk > live0);
+  ok (Swapper.swap_in emu p);
+  Emulator.wakeup_event emu "io";
+  ignore (Engine.run [| inst |]);
+  Alcotest.(check bool) "job exited" true (Process.is_zombie p);
+  Alcotest.(check int) "exit freed the process's blocks" live0 (Hw.Disk.live_blocks disk);
+  Alcotest.(check bool) "program text intact" true (List.for_all2 Bytes.equal text (text_image ()))
+
 let test_pipes () =
   let inst, emu = boot () in
   (* parent creates the pipe; children inherit the fd numbers by convention
@@ -348,6 +420,7 @@ let () =
       ( "files",
         [
           Alcotest.test_case "create/write/read files" `Quick test_files;
+          Alcotest.test_case "creat truncates in place" `Quick test_creat_truncates;
           Alcotest.test_case "pipes preserve order" `Quick test_pipes;
           Alcotest.test_case "empty pipe blocks the reader" `Quick
             test_pipe_blocks_reader;
@@ -366,6 +439,8 @@ let () =
       ( "policy",
         [
           Alcotest.test_case "swapping releases descriptors" `Quick test_swapping;
+          Alcotest.test_case "exit frees blocks, keeps program text" `Quick
+            test_exit_frees_blocks_keeps_text;
           Alcotest.test_case "decay scheduler" `Quick test_decay_scheduler;
           Alcotest.test_case "nice lowers priority" `Quick test_nice_lowers_priority;
         ] );
