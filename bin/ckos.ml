@@ -84,17 +84,10 @@ let chaos_config ~rate ~seed ?partition_at ?(partition_for = 2_000.0)
       }
 
 let parse_policy s =
-  match Policy.choice_of_string s with
-  | Ok c -> c
+  match Policy.kind_of_string s with
+  | Ok k -> k
   | Error msg ->
     Fmt.epr "ckos: %s@." msg;
-    Stdlib.exit 1
-
-let parse_placement s =
-  match Config.tier_placement_of_string s with
-  | Some p -> p
-  | None ->
-    Fmt.epr "ckos: unknown placement %S (expected recency, referenced or off)@." s;
     Stdlib.exit 1
 
 let print_chaos_balance inst =
@@ -148,7 +141,7 @@ let boot_and_run ?pause_us ~config ~cpus ~procs ~tracing () =
   (inst, emu)
 
 let run_workload cpus procs chaos chaos_seed partition_at partition_for partition_minority
-    prefetch batch policy tiers placement audit audit_out metrics_out trace_out =
+    prefetch batch policy tiers audit audit_out metrics_out trace_out =
   if prefetch < 0 || batch < 1 then begin
     Fmt.epr "ckos: --prefetch must be >= 0 and --batch >= 1@.";
     Stdlib.exit 1
@@ -158,18 +151,16 @@ let run_workload cpus procs chaos chaos_seed partition_at partition_for partitio
     Stdlib.exit 1
   end;
   let config =
-    Config.with_policy
-      {
-        Config.default with
-        Config.chaos =
-          chaos_config ~rate:chaos ~seed:chaos_seed ?partition_at
-            ~partition_for ~partition_minority ();
-        fault_prefetch = prefetch;
-        mapping_batch_max = batch;
-        fast_tier_slots = tiers;
-        tier_placement = parse_placement placement;
-      }
-      (parse_policy policy)
+    {
+      Config.default with
+      Config.chaos =
+        chaos_config ~rate:chaos ~seed:chaos_seed ?partition_at ~partition_for
+          ~partition_minority ();
+      fault_prefetch = prefetch;
+      mapping_batch_max = batch;
+      policy = parse_policy policy;
+      fast_tier_slots = tiers;
+    }
   in
   let inst, emu = boot_and_run ~config ~cpus ~procs ~tracing:(trace_out <> None) () in
   Fmt.pr "ran %d processes in %.1f ms simulated (%d syscalls)@."
@@ -370,13 +361,12 @@ let batch_arg =
 let policy_arg =
   Arg.(
     value
-    & opt string "clock"
+    & opt string (Policy.kind_name Config.default.Config.policy)
     & info [ "policy" ] ~docv:"POLICY"
         ~doc:
           "Replacement policy for every descriptor cache: $(b,clock) (the \
-           default second-chance scan), $(b,lru), $(b,fifo), $(b,learned) \
-           (online perceptron) or $(b,adaptive) (rotates policies when the \
-           hit rate degrades).")
+           second-chance scan) or $(b,lru) (strict least-recently-used over \
+           sampled reference bits).")
 
 let tiers_arg =
   Arg.(
@@ -386,18 +376,9 @@ let tiers_arg =
         ~doc:
           "Enable the tiered backing store with a fast tier of $(docv) page \
            slots (a pinned local-RAM backing segment in front of the paging \
-           disk; 0, the default, keeps the flat single-tier store).")
-
-let placement_arg =
-  Arg.(
-    value
-    & opt string (Config.tier_placement_name Config.default.Config.tier_placement)
-    & info [ "placement" ] ~docv:"CLASSIFIER"
-        ~doc:
-          "Hot/cold placement classifier for the tiered store: $(b,recency) \
-           (second-touch admission within the hot window, the default), \
-           $(b,referenced) (admit iff the evicted frame's referenced/aged \
-           bits were set) or $(b,off) (admit everything, pure LRU demotion).")
+           disk; 0, the default, keeps the flat single-tier store).  Every \
+           page-out lands in the fast tier; the least recently touched \
+           images are demoted to disk.")
 
 (* Partition-plan flags, shared by `run` and `audit`: consumed by the
    SRM's distributed layer (the lowest-id node arms the plan) when the
@@ -446,7 +427,7 @@ let run_term =
   Term.(
     const run_workload $ cpus $ procs $ chaos $ chaos_seed $ partition_at_arg
     $ partition_for_arg $ partition_minority_arg $ prefetch_arg $ batch_arg
-    $ policy_arg $ tiers_arg $ placement_arg $ audit_flag $ audit_out $ metrics_out
+    $ policy_arg $ tiers_arg $ audit_flag $ audit_out $ metrics_out
     $ trace_out)
 
 let run_cmd = Cmd.v (Cmd.info "run" ~doc:"Run a UNIX workload and print statistics") run_term
@@ -471,12 +452,12 @@ let audit_term =
   Term.(
     const
       (fun cpus procs chaos seed partition_at partition_for partition_minority prefetch
-           batch policy tiers placement audit_out metrics_out trace_out ->
+           batch policy tiers audit_out metrics_out trace_out ->
         run_workload cpus procs chaos seed partition_at partition_for partition_minority
-          prefetch batch policy tiers placement true audit_out metrics_out trace_out)
+          prefetch batch policy tiers true audit_out metrics_out trace_out)
     $ cpus $ procs $ chaos $ chaos_seed $ partition_at_arg $ partition_for_arg
     $ partition_minority_arg $ prefetch_arg $ batch_arg $ policy_arg
-    $ tiers_arg $ placement_arg $ audit_out $ metrics_out $ trace_out)
+    $ tiers_arg $ audit_out $ metrics_out $ trace_out)
 
 let audit_cmd =
   Cmd.v

@@ -97,7 +97,6 @@ let prepare inst ~name ?(cpu_percent = 100) ?(max_priority = 24) ?(max_locked = 
   let cfg = inst.Instance.config in
   if cfg.Config.fast_tier_slots > 0 then begin
     Backing_store.configure_tiers store ~slots:cfg.Config.fast_tier_slots
-      ~placement:cfg.Config.tier_placement ~hot_window_us:cfg.Config.tier_hot_window_us
       ~batch:cfg.Config.tier_batch ~events:inst.Instance.node.Hw.Mpm.events
       ~now:(fun () -> Hw.Mpm.now inst.Instance.node);
     Backing_store.set_observer store

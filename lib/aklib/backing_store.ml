@@ -8,8 +8,9 @@
    The store is optionally *tiered* (DESIGN.md section 9): a small fast
    tier — a pinned local-RAM backing segment of [Config.fast_tier_slots]
    page images, charged [Hw.Cost.fast_tier_setup + fast_tier_page_copy]
-   per move — in front of the paging disk.  Page-out images judged hot by
-   the placement classifier land fast; cold images go straight to disk.
+   per move — in front of the paging disk.  Every page-out image lands
+   fast and every slow-tier refault is promoted; when the fast tier
+   overflows, the least recently touched images are demoted to disk.
    Blocks keep their disk-allocated numbers in either tier, so callers
    ([Segment_mgr], migration, checkpoint) never see the split; per-block
    metadata designates which tier holds the one authoritative copy.  With
@@ -27,24 +28,19 @@ type tier = Fast | Slow
 
 type meta = {
   mutable tier : tier; (* which tier holds the authoritative image *)
-  mutable last_touch : Hw.Cost.cycles; (* last transfer touching this block *)
-  mutable referenced : bool; (* sticky referenced/aged_referenced verdict *)
+  mutable last_touch : Hw.Cost.cycles;
+      (* last transfer touching this block: the demotion order *)
   mutable gen : int; (* bumped per overwrite/free: in-flight moves that
                         captured an older generation must not apply *)
 }
 
 type tiering = {
   slots : int; (* fast-tier capacity, > 0 *)
-  placement : Cachekernel.Config.tier_placement;
-  hot_window : Hw.Cost.cycles;
   batch : int; (* demotions per batched disk transfer *)
   t_events : Hw.Event_queue.t;
   t_now : unit -> Hw.Cost.cycles;
   fast : (int, Bytes.t) Hashtbl.t; (* block -> authoritative page image *)
-  meta : (int, meta) Hashtbl.t; (* block -> placement metadata *)
-  ref_hint : (int, bool) Hashtbl.t; (* pfn -> referenced bits from writebacks,
-                                       consumed by the next page-out of that
-                                       frame *)
+  meta : (int, meta) Hashtbl.t; (* block -> tier metadata *)
   mutable fast_live : int; (* derived fast-image count; audited *)
   mutable demoting : bool; (* at most one demotion batch in flight *)
   mutable promotes : int;
@@ -82,21 +78,18 @@ let create ~disk ~mem =
 
 let set_fault_plane t ~fi ~events ~now = t.chaos <- Some { fi; events; now }
 
-let configure_tiers t ~slots ~placement ~hot_window_us ~batch ~events ~now =
+let configure_tiers t ~slots ~batch ~events ~now =
   if slots <= 0 then t.tiers <- None
   else
     t.tiers <-
       Some
         {
           slots;
-          placement;
-          hot_window = Hw.Cost.cycles_of_us hot_window_us;
           batch = max 1 batch;
           t_events = events;
           t_now = now;
           fast = Hashtbl.create 64;
           meta = Hashtbl.create 64;
-          ref_hint = Hashtbl.create 64;
           fast_live = 0;
           demoting = false;
           promotes = 0;
@@ -205,7 +198,6 @@ let free_block t b =
     | Some m ->
       m.gen <- m.gen + 1;
       m.tier <- Slow;
-      m.referenced <- false;
       m.last_touch <- min_int / 2
     | None -> ()));
   Hw.Disk.free_block t.disk b
@@ -227,55 +219,9 @@ let get_meta tr block =
   | None ->
     (* blocks written outside the tiered paths (boot loading, restage)
        default to the slow tier, untouched in the distant past *)
-    let m = { tier = Slow; last_touch = min_int / 2; referenced = false; gen = 0 } in
+    let m = { tier = Slow; last_touch = min_int / 2; gen = 0 } in
     Hashtbl.replace tr.meta block m;
     m
-
-(* Consume the frame's referenced hint (noted from mapping writebacks as
-   the frame was unmapped) and fold it into the block's metadata. *)
-let take_ref_hint tr ~pfn ~block =
-  let hint = Hashtbl.find_opt tr.ref_hint pfn in
-  Hashtbl.remove tr.ref_hint pfn;
-  let m = get_meta tr block in
-  (match hint with Some r -> m.referenced <- r | None -> ());
-  hint
-
-let note_pfn_referenced t ~pfn ~referenced =
-  match t.tiers with
-  | None -> ()
-  | Some tr ->
-    (* OR across the frame's mappers: any referenced mapping makes it hot *)
-    let prev = Option.value (Hashtbl.find_opt tr.ref_hint pfn) ~default:false in
-    Hashtbl.replace tr.ref_hint pfn (prev || referenced)
-
-(* Hints are keyed by frame and only consumed at that frame's next
-   page-out, so a frame freed without one (clean eviction, teardown) must
-   shed its hint here or the frame's next tenant inherits the previous
-   tenant's referenced bit. *)
-let clear_pfn_hint t ~pfn =
-  match t.tiers with
-  | None -> ()
-  | Some tr -> Hashtbl.remove tr.ref_hint pfn
-
-(* Hot/cold verdict for a page-out image ([prev_touch] is the block's
-   last transfer before this one). *)
-let classify_out tr ~hint ~prev_touch ~now =
-  match tr.placement with
-  | Cachekernel.Config.Tier_off -> true
-  | Cachekernel.Config.Tier_referenced -> hint = Some true
-  | Cachekernel.Config.Tier_recency ->
-    (* second-touch admission: a first-sight block goes to disk no matter
-       its referenced bits — a streaming write looks exactly like a hot
-       write at page-out time, and admitting it floods the fast tier.  The
-       block earns promotion on its first refault (see [classify_in]). *)
-    now - prev_touch <= tr.hot_window
-
-(* Promotion verdict for a slow-tier fault. *)
-let classify_in tr (m : meta) ~prev_touch ~now =
-  match tr.placement with
-  | Cachekernel.Config.Tier_off -> true
-  | Cachekernel.Config.Tier_referenced -> m.referenced
-  | Cachekernel.Config.Tier_recency -> now - prev_touch <= tr.hot_window
 
 (* -- batched demotion framing --
 
@@ -405,8 +351,8 @@ let rec maybe_demote t tr =
     end
   end
 
-(* Install [data] as [block]'s fast-tier image (page-out placement or
-   promotion completion). *)
+(* Install [data] as [block]'s fast-tier image (page-out or promotion
+   completion). *)
 let install_fast tr ~block data =
   if not (Hashtbl.mem tr.fast block) then tr.fast_live <- tr.fast_live + 1;
   Hashtbl.replace tr.fast block data
@@ -423,38 +369,22 @@ let page_out t ?block ~pfn k =
            the page contents as of when the transfer actually starts *)
         Hw.Disk.write_frame t.disk ~block t.mem ~pfn (fun () -> k block))
   | Some tr ->
-    let now = tr.t_now () in
-    let hint = take_ref_hint tr ~pfn ~block in
+    (* fast-first: the image lands in the fast tier, and LRU demotion
+       ([maybe_demote]) moves it to disk once it goes stale *)
     let m = get_meta tr block in
-    let hot = classify_out tr ~hint ~prev_touch:m.last_touch ~now in
-    m.last_touch <- now;
+    m.last_touch <- tr.t_now ();
     m.gen <- m.gen + 1;
-    if hot then begin
-      tr.obs_count "tier.place.fast";
-      attempt t ~n:1 (fun () ->
-          m.tier <- Fast;
-          install_fast tr ~block (frame_image t pfn);
-          Hw.Event_queue.schedule tr.t_events
-            ~time:(tr.t_now () + Hw.Cost.fast_tier_setup + Hw.Cost.fast_tier_page_copy)
-            (fun () ->
-              maybe_demote t tr;
-              k block))
-    end
-    else begin
-      tr.obs_count "tier.place.slow";
-      (* a previously-fast block rewritten cold moves its authoritative
-         copy to the disk *)
-      if Hashtbl.mem tr.fast block then begin
-        Hashtbl.remove tr.fast block;
-        tr.fast_live <- tr.fast_live - 1
-      end;
-      m.tier <- Slow;
-      attempt t ~n:1 (fun () ->
-          Hw.Disk.write_frame t.disk ~block t.mem ~pfn (fun () -> k block))
-    end
+    attempt t ~n:1 (fun () ->
+        m.tier <- Fast;
+        install_fast tr ~block (frame_image t pfn);
+        Hw.Event_queue.schedule tr.t_events
+          ~time:(tr.t_now () + Hw.Cost.fast_tier_setup + Hw.Cost.fast_tier_page_copy)
+          (fun () ->
+            maybe_demote t tr;
+            k block))
 
-(* Promotion: a slow-tier fault judged hot copies the just-read image into
-   the fast tier so the next fault on this block is served at RAM cost. *)
+(* Promotion: a slow-tier fault copies the just-read image into the fast
+   tier so the next fault on this block is served at RAM cost. *)
 let promote t tr ~block data =
   let m = get_meta tr block in
   let gen0 = m.gen in
@@ -481,7 +411,6 @@ let page_in t ~block ~pfn k =
   | Some tr ->
     let start = tr.t_now () in
     let m = get_meta tr block in
-    let prev_touch = m.last_touch in
     m.last_touch <- start;
     let fast_hit = m.tier = Fast && Hashtbl.mem tr.fast block in
     if fast_hit then begin
@@ -506,8 +435,7 @@ let page_in t ~block ~pfn k =
         | None ->
           Hw.Disk.read_frame t.disk ~block t.mem ~pfn (fun () ->
               tr.obs_service ~fast:false (tr.t_now () - start);
-              if (not fast_hit) && classify_in tr m ~prev_touch ~now:(tr.t_now ()) then
-                promote t tr ~block (frame_image t pfn);
+              if not fast_hit then promote t tr ~block (frame_image t pfn);
               k ()))
 
 (** Synchronous block write for boot-time loading of program images. *)

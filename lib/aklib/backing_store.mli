@@ -3,8 +3,9 @@
     belongs to application kernels — the Cache Kernel never touches this.
 
     The store is optionally tiered (DESIGN.md section 9): a small pinned
-    local-RAM fast tier in front of the paging disk, with object-granular
-    hot/cold placement of writeback images.  Blocks keep their disk
+    local-RAM fast tier in front of the paging disk: every writeback image
+    lands fast and least-recently-touched images are demoted to disk.
+    Blocks keep their disk
     numbers in either tier, so the API is unchanged; with
     [Config.fast_tier_slots = 0] (the default) the store is the seed's
     flat single-tier implementation, bit for bit. *)
@@ -28,15 +29,13 @@ val set_fault_plane :
 val configure_tiers :
   t ->
   slots:int ->
-  placement:Cachekernel.Config.tier_placement ->
-  hot_window_us:float ->
   batch:int ->
   events:Hw.Event_queue.t ->
   now:(unit -> Hw.Cost.cycles) ->
   unit
-(** Enable the fast tier: [slots] page images of capacity, hot/cold
-    placement per [placement], demotions batched [batch] blocks per framed
-    disk transfer.  [slots <= 0] disables tiering (the flat store). *)
+(** Enable the fast tier: [slots] page images of capacity, demotions
+    batched [batch] blocks per framed disk transfer.  [slots <= 0]
+    disables tiering (the flat store). *)
 
 val set_observer :
   t ->
@@ -51,16 +50,6 @@ val set_observer :
 
 val tiers_enabled : t -> bool
 
-val note_pfn_referenced : t -> pfn:int -> referenced:bool -> unit
-(** Record the referenced/aged-referenced verdict from a mapping writeback
-    covering frame [pfn]; the next page-out of that frame folds it into
-    the block's hot/cold classification.  No-op on a flat store. *)
-
-val clear_pfn_hint : t -> pfn:int -> unit
-(** Drop any buffered referenced hint for frame [pfn].  Call when the
-    frame is freed or reassigned, so the next tenant's page-out cannot
-    consume the previous tenant's verdict.  No-op on a flat store. *)
-
 val alloc_block : t -> int
 (** A block from the disk's allocator ({!Hw.Disk.alloc_block}). *)
 
@@ -72,7 +61,7 @@ val page_out : t -> ?block:int -> pfn:int -> (int -> unit) -> unit
 (** Write a frame to a block (fresh unless supplied: a page that already
     owns a block rewrites it in place); the continuation receives the
     block on completion.  On a tiered store the image lands
-    in the fast tier when classified hot, at RAM cost. *)
+    in the fast tier, at RAM cost. *)
 
 val page_in : t -> block:int -> pfn:int -> (unit -> unit) -> unit
 

@@ -276,10 +276,6 @@ let rec evict_one t ~thread =
     in
     if evicted then begin
       t.stats.evictions <- t.stats.evictions + 1;
-      (* the dirty path's page_out has already consumed the frame's
-         referenced hint (synchronously, at call time); a clean eviction
-         leaves it behind, and the frame's next tenant must not inherit it *)
-      Backing_store.clear_pfn_hint t.env.store ~pfn:r.Segment.pfn;
       Frame_alloc.free t.env.frames r.Segment.pfn;
       Some r.Segment.pfn
     end
@@ -426,10 +422,6 @@ let prefetch_window = 32
 
 let note_prefetch_outcome t ~used =
   let inst = t.env.inst in
-  (* the mapping cache's learned evictor keeps a waste prior over these
-     verdicts: mostly-wasted prefetches make never-referenced young
-     mappings better eviction candidates *)
-  Policy.note_prefetch_verdict (Mappings.policy inst.Instance.mappings) ~used;
   if used then begin
     t.prefetch_used <- t.prefetch_used + 1;
     Instance.count inst "prefetch.used"
@@ -709,10 +701,6 @@ let handle_mapping_writeback t ~space_tag (state : Wb.mapping_state) =
       Hashtbl.remove t.prefetched (vsp.tag, state.Wb.va);
       note_prefetch_outcome t ~used:state.Wb.referenced
     end;
-    (* the tiered store classifies the frame's next page-out from these
-       referenced/aged-referenced bits (no-op on a flat store) *)
-    Backing_store.note_pfn_referenced t.env.store ~pfn:state.Wb.pfn
-      ~referenced:state.Wb.referenced;
     match region_of vsp state.Wb.va with
     | None -> ()
     | Some region -> (
@@ -735,7 +723,6 @@ let handle_mapping_writeback t ~space_tag (state : Wb.mapping_state) =
         drop_mapper r;
         match r.Segment.cow_pending with
         | Some ((pseg, ppage) as parent) when not state.Wb.modified ->
-          Backing_store.clear_pfn_hint t.env.store ~pfn:r.Segment.pfn;
           Frame_alloc.free t.env.frames r.Segment.pfn;
           revert_cow t seg page r parent;
           (match Segment.state pseg ppage with

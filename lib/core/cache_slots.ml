@@ -15,11 +15,6 @@ module type DESC = sig
   val get_oid : t -> Oid.t
   val set_oid : t -> Oid.t -> unit
 
-  val key : t -> int
-  (** load-stable identity (the application kernel's tag/cookie): the
-      replacement policy uses it to recognise a reload of an entry it
-      recently displaced, which a fresh generation-tagged oid hides *)
-
   val locked : t -> bool
 
   val evictable : t -> bool
@@ -39,7 +34,7 @@ module Make (D : DESC) = struct
     policy : Policy.t; (* victim selection, owns the clock hand *)
   }
 
-  let create ?(policy = Policy.Fixed Policy.Clock) ~capacity () =
+  let create ?(policy = Policy.Clock) ~capacity () =
     if capacity <= 0 then invalid_arg "Cache_slots.create: capacity must be positive";
     {
       slots = Array.make capacity None;
@@ -65,7 +60,7 @@ module Make (D : DESC) = struct
       t.live <- t.live + 1;
       let oid = Oid.v ~kind:D.kind ~slot ~gen:t.gens.(slot) in
       D.set_oid d oid;
-      Policy.on_load t.policy ~slot ~key:(D.key d);
+      Policy.on_load t.policy ~slot;
       Some oid
 
   (** Look up by identifier; fails on a stale generation (the object was
@@ -90,7 +85,6 @@ module Make (D : DESC) = struct
       t.gens.(oid.Oid.slot) <- t.gens.(oid.Oid.slot) + 1;
       t.free <- oid.Oid.slot :: t.free;
       t.live <- t.live - 1;
-      Policy.on_unload t.policy ~slot:oid.Oid.slot;
       Some d
 
   let view t =
@@ -109,16 +103,6 @@ module Make (D : DESC) = struct
   (** Slots examined by the most recent {!victim} call — the replacement
       effort metric ({!Metrics} victim_scan histograms). *)
   let last_scan_length t = Policy.last_scan_length t.policy
-
-  let policy t = t.policy
-
-  (** Tell the policy [d] was displaced by replacement (not by request). *)
-  let note_displaced t d = Policy.note_displaced t.policy ~key:(D.key d)
-
-  (** Writeback feedback for the learned policy: was the victim from
-      [d]'s slot still referenced when written back? *)
-  let train t d ~referenced =
-    Policy.train t.policy ~slot:(D.get_oid d).Oid.slot ~referenced
 
   let iter t f = Array.iter (function None -> () | Some d -> f d) t.slots
 

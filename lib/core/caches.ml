@@ -7,7 +7,6 @@ module Kernel_cache = Cache_slots.Make (struct
   let kind = Oid.Kernel
   let get_oid (d : t) = d.Kernel_obj.oid
   let set_oid (d : t) oid = d.Kernel_obj.oid <- oid
-  let key (d : t) = Hashtbl.hash d.Kernel_obj.name
   let locked (d : t) = d.Kernel_obj.locked
   let evictable (_ : t) = true
   let recently_used (d : t) = d.Kernel_obj.recently_used
@@ -20,7 +19,6 @@ module Space_cache = Cache_slots.Make (struct
   let kind = Oid.Space
   let get_oid (d : t) = d.Space_obj.oid
   let set_oid (d : t) oid = d.Space_obj.oid <- oid
-  let key (d : t) = d.Space_obj.tag
   let locked (d : t) = d.Space_obj.locked
   let evictable (_ : t) = true
   let recently_used (d : t) = d.Space_obj.recently_used
@@ -33,7 +31,6 @@ module Thread_cache = Cache_slots.Make (struct
   let kind = Oid.Thread
   let get_oid (d : t) = d.Thread_obj.oid
   let set_oid (d : t) oid = d.Thread_obj.oid <- oid
-  let key (d : t) = d.Thread_obj.tag
   let locked (d : t) = d.Thread_obj.locked
 
   (* A thread holding a CPU must be descheduled before writeback ("the

@@ -62,31 +62,6 @@ let chaos_default =
     partition_minority = 1;
   }
 
-(* Hot/cold placement classifier for the tiered backing store.  A page-out
-   image judged hot lands in the fast tier (local-RAM backing segment);
-   cold images go straight to the paging disk. *)
-type tier_placement =
-  | Tier_recency
-      (* second-touch admission: hot iff the block was already transferred
-         within [tier_hot_window_us]; first-sight images go to disk and
-         earn promotion on their first refault (streaming writes never
-         pollute the fast tier) *)
-  | Tier_referenced (* hot iff the referenced/aged_referenced bits say so *)
-  | Tier_off
-      (* classifier off: every image is placed fast-first and pure LRU
-         demotion does the sorting (the no-intelligence baseline) *)
-
-let tier_placement_name = function
-  | Tier_recency -> "recency"
-  | Tier_referenced -> "referenced"
-  | Tier_off -> "off"
-
-let tier_placement_of_string = function
-  | "recency" -> Some Tier_recency
-  | "referenced" -> Some Tier_referenced
-  | "off" -> Some Tier_off
-  | _ -> None
-
 type t = {
   (* Table 1: cache capacities *)
   kernel_cache : int;
@@ -160,11 +135,7 @@ type t = {
       (* balancing ignores load reports older than this window, so a dead
          or silent node cannot remain a migration target; 0 keeps reports
          forever (the pre-detector behavior) *)
-  (* replacement policies (per cache type; see {!Policy}) *)
-  kernel_policy : Policy.choice;
-  space_policy : Policy.choice;
-  thread_policy : Policy.choice;
-  mapping_policy : Policy.choice;
+  policy : Policy.kind; (* replacement policy of every descriptor cache *)
   (* batched mapping loads & clustered fault prefetch *)
   mapping_batch_max : int;
       (* most mapping specs one [Api.load_mappings] call accepts: the batch
@@ -180,10 +151,6 @@ type t = {
   fast_tier_slots : int;
       (* page capacity of the fast backing tier; 0 keeps the seed's flat
          single-tier store, bit-for-bit (the equivalence suite pins this) *)
-  tier_placement : tier_placement;
-  tier_hot_window_us : float;
-      (* recency classifier: a block re-touched within this many simulated
-         us of its last transfer counts as hot *)
   tier_batch : int; (* fast-tier demotions per batched disk transfer *)
 }
 
@@ -220,26 +187,11 @@ let default =
     heartbeat_interval_us = 0.0;
     suspect_timeout_us = 1_000.0;
     load_report_stale_us = 1_000_000.0;
-    kernel_policy = Policy.Fixed Policy.Clock;
-    space_policy = Policy.Fixed Policy.Clock;
-    thread_policy = Policy.Fixed Policy.Clock;
-    mapping_policy = Policy.Fixed Policy.Clock;
+    policy = Policy.Clock;
     mapping_batch_max = 16;
     fault_prefetch = 0;
     fast_tier_slots = 0;
-    tier_placement = Tier_recency;
-    tier_hot_window_us = 500_000.0;
     tier_batch = 8;
-  }
-
-(** [t] with every cache type using replacement policy [choice]. *)
-let with_policy t choice =
-  {
-    t with
-    kernel_policy = choice;
-    space_policy = choice;
-    thread_policy = choice;
-    mapping_policy = choice;
   }
 
 (* Cycle costs of Cache Kernel suboperations (supervisor code sequences). *)

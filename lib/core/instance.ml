@@ -164,16 +164,16 @@ let create ?(config = Config.default) node =
       node;
       config;
       kernels =
-        Caches.Kernel_cache.create ~policy:config.Config.kernel_policy
+        Caches.Kernel_cache.create ~policy:config.Config.policy
           ~capacity:config.Config.kernel_cache ();
       spaces =
-        Caches.Space_cache.create ~policy:config.Config.space_policy
+        Caches.Space_cache.create ~policy:config.Config.policy
           ~capacity:config.Config.space_cache ();
       threads =
-        Caches.Thread_cache.create ~policy:config.Config.thread_policy
+        Caches.Thread_cache.create ~policy:config.Config.policy
           ~capacity:config.Config.thread_cache ();
       mappings =
-        Mappings.create ~policy:config.Config.mapping_policy
+        Mappings.create ~policy:config.Config.policy
           ~capacity:config.Config.mapping_cache ();
       sched = Scheduler.create ~priorities:config.Config.priorities;
       trace = Trace.create ~capacity:config.Config.trace_capacity ();
@@ -206,22 +206,6 @@ let create ?(config = Config.default) node =
       match Caches.Thread_cache.find t.threads oid with
       | Some th when th.Thread_obj.state = Thread_obj.Ready -> Some th
       | _ -> None);
-  (* replacement-policy observability: adaptive rotations and premature
-     reloads surface as policy.* metrics and trace events *)
-  let attach_policy name p =
-    Policy.set_hooks p
-      ~on_switch:(fun ~from_ ~to_ ->
-        Metrics.incr t.metrics "policy.switch";
-        Metrics.incr t.metrics ("policy.switch." ^ name);
-        trace t
-          (Trace.Policy_switch
-             { cache = name; from_ = Policy.kind_name from_; to_ = Policy.kind_name to_ }))
-      ~on_premature:(fun () -> Metrics.incr t.metrics ("policy.premature." ^ name))
-  in
-  attach_policy "kernel" (Caches.Kernel_cache.policy t.kernels);
-  attach_policy "space" (Caches.Space_cache.policy t.spaces);
-  attach_policy "thread" (Caches.Thread_cache.policy t.threads);
-  attach_policy "mapping" (Mappings.policy t.mappings);
   Fault_inject.set_hooks t.fi
     ~on_inject:(fun site ->
       Metrics.incr t.metrics ("inject." ^ site);

@@ -59,7 +59,7 @@ type t = {
          modification (section 4.2) *)
 }
 
-let create ?(policy = Policy.Fixed Policy.Clock) ~capacity () =
+let create ?(policy = Policy.Clock) ~capacity () =
   if capacity <= 0 then invalid_arg "Mappings.create: capacity must be positive";
   {
     capacity;
@@ -135,7 +135,7 @@ let insert t ~owner ~space_slot ~space ~va ~pte ~signal_thread ~cow_dst ~locked 
     in
     t.slots.(slot) <- Some m;
     t.live <- t.live + 1;
-    Policy.on_load t.policy ~slot ~key:(Hashtbl.hash (key_of ~space_slot ~va));
+    Policy.on_load t.policy ~slot;
     Hashtbl.replace t.by_key (key_of ~space_slot ~va) slot;
     multi_add t.by_pfn (pfn m) slot;
     (match signal_thread with Some th -> multi_add t.by_thread th slot | None -> ());
@@ -158,7 +158,6 @@ let remove t ~space_slot (m : m) =
   t.slots.(m.slot) <- None;
   t.recycled <- m.slot :: t.recycled;
   t.live <- t.live - 1;
-  Policy.on_unload t.policy ~slot:m.slot;
   Hashtbl.remove t.by_key (key_of ~space_slot ~va:m.va);
   multi_remove t.by_pfn (pfn m) m.slot;
   (match m.signal_thread with Some th -> multi_remove t.by_thread th m.slot | None -> ());
@@ -225,16 +224,6 @@ let victim t ~protected =
 
 (** Slots examined by the most recent {!victim} call. *)
 let last_scan_length t = Policy.last_scan_length t.policy
-
-let policy t = t.policy
-
-(** Tell the policy [m] was displaced by replacement (not by request). *)
-let note_displaced t ~space_slot (m : m) =
-  Policy.note_displaced t.policy ~key:(Hashtbl.hash (key_of ~space_slot ~va:m.va))
-
-(** Writeback feedback for the learned policy: was the victim from [m]'s
-    slot still referenced when written back? *)
-let train t (m : m) ~referenced = Policy.train t.policy ~slot:m.slot ~referenced
 
 let iter t f = Array.iter (function None -> () | Some m -> f m) t.slots
 

@@ -2,7 +2,7 @@
 
     Victim selection for the kernel/space/thread caches ({!Cache_slots})
     and the mapping cache ({!Mappings}) is delegated to a policy object.
-    Four policies are provided:
+    Two policies are provided:
 
     - {b Clock}: the second-chance clock scan the caches shipped with —
       bit-exact with the seed implementation (same hand movement, same
@@ -11,66 +11,23 @@
       The hardware referenced / [recently_used] bits are the only touch
       record the Cache Kernel keeps, so the policy samples and clears
       them on every scan, re-stamping a virtual clock; the stalest stamp
-      is evicted.
-    - {b Fifo}: FIFO with second chance.  Descriptors queue in load
-      order; a referenced descriptor at the head is cleared and sent to
-      the back once before it can be chosen.
-    - {b Learned}: an online perceptron over per-slot features (age,
-      sampled reference frequency, referenced-right-now, prefetch-waste
-      prior), trained on writeback [referenced] bits and the segment
-      manager's [prefetch.used]/[prefetch.wasted] verdicts.
+      is evicted. *)
 
-    [Adaptive] starts on Clock and monitors a sliding window of loads
-    for premature reloads (a load whose key was recently displaced); a
-    drop in the window hit rate rotates to the next policy. *)
-
-type kind = Clock | Lru | Fifo | Learned
-type choice = Fixed of kind | Adaptive
+type kind = Clock | Lru
 
 val kind_name : kind -> string
-val choice_name : choice -> string
 
-val choice_of_string : string -> (choice, string) result
-(** Accepts ["clock"], ["lru"], ["fifo"], ["learned"], ["adaptive"]. *)
-
-val all_choice_names : string list
+val kind_of_string : string -> (kind, string) result
+(** Accepts ["clock"] and ["lru"]. *)
 
 type t
 
-val create : capacity:int -> choice -> t
-val choice : t -> choice
-
-val current : t -> kind
-(** The policy making selections right now ([Fixed k] is always [k];
-    [Adaptive] rotates). *)
-
-val switches : t -> int
-(** Adaptive policy switches since creation. *)
-
-val set_hooks : t -> on_switch:(from_:kind -> to_:kind -> unit) -> on_premature:(unit -> unit) -> unit
-(** Observability hooks: [on_switch] fires on every adaptive rotation,
-    [on_premature] on every load whose key was recently displaced. *)
+val create : capacity:int -> kind -> t
 
 (** {1 Bookkeeping} — called by the caches on structural changes. *)
 
-val on_load : t -> slot:int -> key:int -> unit
-(** A descriptor was installed in [slot].  [key] is a load-stable
-    identity (object tag / mapping key hash) used to detect premature
-    reloads of recently displaced entries. *)
-
-val on_unload : t -> slot:int -> unit
-
-val note_displaced : t -> key:int -> unit
-(** The entry with [key] was evicted by replacement (not by request). *)
-
-val note_prefetch_verdict : t -> used:bool -> unit
-(** A prefetched mapping was written back; [used] says whether it was
-    ever referenced.  Maintains the learned policy's waste prior. *)
-
-val train : t -> slot:int -> referenced:bool -> unit
-(** Writeback feedback for the most recent learned selection: the victim
-    from [slot] had its referenced bit set ([true] = the eviction was
-    premature).  No-op unless the learned policy chose that slot. *)
+val on_load : t -> slot:int -> unit
+(** A descriptor was installed in [slot]. *)
 
 (** {1 Selection} *)
 

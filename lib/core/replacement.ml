@@ -142,11 +142,7 @@ let make_room_mapping t =
       (float_of_int (Mappings.last_scan_length t.mappings));
     match find_space t m.Mappings.space with
     | Some space ->
-      Mappings.note_displaced t.mappings ~space_slot:(Space_obj.asid space) m;
       writeback_mapping t ~reason:Wb.Displaced space m;
-      (* learned-policy label: the referenced bit the writeback carried *)
-      Mappings.train t.mappings m
-        ~referenced:m.Mappings.pte.Hw.Page_table.referenced;
       note_displacement t;
       true
     | None -> false)
@@ -237,8 +233,6 @@ let make_room_thread t =
   | Some th ->
     observe t "victim_scan.thread"
       (float_of_int (Caches.Thread_cache.last_scan_length t.threads));
-    Caches.Thread_cache.note_displaced t.threads th;
-    Caches.Thread_cache.train t.threads th ~referenced:th.Thread_obj.recently_used;
     unload_thread_now t ~reason:Wb.Displaced th;
     note_displacement t;
     true
@@ -286,13 +280,8 @@ let make_room_space t =
   | Some space ->
     observe t "victim_scan.space"
       (float_of_int (Caches.Space_cache.last_scan_length t.spaces));
-    let referenced = space.Space_obj.recently_used in
     let ok = unload_space_now t ~reason:Wb.Displaced space = `Done in
-    if ok then begin
-      Caches.Space_cache.note_displaced t.spaces space;
-      Caches.Space_cache.train t.spaces space ~referenced;
-      note_displacement t
-    end;
+    if ok then note_displacement t;
     ok
 
 (* -- Kernels -- *)
@@ -344,11 +333,6 @@ let make_room_kernel t =
   | Some k ->
     observe t "victim_scan.kernel"
       (float_of_int (Caches.Kernel_cache.last_scan_length t.kernels));
-    let referenced = k.Kernel_obj.recently_used in
     let ok = unload_kernel_now t ~reason:Wb.Displaced k = `Done in
-    if ok then begin
-      Caches.Kernel_cache.note_displaced t.kernels k;
-      Caches.Kernel_cache.train t.kernels k ~referenced;
-      note_displacement t
-    end;
+    if ok then note_displacement t;
     ok

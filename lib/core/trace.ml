@@ -34,7 +34,6 @@ type event =
   | Audit_violation of { check : string; subject : string }
   | Audit_repaired of { check : string; subject : string }
   | Storm of { active : bool; displacements : int }
-  | Policy_switch of { cache : string; from_ : string; to_ : string }
   | Forward_timeout of { thread : Oid.t; escalated : bool }
   | Migrate_out of { oid : Oid.t; dst : int; xfer : int; bytes : int }
   | Migrate_in of { xfer : int; src : int; bytes : int }
@@ -84,8 +83,6 @@ let pp_event ppf = function
   | Audit_repaired { check; subject } -> Fmt.pf ppf "audit-repaired %s %s" check subject
   | Storm { active; displacements } ->
     Fmt.pf ppf "storm %s displacements=%d" (if active then "begin" else "end") displacements
-  | Policy_switch { cache; from_; to_ } ->
-    Fmt.pf ppf "policy-switch %s %s -> %s" cache from_ to_
   | Forward_timeout { thread; escalated } ->
     Fmt.pf ppf "forward-timeout %a%s" Oid.pp thread
       (if escalated then " (escalated)" else " (re-forwarded)")
@@ -135,7 +132,6 @@ let event_name = function
   | Audit_violation _ -> "audit_violation"
   | Audit_repaired _ -> "audit_repaired"
   | Storm _ -> "storm"
-  | Policy_switch _ -> "policy_switch"
   | Forward_timeout _ -> "forward_timeout"
   | Migrate_out _ -> "migrate_out"
   | Migrate_in _ -> "migrate_in"
@@ -182,8 +178,6 @@ let event_fields ev =
     [ ("check", Json.String check); ("subject", Json.String subject) ]
   | Storm { active; displacements } ->
     [ ("active", Json.Bool active); ("displacements", Json.Int displacements) ]
-  | Policy_switch { cache; from_; to_ } ->
-    [ ("cache", Json.String cache); ("from", Json.String from_); ("to", Json.String to_) ]
   | Forward_timeout { thread; escalated } ->
     [ oid "thread" thread; ("escalated", Json.Bool escalated) ]
   | Migrate_out { oid = o; dst; xfer; bytes } ->

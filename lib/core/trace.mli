@@ -28,7 +28,6 @@ type event =
   | Audit_violation of { check : string; subject : string }
   | Audit_repaired of { check : string; subject : string }
   | Storm of { active : bool; displacements : int }
-  | Policy_switch of { cache : string; from_ : string; to_ : string }
   | Forward_timeout of { thread : Oid.t; escalated : bool }
   | Migrate_out of { oid : Oid.t; dst : int; xfer : int; bytes : int }
   | Migrate_in of { xfer : int; src : int; bytes : int }

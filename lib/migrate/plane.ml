@@ -465,7 +465,6 @@ let release_space t (vsp : Segment_mgr.vspace) =
         match Segment.state seg page with
         | Segment.In_memory res when res.Segment.mappers = [] ->
           Option.iter free_block res.Segment.backing;
-          Backing_store.clear_pfn_hint ak.App_kernel.store ~pfn:res.Segment.pfn;
           Frame_alloc.free ak.App_kernel.frames res.Segment.pfn;
           Segment.set_state seg page Segment.Zero
         | Segment.On_disk block ->

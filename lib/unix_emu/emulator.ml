@@ -167,7 +167,6 @@ let destroy_memory t (p : Process.t) =
   let release (seg : Segment.t) =
     Segment.iter_resident seg (fun _page r ->
         Segment_mgr.unmap_residents mgr r;
-        Backing_store.clear_pfn_hint store ~pfn:r.Segment.pfn;
         Frame_alloc.free t.ak.App_kernel.frames r.Segment.pfn);
     if not seg.Segment.file_backed then
       Hashtbl.iter

@@ -48,7 +48,6 @@ let evacuate_segment (emu : Emulator.t) seg =
         else
           Segment.set_state seg page
             (Segment.On_disk (Option.get r.Segment.backing));
-        Backing_store.clear_pfn_hint ak.App_kernel.store ~pfn:r.Segment.pfn;
         Frame_alloc.free ak.App_kernel.frames r.Segment.pfn
       | _ -> ())
     pages

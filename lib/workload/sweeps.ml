@@ -234,7 +234,6 @@ let skew_point ?config ?(capacity = 128) ?(hot = 96) ?(cold = 64) ?(passes = 8)
 
 type tier_point = {
   ts_slots : int;
-  ts_placement : string;
   ts_page_ins : int;
   ts_page_outs : int;
   ts_fast_hits : int;
@@ -251,26 +250,16 @@ type tier_point = {
     and then re-read every pass while [cold] fresh pages are dirtied per
     pass and never touched again.  With only [frames] physical frames the
     hot set refaults continuously — and because a clean eviction keeps its
-    backing block, every hot refault hits the *same* block, which is
-    exactly the re-reference signal the tiered store's placement
-    classifier feeds on.  Cold blocks are written once and never faulted
-    back, so all page-ins are hot-set faults: [ts_fast_share] is the
-    fraction of the hot working set served at RAM cost rather than disk
-    cost.  [slots = 0] measures the seed's flat store on the identical
-    access pattern. *)
-let tier_point ?config ?(slots = 64) ?(placement = Config.Tier_recency) ?(hot = 64)
-    ?(cold = 32) ?(passes = 6) ?(frames = 64) ?(prepare = fun _ -> ())
-    ?(finish = fun _ _ -> ()) () =
+    backing block, every hot refault hits the *same* block, which the
+    fast tier keeps until LRU demotion pushes it to disk.  Cold blocks
+    are written once and never faulted back, so all page-ins are hot-set
+    faults: [ts_fast_share] is the fraction of the hot working set served
+    at RAM cost rather than disk cost.  [slots = 0] measures the seed's
+    flat store on the identical access pattern. *)
+let tier_point ?config ?(slots = 64) ?(hot = 64) ?(cold = 32) ?(passes = 6) ?(frames = 64)
+    ?(prepare = fun _ -> ()) ?(finish = fun _ _ -> ()) () =
   let config =
-    {
-      (Option.value config ~default:Config.default) with
-      Config.fast_tier_slots = slots;
-      tier_placement = placement;
-      (* a full pass of slow faults runs ~1 sim-second (12 ms per disk
-         page); the recency window must span a pass for "re-read every
-         pass" to register as hot *)
-      tier_hot_window_us = 4_000_000.0;
-    }
+    { (Option.value config ~default:Config.default) with Config.fast_tier_slots = slots }
   in
   let inst = Setup.instance ~config ~cpus:1 () in
   prepare inst;
@@ -318,7 +307,6 @@ let tier_point ?config ?(slots = 64) ?(placement = Config.Tier_recency) ?(hot = 
   let r =
     {
       ts_slots = slots;
-      ts_placement = Config.tier_placement_name placement;
       ts_page_ins = Backing_store.page_ins store;
       ts_page_outs = Backing_store.page_outs store;
       ts_fast_hits = fast_hits;

@@ -250,14 +250,13 @@ let test_quota_corruption () =
 (* -- tiered backing store: per-tier conservation through the audit hook -- *)
 
 (* Run a tiered paging workload and keep the instance and app kernel alive
-   so the store can be corrupted afterwards.  Tier_off with slots above the
-   working set keeps every paged-out image fast-resident, guaranteeing
+   so the store can be corrupted afterwards.  Slots above the working set
+   keep every paged-out image fast-resident, guaranteeing
    there is an image for [corrupt_tier_for_test] to damage. *)
 let tier_run () =
   let inst_r = ref None and ak_r = ref None in
   ignore
-    (Workload.Sweeps.tier_point ~slots:64 ~placement:Config.Tier_off ~hot:24
-       ~cold:12 ~passes:2 ~frames:24
+    (Workload.Sweeps.tier_point ~slots:64 ~hot:24 ~cold:12 ~passes:2 ~frames:24
        ~finish:(fun inst ak ->
          inst_r := Some inst;
          ak_r := Some ak)

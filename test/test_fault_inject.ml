@@ -282,10 +282,9 @@ let test_counter_balance () =
    The tiered backing store's promotion/demotion path runs through its own
    chaos sites ([tier.promote.*], [tier.demote.*]) with the same
    retry-with-backoff recovery protocol as block I/O.  A fast tier smaller
-   than the hot set under [Tier_recency] placement maximizes migration
-   traffic: first-sight page-outs go slow, every refault promotes, and
-   capacity pressure demotes the sequentially-flooded LRU tail
-   continuously. *)
+   than the hot set maximizes migration traffic: every page-out lands
+   fast, every slow refault promotes, and capacity pressure demotes the
+   sequentially-flooded LRU tail continuously. *)
 
 let tier_run ?(tier_fail = 0.0) ?(tier_delay = 0.0) ?(io_fail = 0.0) () =
   let config =
@@ -293,8 +292,7 @@ let tier_run ?(tier_fail = 0.0) ?(tier_delay = 0.0) ?(io_fail = 0.0) () =
   in
   let inst_ref = ref None and ak_ref = ref None in
   let pt =
-    Workload.Sweeps.tier_point ~config ~slots:16 ~placement:Config.Tier_recency ~hot:24
-      ~cold:12 ~passes:3 ~frames:24
+    Workload.Sweeps.tier_point ~config ~slots:16 ~hot:24 ~cold:12 ~passes:3 ~frames:24
       ~prepare:(fun i ->
         inst_ref := Some i;
         Trace.enable i.Instance.trace)

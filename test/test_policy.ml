@@ -7,9 +7,11 @@
      semantics (2n scan, unconditional second chance, first-candidate
      fallback) and the mapping-cache semantics (second chance only during
      the first n examinations, no fallback, aged_referenced accumulation)
-   - LRU and FIFO+second-chance ordering unit tests
-   - learned-policy convergence on a synthetic skewed workload
-   - adaptive window rotation on a hit-rate drop
+   - LRU ordering unit tests (mapping and object caches, protected
+     candidates, storage grown past its first 64 slots), flag parsing,
+     and the one config field reaching all four caches
+   - end to end: LRU beats Clock in simulated us per access on a small
+     skewed working set, the number that justifies keeping LRU
    - eviction-path regressions: unload_kernel_now busy-check ordering
      (S1), idempotent mapping removal under the re-entrant consistency
      cascade with exact counters (S2), and force_deschedule re-enqueueing
@@ -65,7 +67,6 @@ module Tdesc = struct
   let kind = Oid.Thread
   let get_oid d = d.oid
   let set_oid d oid = d.oid <- oid
-  let key d = d.key
   let locked d = d.locked
   let evictable d = d.evictable
   let recently_used d = d.ru
@@ -379,7 +380,7 @@ let map_trace_equivalence =
 let no_protect = fun (_ : Mappings.m) -> false
 
 let test_lru_order () =
-  let t = Mappings.create ~policy:(Policy.Fixed Policy.Lru) ~capacity:4 () in
+  let t = Mappings.create ~policy:Policy.Lru ~capacity:4 () in
   let insert seq = Option.get (fresh_mapping t ~seq) in
   let a = insert 0 and b = insert 1 and c = insert 2 and d = insert 3 in
   (* touching [a] re-stamps it on the next scan; [b] becomes stalest *)
@@ -396,115 +397,107 @@ let test_lru_order () =
   let v3 = Option.get (Mappings.victim t ~protected:no_protect) in
   Alcotest.(check int) "next-stalest follows" d.Mappings.va v3.Mappings.va
 
-(* -- FIFO + second chance ordering -- *)
+(* Object-cache semantics under LRU: the stalest unlocked, evictable
+   descriptor goes, and a touched one is re-stamped by the scan. *)
+let test_lru_object_order () =
+  let t = Tcache.create ~policy:Policy.Lru ~capacity:4 () in
+  let load key =
+    let d = { Tdesc.oid = Oid.none; key; locked = false; evictable = true; ru = false } in
+    ignore (Option.get (Tcache.load t d));
+    d
+  in
+  let a = load 0 and b = load 1 and c = load 2 and d = load 3 in
+  a.Tdesc.ru <- true;
+  b.Tdesc.locked <- true;
+  let v1 = Option.get (Tcache.victim t) in
+  Alcotest.(check int) "stalest candidate evicted, locked one skipped" 2 v1.Tdesc.key;
+  Alcotest.(check bool) "scan cleared the touch bit" false a.Tdesc.ru;
+  Alcotest.(check int) "lru scans the whole cache" 4 (Tcache.last_scan_length t);
+  ignore (Tcache.unload t c.Tdesc.oid);
+  d.Tdesc.evictable <- false;
+  Alcotest.(check (option int)) "the only candidate left goes" (Some 0)
+    (Option.map (fun v -> v.Tdesc.key) (Tcache.victim t));
+  b.Tdesc.locked <- false;
+  Alcotest.(check (option int)) "older unlocked descriptor goes first" (Some 1)
+    (Option.map (fun v -> v.Tdesc.key) (Tcache.victim t))
 
-let test_fifo_second_chance () =
-  let t = Mappings.create ~policy:(Policy.Fixed Policy.Fifo) ~capacity:4 () in
-  let insert seq = Option.get (fresh_mapping t ~seq) in
-  let a = insert 0 and b = insert 1 and c = insert 2 and d = insert 3 in
-  ignore d;
-  (* the head entry is referenced: it gets a second chance and the next
-     oldest is chosen instead *)
-  a.Mappings.pte.Hw.Page_table.referenced <- true;
-  let v1 = Option.get (Mappings.victim t ~protected:no_protect) in
-  Alcotest.(check int) "referenced head requeued, next chosen" b.Mappings.va
-    v1.Mappings.va;
-  Alcotest.(check bool) "second chance cleared the referenced bit" false
-    a.Mappings.pte.Hw.Page_table.referenced;
-  Alcotest.(check bool) "aging preserved the touch record" true a.Mappings.aged_referenced;
-  Mappings.remove t ~space_slot:0 v1;
-  (* the removed victim's queue entry is invalidated by the unload; the
-     scan continues in load order past it *)
-  let v2 = Option.get (Mappings.victim t ~protected:no_protect) in
-  Alcotest.(check int) "load order resumes after invalidated entry" c.Mappings.va
-    v2.Mappings.va
+(* Protected mappings are never chosen, however stale. *)
+let test_lru_protected () =
+  let t = Mappings.create ~policy:Policy.Lru ~capacity:4 () in
+  let ms = List.init 4 (fun seq -> Option.get (fresh_mapping t ~seq)) in
+  let oldest = List.hd ms in
+  let v =
+    Option.get (Mappings.victim t ~protected:(fun m -> m.Mappings.va = oldest.Mappings.va))
+  in
+  Alcotest.(check int) "next-stalest unprotected mapping" (List.nth ms 1).Mappings.va
+    v.Mappings.va;
+  Alcotest.(check bool) "nothing when every mapping is protected" true
+    (Mappings.victim t ~protected:(fun _ -> true) = None)
 
-(* -- Learned policy: convergence on a skewed workload -- *)
-
-let test_learned_skew () =
-  let capacity = 16 in
-  let t = Mappings.create ~policy:(Policy.Fixed Policy.Learned) ~capacity () in
-  let hot = 4 in
-  let hot_vas = List.init hot (fun i -> 0x40000000 + (i * Hw.Addr.page_size)) in
-  let seq = ref 0 in
-  for i = 0 to capacity - 1 do
-    seq := i;
-    ignore (Option.get (fresh_mapping t ~seq:i))
-  done;
-  let hot_evictions = ref 0 in
-  let rounds = 150 in
-  let tail = 50 in
-  for round = 1 to rounds do
-    (* the hot working set is touched every round *)
-    Mappings.iter t (fun m ->
-        if List.mem m.Mappings.va hot_vas then
-          m.Mappings.pte.Hw.Page_table.referenced <- true);
-    let v = Option.get (Mappings.victim t ~protected:no_protect) in
-    let was_hot = List.mem v.Mappings.va hot_vas in
-    if was_hot && round > rounds - tail then incr hot_evictions;
-    (* mirror make_room_mapping: the victim's referenced bit at writeback
-       is the training label *)
-    Mappings.train t v ~referenced:v.Mappings.pte.Hw.Page_table.referenced;
-    Mappings.remove t ~space_slot:0 v;
-    if was_hot then
-      (* the hot page faults right back in (premature eviction) *)
-      ignore
-        (Option.get
-           (Mappings.insert t ~owner:dummy_oid ~space_slot:0 ~space:dummy_oid
-              ~va:v.Mappings.va
-              ~pte:
-                (Hw.Page_table.make_entry ~frame:v.Mappings.pte.Hw.Page_table.frame
-                   ~flags:Hw.Page_table.rw ())
-              ~signal_thread:None ~cow_dst:None ~locked:false))
-    else begin
-      incr seq;
-      ignore (Option.get (fresh_mapping t ~seq:!seq))
-    end
-  done;
-  if !hot_evictions > tail / 10 then
-    Alcotest.failf "learned policy keeps evicting the hot set: %d/%d hot victims"
-      !hot_evictions tail
-
-(* -- Adaptive: rotation on a hit-rate drop -- *)
-
-let test_adaptive_switch () =
-  let p = Policy.create ~capacity:64 Policy.Adaptive in
-  let switched = ref None in
-  Policy.set_hooks p
-    ~on_switch:(fun ~from_ ~to_ -> switched := Some (from_, to_))
-    ~on_premature:(fun () -> ());
-  Alcotest.(check string) "starts on clock" "clock" (Policy.kind_name (Policy.current p));
-  (* window 1: all fresh keys, perfect hit rate *)
-  for i = 0 to 127 do
-    Policy.on_load p ~slot:(i mod 64) ~key:(10_000 + i)
-  done;
-  Alcotest.(check int) "no switch on the baseline window" 0 (Policy.switches p);
-  (* window 2: every load is a premature reload of a just-displaced key *)
-  for i = 0 to 127 do
-    Policy.note_displaced p ~key:i;
-    Policy.on_load p ~slot:(i mod 64) ~key:i
-  done;
-  Alcotest.(check int) "degradation triggers one rotation" 1 (Policy.switches p);
-  (match !switched with
-  | Some (Policy.Clock, Policy.Lru) -> ()
-  | Some (f, g) ->
-    Alcotest.failf "unexpected rotation %s -> %s" (Policy.kind_name f) (Policy.kind_name g)
-  | None -> Alcotest.fail "on_switch hook not called");
-  Alcotest.(check string) "rotated to the next policy" "lru"
-    (Policy.kind_name (Policy.current p))
+(* The stamps grow with the slots actually loaded: past the first 64 the
+   recency order still holds. *)
+let test_lru_grown_storage () =
+  let capacity = 200 in
+  let t = Mappings.create ~policy:Policy.Lru ~capacity () in
+  let ms = Array.init capacity (fun seq -> Option.get (fresh_mapping t ~seq)) in
+  (* touch everything but slot 150: it becomes the stalest *)
+  Array.iteri
+    (fun i m -> if i <> 150 then m.Mappings.pte.Hw.Page_table.referenced <- true)
+    ms;
+  let v = Option.get (Mappings.victim t ~protected:no_protect) in
+  Alcotest.(check int) "untouched slot past the first growth" ms.(150).Mappings.va
+    v.Mappings.va;
+  Alcotest.(check int) "scan covers the full capacity" capacity
+    (Mappings.last_scan_length t)
 
 let test_policy_flag_parse () =
-  (match Policy.choice_of_string "ADAPTIVE " with
-  | Ok Policy.Adaptive -> ()
-  | _ -> Alcotest.fail "adaptive should parse case-insensitively");
-  match Policy.choice_of_string "random" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown policy must be rejected"
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Policy.kind_name k ^ " round-trips")
+        true
+        (Policy.kind_of_string (Policy.kind_name k) = Ok k))
+    [ Policy.Clock; Policy.Lru ];
+  (match Policy.kind_of_string " LRU " with
+  | Ok Policy.Lru -> ()
+  | _ -> Alcotest.fail "lru should parse case-insensitively");
+  List.iter
+    (fun s ->
+      match Policy.kind_of_string s with
+      | Error msg ->
+        let expected = "(expected one of clock, lru)" in
+        let n = String.length expected and m = String.length msg in
+        if m < n || String.sub msg (m - n) n <> expected then
+          Alcotest.failf "error for %S should list exactly clock, lru: %s" s msg
+      | Ok _ -> Alcotest.failf "%S must be rejected" s)
+    [ "fifo"; "learned"; "adaptive"; "random" ]
 
-(* -- Whole-instance churn under every policy -- *)
+(* The one [Config.policy] field drives all four caches: under LRU every
+   victim scan covers exactly the capacity, where Clock's scan of a cache
+   with no unlocked candidate runs the hand twice round. *)
+let test_config_reaches_every_cache () =
+  let scans policy =
+    let inst, _ = make ~config:{ small_config with Config.policy } () in
+    ignore (Caches.Kernel_cache.victim inst.Instance.kernels);
+    ignore (Caches.Space_cache.victim inst.Instance.spaces);
+    ignore (Caches.Thread_cache.victim inst.Instance.threads);
+    ignore (Mappings.victim inst.Instance.mappings ~protected:(fun _ -> true));
+    [
+      Caches.Kernel_cache.last_scan_length inst.Instance.kernels;
+      Caches.Space_cache.last_scan_length inst.Instance.spaces;
+      Caches.Thread_cache.last_scan_length inst.Instance.threads;
+      Mappings.last_scan_length inst.Instance.mappings;
+    ]
+  in
+  let caps = [ 4; 6; 8; 16 ] in
+  Alcotest.(check (list int)) "lru scans" caps (scans Policy.Lru);
+  Alcotest.(check (list int)) "clock scans" (List.map (fun n -> 2 * n) caps)
+    (scans Policy.Clock)
 
-let policy_churn choice () =
-  let config = Config.with_policy small_config choice in
+(* -- Whole-instance churn under each policy -- *)
+
+let policy_churn kind () =
+  let config = { small_config with Config.policy = kind } in
   let inst, first = make ~config () in
   for i = 0 to 11 do
     match Api.load_space inst ~caller:first ~tag:(100 + i) () with
@@ -526,9 +519,22 @@ let policy_churn choice () =
   done;
   let r = Audit.run ~repair:false inst in
   if not (Audit.clean r) then
-    Alcotest.failf "churn under %s left violations: %a" (Policy.choice_name choice)
+    Alcotest.failf "churn under %s left violations: %a" (Policy.kind_name kind)
       (fun ppf -> Audit.pp_report ppf)
       r
+
+(* -- End to end: LRU must pay for itself on the skewed working set -- *)
+
+let test_lru_beats_clock_on_skew () =
+  let us_per_access policy =
+    (Workload.Sweeps.skew_point
+       ~config:{ Config.default with Config.policy }
+       ~capacity:64 ~hot:48 ~cold:12 ~passes:4 ())
+      .Workload.Sweeps.skew_us_per_access
+  in
+  let clock = us_per_access Policy.Clock and lru = us_per_access Policy.Lru in
+  if not (lru < clock) then
+    Alcotest.failf "lru %.2f us/access, clock %.2f: lru must be cheaper" lru clock
 
 (* -- S1: unload_kernel_now checks busy-ness before any writeback -- *)
 
@@ -648,18 +654,22 @@ let () =
       ( "ordering",
         [
           Alcotest.test_case "lru" `Quick test_lru_order;
-          Alcotest.test_case "fifo second chance" `Quick test_fifo_second_chance;
-          Alcotest.test_case "learned skew convergence" `Quick test_learned_skew;
-          Alcotest.test_case "adaptive switch" `Quick test_adaptive_switch;
+          Alcotest.test_case "lru object cache" `Quick test_lru_object_order;
+          Alcotest.test_case "lru skips protected mappings" `Quick test_lru_protected;
+          Alcotest.test_case "lru over grown storage" `Quick test_lru_grown_storage;
           Alcotest.test_case "flag parsing" `Quick test_policy_flag_parse;
+          Alcotest.test_case "config policy reaches every cache" `Quick
+            test_config_reaches_every_cache;
         ] );
       ( "churn",
         [
-          Alcotest.test_case "lru churn" `Quick (policy_churn (Policy.Fixed Policy.Lru));
-          Alcotest.test_case "fifo churn" `Quick (policy_churn (Policy.Fixed Policy.Fifo));
-          Alcotest.test_case "learned churn" `Quick
-            (policy_churn (Policy.Fixed Policy.Learned));
-          Alcotest.test_case "adaptive churn" `Quick (policy_churn Policy.Adaptive);
+          Alcotest.test_case "clock churn" `Quick (policy_churn Policy.Clock);
+          Alcotest.test_case "lru churn" `Quick (policy_churn Policy.Lru);
+        ] );
+      ( "end to end",
+        [
+          Alcotest.test_case "lru beats clock on the skewed set" `Quick
+            test_lru_beats_clock_on_skew;
         ] );
       ( "eviction-path regressions",
         [

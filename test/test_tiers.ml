@@ -13,12 +13,11 @@
      (whichever tier holds them, across demotions, promotions and chaos),
      the fast tier settles within capacity, and the tier-conservation
      audit finds nothing.
-   - flat-config invariance: at [fast_tier_slots = 0] the placement
-     classifier setting is unobservable — the full metrics JSON of a
-     paging workload is byte-identical across all placements and the
-     untouched default config.
-   - unit coverage for demotion batching, [read_block_now] and
-     [checkpoint_flush]. *)
+   - end to end: on a small paging workload the tiered store costs
+     strictly fewer simulated us per access than the flat store.
+   - unit coverage for the placement rule (page-outs land fast, slow
+     refaults promote, the least recently touched image is demoted),
+     demotion batching, [read_block_now] and [checkpoint_flush]. *)
 
 open Cachekernel
 open Aklib
@@ -252,17 +251,15 @@ let equivalence_chaos =
 
 (* -- self-consistency: tiered store returns what was stored -- *)
 
-let run_tiered_trace ~placement ~chaos (seed, ops) =
+let run_tiered_trace ?(slots = 4) ?(batch = 2) ~chaos (seed, ops) =
   let env = make_env ?chaos:(Option.map tier_chaos_cfg chaos) () in
   ignore seed;
   let store = Backing_store.create ~disk:env.disk ~mem:env.mem in
   if chaos <> None then
     Backing_store.set_fault_plane store ~fi:env.fi ~events:env.events ~now:(fun () ->
         !(env.now));
-  let slots = 4 in
-  Backing_store.configure_tiers store ~slots ~placement ~hot_window_us:1_000_000.0
-    ~batch:2 ~events:env.events
-    ~now:(fun () -> !(env.now));
+  Backing_store.configure_tiers store ~slots ~batch ~events:env.events ~now:(fun () ->
+      !(env.now));
   let expected : (int, Bytes.t) Hashtbl.t = Hashtbl.create 16 in
   let blocks = ref [] in
   let pick a = match !blocks with [] -> None | l -> Some (List.nth l (a mod List.length l)) in
@@ -297,8 +294,7 @@ let run_tiered_trace ~placement ~chaos (seed, ops) =
           drain env;
           let want = Hashtbl.find expected block in
           if not (Bytes.equal (frame_bytes pfn) want) then
-            Alcotest.failf "%s: page_in of block %d returned stale bytes (%s)" ctx block
-              (Config.tier_placement_name placement))
+            Alcotest.failf "%s: page_in of block %d returned stale bytes" ctx block)
       | 3 -> (
         match pick a with
         | None -> ()
@@ -327,40 +323,34 @@ let run_tiered_trace ~placement ~chaos (seed, ops) =
 
 let tiered_gen = QCheck.(pair (int_bound 1000) trace_gen)
 
-let tiered_consistency placement name =
-  QCheck.Test.make ~count:150 ~name tiered_gen
-    (run_tiered_trace ~placement ~chaos:None)
+let tiered_consistency =
+  QCheck.Test.make ~count:150 ~name:"tiered store self-consistent" tiered_gen
+    (run_tiered_trace ~chaos:None)
+
+(* One slot, one block per demotion batch: every second page-out
+   overflows the tier, so demotion and promotion race on nearly every op. *)
+let tiered_consistency_one_slot =
+  QCheck.Test.make ~count:150 ~name:"tiered store self-consistent with one fast slot"
+    tiered_gen
+    (run_tiered_trace ~slots:1 ~batch:1 ~chaos:None)
 
 let tiered_consistency_chaos =
   QCheck.Test.make ~count:150
     ~name:"tiered store self-consistent under tier chaos" tiered_gen (fun (seed, ops) ->
-      run_tiered_trace ~placement:Config.Tier_recency ~chaos:(Some seed) (seed, ops))
+      run_tiered_trace ~chaos:(Some seed) (seed, ops))
 
-(* -- flat-config invariance: at slots = 0 the placement knob (and the
-   whole tier subsystem) is unobservable in a real paging workload -- *)
+(* -- end to end: the fast tier must pay for itself on a paging workload
+   whose hot set refaults, or it has no reason to exist -- *)
 
-let test_flat_invariance () =
-  let metrics_of config =
-    let captured = ref None in
-    ignore
-      (Workload.Sweeps.tier_point ?config ~slots:0 ~hot:12 ~cold:6 ~passes:2 ~frames:12
-         ~prepare:(fun inst -> captured := Some inst)
-         ());
-    match !captured with
-    | Some inst -> Json.to_string (Instance.metrics_json inst)
-    | None -> Alcotest.fail "instance not captured"
+let test_tiered_beats_flat () =
+  let us_per_access slots =
+    (Workload.Sweeps.tier_point ~slots ~hot:24 ~cold:8 ~passes:3 ~frames:24 ())
+      .Workload.Sweeps.ts_us_per_access
   in
-  let base = metrics_of (Some Config.default) in
-  List.iter
-    (fun placement ->
-      let m =
-        metrics_of (Some { Config.default with Config.tier_placement = placement })
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "metrics identical under %s placement at slots=0"
-           (Config.tier_placement_name placement))
-        base m)
-    [ Config.Tier_recency; Config.Tier_referenced; Config.Tier_off ]
+  let flat = us_per_access 0 and tiered = us_per_access 32 in
+  if not (tiered < flat) then
+    Alcotest.failf "tiered store %.2f us/access, flat %.2f: tiered must be cheaper" tiered
+      flat
 
 (* -- unit coverage -- *)
 
@@ -370,8 +360,7 @@ let test_flat_invariance () =
 let test_demotion_batching () =
   let env = make_env () in
   let store = Backing_store.create ~disk:env.disk ~mem:env.mem in
-  Backing_store.configure_tiers store ~slots:4 ~placement:Config.Tier_off
-    ~hot_window_us:1_000_000.0 ~batch:2 ~events:env.events
+  Backing_store.configure_tiers store ~slots:4 ~batch:2 ~events:env.events
     ~now:(fun () -> !(env.now));
   let blocks =
     List.init 10 (fun i ->
@@ -400,8 +389,7 @@ let test_demotion_batching () =
 let test_checkpoint_flush () =
   let env = make_env () in
   let store = Backing_store.create ~disk:env.disk ~mem:env.mem in
-  Backing_store.configure_tiers store ~slots:8 ~placement:Config.Tier_off
-    ~hot_window_us:1_000_000.0 ~batch:4 ~events:env.events
+  Backing_store.configure_tiers store ~slots:8 ~batch:4 ~events:env.events
     ~now:(fun () -> !(env.now));
   let blocks =
     List.init 5 (fun i ->
@@ -434,8 +422,7 @@ let test_checkpoint_flush () =
 let test_free_realloc_generation () =
   let env = make_env () in
   let store = Backing_store.create ~disk:env.disk ~mem:env.mem in
-  Backing_store.configure_tiers store ~slots:1 ~placement:Config.Tier_off
-    ~hot_window_us:1_000_000.0 ~batch:1 ~events:env.events
+  Backing_store.configure_tiers store ~slots:1 ~batch:1 ~events:env.events
     ~now:(fun () -> !(env.now));
   let image seed =
     Bytes.init Hw.Addr.page_size (fun i -> Char.chr ((seed + (i * 7)) land 0xff))
@@ -466,8 +453,7 @@ let test_free_realloc_generation () =
 let test_demotion_exact_drain () =
   let env = make_env () in
   let store = Backing_store.create ~disk:env.disk ~mem:env.mem in
-  Backing_store.configure_tiers store ~slots:4 ~placement:Config.Tier_off
-    ~hot_window_us:1_000_000.0 ~batch:8 ~events:env.events
+  Backing_store.configure_tiers store ~slots:4 ~batch:8 ~events:env.events
     ~now:(fun () -> !(env.now));
   List.iter
     (fun i ->
@@ -487,8 +473,7 @@ let test_demotion_exact_drain () =
 let test_audit_orphan_single_violation () =
   let env = make_env () in
   let store = Backing_store.create ~disk:env.disk ~mem:env.mem in
-  Backing_store.configure_tiers store ~slots:4 ~placement:Config.Tier_off
-    ~hot_window_us:1_000_000.0 ~batch:2 ~events:env.events
+  Backing_store.configure_tiers store ~slots:4 ~batch:2 ~events:env.events
     ~now:(fun () -> !(env.now));
   fill_frame env ~pfn:0 7;
   Backing_store.page_out store ~pfn:0 (fun _ -> ());
@@ -501,34 +486,85 @@ let test_audit_orphan_single_violation () =
   Alcotest.(check bool) "re-audit clean" true
     (Backing_store.audit_tiers store ~repair:false = [])
 
-(* A cleared referenced hint must not leak into the frame's next tenant:
-   under Tier_referenced placement a page-out after [clear_pfn_hint] is
-   classified cold. *)
-let test_ref_hint_cleared_on_free () =
+let image seed = Bytes.init Hw.Addr.page_size (fun i -> Char.chr ((seed + (i * 7)) land 0xff))
+
+let frame_holds env ~pfn seed =
+  Bytes.equal (image seed)
+    (Hw.Phys_mem.read_bytes env.mem (Hw.Addr.addr_of_page pfn) Hw.Addr.page_size)
+
+(* The one placement rule: a page-out lands in the fast tier, overflow
+   demotes to disk, and a slow-tier refault promotes the block back so
+   the next refault is a fast hit. *)
+let test_fast_first_and_promote () =
   let env = make_env () in
   let store = Backing_store.create ~disk:env.disk ~mem:env.mem in
-  Backing_store.configure_tiers store ~slots:4 ~placement:Config.Tier_referenced
-    ~hot_window_us:1_000_000.0 ~batch:2 ~events:env.events
+  Backing_store.configure_tiers store ~slots:1 ~batch:1 ~events:env.events
     ~now:(fun () -> !(env.now));
-  Backing_store.note_pfn_referenced store ~pfn:0 ~referenced:true;
-  Backing_store.clear_pfn_hint store ~pfn:0;
-  fill_frame env ~pfn:0 11;
-  Backing_store.page_out store ~pfn:0 (fun _ -> ());
+  let page_out pfn seed =
+    fill_frame env ~pfn seed;
+    let b = ref (-1) in
+    Backing_store.page_out store ~pfn (fun blk -> b := blk);
+    drain env;
+    !b
+  in
+  let a = page_out 0 1 in
+  Alcotest.(check int) "page-out landed fast" 1 (Backing_store.fast_resident store);
+  Alcotest.(check int) "nothing demoted yet" 0 (Backing_store.tier_demotes store);
+  ignore (page_out 1 2);
+  Alcotest.(check int) "overflow demoted one image" 1 (Backing_store.tier_demotes store);
+  Alcotest.(check bool) "demoted image reached the disk" true
+    (Bytes.equal (image 1) (Hw.Disk.read_now env.disk ~block:a));
+  Backing_store.page_in store ~block:a ~pfn:2 (fun () -> ());
   drain env;
-  Alcotest.(check int) "stale hint did not admit the image" 0
-    (Backing_store.fast_resident store);
-  (* an intact hint still does *)
-  Backing_store.note_pfn_referenced store ~pfn:0 ~referenced:true;
-  Backing_store.page_out store ~pfn:0 (fun _ -> ());
+  Alcotest.(check bool) "slow refault read the image" true (frame_holds env ~pfn:2 1);
+  Alcotest.(check int) "served slow" 1 (Backing_store.tier_slow_hits store);
+  Alcotest.(check int) "slow refault promoted" 1 (Backing_store.tier_promotes store);
+  Backing_store.page_in store ~block:a ~pfn:3 (fun () -> ());
   drain env;
-  Alcotest.(check int) "live hint admits the image" 1
-    (Backing_store.fast_resident store)
+  Alcotest.(check bool) "fast refault read the image" true (frame_holds env ~pfn:3 1);
+  Alcotest.(check int) "next refault served fast" 1 (Backing_store.tier_fast_hits store);
+  Alcotest.(check bool) "audit clean" true
+    (Backing_store.audit_tiers store ~repair:false = [])
+
+(* Demotion order is LRU over the last transfer touching each block: a
+   refault refreshes an image, so the untouched one goes first. *)
+let test_demotion_order () =
+  let env = make_env () in
+  let store = Backing_store.create ~disk:env.disk ~mem:env.mem in
+  Backing_store.configure_tiers store ~slots:3 ~batch:1 ~events:env.events
+    ~now:(fun () -> !(env.now));
+  let page_out pfn =
+    fill_frame env ~pfn (pfn + 40);
+    let b = ref (-1) in
+    Backing_store.page_out store ~pfn (fun blk -> b := blk);
+    drain env;
+    !b
+  in
+  let a = page_out 0 in
+  let b = page_out 1 in
+  let c = page_out 2 in
+  Backing_store.page_in store ~block:a ~pfn:3 (fun () -> ());
+  drain env;
+  ignore (page_out 4);
+  Alcotest.(check int) "one demotion" 1 (Backing_store.tier_demotes store);
+  Alcotest.(check bool) "least recently touched block demoted" true
+    (Bytes.equal (image 41) (Hw.Disk.read_now env.disk ~block:b));
+  Alcotest.(check bool) "refaulted block stayed fast" false
+    (Bytes.equal (image 40) (Hw.Disk.read_now env.disk ~block:a));
+  Alcotest.(check bool) "younger block stayed fast" false
+    (Bytes.equal (image 42) (Hw.Disk.read_now env.disk ~block:c));
+  List.iter
+    (fun (block, seed) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "block %d intact" block)
+        true
+        (Bytes.equal (image seed) (Backing_store.read_block_now store ~block)))
+    [ (a, 40); (b, 41); (c, 42) ]
 
 let test_read_block_now_fast () =
   let env = make_env () in
   let store = Backing_store.create ~disk:env.disk ~mem:env.mem in
-  Backing_store.configure_tiers store ~slots:4 ~placement:Config.Tier_off
-    ~hot_window_us:1_000_000.0 ~batch:2 ~events:env.events
+  Backing_store.configure_tiers store ~slots:4 ~batch:2 ~events:env.events
     ~now:(fun () -> !(env.now));
   fill_frame env ~pfn:0 99;
   let b = ref (-1) in
@@ -549,17 +585,18 @@ let () =
         [ qcheck equivalence_plain; qcheck equivalence_chaos ] );
       ( "tiered consistency",
         [
-          qcheck (tiered_consistency Config.Tier_recency "tiered store self-consistent (recency)");
-          qcheck
-            (tiered_consistency Config.Tier_referenced
-               "tiered store self-consistent (referenced)");
-          qcheck (tiered_consistency Config.Tier_off "tiered store self-consistent (off)");
+          qcheck tiered_consistency;
+          qcheck tiered_consistency_one_slot;
           qcheck tiered_consistency_chaos;
         ] );
-      ( "flat invariance",
-        [ Alcotest.test_case "placement unobservable at slots=0" `Quick test_flat_invariance ] );
+      ( "end to end",
+        [ Alcotest.test_case "tiered beats flat on us/access" `Quick test_tiered_beats_flat ] );
       ( "units",
         [
+          Alcotest.test_case "page-outs land fast, refaults promote" `Quick
+            test_fast_first_and_promote;
+          Alcotest.test_case "demotion evicts the least recently touched" `Quick
+            test_demotion_order;
           Alcotest.test_case "demotion batching" `Quick test_demotion_batching;
           Alcotest.test_case "demotion drains exactly to capacity" `Quick
             test_demotion_exact_drain;
@@ -567,8 +604,6 @@ let () =
             test_free_realloc_generation;
           Alcotest.test_case "orphan repair is a single violation" `Quick
             test_audit_orphan_single_violation;
-          Alcotest.test_case "cleared referenced hint stays cleared" `Quick
-            test_ref_hint_cleared_on_free;
           Alcotest.test_case "checkpoint flush" `Quick test_checkpoint_flush;
           Alcotest.test_case "read_block_now prefers fast tier" `Quick
             test_read_block_now_fast;
