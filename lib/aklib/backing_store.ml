@@ -11,6 +11,8 @@
    per move — in front of the paging disk.  Every page-out image lands
    fast and every slow-tier refault is promoted; when the fast tier
    overflows, the least recently touched images are demoted to disk.
+   Fast-tier images are trimmed page images ([Hw.Phys_mem.image]), the
+   zero-tail form the disk stores; whole-page reads pad them back out.
    Blocks keep their disk-allocated numbers in either tier, so callers
    ([Segment_mgr], migration, checkpoint) never see the split; per-block
    metadata designates which tier holds the one authoritative copy.  With
@@ -202,15 +204,6 @@ let free_block t b =
     | None -> ()));
   Hw.Disk.free_block t.disk b
 
-(* A whole-page image onto the disk, synchronously (boot loading, tier
-   demotion and checkpoint flush). *)
-let write_disk_now t ~block data =
-  Hw.Disk.write_now t.disk ~block ~off:0 data ~pos:0 ~len:(Bytes.length data)
-
-(* A copy of frame [pfn]: the fast tier keeps images of its own. *)
-let frame_image t pfn =
-  Hw.Phys_mem.read_bytes t.mem (Hw.Addr.addr_of_page pfn) Hw.Addr.page_size
-
 (* -- tier metadata -- *)
 
 let get_meta tr block =
@@ -254,7 +247,9 @@ let get64 bytes off =
 
 (* entries: (block, gen, data) *)
 let encode_batch entries =
-  let buf = Buffer.create (List.length entries * (Hw.Addr.page_size + 24)) in
+  let buf =
+    Buffer.create (List.fold_left (fun n (_, _, data) -> n + 24 + Bytes.length data) 12 entries)
+  in
   Buffer.add_string buf frame_magic;
   put64 buf (Int64.of_int (List.length entries));
   List.iter
@@ -284,7 +279,8 @@ let decode_batch frame =
         let block = Int64.to_int (get64 frame off) in
         let gen = Int64.to_int (get64 frame (off + 8)) in
         let dlen = Int64.to_int (get64 frame (off + 16)) in
-        if off + 24 + dlen > len - 8 then Error "truncated payload"
+        if dlen < 0 || dlen > Hw.Addr.page_size then Error "bad payload length"
+        else if off + 24 + dlen > len - 8 then Error "truncated payload"
         else
           entries ((block, gen, Bytes.sub frame (off + 24) dlen) :: acc) (off + 24 + dlen)
             (n - 1)
@@ -336,7 +332,7 @@ let rec maybe_demote t tr =
                   (fun (block, gen, data) ->
                     match Hashtbl.find_opt tr.meta block with
                     | Some m when m.gen = gen && m.tier = Fast ->
-                      write_disk_now t ~block data;
+                      Hw.Disk.write_page_now t.disk ~block data;
                       m.tier <- Slow;
                       Hashtbl.remove tr.fast block;
                       tr.fast_live <- tr.fast_live - 1;
@@ -376,7 +372,7 @@ let page_out t ?block ~pfn k =
     m.gen <- m.gen + 1;
     attempt t ~n:1 (fun () ->
         m.tier <- Fast;
-        install_fast tr ~block (frame_image t pfn);
+        install_fast tr ~block (Hw.Phys_mem.image t.mem ~pfn);
         Hw.Event_queue.schedule tr.t_events
           ~time:(tr.t_now () + Hw.Cost.fast_tier_setup + Hw.Cost.fast_tier_page_copy)
           (fun () ->
@@ -435,7 +431,7 @@ let page_in t ~block ~pfn k =
         | None ->
           Hw.Disk.read_frame t.disk ~block t.mem ~pfn (fun () ->
               tr.obs_service ~fast:false (tr.t_now () - start);
-              if not fast_hit then promote t tr ~block (frame_image t pfn);
+              if not fast_hit then promote t tr ~block (Hw.Phys_mem.image t.mem ~pfn);
               k ()))
 
 (** Synchronous block write for boot-time loading of program images. *)
@@ -453,7 +449,7 @@ let write_block_now t ~block data =
       Hashtbl.remove tr.fast block;
       tr.fast_live <- tr.fast_live - 1
     end);
-  write_disk_now t ~block data
+  Hw.Disk.write_page_now t.disk ~block data
 
 (** Synchronous block read that honours the tier split: migration and
     checkpoint capture must see the authoritative copy wherever it lives. *)
@@ -462,7 +458,10 @@ let read_block_now t ~block =
   | None -> Hw.Disk.read_now t.disk ~block
   | Some tr -> (
     match Hashtbl.find_opt tr.fast block with
-    | Some data when (get_meta tr block).tier = Fast -> Bytes.copy data
+    | Some data when (get_meta tr block).tier = Fast ->
+      let page = Bytes.make Hw.Addr.page_size '\000' in
+      Bytes.blit data 0 page 0 (Bytes.length data);
+      page
     | _ -> Hw.Disk.read_now t.disk ~block)
 
 (** Synchronously demote every fast-tier image to the paging disk.  A
@@ -475,7 +474,7 @@ let checkpoint_flush t =
     let entries = Hashtbl.fold (fun block data acc -> (block, data) :: acc) tr.fast [] in
     List.iter
       (fun (block, data) ->
-        write_disk_now t ~block data;
+        Hw.Disk.write_page_now t.disk ~block data;
         (get_meta tr block).tier <- Slow;
         Hashtbl.remove tr.fast block;
         tr.fast_live <- tr.fast_live - 1;

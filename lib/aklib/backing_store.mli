@@ -66,8 +66,9 @@ val page_out : t -> ?block:int -> pfn:int -> (int -> unit) -> unit
 val page_in : t -> block:int -> pfn:int -> (unit -> unit) -> unit
 
 val write_block_now : t -> block:int -> Bytes.t -> unit
-(** Synchronous write for boot-time program loading.  Lands on the disk;
-    any fast-tier image of the block is retired. *)
+(** Synchronous write of a page image (at most a page) for boot-time
+    program loading and swap-out.  It replaces the block on the disk; any
+    fast-tier image of the block is retired. *)
 
 val read_block_now : t -> block:int -> Bytes.t
 (** Synchronous read of the authoritative copy, whichever tier holds it
@@ -84,6 +85,15 @@ val audit_tiers : t -> repair:bool -> (string * string * string * bool) list
     image lives in exactly one tier and the derived fast-resident count
     matches a recount.  Returns [(check, subject, detail, repaired)] rows
     in {!Cachekernel.Audit} hook format. *)
+
+val encode_batch : (int * int * Bytes.t) list -> Bytes.t
+(** The framing of one demotion batch: [(block, generation, page image)]
+    entries, length-prefixed and checksummed as one [CKT1] frame. *)
+
+val decode_batch : Bytes.t -> ((int * int * Bytes.t) list, string) result
+(** Verify and unpack a demotion frame.  A bad magic or checksum, a
+    truncated entry or a payload length outside [0..page_size] is an
+    [Error]; it never raises. *)
 
 val corrupt_tier_for_test :
   t -> [ `Orphan_image | `Missing_image | `Drift ] -> bool

@@ -5,7 +5,14 @@
     The disk owns block allocation, and each allocated block has one owner
     that rewrites it in place or frees it.  Transfers are DMA-style blits
     between a block's own buffer and a frame or caller buffer; a read
-    always returns the block's contents as of its submission. *)
+    always returns the block's contents as of its submission.
+
+    Zero-tail invariant: a block's buffer holds its bytes at least up to
+    the last nonzero one, and every byte past the buffer reads as zero.
+    Whole-page writes ({!write_frame}, {!write_page_now}, {!import})
+    replace the block with the page's extent, so a shorter rewrite reads
+    zero past it; range writes ({!write_from}, {!write_now}) overlay the
+    old contents.  Simulated costs are per page regardless. *)
 
 type t
 
@@ -14,7 +21,10 @@ val reads : t -> int
 val writes : t -> int
 
 val live_blocks : t -> int
-(** Blocks holding data (written and not freed since). *)
+(** Blocks written and not freed since, even those whose image is empty. *)
+
+val stored_bytes : t -> int
+(** Host bytes held for block contents: the sum of the buffers' lengths. *)
 
 val alloc_block : t -> int
 (** The most recently freed block first, then never-used numbers in
@@ -27,9 +37,9 @@ val free_block : t -> int -> unit
 val latency : unit -> Cost.cycles
 
 val write_frame : t -> block:int -> Phys_mem.t -> pfn:int -> (unit -> unit) -> unit
-(** Write a frame to a block.  The frame is captured into the block's
-    buffer (allocated zeroed on first write) at submission; the
-    continuation runs from the event queue on completion. *)
+(** Write a frame to a block.  The frame's extent replaces the block at
+    submission; the continuation runs from the event queue on
+    completion. *)
 
 val read_frame : t -> block:int -> Phys_mem.t -> pfn:int -> (unit -> unit) -> unit
 (** Read a block into a frame.  The block is captured at submission into a
@@ -49,10 +59,14 @@ val write_from :
 
 val read_now : t -> block:int -> Bytes.t
 (** Synchronous read for boot-time loading and capture (no latency
-    modelled); returns a copy the caller owns. *)
+    modelled); returns a whole page the caller owns. *)
 
 val write_now : t -> block:int -> off:int -> Bytes.t -> pos:int -> len:int -> unit
 (** Synchronous counterpart of {!write_from}. *)
+
+val write_page_now : t -> block:int -> Bytes.t -> unit
+(** Synchronous whole-page write (boot loading, tier demotion, checkpoint
+    flush): the page image, at most a page long, replaces the block. *)
 
 val export : t -> blocks:int list -> Bytes.t
 (** Concatenate the contents of [blocks] — how a checkpoint image leaves

@@ -85,18 +85,44 @@ let write_bytes t paddr data =
   in
   loop paddr 0 len
 
-(** Copy frame [pfn] into the page-sized buffer [dst]; an untouched frame
-    reads as zeroes and stays unallocated. *)
-let copy_page_out t ~pfn dst =
+(* The end of [b]'s bytes from [pos] up to [i] without their zero tail:
+   whole 64-bit words first, then bytes. *)
+let rec tail_words b ~pos i =
+  if i - pos >= 8 && Bytes.get_int64_ne b (i - 8) = 0L then tail_words b ~pos (i - 8)
+  else tail_bytes b ~pos i
+
+and tail_bytes b ~pos i =
+  if i > pos && Bytes.get b (i - 1) = '\000' then tail_bytes b ~pos (i - 1) else i
+
+(** Length of the [len] bytes of [b] at [pos] without their zero tail,
+    scanned a 64-bit word at a time from the end. *)
+let extent b ~pos ~len = tail_words b ~pos (pos + len) - pos
+
+(** Copy frame [pfn] up to its last nonzero byte, [n] bytes, into the
+    start of [into n] and return that buffer; an untouched frame has
+    [n = 0]. *)
+let copy_image_out t ~pfn into =
   check t (Addr.addr_of_page pfn) Addr.page_size;
   match Hashtbl.find_opt t.frames pfn with
-  | Some b -> Bytes.blit b 0 dst 0 Addr.page_size
-  | None -> Bytes.fill dst 0 Addr.page_size '\000'
+  | None -> into 0
+  | Some b ->
+    let n = extent b ~pos:0 ~len:Addr.page_size in
+    let dst = into n in
+    Bytes.blit b 0 dst 0 n;
+    dst
 
-(** Copy the page-sized buffer [src] into frame [pfn]. *)
+(** A fresh copy of frame [pfn] up to its last nonzero byte. *)
+let image t ~pfn = copy_image_out t ~pfn Bytes.create
+
+(** Load frame [pfn] from the page image [src]: its bytes, then zeroes to
+    the end of the page. *)
 let copy_page_in t ~pfn src =
   check t (Addr.addr_of_page pfn) Addr.page_size;
-  Bytes.blit src 0 (frame t pfn) 0 Addr.page_size
+  let n = Bytes.length src in
+  if n > Addr.page_size then invalid_arg "Phys_mem.copy_page_in: image longer than a page";
+  let b = frame t pfn in
+  Bytes.blit src 0 b 0 n;
+  Bytes.fill b n (Addr.page_size - n) '\000'
 
 (** Zero the page frame [pfn]. *)
 let zero_page t pfn =

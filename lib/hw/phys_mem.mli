@@ -25,11 +25,22 @@ val read_bytes : t -> int -> int -> Bytes.t
 
 val write_bytes : t -> int -> Bytes.t -> unit
 
-val copy_page_out : t -> pfn:int -> Bytes.t -> unit
-(** DMA a whole frame out into a page-sized buffer. *)
+val extent : Bytes.t -> pos:int -> len:int -> int
+(** [extent b ~pos ~len] is the length of those bytes of [b] without
+    their zero tail. *)
+
+val copy_image_out : t -> pfn:int -> (int -> Bytes.t) -> Bytes.t
+(** [copy_image_out t ~pfn into] DMAs a frame up to its last nonzero
+    byte, [n] bytes, into the start of [into n] (at least [n] long) and
+    returns that buffer; an untouched frame has [n = 0]. *)
+
+val image : t -> pfn:int -> Bytes.t
+(** A fresh copy of a frame up to its last nonzero byte (its {e page
+    image}); an untouched frame gives an empty one. *)
 
 val copy_page_in : t -> pfn:int -> Bytes.t -> unit
-(** DMA a page-sized buffer into a frame. *)
+(** DMA a page image (at most a page long) into a frame; the frame reads
+    zero past the image. *)
 
 val zero_page : t -> int -> unit
 (** Zero a page frame. *)

@@ -37,12 +37,8 @@ let evacuate_segment (emu : Emulator.t) seg =
             | Some b -> b
             | None -> Backing_store.alloc_block ak.App_kernel.store
           in
-          let data =
-            Hw.Phys_mem.read_bytes mem
-              (Hw.Addr.addr_of_page r.Segment.pfn)
-              Hw.Addr.page_size
-          in
-          Backing_store.write_block_now ak.App_kernel.store ~block data;
+          Backing_store.write_block_now ak.App_kernel.store ~block
+            (Hw.Phys_mem.image mem ~pfn:r.Segment.pfn);
           Segment.set_state seg page (Segment.On_disk block)
         end
         else

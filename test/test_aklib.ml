@@ -114,6 +114,26 @@ let test_paging_keeps_one_block_per_page () =
   let live = Hw.Disk.live_blocks ak.App_kernel.disk in
   if live > n then Alcotest.failf "%d live disk blocks for %d pages" live n
 
+(* A page-out stores the frame's image, not the page: one word written at
+   offset 0 takes at most 8 bytes of disk buffer, and reads back whole. *)
+let test_page_out_stores_image () =
+  let inst, ak = make () in
+  let mem = inst.Instance.node.Hw.Mpm.mem and disk = ak.App_kernel.disk in
+  let pfn = Option.get (Frame_alloc.alloc ak.App_kernel.frames) in
+  Hw.Phys_mem.zero_page mem pfn;
+  Hw.Phys_mem.write_word mem (Hw.Addr.addr_of_page pfn) 0x1234;
+  let stored0 = Hw.Disk.stored_bytes disk in
+  let block = ref None in
+  Backing_store.page_out ak.App_kernel.store ~pfn (fun b -> block := Some b);
+  ignore (Engine.run [| inst |]);
+  let block = Option.get !block in
+  let stored = Hw.Disk.stored_bytes disk - stored0 in
+  if stored > 8 then Alcotest.failf "a one-word page stores %d bytes" stored;
+  let want = Bytes.make Hw.Addr.page_size '\000' in
+  Bytes.set_int32_le want 0 0x1234l;
+  Alcotest.(check bool) "the page reads back whole" true
+    (Bytes.equal want (Backing_store.read_block_now ak.App_kernel.store ~block))
+
 (* Thread A evicts B's dirty page and blocks in its page-out; meanwhile B
    faults the still-resident page back in and writes it.  The eviction
    must not complete under B's live mapping: B's later write survives and
@@ -369,6 +389,8 @@ let () =
           Alcotest.test_case "demand paging with eviction" `Quick
             test_demand_paging_with_eviction;
           Alcotest.test_case "deferred-copy fork" `Quick test_deferred_copy_fork;
+          Alcotest.test_case "a page-out stores the frame's image" `Quick
+            test_page_out_stores_image;
           Alcotest.test_case "paging keeps one block per page" `Quick
             test_paging_keeps_one_block_per_page;
           Alcotest.test_case "remap during page-out keeps the write" `Quick

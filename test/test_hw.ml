@@ -469,6 +469,164 @@ let test_disk_alloc_free () =
   let order = List.init 3 (fun _ -> Hw.Disk.alloc_block disk) in
   Alcotest.(check (list int)) "most recently freed first, then fresh" [ b2; b0; 3 ] order
 
+(* -- Disk against a full-page reference model --
+
+   [Full_disk] is the store the zero-tail one replaced: every written block
+   holds a whole page.  Random op sequences run on both, draining after
+   each op; every read, [live_blocks], [reads] and [writes] must agree. *)
+
+module Full_disk = struct
+  type t = { pages : (int, Bytes.t) Hashtbl.t; mutable reads : int; mutable writes : int }
+
+  let create () = { pages = Hashtbl.create 16; reads = 0; writes = 0 }
+
+  let page t block =
+    match Hashtbl.find_opt t.pages block with
+    | Some p -> p
+    | None ->
+      let p = Bytes.make Hw.Addr.page_size '\000' in
+      Hashtbl.replace t.pages block p;
+      p
+
+  let get t block =
+    match Hashtbl.find_opt t.pages block with
+    | Some p -> Bytes.copy p
+    | None -> Bytes.make Hw.Addr.page_size '\000'
+
+  let free t block = Hashtbl.remove t.pages block
+  let live t = Hashtbl.length t.pages
+  let write_range t ~block ~off src = Bytes.blit src 0 (page t block) off (Bytes.length src)
+end
+
+(* Frame contents with sparse nonzero bytes: [kind] 0 is an untouched
+   frame, 1 a single word, 2 a full page, 3 a nonzero prefix of [n]
+   bytes (an extent off the word grid). *)
+let sparse_page ~kind n =
+  let p = Bytes.make Hw.Addr.page_size '\000' in
+  (match kind with
+  | 1 -> Bytes.set_int32_le p (n land lnot 3 mod Hw.Addr.page_size) (Int32.of_int (n + 1))
+  | 2 -> Bytes.iteri (fun i _ -> Bytes.set p i (Char.chr (1 + ((n + i) mod 255)))) p
+  | 3 -> Bytes.fill p 0 (n mod Hw.Addr.page_size) 'p'
+  | _ -> ());
+  p
+
+let run_disk_model ops =
+  let disk, mem, _, drain = disk_env () in
+  let model = Full_disk.create () in
+  let ps = Hw.Addr.page_size in
+  let blocks = ref [] in
+  let pick a = match !blocks with [] -> None | l -> Some (List.nth l (a mod List.length l)) in
+  let frame pfn = Hw.Phys_mem.read_bytes mem (Hw.Addr.addr_of_page pfn) ps in
+  (* pfn 3 is never written: the untouched-frame source *)
+  let write_frame block ~kind n =
+    let page = sparse_page ~kind n in
+    if kind <> 0 then Hw.Phys_mem.write_bytes mem 0 page;
+    Hw.Disk.write_frame disk ~block mem ~pfn:(if kind = 0 then 3 else 0) ignore;
+    model.Full_disk.writes <- model.writes + 1;
+    Full_disk.write_range model ~block ~off:0 page
+  in
+  let agree ctx what a b = if not (Bytes.equal a b) then Alcotest.failf "%s: %s differs" ctx what in
+  List.iteri
+    (fun i (op, a, b, c) ->
+      let ctx = Printf.sprintf "op %d" i in
+      let off = b mod ps in
+      let len = c mod (ps - off + 1) in
+      (match (op, pick a) with
+      | 0, _ -> blocks := Hw.Disk.alloc_block disk :: !blocks
+      | 1, Some block ->
+        Hw.Disk.free_block disk block;
+        Full_disk.free model block;
+        blocks := List.filter (( <> ) block) !blocks
+      | 2, Some block -> write_frame block ~kind:(b mod 4) c
+      | 3, Some block ->
+        (* the target frame starts dirty so zero fill shows *)
+        Hw.Phys_mem.write_bytes mem (Hw.Addr.addr_of_page 1) (Bytes.make ps '\xaa');
+        Hw.Disk.read_frame disk ~block mem ~pfn:1 ignore;
+        drain ();
+        model.reads <- model.reads + 1;
+        agree ctx "read_frame" (frame 1) (Full_disk.get model block)
+      | (4 | 5), Some block ->
+        let src = Bytes.make len (Char.chr (a land 0xff)) in
+        if op = 4 then begin
+          Hw.Disk.write_from disk ~block ~off src ~pos:0 ~len ignore;
+          model.writes <- model.writes + 1
+        end
+        else Hw.Disk.write_now disk ~block ~off src ~pos:0 ~len;
+        Full_disk.write_range model ~block ~off src
+      | 6, Some block ->
+        let dst = Bytes.make (len + 6) '.' in
+        Hw.Disk.read_into disk ~block ~off dst ~pos:3 ~len ignore;
+        model.reads <- model.reads + 1;
+        let want = Bytes.make (len + 6) '.' in
+        Bytes.blit (Full_disk.get model block) off want 3 len;
+        agree ctx "read_into" dst want
+      | 7, Some block -> agree ctx "read_now" (Hw.Disk.read_now disk ~block) (Full_disk.get model block)
+      | 8, Some block ->
+        let bs = List.filter_map pick [ a; b; c ] @ [ block ] in
+        model.reads <- model.reads + List.length bs;
+        agree ctx "export" (Hw.Disk.export disk ~blocks:bs)
+          (Bytes.concat Bytes.empty (List.map (Full_disk.get model) bs))
+      | 9, _ ->
+        let n = b mod (3 * ps) in
+        let data = Bytes.init n (fun j -> if (j * 7) mod (c + 1) = 0 then 'i' else '\000') in
+        let imported = Hw.Disk.import disk data in
+        if List.length imported <> max 1 ((n + ps - 1) / ps) then
+          Alcotest.failf "%s: import used %d blocks" ctx (List.length imported);
+        List.iteri
+          (fun k block ->
+            let pos = k * ps in
+            model.writes <- model.writes + 1;
+            ignore (Full_disk.page model block);
+            Full_disk.write_range model ~block ~off:0 (Bytes.sub data pos (min ps (n - pos))))
+          imported;
+        blocks := imported @ !blocks
+      | 10, Some block ->
+        (* grow, then shrink: a shorter whole-page rewrite reads zero past it *)
+        write_frame block ~kind:2 c;
+        write_frame block ~kind:1 b;
+        agree ctx "shrunk block" (Hw.Disk.read_now disk ~block) (Full_disk.get model block)
+      | _ -> ());
+      drain ();
+      if Hw.Disk.live_blocks disk <> Full_disk.live model then
+        Alcotest.failf "%s: live_blocks %d, model %d" ctx (Hw.Disk.live_blocks disk)
+          (Full_disk.live model);
+      if Hw.Disk.reads disk <> model.reads || Hw.Disk.writes disk <> model.writes then
+        Alcotest.failf "%s: transfer counts differ" ctx;
+      if Hw.Disk.stored_bytes disk > Hw.Disk.live_blocks disk * ps then
+        Alcotest.failf "%s: more bytes stored than live pages" ctx)
+    ops;
+  List.iter
+    (fun block ->
+      agree "end" (Printf.sprintf "block %d" block) (Hw.Disk.read_now disk ~block)
+        (Full_disk.get model block))
+    !blocks;
+  true
+
+let prop_disk_model =
+  QCheck.Test.make ~count:300 ~name:"disk: zero-tail store matches the full-page model"
+    QCheck.(
+      list
+        (quad (int_bound 10) (int_bound 4096) (int_bound (3 * 4096)) (int_bound 4096)))
+    run_disk_model
+
+(* Page images: a frame up to its last nonzero byte, and back. *)
+let prop_page_image =
+  QCheck.Test.make ~count:200 ~name:"phys_mem: image is the frame without its zero tail"
+    QCheck.(pair (int_bound 3) (int_bound 4096))
+    (fun (kind, n) ->
+      let mem = Hw.Phys_mem.create ~size:(2 * Hw.Addr.page_size) in
+      let page = sparse_page ~kind n in
+      if kind <> 0 then Hw.Phys_mem.write_bytes mem 0 page;
+      let img = Hw.Phys_mem.image mem ~pfn:0 in
+      let len = Bytes.length img in
+      let tail_zero = Bytes.for_all (( = ) '\000') (Bytes.sub page len (Hw.Addr.page_size - len)) in
+      Hw.Phys_mem.write_bytes mem (Hw.Addr.addr_of_page 1) (Bytes.make Hw.Addr.page_size 'z');
+      Hw.Phys_mem.copy_page_in mem ~pfn:1 img;
+      tail_zero
+      && (len = 0 || Bytes.get img (len - 1) <> '\000')
+      && Bytes.equal img (Bytes.sub page 0 len)
+      && Bytes.equal page (Hw.Phys_mem.read_bytes mem (Hw.Addr.addr_of_page 1) Hw.Addr.page_size))
+
 (* -- Interconnect + NIC -- *)
 
 let test_interconnect () =
@@ -557,6 +715,7 @@ let () =
         [
           Alcotest.test_case "words, bytes, pages" `Quick test_phys_mem;
           qcheck prop_phys_mem_roundtrip;
+          qcheck prop_page_image;
         ] );
       ( "page_table",
         [
@@ -589,6 +748,7 @@ let () =
           Alcotest.test_case "reads snapshot at submission" `Quick test_disk_read_snapshot;
           Alcotest.test_case "allocation order; freed blocks read zero" `Quick
             test_disk_alloc_free;
+          qcheck prop_disk_model;
         ] );
       ( "interconnect",
         [

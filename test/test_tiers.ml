@@ -578,6 +578,65 @@ let test_read_block_now_fast () =
   Alcotest.(check bool) "raw disk is stale" false
     (Bytes.equal want (Hw.Disk.read_now env.disk ~block:!b))
 
+(* A page image replaces its block on disk: demoting or flushing a short
+   image over a block that held a longer one leaves nothing of the old
+   tail behind. *)
+let test_short_image_replaces () =
+  let env = make_env () in
+  let store = Backing_store.create ~disk:env.disk ~mem:env.mem in
+  Backing_store.configure_tiers store ~slots:1 ~batch:1 ~events:env.events
+    ~now:(fun () -> !(env.now));
+  let short = Bytes.make Hw.Addr.page_size '\000' in
+  Bytes.set short 8 '\042';
+  let page_out_short ~block pfn =
+    Hw.Phys_mem.zero_page env.mem pfn;
+    Hw.Phys_mem.write_word env.mem (Hw.Addr.addr_of_page pfn + 8) 42;
+    Backing_store.page_out store ~block ~pfn (fun _ -> ());
+    drain env
+  in
+  let a = Backing_store.alloc_block store and b = Backing_store.alloc_block store in
+  Backing_store.write_block_now store ~block:a (image 5);
+  Backing_store.write_block_now store ~block:b (image 6);
+  page_out_short ~block:a 0;
+  page_out_short ~block:b 1;
+  Alcotest.(check int) "the overflow demoted the older image" 1
+    (Backing_store.tier_demotes store);
+  Alcotest.(check bool) "demoted short image reads zero past its extent" true
+    (Bytes.equal short (Hw.Disk.read_now env.disk ~block:a));
+  Alcotest.(check int) "flush moved the other" 1 (Backing_store.checkpoint_flush store);
+  Alcotest.(check bool) "flushed short image reads zero past its extent" true
+    (Bytes.equal short (Hw.Disk.read_now env.disk ~block:b))
+
+(* The demotion frame decoder returns [Error] for a payload length outside
+   [0..page_size] even under a valid checksum; it must not raise. *)
+let test_decode_rejects_bad_length () =
+  let fnv1a b =
+    Bytes.fold_left
+      (fun h c -> Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001B3L)
+      0xCBF29CE484222325L b
+  in
+  (* re-frame [entries] with the first entry's length field set to [dlen] *)
+  let forge entries dlen =
+    let frame = Backing_store.encode_batch entries in
+    let body = Bytes.sub frame 0 (Bytes.length frame - 8) in
+    Bytes.set_int64_le body (4 + 8 + 16) (Int64.of_int dlen);
+    let sum = Bytes.create 8 in
+    Bytes.set_int64_le sum 0 (fnv1a body);
+    Bytes.cat body sum
+  in
+  let ok = [ (3, 1, Bytes.make 16 'x') ] in
+  let rejected name frame =
+    match Backing_store.decode_batch frame with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: accepted" name
+    | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+  in
+  Alcotest.(check bool) "an honest frame decodes" true
+    (Backing_store.decode_batch (forge ok 16) = Ok ok);
+  rejected "length -1" (forge ok (-1));
+  rejected "length page_size + 1"
+    (forge [ (3, 1, Bytes.make (Hw.Addr.page_size + 1) 'x') ] (Hw.Addr.page_size + 1))
+
 let () =
   Alcotest.run "tiers"
     [
@@ -607,5 +666,9 @@ let () =
           Alcotest.test_case "checkpoint flush" `Quick test_checkpoint_flush;
           Alcotest.test_case "read_block_now prefers fast tier" `Quick
             test_read_block_now_fast;
+          Alcotest.test_case "short images replace their block" `Quick
+            test_short_image_replaces;
+          Alcotest.test_case "batch decoder rejects bad lengths" `Quick
+            test_decode_rejects_bad_length;
         ] );
     ]

@@ -321,6 +321,27 @@ let test_creat_truncates () =
   Alcotest.(check bool) "only the new content reads back" true
     (contains (Emulator.console emu) "content: [new]")
 
+(* A block stores its file bytes, not a page: 256 small result files
+   take a few KB of disk buffers, where whole pages would take 1 MB. *)
+let test_small_files_store_small () =
+  let inst, emu = boot () in
+  let disk = emu.Emulator.ak.Aklib.App_kernel.disk in
+  let prog =
+    Syscall.program "writer" (fun () ->
+        for i = 0 to 255 do
+          let fd = Syscall.creat (Printf.sprintf "/tmp/result%d" i) in
+          ignore (Syscall.write_file fd (Printf.sprintf "result %3d: ok\n" i));
+          Syscall.close fd
+        done;
+        0)
+  in
+  ignore (ok (Emulator.start_init emu prog));
+  let live0 = Hw.Disk.live_blocks disk and stored0 = Hw.Disk.stored_bytes disk in
+  ignore (Engine.run [| inst |]);
+  Alcotest.(check int) "one block per file" (live0 + 256) (Hw.Disk.live_blocks disk);
+  let stored = Hw.Disk.stored_bytes disk - stored0 in
+  if stored >= 16 * 1024 then Alcotest.failf "256 small files store %d bytes" stored
+
 (* Swapped-out pages own their blocks until the process exits, which
    frees them; the shared program-text blocks belong to the file system
    and survive both untouched. *)
@@ -349,6 +370,7 @@ let test_exit_frees_blocks_keeps_text () =
   in
   let text = text_image () in
   let live0 = Hw.Disk.live_blocks disk in
+  let stored0 = Hw.Disk.stored_bytes disk in
   let p = Option.get (Emulator.proc emu 2) in
   Swapper.swap_out emu p;
   Alcotest.(check bool) "swap-out wrote the dirty pages" true
@@ -358,6 +380,7 @@ let test_exit_frees_blocks_keeps_text () =
   ignore (Engine.run [| inst |]);
   Alcotest.(check bool) "job exited" true (Process.is_zombie p);
   Alcotest.(check int) "exit freed the process's blocks" live0 (Hw.Disk.live_blocks disk);
+  Alcotest.(check int) "and their stored bytes" stored0 (Hw.Disk.stored_bytes disk);
   Alcotest.(check bool) "program text intact" true (List.for_all2 Bytes.equal text (text_image ()))
 
 let test_pipes () =
@@ -421,6 +444,8 @@ let () =
         [
           Alcotest.test_case "create/write/read files" `Quick test_files;
           Alcotest.test_case "creat truncates in place" `Quick test_creat_truncates;
+          Alcotest.test_case "small files store their bytes, not pages" `Quick
+            test_small_files_store_small;
           Alcotest.test_case "pipes preserve order" `Quick test_pipes;
           Alcotest.test_case "empty pipe blocks the reader" `Quick
             test_pipe_blocks_reader;
