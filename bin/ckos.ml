@@ -4,11 +4,12 @@
      info   — print the configuration (Table 1) and the cost model
      run    — boot a UNIX emulator, run a small process tree, print stats
               (the default command; --metrics-out/--trace-out export the
-              observability layer's JSON; --audit runs the invariant
-              auditor afterwards and fails on unrepaired violations)
+              observability layer's JSON; --audit/--audit-out run the
+              invariant auditor afterwards and fail on unrepaired
+              violations)
      trace  — run one demand-paged program with the event trace enabled
-     micro  — print the Table 2 micro-benchmark rows
-     audit  — run a workload, then audit every cross-layer invariant
+     bench  — run the named benchmark scenarios (all by default), print
+              their tables and gates, merge them into BENCH_metrics.json
      cluster — run a multi-node cluster and print a digest of every
                node's metrics and trace; the same flags give the same
                digest
@@ -54,35 +55,6 @@ let export_observability inst ~metrics_out ~trace_out =
     (fun path -> write_json path "trace" (Trace.to_json inst.Instance.trace))
     trace_out
 
-(* The sites ckos knows how to balance-print; must match the names in
-   DESIGN.md section 6 (injection & recovery). *)
-let chaos_sites =
-  [ "bstore.fail"; "bstore.delay"; "tier.promote.fail"; "tier.promote.delay";
-    "tier.demote.fail"; "tier.demote.delay"; "signal.drop"; "signal.dup";
-    "stale.load"; "fault.forward"; "node.crash"; "migrate.drop";
-    "net.partition"; "net.heal" ]
-
-let chaos_config ~rate ~seed ?partition_at ?(partition_for = 2_000.0)
-    ?(partition_minority = 1) () =
-  if rate <= 0.0 && partition_at = None then None
-  else
-    Some
-      {
-        Config.chaos_default with
-        Config.chaos_seed = seed;
-        partition_at_us = partition_at;
-        partition_for_us = partition_for;
-        partition_minority;
-        io_fail = rate;
-        io_delay = rate /. 2.;
-        tier_fail = rate;
-        tier_delay = rate /. 2.;
-        signal_drop = rate;
-        stale_rate = rate;
-        forward_drop = rate;
-        migrate_drop = rate;
-      }
-
 let parse_policy s =
   match Policy.kind_of_string s with
   | Ok k -> k
@@ -98,7 +70,7 @@ let print_chaos_balance inst =
       let i = Metrics.counter m ("inject." ^ site) in
       let r = Metrics.counter m ("recover." ^ site) in
       if i > 0 || r > 0 then Fmt.pr "  %-14s inject %5d   recover %5d@." site i r)
-    chaos_sites
+    Fault_inject.sites
 
 (* Post-run invariant audit (with repair).  Exits nonzero if anything the
    repair pass could not fix remains — the CI chaos jobs rely on this. *)
@@ -110,35 +82,6 @@ let run_audit inst ~audit_out =
     Fmt.epr "ckos: audit found unrepaired invariant violations@.";
     Stdlib.exit 1
   end
-
-(* Boot the quickstart UNIX session and run it to completion (or, with
-   [pause_us], stop at that simulated time and leave the rest to the
-   caller).  Shared by `run`, `audit`, `checkpoint` and `restore` — the
-   latter two rely on the workload being deterministic for a given
-   (cpus, procs). *)
-let boot_and_run ?pause_us ~config ~cpus ~procs ~tracing () =
-  let inst = Workload.Setup.instance ~config ~cpus () in
-  if tracing then Trace.enable inst.Instance.trace;
-  let groups = List.init (Instance.n_groups inst) Fun.id in
-  let emu = Workload.Setup.ok (Unix_emu.Emulator.boot inst ~groups) in
-  let child =
-    Unix_emu.Syscall.program "job" (fun () ->
-        let pid = Unix_emu.Syscall.getpid () in
-        for i = 0 to 7 do
-          Hw.Exec.mem_write (Unix_emu.Process.data_base + (i * Hw.Addr.page_size)) (pid + i)
-        done;
-        Hw.Exec.compute 100_000;
-        0)
-  in
-  let init =
-    Unix_emu.Syscall.program "init" (fun () ->
-        let pids = List.init procs (fun _ -> Unix_emu.Syscall.spawn child) in
-        List.iter (fun _ -> ignore (Unix_emu.Syscall.wait ())) pids;
-        0)
-  in
-  ignore (Workload.Setup.ok (Unix_emu.Emulator.start_init emu init));
-  ignore (Engine.run ?until_us:pause_us [| inst |]);
-  (inst, emu)
 
 let run_workload cpus procs chaos chaos_seed partition_at partition_for partition_minority
     prefetch batch policy tiers audit audit_out metrics_out trace_out =
@@ -154,7 +97,7 @@ let run_workload cpus procs chaos chaos_seed partition_at partition_for partitio
     {
       Config.default with
       Config.chaos =
-        chaos_config ~rate:chaos ~seed:chaos_seed ?partition_at ~partition_for
+        Workload.Session.chaos ~rate:chaos ~seed:chaos_seed ?partition_at ~partition_for
           ~partition_minority ();
       fault_prefetch = prefetch;
       mapping_batch_max = batch;
@@ -162,7 +105,7 @@ let run_workload cpus procs chaos chaos_seed partition_at partition_for partitio
       fast_tier_slots = tiers;
     }
   in
-  let inst, emu = boot_and_run ~config ~cpus ~procs ~tracing:(trace_out <> None) () in
+  let inst, emu = Workload.Session.run ~config ~cpus ~procs ~tracing:(trace_out <> None) () in
   Fmt.pr "ran %d processes in %.1f ms simulated (%d syscalls)@."
     emu.Unix_emu.Emulator.spawned
     (Hw.Cost.us_of_cycles (Hw.Mpm.now inst.Instance.node) /. 1000.)
@@ -226,9 +169,7 @@ let run_checkpoint cpus procs pause_us out =
   (* pause mid-session: the children's data pages are live, so the image
      carries real content; then run to completion so the extras record the
      session's final syscall results for `restore` to verify against *)
-  let inst, emu =
-    boot_and_run ~pause_us ~config:Config.default ~cpus ~procs ~tracing:false ()
-  in
+  let inst, emu = Workload.Session.run ~pause_us ~cpus ~procs ~tracing:false () in
   let ak = emu.Unix_emu.Emulator.ak in
   let img = Migrate.Checkpoint.image_of ak () in
   let digest = payload_digest img in
@@ -271,7 +212,7 @@ let run_restore file =
     let procs = Option.value ~default:4 (extra_int "procs") in
     (* replay the recorded session in this fresh process, then restore the
        image beside it and compare *)
-    let inst, emu = boot_and_run ~config:Config.default ~cpus ~procs ~tracing:false () in
+    let inst, emu = Workload.Session.run ~cpus ~procs ~tracing:false () in
     let ak = emu.Unix_emu.Emulator.ak in
     match Migrate.Checkpoint.restore ak ~path:file ~programs:[] () with
     | Error msg ->
@@ -304,12 +245,17 @@ let run_restore file =
       run_audit inst ~audit_out:None;
       if !failures <> [] then Stdlib.exit 1)
 
-let show_micro () =
-  List.iter
-    (fun (name, (t : Workload.Micro.op_times)) ->
-      Fmt.pr "%-14s load %6.1f us   load+wb %6.1f us   unload %6.1f us@." name
-        t.Workload.Micro.load t.Workload.Micro.load_wb t.Workload.Micro.unload)
-    (Workload.Micro.table2 ())
+let run_bench names =
+  match Workload.Bench.select names with
+  | Error msg ->
+    Fmt.epr "ckos: %s@." msg;
+    Stdlib.exit 1
+  | Ok scenarios -> (
+    match Workload.Bench.run scenarios with
+    | [] -> ()
+    | failed ->
+      List.iter (Fmt.epr "ckos: gate failed: %s@.") failed;
+      Stdlib.exit 1)
 
 let info_cmd = Cmd.v (Cmd.info "info" ~doc:"Configuration and cost model") Term.(const show_info $ const ())
 
@@ -380,7 +326,7 @@ let tiers_arg =
            page-out lands in the fast tier; the least recently touched \
            images are demoted to disk.")
 
-(* Partition-plan flags, shared by `run` and `audit`: consumed by the
+(* Partition-plan flags, shared by `run` and `cluster`: consumed by the
    SRM's distributed layer (the lowest-id node arms the plan) when the
    workload is multi-node; a single-node run just carries them along. *)
 let partition_at_arg =
@@ -406,75 +352,51 @@ let partition_minority_arg =
     & info [ "partition-minority" ] ~docv:"N"
         ~doc:"How many non-zero nodes the cut isolates.")
 
+let cpus_arg = Arg.(value & opt int 4 & info [ "cpus" ] ~doc:"CPUs per MPM.")
+let procs_arg = Arg.(value & opt int 4 & info [ "procs" ] ~doc:"Processes to run.")
+
+let chaos_arg =
+  Arg.(
+    value
+    & opt float 0.0
+    & info [ "chaos" ] ~docv:"RATE"
+        ~doc:
+          "Enable deterministic fault injection at the given per-site rate (0.0-1.0); \
+           $(b,run) prints the inject/recover balance.")
+
+let chaos_seed_arg =
+  Arg.(
+    value
+    & opt int 42
+    & info [ "chaos-seed" ] ~docv:"N" ~doc:"Seed for the fault-injection PRNG streams.")
+
 let run_term =
-  let cpus = Arg.(value & opt int 4 & info [ "cpus" ] ~doc:"CPUs per MPM.") in
-  let procs = Arg.(value & opt int 4 & info [ "procs" ] ~doc:"Processes to run.") in
-  let chaos =
-    Arg.(
-      value
-      & opt float 0.0
-      & info [ "chaos" ] ~docv:"RATE"
-          ~doc:
-            "Enable deterministic fault injection at the given per-site rate \
-             (0.0-1.0) and print the inject/recover balance.")
-  in
-  let chaos_seed =
-    Arg.(
-      value
-      & opt int 42
-      & info [ "chaos-seed" ] ~docv:"N" ~doc:"Seed for the fault-injection PRNG streams.")
-  in
   Term.(
-    const run_workload $ cpus $ procs $ chaos $ chaos_seed $ partition_at_arg
+    const run_workload $ cpus_arg $ procs_arg $ chaos_arg $ chaos_seed_arg $ partition_at_arg
     $ partition_for_arg $ partition_minority_arg $ prefetch_arg $ batch_arg
     $ policy_arg $ tiers_arg $ audit_flag $ audit_out $ metrics_out
     $ trace_out)
 
 let run_cmd = Cmd.v (Cmd.info "run" ~doc:"Run a UNIX workload and print statistics") run_term
 
-(* `ckos audit`: the run workload with the audit always on. *)
-let audit_term =
-  let cpus = Arg.(value & opt int 4 & info [ "cpus" ] ~doc:"CPUs per MPM.") in
-  let procs = Arg.(value & opt int 4 & info [ "procs" ] ~doc:"Processes to run.") in
-  let chaos =
-    Arg.(
-      value
-      & opt float 0.0
-      & info [ "chaos" ] ~docv:"RATE"
-          ~doc:"Enable deterministic fault injection at the given per-site rate.")
-  in
-  let chaos_seed =
-    Arg.(
-      value
-      & opt int 42
-      & info [ "chaos-seed" ] ~docv:"N" ~doc:"Seed for the fault-injection PRNG streams.")
-  in
-  Term.(
-    const
-      (fun cpus procs chaos seed partition_at partition_for partition_minority prefetch
-           batch policy tiers audit_out metrics_out trace_out ->
-        run_workload cpus procs chaos seed partition_at partition_for partition_minority
-          prefetch batch policy tiers true audit_out metrics_out trace_out)
-    $ cpus $ procs $ chaos $ chaos_seed $ partition_at_arg $ partition_for_arg
-    $ partition_minority_arg $ prefetch_arg $ batch_arg $ policy_arg
-    $ tiers_arg $ audit_out $ metrics_out $ trace_out)
-
-let audit_cmd =
-  Cmd.v
-    (Cmd.info "audit"
-       ~doc:"Run a workload, then audit every cross-layer invariant (with repair)")
-    audit_term
-
 let trace_cmd =
   Cmd.v (Cmd.info "trace" ~doc:"Trace the Figure 2 fault protocol")
     Term.(const show_trace $ metrics_out $ trace_out)
 
-let micro_cmd =
-  Cmd.v (Cmd.info "micro" ~doc:"Table 2 micro-benchmarks") Term.(const show_micro $ const ())
+let bench_cmd =
+  let names =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"NAME" ~doc:"Scenarios to run (default: every scenario).")
+  in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         "Run benchmark scenarios, print their tables and gate verdicts, merge them \
+          into BENCH_metrics.json, and exit nonzero if a gate failed")
+    Term.(const run_bench $ names)
 
 let checkpoint_cmd =
-  let cpus = Arg.(value & opt int 4 & info [ "cpus" ] ~doc:"CPUs per MPM.") in
-  let procs = Arg.(value & opt int 4 & info [ "procs" ] ~doc:"Processes to run.") in
   let pause_us =
     Arg.(
       value
@@ -491,7 +413,7 @@ let checkpoint_cmd =
   Cmd.v
     (Cmd.info "checkpoint"
        ~doc:"Run the UNIX session, checkpoint the application kernel to a file, and audit")
-    Term.(const run_checkpoint $ cpus $ procs $ pause_us $ out)
+    Term.(const run_checkpoint $ cpus_arg $ procs_arg $ pause_us $ out)
 
 (* `ckos cluster`: boot an n-node cluster on one interconnect and run it
    on the windowed multi-node engine.  Prints per-node stats plus a digest
@@ -500,7 +422,7 @@ let checkpoint_cmd =
 let run_cluster nodes until_us load chaos chaos_seed partition_at
     partition_for partition_minority metrics_out =
   let chaos_cfg =
-    chaos_config ~rate:chaos ~seed:chaos_seed ?partition_at ~partition_for
+    Workload.Session.chaos ~rate:chaos ~seed:chaos_seed ?partition_at ~partition_for
       ~partition_minority ()
   in
   let config =
@@ -552,26 +474,13 @@ let cluster_cmd =
       & info [ "load" ] ~docv:"T"
           ~doc:"Self-yielding compute threads to spawn per node.")
   in
-  let chaos =
-    Arg.(
-      value
-      & opt float 0.0
-      & info [ "chaos" ] ~docv:"RATE"
-          ~doc:"Deterministic fault injection at the given per-site rate.")
-  in
-  let chaos_seed =
-    Arg.(
-      value
-      & opt int 42
-      & info [ "chaos-seed" ] ~docv:"N" ~doc:"Seed for the fault-injection PRNG streams.")
-  in
   Cmd.v
     (Cmd.info "cluster"
        ~doc:
          "Run a multi-node cluster and print a digest of every node's metrics and \
           trace")
     Term.(
-      const run_cluster $ nodes $ until_us $ load $ chaos $ chaos_seed
+      const run_cluster $ nodes $ until_us $ load $ chaos_arg $ chaos_seed_arg
       $ partition_at_arg $ partition_for_arg $ partition_minority_arg $ metrics_out)
 
 let restore_cmd =
@@ -595,6 +504,6 @@ let () =
           ~default:run_term (* `ckos --metrics-out m.json` runs the workload *)
           (Cmd.info "ckos" ~doc:"Cache Kernel (OSDI '94) reproduction inspector")
           [
-            info_cmd; run_cmd; trace_cmd; micro_cmd; audit_cmd; cluster_cmd;
-            checkpoint_cmd; restore_cmd;
+            info_cmd; run_cmd; trace_cmd; bench_cmd; cluster_cmd; checkpoint_cmd;
+            restore_cmd;
           ]))

@@ -46,6 +46,12 @@ let create chaos =
 
 let enabled t = t.chaos <> None
 
+let sites =
+  [ "bstore.fail"; "bstore.delay"; "tier.promote.fail"; "tier.promote.delay";
+    "tier.demote.fail"; "tier.demote.delay"; "signal.drop"; "signal.dup";
+    "stale.load"; "fault.forward"; "node.crash"; "migrate.drop";
+    "net.partition"; "net.heal" ]
+
 let set_hooks t ~on_inject ~on_recover =
   t.on_inject <- on_inject;
   t.on_recover <- on_recover

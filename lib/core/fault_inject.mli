@@ -15,6 +15,11 @@ val create : Config.chaos option -> t
 
 val enabled : t -> bool
 
+val sites : string list
+(** Every site name that reports through {!inject} / {!recover}, i.e.
+    every [inject.<site>] / [recover.<site>] counter a run can produce
+    (DESIGN.md section 6). *)
+
 val set_hooks : t -> on_inject:(string -> unit) -> on_recover:(string -> unit) -> unit
 (** Install the observability callbacks.  {!Instance.create} points these
     at [inject.<site>] / [recover.<site>] metrics counters and

@@ -217,6 +217,7 @@ let r_page r =
   let index = r_i64 r in
   let data = r_bytes r in
   if index < 0 then raise (Bad "page index");
+  if Bytes.length data > Hw.Addr.page_size then raise (Bad "page data longer than a page");
   { index; data }
 
 let r_segment r =
@@ -284,7 +285,7 @@ let decode b =
     List.iter
       (fun (t : thread_image) ->
         match t.space with
-        | Some i when i >= List.length spaces -> raise (Bad "thread space index")
+        | Some i when i < 0 || i >= List.length spaces -> raise (Bad "thread space index")
         | _ -> ())
       threads;
     if r.pos <> r.limit then raise (Bad "trailing garbage in body");

@@ -1,5 +1,5 @@
 (* Failover-capable multi-node scaffolding shared by the robustness tests
-   and the [bench --failover] sweep.
+   and the `ckos bench fo` scenario.
 
    Builds an [n]-node cluster on one interconnect — instance, booted SRM
    and distributed layer per node, all-to-all peering — and wires the

@@ -82,6 +82,43 @@ let thread_point ?config ?(capacity = 64) ?(rounds = 20) ?(prepare = fun _ -> ()
 let thread_sweep ?config ?capacity ?rounds ?prepare counts =
   List.map (thread_point ?config ?capacity ?rounds ?prepare) counts
 
+(* -- one thread over one segment: the shape of the C2, SK and TS sweeps -- *)
+
+let base = 0x40000000
+
+(* A one-CPU instance whose first kernel maps one [pages]-page segment at
+   [base] in a fresh space; [prepare] sees the instance before boot. *)
+let segment_setup ~config ~prepare ~name pages =
+  let inst = Setup.instance ~config ~cpus:1 () in
+  prepare inst;
+  let ak = Setup.first_kernel inst in
+  let mgr = ak.App_kernel.mgr in
+  let vsp = Setup.ok (Segment_mgr.create_space mgr) in
+  let seg = Segment_mgr.create_segment mgr ~name ~pages in
+  Segment_mgr.attach_region mgr vsp
+    (Region.v ~va_start:base ~pages ~segment:seg ~seg_offset:0 ());
+  (inst, ak, vsp, seg)
+
+(* Pre-resident pages: the sweep exercises mapping descriptors, not paging. *)
+let make_resident ak seg pages =
+  for page = 0 to pages - 1 do
+    let pfn = Option.get (Frame_alloc.alloc ak.App_kernel.frames) in
+    Segment.set_state seg page
+      (Segment.In_memory
+         { Segment.pfn; dirty = false; backing = None; mappers = []; cow_pending = None })
+  done
+
+(* Run [body] as one thread of the space to quiescence; returns the
+   elapsed simulated us. *)
+let run_body inst ak vsp body =
+  let t0 = Setup.now_us inst in
+  ignore
+    (Setup.ok
+       (Thread_lib.spawn ak.App_kernel.threads ~space_tag:vsp.Segment_mgr.tag ~priority:8
+          (Hw.Exec.unit_body body)));
+  ignore (Engine.run [| inst |]);
+  Setup.now_us inst -. t0
+
 (* -- C2: mapping-cache sweep -- *)
 
 type page_point = {
@@ -106,22 +143,8 @@ let page_point ?config ?(mapping_capacity = 256) ?(passes = 4) ?(prepare = fun _
       Config.mapping_cache = mapping_capacity;
     }
   in
-  let inst = Setup.instance ~config ~cpus:1 () in
-  prepare inst;
-  let ak = Setup.first_kernel inst in
-  let mgr = ak.App_kernel.mgr in
-  let vsp = Setup.ok (Segment_mgr.create_space mgr) in
-  let seg = Segment_mgr.create_segment mgr ~name:"sweep" ~pages in
-  let base = 0x40000000 in
-  Segment_mgr.attach_region mgr vsp
-    (Region.v ~va_start:base ~pages ~segment:seg ~seg_offset:0 ());
-  (* pre-resident: only mapping descriptors are exercised, not paging *)
-  for page = 0 to pages - 1 do
-    let pfn = Option.get (Frame_alloc.alloc ak.App_kernel.frames) in
-    Segment.set_state seg page
-      (Segment.In_memory
-         { Segment.pfn; dirty = false; backing = None; mappers = []; cow_pending = None })
-  done;
+  let inst, ak, vsp, seg = segment_setup ~config ~prepare ~name:"sweep" pages in
+  make_resident ak seg pages;
   let body () =
     for _ = 1 to passes do
       for p = 0 to pages - 1 do
@@ -129,13 +152,7 @@ let page_point ?config ?(mapping_capacity = 256) ?(passes = 4) ?(prepare = fun _
       done
     done
   in
-  let t0 = Setup.now_us inst in
-  ignore
-    (Setup.ok
-       (Thread_lib.spawn ak.App_kernel.threads ~space_tag:vsp.Segment_mgr.tag ~priority:8
-          (Hw.Exec.unit_body body)));
-  ignore (Engine.run [| inst |]);
-  let elapsed = Setup.now_us inst -. t0 in
+  let elapsed = run_body inst ak vsp body in
   {
     pages;
     mapping_capacity;
@@ -172,23 +189,9 @@ let skew_point ?config ?(capacity = 128) ?(hot = 96) ?(cold = 64) ?(passes = 8)
   let config =
     { (Option.value config ~default:Config.default) with Config.mapping_cache = capacity }
   in
-  let inst = Setup.instance ~config ~cpus:1 () in
-  prepare inst;
-  let ak = Setup.first_kernel inst in
-  let mgr = ak.App_kernel.mgr in
-  let vsp = Setup.ok (Segment_mgr.create_space mgr) in
   let pages = hot + (passes * cold) in
-  let seg = Segment_mgr.create_segment mgr ~name:"skew" ~pages in
-  let base = 0x40000000 in
-  Segment_mgr.attach_region mgr vsp
-    (Region.v ~va_start:base ~pages ~segment:seg ~seg_offset:0 ());
-  (* pre-resident, as in {!page_point}: mapping descriptors only *)
-  for page = 0 to pages - 1 do
-    let pfn = Option.get (Frame_alloc.alloc ak.App_kernel.frames) in
-    Segment.set_state seg page
-      (Segment.In_memory
-         { Segment.pfn; dirty = false; backing = None; mappers = []; cow_pending = None })
-  done;
+  let inst, ak, vsp, seg = segment_setup ~config ~prepare ~name:"skew" pages in
+  make_resident ak seg pages;
   let body () =
     (* interleave the hot re-reads with the cold stream: the hardware
        referenced bits are only harvested when a fault triggers a victim
@@ -210,13 +213,7 @@ let skew_point ?config ?(capacity = 128) ?(hot = 96) ?(cold = 64) ?(passes = 8)
       done
     done
   in
-  let t0 = Setup.now_us inst in
-  ignore
-    (Setup.ok
-       (Thread_lib.spawn ak.App_kernel.threads ~space_tag:vsp.Segment_mgr.tag ~priority:8
-          (Hw.Exec.unit_body body)));
-  ignore (Engine.run [| inst |]);
-  let elapsed = Setup.now_us inst -. t0 in
+  let elapsed = run_body inst ak vsp body in
   let accesses = passes * (hot + cold) in
   let faults = inst.Instance.stats.Stats.faults_forwarded in
   {
@@ -261,16 +258,8 @@ let tier_point ?config ?(slots = 64) ?(hot = 64) ?(cold = 32) ?(passes = 6) ?(fr
   let config =
     { (Option.value config ~default:Config.default) with Config.fast_tier_slots = slots }
   in
-  let inst = Setup.instance ~config ~cpus:1 () in
-  prepare inst;
-  let ak = Setup.first_kernel inst in
-  let mgr = ak.App_kernel.mgr in
-  let vsp = Setup.ok (Segment_mgr.create_space mgr) in
   let pages = hot + (passes * cold) in
-  let seg = Segment_mgr.create_segment mgr ~name:"tiers" ~pages in
-  let base = 0x40000000 in
-  Segment_mgr.attach_region mgr vsp
-    (Region.v ~va_start:base ~pages ~segment:seg ~seg_offset:0 ());
+  let inst, ak, vsp, _ = segment_setup ~config ~prepare ~name:"tiers" pages in
   (* bound the frame pool so the working set cannot stay resident: this
      sweep exercises the paging path, not just mapping descriptors *)
   let spare = Frame_alloc.available ak.App_kernel.frames - frames in
@@ -289,13 +278,7 @@ let tier_point ?config ?(slots = 64) ?(hot = 64) ?(cold = 32) ?(passes = 6) ?(fr
       done
     done
   in
-  let t0 = Setup.now_us inst in
-  ignore
-    (Setup.ok
-       (Thread_lib.spawn ak.App_kernel.threads ~space_tag:vsp.Segment_mgr.tag ~priority:8
-          (Hw.Exec.unit_body body)));
-  ignore (Engine.run [| inst |]);
-  let elapsed = Setup.now_us inst -. t0 in
+  let elapsed = run_body inst ak vsp body in
   let store = ak.App_kernel.store in
   let fast_hits = Backing_store.tier_fast_hits store in
   let slow_hits = Backing_store.tier_slow_hits store in

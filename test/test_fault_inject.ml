@@ -275,7 +275,22 @@ let test_counter_balance () =
         (Printf.sprintf "%s inject = recover" site)
         (counter inst ("inject." ^ site))
         (counter inst ("recover." ^ site)))
-    balanced
+    balanced;
+  (* every inject./recover. counter the run produced names a site in
+     Fault_inject.sites, the list `ckos run --chaos` prints the balance of *)
+  List.iter
+    (fun name ->
+      List.iter
+        (fun prefix ->
+          let n = String.length prefix in
+          if String.length name > n && String.sub name 0 n = prefix then
+            let site = String.sub name n (String.length name - n) in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s is a listed site" name)
+              true
+              (List.mem site Fault_inject.sites))
+        [ "inject."; "recover." ])
+    (Metrics.exported_names inst.Instance.metrics)
 
 (* -- tier-migration fault sites --
 

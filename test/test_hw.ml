@@ -258,6 +258,31 @@ let test_event_queue_popped_collectable () =
   Alcotest.(check (option int)) "later entry unaffected" (Some 99)
     (Hw.Event_queue.next_time q)
 
+(* Allocation probe: the schedule + run_next hot loop with a preallocated
+   action must stay off the minor heap (at most 1.0 minor words per
+   event; the structure-of-arrays queue measures 0.0). *)
+let test_event_queue_alloc () =
+  let q = Hw.Event_queue.create () in
+  let sink = ref 0 in
+  let f () = incr sink in
+  (* warm the heap arrays so growth does not count against the loop *)
+  for i = 1 to 64 do
+    Hw.Event_queue.schedule q ~time:i f
+  done;
+  for _ = 1 to 64 do
+    ignore (Hw.Event_queue.run_next q)
+  done;
+  let n = 100_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    Hw.Event_queue.schedule q ~time:i f;
+    ignore (Hw.Event_queue.run_next q)
+  done;
+  let per_event = (Gc.minor_words () -. w0) /. float_of_int n in
+  if per_event > 1.0 then
+    Alcotest.failf "event-queue loop allocates %.3f minor words/event (bound 1.0)"
+      per_event
+
 (* Model test: arbitrary interleavings of schedule and run_next against a
    stable sorted-list reference — same pop order (ties broken by
    insertion sequence), same peeks, same emptiness. *)
@@ -739,6 +764,8 @@ let () =
           Alcotest.test_case "popped action is collectable" `Quick
             test_event_queue_popped_collectable;
           qcheck prop_event_queue_model;
+          Alcotest.test_case "hot loop stays off the minor heap" `Quick
+            test_event_queue_alloc;
         ] );
       ("mmu", [ Alcotest.test_case "translate and fault taxonomy" `Quick test_mmu ]);
       ("exec", [ Alcotest.test_case "effects and continuations" `Quick test_exec ]);

@@ -118,6 +118,74 @@ let test_codec_corruption () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "corrupt image accepted"
 
+(* Forged images: well-formed and correctly checksummed, but carrying a
+   value restore cannot apply.  Decode must reject them, and so must a
+   restore from a file holding one, without raising. *)
+let forged_image_rejected img () =
+  let b = Migrate.Codec.encode img in
+  (match Migrate.Codec.decode b with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "forged image decoded");
+  let path = Filename.temp_file "ck_forged" ".img" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+      let ak = Workload.Setup.first_kernel (Workload.Setup.instance ()) in
+      match Migrate.Checkpoint.restore ak ~path ~programs:[] () with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "forged image restored")
+
+let forged_space ~pages payload =
+  {
+    Migrate.Codec.space_tag = 1;
+    space_gen = 0;
+    segments = [ { Migrate.Codec.seg_name = "s"; seg_pages = pages; payload } ];
+    regions =
+      [
+        {
+          Migrate.Codec.va_start = 0x40000000;
+          rg_pages = pages;
+          seg = 0;
+          seg_offset = 0;
+          writable = true;
+          message_mode = false;
+        };
+      ];
+  }
+
+let forged_negative_space =
+  {
+    Migrate.Codec.src_node = 0;
+    spaces = [ forged_space ~pages:1 [] ];
+    threads =
+      [
+        {
+          Migrate.Codec.thread_tag = 1;
+          thread_gen = 0;
+          program = "p";
+          priority = 8;
+          affinity = None;
+          locked = false;
+          space = Some (-1);
+          xfer = 0;
+        };
+      ];
+    extras = [];
+  }
+
+let forged_long_page =
+  {
+    Migrate.Codec.src_node = 0;
+    spaces =
+      [
+        forged_space ~pages:2
+          [ { Migrate.Codec.index = 0; data = Bytes.make (Hw.Addr.page_size + 1) 'x' } ];
+      ];
+    threads = [];
+    extras = [];
+  }
+
 (* -- cluster scaffolding -- *)
 
 let two_nodes ?config () =
@@ -363,6 +431,10 @@ let () =
           QCheck_alcotest.to_alcotest wire_truncation;
           Alcotest.test_case "malformed frames rejected" `Quick test_wire_garbage;
           Alcotest.test_case "corrupt image rejected" `Quick test_codec_corruption;
+          Alcotest.test_case "negative thread space index rejected" `Quick
+            (forged_image_rejected forged_negative_space);
+          Alcotest.test_case "page data longer than a page rejected" `Quick
+            (forged_image_rejected forged_long_page);
         ] );
       ( "live",
         [

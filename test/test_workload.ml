@@ -1,6 +1,7 @@
 (* Shape-regression tests: the qualitative claims of the evaluation section
    must keep holding — orderings, knees, enforcement effects.  These run
-   the same scenario builders as bench/main.exe with reduced sizes. *)
+   the builders behind the `ckos bench` scenarios with reduced sizes; the
+   registry group runs the scenarios themselves, gates included. *)
 
 let test_table2_shape () =
   let rows = Workload.Micro.table2 () in
@@ -103,6 +104,39 @@ let test_mp3d_shape () =
     (c.Workload.Locality.scattered.Sim_kernel.Mp3d.tlb_miss_rate
     > 10.0 *. c.Workload.Locality.clustered.Sim_kernel.Mp3d.tlb_miss_rate)
 
+(* -- the scenario registry -- *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let test_registry_unique () =
+  let names = Workload.Bench.names in
+  Alcotest.(check int) "no duplicate names" (List.length names)
+    (List.length (List.sort_uniq compare names))
+
+let test_registry_unknown () =
+  match Workload.Bench.select [ "t1"; "nope" ] with
+  | Ok _ -> Alcotest.fail "unknown scenario accepted"
+  | Error msg ->
+    List.iter
+      (fun n -> Alcotest.(check bool) (n ^ " listed") true (contains msg n))
+      ("nope" :: Workload.Bench.names)
+
+(* Every simulated scenario, at its benchmark size, with its gates.  WC
+   times the host against a checked-in baseline, so it stays out of the
+   test suite. *)
+let test_registry_scenarios () =
+  List.iter
+    (fun (s : Workload.Scenario.t) ->
+      if s.name <> "wc" then begin
+        let r = s.run () in
+        Alcotest.(check bool) (s.name ^ " has rows") true (r.rows <> []);
+        List.iter (fun (g, ok) -> Alcotest.(check bool) (s.name ^ ": " ^ g) true ok) r.gates
+      end)
+    Workload.Bench.all
+
 let () =
   Alcotest.run "workload-shapes"
     [
@@ -126,5 +160,11 @@ let () =
         [
           Alcotest.test_case "ipc ordering" `Quick test_ipc_shape;
           Alcotest.test_case "mp3d locality" `Slow test_mp3d_shape;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "names are unique" `Quick test_registry_unique;
+          Alcotest.test_case "unknown name lists the valid ones" `Quick test_registry_unknown;
+          Alcotest.test_case "every scenario passes its gates" `Quick test_registry_scenarios;
         ] );
     ]
