@@ -782,9 +782,9 @@ let write_segment_now t seg ~offset data =
         | Segment.On_disk _ | Segment.Cow_of _ ->
           failwith "write_segment_now: page not writable at boot"
       in
-      Hw.Phys_mem.write_bytes mem
+      Hw.Phys_mem.write_sub mem
         (Hw.Addr.addr_of_page r.Segment.pfn + in_page)
-        (Bytes.sub data off chunk);
+        data ~pos:off ~len:chunk;
       r.Segment.dirty <- true;
       loop (off + chunk)
     end

@@ -71,9 +71,11 @@ let read_bytes t paddr len =
   loop paddr 0 len;
   out
 
-(** Copy [data] into physical memory starting at [paddr]. *)
-let write_bytes t paddr data =
-  let len = Bytes.length data in
+(** Copy the [len] bytes of [data] at [pos] into physical memory
+    starting at [paddr]. *)
+let write_sub t paddr data ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length data then
+    invalid_arg "Phys_mem.write_sub: range outside the source";
   check t paddr len;
   let rec loop dst src remaining =
     if remaining > 0 then begin
@@ -83,7 +85,10 @@ let write_bytes t paddr data =
       loop (dst + n) (src + n) (remaining - n)
     end
   in
-  loop paddr 0 len
+  loop paddr pos len
+
+(** Copy [data] into physical memory starting at [paddr]. *)
+let write_bytes t paddr data = write_sub t paddr data ~pos:0 ~len:(Bytes.length data)
 
 (* The end of [b]'s bytes from [pos] up to [i] without their zero tail:
    whole 64-bit words first, then bytes. *)

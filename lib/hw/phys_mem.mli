@@ -25,6 +25,10 @@ val read_bytes : t -> int -> int -> Bytes.t
 
 val write_bytes : t -> int -> Bytes.t -> unit
 
+val write_sub : t -> int -> Bytes.t -> pos:int -> len:int -> unit
+(** [write_sub t paddr data ~pos ~len] writes the [len] bytes of [data] at
+    [pos], without copying them out first. *)
+
 val extent : Bytes.t -> pos:int -> len:int -> int
 (** [extent b ~pos ~len] is the length of those bytes of [b] without
     their zero tail. *)

@@ -64,100 +64,129 @@ type image = {
 
 (* -- checksum: FNV-1a, 32 bit -- *)
 
-let fnv32 b =
+let fnv32_range b ~pos ~len =
   let h = ref 0x811c9dc5 in
-  Bytes.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF) b;
+  for i = pos to pos + len - 1 do
+    h := (!h lxor Char.code (Bytes.get b i)) * 0x01000193 land 0xFFFFFFFF
+  done;
   !h
 
-(* -- writer -- *)
+let fnv32 b = fnv32_range b ~pos:0 ~len:(Bytes.length b)
 
-let w_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xFF))
+(* The largest image [decode] accepts, and the largest buffer chunk
+   reassembly may size. *)
+let max_image_bytes = 1 lsl 28
 
-let w_u32 buf v =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int v);
-  Buffer.add_bytes buf b
+(* -- writer --
 
-let w_i64 buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int v);
-  Buffer.add_bytes buf b
+   [encode] runs the body writer twice: a dry pass that only advances
+   [pos] sizes the image, then a second pass fills one exact-size buffer
+   that already holds the header, so no byte is copied twice. *)
 
-let w_bool buf v = w_u8 buf (if v then 1 else 0)
+type writer = { out : Bytes.t; mutable pos : int; dry : bool }
 
-let w_str buf s =
-  if String.length s > 0xFFFF then invalid_arg "Codec: string too long";
-  w_u8 buf (String.length s land 0xFF);
-  w_u8 buf (String.length s lsr 8);
-  Buffer.add_string buf s
+let w_u8 w v =
+  if not w.dry then Bytes.set w.out w.pos (Char.chr (v land 0xFF));
+  w.pos <- w.pos + 1
 
-let w_bytes buf b =
-  w_u32 buf (Bytes.length b);
-  Buffer.add_bytes buf b
+let w_u32 w v =
+  if not w.dry then Bytes.set_int32_le w.out w.pos (Int32.of_int v);
+  w.pos <- w.pos + 4
 
-let w_opt w buf = function
-  | None -> w_u8 buf 0
+let w_i64 w v =
+  if not w.dry then Bytes.set_int64_le w.out w.pos (Int64.of_int v);
+  w.pos <- w.pos + 8
+
+let w_bool w v = w_u8 w (if v then 1 else 0)
+
+let w_u16 w n =
+  w_u8 w (n land 0xFF);
+  w_u8 w (n lsr 8)
+
+let w_str w s =
+  let len = String.length s in
+  if len > 0xFFFF then invalid_arg "Codec: string too long";
+  w_u16 w len;
+  if not w.dry then Bytes.blit_string s 0 w.out w.pos len;
+  w.pos <- w.pos + len
+
+let w_bytes w b =
+  let len = Bytes.length b in
+  w_u32 w len;
+  if not w.dry then Bytes.blit b 0 w.out w.pos len;
+  w.pos <- w.pos + len
+
+let w_opt wr w = function
+  | None -> w_u8 w 0
   | Some v ->
-    w_u8 buf 1;
-    w buf v
+    w_u8 w 1;
+    wr w v
 
-let w_list w buf l =
-  if List.length l > 0xFFFF then invalid_arg "Codec: list too long";
-  w_u8 buf (List.length l land 0xFF);
-  w_u8 buf (List.length l lsr 8);
-  List.iter (w buf) l
+let w_list wr w l =
+  let n = List.length l in
+  if n > 0xFFFF then invalid_arg "Codec: list too long";
+  w_u16 w n;
+  List.iter (wr w) l
 
-let w_page buf p =
-  w_i64 buf p.index;
-  w_bytes buf p.data
+let w_page w p =
+  w_i64 w p.index;
+  w_bytes w p.data
 
-let w_segment buf s =
-  w_str buf s.seg_name;
-  w_i64 buf s.seg_pages;
-  w_list w_page buf s.payload
+let w_segment w s =
+  w_str w s.seg_name;
+  w_i64 w s.seg_pages;
+  w_list w_page w s.payload
 
-let w_region buf r =
-  w_i64 buf r.va_start;
-  w_i64 buf r.rg_pages;
-  w_i64 buf r.seg;
-  w_i64 buf r.seg_offset;
-  w_bool buf r.writable;
-  w_bool buf r.message_mode
+let w_region w r =
+  w_i64 w r.va_start;
+  w_i64 w r.rg_pages;
+  w_i64 w r.seg;
+  w_i64 w r.seg_offset;
+  w_bool w r.writable;
+  w_bool w r.message_mode
 
-let w_space buf s =
-  w_i64 buf s.space_tag;
-  w_i64 buf s.space_gen;
-  w_list w_segment buf s.segments;
-  w_list w_region buf s.regions
+let w_space w s =
+  w_i64 w s.space_tag;
+  w_i64 w s.space_gen;
+  w_list w_segment w s.segments;
+  w_list w_region w s.regions
 
-let w_thread buf t =
-  w_i64 buf t.thread_tag;
-  w_i64 buf t.thread_gen;
-  w_str buf t.program;
-  w_i64 buf t.priority;
-  w_opt w_i64 buf t.affinity;
-  w_bool buf t.locked;
-  w_opt w_i64 buf t.space;
-  w_i64 buf t.xfer
+let w_thread w t =
+  w_i64 w t.thread_tag;
+  w_i64 w t.thread_gen;
+  w_str w t.program;
+  w_i64 w t.priority;
+  w_opt w_i64 w t.affinity;
+  w_bool w t.locked;
+  w_opt w_i64 w t.space;
+  w_i64 w t.xfer
 
-let w_extra buf (k, v) =
-  w_str buf k;
-  w_str buf v
+let w_extra w (k, v) =
+  w_str w k;
+  w_str w v
 
+let w_body w img =
+  w_i64 w img.src_node;
+  w_list w_space w img.spaces;
+  w_list w_thread w img.threads;
+  w_list w_extra w img.extras
+
+(* magic | version | body length *)
+let header_bytes = String.length magic + 1 + 4
+
+(* CKMG v1: header, body, then the FNV-1a checksum of the body. *)
 let encode img =
-  let body = Buffer.create 4096 in
-  w_i64 body img.src_node;
-  w_list w_space body img.spaces;
-  w_list w_thread body img.threads;
-  w_list w_extra body img.extras;
-  let body = Buffer.to_bytes body in
-  let out = Buffer.create (Bytes.length body + 16) in
-  Buffer.add_string out magic;
-  w_u8 out version;
-  w_u32 out (Bytes.length body);
-  Buffer.add_bytes out body;
-  w_u32 out (fnv32 body);
-  Buffer.to_bytes out
+  let sizer = { out = Bytes.empty; pos = 0; dry = true } in
+  w_body sizer img;
+  let body_len = sizer.pos in
+  let w = { out = Bytes.create (header_bytes + body_len + 4); pos = 0; dry = false } in
+  Bytes.blit_string magic 0 w.out 0 (String.length magic);
+  w.pos <- String.length magic;
+  w_u8 w version;
+  w_u32 w body_len;
+  w_body w img;
+  w_u32 w (fnv32_range w.out ~pos:header_bytes ~len:body_len);
+  w.out
 
 (* -- reader: every access bounds-checked; any violation rejects the
    whole image -- *)
@@ -182,7 +211,10 @@ let r_u32 r =
 
 let r_i64 r =
   need r 8;
-  let v = Int64.to_int (Bytes.get_int64_le r.b r.pos) in
+  let w = Bytes.get_int64_le r.b r.pos in
+  let v = Int64.to_int w in
+  (* [encode] only writes values an OCaml int can hold *)
+  if Int64.of_int v <> w then raise (Bad "integer out of range");
   r.pos <- r.pos + 8;
   v
 
@@ -267,17 +299,18 @@ let r_extra r =
 let decode b =
   try
     let mlen = String.length magic in
-    if Bytes.length b < mlen + 9 then raise (Bad "truncated header");
+    if Bytes.length b < header_bytes + 4 then raise (Bad "truncated header");
     if Bytes.sub_string b 0 mlen <> magic then raise (Bad "bad magic");
     let hdr = { b; pos = mlen; limit = Bytes.length b } in
     let v = r_u8 hdr in
     if v <> version then raise (Bad (Printf.sprintf "version %d (want %d)" v version));
     let body_len = r_u32 hdr in
+    if header_bytes + body_len + 4 > max_image_bytes then raise (Bad "oversized image");
     if hdr.pos + body_len + 4 > Bytes.length b then raise (Bad "truncated body");
-    let body = Bytes.sub b hdr.pos body_len in
     let csum = { b; pos = hdr.pos + body_len; limit = Bytes.length b } in
-    if r_u32 csum <> fnv32 body then raise (Bad "checksum mismatch");
-    let r = { b = body; pos = 0; limit = body_len } in
+    if r_u32 csum <> fnv32_range b ~pos:hdr.pos ~len:body_len then raise (Bad "checksum mismatch");
+    (* parse the body where it lies *)
+    let r = { b; pos = hdr.pos; limit = hdr.pos + body_len } in
     let src_node = r_i64 r in
     let spaces = r_list r_space r in
     let threads = r_list r_thread r in

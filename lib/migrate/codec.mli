@@ -53,10 +53,18 @@ type image = {
 }
 
 val encode : image -> Bytes.t
+(** The CKMG v1 image: [magic | version | body length | body | FNV-1a-32
+    of the body], built in one exact-size buffer. *)
 
 val decode : Bytes.t -> (image, string) result
-(** Rejects truncated input, bad magic/version, checksum mismatches and
-    inconsistent internal indices — never half-applies. *)
+(** Rejects truncated input, bad magic/version, checksum mismatches,
+    images over {!max_image_bytes} and inconsistent internal indices —
+    never half-applies, never raises.  Bytes past the checksum are
+    ignored (a checkpoint file is page-padded). *)
+
+val max_image_bytes : int
+(** The largest image {!decode} accepts; chunk reassembly never sizes a
+    buffer beyond it. *)
 
 val fnv32 : Bytes.t -> int
 (** The checksum used by {!encode} (FNV-1a, 32 bit). *)

@@ -8,10 +8,10 @@
    - capture: deschedule/unload the target (an active thread's unload is
      deferred to its next kernel exit, so capture retries on a timer until
      the writeback record has landed);
-   - ship: chunk the encoded image to fit the fiber MTU and transmit each
-     chunk through the transport the SRM provides; chunk loss and
-     duplication are recovered by a retransmit watchdog on the source and
-     idempotent reassembly plus re-acks on the destination;
+   - ship: encode the image once, then transmit it as MTU-sized slices
+     through the transport the SRM provides; chunk loss and duplication
+     are recovered by a retransmit watchdog on the source and idempotent
+     reassembly plus re-acks on the destination;
    - apply: rebuild spaces, segments and page payloads, adopt the threads
      into the local thread library, and load them through the usual
      backoff/stale-retry path;
@@ -29,7 +29,7 @@ open Cachekernel
 open Aklib
 
 type transport = {
-  send_chunk : dst:int -> xfer:int -> seq:int -> total:int -> part:Bytes.t -> unit;
+  send_chunk : dst:int -> xfer:int -> seq:int -> total:int -> buf:Bytes.t -> off:int -> len:int -> unit;
   send_ack : dst:int -> xfer:int -> ok:bool -> unit;
   send_signal : dst:int -> xfer:int -> tag:int -> va:int -> unit;
   send_ctl : dst:int -> xfer:int -> op:int -> unit;
@@ -53,8 +53,8 @@ let registry : (int * int, residue) Hashtbl.t = Hashtbl.create 32
 
 type outgoing = {
   o_dst : int;
-  o_chunks : Bytes.t array;
-  o_bytes : int; (* image size; sets the retransmit horizon *)
+  o_image : Bytes.t; (* the encoded image; its size sets the retransmit horizon *)
+  o_chunk : int; (* bytes per chunk: chunk [seq] is the slice at [seq * o_chunk] *)
   o_started : float; (* us; pause-time measurement *)
   o_tags : int list; (* source thread tags (registry residue keys) *)
   o_epoch : int; (* sender epoch at capture time *)
@@ -65,10 +65,10 @@ type outgoing = {
 (* Acked transfers whose image the source retains until the destination
    confirms it scheduled the parked threads: the commit state.  A crash of
    either side during this window resolves by re-adoption from the
-   retained chunks — the image is freed only on [op_commit_ack]. *)
+   retained image — it is freed only on [op_commit_ack]. *)
 type committing = {
   c_dst : int;
-  c_chunks : Bytes.t array;
+  c_image : Bytes.t;
   c_started : float;
   c_tags : int list;
   c_epoch : int;
@@ -87,7 +87,17 @@ type landing = {
   mutable l_committed : bool;
 }
 
-type incoming = { i_src : int; i_total : int; i_parts : (int, Bytes.t) Hashtbl.t }
+(* A reassembly in progress.  Each admitted part is kept as the slice
+   [(buf, off, len)] of the frame it arrived in, so nothing is copied
+   until the whole image is assembled.  The chunk size is learned from
+   the wire: every part but the last is [i_chunk] long and the last one
+   [i_last]; they read 0 and -1 until such a part arrives. *)
+type incoming = {
+  i_total : int;
+  i_parts : (int, Bytes.t * int * int) Hashtbl.t;
+  mutable i_chunk : int;
+  mutable i_last : int;
+}
 
 type t = {
   ak : App_kernel.t;
@@ -117,6 +127,12 @@ let halted t = (inst t).Instance.halted
    crash would cut the code path short. *)
 let set_step_hook t f = t.on_step <- f
 let step t name = match t.on_step with None -> () | Some f -> f name
+
+(* [step] for the per-chunk points: the name is only built when a hook is
+   installed. *)
+let step_chunk t side seq =
+  match t.on_step with None -> () | Some f -> f (Printf.sprintf "%s.chunk.%d" side seq)
+
 let set_epoch_source t f = t.epoch_of <- f
 
 (* -- forwarding stub (source side) -------------------------------------- *)
@@ -166,11 +182,17 @@ let in_flight t = Hashtbl.length t.outgoing > 0 || Hashtbl.length t.committing >
 
 (* -- image capture ------------------------------------------------------ *)
 
+(* A full-page copy of frame [pfn], or [None] for a zero frame, which is
+   checked in place and not copied. *)
 let read_frame ak pfn =
-  Hw.Phys_mem.read_bytes ak.App_kernel.inst.Instance.node.Hw.Mpm.mem
-    (Hw.Addr.addr_of_page pfn) Hw.Addr.page_size
+  let mem = ak.App_kernel.inst.Instance.node.Hw.Mpm.mem in
+  let page n = Bytes.make (if n = 0 then 0 else Hw.Addr.page_size) '\000' in
+  let b = Hw.Phys_mem.copy_image_out mem ~pfn page in
+  if Bytes.length b = 0 then None else Some b
 
-let is_zero b = Bytes.for_all (fun c -> c = '\000') b
+let read_block ak block =
+  let b = Backing_store.read_block_now ak.App_kernel.store ~block in
+  if Hw.Phys_mem.extent b ~pos:0 ~len:(Bytes.length b) = 0 then None else Some b
 
 (* Full content of a segment as codec pages, resolving residency.  Reading
    is passive: the segment keeps its state, so capture never perturbs the
@@ -181,21 +203,21 @@ let segment_pages ak (seg : Segment.t) =
     let data =
       match Segment.state seg page with
       | Segment.Zero -> None
-      | Segment.In_memory r -> Some (read_frame ak r.Segment.pfn)
+      | Segment.In_memory r -> read_frame ak r.Segment.pfn
       | Segment.On_disk block ->
         (* through the store, not the raw disk: the authoritative copy may
            live in the fast tier *)
-        Some (Backing_store.read_block_now ak.App_kernel.store ~block)
+        read_block ak block
       | Segment.Cow_of (pseg, ppage) -> (
         (* deferred copy: the content still lives with the parent *)
         match Segment.state pseg ppage with
-        | Segment.In_memory r -> Some (read_frame ak r.Segment.pfn)
-        | Segment.On_disk block -> Some (Backing_store.read_block_now ak.App_kernel.store ~block)
+        | Segment.In_memory r -> read_frame ak r.Segment.pfn
+        | Segment.On_disk block -> read_block ak block
         | _ -> None)
     in
     match data with
-    | Some d when not (is_zero d) -> pages := { Codec.index = page; data = d } :: !pages
-    | _ -> ()
+    | Some d -> pages := { Codec.index = page; data = d } :: !pages
+    | None -> ()
   done;
   !pages
 
@@ -268,44 +290,42 @@ let chunk_bytes t =
   let cfg = (inst t).Instance.config.Config.migrate_chunk_bytes in
   max 1 (min cfg (Hw.Nic.Fiber.mtu - 64))
 
-let split_chunks t bytes =
-  let n = chunk_bytes t in
-  let len = Bytes.length bytes in
-  let total = max 1 ((len + n - 1) / n) in
-  Array.init total (fun i ->
-      let off = i * n in
-      Bytes.sub bytes off (min n (len - off)))
-
-(* Transmit every chunk of an in-flight transfer.  Each chunk consults the
-   migrate.drop fault site: an injected fault models the frame vanishing on
-   the fiber — the retransmit watchdog is the recovery moment. *)
-let send_chunks t ~dst ~xfer (chunks : Bytes.t array) =
+(* Transmit every chunk of an in-flight transfer: chunk [seq] is the
+   slice of the retained image at [seq * o_chunk], framed by the
+   transport.  Each chunk consults the migrate.drop fault site: an
+   injected fault models the frame vanishing on the fiber — the retransmit
+   watchdog is the recovery moment. *)
+let send_chunks t ~dst ~xfer (o : outgoing) =
   let i = inst t in
-  Array.iteri
-    (fun seq part ->
-      if not (halted t) then begin
-        (match Fault_inject.migrate_drop i.Instance.fi with
-        | Fault_inject.Inject ->
-          Fault_inject.inject i.Instance.fi ~site:"migrate.drop";
-          Instance.count i "migrate.chunks_dropped"
-        | Fault_inject.After_inject ->
-          Fault_inject.recover i.Instance.fi ~site:"migrate.drop";
-          Instance.count i "migrate.chunks_out";
-          t.transport.send_chunk ~dst ~xfer ~seq ~total:(Array.length chunks) ~part
-        | Fault_inject.Pass ->
-          Instance.count i "migrate.chunks_out";
-          t.transport.send_chunk ~dst ~xfer ~seq ~total:(Array.length chunks) ~part);
-        step t (Printf.sprintf "src.chunk.%d" seq)
-      end)
-    chunks
+  let size = Bytes.length o.o_image in
+  let total = max 1 ((size + o.o_chunk - 1) / o.o_chunk) in
+  let send seq =
+    let off = seq * o.o_chunk in
+    Instance.count i "migrate.chunks_out";
+    t.transport.send_chunk ~dst ~xfer ~seq ~total ~buf:o.o_image ~off
+      ~len:(min o.o_chunk (size - off))
+  in
+  let seq = ref 0 in
+  while !seq < total && not (halted t) do
+    (match Fault_inject.migrate_drop i.Instance.fi with
+    | Fault_inject.Inject ->
+      Fault_inject.inject i.Instance.fi ~site:"migrate.drop";
+      Instance.count i "migrate.chunks_dropped"
+    | Fault_inject.After_inject ->
+      Fault_inject.recover i.Instance.fi ~site:"migrate.drop";
+      send !seq
+    | Fault_inject.Pass -> send !seq);
+    step_chunk t "src" !seq;
+    incr seq
+  done
 
 (* Forward cell: re-adoption needs [apply], defined with the destination
    side below; the shipping watchdog needs re-adoption.  Tied at the
    bottom of the module. *)
-let readopt_cell : (t -> xfer:int -> tags:int list -> Bytes.t array -> unit) ref =
+let readopt_cell : (t -> xfer:int -> tags:int list -> Bytes.t -> unit) ref =
   ref (fun _ ~xfer:_ ~tags:_ _ -> ())
 
-let readopt t ~xfer ~tags chunks = !readopt_cell t ~xfer ~tags chunks
+let readopt t ~xfer ~tags image = !readopt_cell t ~xfer ~tags image
 
 let rec arm_watchdog t ~xfer =
   let i = inst t in
@@ -317,7 +337,7 @@ let rec arm_watchdog t ~xfer =
        proportional allowance for the receiver working through the chunk
        arrivals — so the timer counts [retry_us] (doubling per retry) from
        that horizon. *)
-    let wire_us = Hw.Cost.us_of_cycles (Hw.Cost.fiber_serialize o.o_bytes) in
+    let wire_us = Hw.Cost.us_of_cycles (Hw.Cost.fiber_serialize (Bytes.length o.o_image)) in
     let delay_us =
       (wire_us *. 1.1) +. (cfg.Config.migrate_retry_us *. float_of_int (1 lsl o.o_retries))
     in
@@ -330,17 +350,17 @@ let rec arm_watchdog t ~xfer =
             Hashtbl.remove t.outgoing xfer;
             Instance.count i "migrate.abandoned";
             (* crash-atomicity: the unreachable target may still hold (or
-               later assemble) the shipped image — the retained chunks
-               become authoritative again here, and the target is owed an
+               later assemble) the shipped image — the retained image
+               becomes authoritative again here, and the target is owed an
                abort so a resurrected copy cannot outlive this one *)
             Hashtbl.replace t.aborts xfer o.o_dst;
             t.transport.send_ctl ~dst:o.o_dst ~xfer ~op:op_abort;
-            readopt t ~xfer ~tags:o.o_tags o.o_chunks
+            readopt t ~xfer ~tags:o.o_tags o.o_image
           end
           else begin
             o.o_retries <- o.o_retries + 1;
             Instance.count i "migrate.retransmits";
-            send_chunks t ~dst:o.o_dst ~xfer o.o_chunks;
+            send_chunks t ~dst:o.o_dst ~xfer o;
             arm_watchdog t ~xfer
           end)
 
@@ -371,25 +391,26 @@ let rec arm_commit_watchdog t ~xfer =
 
 let ship t ~dst ~xfer ~oid img =
   let i = inst t in
-  let bytes = Codec.encode img in
-  let chunks = split_chunks t bytes in
+  let image = Codec.encode img in
   let tags = List.map (fun (th : Codec.thread_image) -> th.Codec.thread_tag) img.Codec.threads in
-  Hashtbl.replace t.outgoing xfer
+  let o =
     {
       o_dst = dst;
-      o_chunks = chunks;
-      o_bytes = Bytes.length bytes;
+      o_image = image;
+      o_chunk = chunk_bytes t;
       o_started = now_us t;
       o_tags = tags;
       o_epoch = t.epoch_of ();
       o_acked = false;
       o_retries = 0;
-    };
-  Metrics.incr ~by:(Bytes.length bytes) i.Instance.metrics "migrate.bytes_out";
-  Instance.trace i (Trace.Migrate_out { oid; dst; xfer; bytes = Bytes.length bytes });
+    }
+  in
+  Hashtbl.replace t.outgoing xfer o;
+  Metrics.incr ~by:(Bytes.length image) i.Instance.metrics "migrate.bytes_out";
+  Instance.trace i (Trace.Migrate_out { oid; dst; xfer; bytes = Bytes.length image });
   step t "src.capture";
   if not (halted t) then begin
-    send_chunks t ~dst ~xfer chunks;
+    send_chunks t ~dst ~xfer o;
     arm_watchdog t ~xfer
   end
 
@@ -703,12 +724,10 @@ let purge_landing t ~xfer (l : landing) =
    authoritative again.  Forwarding stubs for its threads come down —
    signals raised against the old ids reach the re-adopted copy through
    the landing routing, not the wire. *)
-let readopt_impl t ~xfer ~tags chunks =
+let readopt_impl t ~xfer ~tags image =
   let i = inst t in
   List.iter (fun tag -> Hashtbl.remove t.forwards tag) tags;
-  let buf = Buffer.create 4096 in
-  Array.iter (Buffer.add_bytes buf) chunks;
-  match Codec.decode (Buffer.to_bytes buf) with
+  match Codec.decode image with
   | Error msg ->
     Logs.warn (fun m -> m "migrate: re-adopt decode failed for xfer %d: %s" xfer msg);
     Instance.count i "migrate.readopt_failed"
@@ -727,7 +746,35 @@ let () = readopt_cell := readopt_impl
 
 (* -- receive side ------------------------------------------------------- *)
 
-let recv_chunk t ?(epoch = 1) ~src ~xfer ~seq ~total ~part () =
+(* Can the [len] bytes of [buf] at [off] fill slot [seq] of [inc]?  Every
+   part but the last must have one common, nonzero length (learned from
+   the first to arrive), the last may not be longer, and the image those
+   lengths imply must fit the codec's limit.  Anything else is forged or
+   corrupt. *)
+let admissible inc ~seq ~buf ~off ~len =
+  let last = seq = inc.i_total - 1 in
+  let chunk = if last then inc.i_chunk else len in
+  let tail = if last then len else inc.i_last in
+  let fits =
+    (* a lower bound on the image: unseen parts are as short as allowed *)
+    let per = if chunk > 0 then chunk else max 1 tail in
+    ((inc.i_total - 1) * per) + max 0 tail <= Codec.max_image_bytes
+  in
+  off >= 0 && len >= 0 && off + len <= Bytes.length buf
+  && seq >= 0 && seq < inc.i_total
+  && (last || (len > 0 && (inc.i_chunk = 0 || len = inc.i_chunk)))
+  && (chunk = 0 || tail <= chunk)
+  && fits
+
+(* One exact-size buffer holding every part at its slot. *)
+let assemble inc =
+  let image = Bytes.create (((inc.i_total - 1) * inc.i_chunk) + inc.i_last) in
+  Hashtbl.iter
+    (fun seq (buf, off, len) -> Bytes.blit buf off image (seq * inc.i_chunk) len)
+    inc.i_parts;
+  image
+
+let recv_chunk t ?(epoch = 1) ~src ~xfer ~seq ~total ~buf ~off ~len () =
   let i = inst t in
   match Hashtbl.find_opt t.landings xfer with
   | Some l ->
@@ -738,41 +785,43 @@ let recv_chunk t ?(epoch = 1) ~src ~xfer ~seq ~total ~part () =
   | None ->
     let inc =
       match Hashtbl.find_opt t.incoming xfer with
-      | Some inc -> inc
-      | None ->
-        let inc = { i_src = src; i_total = max 1 total; i_parts = Hashtbl.create 8 } in
-        Hashtbl.replace t.incoming xfer inc;
-        inc
+      | Some inc when inc.i_total = total -> Some inc
+      | Some _ -> None
+      | None when total >= 1 && total <= Codec.max_image_bytes ->
+        Some { i_total = total; i_parts = Hashtbl.create 8; i_chunk = 0; i_last = -1 }
+      | None -> None
     in
-    if seq >= 0 && seq < inc.i_total && not (Hashtbl.mem inc.i_parts seq) then begin
-      Hashtbl.replace inc.i_parts seq part;
-      Instance.count i "migrate.chunks_in";
-      step t (Printf.sprintf "dst.chunk.%d" seq)
-    end;
-    if (not (halted t)) && Hashtbl.length inc.i_parts = inc.i_total then begin
-      let buf = Buffer.create 4096 in
-      for s = 0 to inc.i_total - 1 do
-        Buffer.add_bytes buf (Hashtbl.find inc.i_parts s)
-      done;
-      let bytes = Buffer.to_bytes buf in
-      Hashtbl.remove t.incoming xfer;
-      Metrics.incr ~by:(Bytes.length bytes) i.Instance.metrics "migrate.bytes_in";
-      Instance.trace i (Trace.Migrate_in { xfer; src; bytes = Bytes.length bytes });
-      match Codec.decode bytes with
-      | Error msg ->
-        Logs.warn (fun m -> m "migrate: rejecting image for xfer %d: %s" xfer msg);
-        Instance.count i "migrate.decode_errors";
-        t.transport.send_ack ~dst:src ~xfer ~ok:false
-      | Ok img -> (
-        match apply t ~xfer ~src ~epoch img with
-        | Ok _landing ->
-          step t "dst.applied";
-          if not (halted t) then t.transport.send_ack ~dst:src ~xfer ~ok:true
+    match inc with
+    | Some inc when admissible inc ~seq ~buf ~off ~len ->
+      if not (Hashtbl.mem inc.i_parts seq) then begin
+        (* a transfer is only tracked once one of its parts is admitted *)
+        Hashtbl.replace t.incoming xfer inc;
+        if seq = inc.i_total - 1 then inc.i_last <- len else inc.i_chunk <- len;
+        Hashtbl.replace inc.i_parts seq (buf, off, len);
+        Instance.count i "migrate.chunks_in";
+        step_chunk t "dst" seq
+      end;
+      if (not (halted t)) && Hashtbl.length inc.i_parts = inc.i_total then begin
+        let image = assemble inc in
+        Hashtbl.remove t.incoming xfer;
+        Metrics.incr ~by:(Bytes.length image) i.Instance.metrics "migrate.bytes_in";
+        Instance.trace i (Trace.Migrate_in { xfer; src; bytes = Bytes.length image });
+        match Codec.decode image with
         | Error msg ->
-          Logs.warn (fun m -> m "migrate: apply failed for xfer %d: %s" xfer msg);
-          Instance.count i "migrate.apply_errors";
-          t.transport.send_ack ~dst:src ~xfer ~ok:false)
-    end
+          Logs.warn (fun m -> m "migrate: rejecting image for xfer %d: %s" xfer msg);
+          Instance.count i "migrate.decode_errors";
+          t.transport.send_ack ~dst:src ~xfer ~ok:false
+        | Ok img -> (
+          match apply t ~xfer ~src ~epoch img with
+          | Ok _landing ->
+            step t "dst.applied";
+            if not (halted t) then t.transport.send_ack ~dst:src ~xfer ~ok:true
+          | Error msg ->
+            Logs.warn (fun m -> m "migrate: apply failed for xfer %d: %s" xfer msg);
+            Instance.count i "migrate.apply_errors";
+            t.transport.send_ack ~dst:src ~xfer ~ok:false)
+      end
+    | Some _ | None -> Instance.count i "migrate.chunks_rejected"
 
 let recv_ack t ~xfer ~ok =
   let i = inst t in
@@ -788,12 +837,12 @@ let recv_ack t ~xfer ~ok =
     Hashtbl.remove t.outgoing xfer;
     Instance.trace i (Trace.Migrate_acked { xfer; ok });
     if ok then begin
-      (* image applied and parked at the target: retain the chunks and
-         drive the commit handshake — only [op_commit_ack] frees them *)
+      (* image applied and parked at the target: retain the image and
+         drive the commit handshake — only [op_commit_ack] frees it *)
       Hashtbl.replace t.committing xfer
         {
           c_dst = o.o_dst;
-          c_chunks = o.o_chunks;
+          c_image = o.o_image;
           c_started = o.o_started;
           c_tags = o.o_tags;
           c_epoch = o.o_epoch;
@@ -808,7 +857,7 @@ let recv_ack t ~xfer ~ok =
     else begin
       (* the target could not apply: the copy here is authoritative *)
       Instance.count i "migrate.failed";
-      readopt t ~xfer ~tags:o.o_tags o.o_chunks
+      readopt t ~xfer ~tags:o.o_tags o.o_image
     end
 
 (* Commit-protocol control frames. *)
@@ -854,7 +903,7 @@ let recv_ctl t ~src ~xfer ~op =
       (* the target lost the parked copy before commit: the retained
          image is authoritative again *)
       Hashtbl.remove t.committing xfer;
-      readopt t ~xfer ~tags:c.c_tags c.c_chunks
+      readopt t ~xfer ~tags:c.c_tags c.c_image
   end
 
 let recv_signal t ~xfer ~tag ~va =
@@ -894,7 +943,7 @@ let peer_dead t ~node =
       Hashtbl.remove t.outgoing xfer;
       Hashtbl.replace t.aborts xfer node;
       Instance.count i "migrate.peer_dead_recovered";
-      readopt t ~xfer ~tags:o.o_tags o.o_chunks)
+      readopt t ~xfer ~tags:o.o_tags o.o_image)
     gone_out;
   (* committing transfers sit in the commit-uncertainty window: the
      destination may have committed (the copy survives its restart via the
@@ -918,7 +967,7 @@ let peer_rejoined t ~node =
     (fun (xfer, (_ : committing)) -> t.transport.send_ctl ~dst:node ~xfer ~op:op_commit)
     (sorted_bindings t.committing (fun (c : committing) -> c.c_dst = node));
   List.iter
-    (fun (xfer, (o : outgoing)) -> send_chunks t ~dst:node ~xfer o.o_chunks)
+    (fun (xfer, (o : outgoing)) -> send_chunks t ~dst:node ~xfer o)
     (sorted_bindings t.outgoing (fun (o : outgoing) -> o.o_dst = node))
 
 (* -- restart recovery (this node crashed and is coming back) ------------ *)
@@ -943,7 +992,7 @@ let resume_transfers t =
   List.iter
     (fun (xfer, (o : outgoing)) ->
       Instance.count i "migrate.retransmits";
-      send_chunks t ~dst:o.o_dst ~xfer o.o_chunks;
+      send_chunks t ~dst:o.o_dst ~xfer o;
       arm_watchdog t ~xfer)
     (sorted_bindings t.outgoing (fun _ -> true));
   List.iter

@@ -18,7 +18,9 @@ open Aklib
 (** Send closures the owner (the SRM's distributed layer) provides; the
     plane never touches the wire format itself. *)
 type transport = {
-  send_chunk : dst:int -> xfer:int -> seq:int -> total:int -> part:Bytes.t -> unit;
+  send_chunk : dst:int -> xfer:int -> seq:int -> total:int -> buf:Bytes.t -> off:int -> len:int -> unit;
+      (** chunk [seq] of [total] is the [len] bytes of [buf] at [off]; the
+          transport frames it and must not keep [buf] *)
   send_ack : dst:int -> xfer:int -> ok:bool -> unit;
   send_signal : dst:int -> xfer:int -> tag:int -> va:int -> unit;
   send_ctl : dst:int -> xfer:int -> op:int -> unit;
@@ -62,10 +64,21 @@ val forward_signal : t -> int -> va:int -> bool
 (** {1 Receive side — called by the transport owner} *)
 
 val recv_chunk :
-  t -> ?epoch:int -> src:int -> xfer:int -> seq:int -> total:int -> part:Bytes.t -> unit -> unit
-(** [epoch] is the sender's fencing epoch (stamped by the SRM's wire
-    layer); a retransmission from a restarted source incarnation carries a
-    higher one but a byte-identical image, so the landing stands. *)
+  t -> ?epoch:int -> src:int -> xfer:int -> seq:int -> total:int -> buf:Bytes.t -> off:int ->
+  len:int -> unit -> unit
+(** The part is the [len] bytes of [buf] at [off] (typically a view into
+    the received frame, kept uncopied until the image is complete; [buf]
+    must not change afterwards).  [epoch] is the sender's fencing epoch
+    (stamped by the SRM's wire layer); a retransmission from a restarted
+    source incarnation carries a higher one but a byte-identical image, so
+    the landing stands.
+
+    The chunk size is learned from the parts themselves.  A part that
+    cannot belong to a well-formed transfer is dropped and counted in
+    [migrate.chunks_rejected]: [total] below 1, or implying an image over
+    {!Codec.max_image_bytes}, or differing from the transfer's first part;
+    [seq] out of range; a non-last part empty or of a different length
+    from the others; a last part longer than the others. *)
 
 val recv_ack : t -> xfer:int -> ok:bool -> unit
 val recv_signal : t -> xfer:int -> tag:int -> va:int -> unit

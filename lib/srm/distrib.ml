@@ -42,7 +42,9 @@ open Cachekernel
 type message =
   | Load_report of { node : int; runnable : int }
   | Coschedule of { gang : int; priority : int }
-  | Migrate_chunk of { xfer : int; seq : int; total : int; part : Bytes.t }
+  | Migrate_chunk of { xfer : int; seq : int; total : int; buf : Bytes.t; off : int; len : int }
+      (* the [len] bytes of [buf] at [off]: a slice of the sender's image,
+         or a view into the received frame *)
   | Migrate_ack of { xfer : int; ok : bool }
   | Migrate_signal of { xfer : int; tag : int; va : int }
   | Heartbeat of { node : int; runnable : int; your_epoch : int }
@@ -57,8 +59,9 @@ type message =
    Migrate_chunk carries a length-prefixed byte payload after a 6-word
    header. *)
 
-let words ~epoch tag ws =
-  let b = Bytes.create (4 * (2 + List.length ws)) in
+(* A frame of header words followed by [extra] bytes for the caller. *)
+let words ~epoch ?(extra = 0) tag ws =
+  let b = Bytes.create ((4 * (2 + List.length ws)) + extra) in
   Bytes.set_int32_le b 0 (Int32.of_int tag);
   Bytes.set_int32_le b 4 (Int32.of_int epoch);
   List.iteri (fun i w -> Bytes.set_int32_le b (4 * (i + 2)) (Int32.of_int w)) ws;
@@ -67,9 +70,10 @@ let words ~epoch tag ws =
 let encode ?(epoch = 1) = function
   | Load_report { node; runnable } -> words ~epoch 0 [ node; runnable ]
   | Coschedule { gang; priority } -> words ~epoch 1 [ gang; priority ]
-  | Migrate_chunk { xfer; seq; total; part } ->
-    let hdr = words ~epoch 2 [ xfer; seq; total; Bytes.length part ] in
-    Bytes.cat hdr part
+  | Migrate_chunk { xfer; seq; total; buf; off; len } ->
+    let b = words ~epoch ~extra:len 2 [ xfer; seq; total; len ] in
+    Bytes.blit buf off b 24 len;
+    b
   | Migrate_ack { xfer; ok } -> words ~epoch 3 [ xfer; (if ok then 1 else 0) ]
   | Migrate_signal { xfer; tag; va } -> words ~epoch 4 [ xfer; tag; va ]
   | Heartbeat { node; runnable; your_epoch } -> words ~epoch 5 [ node; runnable; your_epoch ]
@@ -93,8 +97,7 @@ let decode b =
             let plen = w 5 in
             if plen < 0 || len < 24 + plen then None
             else
-              Some
-                (Migrate_chunk { xfer = w 2; seq = w 3; total = w 4; part = Bytes.sub b 24 plen })
+              Some (Migrate_chunk { xfer = w 2; seq = w 3; total = w 4; buf = b; off = 24; len = plen })
         | 3 ->
           if len < 16 then None
           else (
@@ -400,8 +403,8 @@ let handle t (pkt : Hw.Interconnect.packet) =
       | Load_report { node; runnable } -> record_report t ~node ~runnable
       | Heartbeat { node; runnable; _ } -> record_report t ~node ~runnable
       | Coschedule { gang; priority } -> apply_cosched t ~gang ~priority
-      | Migrate_chunk { xfer; seq; total; part } ->
-        Migrate.Plane.recv_chunk t.plane ~epoch ~src ~xfer ~seq ~total ~part ()
+      | Migrate_chunk { xfer; seq; total; buf; off; len } ->
+        Migrate.Plane.recv_chunk t.plane ~epoch ~src ~xfer ~seq ~total ~buf ~off ~len ()
       | Migrate_ack { xfer; ok } -> Migrate.Plane.recv_ack t.plane ~xfer ~ok
       | Migrate_signal { xfer; tag; va } -> Migrate.Plane.recv_signal t.plane ~xfer ~tag ~va
       | Migrate_ctl { xfer; op } -> Migrate.Plane.recv_ctl t.plane ~src ~xfer ~op
@@ -505,7 +508,8 @@ let start srm ~net =
   let transport =
     {
       Migrate.Plane.send_chunk =
-        (fun ~dst ~xfer ~seq ~total ~part -> transmit (Migrate_chunk { xfer; seq; total; part }) ~dst);
+        (fun ~dst ~xfer ~seq ~total ~buf ~off ~len ->
+          transmit (Migrate_chunk { xfer; seq; total; buf; off; len }) ~dst);
       send_ack = (fun ~dst ~xfer ~ok -> transmit (Migrate_ack { xfer; ok }) ~dst);
       send_signal = (fun ~dst ~xfer ~tag ~va -> transmit (Migrate_signal { xfer; tag; va }) ~dst);
       send_ctl = (fun ~dst ~xfer ~op -> transmit (Migrate_ctl { xfer; op }) ~dst);

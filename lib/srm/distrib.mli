@@ -22,8 +22,9 @@ open Cachekernel
 type message =
   | Load_report of { node : int; runnable : int }
   | Coschedule of { gang : int; priority : int }
-  | Migrate_chunk of { xfer : int; seq : int; total : int; part : Bytes.t }
-      (** one chunk of a {!Migrate.Codec} image *)
+  | Migrate_chunk of { xfer : int; seq : int; total : int; buf : Bytes.t; off : int; len : int }
+      (** one chunk of a {!Migrate.Codec} image: the [len] bytes of [buf]
+          at [off].  {!decode} returns a view into the frame, not a copy. *)
   | Migrate_ack of { xfer : int; ok : bool }
   | Migrate_signal of { xfer : int; tag : int; va : int }
       (** a signal forwarded from a migrated thread's old residence *)
@@ -39,7 +40,7 @@ val encode : ?epoch:int -> message -> Bytes.t
 
 val decode : Bytes.t -> (int * message) option
 (** [(epoch, message)].  Truncated or malformed frames decode to [None],
-    never an exception. *)
+    never an exception.  A [Migrate_chunk]'s bytes stay in the frame. *)
 
 type peer_state = Alive | Suspect | Dead
 

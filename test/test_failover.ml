@@ -372,12 +372,16 @@ let test_crash_point_sweep_src () =
   let steps = discover_steps () in
   let src_steps = List.filter (fun s -> String.sub s 0 4 = "src.") steps in
   Alcotest.(check bool) "source-side steps discovered" true (List.length src_steps >= 3);
+  Alcotest.(check bool) "per-chunk source steps discovered" true
+    (List.mem "src.chunk.0" src_steps && List.mem "src.chunk.1" src_steps);
   List.iter sweep_one src_steps
 
 let test_crash_point_sweep_dst () =
   let steps = discover_steps () in
   let dst_steps = List.filter (fun s -> String.sub s 0 4 = "dst.") steps in
   Alcotest.(check bool) "destination-side steps discovered" true (List.length dst_steps >= 3);
+  Alcotest.(check bool) "per-chunk destination steps discovered" true
+    (List.mem "dst.chunk.0" dst_steps && List.mem "dst.chunk.1" dst_steps);
   List.iter sweep_one dst_steps
 
 (* -- ledger conservation across crash+failover (qcheck satellite) -------- *)
