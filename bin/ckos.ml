@@ -23,13 +23,13 @@ open Cachekernel
 let show_info () =
   let c = Config.default in
   Fmt.pr "Cache Kernel configuration (Table 1):@.";
-  Fmt.pr "  kernel      %4d B x %5d descriptors@." c.Config.kernel_desc_bytes
+  Fmt.pr "  kernel      %4d B x %5d descriptors@." Config.kernel_desc_bytes
     c.Config.kernel_cache;
-  Fmt.pr "  addr space  %4d B x %5d descriptors@." c.Config.space_desc_bytes
+  Fmt.pr "  addr space  %4d B x %5d descriptors@." Config.space_desc_bytes
     c.Config.space_cache;
-  Fmt.pr "  thread      %4d B x %5d descriptors@." c.Config.thread_desc_bytes
+  Fmt.pr "  thread      %4d B x %5d descriptors@." Config.thread_desc_bytes
     c.Config.thread_cache;
-  Fmt.pr "  mapping     %4d B x %5d descriptors@." c.Config.mapping_desc_bytes
+  Fmt.pr "  mapping     %4d B x %5d descriptors@." Config.mapping_desc_bytes
     c.Config.mapping_cache;
   Fmt.pr "@.simulated machine: %d MHz CPUs, %d B pages, %d-page groups@."
     Hw.Cost.clock_mhz Hw.Addr.page_size Hw.Addr.pages_per_group;

@@ -79,6 +79,9 @@ and handlers_of t =
     on_writeback = (fun () -> drain t);
   }
 
+(* fast-tier demotions per batched disk transfer *)
+let tier_batch = 8
+
 (** Prepare an application kernel: builds the libraries and the kernel-
     object spec whose handlers close over them.  The kernel object itself
     is loaded by the caller (the boot path or the system resource manager),
@@ -97,7 +100,7 @@ let prepare inst ~name ?(cpu_percent = 100) ?(max_priority = 24) ?(max_locked = 
   let cfg = inst.Instance.config in
   if cfg.Config.fast_tier_slots > 0 then begin
     Backing_store.configure_tiers store ~slots:cfg.Config.fast_tier_slots
-      ~batch:cfg.Config.tier_batch ~events:inst.Instance.node.Hw.Mpm.events
+      ~batch:tier_batch ~events:inst.Instance.node.Hw.Mpm.events
       ~now:(fun () -> Hw.Mpm.now inst.Instance.node);
     Backing_store.set_observer store
       ~count:(fun name -> Instance.count inst name)
@@ -176,7 +179,7 @@ let init_own_space t =
 let boot_first inst ~name ?(groups = []) () =
   let t, spec =
     prepare inst ~name
-      ~max_priority:(inst.Instance.config.Config.priorities - 1)
+      ~max_priority:(Config.priorities - 1)
       ~max_locked:32 ()
   in
   match Api.boot inst spec with

@@ -233,60 +233,57 @@ let fnv1a bytes upto =
   done;
   !h
 
-let put64 buf v =
-  for i = 0 to 7 do
-    Buffer.add_char buf (Char.chr (Int64.to_int (Int64.shift_right_logical v (i * 8)) land 0xff))
-  done
-
-let get64 bytes off =
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code (Bytes.get bytes (off + i))))
-  done;
-  !v
-
 (* entries: (block, gen, data) *)
 let encode_batch entries =
   let buf =
     Buffer.create (List.fold_left (fun n (_, _, data) -> n + 24 + Bytes.length data) 12 entries)
   in
   Buffer.add_string buf frame_magic;
-  put64 buf (Int64.of_int (List.length entries));
+  Buffer.add_int64_le buf (Int64.of_int (List.length entries));
   List.iter
     (fun (block, gen, data) ->
-      put64 buf (Int64.of_int block);
-      put64 buf (Int64.of_int gen);
-      put64 buf (Int64.of_int (Bytes.length data));
+      Buffer.add_int64_le buf (Int64.of_int block);
+      Buffer.add_int64_le buf (Int64.of_int gen);
+      Buffer.add_int64_le buf (Int64.of_int (Bytes.length data));
       Buffer.add_bytes buf data)
     entries;
   let body = Buffer.to_bytes buf in
   let buf = Buffer.create (Bytes.length body + 8) in
   Buffer.add_bytes buf body;
-  put64 buf (fnv1a body (Bytes.length body));
+  Buffer.add_int64_le buf (fnv1a body (Bytes.length body));
   Buffer.to_bytes buf
+
+(* A 64-bit field [encode_batch] wrote from an OCaml int; a value an int
+   cannot hold (bit 63 set over a small value, say) is a damaged frame,
+   not something to truncate. *)
+let get_int frame off =
+  let w = Bytes.get_int64_le frame off in
+  let v = Int64.to_int w in
+  if Int64.of_int v = w then Some v else None
 
 let decode_batch frame =
   let len = Bytes.length frame in
   if len < String.length frame_magic + 16 then Error "truncated frame"
   else if Bytes.sub_string frame 0 4 <> frame_magic then Error "bad magic"
-  else if get64 frame (len - 8) <> fnv1a frame (len - 8) then Error "checksum mismatch"
+  else if Bytes.get_int64_le frame (len - 8) <> fnv1a frame (len - 8) then
+    Error "checksum mismatch"
   else begin
-    let count = Int64.to_int (get64 frame 4) in
     let rec entries acc off n =
-      if n = 0 then Ok (List.rev acc)
+      if n = 0 then if off = len - 8 then Ok (List.rev acc) else Error "trailing bytes"
       else if off + 24 > len - 8 then Error "truncated entry"
-      else begin
-        let block = Int64.to_int (get64 frame off) in
-        let gen = Int64.to_int (get64 frame (off + 8)) in
-        let dlen = Int64.to_int (get64 frame (off + 16)) in
-        if dlen < 0 || dlen > Hw.Addr.page_size then Error "bad payload length"
-        else if off + 24 + dlen > len - 8 then Error "truncated payload"
-        else
-          entries ((block, gen, Bytes.sub frame (off + 24) dlen) :: acc) (off + 24 + dlen)
-            (n - 1)
-      end
+      else
+        match (get_int frame off, get_int frame (off + 8), get_int frame (off + 16)) with
+        | Some block, Some gen, Some dlen ->
+          if dlen < 0 || dlen > Hw.Addr.page_size then Error "bad payload length"
+          else if off + 24 + dlen > len - 8 then Error "truncated payload"
+          else
+            entries ((block, gen, Bytes.sub frame (off + 24) dlen) :: acc) (off + 24 + dlen)
+              (n - 1)
+        | _ -> Error "field out of range"
     in
-    entries [] (4 + 8) count
+    match get_int frame 4 with
+    | Some count when count >= 0 -> entries [] (4 + 8) count
+    | _ -> Error "bad count"
   end
 
 (* -- demotion: drain the fast tier down to capacity, [batch] blocks per

@@ -92,8 +92,10 @@ val encode_batch : (int * int * Bytes.t) list -> Bytes.t
 
 val decode_batch : Bytes.t -> ((int * int * Bytes.t) list, string) result
 (** Verify and unpack a demotion frame.  A bad magic or checksum, a
-    truncated entry or a payload length outside [0..page_size] is an
-    [Error]; it never raises. *)
+    truncated entry, a 64-bit field outside OCaml's int range, a payload
+    length outside [0..page_size] or bytes past the last entry is an
+    [Error]; it never raises.  A frame it accepts re-encodes to the same
+    bytes. *)
 
 val corrupt_tier_for_test :
   t -> [ `Orphan_image | `Missing_image | `Drift ] -> bool

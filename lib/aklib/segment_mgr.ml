@@ -126,10 +126,7 @@ let stats t = t.stats
 let create_space t =
   let tag = t.next_space_tag in
   t.next_space_tag <- tag + 1;
-  match
-    Backoff.with_backoff t.env.inst (fun () ->
-        Api.load_space t.env.inst ~caller:(t.env.kernel ()) ~tag ())
-  with
+  match Api.load_space t.env.inst ~caller:(t.env.kernel ()) ~tag () with
   | Ok oid ->
     let vsp = { tag; oid; regions = []; loaded = true } in
     Hashtbl.replace t.spaces tag vsp;
@@ -158,10 +155,7 @@ let region_of vsp va = List.find_opt (fun r -> Region.contains r va) vsp.regions
 let reload_space t vsp =
   if vsp.loaded then Ok vsp.oid
   else
-    match
-      Backoff.with_backoff t.env.inst (fun () ->
-          Api.load_space t.env.inst ~caller:(t.env.kernel ()) ~tag:vsp.tag ())
-    with
+    match Api.load_space t.env.inst ~caller:(t.env.kernel ()) ~tag:vsp.tag () with
     | Ok oid ->
       vsp.oid <- oid;
       vsp.loaded <- true;
@@ -200,7 +194,7 @@ let block_until t ~thread token (start : done_:(unit -> unit) -> unit) =
       | Some th ->
         ignore
           (Thread_obj.queue_signal th
-             ~depth_limit:t.env.inst.Instance.config.Config.signal_queue_depth other)
+             ~depth_limit:Config.signal_queue_depth other)
       | None -> ());
       wait ()
     | _ -> wait ()
@@ -359,14 +353,7 @@ let load_map t vsp (region : Region.t) ~va ~pfn ?cow_dst ~writable ~resume () =
       ?signal_thread:(region.Region.signal_thread ())
       ?cow_dst ()
   in
-  let load_raw =
-    if resume then Api.load_mapping_and_resume else Api.load_mapping
-  in
-  (* Back off under storm backpressure at every load attempt: mapping loads
-     are the high-rate path where thrashing kernels do their damage. *)
-  let load inst ~caller ~space spec =
-    Backoff.with_backoff t.env.inst (fun () -> load_raw inst ~caller ~space spec)
-  in
+  let load = if resume then Api.load_mapping_and_resume else Api.load_mapping in
   match load t.env.inst ~caller:(t.env.kernel ()) ~space:vsp.oid spec with
   | Ok () -> Ok ()
   | Error Api.Already_mapped -> (
@@ -482,15 +469,13 @@ let prefetch_candidates t vsp (region : Region.t) ~page =
    prefetched neighbors after it.  Returns true when the faulting entry
    loaded.  The retry loop realises the batch's partial-failure contract:
    entries before a failure index stay loaded, so recovery resumes from the
-   failed suffix — reload-and-retry for a stale space identifier, bounded
-   doubling backoff (mirroring {!Backoff.with_backoff}) for [Overloaded],
+   failed suffix — reload-and-retry for a stale space identifier,
    skip-and-continue when a neighbor raced to [Already_mapped].  Any other
    neighbor failure just abandons the remaining prefetch: the fault itself
    was served. *)
 let load_batch_with_prefetch t vsp (region : Region.t) ~va (r : Segment.resident)
     cands =
   let inst = t.env.inst in
-  let config = inst.Instance.config in
   let entries = Array.of_list ((va, r) :: cands) in
   let n = Array.length entries in
   let loaded = Array.make n false in
@@ -501,7 +486,6 @@ let load_batch_with_prefetch t vsp (region : Region.t) ~va (r : Segment.resident
       ()
   in
   let stale_budget = ref 1 in
-  let overload_attempt = ref 0 in
   let rec go start =
     if start < n then begin
       let specs = List.map spec_of (Array.to_list (Array.sub entries start (n - start))) in
@@ -516,14 +500,6 @@ let load_batch_with_prefetch t vsp (region : Region.t) ~va (r : Segment.resident
         | Api.Stale_reference when !stale_budget > 0 -> (
           decr stale_budget;
           match reload_space t vsp with Ok _ -> go fail | Error _ -> ())
-        | Api.Overloaded when !overload_attempt < config.Config.overload_max_retries ->
-          Instance.count inst "overload.backoff";
-          let delay_us =
-            config.Config.overload_backoff_us *. (2.0 ** float_of_int !overload_attempt)
-          in
-          Instance.charge inst (Hw.Cost.cycles_of_us delay_us);
-          incr overload_attempt;
-          go fail
         | Api.Already_mapped when fail > 0 ->
           (* another path (sibling load, another fault) raced this neighbor
              in; it is mapped, just not by us — skip it *)

@@ -57,9 +57,8 @@ let load_entry t (e : entry) ~start =
     match t.space_oid e.space_tag with
     | Error err -> Error err
     | Ok space ->
-      Backoff.with_backoff t.inst (fun () ->
-          Api.load_thread t.inst ~caller:(t.kernel ()) ~space ~priority:e.priority
-            ~affinity:e.affinity ~lock:e.lock ~tag:e.id ~start ())
+      Api.load_thread t.inst ~caller:(t.kernel ()) ~space ~priority:e.priority
+        ~affinity:e.affinity ~lock:e.lock ~tag:e.id ~start ()
   in
   match load () with
   | Ok oid ->
@@ -106,7 +105,7 @@ let spawn t ~space_tag ~priority ?affinity ?(lock = false) body =
 (** Adopt a thread arriving from elsewhere — a migration image or a
     restored checkpoint — without loading it: the entry holds the saved
     state (and/or body) until [schedule] loads it through the normal
-    retry/backoff path.  Returns the new local identifier. *)
+    stale-id retry path.  Returns the new local identifier. *)
 let adopt t ~space_tag ~priority ?affinity ?(lock = false) ?saved ?body () =
   let id = t.next_id in
   t.next_id <- id + 1;

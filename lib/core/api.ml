@@ -23,7 +23,6 @@ type error =
   | Busy (* object in use by the calling thread itself *)
   | No_victim (* every descriptor is locked: nothing can be displaced *)
   | Already_mapped (* a mapping for that page is already loaded *)
-  | Overloaded (* writeback storm: load rejected, back off and retry *)
   | Bad_argument of string
 
 let pp_error ppf = function
@@ -34,7 +33,6 @@ let pp_error ppf = function
   | Busy -> Fmt.string ppf "object busy"
   | No_victim -> Fmt.string ppf "all descriptors locked"
   | Already_mapped -> Fmt.string ppf "already mapped"
-  | Overloaded -> Fmt.string ppf "overloaded: writeback storm backpressure"
   | Bad_argument s -> Fmt.pf ppf "bad argument: %s" s
 
 let ( let* ) = Result.bind
@@ -76,17 +74,6 @@ let require_space_for_load t oid =
 let require_first t ~caller =
   if Oid.equal caller t.first_kernel then Ok () else Error Permission
 
-(* Overload backpressure: while the writeback-storm detector is raised,
-   a load that would displace a victim is rejected instead of feeding the
-   storm; the application kernel backs off and retries.  The first kernel
-   is exempt — the SRM must stay able to act during overload. *)
-let overload_guard t ~caller ~full =
-  if full && (not (Oid.equal caller t.first_kernel)) && storm_active t then begin
-    count t "overload.rejected";
-    Error Overloaded
-  end
-  else Ok ()
-
 (* -- Kernel objects (section 2.4) -- *)
 
 (** Load a kernel object.  Only the first kernel (the system resource
@@ -104,7 +91,7 @@ let load_kernel ?(boot = false) t ~caller (spec : Kernel_obj.spec) =
   else begin
     charge t
       (Config.c_slot_alloc + Config.c_kernel_init
-      + Config.descriptor_copy t.config.Config.kernel_desc_bytes);
+      + Config.descriptor_copy Config.kernel_desc_bytes);
     match Caches.Kernel_cache.load t.kernels k with
     | None -> Error No_victim
     | Some oid ->
@@ -159,7 +146,7 @@ let set_max_priority t ~caller ~kernel priority =
   charge t Config.c_validate;
   let* () = require_first t ~caller in
   let* k = require_kernel t kernel in
-  if priority < 0 || priority >= t.config.Config.priorities then
+  if priority < 0 || priority >= Config.priorities then
     Error (Bad_argument "priority")
   else begin
     k.Kernel_obj.max_priority <- priority;
@@ -251,13 +238,12 @@ let load_space t ~caller ?(lock = false) ~tag () =
   let* k = require_kernel t caller in
   let* () = if lock then lock_budget t k else Ok () in
   let had_writeback = Caches.Space_cache.is_full t.spaces in
-  let* () = overload_guard t ~caller ~full:had_writeback in
   if had_writeback && not (Replacement.make_room_space t) then Error No_victim
   else begin
     let sp = Space_obj.create ~owner:caller ~tag in
     charge t
       (Config.c_slot_alloc + Config.c_space_table_init
-      + Config.descriptor_copy t.config.Config.space_desc_bytes);
+      + Config.descriptor_copy Config.space_desc_bytes);
     match Caches.Space_cache.load t.spaces sp with
     | None -> Error No_victim
     | Some oid ->
@@ -304,14 +290,13 @@ let load_thread t ~caller ~space ~priority ?(affinity = None) ?(lock = false) ~t
   in
   let* () = if lock then lock_budget t k else Ok () in
   let had_writeback = Caches.Thread_cache.is_full t.threads in
-  let* () = overload_guard t ~caller ~full:had_writeback in
   if had_writeback && not (Replacement.make_room_thread t) then Error No_victim
   else begin
     let th = Thread_obj.create ~owner:caller ~space ~tag ~priority ~start in
     th.Thread_obj.affinity <- affinity;
     charge t
       (Config.c_slot_alloc + Config.c_thread_init
-      + Config.descriptor_copy t.config.Config.thread_desc_bytes
+      + Config.descriptor_copy Config.thread_desc_bytes
       + Config.c_sched_enqueue);
     match Caches.Thread_cache.load t.threads th with
     | None -> Error No_victim
@@ -431,7 +416,6 @@ let load_mapping_body t ~caller ~space (spec : mapping_spec) =
     else Error Already_mapped
   in
   let had_writeback = Mappings.is_full t.mappings in
-  let* () = overload_guard t ~caller ~full:had_writeback in
   if had_writeback && not (Replacement.make_room_mapping t) then Error No_victim
   else begin
     (* Deferred copy: map the source read-only; the copy into the

@@ -21,9 +21,6 @@ type error =
   | Busy  (** object in use by the calling thread itself *)
   | No_victim  (** every descriptor is locked: nothing can be displaced *)
   | Already_mapped  (** a mapping for that page is already loaded *)
-  | Overloaded
-      (** writeback storm: the load was rejected as backpressure; back off
-          and retry (section 4.2's replacement under overload) *)
   | Bad_argument of string
 
 val pp_error : error Fmt.t

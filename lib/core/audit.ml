@@ -384,7 +384,7 @@ let check_conservation t ~repair acc =
 
 let check_quota t ~repair acc =
   let elapsed = Hw.Mpm.now t.node - t.quota_epoch_start in
-  let cap = (22 * elapsed / 10) + (3 * t.config.Config.time_slice) in
+  let cap = (22 * elapsed / 10) + (3 * Config.time_slice) in
   Caches.Kernel_cache.iter t.kernels (fun (k : Kernel_obj.t) ->
       Array.iteri
         (fun cpu c ->

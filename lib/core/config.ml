@@ -19,18 +19,16 @@
 type chaos = {
   chaos_seed : int; (* root seed; each named site derives its own stream *)
   io_fail : float; (* a backing-store transfer fails (retried with backoff) *)
-  io_delay : float; (* a backing-store transfer is delayed by [io_delay_us] *)
-  io_delay_us : float;
+  io_delay : float; (* a backing-store transfer is delayed by Fault_inject.io_delay_us *)
   io_retry_backoff_us : float; (* base retry backoff; doubles per attempt *)
   io_max_retries : int;
   signal_drop : float; (* a signal delivery is dropped (redelivered later) *)
   signal_dup : float; (* a signal delivery is duplicated *)
-  redeliver_backoff_us : float; (* delay before a dropped signal is redelivered *)
   stale_rate : float; (* an object load observes a stale space identifier *)
   forward_drop : float; (* a fault forward is dropped (the access refaults) *)
   migrate_drop : float; (* a migration chunk is lost on the fiber (retransmitted) *)
   tier_fail : float; (* a tier promotion/demotion transfer fails (retried) *)
-  tier_delay : float; (* a tier promotion/demotion is delayed by [io_delay_us] *)
+  tier_delay : float; (* a tier promotion/demotion is delayed like [io_delay] *)
   crash_at_us : float option; (* halt the whole MPM at this simulated time *)
   partition_at_us : float option;
       (* sever the interconnect into two groups at this simulated time;
@@ -45,12 +43,10 @@ let chaos_default =
     chaos_seed = 42;
     io_fail = 0.0;
     io_delay = 0.0;
-    io_delay_us = 500.0;
     io_retry_backoff_us = 200.0;
     io_max_retries = 4;
     signal_drop = 0.0;
     signal_dup = 0.0;
-    redeliver_backoff_us = 50.0;
     stale_rate = 0.0;
     forward_drop = 0.0;
     migrate_drop = 0.0;
@@ -68,20 +64,6 @@ type t = {
   space_cache : int;
   thread_cache : int;
   mapping_cache : int;
-  (* Table 1: descriptor sizes, bytes (space accounting) *)
-  kernel_desc_bytes : int;
-  space_desc_bytes : int;
-  thread_desc_bytes : int;
-  mapping_desc_bytes : int;
-  (* scheduling *)
-  priorities : int; (* priority levels, 0 = lowest, priorities-1 = highest *)
-  time_slice : Hw.Cost.cycles;
-  quota_epoch : Hw.Cost.cycles; (* processor-percentage accounting window *)
-  (* signals *)
-  signal_queue_depth : int;
-  (* limits *)
-  max_fault_depth : int; (* nested fault forwarding before the thread is killed *)
-  max_locked_default : int; (* default locked-object quota per kernel *)
   (* observability *)
   trace_capacity : int;
       (* ring-buffer capacity of the event trace; a tracing-enabled run
@@ -93,36 +75,21 @@ type t = {
          (the ablation of section 4.1's design choice) *)
   (* fault injection *)
   chaos : chaos option; (* None = injection plane disabled entirely *)
-  (* robustness: auditing, overload backpressure, forwarding watchdog *)
+  (* robustness: auditing, forwarding watchdog *)
   audit_interval_us : float;
       (* periodic invariant audit from the engine, simulated us between
          runs; 0 disables the periodic audit (on-demand and end-of-chaos
          audits are unaffected) *)
-  storm_threshold : int;
-      (* writeback-storm detector: displacements per [storm_window_us]
-         window above which new loads get [Overloaded] backpressure;
-         0 disables the detector *)
-  storm_window_us : float; (* width of the displacement-rate window *)
   forward_deadline_us : float;
       (* Figure-2 watchdog: a forwarded fault unresolved after this many
          simulated us is re-forwarded once, then escalated to the SRM as a
          misbehaving kernel; 0 disables the watchdog *)
-  overload_backoff_us : float; (* aklib base backoff on [Overloaded]; doubles *)
-  overload_max_retries : int; (* aklib retry budget before surfacing the error *)
   (* live migration & load balancing *)
   migrate_chunk_bytes : int;
       (* payload bytes per fiber-channel migration chunk (capped by the
          NIC's maximum frame payload) *)
-  migrate_retry_us : float;
-      (* retransmit watchdog: an unacknowledged transfer resends its
-         chunks this many simulated us past the image's wire time
-         (doubling per attempt) *)
-  migrate_max_retries : int; (* retransmit budget before the move is abandoned *)
   balance_interval_us : float;
       (* SRM load-balancing policy loop period; 0 disables auto-balancing *)
-  balance_hysteresis : int;
-      (* runnable-thread spread tolerated before the most-loaded node
-         migrates work to the least-loaded one *)
   (* failure detection & autonomous failover *)
   heartbeat_interval_us : float;
       (* SRM heartbeat period: each node broadcasts an epoch-stamped
@@ -151,7 +118,6 @@ type t = {
   fast_tier_slots : int;
       (* page capacity of the fast backing tier; 0 keeps the seed's flat
          single-tier store, bit-for-bit (the equivalence suite pins this) *)
-  tier_batch : int; (* fast-tier demotions per batched disk transfer *)
 }
 
 let default =
@@ -160,30 +126,13 @@ let default =
     space_cache = 64;
     thread_cache = 256;
     mapping_cache = 65536;
-    kernel_desc_bytes = 2160;
-    space_desc_bytes = 60;
-    thread_desc_bytes = 532;
-    mapping_desc_bytes = 16;
-    priorities = 32;
-    time_slice = Hw.Cost.cycles_of_us 10_000.0 (* 10 ms *);
-    quota_epoch = Hw.Cost.cycles_of_us 100_000.0 (* 100 ms *);
-    signal_queue_depth = 64;
-    max_fault_depth = 4;
-    max_locked_default = 8;
     trace_capacity = 65536;
     rtlb_enabled = true;
     chaos = None;
     audit_interval_us = 0.0;
-    storm_threshold = 0;
-    storm_window_us = 500.0;
     forward_deadline_us = 0.0;
-    overload_backoff_us = 200.0;
-    overload_max_retries = 5;
     migrate_chunk_bytes = 1024;
-    migrate_retry_us = 800.0;
-    migrate_max_retries = 6;
     balance_interval_us = 0.0;
-    balance_hysteresis = 2;
     heartbeat_interval_us = 0.0;
     suspect_timeout_us = 1_000.0;
     load_report_stale_us = 1_000_000.0;
@@ -191,8 +140,22 @@ let default =
     mapping_batch_max = 16;
     fault_prefetch = 0;
     fast_tier_slots = 0;
-    tier_batch = 8;
   }
+
+(* Table 1: descriptor sizes, bytes (space accounting and copy costs). *)
+
+let kernel_desc_bytes = 2160
+let space_desc_bytes = 60
+let thread_desc_bytes = 532
+let mapping_desc_bytes = 16
+
+(* Scheduling and limits. *)
+
+let priorities = 32 (* priority levels, 0 = lowest, priorities-1 = highest *)
+let time_slice = Hw.Cost.cycles_of_us 10_000.0 (* 10 ms *)
+let quota_epoch = Hw.Cost.cycles_of_us 100_000.0 (* 100 ms processor-percentage window *)
+let signal_queue_depth = 64 (* pending signals per thread *)
+let max_fault_depth = 4 (* nested fault forwarding before the thread is killed *)
 
 (* Cycle costs of Cache Kernel suboperations (supervisor code sequences). *)
 

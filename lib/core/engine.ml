@@ -177,7 +177,7 @@ let handle_fault t (th : Thread_obj.t) (frame : Thread_obj.frame) (fault : Hw.Mm
       kill_thread t th
         (Fmt.str "no progress after %d repeated faults: %a" th.Thread_obj.fault_repeat
            Hw.Mmu.pp_fault fault)
-    else if th.Thread_obj.fault_depth >= t.config.Config.max_fault_depth then
+    else if th.Thread_obj.fault_depth >= Config.max_fault_depth then
       kill_thread t th
         (Fmt.str "fault depth %d exceeded handling %a" th.Thread_obj.fault_depth
            Hw.Mmu.pp_fault fault)
@@ -394,7 +394,7 @@ let step_frame t (th : Thread_obj.t) (frame : Thread_obj.frame) =
   | Hw.Exec.On_compute (n, k) ->
     if th.Thread_obj.slice_left <= 0 then
       (* the scheduler decided to keep running it: fresh quantum *)
-      th.Thread_obj.slice_left <- t.config.Config.time_slice;
+      th.Thread_obj.slice_left <- Config.time_slice;
     let run = min n th.Thread_obj.slice_left in
     charge t run;
     th.Thread_obj.slice_left <- th.Thread_obj.slice_left - run;
@@ -425,7 +425,7 @@ let step_thread t ~cpu_id (th : Thread_obj.t) =
     let elapsed = max 1 (cpu.Hw.Cpu.local_time - t.quota_epoch_start) in
     if
       Quota.charge kernel ~cpu:cpu_id ~priority:th.Thread_obj.priority ~cycles:delta
-        ~elapsed ~grace:t.config.Config.time_slice
+        ~elapsed ~grace:Config.time_slice
     then
       if tracing t then
         trace t (Trace.Quota_exceeded { kernel = kernel.Kernel_obj.oid; cpu = cpu_id })
@@ -471,7 +471,7 @@ let ensure_sched_caches t =
   end
 
 let roll_quota_epoch t ~now_cycles =
-  if now_cycles - t.quota_epoch_start >= t.config.Config.quota_epoch then begin
+  if now_cycles - t.quota_epoch_start >= Config.quota_epoch then begin
     Caches.Kernel_cache.iter t.kernels Quota.reset_epoch;
     t.quota_epoch_start <- now_cycles
   end
@@ -490,7 +490,7 @@ let dispatch t ~cpu_id oid (th : Thread_obj.t) =
   Hw.Cpu.idle_until cpu th.Thread_obj.ready_since;
   Hw.Cpu.charge cpu (Hw.Cost.dispatch + Hw.Cost.context_switch);
   th.Thread_obj.state <- Thread_obj.Running cpu_id;
-  th.Thread_obj.slice_left <- t.config.Config.time_slice;
+  th.Thread_obj.slice_left <- Config.time_slice;
   t.running.(cpu_id) <- oid;
   cpu.Hw.Cpu.switches <- cpu.Hw.Cpu.switches + 1;
   Stdlib.incr t.hot.dispatches;

@@ -124,6 +124,9 @@ let migrate_drop t =
   | None -> Pass
   | Some c -> decide t ~site:"migrate.drop" ~rate:c.migrate_drop
 
+(* extra simulated us a delayed backing-store or tier transfer takes *)
+let io_delay_us = 500.0
+
 (** Fate of one backing-store transfer attempt.  A [`Fail] marks the site
     pending, so the retried attempt always comes back [`Ok]; a [`Delay]
     completes on its own and needs no retry. *)
@@ -142,7 +145,7 @@ let io_fate t =
       else begin
         (* a delay completes by itself: it is not a pending failure *)
         Hashtbl.remove t.pending "bstore";
-        `Delay c.io_delay_us
+        `Delay io_delay_us
       end)
 
 (** Fate of one tier promotion ([promote]) or batched demotion transfer in
@@ -166,7 +169,7 @@ let tier_fate t ~promote =
       else begin
         (* a delay completes by itself: it is not a pending failure *)
         Hashtbl.remove t.pending site;
-        `Delay c.io_delay_us
+        `Delay io_delay_us
       end)
 
 (** Fate of one signal delivery.  Drops are recovered by a scheduled
@@ -191,8 +194,9 @@ let io_max_retries t =
 let io_retry_backoff_us t =
   match t.chaos with Some c -> c.Config.io_retry_backoff_us | None -> 0.0
 
-let redeliver_backoff_us t =
-  match t.chaos with Some c -> c.Config.redeliver_backoff_us | None -> 0.0
+(* delay before a dropped signal is redelivered; drops only happen with
+   chaos on *)
+let redeliver_backoff_us = 50.0
 
 (* -- node crash -- *)
 

@@ -64,7 +64,8 @@ val signal_fate : t -> [ `Deliver | `Drop | `Duplicate ]
 
 val io_max_retries : t -> int
 val io_retry_backoff_us : t -> float
-val redeliver_backoff_us : t -> float
+val redeliver_backoff_us : float
+(** Simulated us before a dropped signal is redelivered. *)
 
 val take_crash_at_us : t -> float option
 (** One-shot: the simulated time (us) at which to crash the MPM, if

@@ -55,12 +55,6 @@ type t = {
   device_hooks : (int, int -> unit) Hashtbl.t;
       (* physical page -> callback(offset): Cache Kernel device drivers
          observing message-mode writes to device regions (section 2.2) *)
-  (* writeback-storm detector: displacements per tumbling window; while a
-     window exceeds [Config.storm_threshold], new loads from non-first
-     kernels get [Overloaded] backpressure *)
-  mutable storm_window_start : Hw.Cost.cycles;
-  mutable storm_displacements : int;
-  mutable storm_active_flag : bool;
   mutable last_audit : Hw.Cost.cycles; (* periodic-audit bookkeeping *)
   mutable audit_hooks : (repair:bool -> (string * string * string * bool) list) list;
       (* extra invariant checks registered by upper layers (the SRM ledger,
@@ -175,7 +169,7 @@ let create ?(config = Config.default) node =
       mappings =
         Mappings.create ~policy:config.Config.policy
           ~capacity:config.Config.mapping_cache ();
-      sched = Scheduler.create ~priorities:config.Config.priorities;
+      sched = Scheduler.create ~priorities:Config.priorities;
       trace = Trace.create ~capacity:config.Config.trace_capacity ();
       stats = Stats.create ();
       metrics;
@@ -189,9 +183,6 @@ let create ?(config = Config.default) node =
       halted = false;
       crashed_at_us = 0.0;
       device_hooks = Hashtbl.create 8;
-      storm_window_start = 0;
-      storm_displacements = 0;
-      storm_active_flag = false;
       last_audit = 0;
       audit_hooks = [];
       on_misbehaving = (fun ~kernel:_ ~thread:_ -> ());
@@ -283,58 +274,5 @@ let push_writeback ?cost t ~(owner : Oid.t) record =
     k.Kernel_obj.handlers.Kernel_obj.on_writeback ()
   | None -> () (* boot-time: no first kernel yet; record is dropped *)
 
-(* -- Writeback-storm detection (overload backpressure) --
-
-   Tumbling window over replacement displacements: when one window's count
-   exceeds [storm_threshold], the storm flag raises until a later window
-   stays under it.  Rolling is lazy — both the recorder and the reader roll
-   first — so the flag cannot stay stale across long idle stretches. *)
-
-let roll_storm t ~now_c =
-  let window = Hw.Cost.cycles_of_us t.config.Config.storm_window_us in
-  if now_c - t.storm_window_start >= window then begin
-    (* close out every whole window since the last roll; any window other
-       than the immediately-preceding one saw zero displacements *)
-    let immediately_after = now_c - t.storm_window_start < 2 * window in
-    let was = t.storm_active_flag in
-    t.storm_active_flag <-
-      immediately_after && t.storm_displacements > t.config.Config.storm_threshold;
-    if t.storm_active_flag && not was then begin
-      count t "storm.begin";
-      trace t (Trace.Storm { active = true; displacements = t.storm_displacements })
-    end
-    else if was && not t.storm_active_flag then begin
-      count t "storm.end";
-      trace t (Trace.Storm { active = false; displacements = t.storm_displacements })
-    end;
-    t.storm_window_start <- now_c - ((now_c - t.storm_window_start) mod window);
-    t.storm_displacements <- 0
-  end
-
 (** Record one replacement displacement (called from {!Replacement}). *)
-let note_displacement t =
-  count t "replacement.displacement";
-  if t.config.Config.storm_threshold > 0 then begin
-    let now_c = now t in
-    roll_storm t ~now_c;
-    t.storm_displacements <- t.storm_displacements + 1;
-    if
-      (not t.storm_active_flag)
-      && t.storm_displacements > t.config.Config.storm_threshold
-    then begin
-      (* raise mid-window: waiting for the roll would let a burst displace
-         a full window's worth before backpressure engages *)
-      t.storm_active_flag <- true;
-      count t "storm.begin";
-      trace t (Trace.Storm { active = true; displacements = t.storm_displacements })
-    end
-  end
-
-(** Is the node in a writeback storm right now?  [Api] load paths consult
-    this to return [Overloaded] backpressure. *)
-let storm_active t =
-  t.config.Config.storm_threshold > 0
-  && begin
-       roll_storm t ~now_c:(now t);
-       t.storm_active_flag
-     end
+let note_displacement t = count t "replacement.displacement"

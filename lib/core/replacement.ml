@@ -195,7 +195,7 @@ let unload_thread_now t ~reason (th : Thread_obj.t) =
   th.Thread_obj.unload_pending <- false;
   let oid = th.Thread_obj.oid in
   ignore (Caches.Thread_cache.unload t.threads oid);
-  charge t (Config.c_slot_free + Config.descriptor_copy t.config.Config.thread_desc_bytes);
+  charge t (Config.c_slot_free + Config.descriptor_copy Config.thread_desc_bytes);
   th.Thread_obj.state <- Thread_obj.Exited;
   t.stats.Stats.threads.Stats.unloads <- t.stats.Stats.threads.Stats.unloads + 1;
   (match reason with
@@ -260,7 +260,7 @@ let unload_space_now t ~reason (space : Space_obj.t) =
     end;
     let oid = space.Space_obj.oid in
     ignore (Caches.Space_cache.unload t.spaces oid);
-    charge t (Config.c_slot_free + Config.descriptor_copy t.config.Config.space_desc_bytes);
+    charge t (Config.c_slot_free + Config.descriptor_copy Config.space_desc_bytes);
     t.stats.Stats.spaces.Stats.unloads <- t.stats.Stats.spaces.Stats.unloads + 1;
     (match reason with
     | Wb.Displaced | Wb.Dependent ->

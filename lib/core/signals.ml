@@ -33,7 +33,7 @@ let deliver_now t (th : Thread_obj.t) ~va ~fast_path =
     (* The thread is parked on its wait-for-signal trap; queue the address
        and make it ready — the re-evaluated trap consumes it. *)
     ignore
-      (Thread_obj.queue_signal th ~depth_limit:t.config.Config.signal_queue_depth va);
+      (Thread_obj.queue_signal th ~depth_limit:Config.signal_queue_depth va);
     charge t Config.c_signal_dispatch;
     make_ready t th;
     (* Cross-processor notification if the receiver prefers another CPU. *)
@@ -43,7 +43,7 @@ let deliver_now t (th : Thread_obj.t) ~va ~fast_path =
     true
   | Thread_obj.Ready | Thread_obj.Running _ ->
     charge t Config.c_signal_queue;
-    if Thread_obj.queue_signal th ~depth_limit:t.config.Config.signal_queue_depth va then begin
+    if Thread_obj.queue_signal th ~depth_limit:Config.signal_queue_depth va then begin
       t.stats.Stats.signals_queued <- t.stats.Stats.signals_queued + 1;
       count t "signal.queued";
       trace t (Trace.Signal_queued { thread = th.Thread_obj.oid; va })
@@ -78,7 +78,7 @@ let deliver_to t (th : Thread_obj.t) ~va ~fast_path =
   | `Drop ->
     Fault_inject.inject t.fi ~site:"signal.drop";
     let oid = th.Thread_obj.oid in
-    let delay = Hw.Cost.cycles_of_us (Fault_inject.redeliver_backoff_us t.fi) in
+    let delay = Hw.Cost.cycles_of_us (Fault_inject.redeliver_backoff_us) in
     Hw.Mpm.after t.node ~delay (fun () -> redeliver t oid ~va);
     false
   | `Duplicate ->

@@ -18,11 +18,10 @@ type report = {
 }
 
 let measure (t : Instance.t) =
-  let cfg = t.Instance.config in
   let mapped_pages = Mappings.live t.Instance.mappings in
   let mapped_bytes = mapped_pages * Hw.Addr.page_size in
   let mapping_descriptor_bytes =
-    Mappings.dependency_records t.Instance.mappings * cfg.Config.mapping_desc_bytes
+    Mappings.dependency_records t.Instance.mappings * Config.mapping_desc_bytes
   in
   let page_table_bytes =
     Caches.Space_cache.fold t.Instance.spaces
@@ -30,13 +29,13 @@ let measure (t : Instance.t) =
       0
   in
   let kernel_descriptor_bytes =
-    Caches.Kernel_cache.live t.Instance.kernels * cfg.Config.kernel_desc_bytes
+    Caches.Kernel_cache.live t.Instance.kernels * Config.kernel_desc_bytes
   in
   let space_descriptor_bytes =
-    Caches.Space_cache.live t.Instance.spaces * cfg.Config.space_desc_bytes
+    Caches.Space_cache.live t.Instance.spaces * Config.space_desc_bytes
   in
   let thread_descriptor_bytes =
-    Caches.Thread_cache.live t.Instance.threads * cfg.Config.thread_desc_bytes
+    Caches.Thread_cache.live t.Instance.threads * Config.thread_desc_bytes
   in
   let pct n =
     if mapped_bytes = 0 then 0.0 else 100.0 *. float_of_int n /. float_of_int mapped_bytes

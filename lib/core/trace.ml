@@ -33,7 +33,6 @@ type event =
   | Recovered of { site : string }
   | Audit_violation of { check : string; subject : string }
   | Audit_repaired of { check : string; subject : string }
-  | Storm of { active : bool; displacements : int }
   | Forward_timeout of { thread : Oid.t; escalated : bool }
   | Migrate_out of { oid : Oid.t; dst : int; xfer : int; bytes : int }
   | Migrate_in of { xfer : int; src : int; bytes : int }
@@ -81,8 +80,6 @@ let pp_event ppf = function
   | Recovered { site } -> Fmt.pf ppf "recover %s" site
   | Audit_violation { check; subject } -> Fmt.pf ppf "audit-violation %s %s" check subject
   | Audit_repaired { check; subject } -> Fmt.pf ppf "audit-repaired %s %s" check subject
-  | Storm { active; displacements } ->
-    Fmt.pf ppf "storm %s displacements=%d" (if active then "begin" else "end") displacements
   | Forward_timeout { thread; escalated } ->
     Fmt.pf ppf "forward-timeout %a%s" Oid.pp thread
       (if escalated then " (escalated)" else " (re-forwarded)")
@@ -131,7 +128,6 @@ let event_name = function
   | Recovered _ -> "recovered"
   | Audit_violation _ -> "audit_violation"
   | Audit_repaired _ -> "audit_repaired"
-  | Storm _ -> "storm"
   | Forward_timeout _ -> "forward_timeout"
   | Migrate_out _ -> "migrate_out"
   | Migrate_in _ -> "migrate_in"
@@ -176,8 +172,6 @@ let event_fields ev =
     [ ("check", Json.String check); ("subject", Json.String subject) ]
   | Audit_repaired { check; subject } ->
     [ ("check", Json.String check); ("subject", Json.String subject) ]
-  | Storm { active; displacements } ->
-    [ ("active", Json.Bool active); ("displacements", Json.Int displacements) ]
   | Forward_timeout { thread; escalated } ->
     [ oid "thread" thread; ("escalated", Json.Bool escalated) ]
   | Migrate_out { oid = o; dst; xfer; bytes } ->

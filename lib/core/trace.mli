@@ -27,7 +27,6 @@ type event =
   | Recovered of { site : string }
   | Audit_violation of { check : string; subject : string }
   | Audit_repaired of { check : string; subject : string }
-  | Storm of { active : bool; displacements : int }
   | Forward_timeout of { thread : Oid.t; escalated : bool }
   | Migrate_out of { oid : Oid.t; dst : int; xfer : int; bytes : int }
   | Migrate_in of { xfer : int; src : int; bytes : int }

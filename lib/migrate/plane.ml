@@ -14,7 +14,7 @@
      reassembly plus re-acks on the destination;
    - apply: rebuild spaces, segments and page payloads, adopt the threads
      into the local thread library, and load them through the usual
-     backoff/stale-retry path;
+     stale-retry path;
    - forward: a stub left at the source re-targets signals raised against
      the old residence during (and after) the transfer window.
 
@@ -322,6 +322,13 @@ let send_chunks t ~dst ~xfer (o : outgoing) =
 (* Forward cell: re-adoption needs [apply], defined with the destination
    side below; the shipping watchdog needs re-adoption.  Tied at the
    bottom of the module. *)
+(* Retransmit watchdog: an unacknowledged transfer resends its chunks
+   [retry_us] simulated us past the image's wire time, doubling per
+   attempt, and is abandoned after [max_retries] resends.  The commit
+   resend loop uses the same schedule. *)
+let retry_us = 800.0
+let max_retries = 6
+
 let readopt_cell : (t -> xfer:int -> tags:int list -> Bytes.t -> unit) ref =
   ref (fun _ ~xfer:_ ~tags:_ _ -> ())
 
@@ -329,7 +336,6 @@ let readopt t ~xfer ~tags image = !readopt_cell t ~xfer ~tags image
 
 let rec arm_watchdog t ~xfer =
   let i = inst t in
-  let cfg = i.Instance.config in
   match Hashtbl.find_opt t.outgoing xfer with
   | None -> ()
   | Some o ->
@@ -339,14 +345,14 @@ let rec arm_watchdog t ~xfer =
        that horizon. *)
     let wire_us = Hw.Cost.us_of_cycles (Hw.Cost.fiber_serialize (Bytes.length o.o_image)) in
     let delay_us =
-      (wire_us *. 1.1) +. (cfg.Config.migrate_retry_us *. float_of_int (1 lsl o.o_retries))
+      (wire_us *. 1.1) +. (retry_us *. float_of_int (1 lsl o.o_retries))
     in
     Hw.Mpm.after i.Instance.node ~delay:(Hw.Cost.cycles_of_us delay_us) (fun () ->
         match Hashtbl.find_opt t.outgoing xfer with
         | None -> ()
         | Some o when o.o_acked -> ()
         | Some o ->
-          if o.o_retries >= cfg.Config.migrate_max_retries then begin
+          if o.o_retries >= max_retries then begin
             Hashtbl.remove t.outgoing xfer;
             Instance.count i "migrate.abandoned";
             (* crash-atomicity: the unreachable target may still hold (or
@@ -371,16 +377,15 @@ let rec arm_watchdog t ~xfer =
    notifications resolve it. *)
 let rec arm_commit_watchdog t ~xfer =
   let i = inst t in
-  let cfg = i.Instance.config in
   match Hashtbl.find_opt t.committing xfer with
   | None -> ()
   | Some c ->
-    let delay_us = cfg.Config.migrate_retry_us *. float_of_int (1 lsl c.c_retries) in
+    let delay_us = retry_us *. float_of_int (1 lsl c.c_retries) in
     Hw.Mpm.after i.Instance.node ~delay:(Hw.Cost.cycles_of_us delay_us) (fun () ->
         match Hashtbl.find_opt t.committing xfer with
         | None -> ()
         | Some c ->
-          if c.c_retries >= cfg.Config.migrate_max_retries then
+          if c.c_retries >= max_retries then
             Instance.count i "migrate.commit_stalled"
           else begin
             c.c_retries <- c.c_retries + 1;
@@ -446,7 +451,7 @@ let rec try_capture_thread t ~dst ~xfer ~id ~attempts =
   | None | Some { Thread_lib.run = Thread_lib.Exited; _ } -> Instance.count i "migrate.aborted"
   | Some ({ Thread_lib.run = Thread_lib.Unloaded _; _ } as e) -> capture_thread t ~dst ~xfer e
   | Some ({ Thread_lib.run = Thread_lib.Loaded; _ } as e) -> (
-    match Backoff.with_backoff i (fun () -> Thread_lib.deschedule t.ak.App_kernel.threads id) with
+    match Thread_lib.deschedule t.ak.App_kernel.threads id with
     | Error _ -> Instance.count i "migrate.aborted"
     | Ok () ->
       (match e.Thread_lib.run with
@@ -540,8 +545,7 @@ let rec try_capture_space t ~dst ~xfer ~tag ~attempts =
     let unloaded =
       if not vsp.Segment_mgr.loaded then Ok ()
       else
-        Backoff.with_backoff i (fun () ->
-            Api.unload_space i ~caller:(App_kernel.oid t.ak) vsp.Segment_mgr.oid)
+        Api.unload_space i ~caller:(App_kernel.oid t.ak) vsp.Segment_mgr.oid
     in
     let quiesced =
       match unloaded with

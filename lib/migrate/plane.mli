@@ -3,8 +3,7 @@
     The paper's writeback images are location-independent, so a migration
     is an unload at the source, a chunked transfer of the {!Codec} image
     over the transport the SRM provides, and a reload at the destination
-    through the normal [Api.load_*] path (backoff and stale-id retry
-    included).  Chunk loss/duplication is recovered by a retransmit
+    through the normal [Api.load_*] path (stale-id retry included).  Chunk loss/duplication is recovered by a retransmit
     watchdog plus idempotent reassembly and re-acks; a forwarding stub at
     the source re-targets signals raised against the old residence.
 

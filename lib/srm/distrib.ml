@@ -12,7 +12,7 @@
    ({!Migrate.Plane}), and — when [Config.balance_interval_us] is set — a
    periodic balancing loop that moves runnable threads from the most- to
    the least-loaded node until the spread is within
-   [Config.balance_hysteresis].
+   [balance_hysteresis] runnable threads.
 
    Failure detection and fencing (DESIGN.md section 10): every frame is
    stamped with the sender's *epoch*, a monotonically increasing
@@ -458,6 +458,10 @@ let most_loaded t =
 (* One balancing step: if this node is the most loaded and the spread to
    the least-loaded node exceeds the hysteresis band, migrate one movable
    thread there.  One move per tick — the next tick sees the new loads. *)
+(* runnable-thread spread tolerated before the most-loaded node migrates
+   work to the least-loaded one *)
+let balance_hysteresis = 2
+
 let balance_tick t =
   let inst = t.srm.Manager.inst in
   Instance.count inst "balance.ticks";
@@ -473,7 +477,7 @@ let balance_tick t =
     in
     if
       src = t.node_id && dst <> t.node_id
-      && high - low > inst.Instance.config.Config.balance_hysteresis
+      && high - low > balance_hysteresis
       && not (Migrate.Plane.in_flight t.plane)
     then
       match Migrate.Plane.pick_movable t.plane with

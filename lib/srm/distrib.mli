@@ -5,7 +5,7 @@
     section 2.3 prescribes for large parallel programs.  When
     [Config.balance_interval_us] is set, a periodic loop migrates runnable
     threads from the most- to the least-loaded node until the spread is
-    within [Config.balance_hysteresis].
+    within two runnable threads.
 
     When [Config.heartbeat_interval_us] is set the layer also runs the
     epoch-fenced failure detector (DESIGN.md section 10): heartbeats

@@ -22,10 +22,10 @@ let t1 () =
        (fun (o, size, cap) ->
          [ str "object" o; int "size_bytes" size; int "cache_size" cap ])
        [
-         ("Kernel", c.Config.kernel_desc_bytes, c.Config.kernel_cache);
-         ("AddrSpace", c.Config.space_desc_bytes, c.Config.space_cache);
-         ("Thread", c.Config.thread_desc_bytes, c.Config.thread_cache);
-         ("MemMapEntry", c.Config.mapping_desc_bytes, c.Config.mapping_cache);
+         ("Kernel", Config.kernel_desc_bytes, c.Config.kernel_cache);
+         ("AddrSpace", Config.space_desc_bytes, c.Config.space_cache);
+         ("Thread", Config.thread_desc_bytes, c.Config.thread_cache);
+         ("MemMapEntry", Config.mapping_desc_bytes, c.Config.mapping_cache);
        ])
 
 let t2 () =
@@ -375,74 +375,6 @@ let o1 () =
       hist "fault.handle_us";
       hist "sched.dispatch_us";
     ]
-
-(* -- OV: overload backpressure past mapping-cache capacity -- *)
-
-(* Drive [offered] mapping loads from a second (non-exempt) kernel against
-   a mapping cache of 64 descriptors, cycling through 256 distinct pages so
-   every load past capacity displaces a victim.  With backpressure off the
-   displacement rate tracks the offered rate; on, the storm detector caps
-   it near the threshold and the backoff layer absorbs the excess as
-   waiting. *)
-let overload_run ~offered ~backpressure =
-  let config =
-    {
-      Config.default with
-      Config.mapping_cache = 64;
-      (* the uncapped workload displaces ~5 mappings/ms; a threshold of 2
-         per 2 ms window forces the detector to engage and shed the rest *)
-      storm_threshold = (if backpressure then 2 else 0);
-      storm_window_us = 2000.0;
-    }
-  in
-  let inst = Setup.instance ~config ~cpus:1 () in
-  let first = Aklib.App_kernel.oid (Setup.first_kernel inst) in
-  (* the first kernel is exempt from backpressure (it hosts the SRM), so
-     the offered load comes from a second kernel *)
-  let spec =
-    {
-      Kernel_obj.name = "offered-load";
-      handlers = Kernel_obj.null_handlers;
-      cpu_percent = Array.make 1 100;
-      max_priority = 16;
-      max_locked = 4;
-    }
-  in
-  let caller = Setup.ok (Api.load_kernel inst ~caller:first spec) in
-  for g = 0 to Instance.n_groups inst - 1 do
-    ignore
-      (Api.set_mem_access inst ~caller:first ~kernel:caller ~group:g Kernel_obj.Read_write)
-  done;
-  let space = Setup.ok (Api.load_space inst ~caller ~tag:1 ()) in
-  let shed = ref 0 in
-  for i = 0 to offered - 1 do
-    let slot = i mod 256 in
-    let va = 0x40000000 + (slot * Hw.Addr.page_size) in
-    match
-      Aklib.Backoff.with_backoff inst (fun () ->
-          Api.load_mapping inst ~caller ~space (Api.mapping ~va ~pfn:(512 + slot) ()))
-    with
-    | Error Api.Overloaded -> incr shed (* retries exhausted: load shed *)
-    | _ -> ()
-  done;
-  let m = inst.Instance.metrics in
-  let ms = us_of_now inst /. 1000. in
-  let violations = List.length (Audit.run inst).Audit.violations in
-  let displaced = Metrics.counter m "replacement.displacement" in
-  [
-    int "offered" offered; flag "backpressure" backpressure; num "simulated_ms" ms;
-    int "displacements" displaced;
-    num "displacement_rate_per_ms" (float_of_int displaced /. ms);
-    int "overload_rejected" (Metrics.counter m "overload.rejected"); int "loads_shed" !shed;
-    int "audit_violations" violations;
-  ]
-
-let ov () =
-  rows
-    (List.concat_map
-       (fun offered ->
-         List.map (fun backpressure -> overload_run ~offered ~backpressure) [ false; true ])
-       [ 128; 256; 512 ])
 
 (* -- MG: live migration, pause time and bytes shipped vs working set -- *)
 
@@ -872,7 +804,6 @@ let all =
     s "a2" "Premium charging: high-priority execution burns quota faster (sec 4.3)" a2;
     s "a3" "Optimized load-and-resume vs separate return (sec 2.1)" a3;
     s "o1" "Fault and dispatch latency on the traced UNIX session" o1;
-    s "ov" "Overload backpressure: displacement rate, capped vs thrashing" ov;
     s "mg" "Live migration: pause time and bytes vs working-set size" mg;
     s "fp" "Batched-load / prefetch gate (1024 pages, capacity 256)" fp;
     s "pl" "Replacement-policy shoot-out" pl;
@@ -908,7 +839,7 @@ let run scenarios =
       List.iter
         (fun (g, ok) -> Printf.printf "  gate %s: %s\n" g (if ok then "ok" else "FAILED"))
         r.gates;
-      merge "BENCH_metrics.json" s.name (to_json s r);
+      merge ~known:names "BENCH_metrics.json" s.name (to_json s r);
       if s.name = "wc" then
         Json.to_file wc_baseline (Json.Obj [ ("scenarios", Json.List r.rows) ]);
       List.filter_map

@@ -72,11 +72,12 @@ let table rows =
   Buffer.contents b
 
 (** Replace [name]'s entry in the JSON object stored at [path] (created,
-    or started afresh if it does not parse as an object). *)
-let merge path name entry =
+    or started afresh if it does not parse as an object), dropping every
+    entry whose key is not in [known] — scenarios since deleted. *)
+let merge ~known path name entry =
   let kept =
     match Json.of_string (In_channel.with_open_text path In_channel.input_all) with
-    | Json.Obj f -> List.filter (fun (k, _) -> k <> name) f
+    | Json.Obj f -> List.filter (fun (k, _) -> k <> name && List.mem k known) f
     | _ | (exception _) -> []
   in
   Json.to_file path (Json.Obj (kept @ [ (name, entry) ]))

@@ -1,4 +1,4 @@
-(* Invariant auditor, overload backpressure and forwarding-watchdog tests.
+(* Invariant auditor and forwarding-watchdog tests.
 
    - clean runs (plain and chaos-enabled) audit with zero violations
    - a qcheck property: arbitrary load/unload workloads under stale
@@ -7,8 +7,6 @@
      drift, bogus page-table/TLB/RTLB entries, quota and ledger damage —
      are each detected, repaired, and a re-audit comes back clean
    - the periodic engine audit fires on Config.audit_interval_us
-   - writeback-storm backpressure rejects loads and the aklib backoff
-     layer absorbs the rejections without losing work
    - the Figure-2 forwarding watchdog re-forwards a wedged handler once,
      then escalates to the SRM hook and kills the thread *)
 
@@ -346,53 +344,6 @@ let test_periodic_audit () =
   Alcotest.(check bool) "periodic audits ran" true (counter inst "audit.runs" >= 2);
   Alcotest.(check int) "nothing to repair" 0 (counter inst "audit.repair.counter")
 
-(* -- overload backpressure and bounded backoff -- *)
-
-let test_backpressure_backoff () =
-  let config =
-    {
-      Config.default with
-      Config.mapping_cache = 16;
-      storm_threshold = 2;
-      storm_window_us = 2000.0;
-    }
-  in
-  let inst = Workload.Setup.instance ~config ~cpus:1 () in
-  let ak = Workload.Setup.first_kernel inst in
-  let first = App_kernel.oid ak in
-  let spec =
-    {
-      Kernel_obj.name = "loader";
-      handlers = Kernel_obj.null_handlers;
-      cpu_percent = [| 100 |];
-      max_priority = 16;
-      max_locked = 4;
-    }
-  in
-  let caller = ok (Api.load_kernel inst ~caller:first spec) in
-  List.iter
-    (fun g ->
-      ignore
-        (Api.set_mem_access inst ~caller:first ~kernel:caller ~group:g
-           Kernel_obj.Read_write))
-    (List.init (Instance.n_groups inst) Fun.id);
-  let space = ok (Api.load_space inst ~caller ~tag:1 ()) in
-  for i = 0 to 63 do
-    let slot = i mod 32 in
-    let va = 0x40000000 + (slot * Hw.Addr.page_size) in
-    match
-      Backoff.with_backoff inst (fun () ->
-          Api.load_mapping inst ~caller ~space (Api.mapping ~va ~pfn:(512 + slot) ()))
-    with
-    | Ok () | Error Api.Already_mapped -> ()
-    | Error Api.Overloaded -> Alcotest.fail "bounded backoff exhausted under a transient storm"
-    | Error e -> Alcotest.failf "load_mapping: %a" Api.pp_error e
-  done;
-  Alcotest.(check bool) "storm detected" true (counter inst "storm.begin" > 0);
-  Alcotest.(check bool) "loads rejected" true (counter inst "overload.rejected" > 0);
-  Alcotest.(check bool) "backoff retries counted" true (counter inst "overload.backoff" > 0);
-  check_clean "audit after storm" (Audit.run inst)
-
 (* -- Figure-2 forwarding watchdog -- *)
 
 let test_watchdog_escalation () =
@@ -477,8 +428,6 @@ let () =
           Alcotest.test_case "instance hook via SRM boot" `Quick test_srm_audit_hook;
         ] );
       ("periodic", [ Alcotest.test_case "engine interval" `Quick test_periodic_audit ]);
-      ( "overload",
-        [ Alcotest.test_case "backpressure and backoff" `Quick test_backpressure_backoff ] );
       ( "watchdog",
         [
           Alcotest.test_case "stuck handler escalates" `Quick test_watchdog_escalation;

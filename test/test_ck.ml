@@ -74,7 +74,7 @@ let test_stale_identifiers () =
 
 (* -- Replacement: no hard errors, generation invalidation -- *)
 
-let test_space_replacement () =
+let test_no_hard_errors () =
   let inst, first = make () in
   (* fill beyond capacity: every load succeeds, old spaces written back *)
   let oids = List.init 12 (fun i -> ok (Api.load_space inst ~caller:first ~tag:i ())) in
@@ -83,7 +83,51 @@ let test_space_replacement () =
   Alcotest.(check bool) "early ones displaced" true (List.length live < 12);
   let k = Option.get (Instance.find_kernel inst first) in
   let wb = Queue.fold (fun acc _ -> acc + 1) 0 k.Kernel_obj.writebacks in
-  Alcotest.(check bool) "writeback records delivered" true (wb >= 6)
+  Alcotest.(check bool) "writeback records delivered" true (wb >= 6);
+  (* Section 7's contract holds for every caller: a second, non-first
+     kernel loading twice the capacity of spaces, threads and mappings gets
+     [Ok] for every load, and the excess is displaced through writeback. *)
+  let inst, first = make () in
+  let c = inst.Instance.config in
+  let k2 = ok (Api.load_kernel inst ~caller:first (null_spec inst "second")) in
+  for g = 0 to Instance.n_groups inst - 1 do
+    ok (Api.set_mem_access inst ~caller:first ~kernel:k2 ~group:g Kernel_obj.Read_write)
+  done;
+  let spaces =
+    List.init (2 * c.Config.space_cache) (fun i -> ok (Api.load_space inst ~caller:k2 ~tag:i ()))
+  in
+  let sp = List.nth spaces (List.length spaces - 1) in
+  for i = 1 to 2 * c.Config.thread_cache do
+    ignore
+      (ok
+         (Api.load_thread inst ~caller:k2 ~space:sp ~priority:4 ~tag:i
+            ~start:(Thread_obj.Fresh idle_body) ()))
+  done;
+  for i = 0 to (2 * c.Config.mapping_cache) - 1 do
+    ok
+      (Api.load_mapping inst ~caller:k2 ~space:sp
+         (Api.mapping ~va:(0x40000000 + (i * Hw.Addr.page_size)) ~pfn:(64 + i) ()))
+  done;
+  let st = inst.Instance.stats in
+  let displaced (s : Stats.counter) cap = s.Stats.loads_with_writeback >= cap in
+  Alcotest.(check bool) "spaces displaced" true (displaced st.Stats.spaces c.Config.space_cache);
+  Alcotest.(check bool) "threads displaced" true
+    (displaced st.Stats.threads c.Config.thread_cache);
+  Alcotest.(check bool) "mappings displaced" true
+    (displaced st.Stats.mappings c.Config.mapping_cache);
+  let records kind =
+    List.fold_left
+      (fun acc oid ->
+        let k = Option.get (Instance.find_kernel inst oid) in
+        Queue.fold (fun acc r -> if kind r then acc + 1 else acc) acc k.Kernel_obj.writebacks)
+      0 [ first; k2 ]
+  in
+  Alcotest.(check bool) "space writebacks" true
+    (records (function Wb.Space_wb _ -> true | _ -> false) >= c.Config.space_cache);
+  Alcotest.(check bool) "thread writebacks" true
+    (records (function Wb.Thread_wb _ -> true | _ -> false) >= c.Config.thread_cache);
+  Alcotest.(check bool) "mapping writebacks" true
+    (records (function Wb.Mapping_wb _ -> true | _ -> false) >= c.Config.mapping_cache)
 
 (* -- Figure 6: dependency-ordered unload -- *)
 
@@ -401,7 +445,7 @@ let () =
         ] );
       ( "replacement",
         [
-          Alcotest.test_case "no hard errors past capacity" `Quick test_space_replacement;
+          Alcotest.test_case "no hard errors past capacity" `Quick test_no_hard_errors;
           Alcotest.test_case "storage is allocated on use" `Quick test_create_allocates_on_use;
           Alcotest.test_case "dependency cascade (Figure 6)" `Quick test_dependency_cascade;
           Alcotest.test_case "signal mapping depends on thread" `Quick

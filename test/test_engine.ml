@@ -133,7 +133,7 @@ let test_signal_queue_bound () =
   let inst, first, space = make () in
   (* a thread that never waits: signals pile up on its bounded queue *)
   let th = spawn inst first space ~priority:8 (fun () -> Hw.Exec.compute 100) in
-  let depth = inst.Instance.config.Config.signal_queue_depth in
+  let depth = Config.signal_queue_depth in
   for i = 1 to depth + 16 do
     ignore (Api.post_signal inst ~caller:first ~thread:th ~va:(0x1000 + (4 * i)))
   done;

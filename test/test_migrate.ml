@@ -356,42 +356,6 @@ let gen_image =
   >>= fun extras ->
   map (fun src_node -> { Migrate.Codec.src_node; spaces; threads; extras }) (int_bound 63)
 
-(* Byte-level damage: a flipped byte, a truncation, or a length-like
-   field overwritten with an edge value. *)
-type mutation = Flip of int * int | Truncate of int | Set_u32 of int * int | Set_u16 of int * int
-
-let gen_mutation =
-  let open QCheck.Gen in
-  let edge = oneofl [ 0; 1; 0xFF; 0xFFFF; 0x10000; 0x7FFFFFFF; 0xFFFFFFFF; 4096; 4097 ] in
-  frequency
-    [
-      (3, map2 (fun p x -> Flip (p, x)) nat (int_range 1 255));
-      (1, map (fun n -> Truncate n) nat);
-      (2, map2 (fun p v -> Set_u32 (p, v)) nat (oneof [ edge; int_bound 0xFFFF ]));
-      (2, map2 (fun p v -> Set_u16 (p, v)) nat (oneof [ edge; int_bound 0xFF ]));
-    ]
-
-let mutate b muts =
-  List.fold_left
-    (fun b m ->
-      let len = Bytes.length b in
-      if len = 0 then b
-      else
-        match m with
-        | Flip (p, x) ->
-          let p = p mod len in
-          Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor x));
-          b
-        | Truncate n -> Bytes.sub b 0 (n mod len)
-        | Set_u32 (p, v) when len >= 4 ->
-          Bytes.set_int32_le b (p mod (len - 3)) (Int32.of_int v);
-          b
-        | Set_u16 (p, v) when len >= 2 ->
-          Bytes.set_uint16_le b (p mod (len - 1)) (v land 0xFFFF);
-          b
-        | Set_u32 _ | Set_u16 _ -> b)
-    (Bytes.copy b) muts
-
 (* Recompute the trailer for whatever body length the header now claims,
    so the parser (not just the checksum) sees the damage. *)
 let reseal b =
@@ -405,16 +369,6 @@ let reseal b =
 
 let is_prefix p b = Bytes.length p <= Bytes.length b && Bytes.equal p (Bytes.sub b 0 (Bytes.length p))
 
-let print_mutations muts =
-  String.concat "; "
-    (List.map
-       (function
-         | Flip (p, x) -> Printf.sprintf "flip %d^%d" p x
-         | Truncate n -> Printf.sprintf "truncate %d" n
-         | Set_u32 (p, v) -> Printf.sprintf "u32 @%d=%d" p v
-         | Set_u16 (p, v) -> Printf.sprintf "u16 @%d=%d" p v)
-       muts)
-
 let codec_roundtrip =
   QCheck.Test.make ~count:300 ~name:"codec roundtrip over generated images"
     (QCheck.make gen_image)
@@ -425,10 +379,10 @@ let codec_roundtrip =
 let codec_fuzz =
   QCheck.Test.make ~count:1000 ~name:"codec decode survives byte mutation"
     (QCheck.make
-       ~print:(fun (_, muts, sealed) -> Printf.sprintf "[%s] resealed=%b" (print_mutations muts) sealed)
-       QCheck.Gen.(triple gen_image (list_size (int_range 1 3) gen_mutation) bool))
+       ~print:(fun (_, muts, sealed) -> Printf.sprintf "[%s] resealed=%b" (Mutation.to_string muts) sealed)
+       QCheck.Gen.(triple gen_image (list_size (int_range 1 3) Mutation.gen) bool))
     (fun (img, muts, sealed) ->
-      let b = mutate (Migrate.Codec.encode img) muts in
+      let b = Mutation.apply (Migrate.Codec.encode img) muts in
       let b = if sealed then reseal b else b in
       match Migrate.Codec.decode b with
       | Error _ -> true
@@ -437,10 +391,10 @@ let codec_fuzz =
 let distrib_fuzz =
   QCheck.Test.make ~count:1000 ~name:"frame decode survives byte mutation"
     (QCheck.make
-       ~print:(fun (m, muts) -> Printf.sprintf "%s [%s]" (print_msg m) (print_mutations muts))
-       QCheck.Gen.(pair gen_msg (list_size (int_range 1 3) gen_mutation)))
+       ~print:(fun (m, muts) -> Printf.sprintf "%s [%s]" (print_msg m) (Mutation.to_string muts))
+       QCheck.Gen.(pair gen_msg (list_size (int_range 1 3) Mutation.gen)))
     (fun ((epoch, m), muts) ->
-      let b = mutate (Srm.Distrib.encode ~epoch m) muts in
+      let b = Mutation.apply (Srm.Distrib.encode ~epoch m) muts in
       match Srm.Distrib.decode b with
       | None -> true
       | Some (e, m') -> is_prefix (Srm.Distrib.encode ~epoch:e m') b)
@@ -707,10 +661,10 @@ let gen_frame_mutation =
   let open QCheck.Gen in
   frequency
     [
-      (2, gen_mutation);
+      (2, Mutation.gen);
       ( 3,
         map2
-          (fun word v -> Set_u32 (8 + (4 * word), v))
+          (fun word v -> Mutation.Set_u32 (8 + (4 * word), v))
           (int_bound 3)
           (oneof [ int_bound 64; int_range 60 3100; oneofl [ 0x7FFFFFFF; 0xFFFFFFFF ] ]) );
     ]
@@ -726,7 +680,7 @@ let reassembly_fuzz =
          Printf.sprintf "chunk %d%s, %s" chunk
            (if reverse then " reversed" else "")
            (String.concat "; "
-              (List.map (fun (seq, muts) -> Printf.sprintf "#%d [%s]" seq (print_mutations muts)) hits)))
+              (List.map (fun (seq, muts) -> Printf.sprintf "#%d [%s]" seq (Mutation.to_string muts)) hits)))
        QCheck.Gen.(
          triple (int_range 64 3000) bool
            (list_size (int_bound 3) (pair nat (list_size (int_range 1 2) gen_frame_mutation)))))
@@ -742,7 +696,7 @@ let reassembly_fuzz =
               (Srm.Distrib.Migrate_chunk
                  { xfer = 9; seq; total; buf = image; off; len = min chunk (size - off) }))
       in
-      List.iter (fun (seq, muts) -> frames.(seq mod total) <- mutate frames.(seq mod total) muts) hits;
+      List.iter (fun (seq, muts) -> frames.(seq mod total) <- Mutation.apply frames.(seq mod total) muts) hits;
       let frames = if reverse then Array.of_list (List.rev (Array.to_list frames)) else frames in
       Array.iter
         (fun frame ->

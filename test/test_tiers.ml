@@ -17,7 +17,10 @@
      strictly fewer simulated us per access than the flat store.
    - unit coverage for the placement rule (page-outs land fast, slow
      refaults promote, the least recently touched image is demoted),
-     demotion batching, [read_block_now] and [checkpoint_flush]. *)
+     demotion batching, [read_block_now] and [checkpoint_flush].
+   - the CKT1 demotion-frame decoder: forged fields (bad lengths, bit 63
+     set) are rejected, and a byte-mutation fuzzer checks it never raises
+     and that any frame it accepts re-encodes to identical bytes. *)
 
 open Cachekernel
 open Aklib
@@ -607,35 +610,75 @@ let test_short_image_replaces () =
   Alcotest.(check bool) "flushed short image reads zero past its extent" true
     (Bytes.equal short (Hw.Disk.read_now env.disk ~block:b))
 
-(* The demotion frame decoder returns [Error] for a payload length outside
+(* -- CKT1 demotion-frame decoder -- *)
+
+let fnv1a b =
+  Bytes.fold_left
+    (fun h c -> Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001B3L)
+    0xCBF29CE484222325L b
+
+(* Recompute the FNV trailer over everything before it, so the parser
+   (not just the checksum) sees the damage. *)
+let reseal b =
+  let len = Bytes.length b in
+  if len >= 8 then Bytes.set_int64_le b (len - 8) (fnv1a (Bytes.sub b 0 (len - 8)));
+  b
+
+let rejected name frame =
+  match Backing_store.decode_batch frame with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.failf "%s: accepted" name
+  | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+
+(* The decoder returns [Error] for a payload length outside
    [0..page_size] even under a valid checksum; it must not raise. *)
 let test_decode_rejects_bad_length () =
-  let fnv1a b =
-    Bytes.fold_left
-      (fun h c -> Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001B3L)
-      0xCBF29CE484222325L b
-  in
   (* re-frame [entries] with the first entry's length field set to [dlen] *)
   let forge entries dlen =
     let frame = Backing_store.encode_batch entries in
-    let body = Bytes.sub frame 0 (Bytes.length frame - 8) in
-    Bytes.set_int64_le body (4 + 8 + 16) (Int64.of_int dlen);
-    let sum = Bytes.create 8 in
-    Bytes.set_int64_le sum 0 (fnv1a body);
-    Bytes.cat body sum
+    Bytes.set_int64_le frame (4 + 8 + 16) (Int64.of_int dlen);
+    reseal frame
   in
   let ok = [ (3, 1, Bytes.make 16 'x') ] in
-  let rejected name frame =
-    match Backing_store.decode_batch frame with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "%s: accepted" name
-    | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
-  in
   Alcotest.(check bool) "an honest frame decodes" true
     (Backing_store.decode_batch (forge ok 16) = Ok ok);
   rejected "length -1" (forge ok (-1));
   rejected "length page_size + 1"
     (forge [ (3, 1, Bytes.make (Hw.Addr.page_size + 1) 'x') ] (Hw.Addr.page_size + 1))
+
+(* A 64-bit field with bit 63 set over a small value is outside OCaml's
+   int range; truncating it would decode a forged frame as a valid entry. *)
+let test_decode_rejects_out_of_range () =
+  let honest = Backing_store.encode_batch [ (3, 1, Bytes.make 16 'x') ] in
+  List.iter
+    (fun (name, off) ->
+      let frame = Bytes.copy honest in
+      Bytes.set_int64_le frame off (Int64.logor Int64.min_int (Bytes.get_int64_le frame off));
+      rejected (name ^ " with bit 63 set") (reseal frame))
+    [ ("count", 4); ("block", 12); ("generation", 20); ("length", 28) ];
+  rejected "trailing byte" (reseal (Bytes.cat honest (Bytes.make 1 '\000')))
+
+(* Byte-mutation fuzzer over honest frames, optionally resealed: decoding
+   never raises, and any frame it accepts re-encodes to identical bytes. *)
+let gen_entries =
+  let open QCheck.Gen in
+  list_size (int_bound 3)
+    (triple (int_range (-2) 1000) (int_bound 50)
+       (map (fun n -> Bytes.init n (fun i -> Char.chr (i land 0xff))) (int_bound 64)))
+
+let decode_fuzz =
+  QCheck.Test.make ~count:1000 ~name:"CKT1 decode survives byte mutation"
+    (QCheck.make
+       ~print:(fun (e, muts, sealed) ->
+         Printf.sprintf "%d entries [%s] resealed=%b" (List.length e) (Mutation.to_string muts)
+           sealed)
+       QCheck.Gen.(triple gen_entries (list_size (int_range 1 3) Mutation.gen) bool))
+    (fun (entries, muts, sealed) ->
+      let b = Mutation.apply (Backing_store.encode_batch entries) muts in
+      let b = if sealed then reseal b else b in
+      match Backing_store.decode_batch b with
+      | Error _ -> true
+      | Ok entries' -> Bytes.equal (Backing_store.encode_batch entries') b)
 
 let () =
   Alcotest.run "tiers"
@@ -670,5 +713,8 @@ let () =
             test_short_image_replaces;
           Alcotest.test_case "batch decoder rejects bad lengths" `Quick
             test_decode_rejects_bad_length;
+          Alcotest.test_case "batch decoder rejects out-of-range fields" `Quick
+            test_decode_rejects_out_of_range;
         ] );
+      ("fuzz", [ qcheck decode_fuzz ]);
     ]

@@ -124,6 +124,24 @@ let test_registry_unknown () =
       (fun n -> Alcotest.(check bool) (n ^ " listed") true (contains msg n))
       ("nope" :: Workload.Bench.names)
 
+(* Merging a scenario's entry drops keys of deleted scenarios and keeps
+   every registered one it did not run. *)
+let test_registry_merge_prunes () =
+  let open Cachekernel in
+  let path = Filename.temp_file "bench_metrics" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Json.to_file path
+        (Json.Obj [ ("bogus", Json.Int 1); ("t1", Json.Int 2); ("fp", Json.Int 3) ]);
+      Workload.Scenario.merge ~known:Workload.Bench.names path "fp" (Json.Int 4);
+      match Json.of_string (In_channel.with_open_text path In_channel.input_all) with
+      | Json.Obj f ->
+        Alcotest.(check (list string)) "keys" [ "t1"; "fp" ] (List.map fst f);
+        Alcotest.(check bool) "t1 kept as is" true (List.assoc "t1" f = Json.Int 2);
+        Alcotest.(check bool) "fp replaced" true (List.assoc "fp" f = Json.Int 4)
+      | _ -> Alcotest.fail "not an object")
+
 (* Every simulated scenario, at its benchmark size, with its gates.  WC
    times the host against a checked-in baseline, so it stays out of the
    test suite. *)
@@ -165,6 +183,8 @@ let () =
         [
           Alcotest.test_case "names are unique" `Quick test_registry_unique;
           Alcotest.test_case "unknown name lists the valid ones" `Quick test_registry_unknown;
+          Alcotest.test_case "merge drops unregistered scenarios" `Quick
+            test_registry_merge_prunes;
           Alcotest.test_case "every scenario passes its gates" `Quick test_registry_scenarios;
         ] );
     ]
