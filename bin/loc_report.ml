@@ -57,7 +57,9 @@ let () =
   in
   let vm_lines = List.fold_left (fun acc f -> acc + fst (read_lines f)) 0 supervisor_vm_files in
   let hw = [ dir "lib/hw" ] in
-  let app_kernels = [ dir "lib/aklib"; dir "lib/unix_emu"; dir "lib/srm"; dir "lib/sim_kernel" ] in
+  let app_kernels =
+    [ dir "lib/aklib"; dir "lib/unix_emu"; dir "lib/srm"; dir "lib/migrate"; dir "lib/sim_kernel" ]
+  in
   let baselines = [ dir "lib/baseline" ] in
   let harness = [ dir "lib/workload"; dir "test"; dir "examples"; dir "bin" ] in
   (* the benchmark harness: the scenario registry and its runner *)
@@ -70,7 +72,7 @@ let () =
   Printf.printf "  %-44s %6d lines (%d files)\n" "hardware substrate (lib/hw)" (total hw)
     (count_files hw);
   Printf.printf "  %-44s %6d lines (%d files)\n"
-    "application kernels (aklib/unix/srm/sim)" (total app_kernels)
+    "app kernels (aklib/unix/srm/migrate/sim)" (total app_kernels)
     (count_files app_kernels);
   Printf.printf "  %-44s %6d lines (%d files)\n" "baseline comparators" (total baselines)
     (count_files baselines);

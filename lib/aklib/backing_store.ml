@@ -111,72 +111,45 @@ let set_observer t ~count ~service ~move =
     tr.obs_service <- service;
     tr.obs_move <- move
 
-let tiers_enabled t = t.tiers <> None
-
-(* Run [go] through the injection plane.  An injected failure schedules a
-   retry after an exponentially-backed-off delay on the node's event queue;
-   the plane never fails the same site twice in a row, so the retry is
-   guaranteed to transfer (a transient-fault model — [io_max_retries] is a
-   belt-and-braces bound, not a load-bearing one).  An injected delay just
-   starts the transfer late and completes on its own. *)
-let rec attempt t ~n go =
+(* Run [go] through the injection plane at store site [io] ([bstore] for
+   disk transfers, [tier.promote] / [tier.demote] for the tier paths).
+   An injected failure schedules a retry after an exponentially-backed-off
+   delay on the node's event queue; the plane never fails the same site
+   twice in a row, so the retry is guaranteed to transfer (a
+   transient-fault model — [io_max_retries] is a belt-and-braces bound,
+   not a load-bearing one).  An injected delay just starts the transfer
+   late and completes on its own. *)
+let attempt t (io : Cachekernel.Fault_inject.io_site) go =
   match t.chaos with
   | None -> go ()
-  | Some { fi; events; now } -> (
+  | Some { fi; events; now } ->
     let open Cachekernel in
-    match Fault_inject.io_fate fi with
-    | `Ok -> go ()
-    | `Ok_after_fail ->
-      Fault_inject.recover fi ~site:"bstore.fail";
-      go ()
-    | `Fail when n <= Fault_inject.io_max_retries fi ->
-      Fault_inject.inject fi ~site:"bstore.fail";
-      t.retries <- t.retries + 1;
-      let backoff =
-        Fault_inject.io_retry_backoff_us fi *. (2.0 ** float_of_int (n - 1))
-      in
-      Hw.Event_queue.schedule events
-        ~time:(now () + Hw.Cost.cycles_of_us backoff)
-        (fun () -> attempt t ~n:(n + 1) go)
-    | `Fail -> go () (* retry budget exhausted: let the transfer through *)
-    | `Delay us ->
-      Fault_inject.inject fi ~site:"bstore.delay";
-      Hw.Event_queue.schedule events
-        ~time:(now () + Hw.Cost.cycles_of_us us)
-        (fun () ->
-          Fault_inject.recover fi ~site:"bstore.delay";
-          go ()))
-
-(* Same protocol on the tier promotion/demotion path (chaos sites
-   [tier.promote] / [tier.demote], fail/delay split as for [bstore]). *)
-let rec tier_attempt t ~promote ~n go =
-  match t.chaos with
-  | None -> go ()
-  | Some { fi; events; now } -> (
-    let open Cachekernel in
-    let site = if promote then "tier.promote" else "tier.demote" in
-    match Fault_inject.tier_fate fi ~promote with
-    | `Ok -> go ()
-    | `Ok_after_fail ->
-      Fault_inject.recover fi ~site:(site ^ ".fail");
-      go ()
-    | `Fail when n <= Fault_inject.io_max_retries fi ->
-      Fault_inject.inject fi ~site:(site ^ ".fail");
-      t.retries <- t.retries + 1;
-      let backoff =
-        Fault_inject.io_retry_backoff_us fi *. (2.0 ** float_of_int (n - 1))
-      in
-      Hw.Event_queue.schedule events
-        ~time:(now () + Hw.Cost.cycles_of_us backoff)
-        (fun () -> tier_attempt t ~promote ~n:(n + 1) go)
-    | `Fail -> go ()
-    | `Delay us ->
-      Fault_inject.inject fi ~site:(site ^ ".delay");
-      Hw.Event_queue.schedule events
-        ~time:(now () + Hw.Cost.cycles_of_us us)
-        (fun () ->
-          Fault_inject.recover fi ~site:(site ^ ".delay");
-          go ()))
+    let report f suffix = f fi ~site:(io.Fault_inject.site ^ suffix) in
+    let rec try_n n =
+      match Fault_inject.io_fate fi io with
+      | `Ok -> go ()
+      | `Ok_after_fail ->
+        report Fault_inject.recover ".fail";
+        go ()
+      | `Fail when n <= Fault_inject.io_max_retries fi ->
+        report Fault_inject.inject ".fail";
+        t.retries <- t.retries + 1;
+        let backoff =
+          Fault_inject.io_retry_backoff_us fi *. (2.0 ** float_of_int (n - 1))
+        in
+        Hw.Event_queue.schedule events
+          ~time:(now () + Hw.Cost.cycles_of_us backoff)
+          (fun () -> try_n (n + 1))
+      | `Fail -> go () (* retry budget exhausted: let the transfer through *)
+      | `Delay us ->
+        report Fault_inject.inject ".delay";
+        Hw.Event_queue.schedule events
+          ~time:(now () + Hw.Cost.cycles_of_us us)
+          (fun () ->
+            report Fault_inject.recover ".delay";
+            go ())
+    in
+    try_n 1
 
 let alloc_block t = Hw.Disk.alloc_block t.disk
 
@@ -318,7 +291,7 @@ let rec maybe_demote t tr =
       in
       let frame = encode_batch entries in
       let n = List.length entries in
-      tier_attempt t ~promote:false ~n:1 (fun () ->
+      attempt t Cachekernel.Fault_inject.tier_demote (fun () ->
           Hw.Event_queue.schedule tr.t_events
             ~time:(tr.t_now () + Hw.Cost.disk_seek + (n * Hw.Cost.disk_page_transfer))
             (fun () ->
@@ -357,7 +330,7 @@ let page_out t ?block ~pfn k =
   let block = match block with Some b -> b | None -> alloc_block t in
   match t.tiers with
   | None ->
-    attempt t ~n:1 (fun () ->
+    attempt t Cachekernel.Fault_inject.bstore (fun () ->
         (* the frame is read at transfer time, so a delayed write captures
            the page contents as of when the transfer actually starts *)
         Hw.Disk.write_frame t.disk ~block t.mem ~pfn (fun () -> k block))
@@ -367,7 +340,7 @@ let page_out t ?block ~pfn k =
     let m = get_meta tr block in
     m.last_touch <- tr.t_now ();
     m.gen <- m.gen + 1;
-    attempt t ~n:1 (fun () ->
+    attempt t Cachekernel.Fault_inject.bstore (fun () ->
         m.tier <- Fast;
         install_fast tr ~block (Hw.Phys_mem.image t.mem ~pfn);
         Hw.Event_queue.schedule tr.t_events
@@ -381,7 +354,7 @@ let page_out t ?block ~pfn k =
 let promote t tr ~block data =
   let m = get_meta tr block in
   let gen0 = m.gen in
-  tier_attempt t ~promote:true ~n:1 (fun () ->
+  attempt t Cachekernel.Fault_inject.tier_promote (fun () ->
       Hw.Event_queue.schedule tr.t_events
         ~time:(tr.t_now () + Hw.Cost.fast_tier_setup + Hw.Cost.fast_tier_page_copy)
         (fun () ->
@@ -400,7 +373,8 @@ let page_in t ~block ~pfn k =
   t.page_ins <- t.page_ins + 1;
   match t.tiers with
   | None ->
-    attempt t ~n:1 (fun () -> Hw.Disk.read_frame t.disk ~block t.mem ~pfn k)
+    attempt t Cachekernel.Fault_inject.bstore (fun () ->
+        Hw.Disk.read_frame t.disk ~block t.mem ~pfn k)
   | Some tr ->
     let start = tr.t_now () in
     let m = get_meta tr block in
@@ -414,7 +388,7 @@ let page_in t ~block ~pfn k =
       tr.slow_hits <- tr.slow_hits + 1;
       tr.obs_count "tier.hit.slow"
     end;
-    attempt t ~n:1 (fun () ->
+    attempt t Cachekernel.Fault_inject.bstore (fun () ->
         (* re-check at transfer time: an injected delay can outlive a
            demotion, in which case the image is now on disk *)
         match Hashtbl.find_opt tr.fast block with

@@ -48,8 +48,6 @@ val set_observer :
     fault-service latency, [move] per-block tier transitions (the
     [Tier_move] trace event).  No-op on a flat store. *)
 
-val tiers_enabled : t -> bool
-
 val alloc_block : t -> int
 (** A block from the disk's allocator ({!Hw.Disk.alloc_block}). *)
 

@@ -122,11 +122,3 @@ let rec serve_one (c : conn) ~handle =
     c.last_reply.(slot) <- reply;
     Channel.send c.rsp ~slot (seq :: reply)
   | _ -> Channel.send c.rsp ~slot []
-
-(** Run [serve_one] forever (for dedicated server threads). *)
-let serve_forever (c : conn) ~handle =
-  let rec loop () =
-    serve_one c ~handle;
-    loop ()
-  in
-  loop ()

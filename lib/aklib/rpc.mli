@@ -35,6 +35,3 @@ val call : conn -> slot:int -> method_id:int -> int list -> int list
 
 val serve_one : conn -> handle:(method_id:int -> int list -> int list) -> unit
 (** (thread context) Serve exactly one request. *)
-
-val serve_forever : conn -> handle:(method_id:int -> int list -> int list) -> 'a
-(** (thread context) Serve requests forever (dedicated server threads). *)

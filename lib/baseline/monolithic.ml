@@ -117,7 +117,6 @@ let fork () =
   | Err_again -> Error `Again
   | _ -> Error `Again
 
-let exit_proc code = ignore (Hw.Exec.trap (Exit_proc code))
 let pipe_write pid words = ignore (Hw.Exec.trap (Pipe_write (pid, words)))
 
 let pipe_read pid =

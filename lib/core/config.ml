@@ -165,14 +165,12 @@ let c_slot_free = 120
 let c_hash_update = 180 (* insert/remove one hash-chained record *)
 let c_descriptor_copy_per_word = 10 (* copy descriptor state in/out, per 4 bytes *)
 let c_sched_enqueue = 150
-let c_sched_dequeue = 150
 let c_writeback_record = 2400 (* marshal a writeback record onto the channel *)
 let c_writeback_signal = 500 (* notify the owning kernel's writeback channel *)
 let c_kernel_writeback = 1500
 (* a kernel-object writeback is a short record to the first kernel: no bulk
    descriptor state moves (Table 2's cheap Kernel unload) *)
 
-let c_quota_account = 25
 let c_access_check = 80 (* memory-access-array page-group check *)
 let c_rtlb_update = 60
 let c_signal_queue = 100 (* enqueue a pending signal on a thread *)

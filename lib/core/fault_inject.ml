@@ -127,48 +127,35 @@ let migrate_drop t =
 (* extra simulated us a delayed backing-store or tier transfer takes *)
 let io_delay_us = 500.0
 
-(** Fate of one backing-store transfer attempt.  A [`Fail] marks the site
-    pending, so the retried attempt always comes back [`Ok]; a [`Delay]
-    completes on its own and needs no retry. *)
-let io_fate t =
+type io_site = { site : string; kind_site : string; rates : Config.chaos -> float * float }
+
+let bstore =
+  { site = "bstore"; kind_site = "bstore.kind"; rates = (fun c -> (c.io_fail, c.io_delay)) }
+
+(* promotion and demotion own separate streams, so a promotion-heavy run
+   never perturbs demotion draws; they share the fail/delay split *)
+let tier_rates (c : Config.chaos) = (c.tier_fail, c.tier_delay)
+let tier_promote = { site = "tier.promote"; kind_site = "tier.kind"; rates = tier_rates }
+let tier_demote = { site = "tier.demote"; kind_site = "tier.kind"; rates = tier_rates }
+
+(** Fate of one store transfer attempt at [io].  A [`Fail] marks the site
+    pending, so the retried attempt always comes back [`Ok_after_fail]; a
+    [`Delay] completes on its own and needs no retry. *)
+let io_fate t io =
   match t.chaos with
   | None -> `Ok
   | Some c -> (
-    match decide t ~site:"bstore" ~rate:(c.io_fail +. c.io_delay) with
+    let fail, delay = io.rates c in
+    match decide t ~site:io.site ~rate:(fail +. delay) with
     | Pass -> `Ok
     | After_inject -> `Ok_after_fail
     | Inject ->
       (* split the single draw's hit between fail and delay with a fresh
          draw, so fail/delay mixing stays deterministic per site *)
-      if c.io_fail > 0.0 && draw t ~site:"bstore.kind" c.chaos_seed < c.io_fail /. (c.io_fail +. c.io_delay)
-      then `Fail
+      if fail > 0.0 && draw t ~site:io.kind_site c.chaos_seed < fail /. (fail +. delay) then `Fail
       else begin
         (* a delay completes by itself: it is not a pending failure *)
-        Hashtbl.remove t.pending "bstore";
-        `Delay io_delay_us
-      end)
-
-(** Fate of one tier promotion ([promote]) or batched demotion transfer in
-    the tiered backing store.  Same protocol as {!io_fate}: a [`Fail] marks
-    the per-direction site pending so the retry always transfers, a
-    [`Delay] completes on its own.  Promotion and demotion own separate
-    streams, so a promotion-heavy run never perturbs demotion draws. *)
-let tier_fate t ~promote =
-  match t.chaos with
-  | None -> `Ok
-  | Some c -> (
-    let site = if promote then "tier.promote" else "tier.demote" in
-    match decide t ~site ~rate:(c.tier_fail +. c.tier_delay) with
-    | Pass -> `Ok
-    | After_inject -> `Ok_after_fail
-    | Inject ->
-      if
-        c.tier_fail > 0.0
-        && draw t ~site:"tier.kind" c.chaos_seed < c.tier_fail /. (c.tier_fail +. c.tier_delay)
-      then `Fail
-      else begin
-        (* a delay completes by itself: it is not a pending failure *)
-        Hashtbl.remove t.pending site;
+        Hashtbl.remove t.pending io.site;
         `Delay io_delay_us
       end)
 

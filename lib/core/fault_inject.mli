@@ -49,15 +49,25 @@ val migrate_drop : t -> decision
 (** Site [migrate.drop]: a migration chunk is lost on the fiber channel;
     the retransmit watchdog resends it (the recovery moment). *)
 
-val io_fate : t -> [ `Ok | `Ok_after_fail | `Fail | `Delay of float ]
-(** Site [bstore]: fate of one backing-store transfer attempt.
-    [`Ok_after_fail] is the retry after a [`Fail] (always succeeds);
-    [`Delay us] completes on its own after an extra [us] microseconds. *)
+(** A store transfer site: [site] names its decision stream and prefixes
+    its [.fail] / [.delay] reports, [kind_site] is the stream that splits
+    a hit into fail or delay, and [rates] picks the (fail, delay) rates
+    from the chaos configuration. *)
+type io_site = { site : string; kind_site : string; rates : Config.chaos -> float * float }
 
-val tier_fate : t -> promote:bool -> [ `Ok | `Ok_after_fail | `Fail | `Delay of float ]
-(** Sites [tier.promote] / [tier.demote]: fate of one transfer on the
-    tiered backing store's promotion or demotion path, with the same
-    never-twice-in-a-row retry protocol as {!io_fate}. *)
+val bstore : io_site
+(** [bstore] / [bstore.kind], rates [io_fail] / [io_delay]: the backing
+    store's disk transfers. *)
+
+val tier_promote : io_site
+val tier_demote : io_site
+(** [tier.promote] and [tier.demote] / [tier.kind], rates [tier_fail] /
+    [tier_delay]: the tiered store's promotion and demotion paths. *)
+
+val io_fate : t -> io_site -> [ `Ok | `Ok_after_fail | `Fail | `Delay of float ]
+(** Fate of one transfer attempt at a store site.  [`Ok_after_fail] is the
+    retry after a [`Fail] (always succeeds); [`Delay us] completes on its
+    own after an extra [us] microseconds. *)
 
 val signal_fate : t -> [ `Deliver | `Drop | `Duplicate ]
 (** Site [signal]: fate of one signal delivery. *)

@@ -236,16 +236,8 @@ let find_kernel t oid = Caches.Kernel_cache.find t.kernels oid
 let find_space t oid = Caches.Space_cache.find t.spaces oid
 let find_thread t oid = Caches.Thread_cache.find t.threads oid
 
-(** The kernel that owns [thread]'s traps and faults. *)
-let owner_of_thread t (th : Thread_obj.t) = find_kernel t th.Thread_obj.owner
-
 (** Resolve a Ready thread for the scheduler; drops stale/unready entries. *)
 let resolve_ready t oid = t.sched_resolve oid
-
-(** Thread currently running on [cpu_id]. *)
-let running_thread t ~cpu_id =
-  let oid = t.running.(cpu_id) in
-  if Oid.is_none oid then None else find_thread t oid
 
 (** Mark a loaded thread ready and enqueue it. *)
 let make_ready t (th : Thread_obj.t) =

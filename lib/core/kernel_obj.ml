@@ -15,11 +15,6 @@
 
 type mem_access = No_access | Read_only | Read_write
 
-let pp_mem_access ppf = function
-  | No_access -> Fmt.string ppf "none"
-  | Read_only -> Fmt.string ppf "ro"
-  | Read_write -> Fmt.string ppf "rw"
-
 type fault_ctx = {
   thread : Oid.t;
   va : int;
@@ -111,10 +106,6 @@ let set_access t ~group access =
   if group < 0 || group >= Array.length t.mem_access then
     invalid_arg "Kernel_obj.set_access: bad group";
   t.mem_access.(group) <- access
-
-(** Bytes of the memory access array: two bits per page group (the paper's
-    two-kilobyte array covers four gigabytes of physical memory). *)
-let access_array_bytes t = (Array.length t.mem_access + 3) / 4
 
 let pp ppf t =
   Fmt.pf ppf "%a %s maxprio=%d locked=%d/%d wb=%d" Oid.pp t.oid t.name t.max_priority

@@ -40,8 +40,3 @@ let charge (kernel : Kernel_obj.t) ~cpu ~priority ~cycles ~elapsed ~grace =
 let reset_epoch (kernel : Kernel_obj.t) =
   Array.fill kernel.Kernel_obj.consumed 0 (Array.length kernel.Kernel_obj.consumed) 0;
   Array.fill kernel.Kernel_obj.demoted 0 (Array.length kernel.Kernel_obj.demoted) false
-
-(** Fraction of [cpu] consumed by [kernel] in the epoch so far. *)
-let consumed_fraction (kernel : Kernel_obj.t) ~cpu ~elapsed =
-  if elapsed = 0 then 0.0
-  else float_of_int kernel.Kernel_obj.consumed.(cpu) /. float_of_int elapsed

@@ -22,4 +22,3 @@ val charge :
     that CPU. *)
 
 val reset_epoch : Kernel_obj.t -> unit
-val consumed_fraction : Kernel_obj.t -> cpu:int -> elapsed:int -> float

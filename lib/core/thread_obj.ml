@@ -14,10 +14,6 @@
 
 type mode = User | Kernel_mode
 
-let pp_mode ppf = function
-  | User -> Fmt.string ppf "user"
-  | Kernel_mode -> Fmt.string ppf "kernel"
-
 (* Why a handler frame was pushed: fault forwarding (Figure 2) or trap
    forwarding (section 2.3).  The engine stamps the push time so frame
    completion can observe the end-to-end latency per origin. *)

@@ -210,7 +210,6 @@ let create ?(enabled = false) ?(capacity = default_capacity) () =
   { enabled; capacity; buf = [||]; head = 0; len = 0; dropped = 0 }
 
 let enable t = t.enabled <- true
-let disable t = t.enabled <- false
 let[@inline] enabled t = t.enabled
 let capacity t = t.capacity
 let length t = t.len

@@ -56,7 +56,6 @@ val default_capacity : int
 
 val create : ?enabled:bool -> ?capacity:int -> unit -> t
 val enable : t -> unit
-val disable : t -> unit
 
 val enabled : t -> bool
 (** Single-branch emit guard for hot call sites: check this before

@@ -43,14 +43,3 @@ type record =
     }
   | Space_wb of { oid : Oid.t; tag : int; reason : reason }
   | Kernel_wb of { oid : Oid.t; name : string; reason : reason }
-
-let pp_record ppf = function
-  | Mapping_wb { space; state; reason; _ } ->
-    Fmt.pf ppf "mapping %a va=%a pfn=%d r=%b m=%b (%a)" Oid.pp space Hw.Addr.pp_addr
-      state.va state.pfn state.referenced state.modified pp_reason reason
-  | Thread_wb { oid; tag; reason; _ } ->
-    Fmt.pf ppf "thread %a tag=%d (%a)" Oid.pp oid tag pp_reason reason
-  | Space_wb { oid; tag; reason } ->
-    Fmt.pf ppf "space %a tag=%d (%a)" Oid.pp oid tag pp_reason reason
-  | Kernel_wb { oid; name; reason } ->
-    Fmt.pf ppf "kernel %a %s (%a)" Oid.pp oid name pp_reason reason

@@ -34,5 +34,3 @@ type record =
     }
   | Space_wb of { oid : Oid.t; tag : int; reason : reason }
   | Kernel_wb of { oid : Oid.t; name : string; reason : reason }
-
-val pp_record : record Fmt.t

@@ -8,7 +8,6 @@ let page_shift = 12
 let page_size = 1 lsl page_shift
 let word_size = 4
 let pages_per_group = 128
-let group_size = pages_per_group * page_size
 let cache_line_size = 32
 
 (** Virtual or physical page number of an address. *)
@@ -22,9 +21,6 @@ let page_base addr = addr land lnot (page_size - 1)
 
 (** Page-group index of a page frame number. *)
 let group_of_page pfn = pfn / pages_per_group
-
-(** Page-group index of a physical address. *)
-let group_of_addr paddr = group_of_page (page_of paddr)
 
 (** First page frame number of a page group. *)
 let first_page_of_group g = g * pages_per_group

@@ -6,7 +6,6 @@ val page_shift : int
 val page_size : int
 val word_size : int
 val pages_per_group : int
-val group_size : int
 val cache_line_size : int
 
 val page_of : int -> int
@@ -21,7 +20,6 @@ val page_base : int -> int
 val group_of_page : int -> int
 (** Page-group index of a page frame number. *)
 
-val group_of_addr : int -> int
 val first_page_of_group : int -> int
 
 val addr_of_page : int -> int

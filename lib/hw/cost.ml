@@ -25,7 +25,6 @@ let cycles_of_us (us : float) : cycles =
 
 let mem_word_cached : cycles = 2 (* second-level cache hit *)
 let mem_word_miss : cycles = 24 (* second-level cache miss: third-level DRAM *)
-let cache_line_fill : cycles = 30 (* fill one 32-byte line from memory *)
 
 (* Address translation *)
 

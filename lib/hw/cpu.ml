@@ -37,10 +37,6 @@ let idle_until t time =
     t.local_time <- time
   end
 
-let utilisation t =
-  let total = t.busy_cycles + t.idle_cycles in
-  if total = 0 then 0.0 else float_of_int t.busy_cycles /. float_of_int total
-
 let pp ppf t =
   Fmt.pf ppf "cpu%d@%.1fus (busy %.1fus, idle %.1fus)" t.id
     (Cost.us_of_cycles t.local_time)

@@ -20,5 +20,4 @@ val charge : t -> Cost.cycles -> unit
 val idle_until : t -> Cost.cycles -> unit
 (** Advance the clock, accounting the gap as idle. *)
 
-val utilisation : t -> float
 val pp : t Fmt.t

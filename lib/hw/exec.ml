@@ -43,15 +43,6 @@ type status =
   | On_trap of payload * (payload, status) Effect.Deep.continuation
   | On_time of (float, status) Effect.Deep.continuation
 
-let pp_status ppf = function
-  | Done _ -> Fmt.string ppf "done"
-  | Failed e -> Fmt.pf ppf "failed(%s)" (Printexc.to_string e)
-  | On_compute (n, _) -> Fmt.pf ppf "compute(%d)" n
-  | On_read (va, _) -> Fmt.pf ppf "read(%a)" Addr.pp_addr va
-  | On_write (va, _, _) -> Fmt.pf ppf "write(%a)" Addr.pp_addr va
-  | On_trap _ -> Fmt.string ppf "trap"
-  | On_time _ -> Fmt.string ppf "get-time"
-
 (** Start running [body] until its first effect (or completion). *)
 let start (body : unit -> payload) : status =
   let open Effect.Deep in

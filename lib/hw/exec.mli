@@ -48,8 +48,6 @@ type status =
   | On_trap of payload * (payload, status) Effect.Deep.continuation
   | On_time of (float, status) Effect.Deep.continuation
 
-val pp_status : status Fmt.t
-
 val start : (unit -> payload) -> status
 (** Run [body] until its first effect (or completion). *)
 

@@ -24,7 +24,7 @@ type link_kind = Vme | Fiber
 type t = {
   latency : Cost.cycles;
   serialize : int -> Cost.cycles;
-  mutable ports : port list;
+  ports : (int, port) Hashtbl.t; (* node id -> port *)
   mutable sent : int;
   mutable dropped : int;
 }
@@ -35,15 +35,15 @@ let create ?(kind = Fiber) () =
     | Vme -> (Cost.vme_packet, Cost.vme_serialize)
     | Fiber -> (Cost.fiber_packet, Cost.fiber_serialize)
   in
-  { latency; serialize; ports = []; sent = 0; dropped = 0 }
+  { latency; serialize; ports = Hashtbl.create 16; sent = 0; dropped = 0 }
 
 (** Attach a node.  [deliver] runs on the destination node's event queue. *)
 let attach t ~node_id ~deliver ~now ~at =
   let port = { node_id; deliver; now; at; failed = false; group = 0; tx_free = 0 } in
-  t.ports <- port :: t.ports;
+  Hashtbl.replace t.ports node_id port;
   port
 
-let port t node_id = List.find_opt (fun p -> p.node_id = node_id) t.ports
+let port t node_id = Hashtbl.find_opt t.ports node_id
 
 let find_port t node_id ~name =
   match port t node_id with Some p -> p | None -> invalid_arg (name ^ ": unknown node")
@@ -64,10 +64,10 @@ let restore_node t node_id =
     partition group; frames between groups are dropped at send time
     (frames already on the wire still deliver).  Idempotent. *)
 let partition t ~minority =
-  List.iter (fun p -> p.group <- (if List.mem p.node_id minority then 1 else 0)) t.ports
+  Hashtbl.iter (fun _ p -> p.group <- (if List.mem p.node_id minority then 1 else 0)) t.ports
 
 (** Heal any partition: every port rejoins group 0.  Idempotent. *)
-let heal t = List.iter (fun p -> p.group <- 0) t.ports
+let heal t = Hashtbl.iter (fun _ p -> p.group <- 0) t.ports
 
 let partitioned t ~src ~dst =
   match (port t src, port t dst) with
@@ -109,9 +109,3 @@ let send t ~src ~dst ?(tag = 0) data =
       dp.at ~time:deliver_at (fun () -> if not dp.failed then dp.deliver pkt)
     end
   | _ -> invalid_arg "Interconnect.send: unknown node"
-
-(** Broadcast to every attached node except [src]. *)
-let broadcast t ~src ?(tag = 0) data =
-  List.iter
-    (fun p -> if p.node_id <> src then send t ~src ~dst:p.node_id ~tag data)
-    t.ports

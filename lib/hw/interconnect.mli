@@ -47,8 +47,6 @@ val send : t -> src:int -> dst:int -> ?tag:int -> Bytes.t -> unit
     in {!dropped} instead of delivered, but still occupies the sender's
     link. *)
 
-val broadcast : t -> src:int -> ?tag:int -> Bytes.t -> unit
-
 val reply_bound : Cost.cycles ref
 (** Lowered by every {!send} (delivered or dropped) to the earliest cycle
     a reply to that frame could arrive back at the sender — drained + 2

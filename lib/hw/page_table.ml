@@ -13,12 +13,6 @@ type flags = {
   message_mode : bool; (* page participates in memory-based messaging *)
 }
 
-let pp_flags ppf f =
-  Fmt.pf ppf "%c%c%c"
-    (if f.writable then 'w' else '-')
-    (if f.cachable then 'c' else '-')
-    (if f.message_mode then 'm' else '-')
-
 let rw = { writable = true; cachable = true; message_mode = false }
 let ro = { writable = false; cachable = true; message_mode = false }
 let message = { writable = true; cachable = true; message_mode = true }

@@ -9,8 +9,6 @@ type flags = {
   message_mode : bool;  (** page participates in memory-based messaging *)
 }
 
-val pp_flags : flags Fmt.t
-
 val rw : flags
 val ro : flags
 val message : flags

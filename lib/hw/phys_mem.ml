@@ -51,10 +51,6 @@ let read_byte t paddr =
   check t paddr 1;
   Char.code (Bytes.get (frame t (Addr.page_of paddr)) (Addr.offset_of paddr))
 
-let write_byte t paddr v =
-  check t paddr 1;
-  Bytes.set (frame t (Addr.page_of paddr)) (Addr.offset_of paddr) (Char.chr (v land 0xFF))
-
 (** Copy [len] bytes out of physical memory starting at [paddr].  Used by
     DMA devices and the pager; may cross page boundaries. *)
 let read_bytes t paddr len =

@@ -18,7 +18,6 @@ val read_word : t -> int -> int
 val write_word : t -> int -> int -> unit
 
 val read_byte : t -> int -> int
-val write_byte : t -> int -> int -> unit
 
 val read_bytes : t -> int -> int -> Bytes.t
 (** DMA-style bulk read; may cross page boundaries. *)

@@ -15,7 +15,4 @@ let advance t c =
   assert (c >= 0);
   t.now <- t.now + c
 
-(** Move the clock forward to absolute time [time] if it is in the future. *)
-let advance_to t time = if time > t.now then t.now <- time
-
 let pp ppf t = Fmt.pf ppf "%.2fus" (us t)

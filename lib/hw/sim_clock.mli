@@ -6,5 +6,4 @@ val create : unit -> t
 val now : t -> Cost.cycles
 val us : t -> float
 val advance : t -> Cost.cycles -> unit
-val advance_to : t -> Cost.cycles -> unit
 val pp : t Fmt.t

@@ -46,16 +46,8 @@ let image_of ak ?(extras = []) ?(name_of = fun (_ : Thread_lib.entry) -> "") () 
   let threads =
     List.map
       (fun (e : Thread_lib.entry) ->
-        {
-          Codec.thread_tag = e.Thread_lib.id;
-          thread_gen = e.Thread_lib.oid.Oid.gen;
-          program = name_of e;
-          priority = e.Thread_lib.priority;
-          affinity = e.Thread_lib.affinity;
-          locked = e.Thread_lib.lock;
-          space = space_index e.Thread_lib.space_tag;
-          xfer = 0;
-        })
+        Plane.thread_image_of ~program:(name_of e) ~xfer:0
+          ~space:(space_index e.Thread_lib.space_tag) e)
       entries
   in
   {
@@ -120,21 +112,13 @@ let restore ak ~path ~programs ?(schedule = true) () =
     match Plane.build_spaces ak img.Codec.spaces with
     | Error msg -> Error msg
     | Ok vsps ->
-      let own_tag () =
-        match ak.App_kernel.own_space with
-        | Some v -> Some v.Segment_mgr.tag
-        | None -> (
-          match App_kernel.init_own_space ak with
-          | Ok v -> Some v.Segment_mgr.tag
-          | Error _ -> None)
-      in
       let threads =
         List.filter_map
           (fun (th : Codec.thread_image) ->
             let space_tag =
               match th.Codec.space with
               | Some idx -> Some (List.nth vsps idx).Segment_mgr.tag
-              | None -> own_tag ()
+              | None -> Result.to_option (Plane.own_space_tag ak)
             in
             match space_tag with
             | None -> None

@@ -51,28 +51,22 @@ type residue = {
 
 let registry : (int * int, residue) Hashtbl.t = Hashtbl.create 32
 
-type outgoing = {
-  o_dst : int;
-  o_image : Bytes.t; (* the encoded image; its size sets the retransmit horizon *)
-  o_chunk : int; (* bytes per chunk: chunk [seq] is the slice at [seq * o_chunk] *)
-  o_started : float; (* us; pause-time measurement *)
-  o_tags : int list; (* source thread tags (registry residue keys) *)
-  o_epoch : int; (* sender epoch at capture time *)
-  mutable o_acked : bool;
-  mutable o_retries : int;
-}
+(* A transfer the source still answers for.  [Shipping]: chunks are out,
+   the ack is not in.  [Committing]: the destination acked and parked the
+   image, and the source retains it until the destination confirms it
+   scheduled the parked threads.  A crash of either side in either phase
+   resolves by re-adoption from the retained image — it is freed only on
+   [op_commit_ack]. *)
+type phase = Shipping | Committing
 
-(* Acked transfers whose image the source retains until the destination
-   confirms it scheduled the parked threads: the commit state.  A crash of
-   either side during this window resolves by re-adoption from the
-   retained image — it is freed only on [op_commit_ack]. *)
-type committing = {
-  c_dst : int;
-  c_image : Bytes.t;
-  c_started : float;
-  c_tags : int list;
-  c_epoch : int;
-  mutable c_retries : int;
+type sending = {
+  s_dst : int;
+  s_image : Bytes.t; (* the encoded image; its size sets the retransmit horizon *)
+  s_chunk : int; (* bytes per chunk: chunk [seq] is the slice at [seq * s_chunk] *)
+  s_started : float; (* us; pause-time measurement *)
+  s_tags : int list; (* source thread tags (registry residue keys) *)
+  mutable s_phase : phase;
+  mutable s_retries : int; (* resends in the current phase *)
 }
 
 (* Destination-side record of an applied transfer.  Threads are adopted
@@ -80,8 +74,6 @@ type committing = {
    un-acked or un-committed copy never executes — the crash-atomicity
    invariant is that at most one side ever schedules the object. *)
 type landing = {
-  l_src : int;
-  mutable l_epoch : int; (* source epoch of the applied image *)
   l_threads : (int * int) list; (* (src tag, local id) *)
   l_space_tags : int list;
   mutable l_committed : bool;
@@ -103,16 +95,13 @@ type t = {
   ak : App_kernel.t;
   node_id : int;
   transport : transport;
-  outgoing : (int, outgoing) Hashtbl.t; (* xfer -> in-flight send *)
-  committing : (int, committing) Hashtbl.t; (* xfer -> acked, not committed *)
+  sends : (int, sending) Hashtbl.t; (* xfer -> transfer not yet commit-acked *)
   incoming : (int, incoming) Hashtbl.t; (* xfer -> reassembly *)
   landings : (int, landing) Hashtbl.t; (* transfers applied here *)
   aborts : (int, int) Hashtbl.t; (* xfer -> dst: abort owed to the target *)
   forwards : (int, int * int) Hashtbl.t; (* local thread id -> (xfer, dst) *)
-  landed : (int * int, int) Hashtbl.t; (* (xfer, src tag) -> local id *)
   pending : (int, (int * int) list ref) Hashtbl.t;
-      (* signals that arrived before their thread: xfer -> (src tag, va) *)
-  mutable epoch_of : unit -> int; (* current node epoch (the SRM's) *)
+      (* signals that beat the commit: xfer -> (src tag, va) *)
   mutable on_step : (string -> unit) option; (* crash-point sweep hook *)
   mutable next_xfer : int;
 }
@@ -132,8 +121,6 @@ let step t name = match t.on_step with None -> () | Some f -> f name
    installed. *)
 let step_chunk t side seq =
   match t.on_step with None -> () | Some f -> f (Printf.sprintf "%s.chunk.%d" side seq)
-
-let set_epoch_source t f = t.epoch_of <- f
 
 (* -- forwarding stub (source side) -------------------------------------- *)
 
@@ -156,15 +143,12 @@ let create ~ak ~node_id ~transport =
       ak;
       node_id;
       transport;
-      outgoing = Hashtbl.create 8;
-      committing = Hashtbl.create 8;
+      sends = Hashtbl.create 8;
       incoming = Hashtbl.create 8;
       landings = Hashtbl.create 8;
       aborts = Hashtbl.create 8;
       forwards = Hashtbl.create 8;
-      landed = Hashtbl.create 8;
       pending = Hashtbl.create 8;
-      epoch_of = (fun () -> 1);
       on_step = None;
       next_xfer = 0;
     }
@@ -178,7 +162,7 @@ let fresh_xfer t =
   t.next_xfer <- t.next_xfer + 1;
   (t.node_id * 1_000_000) + t.next_xfer
 
-let in_flight t = Hashtbl.length t.outgoing > 0 || Hashtbl.length t.committing > 0
+let in_flight t = Hashtbl.length t.sends > 0
 
 (* -- image capture ------------------------------------------------------ *)
 
@@ -267,11 +251,11 @@ let space_image_of ak (vsp : Segment_mgr.vspace) =
         regions;
   }
 
-let thread_image_of ~xfer ~space (e : Thread_lib.entry) =
+let thread_image_of ?(program = "") ~xfer ~space (e : Thread_lib.entry) =
   {
     Codec.thread_tag = e.Thread_lib.id;
     thread_gen = e.Thread_lib.oid.Oid.gen;
-    program = "";
+    program;
     priority = e.Thread_lib.priority;
     affinity = e.Thread_lib.affinity;
     locked = e.Thread_lib.lock;
@@ -283,198 +267,6 @@ let deposit_residue ~xfer (e : Thread_lib.entry) =
   let saved = match e.Thread_lib.run with Thread_lib.Unloaded s -> s | _ -> None in
   Hashtbl.replace registry (xfer, e.Thread_lib.id)
     { res_saved = saved; res_body = e.Thread_lib.body }
-
-(* -- shipping ----------------------------------------------------------- *)
-
-let chunk_bytes t =
-  let cfg = (inst t).Instance.config.Config.migrate_chunk_bytes in
-  max 1 (min cfg (Hw.Nic.Fiber.mtu - 64))
-
-(* Transmit every chunk of an in-flight transfer: chunk [seq] is the
-   slice of the retained image at [seq * o_chunk], framed by the
-   transport.  Each chunk consults the migrate.drop fault site: an
-   injected fault models the frame vanishing on the fiber — the retransmit
-   watchdog is the recovery moment. *)
-let send_chunks t ~dst ~xfer (o : outgoing) =
-  let i = inst t in
-  let size = Bytes.length o.o_image in
-  let total = max 1 ((size + o.o_chunk - 1) / o.o_chunk) in
-  let send seq =
-    let off = seq * o.o_chunk in
-    Instance.count i "migrate.chunks_out";
-    t.transport.send_chunk ~dst ~xfer ~seq ~total ~buf:o.o_image ~off
-      ~len:(min o.o_chunk (size - off))
-  in
-  let seq = ref 0 in
-  while !seq < total && not (halted t) do
-    (match Fault_inject.migrate_drop i.Instance.fi with
-    | Fault_inject.Inject ->
-      Fault_inject.inject i.Instance.fi ~site:"migrate.drop";
-      Instance.count i "migrate.chunks_dropped"
-    | Fault_inject.After_inject ->
-      Fault_inject.recover i.Instance.fi ~site:"migrate.drop";
-      send !seq
-    | Fault_inject.Pass -> send !seq);
-    step_chunk t "src" !seq;
-    incr seq
-  done
-
-(* Forward cell: re-adoption needs [apply], defined with the destination
-   side below; the shipping watchdog needs re-adoption.  Tied at the
-   bottom of the module. *)
-(* Retransmit watchdog: an unacknowledged transfer resends its chunks
-   [retry_us] simulated us past the image's wire time, doubling per
-   attempt, and is abandoned after [max_retries] resends.  The commit
-   resend loop uses the same schedule. *)
-let retry_us = 800.0
-let max_retries = 6
-
-let readopt_cell : (t -> xfer:int -> tags:int list -> Bytes.t -> unit) ref =
-  ref (fun _ ~xfer:_ ~tags:_ _ -> ())
-
-let readopt t ~xfer ~tags image = !readopt_cell t ~xfer ~tags image
-
-let rec arm_watchdog t ~xfer =
-  let i = inst t in
-  match Hashtbl.find_opt t.outgoing xfer with
-  | None -> ()
-  | Some o ->
-    (* The image cannot be acked before its wire time has elapsed — plus a
-       proportional allowance for the receiver working through the chunk
-       arrivals — so the timer counts [retry_us] (doubling per retry) from
-       that horizon. *)
-    let wire_us = Hw.Cost.us_of_cycles (Hw.Cost.fiber_serialize (Bytes.length o.o_image)) in
-    let delay_us =
-      (wire_us *. 1.1) +. (retry_us *. float_of_int (1 lsl o.o_retries))
-    in
-    Hw.Mpm.after i.Instance.node ~delay:(Hw.Cost.cycles_of_us delay_us) (fun () ->
-        match Hashtbl.find_opt t.outgoing xfer with
-        | None -> ()
-        | Some o when o.o_acked -> ()
-        | Some o ->
-          if o.o_retries >= max_retries then begin
-            Hashtbl.remove t.outgoing xfer;
-            Instance.count i "migrate.abandoned";
-            (* crash-atomicity: the unreachable target may still hold (or
-               later assemble) the shipped image — the retained image
-               becomes authoritative again here, and the target is owed an
-               abort so a resurrected copy cannot outlive this one *)
-            Hashtbl.replace t.aborts xfer o.o_dst;
-            t.transport.send_ctl ~dst:o.o_dst ~xfer ~op:op_abort;
-            readopt t ~xfer ~tags:o.o_tags o.o_image
-          end
-          else begin
-            o.o_retries <- o.o_retries + 1;
-            Instance.count i "migrate.retransmits";
-            send_chunks t ~dst:o.o_dst ~xfer o;
-            arm_watchdog t ~xfer
-          end)
-
-(* Commit resend loop: a lost [op_commit] (or its ack) leaves the target
-   parked and the source retaining the image; resend with backoff until
-   either side's terminal message arrives.  On exhaustion the transfer
-   stays in [committing] — the failure detector's peer_dead/peer_rejoined
-   notifications resolve it. *)
-let rec arm_commit_watchdog t ~xfer =
-  let i = inst t in
-  match Hashtbl.find_opt t.committing xfer with
-  | None -> ()
-  | Some c ->
-    let delay_us = retry_us *. float_of_int (1 lsl c.c_retries) in
-    Hw.Mpm.after i.Instance.node ~delay:(Hw.Cost.cycles_of_us delay_us) (fun () ->
-        match Hashtbl.find_opt t.committing xfer with
-        | None -> ()
-        | Some c ->
-          if c.c_retries >= max_retries then
-            Instance.count i "migrate.commit_stalled"
-          else begin
-            c.c_retries <- c.c_retries + 1;
-            Instance.count i "migrate.commit_resends";
-            t.transport.send_ctl ~dst:c.c_dst ~xfer ~op:op_commit;
-            arm_commit_watchdog t ~xfer
-          end)
-
-let ship t ~dst ~xfer ~oid img =
-  let i = inst t in
-  let image = Codec.encode img in
-  let tags = List.map (fun (th : Codec.thread_image) -> th.Codec.thread_tag) img.Codec.threads in
-  let o =
-    {
-      o_dst = dst;
-      o_image = image;
-      o_chunk = chunk_bytes t;
-      o_started = now_us t;
-      o_tags = tags;
-      o_epoch = t.epoch_of ();
-      o_acked = false;
-      o_retries = 0;
-    }
-  in
-  Hashtbl.replace t.outgoing xfer o;
-  Metrics.incr ~by:(Bytes.length image) i.Instance.metrics "migrate.bytes_out";
-  Instance.trace i (Trace.Migrate_out { oid; dst; xfer; bytes = Bytes.length image });
-  step t "src.capture";
-  if not (halted t) then begin
-    send_chunks t ~dst ~xfer o;
-    arm_watchdog t ~xfer
-  end
-
-(* -- thread migration --------------------------------------------------- *)
-
-let capture_thread t ~dst ~xfer (e : Thread_lib.entry) =
-  let i = inst t in
-  deposit_residue ~xfer e;
-  let oid = e.Thread_lib.oid in
-  let img =
-    {
-      Codec.src_node = t.node_id;
-      spaces = [];
-      threads = [ thread_image_of ~xfer ~space:None e ];
-      extras = [];
-    }
-  in
-  Thread_lib.retire t.ak.App_kernel.threads e.Thread_lib.id;
-  Hashtbl.replace t.forwards e.Thread_lib.id (xfer, dst);
-  Instance.count i "migrate.moves";
-  ship t ~dst ~xfer ~oid img
-
-let capture_retry_us = 100.0
-let capture_max_attempts = 16
-
-(* An active thread's unload is deferred to its next kernel exit
-   (api.ml's unload_pending), so the writeback record may not have landed
-   yet when [deschedule] returns: poll on a timer until the entry shows
-   the saved state. *)
-let rec try_capture_thread t ~dst ~xfer ~id ~attempts =
-  let i = inst t in
-  match Thread_lib.entry t.ak.App_kernel.threads id with
-  | None | Some { Thread_lib.run = Thread_lib.Exited; _ } -> Instance.count i "migrate.aborted"
-  | Some ({ Thread_lib.run = Thread_lib.Unloaded _; _ } as e) -> capture_thread t ~dst ~xfer e
-  | Some ({ Thread_lib.run = Thread_lib.Loaded; _ } as e) -> (
-    match Thread_lib.deschedule t.ak.App_kernel.threads id with
-    | Error _ -> Instance.count i "migrate.aborted"
-    | Ok () ->
-      (match e.Thread_lib.run with
-      | Thread_lib.Unloaded _ -> capture_thread t ~dst ~xfer e
-      | _ when attempts < capture_max_attempts ->
-        Instance.count i "migrate.capture_deferred";
-        Hw.Mpm.after i.Instance.node ~delay:(Hw.Cost.cycles_of_us capture_retry_us) (fun () ->
-            try_capture_thread t ~dst ~xfer ~id ~attempts:(attempts + 1))
-      | _ -> Instance.count i "migrate.aborted"))
-
-(* Move one thread of the kernel's own address space to [dst].  Returns
-   the transfer id immediately; capture and shipping complete
-   asynchronously (watch migrate.pause_us / the Migrate_acked trace). *)
-let move_thread t ~dst id =
-  match Thread_lib.entry t.ak.App_kernel.threads id with
-  | None -> Error Api.Stale_reference
-  | Some { Thread_lib.run = Thread_lib.Exited; _ } -> Error Api.Stale_reference
-  | Some _ ->
-    let xfer = fresh_xfer t in
-    try_capture_thread t ~dst ~xfer ~id ~attempts:0;
-    Ok xfer
-
-(* -- space migration ---------------------------------------------------- *)
 
 (* Release the source-side storage of a migrated space: frames whose only
    users were this space's mappings, and backing-store blocks.  Shared
@@ -500,81 +292,6 @@ let release_space t (vsp : Segment_mgr.vspace) =
       done)
     (space_segments vsp);
   Hashtbl.remove ak.App_kernel.mgr.Segment_mgr.spaces vsp.Segment_mgr.tag
-
-let capture_space t ~dst ~xfer (vsp : Segment_mgr.vspace) =
-  let i = inst t in
-  let simg = space_image_of t.ak vsp in
-  let entries = ref [] in
-  Thread_lib.iter t.ak.App_kernel.threads (fun e ->
-      if
-        e.Thread_lib.space_tag = vsp.Segment_mgr.tag
-        && e.Thread_lib.run <> Thread_lib.Exited
-      then entries := e :: !entries);
-  let entries =
-    List.sort (fun (a : Thread_lib.entry) b -> compare a.Thread_lib.id b.Thread_lib.id) !entries
-  in
-  let threads =
-    List.map
-      (fun e ->
-        deposit_residue ~xfer e;
-        thread_image_of ~xfer ~space:(Some 0) e)
-      entries
-  in
-  let oid = vsp.Segment_mgr.oid in
-  let img = { Codec.src_node = t.node_id; spaces = [ simg ]; threads; extras = [] } in
-  List.iter
-    (fun (e : Thread_lib.entry) ->
-      Thread_lib.retire t.ak.App_kernel.threads e.Thread_lib.id;
-      Hashtbl.replace t.forwards e.Thread_lib.id (xfer, dst))
-    entries;
-  release_space t vsp;
-  Instance.count i "migrate.space_moves";
-  ship t ~dst ~xfer ~oid img
-
-let rec try_capture_space t ~dst ~xfer ~tag ~attempts =
-  let i = inst t in
-  match Segment_mgr.space_by_tag t.ak.App_kernel.mgr tag with
-  | None -> Instance.count i "migrate.aborted"
-  | Some vsp -> (
-    (* unload threads first (space unload would write them back anyway,
-       but descheduling through the thread library keeps its records in
-       step), then the space itself *)
-    Thread_lib.iter t.ak.App_kernel.threads (fun e ->
-        if e.Thread_lib.space_tag = tag && e.Thread_lib.run = Thread_lib.Loaded then
-          ignore (Thread_lib.deschedule t.ak.App_kernel.threads e.Thread_lib.id));
-    let unloaded =
-      if not vsp.Segment_mgr.loaded then Ok ()
-      else
-        Api.unload_space i ~caller:(App_kernel.oid t.ak) vsp.Segment_mgr.oid
-    in
-    let quiesced =
-      match unloaded with
-      | Error _ -> false
-      | Ok () ->
-        (* any thread still Loaded has a deferred writeback in flight *)
-        let busy = ref false in
-        Thread_lib.iter t.ak.App_kernel.threads (fun e ->
-            if e.Thread_lib.space_tag = tag && e.Thread_lib.run = Thread_lib.Loaded then
-              busy := true);
-        (not !busy) && not vsp.Segment_mgr.loaded
-    in
-    if quiesced then capture_space t ~dst ~xfer vsp
-    else if attempts < capture_max_attempts then begin
-      Instance.count i "migrate.capture_deferred";
-      Hw.Mpm.after i.Instance.node ~delay:(Hw.Cost.cycles_of_us capture_retry_us) (fun () ->
-          try_capture_space t ~dst ~xfer ~tag ~attempts:(attempts + 1))
-    end
-    else Instance.count i "migrate.aborted")
-
-(* Move a whole address space — regions, segment contents and resident
-   threads — to [dst].  Asynchronous, like {!move_thread}. *)
-let move_space t ~dst tag =
-  match Segment_mgr.space_by_tag t.ak.App_kernel.mgr tag with
-  | None -> Error Api.Stale_reference
-  | Some _ ->
-    let xfer = fresh_xfer t in
-    try_capture_space t ~dst ~xfer ~tag ~attempts:0;
-    Ok xfer
 
 (* -- applying an image (destination side) ------------------------------- *)
 
@@ -639,7 +356,7 @@ let deliver_local t ~local_id ~va =
    the source's commit arrives.  The registry residue is read but not
    consumed — it belongs to the source until the transfer reaches a
    terminal state (commit-acked, or re-adopted at the source). *)
-let apply t ~xfer ~src ~epoch (img : Codec.image) =
+let apply t ~xfer (img : Codec.image) =
   match build_spaces t.ak img.Codec.spaces with
   | Error e -> Error e
   | Ok vsps -> (
@@ -661,14 +378,11 @@ let apply t ~xfer ~src ~epoch (img : Codec.image) =
               Thread_lib.adopt t.ak.App_kernel.threads ~space_tag ~priority:th.Codec.priority
                 ?affinity:th.Codec.affinity ~lock:th.Codec.locked ?saved ?body ()
             in
-            Hashtbl.replace t.landed (xfer, th.Codec.thread_tag) id;
             (th.Codec.thread_tag, id))
           img.Codec.threads
       in
       let landing =
         {
-          l_src = src;
-          l_epoch = epoch;
           l_threads = threads;
           l_space_tags = List.map (fun (v : Segment_mgr.vspace) -> v.Segment_mgr.tag) vsps;
           l_committed = false;
@@ -678,7 +392,7 @@ let apply t ~xfer ~src ~epoch (img : Codec.image) =
       Ok landing)
 
 (* Schedule a landing's parked threads and deliver the signals that beat
-   the image here.  [counter] is bumped per thread successfully loaded. *)
+   the commit here.  [counter] is bumped per thread successfully loaded. *)
 let schedule_landing t ~xfer (l : landing) ~counter =
   let i = inst t in
   l.l_committed <- true;
@@ -700,18 +414,18 @@ let schedule_landing t ~xfer (l : landing) ~counter =
       (List.rev !sigs)
 
 (* Destroy a landing: retire its threads (descheduling live ones), release
-   its spaces, and forget its routing state.  Registry residue is *not*
-   touched — it belongs to the source, which may still re-adopt from it. *)
+   its spaces, and drop the signals queued for it.  Registry residue is
+   *not* touched — it belongs to the source, which may still re-adopt
+   from it. *)
 let purge_landing t ~xfer (l : landing) =
   let i = inst t in
   List.iter
-    (fun (tag, id) ->
+    (fun (_tag, id) ->
       (match Thread_lib.entry t.ak.App_kernel.threads id with
       | Some { Thread_lib.run = Thread_lib.Loaded; _ } ->
         ignore (Thread_lib.deschedule t.ak.App_kernel.threads id)
       | _ -> ());
-      Thread_lib.retire t.ak.App_kernel.threads id;
-      Hashtbl.remove t.landed (xfer, tag))
+      Thread_lib.retire t.ak.App_kernel.threads id)
     l.l_threads;
   List.iter
     (fun stag ->
@@ -728,7 +442,7 @@ let purge_landing t ~xfer (l : landing) =
    authoritative again.  Forwarding stubs for its threads come down —
    signals raised against the old ids reach the re-adopted copy through
    the landing routing, not the wire. *)
-let readopt_impl t ~xfer ~tags image =
+let readopt t ~xfer ~tags image =
   let i = inst t in
   List.iter (fun tag -> Hashtbl.remove t.forwards tag) tags;
   match Codec.decode image with
@@ -736,7 +450,7 @@ let readopt_impl t ~xfer ~tags image =
     Logs.warn (fun m -> m "migrate: re-adopt decode failed for xfer %d: %s" xfer msg);
     Instance.count i "migrate.readopt_failed"
   | Ok img -> (
-    match apply t ~xfer ~src:t.node_id ~epoch:(t.epoch_of ()) img with
+    match apply t ~xfer img with
     | Error msg ->
       Logs.warn (fun m -> m "migrate: re-adopt failed for xfer %d: %s" xfer msg);
       Instance.count i "migrate.readopt_failed"
@@ -746,7 +460,256 @@ let readopt_impl t ~xfer ~tags image =
       Instance.count i "migrate.readopted";
       Instance.trace i (Trace.Migrate_readopt { xfer }))
 
-let () = readopt_cell := readopt_impl
+(* -- shipping ----------------------------------------------------------- *)
+
+let chunk_bytes t =
+  let cfg = (inst t).Instance.config.Config.migrate_chunk_bytes in
+  max 1 (min cfg (Hw.Nic.Fiber.mtu - 64))
+
+(* Transmit every chunk of a transfer: chunk [seq] is the slice of the
+   retained image at [seq * s_chunk], framed by the transport.  Each chunk
+   consults the migrate.drop fault site: an injected fault models the
+   frame vanishing on the fiber — the retransmit watchdog is the recovery
+   moment. *)
+let send_chunks t ~xfer (s : sending) =
+  let i = inst t in
+  let size = Bytes.length s.s_image in
+  let total = max 1 ((size + s.s_chunk - 1) / s.s_chunk) in
+  let send seq =
+    let off = seq * s.s_chunk in
+    Instance.count i "migrate.chunks_out";
+    t.transport.send_chunk ~dst:s.s_dst ~xfer ~seq ~total ~buf:s.s_image ~off
+      ~len:(min s.s_chunk (size - off))
+  in
+  let seq = ref 0 in
+  while !seq < total && not (halted t) do
+    (match Fault_inject.migrate_drop i.Instance.fi with
+    | Fault_inject.Inject ->
+      Fault_inject.inject i.Instance.fi ~site:"migrate.drop";
+      Instance.count i "migrate.chunks_dropped"
+    | Fault_inject.After_inject ->
+      Fault_inject.recover i.Instance.fi ~site:"migrate.drop";
+      send !seq
+    | Fault_inject.Pass -> send !seq);
+    step_chunk t "src" !seq;
+    incr seq
+  done
+
+(* One watchdog per transfer, [retry_us] doubling per resend and
+   [max_retries] resends per phase.  [Shipping] resends the chunks, and
+   counts from the image's wire time: it cannot be acked earlier.  On
+   exhaustion the transfer is abandoned and re-adopted here.
+   [Committing] resends [op_commit]: a lost commit (or its ack) leaves the
+   target parked and the source retaining the image.  On exhaustion the
+   transfer stays put — the failure detector's peer_dead/peer_rejoined
+   notifications resolve it.  A timer armed in one phase does nothing once
+   the transfer has left that phase. *)
+let retry_us = 800.0
+let max_retries = 6
+
+let rec arm_watchdog t ~xfer =
+  let i = inst t in
+  match Hashtbl.find_opt t.sends xfer with
+  | None -> ()
+  | Some s ->
+    let phase = s.s_phase in
+    let backoff_us = retry_us *. float_of_int (1 lsl s.s_retries) in
+    let delay_us =
+      match phase with
+      | Shipping ->
+        (* plus a proportional allowance for the receiver working through
+           the chunk arrivals *)
+        let wire_us = Hw.Cost.us_of_cycles (Hw.Cost.fiber_serialize (Bytes.length s.s_image)) in
+        (wire_us *. 1.1) +. backoff_us
+      | Committing -> backoff_us
+    in
+    Hw.Mpm.after i.Instance.node ~delay:(Hw.Cost.cycles_of_us delay_us) (fun () ->
+        match Hashtbl.find_opt t.sends xfer with
+        | Some s when s.s_phase = phase -> (
+          match phase with
+          | Shipping when s.s_retries >= max_retries ->
+            Hashtbl.remove t.sends xfer;
+            Instance.count i "migrate.abandoned";
+            (* crash-atomicity: the unreachable target may still hold (or
+               later assemble) the shipped image — the retained image
+               becomes authoritative again here, and the target is owed an
+               abort so a resurrected copy cannot outlive this one *)
+            Hashtbl.replace t.aborts xfer s.s_dst;
+            t.transport.send_ctl ~dst:s.s_dst ~xfer ~op:op_abort;
+            readopt t ~xfer ~tags:s.s_tags s.s_image
+          | Committing when s.s_retries >= max_retries ->
+            Instance.count i "migrate.commit_stalled"
+          | Shipping ->
+            s.s_retries <- s.s_retries + 1;
+            Instance.count i "migrate.retransmits";
+            send_chunks t ~xfer s;
+            arm_watchdog t ~xfer
+          | Committing ->
+            s.s_retries <- s.s_retries + 1;
+            Instance.count i "migrate.commit_resends";
+            t.transport.send_ctl ~dst:s.s_dst ~xfer ~op:op_commit;
+            arm_watchdog t ~xfer)
+        | Some _ | None -> ())
+
+let ship t ~dst ~xfer ~oid img =
+  let i = inst t in
+  let image = Codec.encode img in
+  let tags = List.map (fun (th : Codec.thread_image) -> th.Codec.thread_tag) img.Codec.threads in
+  let s =
+    {
+      s_dst = dst;
+      s_image = image;
+      s_chunk = chunk_bytes t;
+      s_started = now_us t;
+      s_tags = tags;
+      s_phase = Shipping;
+      s_retries = 0;
+    }
+  in
+  Hashtbl.replace t.sends xfer s;
+  Metrics.incr ~by:(Bytes.length image) i.Instance.metrics "migrate.bytes_out";
+  Instance.trace i (Trace.Migrate_out { oid; dst; xfer; bytes = Bytes.length image });
+  step t "src.capture";
+  if not (halted t) then begin
+    send_chunks t ~xfer s;
+    arm_watchdog t ~xfer
+  end
+
+(* -- thread migration --------------------------------------------------- *)
+
+let capture_thread t ~dst ~xfer (e : Thread_lib.entry) =
+  let i = inst t in
+  deposit_residue ~xfer e;
+  let oid = e.Thread_lib.oid in
+  let img =
+    {
+      Codec.src_node = t.node_id;
+      spaces = [];
+      threads = [ thread_image_of ~xfer ~space:None e ];
+      extras = [];
+    }
+  in
+  Thread_lib.retire t.ak.App_kernel.threads e.Thread_lib.id;
+  Hashtbl.replace t.forwards e.Thread_lib.id (xfer, dst);
+  Instance.count i "migrate.moves";
+  ship t ~dst ~xfer ~oid img
+
+let capture_retry_us = 100.0
+let capture_max_attempts = 16
+
+(* Capture cannot complete yet: count it and call [retry] with the next
+   attempt number after [capture_retry_us], or give the move up once
+   [capture_max_attempts] are spent. *)
+let defer_capture t ~attempts retry =
+  let i = inst t in
+  if attempts < capture_max_attempts then begin
+    Instance.count i "migrate.capture_deferred";
+    Hw.Mpm.after i.Instance.node ~delay:(Hw.Cost.cycles_of_us capture_retry_us) (fun () ->
+        retry (attempts + 1))
+  end
+  else Instance.count i "migrate.aborted"
+
+(* An active thread's unload is deferred to its next kernel exit
+   (api.ml's unload_pending), so the writeback record may not have landed
+   yet when [deschedule] returns: poll on a timer until the entry shows
+   the saved state. *)
+let rec try_capture_thread t ~dst ~xfer ~id ~attempts =
+  let i = inst t in
+  match Thread_lib.entry t.ak.App_kernel.threads id with
+  | None | Some { Thread_lib.run = Thread_lib.Exited; _ } -> Instance.count i "migrate.aborted"
+  | Some ({ Thread_lib.run = Thread_lib.Unloaded _; _ } as e) -> capture_thread t ~dst ~xfer e
+  | Some ({ Thread_lib.run = Thread_lib.Loaded; _ } as e) -> (
+    match Thread_lib.deschedule t.ak.App_kernel.threads id with
+    | Error _ -> Instance.count i "migrate.aborted"
+    | Ok () -> (
+      match e.Thread_lib.run with
+      | Thread_lib.Unloaded _ -> capture_thread t ~dst ~xfer e
+      | _ ->
+        defer_capture t ~attempts (fun attempts -> try_capture_thread t ~dst ~xfer ~id ~attempts)))
+
+(* Move one thread of the kernel's own address space to [dst].  Returns
+   the transfer id immediately; capture and shipping complete
+   asynchronously (watch migrate.pause_us / the Migrate_acked trace). *)
+let move_thread t ~dst id =
+  match Thread_lib.entry t.ak.App_kernel.threads id with
+  | None -> Error Api.Stale_reference
+  | Some { Thread_lib.run = Thread_lib.Exited; _ } -> Error Api.Stale_reference
+  | Some _ ->
+    let xfer = fresh_xfer t in
+    try_capture_thread t ~dst ~xfer ~id ~attempts:0;
+    Ok xfer
+
+(* -- space migration ---------------------------------------------------- *)
+
+let capture_space t ~dst ~xfer (vsp : Segment_mgr.vspace) =
+  let i = inst t in
+  let simg = space_image_of t.ak vsp in
+  let entries = ref [] in
+  Thread_lib.iter t.ak.App_kernel.threads (fun e ->
+      if
+        e.Thread_lib.space_tag = vsp.Segment_mgr.tag
+        && e.Thread_lib.run <> Thread_lib.Exited
+      then entries := e :: !entries);
+  let entries =
+    List.sort (fun (a : Thread_lib.entry) b -> compare a.Thread_lib.id b.Thread_lib.id) !entries
+  in
+  let threads =
+    List.map
+      (fun e ->
+        deposit_residue ~xfer e;
+        thread_image_of ~xfer ~space:(Some 0) e)
+      entries
+  in
+  let oid = vsp.Segment_mgr.oid in
+  let img = { Codec.src_node = t.node_id; spaces = [ simg ]; threads; extras = [] } in
+  List.iter
+    (fun (e : Thread_lib.entry) ->
+      Thread_lib.retire t.ak.App_kernel.threads e.Thread_lib.id;
+      Hashtbl.replace t.forwards e.Thread_lib.id (xfer, dst))
+    entries;
+  release_space t vsp;
+  Instance.count i "migrate.space_moves";
+  ship t ~dst ~xfer ~oid img
+
+let rec try_capture_space t ~dst ~xfer ~tag ~attempts =
+  let i = inst t in
+  match Segment_mgr.space_by_tag t.ak.App_kernel.mgr tag with
+  | None -> Instance.count i "migrate.aborted"
+  | Some vsp -> (
+    (* unload threads first (space unload would write them back anyway,
+       but descheduling through the thread library keeps its records in
+       step), then the space itself *)
+    Thread_lib.iter t.ak.App_kernel.threads (fun e ->
+        if e.Thread_lib.space_tag = tag && e.Thread_lib.run = Thread_lib.Loaded then
+          ignore (Thread_lib.deschedule t.ak.App_kernel.threads e.Thread_lib.id));
+    let unloaded =
+      if not vsp.Segment_mgr.loaded then Ok ()
+      else
+        Api.unload_space i ~caller:(App_kernel.oid t.ak) vsp.Segment_mgr.oid
+    in
+    let quiesced =
+      match unloaded with
+      | Error _ -> false
+      | Ok () ->
+        (* any thread still Loaded has a deferred writeback in flight *)
+        let busy = ref false in
+        Thread_lib.iter t.ak.App_kernel.threads (fun e ->
+            if e.Thread_lib.space_tag = tag && e.Thread_lib.run = Thread_lib.Loaded then
+              busy := true);
+        (not !busy) && not vsp.Segment_mgr.loaded
+    in
+    if quiesced then capture_space t ~dst ~xfer vsp
+    else defer_capture t ~attempts (fun attempts -> try_capture_space t ~dst ~xfer ~tag ~attempts))
+
+(* Move a whole address space — regions, segment contents and resident
+   threads — to [dst].  Asynchronous, like {!move_thread}. *)
+let move_space t ~dst tag =
+  match Segment_mgr.space_by_tag t.ak.App_kernel.mgr tag with
+  | None -> Error Api.Stale_reference
+  | Some _ ->
+    let xfer = fresh_xfer t in
+    try_capture_space t ~dst ~xfer ~tag ~attempts:0;
+    Ok xfer
 
 (* -- receive side ------------------------------------------------------- *)
 
@@ -778,13 +741,12 @@ let assemble inc =
     inc.i_parts;
   image
 
-let recv_chunk t ?(epoch = 1) ~src ~xfer ~seq ~total ~buf ~off ~len () =
+let recv_chunk t ~src ~xfer ~seq ~total ~buf ~off ~len =
   let i = inst t in
   match Hashtbl.find_opt t.landings xfer with
-  | Some l ->
+  | Some _ ->
     (* a retransmission crossed our ack — possibly from a restarted source
        incarnation, whose image is byte-identical: the landing stands *)
-    if epoch > l.l_epoch then l.l_epoch <- epoch;
     t.transport.send_ack ~dst:src ~xfer ~ok:true
   | None ->
     let inc =
@@ -816,7 +778,7 @@ let recv_chunk t ?(epoch = 1) ~src ~xfer ~seq ~total ~buf ~off ~len () =
           Instance.count i "migrate.decode_errors";
           t.transport.send_ack ~dst:src ~xfer ~ok:false
         | Ok img -> (
-          match apply t ~xfer ~src ~epoch img with
+          match apply t ~xfer img with
           | Ok _landing ->
             step t "dst.applied";
             if not (halted t) then t.transport.send_ack ~dst:src ~xfer ~ok:true
@@ -829,40 +791,32 @@ let recv_chunk t ?(epoch = 1) ~src ~xfer ~seq ~total ~buf ~off ~len () =
 
 let recv_ack t ~xfer ~ok =
   let i = inst t in
-  match Hashtbl.find_opt t.outgoing xfer with
-  | None -> (
+  match Hashtbl.find_opt t.sends xfer with
+  | Some ({ s_phase = Shipping; _ } as s) ->
+    Instance.trace i (Trace.Migrate_acked { xfer; ok });
+    if ok then begin
+      (* image applied and parked at the target: retain the image and
+         drive the commit handshake — only [op_commit_ack] frees it *)
+      s.s_phase <- Committing;
+      s.s_retries <- 0;
+      step t "src.acked";
+      if not (halted t) then begin
+        t.transport.send_ctl ~dst:s.s_dst ~xfer ~op:op_commit;
+        arm_watchdog t ~xfer
+      end
+    end
+    else begin
+      (* the target could not apply: the copy here is authoritative *)
+      Hashtbl.remove t.sends xfer;
+      Instance.count i "migrate.failed";
+      readopt t ~xfer ~tags:s.s_tags s.s_image
+    end
+  | Some { s_phase = Committing; _ } | None -> (
     (* duplicate ack — or a late landing of a transfer already re-adopted
        here: remind the target it owes us a purge *)
     match Hashtbl.find_opt t.aborts xfer with
     | Some dst -> t.transport.send_ctl ~dst ~xfer ~op:op_abort
     | None -> ())
-  | Some o ->
-    o.o_acked <- true;
-    Hashtbl.remove t.outgoing xfer;
-    Instance.trace i (Trace.Migrate_acked { xfer; ok });
-    if ok then begin
-      (* image applied and parked at the target: retain the image and
-         drive the commit handshake — only [op_commit_ack] frees it *)
-      Hashtbl.replace t.committing xfer
-        {
-          c_dst = o.o_dst;
-          c_image = o.o_image;
-          c_started = o.o_started;
-          c_tags = o.o_tags;
-          c_epoch = o.o_epoch;
-          c_retries = 0;
-        };
-      step t "src.acked";
-      if not (halted t) then begin
-        t.transport.send_ctl ~dst:o.o_dst ~xfer ~op:op_commit;
-        arm_commit_watchdog t ~xfer
-      end
-    end
-    else begin
-      (* the target could not apply: the copy here is authoritative *)
-      Instance.count i "migrate.failed";
-      readopt t ~xfer ~tags:o.o_tags o.o_image
-    end
 
 (* Commit-protocol control frames. *)
 let recv_ctl t ~src ~xfer ~op =
@@ -881,14 +835,14 @@ let recv_ctl t ~src ~xfer ~op =
       t.transport.send_ctl ~dst:src ~xfer ~op:op_abort_ack
   end
   else if op = op_commit_ack then begin
-    match Hashtbl.find_opt t.committing xfer with
-    | None -> ()
-    | Some c ->
-      Hashtbl.remove t.committing xfer;
-      List.iter (fun tag -> Hashtbl.remove registry (xfer, tag)) c.c_tags;
-      Instance.observe i "migrate.pause_us" (now_us t -. c.c_started);
+    match Hashtbl.find_opt t.sends xfer with
+    | Some ({ s_phase = Committing; _ } as s) ->
+      Hashtbl.remove t.sends xfer;
+      List.iter (fun tag -> Hashtbl.remove registry (xfer, tag)) s.s_tags;
+      Instance.observe i "migrate.pause_us" (now_us t -. s.s_started);
       Instance.count i "migrate.completed";
       step t "src.done"
+    | Some { s_phase = Shipping; _ } | None -> ()
   end
   else if op = op_abort then begin
     (match Hashtbl.find_opt t.landings xfer with
@@ -901,17 +855,26 @@ let recv_ctl t ~src ~xfer ~op =
   end
   else if op = op_abort_ack then begin
     Hashtbl.remove t.aborts xfer;
-    match Hashtbl.find_opt t.committing xfer with
-    | None -> ()
-    | Some c ->
+    match Hashtbl.find_opt t.sends xfer with
+    | Some ({ s_phase = Committing; _ } as s) ->
       (* the target lost the parked copy before commit: the retained
          image is authoritative again *)
-      Hashtbl.remove t.committing xfer;
-      readopt t ~xfer ~tags:c.c_tags c.c_image
+      Hashtbl.remove t.sends xfer;
+      readopt t ~xfer ~tags:s.s_tags s.s_image
+    | Some { s_phase = Shipping; _ } | None -> ()
   end
 
+(* A signal forwarded by the source's stub.  Until the landing is
+   committed its threads are parked, so the signal waits in [pending]:
+   [schedule_landing] delivers it at the commit, [purge_landing] drops it
+   with the landing. *)
 let recv_signal t ~xfer ~tag ~va =
-  match Hashtbl.find_opt t.landed (xfer, tag) with
+  let committed =
+    match Hashtbl.find_opt t.landings xfer with
+    | Some l when l.l_committed -> List.assoc_opt tag l.l_threads
+    | Some _ | None -> None
+  in
+  match committed with
   | Some local_id -> deliver_local t ~local_id ~va
   | None ->
     let l =
@@ -931,6 +894,10 @@ let sorted_bindings tbl pred =
     (fun (a, _) (b, _) -> compare a b)
     (Hashtbl.fold (fun x v acc -> if pred v then (x, v) :: acc else acc) tbl [])
 
+(* Transfers toward [node] in [phase], in xfer order. *)
+let sends_to t ~phase ~node =
+  sorted_bindings t.sends (fun s -> s.s_phase = phase && s.s_dst = node)
+
 (* The failure detector confirmed [node] dead.  Transfers toward it cannot
    complete: re-adopt every retained image shipped there — the paper's
    recovery-from-writeback contract applied to in-flight migration — and
@@ -941,14 +908,13 @@ let peer_dead t ~node =
   (* un-acked transfers: the destination held at most a *parked* landing
      (it never saw a commit), which its restart purges — re-adopting here
      cannot duplicate the threads *)
-  let gone_out = sorted_bindings t.outgoing (fun (o : outgoing) -> o.o_dst = node) in
   List.iter
-    (fun (xfer, (o : outgoing)) ->
-      Hashtbl.remove t.outgoing xfer;
+    (fun (xfer, s) ->
+      Hashtbl.remove t.sends xfer;
       Hashtbl.replace t.aborts xfer node;
       Instance.count i "migrate.peer_dead_recovered";
-      readopt t ~xfer ~tags:o.o_tags o.o_image)
-    gone_out;
+      readopt t ~xfer ~tags:s.s_tags s.s_image)
+    (sends_to t ~phase:Shipping ~node);
   (* committing transfers sit in the commit-uncertainty window: the
      destination may have committed (the copy survives its restart via the
      thread records) or still been parked (its restart purges it).  Only
@@ -958,8 +924,8 @@ let peer_dead t ~node =
      this model a dead node always restarts (its kernel state is a cache
      over writeback images), so the wait terminates. *)
   List.iter
-    (fun (_ : int * committing) -> Instance.count i "migrate.commit_pending_peer")
-    (sorted_bindings t.committing (fun (c : committing) -> c.c_dst = node))
+    (fun _ -> Instance.count i "migrate.commit_pending_peer")
+    (sends_to t ~phase:Committing ~node)
 
 (* A confirmed-dead peer rejoined (restarted, with a bumped epoch):
    re-deliver every protocol duty owed to the new incarnation. *)
@@ -968,11 +934,9 @@ let peer_rejoined t ~node =
     (fun (xfer, dst) -> t.transport.send_ctl ~dst ~xfer ~op:op_abort)
     (sorted_bindings t.aborts (fun dst -> dst = node));
   List.iter
-    (fun (xfer, (_ : committing)) -> t.transport.send_ctl ~dst:node ~xfer ~op:op_commit)
-    (sorted_bindings t.committing (fun (c : committing) -> c.c_dst = node));
-  List.iter
-    (fun (xfer, (o : outgoing)) -> send_chunks t ~dst:node ~xfer o)
-    (sorted_bindings t.outgoing (fun (o : outgoing) -> o.o_dst = node))
+    (fun (xfer, _) -> t.transport.send_ctl ~dst:node ~xfer ~op:op_commit)
+    (sends_to t ~phase:Committing ~node);
+  List.iter (fun (xfer, s) -> send_chunks t ~xfer s) (sends_to t ~phase:Shipping ~node)
 
 (* -- restart recovery (this node crashed and is coming back) ------------ *)
 
@@ -993,17 +957,18 @@ let purge_uncommitted t =
    pending commits, re-send owed aborts. *)
 let resume_transfers t =
   let i = inst t in
+  let in_phase phase = sorted_bindings t.sends (fun s -> s.s_phase = phase) in
   List.iter
-    (fun (xfer, (o : outgoing)) ->
+    (fun (xfer, s) ->
       Instance.count i "migrate.retransmits";
-      send_chunks t ~dst:o.o_dst ~xfer o;
+      send_chunks t ~xfer s;
       arm_watchdog t ~xfer)
-    (sorted_bindings t.outgoing (fun _ -> true));
+    (in_phase Shipping);
   List.iter
-    (fun (xfer, (c : committing)) ->
-      t.transport.send_ctl ~dst:c.c_dst ~xfer ~op:op_commit;
-      arm_commit_watchdog t ~xfer)
-    (sorted_bindings t.committing (fun _ -> true));
+    (fun (xfer, s) ->
+      t.transport.send_ctl ~dst:s.s_dst ~xfer ~op:op_commit;
+      arm_watchdog t ~xfer)
+    (in_phase Committing);
   List.iter
     (fun (xfer, dst) -> t.transport.send_ctl ~dst ~xfer ~op:op_abort)
     (sorted_bindings t.aborts (fun _ -> true))

@@ -53,7 +53,8 @@ val move_space : t -> dst:int -> int -> (int, Api.error) result
     and threads. *)
 
 val in_flight : t -> bool
-(** Any transfer not yet acked? *)
+(** Any outgoing transfer not yet commit-acked (still shipping, or acked
+    and awaiting the destination's [op_commit_ack])? *)
 
 val forward_signal : t -> int -> va:int -> bool
 (** Source-side stub: forward a signal aimed at a migrated-away thread
@@ -63,14 +64,14 @@ val forward_signal : t -> int -> va:int -> bool
 (** {1 Receive side — called by the transport owner} *)
 
 val recv_chunk :
-  t -> ?epoch:int -> src:int -> xfer:int -> seq:int -> total:int -> buf:Bytes.t -> off:int ->
-  len:int -> unit -> unit
+  t -> src:int -> xfer:int -> seq:int -> total:int -> buf:Bytes.t -> off:int -> len:int -> unit
 (** The part is the [len] bytes of [buf] at [off] (typically a view into
     the received frame, kept uncopied until the image is complete; [buf]
-    must not change afterwards).  [epoch] is the sender's fencing epoch
-    (stamped by the SRM's wire layer); a retransmission from a restarted
-    source incarnation carries a higher one but a byte-identical image, so
-    the landing stands.
+    must not change afterwards).  A part of a transfer that has already
+    landed is answered with a fresh ack and otherwise ignored: a
+    retransmission, possibly from a restarted source incarnation, carries
+    a byte-identical image, so the landing stands.  Epoch fencing happens
+    before the plane, in the SRM's wire layer.
 
     The chunk size is learned from the parts themselves.  A part that
     cannot belong to a well-formed transfer is dropped and counted in
@@ -80,7 +81,12 @@ val recv_chunk :
     from the others; a last part longer than the others. *)
 
 val recv_ack : t -> xfer:int -> ok:bool -> unit
+
 val recv_signal : t -> xfer:int -> tag:int -> va:int -> unit
+(** A signal forwarded by the source's stub.  It is delivered at once if
+    the transfer's landing is committed, and otherwise waits until the
+    commit schedules the thread (or the landing is purged). *)
+
 val recv_ctl : t -> src:int -> xfer:int -> op:int -> unit
 
 (** {1 Failure-detector integration} *)
@@ -115,14 +121,19 @@ val set_step_hook : t -> (string -> unit) option -> unit
     inside the hook; every call site checks [halted] afterwards and cuts
     the handler short, exactly as a real crash would. *)
 
-val set_epoch_source : t -> (unit -> int) -> unit
-(** Wire the SRM's current-epoch getter in; captured images record the
-    epoch they shipped under. *)
-
 (** {1 Image helpers shared with {!Checkpoint}} *)
 
 val space_image_of : App_kernel.t -> Segment_mgr.vspace -> Codec.space_image
+
+val thread_image_of :
+  ?program:string -> xfer:int -> space:int option -> Thread_lib.entry -> Codec.thread_image
+(** The structural record of a thread; [program] (default [""]) names its
+    body for a cross-process restore. *)
+
 val build_spaces : App_kernel.t -> Codec.space_image list -> (Segment_mgr.vspace list, string) result
+
+val own_space_tag : App_kernel.t -> (int, string) result
+(** The kernel's own space, created on first use. *)
 
 val pick_movable : t -> int option
 (** Lowest-id loaded, unlocked, unpinned own-space thread — the balancing

@@ -136,7 +136,6 @@ type t = {
   report_stamp : (int, float) Hashtbl.t; (* node -> report time (us); staleness *)
   mutable cosched_applied : (int * float) list; (* gang -> local apply time (us) *)
   plane : Migrate.Plane.t;
-  mutable balancing : bool; (* the periodic loop is armed *)
   (* failure detection & fencing *)
   epoch : int ref; (* this node's incarnation; stamped on every frame *)
   peer_epochs : (int, int) Hashtbl.t; (* highest accepted epoch / fence value *)
@@ -404,7 +403,7 @@ let handle t (pkt : Hw.Interconnect.packet) =
       | Heartbeat { node; runnable; _ } -> record_report t ~node ~runnable
       | Coschedule { gang; priority } -> apply_cosched t ~gang ~priority
       | Migrate_chunk { xfer; seq; total; buf; off; len } ->
-        Migrate.Plane.recv_chunk t.plane ~epoch ~src ~xfer ~seq ~total ~buf ~off ~len ()
+        Migrate.Plane.recv_chunk t.plane ~src ~xfer ~seq ~total ~buf ~off ~len
       | Migrate_ack { xfer; ok } -> Migrate.Plane.recv_ack t.plane ~xfer ~ok
       | Migrate_signal { xfer; tag; va } -> Migrate.Plane.recv_signal t.plane ~xfer ~tag ~va
       | Migrate_ctl { xfer; op } -> Migrate.Plane.recv_ctl t.plane ~src ~xfer ~op
@@ -449,12 +448,6 @@ let least_loaded t =
   | hd :: tl ->
     Some (fst (List.fold_left (fun (bn, bv) (n, v) -> if v < bv then (n, v) else (bn, bv)) hd tl))
 
-let most_loaded t =
-  match merged_reports t with
-  | [] -> None
-  | hd :: tl ->
-    Some (fst (List.fold_left (fun (bn, bv) (n, v) -> if v > bv then (n, v) else (bn, bv)) hd tl))
-
 (* One balancing step: if this node is the most loaded and the spread to
    the least-loaded node exceeds the hysteresis band, migrate one movable
    thread there.  One move per tick — the next tick sees the new loads. *)
@@ -490,12 +483,10 @@ let balance_tick t =
 let rec arm_balance t =
   let inst = t.srm.Manager.inst in
   let interval = inst.Instance.config.Config.balance_interval_us in
-  if interval > 0.0 && t.balancing then
+  if interval > 0.0 then
     Hw.Mpm.after inst.Instance.node ~delay:(Hw.Cost.cycles_of_us interval) (fun () ->
-        if t.balancing then begin
-          balance_tick t;
-          arm_balance t
-        end)
+        balance_tick t;
+        arm_balance t)
 
 (** Attach the SRM to the interconnect: creates the node's fiber NIC and
     starts handling coordination traffic (plus the balancing loop and the
@@ -522,7 +513,6 @@ let start srm ~net =
   let plane =
     Migrate.Plane.create ~ak:srm.Manager.ak ~node_id:node.Hw.Mpm.node_id ~transport
   in
-  Migrate.Plane.set_epoch_source plane (fun () -> !epoch);
   let t =
     {
       srm;
@@ -535,7 +525,6 @@ let start srm ~net =
       report_stamp = Hashtbl.create 8;
       cosched_applied = [];
       plane;
-      balancing = inst.Instance.config.Config.balance_interval_us > 0.0;
       epoch;
       peer_epochs = Hashtbl.create 8;
       last_heard = Hashtbl.create 8;
@@ -564,8 +553,6 @@ let coschedule t ~gang ~priority =
   List.iter (fun peer -> transmit t (Coschedule { gang; priority }) ~dst:peer) t.peers
 
 let plane t = t.plane
-
-let stop_balancing t = t.balancing <- false
 
 let load_reports t = merged_reports t
 

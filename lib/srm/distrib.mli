@@ -64,16 +64,11 @@ val least_loaded : t -> int option
     node's count is always live; ties break to the lowest node id, so the
     ranking is deterministic. *)
 
-val most_loaded : t -> int option
-(** The busiest node under the same deterministic ranking. *)
-
 val balance_tick : t -> unit
 (** One step of the balancing policy (also driven periodically when
     [Config.balance_interval_us] is set): if this node is the most loaded
     and the spread exceeds the hysteresis band, migrate one movable
     thread to the least-loaded node. *)
-
-val stop_balancing : t -> unit
 
 val plane : t -> Migrate.Plane.t
 (** The node's migration plane (thread/space moves, forwarding stub). *)

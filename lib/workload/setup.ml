@@ -25,9 +25,3 @@ let time_host (inst : Instance.t) f =
   Hw.Cost.us_of_cycles (cpu.Hw.Cpu.local_time - t0)
 
 let ok = function Ok v -> v | Error e -> Fmt.failwith "api: %a" Api.pp_error e
-
-(** Run a full system to quiescence; returns elapsed simulated us. *)
-let run_to_idle inst =
-  let t0 = now_us inst in
-  ignore (Engine.run [| inst |]);
-  now_us inst -. t0

@@ -273,9 +273,10 @@ let test_loaded_cluster_replay () =
 let ws_name = "fows"
 
 (* A 3-node cluster (0 witness/leader, 1 source, 2 destination) with a
-   4-page space and one spinning thread on the source, ready to migrate. *)
-let migration_setup () =
-  let c = C.create ~config:(fo_config ()) ~n:3 () in
+   4-page space and one spinning thread on the source, ready to migrate.
+   Returns the thread's progress counter too. *)
+let migration_setup ?(config = fo_config ()) () =
+  let c = C.create ~config ~n:3 () in
   let ak1 = (C.srm c 1).Srm.Manager.ak in
   let mgr = ak1.App_kernel.mgr in
   let ws = 4 in
@@ -290,7 +291,7 @@ let migration_setup () =
     (ok
        (Thread_lib.spawn ak1.App_kernel.threads ~space_tag:vsp.Segment_mgr.tag ~priority:8
           (Hw.Exec.unit_body (spin_body progress))));
-  (c, vsp.Segment_mgr.tag)
+  (c, vsp.Segment_mgr.tag, progress)
 
 (* The workspace travels under a fresh local space tag at each residence,
    so the authoritative copy is identified by its segment's name: a node
@@ -327,7 +328,7 @@ let live_copy_census c =
    order — the sweep then crashes at each of them, so new steps are swept
    automatically and a renamed step fails loudly. *)
 let discover_steps () =
-  let c, tag = migration_setup () in
+  let c, tag, _ = migration_setup () in
   let seen = ref [] in
   let hook name = if not (List.mem name !seen) then seen := name :: !seen in
   Migrate.Plane.set_step_hook (Srm.Distrib.plane (C.dist c 1)) (Some hook);
@@ -341,7 +342,7 @@ let discover_steps () =
   List.rev !seen
 
 let sweep_one step =
-  let c, tag = migration_setup () in
+  let c, tag, _ = migration_setup () in
   let victim = if String.length step >= 4 && String.sub step 0 4 = "src." then 1 else 2 in
   C.run ~until_us:2_000.0 c;
   let fired = ref false in
@@ -383,6 +384,90 @@ let test_crash_point_sweep_dst () =
   Alcotest.(check bool) "per-chunk destination steps discovered" true
     (List.mem "dst.chunk.0" dst_steps && List.mem "dst.chunk.1" dst_steps);
   List.iter sweep_one dst_steps
+
+(* -- recovery branches of the commit protocol ------------------------------
+
+   The heartbeat detector is off (the default config), so no [peer_dead]
+   notification steps in: each case reaches its branch through the
+   source plane's own timers and the destination's control frames. *)
+
+(* Move the workspace from node 1 to node 2, calling [action] once at the
+   source's protocol step [step], and run until every resend schedule has
+   run out (7 timers of 800 us doubling: ~102 ms). *)
+let recovery_run ~step action =
+  let c, tag, progress = migration_setup ~config:Config.default () in
+  C.run ~until_us:2_000.0 c;
+  let src = Srm.Distrib.plane (C.dist c 1) in
+  let fired = ref false in
+  Migrate.Plane.set_step_hook src
+    (Some
+       (fun name ->
+         if (not !fired) && name = step then begin
+           fired := true;
+           action c
+         end));
+  ignore (ok (Migrate.Plane.move_space src ~dst:2 tag));
+  C.run ~until_us:150_000.0 c;
+  Alcotest.(check bool) (step ^ ": hook fired") true !fired;
+  (c, progress)
+
+(* Exactly one node holds the workspace — node [at] — with one live
+   thread, and that thread keeps running; every node audits clean. *)
+let one_running_copy what c progress ~at =
+  Alcotest.(check (pair int int)) (what ^ ": one holder, one live thread") (1, 1)
+    (live_copy_census c);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: node %d holds it" what at)
+    true
+    (ws_space (C.srm c at).Srm.Manager.ak <> None);
+  let before = !progress in
+  C.run ~until_us:(Hw.Cost.us_of_cycles (C.live_now c) +. 5_000.0) c;
+  Alcotest.(check bool) (what ^ ": the copy runs") true (!progress > before);
+  Array.iter (audit_clean what) (C.insts c)
+
+(* The destination's port fails mid-ship: every retransmission is lost,
+   the watchdog gives up and the source re-adopts its retained image. *)
+let test_retransmit_exhaustion () =
+  let c, progress =
+    recovery_run ~step:"src.chunk.1" (fun c -> Hw.Interconnect.fail_node (C.net c) 2)
+  in
+  Alcotest.(check int) "abandoned" 1 (counter (C.inst c 1) "migrate.abandoned");
+  Alcotest.(check int) "re-adopted at the source" 1 (counter (C.inst c 1) "migrate.readopted");
+  Alcotest.(check int) "never completed" 0 (counter (C.inst c 1) "migrate.completed");
+  one_running_copy "retransmit exhaustion" c progress ~at:1
+
+(* The destination's port fails right after it acked: the parked copy is
+   never committed and the commit resends run out.  The transfer stays
+   pending (only the peer can say whether its copy survived); once the
+   port is back, the rejoin notification re-drives the commit. *)
+let test_commit_resend_exhaustion () =
+  let c, progress =
+    recovery_run ~step:"src.acked" (fun c -> Hw.Interconnect.fail_node (C.net c) 2)
+  in
+  Alcotest.(check int) "commit stalled" 1 (counter (C.inst c 1) "migrate.commit_stalled");
+  Alcotest.(check int) "not completed yet" 0 (counter (C.inst c 1) "migrate.completed");
+  Alcotest.(check int) "nothing re-adopted" 0 (counter (C.inst c 1) "migrate.readopted");
+  Alcotest.(check int) "parked copy not scheduled" 0 (counter (C.inst c 2) "migrate.adopted");
+  Hw.Interconnect.restore_node (C.net c) 2;
+  Migrate.Plane.peer_rejoined (Srm.Distrib.plane (C.dist c 1)) ~node:2;
+  C.run ~until_us:(Hw.Cost.us_of_cycles (C.live_now c) +. 5_000.0) c;
+  Alcotest.(check int) "completed after the re-driven commit" 1
+    (counter (C.inst c 1) "migrate.completed");
+  one_running_copy "commit resend exhaustion" c progress ~at:2
+
+(* The destination crashes and rejoins right after it acked: its restart
+   purges the parked copy, so it answers the commit with an abort-ack and
+   the source re-adopts. *)
+let test_abort_ack_while_committing () =
+  let c, progress =
+    recovery_run ~step:"src.acked" (fun c ->
+        C.crash c 2;
+        ignore (ok (Srm.Distrib.rejoin (C.dist c 2) ~epoch:2)))
+  in
+  Alcotest.(check int) "parked copy purged" 1 (counter (C.inst c 2) "migrate.purged");
+  Alcotest.(check int) "re-adopted at the source" 1 (counter (C.inst c 1) "migrate.readopted");
+  Alcotest.(check int) "never completed" 0 (counter (C.inst c 1) "migrate.completed");
+  one_running_copy "abort-ack while committing" c progress ~at:1
 
 (* -- ledger conservation across crash+failover (qcheck satellite) -------- *)
 
@@ -441,6 +526,14 @@ let () =
             test_crash_point_sweep_src;
           Alcotest.test_case "crash-point sweep (destination side)" `Slow
             test_crash_point_sweep_dst;
+        ] );
+      ( "migration recovery",
+        [
+          Alcotest.test_case "retransmit exhaustion re-adopts" `Quick test_retransmit_exhaustion;
+          Alcotest.test_case "commit resend exhaustion waits" `Quick
+            test_commit_resend_exhaustion;
+          Alcotest.test_case "abort-ack while committing re-adopts" `Quick
+            test_abort_ack_while_committing;
         ] );
       ( "conservation",
         [ QCheck_alcotest.to_alcotest ~long:false prop_ledger_conserved ] );

@@ -557,6 +557,41 @@ let test_forwarding () =
     (Metrics.counter i1.Instance.metrics "migrate.signals_delivered" >= 1);
   List.iter (fun (i, _, _) -> audit_clean i) nodes
 
+(* A signal raised at the source while the image is applied but parked at
+   the destination (after [dst.applied], before the commit) waits in the
+   destination's pending queue and reaches the thread once it is
+   scheduled, instead of being dropped against the parked copy. *)
+let test_signal_in_commit_window () =
+  let nodes = two_nodes () in
+  let i0, srm0, d0 = List.nth nodes 0 in
+  let i1, _, d1 = List.nth nodes 1 in
+  let insts = [| i0; i1 |] in
+  let threads0 = srm0.Srm.Manager.ak.App_kernel.threads in
+  let seen = ref [] in
+  let rec body () =
+    (match Hw.Exec.trap Api.Ck_wait_signal with
+    | Api.Ck_signal va -> seen := va :: !seen
+    | _ -> ());
+    body ()
+  in
+  let id = ok (App_kernel.spawn_internal srm0.Srm.Manager.ak ~priority:8 (Hw.Exec.unit_body body)) in
+  ignore (Engine.run ~until_us:2_000.0 insts);
+  let forwarded = ref false in
+  Migrate.Plane.set_step_hook (Srm.Distrib.plane d1)
+    (Some
+       (fun name ->
+         if name = "dst.applied" then forwarded := Thread_lib.signal threads0 id ~va:0x2000));
+  ignore (ok (Migrate.Plane.move_thread (Srm.Distrib.plane d0) ~dst:1 id));
+  ignore (Engine.run ~until_us:30_000.0 insts);
+  Alcotest.(check bool) "source reported the signal forwarded" true !forwarded;
+  Alcotest.(check int) "stub counted the forward" 1 (Metrics.counter i0.Instance.metrics "migrate.forwarded");
+  Alcotest.(check int) "transfer completed" 1 (Metrics.counter i0.Instance.metrics "migrate.completed");
+  Alcotest.(check int) "nothing dropped" 0 (Metrics.counter i1.Instance.metrics "migrate.signals_dropped");
+  Alcotest.(check int) "delivered after the commit" 1
+    (Metrics.counter i1.Instance.metrics "migrate.signals_delivered");
+  Alcotest.(check (list int)) "the thread saw the signal" [ 0x2000 ] !seen;
+  List.iter (fun (i, _, _) -> audit_clean i) nodes
+
 (* -- untrusted chunks -- *)
 
 let counter (i : Instance.t) name = Metrics.counter i.Instance.metrics name
@@ -569,7 +604,7 @@ let receiver () =
 
 let feed plane ~xfer ~seq ~total ?(off = 0) ?len part =
   let len = Option.value len ~default:(Bytes.length part - off) in
-  Migrate.Plane.recv_chunk plane ~src:0 ~xfer ~seq ~total ~buf:part ~off ~len ()
+  Migrate.Plane.recv_chunk plane ~src:0 ~xfer ~seq ~total ~buf:part ~off ~len
 
 let test_forged_chunks () =
   let i1, plane = receiver () in
@@ -701,8 +736,8 @@ let reassembly_fuzz =
       Array.iter
         (fun frame ->
           match Srm.Distrib.decode frame with
-          | Some (epoch, Srm.Distrib.Migrate_chunk { xfer; seq; total; buf; off; len }) ->
-            Migrate.Plane.recv_chunk plane ~epoch ~src:0 ~xfer ~seq ~total ~buf ~off ~len ()
+          | Some (_, Srm.Distrib.Migrate_chunk { xfer; seq; total; buf; off; len }) ->
+            Migrate.Plane.recv_chunk plane ~src:0 ~xfer ~seq ~total ~buf ~off ~len
           | Some _ | None -> ())
         frames;
       hits <> [] || counter i1 "migrate.bytes_in" = size)
@@ -818,6 +853,8 @@ let () =
           Alcotest.test_case "thread resumes on destination" `Quick test_live_migration;
           Alcotest.test_case "chunk loss recovery and replay" `Quick test_chaos_recovery;
           Alcotest.test_case "forwarding stub" `Quick test_forwarding;
+          Alcotest.test_case "signal forwarded during the commit window" `Quick
+            test_signal_in_commit_window;
         ] );
       ( "checkpoint",
         [ Alcotest.test_case "save and restore across runs" `Quick test_checkpoint_restore ] );

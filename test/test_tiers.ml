@@ -101,7 +101,7 @@ module Seed_store = struct
     match t.chaos with
     | None -> go ()
     | Some { fi; events; now } -> (
-      match Fault_inject.io_fate fi with
+      match Fault_inject.io_fate fi Fault_inject.bstore with
       | `Ok -> go ()
       | `Ok_after_fail ->
         Fault_inject.recover fi ~site:"bstore.fail";
