@@ -35,8 +35,8 @@ let run particles cells steps placement both paging =
   if paging then begin
     Fmt.pr "@.application-controlled paging (constrained frames):@.";
     let p = Workload.Locality.app_paging_compare ~particles:(min particles 8192) () in
-    Fmt.pr "  FIFO: %d page-ins (%.0f us); app policy: %d page-ins (%.0f us)@."
-      p.Workload.Locality.fifo_page_ins p.Workload.Locality.fifo_us
+    Fmt.pr "  Clock: %d page-ins (%.0f us); app policy: %d page-ins (%.0f us)@."
+      p.Workload.Locality.default_page_ins p.Workload.Locality.default_us
       p.Workload.Locality.app_policy_page_ins p.Workload.Locality.app_policy_us
   end
 

@@ -38,7 +38,7 @@ let create_shared (mgr : Segment_mgr.t) ~name =
   let pin pfn page =
     Segment.set_state segment page
       (Segment.In_memory
-         { Segment.pfn; dirty = false; backing = None; mappers = []; cow_pending = None })
+         (Segment.resident pfn))
   in
   pin data_pfn 0;
   pin bell_pfn 1;

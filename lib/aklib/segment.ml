@@ -14,6 +14,10 @@ type resident = {
       (* the page's own block, kept for the page's life: a dirty page-out
          rewrites it in place, and whoever drops the page frees it *)
   mutable mappers : (int * int) list; (* (space tag, va) of loaded mappings *)
+  mutable referenced : bool;
+      (* used since the Clock hand last passed: set by a demand fault's
+         mapping load and by a writeback's referenced bit, never by
+         prefetch; the hand clears it *)
   mutable cow_pending : (t * int) option;
       (* this residency was created optimistically for a deferred copy from
          (segment, page); if the mapping is written back unmodified the copy
@@ -36,6 +40,9 @@ and t = {
       (* the pages' blocks belong to a file (shared read-only program
          text): paging reads them but never writes or frees them *)
 }
+
+let resident ?backing pfn =
+  { pfn; dirty = false; backing; mappers = []; referenced = false; cow_pending = None }
 
 let create ~id ~name ~pages =
   { id; name; pages; table = Hashtbl.create 16; resident_count = 0; file_backed = false }

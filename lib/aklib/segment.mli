@@ -13,6 +13,10 @@ type resident = {
       (** the page's own block, kept for the page's life: a dirty page-out
           rewrites it in place, and whoever drops the page frees it *)
   mutable mappers : (int * int) list;  (** (space tag, va) of loaded mappings *)
+  mutable referenced : bool;
+      (** used since the Clock hand last passed: set by a demand fault's
+          mapping load and by a writeback's referenced bit, never by
+          prefetch; the hand clears it *)
   mutable cow_pending : (t * int) option;
       (** optimistic residency for a deferred copy from (segment, page);
           reverted if the mapping writes back unmodified *)
@@ -34,6 +38,9 @@ and t = {
       (** the pages' blocks belong to a file (shared read-only program
           text): paging reads them but never writes or frees them *)
 }
+
+val resident : ?backing:int -> int -> resident
+(** A fresh residency in frame [pfn]: clean, unmapped, unreferenced. *)
 
 val create : id:int -> name:string -> pages:int -> t
 val state : t -> int -> page_state

@@ -6,7 +6,7 @@
    loading of mapping descriptors on page faults."
 
    This is where paging *policy* lives: frame allocation, page replacement
-   (FIFO with a pluggable victim hook), backing-store I/O, zero-fill and
+   (Clock with a pluggable victim hook), backing-store I/O, zero-fill and
    copy-on-write — everything a monolithic kernel's VM system does, but in
    user mode, driving the Cache Kernel through load/unload of mappings and
    reading the referenced/modified bits out of writeback records.
@@ -47,7 +47,9 @@ type t = {
   mutable next_space_tag : int;
   mutable next_segment_id : int;
   mutable next_wait_token : int;
-  fifo : (Segment.t * int) Queue.t; (* eviction candidates, FIFO order *)
+  clock : (Segment.t * int * Segment.resident) Queue.t;
+      (* eviction candidates in the order the Clock hand visits them; an
+         entry names one residency and goes stale when the page leaves it *)
   stats : stats;
   (* clustered fault prefetch (Config.fault_prefetch), adaptive throttle *)
   mutable prefetch_depth : int;
@@ -64,7 +66,7 @@ type t = {
       (* policy hook: no region / protection error.  Default: terminate the
          thread by unloading it. *)
   mutable choose_victim : t -> (Segment.t * int * Segment.resident) option;
-      (* policy hook: page replacement.  Default: FIFO over [fifo]. *)
+      (* policy hook: page replacement.  Default: Clock over [clock]. *)
   mutable on_consistency : t -> Kernel_obj.fault_ctx -> bool;
       (* policy hook: consistency faults (remote/failed memory).  A
          distributed-shared-memory layer installs its protocol here;
@@ -80,13 +82,33 @@ let default_segv t (ctx : Kernel_obj.fault_ctx) =
   ignore
     (Api.unload_thread t.env.inst ~caller:(t.env.kernel ()) ctx.Kernel_obj.thread)
 
-let rec default_victim t =
-  if Queue.is_empty t.fifo then None
-  else
-    let seg, page = Queue.pop t.fifo in
-    match Segment.state seg page with
-    | Segment.In_memory r -> Some (seg, page, r)
-    | _ -> default_victim t (* stale candidate *)
+(* Clock (second chance).  The hand passes over a page that was referenced
+   since its last visit or still has a mapping loaded, clearing the bit and
+   requeueing the page; the first page that is neither is the victim.  An
+   entry whose page has since left that residency is dropped.  After
+   2 x queue-length passes (every page mapped) the next live entry is taken
+   as it is. *)
+let default_victim t =
+  let rec scan budget =
+    match Queue.take_opt t.clock with
+    | None -> None
+    | Some ((seg, page, r) as entry) -> (
+      match Segment.state seg page with
+      | Segment.In_memory r' when r' == r ->
+        if budget > 0 && (r.Segment.referenced || r.Segment.mappers <> []) then begin
+          r.Segment.referenced <- false;
+          Queue.push entry t.clock;
+          scan (budget - 1)
+        end
+        else Some entry
+      | _ -> scan budget (* stale candidate *))
+  in
+  scan (2 * Queue.length t.clock)
+
+(* Make [r] the page's residency and queue it for the hand. *)
+let install t seg page (r : Segment.resident) =
+  Segment.set_state seg page (Segment.In_memory r);
+  Queue.push (seg, page, r) t.clock
 
 let create env =
   let t =
@@ -96,7 +118,7 @@ let create env =
       next_space_tag = 1;
       next_segment_id = 1;
       next_wait_token = 0;
-      fifo = Queue.create ();
+      clock = Queue.create ();
       stats =
         {
           soft_faults = 0;
@@ -275,7 +297,7 @@ let rec evict_one t ~thread =
     end
     else begin
       (match Segment.state seg page with
-      | Segment.In_memory r' when r' == r -> Queue.push (seg, page) t.fifo
+      | Segment.In_memory r' when r' == r -> Queue.push (seg, page, r) t.clock
       | _ -> () (* the page left residency while we waited; its frame is not ours *));
       evict_one t ~thread
     end
@@ -306,11 +328,8 @@ let rec ensure_resident t seg page ~thread =
       Hw.Phys_mem.zero_page t.env.inst.Instance.node.Hw.Mpm.mem pfn;
       charge_zero_fill t;
       t.stats.zero_fills <- t.stats.zero_fills + 1;
-      let r =
-        { Segment.pfn; dirty = false; backing = None; mappers = []; cow_pending = None }
-      in
-      Segment.set_state seg page (Segment.In_memory r);
-      Queue.push (seg, page) t.fifo;
+      let r = Segment.resident pfn in
+      install t seg page r;
       Some r)
   | Segment.On_disk block -> (
     match alloc_frame t ~thread with
@@ -320,17 +339,8 @@ let rec ensure_resident t seg page ~thread =
       let token = fresh_token t in
       block_until t ~thread token (fun ~done_ ->
           Backing_store.page_in t.env.store ~block ~pfn (fun () -> done_ ()));
-      let r =
-        {
-          Segment.pfn;
-          dirty = false;
-          backing = Some block;
-          mappers = [];
-          cow_pending = None;
-        }
-      in
-      Segment.set_state seg page (Segment.In_memory r);
-      Queue.push (seg, page) t.fifo;
+      let r = Segment.resident ~backing:block pfn in
+      install t seg page r;
       Some r)
   | Segment.Cow_of (parent, ppage) ->
     (* Residency of a copy-on-write page means making the *parent* page
@@ -392,6 +402,13 @@ let viewers t seg page =
 let record_mapper (r : Segment.resident) vsp va =
   if not (List.mem (vsp.tag, va) r.Segment.mappers) then
     r.Segment.mappers <- (vsp.tag, va) :: r.Segment.mappers
+
+(* The faulting entry's mapping loaded: the page is in use now.  Prefetched
+   neighbours and message-page siblings only [record_mapper]; their
+   writeback's referenced bit says whether they were used. *)
+let record_demand (r : Segment.resident) vsp va =
+  record_mapper r vsp va;
+  r.Segment.referenced <- true
 
 (* -- Clustered fault prefetch --
 
@@ -509,7 +526,7 @@ let load_batch_with_prefetch t vsp (region : Region.t) ~va (r : Segment.resident
   in
   go 0;
   if loaded.(0) then begin
-    record_mapper r vsp va;
+    record_demand r vsp va;
     for j = 1 to n - 1 do
       if loaded.(j) then begin
         let va', r' = entries.(j) in
@@ -549,7 +566,7 @@ let load_faulting_mapping t vsp (region : Region.t) ~va ~page (r : Segment.resid
   let single () =
     match load_map t vsp region ~va ~pfn:r.Segment.pfn ~writable:true ~resume:true () with
     | Ok () ->
-      record_mapper r vsp va;
+      record_demand r vsp va;
       true
     | Error _ -> false
   in
@@ -581,11 +598,11 @@ let serve t vsp (region : Region.t) ~va ~(access : Hw.Mmu.access) ~thread =
             dirty = true;
             backing = None;
             mappers = [ (vsp.tag, va) ];
+            referenced = true;
             cow_pending = Some (parent, ppage);
           }
         in
-        Segment.set_state seg page (Segment.In_memory r);
-        Queue.push (seg, page) t.fifo;
+        install t seg page r;
         match
           load_map t vsp region ~va ~pfn:pres.Segment.pfn ~cow_dst:dst ~writable:true
             ~resume:true ()
@@ -602,7 +619,7 @@ let serve t vsp (region : Region.t) ~va ~(access : Hw.Mmu.access) ~thread =
         load_map t vsp region ~va ~pfn:pres.Segment.pfn ~writable:false ~resume:true ()
       with
       | Ok () ->
-        record_mapper pres vsp va;
+        record_demand pres vsp va;
         true
       | Error _ -> false))
   | Segment.In_memory r ->
@@ -666,7 +683,8 @@ and handle_vm_fault t (ctx : Kernel_obj.fault_ctx) =
 
 (** Digest a mapping writeback: fold the referenced/modified bits into our
     records and clear the mapper entry.  This is how the application kernel
-    learns whether a page must reach backing store before frame reuse. *)
+    learns whether a page must reach backing store before frame reuse, and
+    whether the Clock hand should pass over it. *)
 let handle_mapping_writeback t ~space_tag (state : Wb.mapping_state) =
   match space_by_tag t space_tag with
   | None -> ()
@@ -682,9 +700,11 @@ let handle_mapping_writeback t ~space_tag (state : Wb.mapping_state) =
     | Some region -> (
       let page = Region.page_index region state.Wb.va in
       let seg = region.Region.segment in
-      let drop_mapper (r : Segment.resident) =
+      (* the unloaded mapping's page: drop the mapper, keep any reference *)
+      let note_unload (r : Segment.resident) =
         r.Segment.mappers <-
-          List.filter (fun m -> m <> (vsp.tag, state.Wb.va)) r.Segment.mappers
+          List.filter (fun m -> m <> (vsp.tag, state.Wb.va)) r.Segment.mappers;
+        if state.Wb.referenced then r.Segment.referenced <- true
       in
       match Segment.state seg page with
       | Segment.In_memory r when r.Segment.pfn = state.Wb.pfn ->
@@ -692,23 +712,23 @@ let handle_mapping_writeback t ~space_tag (state : Wb.mapping_state) =
            page's block in place *)
         if state.Wb.modified then r.Segment.dirty <- true;
         r.Segment.cow_pending <- None;
-        drop_mapper r
+        note_unload r
       | Segment.In_memory r -> (
         (* The written-back mapping still pointed at a deferred-copy source
            frame.  If unmodified, the copy never happened: revert. *)
-        drop_mapper r;
+        note_unload r;
         match r.Segment.cow_pending with
         | Some ((pseg, ppage) as parent) when not state.Wb.modified ->
           Frame_alloc.free t.env.frames r.Segment.pfn;
           revert_cow t seg page r parent;
           (match Segment.state pseg ppage with
-          | Segment.In_memory pr -> drop_mapper pr
+          | Segment.In_memory pr -> note_unload pr
           | _ -> ())
         | _ -> if state.Wb.modified then r.Segment.dirty <- true)
       | Segment.Cow_of (pseg, ppage) -> (
         (* Read-shared parent frame unmapped from this space. *)
         match Segment.state pseg ppage with
-        | Segment.In_memory pr -> drop_mapper pr
+        | Segment.In_memory pr -> note_unload pr
         | _ -> ())
       | Segment.Zero | Segment.On_disk _ -> ()))
 
@@ -743,17 +763,8 @@ let write_segment_now t seg ~offset data =
             | None -> failwith "write_segment_now: no free frames"
           in
           Hw.Phys_mem.zero_page mem pfn;
-          let r =
-            {
-              Segment.pfn;
-              dirty = true;
-              backing = None;
-              mappers = [];
-              cow_pending = None;
-            }
-          in
-          Segment.set_state seg page (Segment.In_memory r);
-          Queue.push (seg, page) t.fifo;
+          let r = Segment.resident pfn in
+          install t seg page r;
           r
         | Segment.On_disk _ | Segment.Cow_of _ ->
           failwith "write_segment_now: page not writable at boot"

@@ -1,9 +1,10 @@
 (** The segment manager: the memory-management class library of section 3.
 
     Paging *policy* lives here, in user mode: frame allocation, page
-    replacement, backing-store I/O, zero fill and copy-on-write — driving
-    the Cache Kernel through mapping load/unload and digesting the
-    referenced/modified bits out of writeback records.  Policy hooks
+    replacement (Clock with a pluggable victim hook), backing-store I/O,
+    zero fill and copy-on-write — driving the Cache Kernel through mapping
+    load/unload and digesting the referenced/modified bits out of
+    writeback records.  Policy hooks
     ([on_segv], [choose_victim], [on_consistency]) are mutable fields, the
     simulation analogue of overriding the C++ library's virtual methods.
 
@@ -45,7 +46,10 @@ type t = {
   mutable next_space_tag : int;
   mutable next_segment_id : int;
   mutable next_wait_token : int;
-  fifo : (Segment.t * int) Queue.t;
+  clock : (Segment.t * int * Segment.resident) Queue.t;
+      (** eviction candidates in the order the Clock hand visits them; an
+          entry names one residency and is skipped once the page has left
+          it *)
   stats : stats;
   mutable prefetch_depth : int;
       (** clustered-prefetch depth in use, adaptively throttled within
@@ -58,7 +62,10 @@ type t = {
   mutable on_segv : t -> Kernel_obj.fault_ctx -> unit;
       (** policy hook: no region / protection error *)
   mutable choose_victim : t -> (Segment.t * int * Segment.resident) option;
-      (** policy hook: page replacement (default FIFO) *)
+      (** policy hook: page replacement (default Clock: pass over pages
+          referenced since the hand's last visit or still mapped, clearing
+          the bit; take the first that is neither, or the next live entry
+          after 2 x queue-length passes) *)
   mutable on_consistency : t -> Kernel_obj.fault_ctx -> bool;
       (** policy hook: consistency faults; a DSM layer installs its
           protocol here *)

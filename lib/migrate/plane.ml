@@ -311,7 +311,19 @@ let build_space ak (s : Codec.space_image) =
       s.Codec.segments
   in
   match Segment_mgr.create_space mgr with
-  | Error e -> Error (Fmt.str "create_space: %a" Api.pp_error e)
+  | Error e ->
+    (* refused: give back the frames the segments were just filled into *)
+    List.iter
+      (fun (seg : Segment.t) ->
+        for page = 0 to seg.Segment.pages - 1 do
+          match Segment.state seg page with
+          | Segment.In_memory r ->
+            Frame_alloc.free ak.App_kernel.frames r.Segment.pfn;
+            Segment.set_state seg page Segment.Zero
+          | _ -> ()
+        done)
+      segs;
+    Error (Fmt.str "create_space: %a" Api.pp_error e)
   | Ok vsp ->
     List.iter
       (fun (r : Codec.region_image) ->

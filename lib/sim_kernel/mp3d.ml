@@ -215,7 +215,7 @@ let install_locality_aware_eviction t =
   mgr.Segment_mgr.choose_victim <-
     (fun m ->
       (* scan the particle segment for a resident page whose cells are all
-         outside the active window; fall back to FIFO *)
+         outside the active window; fall back to the default (Clock) *)
       let c0, c1 = t.active_window in
       let found = ref None in
       Segment.iter_resident t.seg (fun page r ->

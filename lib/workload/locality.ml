@@ -34,14 +34,14 @@ let mp3d_compare ?(particles = 16384) ?(cells = 64) ?(steps = 3) () =
   { scattered; clustered; degradation_percent = degradation }
 
 (** Application-controlled paging: run MP3D with a constrained frame pool,
-    once with the default FIFO replacement and once with the simulation
+    once with the default Clock replacement and once with the simulation
     kernel's locality-aware victim policy installed; report page-in counts
     (the application avoids "random page faults" by paging out what it is
     not about to process). *)
 type paging_comparison = {
-  fifo_page_ins : int;
+  default_page_ins : int;
   app_policy_page_ins : int;
-  fifo_us : float;
+  default_us : float;
   app_policy_us : float;
 }
 
@@ -64,6 +64,6 @@ let app_paging_compare ?(particles = 8192) ?(cells = 32) ?(steps = 2) ?(frames =
     let r = Sim_kernel.Mp3d.run sim ~steps ~workers:2 () in
     (r.Sim_kernel.Mp3d.page_ins, r.Sim_kernel.Mp3d.elapsed_us)
   in
-  let fifo_page_ins, fifo_us = run ~use_app_policy:false in
+  let default_page_ins, default_us = run ~use_app_policy:false in
   let app_policy_page_ins, app_policy_us = run ~use_app_policy:true in
-  { fifo_page_ins; app_policy_page_ins; fifo_us; app_policy_us }
+  { default_page_ins; app_policy_page_ins; default_us; app_policy_us }

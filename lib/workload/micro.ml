@@ -326,7 +326,7 @@ let fault_us ?(faults = 100) () =
     let pfn = Option.get (Frame_alloc.alloc ak.App_kernel.frames) in
     Aklib.Segment.set_state seg page
       (Aklib.Segment.In_memory
-         { Aklib.Segment.pfn; dirty = false; backing = None; mappers = []; cow_pending = None })
+         (Aklib.Segment.resident pfn))
   done;
   Trace.enable inst.Instance.trace;
   let body () =

@@ -105,7 +105,7 @@ let make_resident ak seg pages =
     let pfn = Option.get (Frame_alloc.alloc ak.App_kernel.frames) in
     Segment.set_state seg page
       (Segment.In_memory
-         { Segment.pfn; dirty = false; backing = None; mappers = []; cow_pending = None })
+         (Segment.resident pfn))
   done
 
 (* Run [body] as one thread of the space to quiescence; returns the
@@ -227,6 +227,66 @@ let skew_point ?config ?(capacity = 128) ?(hot = 96) ?(cold = 64) ?(passes = 8)
     skew_us_per_access = elapsed /. float_of_int accesses;
   }
 
+(* -- ZP: Zipf paging, the page-replacement comparison -- *)
+
+type zipf_point = {
+  zp_page_ins : int;
+  zp_page_outs : int;
+  zp_evictions : int;
+  zp_us_per_access : float;
+}
+
+(* [n] draws of a Zipf([s]) rank over [pages] pages: page 0 is the most
+   popular. *)
+let zipf_trace ~seed ~pages ~s n =
+  let cdf = Array.make pages 0.0 in
+  let total = ref 0.0 in
+  for k = 0 to pages - 1 do
+    total := !total +. (1.0 /. Float.pow (float_of_int (k + 1)) s);
+    cdf.(k) <- !total
+  done;
+  let rng = Random.State.make [| seed |] in
+  Array.init n (fun _ ->
+      let u = Random.State.float rng !total in
+      let lo = ref 0 and hi = ref (pages - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if cdf.(mid) < u then lo := mid + 1 else hi := mid
+      done;
+      !lo)
+
+(** One thread replays a seeded Zipf(0.9) trace of 4 000 accesses over
+    512 pages, every third access a write, against 128 physical frames.
+    The 64-entry mapping cache is smaller than the frame pool, so most
+    resident pages are unmapped and their referenced bits have come back
+    in writebacks: the information page replacement has to work with.
+    [manage] sees the segment manager before the run; the PL scenario
+    installs a FIFO victim hook there to measure the default Clock
+    against. *)
+let zipf_point ?(manage = fun _ -> ()) () =
+  let pages = 512 and frames = 128 and accesses = 4000 in
+  let config = { Config.default with Config.mapping_cache = 64 } in
+  let inst, ak, vsp, _ = segment_setup ~config ~prepare:ignore ~name:"zipf" pages in
+  manage ak.App_kernel.mgr;
+  let spare = Frame_alloc.available ak.App_kernel.frames - frames in
+  if spare > 0 then ignore (Frame_alloc.take ak.App_kernel.frames spare);
+  let trace = zipf_trace ~seed:1 ~pages ~s:0.9 accesses in
+  let body () =
+    Array.iteri
+      (fun i page ->
+        let va = base + (page * Hw.Addr.page_size) in
+        if i mod 3 = 0 then Hw.Exec.mem_write va i else ignore (Hw.Exec.mem_read va))
+      trace
+  in
+  let elapsed = run_body inst ak vsp body in
+  let store = ak.App_kernel.store in
+  {
+    zp_page_ins = Backing_store.page_ins store;
+    zp_page_outs = Backing_store.page_outs store;
+    zp_evictions = (Segment_mgr.stats ak.App_kernel.mgr).Segment_mgr.evictions;
+    zp_us_per_access = elapsed /. float_of_int accesses;
+  }
+
 (* -- TS: tiered-backing-store sweep -- *)
 
 type tier_point = {
@@ -245,15 +305,16 @@ type tier_point = {
 
 (** Real paging against a bounded frame pool: [hot] pages are dirtied once
     and then re-read every pass while [cold] fresh pages are dirtied per
-    pass and never touched again.  With only [frames] physical frames the
-    hot set refaults continuously — and because a clean eviction keeps its
+    pass and never touched again.  With fewer [frames] than hot pages the
+    hot set refaults continuously, whatever order pages are evicted in —
+    and because a clean eviction keeps its
     backing block, every hot refault hits the *same* block, which the
     fast tier keeps until LRU demotion pushes it to disk.  Cold blocks
     are written once and never faulted back, so all page-ins are hot-set
     faults: [ts_fast_share] is the fraction of the hot working set served
     at RAM cost rather than disk cost.  [slots = 0] measures the seed's
     flat store on the identical access pattern. *)
-let tier_point ?config ?(slots = 64) ?(hot = 64) ?(cold = 32) ?(passes = 6) ?(frames = 64)
+let tier_point ?config ?(slots = 64) ?(hot = 96) ?(cold = 32) ?(passes = 6) ?(frames = 64)
     ?(prepare = fun _ -> ()) ?(finish = fun _ _ -> ()) () =
   let config =
     { (Option.value config ~default:Config.default) with Config.fast_tier_slots = slots }

@@ -10,9 +10,9 @@ let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "api error: %a" Api.pp_error e
 
-let make ?(mem = 16 * 1024 * 1024) () =
+let make ?(mem = 16 * 1024 * 1024) ?config () =
   let node = Hw.Mpm.create ~node_id:0 ~cpus:2 ~mem_size:mem () in
-  let inst = Instance.create node in
+  let inst = Instance.create ?config node in
   (* grant the first kernel every page group *)
   let groups = List.init (Instance.n_groups inst) Fun.id in
   let ak =
@@ -169,6 +169,166 @@ let test_remap_during_page_out () =
   Alcotest.(check int) "B reads its own last write" 2 !seen;
   Alcotest.(check (option int)) "B's page holds its last write" (Some 2) (word_of_page ak seg_b 0);
   Alcotest.(check (option int)) "A's page holds A's write" (Some 7) (word_of_page ak seg_a 0)
+
+(* -- Clock page replacement -- *)
+
+let base = 0x40000000
+
+let one_segment_space ak ~name ~pages =
+  let mgr = ak.App_kernel.mgr in
+  let vsp = user_space ak in
+  let seg = Segment_mgr.create_segment mgr ~name ~pages in
+  Segment_mgr.attach_region mgr vsp
+    (Region.v ~va_start:base ~pages ~segment:seg ~seg_offset:0 ());
+  (vsp, seg)
+
+(* One thread of [vsp] reads [pages] in order, to quiescence. *)
+let read_pages inst ak vsp pages =
+  ignore
+    (spawn_user ak vsp ~priority:8 (fun () ->
+         List.iter (fun p -> ignore (Hw.Exec.mem_read (base + (p * Hw.Addr.page_size)))) pages));
+  ignore (Engine.run [| inst |])
+
+let resident seg page =
+  match Segment.state seg page with
+  | Segment.In_memory r -> r
+  | _ -> Alcotest.failf "page %d is not resident" page
+
+let is_resident seg page =
+  match Segment.state seg page with Segment.In_memory _ -> true | _ -> false
+
+(* Unload the pages' mappings: their writebacks carry the referenced bits
+   back to the segment manager. *)
+let unmap_pages ak seg pages =
+  List.iter (fun p -> Segment_mgr.unmap_residents ak.App_kernel.mgr (resident seg p)) pages
+
+let evict ak =
+  match Segment_mgr.evict_one ak.App_kernel.mgr ~thread:Oid.none with
+  | Some _ -> ()
+  | None -> Alcotest.fail "evict_one found no victim"
+
+(* Pages 0-2 are read (clean); 0 and 2 are unmapped, 1 keeps its
+   mapping.  The first eviction clears every bit on its way round and
+   takes page 0, leaving 1 then 2 queued.  Page 1 is used again through
+   its loaded mapping, without a fault; only its writeback tells the
+   segment manager, so the hand passes over it and takes page 2, where
+   FIFO order would have taken page 1. *)
+let test_clock_second_chance () =
+  let inst, ak = make () in
+  let vsp, seg = one_segment_space ak ~name:"clock" ~pages:3 in
+  read_pages inst ak vsp [ 0; 1; 2 ];
+  unmap_pages ak seg [ 0; 2 ];
+  evict ak;
+  Alcotest.(check (list bool)) "page 0 went first" [ false; true; true ]
+    (List.map (is_resident seg) [ 0; 1; 2 ]);
+  Alcotest.(check bool) "the hand cleared the mapped page's bit" false
+    (resident seg 1).Segment.referenced;
+  read_pages inst ak vsp [ 1 ];
+  Alcotest.(check int) "no fault: the mapping was loaded" 0
+    (Segment_mgr.stats ak.App_kernel.mgr).Segment_mgr.soft_faults;
+  unmap_pages ak seg [ 1 ];
+  Alcotest.(check bool) "the writeback carried the reference" true
+    (resident seg 1).Segment.referenced;
+  evict ak;
+  Alcotest.(check (list bool)) "the re-referenced page survives" [ false; true; false ]
+    (List.map (is_resident seg) [ 0; 1; 2 ]);
+  Alcotest.(check bool) "its second chance is spent" false (resident seg 1).Segment.referenced
+
+(* Every resident page keeps a loaded mapping: the hand passes over all of
+   them, and the scan cap still yields a victim — the page at the head of
+   the queue, unloaded on the way out. *)
+let test_clock_all_mapped () =
+  let inst, ak = make () in
+  let vsp, seg = one_segment_space ak ~name:"mapped" ~pages:3 in
+  read_pages inst ak vsp [ 0; 1; 2 ];
+  Alcotest.(check bool) "every page mapped" true
+    (List.for_all (fun p -> (resident seg p).Segment.mappers <> []) [ 0; 1; 2 ]);
+  evict ak;
+  Alcotest.(check int) "one eviction" 1
+    (Segment_mgr.stats ak.App_kernel.mgr).Segment_mgr.evictions;
+  Alcotest.(check (list bool)) "the queue's head went" [ false; true; true ]
+    (List.map (is_resident seg) [ 0; 1; 2 ])
+
+(* A mapping loaded ahead of demand is not a reference: with prefetch on,
+   a fault on page 0 also maps its resident neighbour 1, which the thread
+   never touches.  Once both mappings are written back, page 1 is the next
+   victim although page 0 is ahead of it in the queue. *)
+let test_prefetch_is_not_a_reference () =
+  let inst, ak = make ~config:{ Config.default with Config.fault_prefetch = 1 } () in
+  let mgr = ak.App_kernel.mgr in
+  let vsp, seg = one_segment_space ak ~name:"prefetch" ~pages:2 in
+  Segment_mgr.write_segment_now mgr seg ~offset:0
+    (Bytes.make (2 * Hw.Addr.page_size) '\001');
+  read_pages inst ak vsp [ 0 ];
+  let count name = Metrics.counter inst.Instance.metrics name in
+  Alcotest.(check int) "the neighbour was prefetched" 1 (count "prefetch.issued");
+  Alcotest.(check (pair bool bool)) "mapped but not referenced" (true, false)
+    ((resident seg 1).Segment.mappers <> [], (resident seg 1).Segment.referenced);
+  unmap_pages ak seg [ 0; 1 ];
+  Alcotest.(check int) "its writeback judged it wasted" 1 (count "prefetch.wasted");
+  match mgr.Segment_mgr.choose_victim mgr with
+  | Some (_, page, _) -> Alcotest.(check int) "the untouched neighbour is the victim" 1 page
+  | None -> Alcotest.fail "no victim"
+
+(* A page that leaves residency without a pop leaves its queue entry
+   behind.  Here a deferred copy's mapping writes back unmodified, so the
+   copy never happened and the page reverts to the parent's; a later write
+   makes it resident again.  The queue then holds two entries for the
+   page, but only one names its current residency, so the hand gives it
+   one chance, not two. *)
+let test_queue_names_the_residency () =
+  let inst, ak = make () in
+  let mgr = ak.App_kernel.mgr in
+  let parent = Segment_mgr.create_segment mgr ~name:"parent" ~pages:1 in
+  Segment_mgr.write_segment_now mgr parent ~offset:0 (Bytes.make 4 '\007');
+  let vsp, child = one_segment_space ak ~name:"child" ~pages:1 in
+  (* the state a copy-on-write fault leaves behind: a queued copy frame
+     whose mapping still names the parent's frame *)
+  let copy =
+    {
+      Segment.pfn = Option.get (Frame_alloc.alloc ak.App_kernel.frames);
+      dirty = true;
+      backing = None;
+      mappers = [ (vsp.Segment_mgr.tag, base) ];
+      referenced = true;
+      cow_pending = Some (parent, 0);
+    }
+  in
+  Segment.set_state child 0 (Segment.In_memory copy);
+  Queue.push (child, 0, copy) mgr.Segment_mgr.clock;
+  Segment_mgr.handle_mapping_writeback mgr ~space_tag:vsp.Segment_mgr.tag
+    {
+      Wb.va = base;
+      pfn = (resident parent 0).Segment.pfn;
+      flags = { Hw.Page_table.writable = true; cachable = true; message_mode = false };
+      referenced = false;
+      modified = false;
+      had_signal_thread = false;
+    };
+  Alcotest.(check bool) "the copy reverted" true
+    (match Segment.state child 0 with Segment.Cow_of _ -> true | _ -> false);
+  ignore (spawn_user ak vsp ~priority:8 (fun () -> Hw.Exec.mem_write base 9));
+  ignore (Engine.run [| inst |]);
+  let current = resident child 0 in
+  let entries, live =
+    Queue.fold
+      (fun (n, live) (seg, page, r) ->
+        if seg == child && page = 0 then (n + 1, if r == current then live + 1 else live)
+        else (n, live))
+      (0, 0) mgr.Segment_mgr.clock
+  in
+  Alcotest.(check (pair int int)) "two entries, one naming the residency" (2, 1)
+    (entries, live);
+  (* The parent's page, queued first, and the child's are both referenced
+     and unmapped: one pass clears both bits and the hand comes round to
+     the parent.  Had the stale entry counted, it would have spent the
+     child's chance and the live entry behind it would be the victim. *)
+  unmap_pages ak child [ 0 ];
+  (resident parent 0).Segment.referenced <- true;
+  Alcotest.(check bool) "the write was reported" true current.Segment.referenced;
+  match mgr.Segment_mgr.choose_victim mgr with
+  | Some (seg, _, _) -> Alcotest.(check string) "one chance each" "parent" seg.Segment.name
+  | None -> Alcotest.fail "no victim"
 
 let test_channel_ping_pong () =
   let inst, ak = make () in
@@ -395,6 +555,17 @@ let () =
             test_paging_keeps_one_block_per_page;
           Alcotest.test_case "remap during page-out keeps the write" `Quick
             test_remap_during_page_out;
+        ] );
+      ( "clock",
+        [
+          Alcotest.test_case "a re-referenced page gets a second chance" `Quick
+            test_clock_second_chance;
+          Alcotest.test_case "all pages mapped: the scan cap yields a victim" `Quick
+            test_clock_all_mapped;
+          Alcotest.test_case "prefetch is not a reference" `Quick
+            test_prefetch_is_not_a_reference;
+          Alcotest.test_case "queue entries name the residency" `Quick
+            test_queue_names_the_residency;
         ] );
       ( "channels",
         [ Alcotest.test_case "ping-pong over messaging" `Quick test_channel_ping_pong ] );

@@ -186,7 +186,7 @@ let test_prefetch_in_bounds () =
     let pfn = Option.get (Frame_alloc.alloc ak.App_kernel.frames) in
     Segment.set_state seg page
       (Segment.In_memory
-         { Segment.pfn; dirty = false; backing = None; mappers = []; cow_pending = None })
+         (Segment.resident pfn))
   done;
   let body () =
     for p = 0 to region_pages - 1 do

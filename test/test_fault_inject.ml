@@ -299,7 +299,8 @@ let test_counter_balance () =
    retry-with-backoff recovery protocol as block I/O.  A fast tier smaller
    than the hot set maximizes migration traffic: every page-out lands
    fast, every slow refault promotes, and capacity pressure demotes the
-   sequentially-flooded LRU tail continuously. *)
+   sequentially-flooded LRU tail continuously.  The hot set is larger than
+   the frame pool too, so it refaults whatever order pages are evicted in. *)
 
 let tier_run ?(tier_fail = 0.0) ?(tier_delay = 0.0) ?(io_fail = 0.0) () =
   let config =
@@ -307,7 +308,7 @@ let tier_run ?(tier_fail = 0.0) ?(tier_delay = 0.0) ?(io_fail = 0.0) () =
   in
   let inst_ref = ref None and ak_ref = ref None in
   let pt =
-    Workload.Sweeps.tier_point ~config ~slots:16 ~hot:24 ~cold:12 ~passes:3 ~frames:24
+    Workload.Sweeps.tier_point ~config ~slots:16 ~hot:40 ~cold:12 ~passes:3 ~frames:24
       ~prepare:(fun i ->
         inst_ref := Some i;
         Trace.enable i.Instance.trace)

@@ -434,6 +434,8 @@ let audit_clean (i : Instance.t) =
     0
     (List.length (Audit.run i).Audit.violations)
 
+let counter (i : Instance.t) name = Metrics.counter i.Instance.metrics name
+
 (* -- live migration -- *)
 
 let test_live_migration () =
@@ -529,6 +531,64 @@ let test_chaos_recovery () =
   Alcotest.(check int) "seed 2 adoption" 1 adopted2;
   Alcotest.(check int) "seed 2 audits clean" 0 viols2
 
+(* -- a refused landing -- *)
+
+(* Spaces of [ak] that map a segment named [name]. *)
+let spaces_holding (ak : App_kernel.t) name =
+  Hashtbl.fold
+    (fun _ (v : Segment_mgr.vspace) n ->
+      if List.exists (fun (r : Region.t) -> r.Region.segment.Segment.name = name) v.Segment_mgr.regions
+      then n + 1
+      else n)
+    ak.App_kernel.mgr.Segment_mgr.spaces 0
+
+(* Node 1's space cache is full of locked descriptors, so it cannot build
+   the shipped space: it refuses the landing with a negative ack, and the
+   source, whose retained image is authoritative, re-adopts the space.
+   Exactly one copy of the workspace stays live, at the source, its thread
+   keeps running, and node 1 gets back the frames the refused image had
+   filled. *)
+let test_refused_landing () =
+  let nodes = two_nodes ~dst_config:{ Config.default with Config.space_cache = 4 } () in
+  let i0, srm0, d0 = List.nth nodes 0 in
+  let i1, srm1, _ = List.nth nodes 1 in
+  let ak0 = srm0.Srm.Manager.ak and ak1 = srm1.Srm.Manager.ak in
+  let rec fill tag =
+    match Api.load_space i1 ~caller:(App_kernel.oid ak1) ~lock:true ~tag () with
+    | Ok _ -> fill (tag + 1)
+    | Error _ -> ()
+  in
+  fill 1000;
+  let frames1 = Frame_alloc.available ak1.App_kernel.frames in
+  let mgr = ak0.App_kernel.mgr in
+  let vsp = ok (Segment_mgr.create_space mgr) in
+  let seg = Segment_mgr.create_segment mgr ~name:"ws" ~pages:2 in
+  Segment_mgr.write_segment_now mgr seg ~offset:0 (Bytes.make (2 * Hw.Addr.page_size) '\005');
+  Segment_mgr.attach_region mgr vsp
+    (Region.v ~va_start:0x40000000 ~pages:2 ~segment:seg ~seg_offset:0 ());
+  let progress = ref 0 in
+  ignore
+    (ok
+       (Thread_lib.spawn ak0.App_kernel.threads ~space_tag:vsp.Segment_mgr.tag ~priority:8
+          (Hw.Exec.unit_body (spin_body progress))));
+  let insts = [| i0; i1 |] in
+  ignore (Engine.run ~until_us:2_000.0 insts);
+  ignore (ok (Migrate.Plane.move_space (Srm.Distrib.plane d0) ~dst:1 vsp.Segment_mgr.tag));
+  ignore (Engine.run ~until_us:50_000.0 insts);
+  Alcotest.(check int) "destination could not apply" 1 (counter i1 "migrate.apply_errors");
+  Alcotest.(check int) "negative ack counted" 1 (counter i0 "migrate.failed");
+  Alcotest.(check int) "re-adopted at the source" 1 (counter i0 "migrate.readopted");
+  Alcotest.(check int) "never completed" 0 (counter i0 "migrate.completed");
+  Alcotest.(check int) "nothing adopted at node 1" 0 (counter i1 "migrate.adopted");
+  Alcotest.(check (pair int int)) "one live copy, at the source" (1, 0)
+    (spaces_holding ak0 "ws", spaces_holding ak1 "ws");
+  Alcotest.(check int) "node 1 frames returned" frames1
+    (Frame_alloc.available ak1.App_kernel.frames);
+  let before = !progress in
+  ignore (Engine.run ~until_us:60_000.0 insts);
+  Alcotest.(check bool) "the re-adopted thread runs" true (!progress > before);
+  List.iter (fun (i, _, _) -> audit_clean i) nodes
+
 (* -- forwarding stub -- *)
 
 let test_forwarding () =
@@ -593,8 +653,6 @@ let test_signal_in_commit_window () =
   List.iter (fun (i, _, _) -> audit_clean i) nodes
 
 (* -- untrusted chunks -- *)
-
-let counter (i : Instance.t) name = Metrics.counter i.Instance.metrics name
 
 (* Node 1's plane, fed chunks from a node-0 source that never sent them. *)
 let receiver () =
@@ -853,6 +911,8 @@ let () =
           Alcotest.test_case "thread resumes on destination" `Quick test_live_migration;
           Alcotest.test_case "chunk loss recovery and replay" `Quick test_chaos_recovery;
           Alcotest.test_case "forwarding stub" `Quick test_forwarding;
+          Alcotest.test_case "refused landing re-adopts at the source" `Quick
+            test_refused_landing;
           Alcotest.test_case "signal forwarded during the commit window" `Quick
             test_signal_in_commit_window;
         ] );
