@@ -196,32 +196,14 @@ let mark_crashed t =
 
 (* -- Blocking I/O from fault-handler context -- *)
 
-(* Wait for a completion signal carrying a unique token; other signals that
-   arrive meanwhile are re-queued behind the wait. *)
+(* Each wait gets a unique completion token; Thread_lib.await_token
+   blocks on it and keeps any other signal for its real consumer. *)
 let fresh_token t =
   t.next_wait_token <- t.next_wait_token + 1;
   wait_token_base + (t.next_wait_token * 4)
 
-let block_until t ~thread token (start : done_:(unit -> unit) -> unit) =
-  start ~done_:(fun () ->
-      match Instance.find_thread t.env.inst thread with
-      | Some th -> Signals.post_signal t.env.inst th ~va:token
-      | None -> () (* thread vanished while waiting; drop *));
-  let rec wait () =
-    match Hw.Exec.trap Api.Ck_wait_signal with
-    | Api.Ck_signal va when va = token -> ()
-    | Api.Ck_signal other ->
-      (* not ours: requeue for the real consumer and keep waiting *)
-      (match Instance.find_thread t.env.inst thread with
-      | Some th ->
-        ignore
-          (Thread_obj.queue_signal th
-             ~depth_limit:Config.signal_queue_depth other)
-      | None -> ());
-      wait ()
-    | _ -> wait ()
-  in
-  wait ()
+let block_until t ~thread start =
+  Thread_lib.await_token t.env.inst ~thread ~token:(fresh_token t) start
 
 (* -- Page replacement -- *)
 
@@ -259,8 +241,7 @@ let page_out_victim t ~thread seg page (r : Segment.resident) =
       b
   in
   r.Segment.dirty <- false;
-  let token = fresh_token t in
-  block_until t ~thread token (fun ~done_ ->
+  block_until t ~thread (fun ~done_ ->
       Backing_store.page_out t.env.store ~block ~pfn:r.Segment.pfn (fun _ -> done_ ()));
   match Segment.state seg page with
   | Segment.In_memory r' when r' == r && r.Segment.mappers = [] && not r.Segment.dirty ->
@@ -336,8 +317,7 @@ let rec ensure_resident t seg page ~thread =
     | None -> None
     | Some pfn ->
       t.stats.page_in_faults <- t.stats.page_in_faults + 1;
-      let token = fresh_token t in
-      block_until t ~thread token (fun ~done_ ->
+      block_until t ~thread (fun ~done_ ->
           Backing_store.page_in t.env.store ~block ~pfn (fun () -> done_ ()));
       let r = Segment.resident ~backing:block pfn in
       install t seg page r;

@@ -200,3 +200,31 @@ let reload_retries t = t.reload_retries
 
 (** All entries (for schedulers that sweep, e.g. priority decay). *)
 let iter t f = Hashtbl.iter (fun _ e -> f e) t.table
+
+(** Block the calling thread (handler context) until the completion
+    signal carrying [token] arrives.  [start ~done_] submits the I/O;
+    [done_] posts the token to [thread].  Other signals that arrive
+    meanwhile are held aside and queued on the thread again once the
+    token is in, in arrival order, so their real consumer still gets
+    them; requeueing them during the wait would hand them straight back
+    to this loop. *)
+let await_token inst ~thread ~token (start : done_:(unit -> unit) -> unit) =
+  start ~done_:(fun () ->
+      match Instance.find_thread inst thread with
+      | Some th -> Signals.post_signal inst th ~va:token
+      | None -> () (* thread vanished while waiting; drop *));
+  let rec wait held =
+    match Hw.Exec.trap Api.Ck_wait_signal with
+    | Api.Ck_signal va when va = token -> held
+    | Api.Ck_signal other -> wait (other :: held)
+    | _ -> wait held
+  in
+  match wait [] with
+  | [] -> ()
+  | held -> (
+    match Instance.find_thread inst thread with
+    | Some th ->
+      List.iter
+        (fun va -> ignore (Thread_obj.queue_signal th ~depth_limit:Config.signal_queue_depth va))
+        (List.rev held)
+    | None -> ())

@@ -86,3 +86,10 @@ val running : t -> int -> bool
 val exited : t -> int -> bool
 val reload_retries : t -> int
 val iter : t -> (entry -> unit) -> unit
+
+val await_token :
+  Instance.t -> thread:Oid.t -> token:int -> (done_:(unit -> unit) -> unit) -> unit
+(** (handler context) [await_token inst ~thread ~token start] submits I/O
+    with [start ~done_] and blocks [thread] until [done_] has posted
+    [token] to it.  Signals other than [token] that arrive during the wait
+    are queued on the thread again afterwards, in arrival order. *)

@@ -99,15 +99,15 @@ let replace t ~block src ~pos ~len =
   Bytes.blit src pos (replace_buffer t block n) 0 n
 
 (* Copy [len] bytes at [off] of [block] into [dst] at [pos], zeroes past
-   the block's buffer. *)
+   the block's buffer; allocates nothing. *)
 let blit_out t block ~off dst ~pos ~len =
   let have =
-    match Hashtbl.find_opt t.blocks block with
-    | Some b when Bytes.length b > off ->
+    match Hashtbl.find t.blocks block with
+    | b when Bytes.length b > off ->
       let n = min len (Bytes.length b - off) in
       Bytes.blit b off dst pos n;
       n
-    | _ -> 0
+    | _ | (exception Not_found) -> 0
   in
   Bytes.fill dst (pos + have) (len - have) '\000'
 
@@ -171,6 +171,12 @@ let read_now t ~block =
   let page = Bytes.create Addr.page_size in
   blit_out t block ~off:0 page ~pos:0 ~len:Addr.page_size;
   page
+
+(** Copy [len] bytes at [off] of [block] into [dst] at [pos] at once:
+    no latency, no count, no allocation — a buffer cache's hit path. *)
+let read_into_now t ~block ~off dst ~pos ~len =
+  check_range "read_into_now" ~off ~len;
+  blit_out t block ~off dst ~pos ~len
 
 let write_now t ~block ~off src ~pos ~len =
   check_range "write_now" ~off ~len;

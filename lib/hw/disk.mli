@@ -61,6 +61,11 @@ val read_now : t -> block:int -> Bytes.t
 (** Synchronous read for boot-time loading and capture (no latency
     modelled); returns a whole page the caller owns. *)
 
+val read_into_now : t -> block:int -> off:int -> Bytes.t -> pos:int -> len:int -> unit
+(** Synchronous counterpart of {!read_into}: the bytes land at once, with
+    no latency, no event and no count in {!reads}; nothing is allocated.
+    A buffer cache serves its hits through this. *)
+
 val write_now : t -> block:int -> off:int -> Bytes.t -> pos:int -> len:int -> unit
 (** Synchronous counterpart of {!write_from}. *)
 

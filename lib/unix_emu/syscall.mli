@@ -73,8 +73,10 @@ val yield : unit -> unit
 
 (** {1 Files and pipes}
 
-    The open file table lives entirely in the emulator (section 2.3);
-    file reads and writes block the calling thread through disk latency. *)
+    The open file table lives entirely in the emulator (section 2.3),
+    and so does its buffer cache ({!Fs}): a file write blocks the calling
+    thread through disk latency, a file read only when it misses the
+    cache. *)
 
 val creat : string -> int
 val open_file : string -> int

@@ -467,6 +467,43 @@ let test_disk_read_snapshot () =
   Alcotest.(check char) "a later read sees the later write" 'c'
     (Char.chr (frame_byte mem 2))
 
+(* The synchronous range read a buffer cache serves hits through: it
+   checks its range like [read_into], zero-fills past the zero tail, and
+   neither schedules an event, counts a transfer nor allocates. *)
+let test_disk_read_into_now () =
+  let events = Hw.Event_queue.create () in
+  let disk = Hw.Disk.create ~events ~now:(fun () -> 0) in
+  let b = Hw.Disk.alloc_block disk in
+  Hw.Disk.write_now disk ~block:b ~off:0 (Bytes.of_string "abc") ~pos:0 ~len:3;
+  let rejects what f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  let dst = Bytes.make 8 '.' in
+  List.iter
+    (fun (off, len) ->
+      let what = Printf.sprintf "range %d+%d" off len in
+      rejects ("read_into " ^ what) (fun () ->
+          Hw.Disk.read_into disk ~block:b ~off dst ~pos:0 ~len ignore);
+      rejects ("read_into_now " ^ what) (fun () ->
+          Hw.Disk.read_into_now disk ~block:b ~off dst ~pos:0 ~len))
+    [ (-1, 4); (0, -1); (Hw.Addr.page_size - 4, 8) ];
+  Hw.Disk.read_into_now disk ~block:b ~off:1 dst ~pos:1 ~len:6;
+  Alcotest.(check string) "bytes land at once, zeroes past the tail" ".bc\000\000\000\000."
+    (Bytes.to_string dst);
+  Hw.Disk.read_into_now disk ~block:(b + 1) ~off:0 dst ~pos:0 ~len:8;
+  Alcotest.(check string) "an unwritten block reads zero" (String.make 8 '\000')
+    (Bytes.to_string dst);
+  Alcotest.(check bool) "no event scheduled" true (Hw.Event_queue.is_empty events);
+  Alcotest.(check int) "no transfer counted" 0 (Hw.Disk.reads disk);
+  let w0 = Gc.minor_words () in
+  for i = 0 to 999 do
+    Hw.Disk.read_into_now disk ~block:(b + (i land 1)) ~off:0 dst ~pos:0 ~len:8
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if words > 100.0 then Alcotest.failf "1000 reads allocated %.0f minor words" words
+
 (* Freed blocks drop their data and come back most recent first. *)
 let test_disk_alloc_free () =
   let disk, mem, _, drain = disk_env () in
@@ -584,7 +621,10 @@ let run_disk_model ops =
         model.reads <- model.reads + 1;
         let want = Bytes.make (len + 6) '.' in
         Bytes.blit (Full_disk.get model block) off want 3 len;
-        agree ctx "read_into" dst want
+        agree ctx "read_into" dst want;
+        let now = Bytes.make (len + 6) '.' in
+        Hw.Disk.read_into_now disk ~block ~off now ~pos:3 ~len;
+        agree ctx "read_into_now" now want
       | 7, Some block -> agree ctx "read_now" (Hw.Disk.read_now disk ~block) (Full_disk.get model block)
       | 8, Some block ->
         let bs = List.filter_map pick [ a; b; c ] @ [ block ] in
@@ -773,6 +813,8 @@ let () =
         [
           Alcotest.test_case "latency and contents" `Quick test_disk;
           Alcotest.test_case "reads snapshot at submission" `Quick test_disk_read_snapshot;
+          Alcotest.test_case "read_into_now: checked, zero-filled, no event" `Quick
+            test_disk_read_into_now;
           Alcotest.test_case "allocation order; freed blocks read zero" `Quick
             test_disk_alloc_free;
           qcheck prop_disk_model;

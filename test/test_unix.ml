@@ -321,6 +321,163 @@ let test_creat_truncates () =
   Alcotest.(check bool) "only the new content reads back" true
     (contains (Emulator.console emu) "content: [new]")
 
+(* -- The write-through buffer cache -- *)
+
+let disk_of emu = emu.Emulator.ak.Aklib.App_kernel.disk
+
+(* Disk reads and writes issued while [f] runs. *)
+let disk_ops emu f =
+  let d = disk_of emu in
+  let r0 = Hw.Disk.reads d and w0 = Hw.Disk.writes d in
+  let v = f () in
+  (v, Hw.Disk.reads d - r0, Hw.Disk.writes d - w0)
+
+let write_file name s =
+  let fd = Syscall.creat name in
+  ignore (Syscall.write_file fd s);
+  Syscall.close fd
+
+let read_file name len =
+  let fd = Syscall.open_file name in
+  let s = Syscall.read_file fd len in
+  Syscall.close fd;
+  s
+
+(* Push every block now cached out of the FIFO. *)
+let flush_cache () =
+  for i = 0 to Fs.cache_blocks do
+    write_file (Printf.sprintf "/tmp/filler%d" i) "x"
+  done
+
+(* Reading back a block just written is a copy-out: no disk read, and
+   well under one disk latency. *)
+let test_read_back_hits () =
+  let inst, emu = boot () in
+  let seen = ref None in
+  let prog =
+    Syscall.program "reader" (fun () ->
+        write_file "/tmp/hot" "written a moment ago";
+        let t0 = Hw.Mpm.now inst.Instance.node in
+        let s, reads, writes = disk_ops emu (fun () -> read_file "/tmp/hot" 100) in
+        seen := Some (s, reads, writes, Hw.Mpm.now inst.Instance.node - t0);
+        0)
+  in
+  ignore (ok (Emulator.start_init emu prog));
+  ignore (Engine.run [| inst |]);
+  match !seen with
+  | None -> Alcotest.fail "program did not finish"
+  | Some (s, reads, writes, took) ->
+    Alcotest.(check string) "content" "written a moment ago" s;
+    Alcotest.(check (pair int int)) "no disk operation" (0, 0) (reads, writes);
+    if took >= Hw.Cost.cycles_of_us 1_000.0 then
+      Alcotest.failf "read-back took %.0f us" (Hw.Cost.us_of_cycles took)
+
+(* A write into a block it allocates, or into a cached one, is one disk
+   write and no read. *)
+let test_fresh_block_write () =
+  let inst, emu = boot () in
+  let seen = ref [] in
+  let prog =
+    Syscall.program "writer" (fun () ->
+        let fd = Syscall.creat "/tmp/fresh" in
+        let _, r1, w1 = disk_ops emu (fun () -> Syscall.write_file fd "first") in
+        let _, r2, w2 = disk_ops emu (fun () -> Syscall.write_file fd " second") in
+        Syscall.close fd;
+        seen := [ (r1, w1); (r2, w2) ];
+        0)
+  in
+  ignore (ok (Emulator.start_init emu prog));
+  ignore (Engine.run [| inst |]);
+  Alcotest.(check (list (pair int int))) "fresh block, then cached block: (reads, writes)"
+    [ (0, 1); (0, 1) ] !seen
+
+(* A partial write into an existing block the FIFO has evicted still
+   reads the block first, and the merge keeps the old bytes. *)
+let test_evicted_block_read_modify_write () =
+  let inst, emu = boot () in
+  let seen = ref None in
+  let prog =
+    Syscall.program "appender" (fun () ->
+        let fd = Syscall.creat "/tmp/old" in
+        ignore (Syscall.write_file fd "old prefix|");
+        flush_cache ();
+        let _, reads, writes = disk_ops emu (fun () -> Syscall.write_file fd "new bytes") in
+        Syscall.close fd;
+        seen := Some (reads, writes, read_file "/tmp/old" 100);
+        0)
+  in
+  ignore (ok (Emulator.start_init emu prog));
+  ignore (Engine.run [| inst |]);
+  match !seen with
+  | None -> Alcotest.fail "program did not finish"
+  | Some (reads, writes, s) ->
+    Alcotest.(check (pair int int)) "read-modify-write: (reads, writes)" (1, 1) (reads, writes);
+    Alcotest.(check string) "old prefix and new bytes" "old prefix|new bytes" s
+
+(* Truncation drops the freed blocks from the cache; the rewrite reads
+   back only its own content. *)
+let test_truncate_invalidates () =
+  let inst, emu = boot () in
+  let fs = emu.Emulator.fs in
+  let blocks () =
+    let f = Option.get (Fs.lookup fs "/tmp/log") in
+    List.init ((Fs.size f + Hw.Addr.page_size - 1) / Hw.Addr.page_size) (Fs.block_of fs f)
+  in
+  let seen = ref None in
+  let prog =
+    Syscall.program "truncator" (fun () ->
+        write_file "/tmp/log" (String.make (2 * Hw.Addr.page_size) 'o');
+        let old = blocks () in
+        let cached_before = List.map (Fs.cached fs) old in
+        let fd = Syscall.creat "/tmp/log" in
+        let cached_after = List.map (Fs.cached fs) old in
+        let _, reads, _ = disk_ops emu (fun () -> Syscall.write_file fd "new") in
+        Syscall.close fd;
+        seen := Some (cached_before, cached_after, reads, read_file "/tmp/log" 10_000);
+        0)
+  in
+  ignore (ok (Emulator.start_init emu prog));
+  ignore (Engine.run [| inst |]);
+  match !seen with
+  | None -> Alcotest.fail "program did not finish"
+  | Some (before, after, reads, s) ->
+    Alcotest.(check (list bool)) "both blocks cached once written" [ true; true ] before;
+    Alcotest.(check (list bool)) "truncation drops them" [ false; false ] after;
+    Alcotest.(check int) "the rewrite reads nothing" 0 reads;
+    Alcotest.(check string) "only the new content reads back" "new" s
+
+(* A signal for someone else that arrives while a thread waits on a
+   cache-miss read is delivered after the read, not lost in the wait. *)
+let test_foreign_signal_survives_read () =
+  let inst, emu = boot () in
+  let foreign = 0x5100 in
+  let seen = ref None in
+  let prog =
+    Syscall.program "waiter" (fun () ->
+        write_file "/tmp/cold" "cold data";
+        flush_cache ();
+        let p = Option.get (Emulator.proc emu (Syscall.getpid ())) in
+        let oid =
+          Option.get (Aklib.Thread_lib.oid_of emu.Emulator.ak.Aklib.App_kernel.threads p.Process.thread)
+        in
+        Hw.Mpm.after inst.Instance.node ~delay:(Hw.Cost.cycles_of_us 1_000.0) (fun () ->
+            match Instance.find_thread inst oid with
+            | Some th -> Signals.post_signal inst th ~va:foreign
+            | None -> ());
+        let s, reads, _ = disk_ops emu (fun () -> read_file "/tmp/cold" 100) in
+        let got = match Hw.Exec.trap Api.Ck_wait_signal with Api.Ck_signal va -> va | _ -> -1 in
+        seen := Some (s, reads, got);
+        0)
+  in
+  ignore (ok (Emulator.start_init emu prog));
+  ignore (Engine.run [| inst |]);
+  match !seen with
+  | None -> Alcotest.fail "the foreign signal was lost: the program never finished"
+  | Some (s, reads, got) ->
+    Alcotest.(check string) "content" "cold data" s;
+    Alcotest.(check int) "a cache miss" 1 reads;
+    Alcotest.(check int) "the foreign signal is still queued" foreign got
+
 (* A block stores its file bytes, not a page: 256 small result files
    take a few KB of disk buffers, where whole pages would take 1 MB. *)
 let test_small_files_store_small () =
@@ -446,6 +603,16 @@ let () =
           Alcotest.test_case "creat truncates in place" `Quick test_creat_truncates;
           Alcotest.test_case "small files store their bytes, not pages" `Quick
             test_small_files_store_small;
+          Alcotest.test_case "read-back of a just-written block skips the disk" `Quick
+            test_read_back_hits;
+          Alcotest.test_case "fresh-block write: one write, no read" `Quick
+            test_fresh_block_write;
+          Alcotest.test_case "evicted block: read-modify-write" `Quick
+            test_evicted_block_read_modify_write;
+          Alcotest.test_case "truncation drops freed blocks from the cache" `Quick
+            test_truncate_invalidates;
+          Alcotest.test_case "foreign signal survives a cache-miss read" `Quick
+            test_foreign_signal_survives_read;
           Alcotest.test_case "pipes preserve order" `Quick test_pipes;
           Alcotest.test_case "empty pipe blocks the reader" `Quick
             test_pipe_blocks_reader;
