@@ -116,13 +116,20 @@ let prepare inst ~name ?(cpu_percent = 100) ?(max_priority = 24) ?(max_locked = 
   end;
   let oid_ref = ref Oid.none in
   let kernel () = !oid_ref in
-  let env = { Segment_mgr.inst; kernel; frames; store } in
-  let mgr = Segment_mgr.create env in
+  (* the thread library resolves spaces through the segment manager, which
+     blocks the library's threads on paging I/O *)
+  let mgr = ref None in
   let threads =
     Thread_lib.create ~inst ~kernel ~space_oid:(fun tag ->
+        let mgr = Option.get !mgr in
         match Segment_mgr.space_by_tag mgr tag with
         | Some vsp -> Segment_mgr.reload_space mgr vsp
         | None -> Error Api.Stale_reference)
+  in
+  let mgr =
+    let m = Segment_mgr.create { Segment_mgr.inst; kernel; frames; store; threads } in
+    mgr := Some m;
+    m
   in
   let t =
     {

@@ -152,6 +152,7 @@ let attempt t (io : Cachekernel.Fault_inject.io_site) go =
     try_n 1
 
 let alloc_block t = Hw.Disk.alloc_block t.disk
+let alloc_run t n = Hw.Disk.alloc_run t.disk n
 
 let free_block t b =
   (match t.tiers with
@@ -323,31 +324,47 @@ let install_fast tr ~block data =
   if not (Hashtbl.mem tr.fast block) then tr.fast_live <- tr.fast_live + 1;
   Hashtbl.replace tr.fast block data
 
-(** Write frame [pfn] to a fresh (or supplied) block; [k block] runs on
-    completion. *)
-let page_out t ?block ~pfn k =
-  t.page_outs <- t.page_outs + 1;
-  let block = match block with Some b -> b | None -> alloc_block t in
+(** Write frames [pfns] to the blocks [block], [block + 1], ... as one
+    batch; [k ()] runs once on completion.  The batch is one [bstore]
+    attempt: on the flat store one sequential disk transfer, on a tiered
+    store one fast-tier move of every image. *)
+let page_out_batch t ~block ~pfns k =
+  let n = Array.length pfns in
+  t.page_outs <- t.page_outs + n;
   match t.tiers with
   | None ->
     attempt t Cachekernel.Fault_inject.bstore (fun () ->
-        (* the frame is read at transfer time, so a delayed write captures
-           the page contents as of when the transfer actually starts *)
-        Hw.Disk.write_frame t.disk ~block t.mem ~pfn (fun () -> k block))
+        (* the frames are read at transfer time, so a delayed write captures
+           the pages as of when the transfer actually starts *)
+        Hw.Disk.write_frames t.disk ~block t.mem ~pfns k)
   | Some tr ->
-    (* fast-first: the image lands in the fast tier, and LRU demotion
+    (* fast-first: each image lands in the fast tier, and LRU demotion
        ([maybe_demote]) moves it to disk once it goes stale *)
-    let m = get_meta tr block in
-    m.last_touch <- tr.t_now ();
-    m.gen <- m.gen + 1;
+    let metas =
+      Array.init n (fun i ->
+          let m = get_meta tr (block + i) in
+          m.last_touch <- tr.t_now ();
+          m.gen <- m.gen + 1;
+          m)
+    in
     attempt t Cachekernel.Fault_inject.bstore (fun () ->
-        m.tier <- Fast;
-        install_fast tr ~block (Hw.Phys_mem.image t.mem ~pfn);
+        Array.iteri
+          (fun i pfn ->
+            metas.(i).tier <- Fast;
+            install_fast tr ~block:(block + i) (Hw.Phys_mem.image t.mem ~pfn))
+          pfns;
         Hw.Event_queue.schedule tr.t_events
-          ~time:(tr.t_now () + Hw.Cost.fast_tier_setup + Hw.Cost.fast_tier_page_copy)
+          ~time:
+            (tr.t_now () + Hw.Cost.fast_tier_setup + (n * Hw.Cost.fast_tier_page_copy))
           (fun () ->
             maybe_demote t tr;
-            k block))
+            k ()))
+
+(** Write frame [pfn] to a fresh (or supplied) block; [k block] runs on
+    completion.  The batch of one. *)
+let page_out t ?block ~pfn k =
+  let block = match block with Some b -> b | None -> alloc_block t in
+  page_out_batch t ~block ~pfns:[| pfn |] (fun () -> k block)
 
 (* Promotion: a slow-tier fault copies the just-read image into the fast
    tier so the next fault on this block is served at RAM cost. *)

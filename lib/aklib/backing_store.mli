@@ -2,6 +2,11 @@
     and page-granularity transfers over the simulated disk.  Paging I/O
     belongs to application kernels — the Cache Kernel never touches this.
 
+    Page-outs are batched: {!page_out_batch} writes a batch of frames to a
+    run of consecutive blocks as one sequential transfer, which is how the
+    segment manager's laundering writes its dirty victims; {!page_out} is
+    the batch of one.
+
     The store is optionally tiered (DESIGN.md section 9): a small pinned
     local-RAM fast tier in front of the paging disk: every writeback image
     lands fast and least-recently-touched images are demoted to disk.
@@ -51,15 +56,25 @@ val set_observer :
 val alloc_block : t -> int
 (** A block from the disk's allocator ({!Hw.Disk.alloc_block}). *)
 
+val alloc_run : t -> int -> int
+(** [alloc_run t n]: [n] consecutive fresh blocks from the disk's run
+    allocator ({!Hw.Disk.alloc_run}); returns the first. *)
+
 val free_block : t -> int -> unit
 (** Retire any fast-tier image and in-flight tier move of the block, then
     free it on the disk, which drops its data. *)
 
+val page_out_batch : t -> block:int -> pfns:int array -> (unit -> unit) -> unit
+(** [page_out_batch t ~block ~pfns k] writes frame [pfns.(i)] to block
+    [block + i] (a run from {!alloc_run}) and runs [k] once on completion.
+    On the flat store the batch is one sequential disk transfer, one seek
+    plus a page transfer per frame ({!Hw.Disk.write_frames}); on a tiered
+    store every image lands in the fast tier, at RAM cost.  One [bstore]
+    injection attempt covers the whole batch. *)
+
 val page_out : t -> ?block:int -> pfn:int -> (int -> unit) -> unit
-(** Write a frame to a block (fresh unless supplied: a page that already
-    owns a block rewrites it in place); the continuation receives the
-    block on completion.  On a tiered store the image lands
-    in the fast tier, at RAM cost. *)
+(** The batch of one: write a frame to a block (fresh unless supplied);
+    the continuation receives the block on completion. *)
 
 val page_in : t -> block:int -> pfn:int -> (unit -> unit) -> unit
 

@@ -10,8 +10,8 @@ type resident = {
       (** the frame differs from the on-disk copy, if any: page-out before
           the frame is reused *)
   mutable backing : int option;
-      (** the page's own block, kept for the page's life: a dirty page-out
-          rewrites it in place, and whoever drops the page frees it *)
+      (** the page's own block: a dirty page-out moves the page to a fresh
+          block and frees this one, and whoever drops the page frees it *)
   mutable mappers : (int * int) list;  (** (space tag, va) of loaded mappings *)
   mutable referenced : bool;
       (** used since the Clock hand last passed: set by a demand fault's

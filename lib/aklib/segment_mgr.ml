@@ -11,6 +11,11 @@
    user mode, driving the Cache Kernel through load/unload of mappings and
    reading the referenced/modified bits out of writeback records.
 
+   The hand launders; it does not write.  A dirty victim is set aside and
+   the hand moves on to a clean one, so a fault waits for one disk read,
+   not a write and then a read; the dirty pages leave [launder_batch] at a
+   time as one sequential write, whose completion frees them.
+
    Fault handling executes inside the faulting thread's application-kernel
    frame, so operations that wait for disk I/O block the thread on an
    address-valued signal and are woken by the completion callback. *)
@@ -22,6 +27,7 @@ type env = {
   kernel : unit -> Oid.t; (* our kernel object (identifier may change) *)
   frames : Frame_alloc.t;
   store : Backing_store.t;
+  threads : Thread_lib.t; (* whose threads block on paging I/O *)
 }
 
 type vspace = {
@@ -50,6 +56,13 @@ type t = {
   clock : (Segment.t * int * Segment.resident) Queue.t;
       (* eviction candidates in the order the Clock hand visits them; an
          entry names one residency and goes stale when the page leaves it *)
+  mutable laundry : (Segment.t * int * Segment.resident) list;
+      (* dirty victims set aside by the hand and not yet written, newest
+         first; out of [clock] until their batch completes *)
+  mutable launder_in_flight : (Segment.t * int * Segment.resident) array list;
+      (* batches written and not yet complete *)
+  mutable launder_waiters : (unit -> unit) list;
+      (* evictors blocked until the next batch completes *)
   stats : stats;
   (* clustered fault prefetch (Config.fault_prefetch), adaptive throttle *)
   mutable prefetch_depth : int;
@@ -119,6 +132,9 @@ let create env =
       next_segment_id = 1;
       next_wait_token = 0;
       clock = Queue.create ();
+      laundry = [];
+      launder_in_flight = [];
+      launder_waiters = [];
       stats =
         {
           soft_faults = 0;
@@ -203,7 +219,7 @@ let fresh_token t =
   wait_token_base + (t.next_wait_token * 4)
 
 let block_until t ~thread start =
-  Thread_lib.await_token t.env.inst ~thread ~token:(fresh_token t) start
+  Thread_lib.await_token t.env.threads ~thread ~token:(fresh_token t) start
 
 (* -- Page replacement -- *)
 
@@ -220,77 +236,162 @@ let unmap_residents t (r : Segment.resident) =
     r.Segment.mappers
 
 (* A deferred copy that never happened reverts to the parent's page; a
-   block the residency took for an abandoned page-out goes back. *)
+   block the residency took for an earlier page-out goes back. *)
 let revert_cow t seg page (r : Segment.resident) (pseg, ppage) =
   Option.iter (Backing_store.free_block t.env.store) r.Segment.backing;
   Segment.set_state seg page (Segment.Cow_of (pseg, ppage))
 
-(* Write a dirty page to its block (allocated on its first page-out),
-   blocking the evicting thread.  The page stays [In_memory] while the
-   write is in flight, so its own threads can soft-fault it back in and
-   write it; the page-out counts only if, at completion, the page is still
-   this residency with no mapping loaded and no modification reported
-   since the write was submitted.  Returns whether the frame may go. *)
-let page_out_victim t ~thread seg page (r : Segment.resident) =
-  let block =
-    match r.Segment.backing with
-    | Some b -> b
-    | None ->
-      let b = Backing_store.alloc_block t.env.store in
-      r.Segment.backing <- Some b;
-      b
+(* -- Laundering --
+
+   The Clock hand never writes.  A dirty victim is set aside in the
+   laundry and the hand moves on to a clean one, which goes at once; every
+   [launder_batch] dirty pages leave as one sequential disk write to a run
+   of fresh blocks (WSClock, Carr & Hennessy 1981).  A page stays
+   [In_memory] while it is set aside and while its write is in flight, so
+   its threads can soft-fault it back in and write it.  Its frame goes
+   only at completion, and only if the page is still this residency, with
+   no mapping loaded and no modification reported since submission;
+   otherwise it goes back to the hand, keeping the block just written. *)
+
+(* Dirty victims per page-out write.  With 8, the fallback wait (one seek
+   plus 8 transfers) is about the old write-then-read fault; larger batches
+   gain nothing on the paging disk. *)
+let launder_batch = 8
+
+(* Batches on their way to disk at once.  Past this a full laundry waits
+   and so does the evictor: otherwise, on a disk slower than the hand,
+   the laundry swallows the frame pool, the hand's queue is left with
+   mapped pages only, and faulting threads evict each other's pages
+   before they can use them. *)
+let launder_max_in_flight = 4
+
+(* Release a victim's frame: the page is no longer resident. *)
+let release t (r : Segment.resident) =
+  t.stats.evictions <- t.stats.evictions + 1;
+  Frame_alloc.free t.env.frames r.Segment.pfn
+
+let laundry_full t = List.compare_length_with t.laundry launder_batch >= 0
+let can_submit t = List.compare_length_with t.launder_in_flight launder_max_in_flight < 0
+
+(* A batch is down: free every page still eligible, requeue the others,
+   send a full laundry that was waiting for room, wake the evictors. *)
+let rec launder_done t batch =
+  Array.iter
+    (fun ((seg, page, (r : Segment.resident)) as entry) ->
+      match Segment.state seg page with
+      | Segment.In_memory r' when r' == r ->
+        if r.Segment.mappers = [] && not r.Segment.dirty then begin
+          Segment.set_state seg page (Segment.On_disk (Option.get r.Segment.backing));
+          release t r
+        end
+        else Queue.push entry t.clock
+      | _ -> () (* the page left residency meanwhile; its frame is not ours *))
+    batch;
+  t.launder_in_flight <- List.filter (fun b -> b != batch) t.launder_in_flight;
+  if laundry_full t then submit_laundry t;
+  let waiters = t.launder_waiters in
+  t.launder_waiters <- [];
+  List.iter (fun k -> k ()) (List.rev waiters)
+
+(* Write the laundry as one batch.  Each page is marked clean and moves to
+   its block in a fresh run; the block it had holds a stale image and is
+   freed (a file's block is not the page's to free). *)
+and submit_laundry t =
+  let batch =
+    List.rev t.laundry
+    |> List.filter (fun (seg, page, r) ->
+           match Segment.state seg page with
+           | Segment.In_memory r' -> r' == r
+           | _ -> false)
+    |> Array.of_list
   in
-  r.Segment.dirty <- false;
-  block_until t ~thread (fun ~done_ ->
-      Backing_store.page_out t.env.store ~block ~pfn:r.Segment.pfn (fun _ -> done_ ()));
-  match Segment.state seg page with
-  | Segment.In_memory r' when r' == r && r.Segment.mappers = [] && not r.Segment.dirty ->
-    Segment.set_state seg page (Segment.On_disk block);
-    true
-  | _ -> false
+  t.laundry <- [];
+  let n = Array.length batch in
+  if n > 0 then begin
+    let store = t.env.store in
+    let first = Backing_store.alloc_run store n in
+    Array.iteri
+      (fun i ((seg : Segment.t), _, (r : Segment.resident)) ->
+        if not seg.Segment.file_backed then
+          Option.iter (Backing_store.free_block store) r.Segment.backing;
+        r.Segment.backing <- Some (first + i);
+        r.Segment.dirty <- false)
+      batch;
+    t.launder_in_flight <- batch :: t.launder_in_flight;
+    Backing_store.page_out_batch store ~block:first
+      ~pfns:(Array.map (fun (_, _, (r : Segment.resident)) -> r.Segment.pfn) batch)
+      (fun () -> launder_done t batch)
+  end
 
-(** Evict one resident page, blocking on page-out if it is dirty.  Returns
-    the freed frame, or [None] if there is nothing to evict.  A dirty page
-    that was mapped again while its page-out was in flight stays resident
-    (requeued, its block now current up to any new modification) and
-    another victim is chosen. *)
-let rec evict_one t ~thread =
-  match t.choose_victim t with
-  | None -> None
-  | Some (seg, page, r) ->
+let set_aside t entry =
+  t.laundry <- entry :: t.laundry;
+  if laundry_full t && can_submit t then submit_laundry t
+
+(** Whether [r] is set aside or on its way to disk: not a victim until
+    its batch completes.  A [choose_victim] hook that does not take its
+    candidates from [clock] should pass over such pages. *)
+let laundering t (r : Segment.resident) =
+  let is (_, _, r') = r' == r in
+  List.exists is t.laundry || List.exists (Array.exists is) t.launder_in_flight
+
+(* Submit the laundry if there is room and block until a batch completes;
+   [false] when no batch is in flight to wait for. *)
+let wait_for_laundry t ~thread =
+  if can_submit t then submit_laundry t;
+  t.launder_in_flight <> []
+  && begin
+       block_until t ~thread (fun ~done_ -> t.launder_waiters <- done_ :: t.launder_waiters);
+       true
+     end
+
+(* One step of frame reclaim: evict a clean victim ([`Freed]).  The hand
+   sets dirty victims aside on the way and passes at most [budget] of
+   them.  At the next, when the laundry is full and cannot go out yet, or
+   when the hand has no victim at all, the evictor submits the laundry if
+   it can and blocks until a batch completes ([`Waited]).  [`Nothing]
+   only when nothing is resident, set aside or in flight. *)
+let rec reclaim t ~thread budget =
+  let wait () = if wait_for_laundry t ~thread then `Waited else `Nothing in
+  let pass () =
+    if budget > 0 && not (laundry_full t) then reclaim t ~thread (budget - 1) else wait ()
+  in
+  match if laundry_full t then None else t.choose_victim t with
+  | None -> wait ()
+  | Some (_, _, r) when laundering t r -> pass () (* a hook offered a page on its way out *)
+  | Some ((seg, page, r) as entry) -> (
     unmap_residents t r;
-    let evicted =
-      match r.Segment.cow_pending with
-      | Some parent when not r.Segment.dirty ->
-        revert_cow t seg page r parent;
-        true
-      | _ when r.Segment.dirty -> page_out_victim t ~thread seg page r
-      | _ ->
-        (match r.Segment.backing with
-        | Some block -> Segment.set_state seg page (Segment.On_disk block)
-        | None -> Segment.set_state seg page Segment.Zero);
-        true
-    in
-    if evicted then begin
-      t.stats.evictions <- t.stats.evictions + 1;
-      Frame_alloc.free t.env.frames r.Segment.pfn;
-      Some r.Segment.pfn
-    end
-    else begin
-      (match Segment.state seg page with
-      | Segment.In_memory r' when r' == r -> Queue.push (seg, page, r) t.clock
-      | _ -> () (* the page left residency while we waited; its frame is not ours *));
-      evict_one t ~thread
-    end
+    match r.Segment.cow_pending with
+    | Some parent when not r.Segment.dirty ->
+      revert_cow t seg page r parent;
+      release t r;
+      `Freed r.Segment.pfn
+    | _ when r.Segment.dirty ->
+      set_aside t entry;
+      pass ()
+    | _ ->
+      (match r.Segment.backing with
+      | Some block -> Segment.set_state seg page (Segment.On_disk block)
+      | None -> Segment.set_state seg page Segment.Zero);
+      release t r;
+      `Freed r.Segment.pfn)
 
-(** Allocate a frame, evicting (and possibly paging out) as needed. *)
+(** Evict one resident page and return its frame, laundering dirty
+    victims on the way; waits for the laundry when the hand finds no clean
+    victim.  [None] if there is nothing to evict. *)
+let rec evict_one t ~thread =
+  match reclaim t ~thread launder_batch with
+  | `Freed pfn -> Some pfn
+  | `Waited -> evict_one t ~thread
+  | `Nothing -> None
+
+(** Allocate a frame, evicting (and laundering) as needed. *)
 let rec alloc_frame t ~thread =
   match Frame_alloc.alloc t.env.frames with
   | Some pfn -> Some pfn
   | None -> (
-    match evict_one t ~thread with
-    | Some _ -> alloc_frame t ~thread
-    | None -> None)
+    match reclaim t ~thread launder_batch with
+    | `Freed _ | `Waited -> alloc_frame t ~thread
+    | `Nothing -> None)
 
 (* -- Residency -- *)
 
@@ -688,8 +789,8 @@ let handle_mapping_writeback t ~space_tag (state : Wb.mapping_state) =
       in
       match Segment.state seg page with
       | Segment.In_memory r when r.Segment.pfn = state.Wb.pfn ->
-        (* any on-disk copy is now stale; the next page-out rewrites the
-           page's block in place *)
+        (* any on-disk copy is now stale; the next page-out writes the
+           page to a fresh block *)
         if state.Wb.modified then r.Segment.dirty <- true;
         r.Segment.cow_pending <- None;
         note_unload r

@@ -4,7 +4,15 @@
     replacement (Clock with a pluggable victim hook), backing-store I/O,
     zero fill and copy-on-write — driving the Cache Kernel through mapping
     load/unload and digesting the referenced/modified bits out of
-    writeback records.  Policy hooks
+    writeback records.
+
+    Dirty victims are laundered (WSClock): the hand sets them aside and
+    evicts the next clean page, and every {!launder_batch} dirty pages
+    leave as one sequential write to a fresh block run
+    ({!Backing_store.page_out_batch}).  A page stays resident while it is
+    set aside or in flight; its frame goes when the write completes, if it
+    is still unmapped and unmodified.  An evictor blocks only when the
+    hand finds no clean victim, until a batch completes.  Policy hooks
     ([on_segv], [choose_victim], [on_consistency]) are mutable fields, the
     simulation analogue of overriding the C++ library's virtual methods.
 
@@ -19,6 +27,7 @@ type env = {
   kernel : unit -> Oid.t;  (** our kernel object (identifier may change) *)
   frames : Frame_alloc.t;
   store : Backing_store.t;
+  threads : Thread_lib.t;  (** whose threads block on paging I/O *)
 }
 
 (** One managed address space: a stable tag, the current (cache) identifier,
@@ -50,6 +59,14 @@ type t = {
       (** eviction candidates in the order the Clock hand visits them; an
           entry names one residency and is skipped once the page has left
           it *)
+  mutable laundry : (Segment.t * int * Segment.resident) list;
+      (** dirty victims the hand set aside and has not yet written, newest
+          first; they rejoin [clock] only if still in use when their batch
+          completes *)
+  mutable launder_in_flight : (Segment.t * int * Segment.resident) array list;
+      (** laundry batches on their way to disk *)
+  mutable launder_waiters : (unit -> unit) list;
+      (** evictors blocked until the next batch completes *)
   stats : stats;
   mutable prefetch_depth : int;
       (** clustered-prefetch depth in use, adaptively throttled within
@@ -92,12 +109,31 @@ val mark_crashed : t -> unit
 
 (** {1 Paging} *)
 
+val launder_batch : int
+(** Dirty victims per page-out write (a constant: 8). *)
+
+val launder_max_in_flight : int
+(** Laundry batches on their way to disk at once (a constant: 4).  A full
+    laundry waits for room, and so does an evictor that meets it. *)
+
 val alloc_frame : t -> thread:Oid.t -> int option
-(** (handler context) Allocate a frame, evicting — and paging out, blocking
-    the thread — as needed. *)
+(** (handler context) Allocate a frame, evicting as needed.  Dirty victims
+    are laundered, not written on the spot; the thread blocks only when
+    the hand finds no clean victim, until a laundry batch completes. *)
 
 val evict_one : t -> thread:Oid.t -> int option
+(** Evict one page and return its frame, setting dirty victims aside on
+    the way (and blocking the thread, as {!alloc_frame} does, when there
+    is no clean one).  [None] when nothing is resident, set aside or in
+    flight. *)
+
 val unmap_residents : t -> Segment.resident -> unit
+
+val laundering : t -> Segment.resident -> bool
+(** Whether a page is set aside or on its way to disk.  Such a page is not
+    a victim until its batch completes: a [choose_victim] hook that finds
+    candidates elsewhere than in [clock] should pass over it (an offered
+    one only costs the hand part of its scan). *)
 
 val ensure_resident : t -> Segment.t -> int -> thread:Oid.t -> Segment.resident option
 (** (handler context) Bring a segment page into memory. *)

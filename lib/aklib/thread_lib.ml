@@ -201,18 +201,55 @@ let reload_retries t = t.reload_retries
 (** All entries (for schedulers that sweep, e.g. priority decay). *)
 let iter t f = Hashtbl.iter (fun _ e -> f e) t.table
 
+(** Deliver the address-valued signal [va] to the thread with local id
+    [id] wherever it is now: posted to its current identifier if it is
+    loaded, appended to its saved pending signals if it is written back
+    (the next load queues them).  An exited or crashed thread drops it. *)
+let deliver t id ~va =
+  match entry t id with
+  | Some ({ run = Loaded; _ } as e) -> (
+    match Instance.find_thread t.inst e.oid with
+    | Some th -> Signals.post_signal t.inst th ~va
+    | None -> ())
+  | Some ({ run = Unloaded (Some saved); _ } as e) ->
+    e.run <-
+      Unloaded
+        (Some
+           { saved with Thread_obj.pending_signals = saved.Thread_obj.pending_signals @ [ va ] })
+  | Some { run = Unloaded None | Exited; _ } | None -> ()
+
 (** Block the calling thread (handler context) until the completion
     signal carrying [token] arrives.  [start ~done_] submits the I/O;
-    [done_] posts the token to [thread].  Other signals that arrive
-    meanwhile are held aside and queued on the thread again once the
-    token is in, in arrival order, so their real consumer still gets
-    them; requeueing them during the wait would hand them straight back
-    to this loop. *)
-let await_token inst ~thread ~token (start : done_:(unit -> unit) -> unit) =
+    [done_] delivers the token to the thread by its local id, which
+    survives a displacement and reload during the wait where its Cache
+    Kernel identifier does not.  Other signals that arrive meanwhile are
+    held aside and queued on the thread again once the token is in, in
+    arrival order, so their real consumer still gets them; requeueing
+    them during the wait would hand them straight back to this loop. *)
+let await_token t ~thread ~token (start : done_:(unit -> unit) -> unit) =
+  let inst = t.inst in
+  let id =
+    match Instance.find_thread inst thread with
+    | Some th -> (
+      match entry t th.Thread_obj.tag with
+      | Some e when Oid.equal e.oid thread -> Some e.id
+      | _ -> None)
+    | None -> None
+  in
+  (* the thread as loaded now: by local id if it has one, else by the
+     identifier it had when the wait began *)
+  let current () =
+    match id with
+    | Some id -> (
+      match entry t id with
+      | Some { run = Loaded; oid; _ } -> Instance.find_thread inst oid
+      | _ -> None)
+    | None -> Instance.find_thread inst thread
+  in
   start ~done_:(fun () ->
-      match Instance.find_thread inst thread with
-      | Some th -> Signals.post_signal inst th ~va:token
-      | None -> () (* thread vanished while waiting; drop *));
+      match id with
+      | Some id -> deliver t id ~va:token
+      | None -> Option.iter (fun th -> Signals.post_signal inst th ~va:token) (current ()));
   let rec wait held =
     match Hw.Exec.trap Api.Ck_wait_signal with
     | Api.Ck_signal va when va = token -> held
@@ -221,10 +258,11 @@ let await_token inst ~thread ~token (start : done_:(unit -> unit) -> unit) =
   in
   match wait [] with
   | [] -> ()
-  | held -> (
-    match Instance.find_thread inst thread with
-    | Some th ->
-      List.iter
-        (fun va -> ignore (Thread_obj.queue_signal th ~depth_limit:Config.signal_queue_depth va))
-        (List.rev held)
-    | None -> ())
+  | held ->
+    Option.iter
+      (fun th ->
+        List.iter
+          (fun va ->
+            ignore (Thread_obj.queue_signal th ~depth_limit:Config.signal_queue_depth va))
+          (List.rev held))
+      (current ())

@@ -88,8 +88,12 @@ val reload_retries : t -> int
 val iter : t -> (entry -> unit) -> unit
 
 val await_token :
-  Instance.t -> thread:Oid.t -> token:int -> (done_:(unit -> unit) -> unit) -> unit
-(** (handler context) [await_token inst ~thread ~token start] submits I/O
-    with [start ~done_] and blocks [thread] until [done_] has posted
-    [token] to it.  Signals other than [token] that arrive during the wait
-    are queued on the thread again afterwards, in arrival order. *)
+  t -> thread:Oid.t -> token:int -> (done_:(unit -> unit) -> unit) -> unit
+(** (handler context) [await_token t ~thread ~token start] submits I/O
+    with [start ~done_] and blocks [thread] until [done_] has delivered
+    [token] to it.  Delivery finds the thread by its local id: a thread
+    displaced and reloaded during the wait (a new identifier) still gets
+    the token, and one still written back finds it among its saved pending
+    signals when it is loaded again.  Signals other than [token] that
+    arrive during the wait are queued on the thread again afterwards, in
+    arrival order. *)

@@ -8,14 +8,20 @@
    The disk owns block allocation: every allocated block has one owner that
    rewrites it in place or frees it, and a freed block drops its data.
 
+   A batch of frames ([write_frames]) goes to a run of consecutive blocks
+   ([alloc_run]) as one sequential transfer: one seek, then one page
+   transfer per frame.
+
    Zero-tail invariant: a block's buffer holds the block's bytes at least up
    to its last nonzero byte, and every byte past the buffer reads as zero.
-   Whole-page writes ([write_frame], [write_page_now], [import]) replace
+   Whole-page writes ([write_frames], [write_page_now], [import]) replace
    the block with the page's extent, its length without the zero tail; the
-   buffer is reused, its tail zeroed, when the extent fits, so a steady
-   stream of page-outs allocates nothing.  Range writes ([write_from],
-   [write_now]) overlay: they grow the buffer to cover the range and never
-   shrink it.  Costs are charged per page whatever a buffer holds.
+   buffer is reused, its tail zeroed, when the extent fits, and a block
+   without one takes a freed block's buffer that fits, so a steady stream
+   of page-outs, in place or to fresh runs, allocates next to nothing.
+   Range writes ([write_from], [write_now]) overlay: they grow the buffer
+   to cover the range and never shrink it.  Costs are charged per page
+   whatever a buffer holds.
 
    Transfers are DMA-style: bytes move between a block's own buffer and a
    frame or caller buffer, with no intermediate copy except the staging
@@ -30,7 +36,10 @@ type t = {
   mutable next_block : int; (* lowest never-allocated block number *)
   mutable free : int list; (* freed block numbers, most recent first *)
   mutable staging : Bytes.t list; (* idle page buffers for in-flight frame reads *)
+  mutable spare : Bytes.t list; (* freed blocks' buffers, at most [spare_max] *)
 }
+
+let spare_max = 16
 
 let create ~events ~now =
   {
@@ -42,6 +51,7 @@ let create ~events ~now =
     next_block = 0;
     free = [];
     staging = [];
+    spare = [];
   }
 
 let reads t = t.reads
@@ -61,24 +71,51 @@ let alloc_block t =
     t.next_block <- b + 1;
     b
 
+(** Allocate [n] consecutive blocks, all never used, and return the first.
+    Freed numbers are not reused here: a run must be contiguous, and the
+    free list rarely holds one. *)
+let alloc_run t n =
+  let b = t.next_block in
+  t.next_block <- b + n;
+  b
+
 (** Return [block] to the allocator and drop its data: until written again
     it reads as zeroes, like a never-written block. *)
 let free_block t block =
-  Hashtbl.remove t.blocks block;
+  (match Hashtbl.find_opt t.blocks block with
+  | Some b ->
+    Hashtbl.remove t.blocks block;
+    if List.compare_length_with t.spare spare_max < 0 then t.spare <- b :: t.spare
+  | None -> ());
   t.free <- block :: t.free
 
-let latency () = Cost.disk_seek + Cost.disk_page_transfer
+(* One seek, then [n] page transfers. *)
+let run_latency n = Cost.disk_seek + (n * Cost.disk_page_transfer)
+let latency () = run_latency 1
+
+(* The smallest spare buffer of at least [n] bytes, taken out of the
+   pool: a page written to a fresh block mostly finds its own old one. *)
+let take_spare t n =
+  let better b best =
+    Bytes.length b >= n
+    && match best with Some c -> Bytes.length b < Bytes.length c | None -> true
+  in
+  let best = List.fold_left (fun best b -> if better b best then Some b else best) None t.spare in
+  Option.iter (fun b -> t.spare <- List.filter (fun c -> c != b) t.spare) best;
+  best
+
+let zero_past b n =
+  Bytes.fill b n (Bytes.length b - n) '\000';
+  b
 
 (* The buffer for a whole-page write of extent [n]: the block's own when
-   [n] fits, its tail past [n] zeroed, else a fresh one.  The caller fills
-   the first [n] bytes. *)
+   [n] fits, else the best-fitting spare, else a fresh one; the tail past
+   [n] is zeroed.  The caller fills the first [n] bytes. *)
 let replace_buffer t block n =
   match Hashtbl.find_opt t.blocks block with
-  | Some b when Bytes.length b >= n ->
-    Bytes.fill b n (Bytes.length b - n) '\000';
-    b
+  | Some b when Bytes.length b >= n -> zero_past b n
   | _ ->
-    let b = Bytes.create n in
+    let b = match take_spare t n with Some b -> zero_past b n | None -> Bytes.create n in
     Hashtbl.replace t.blocks block b;
     b
 
@@ -117,12 +154,18 @@ let check_range name ~off ~len =
 
 let complete t k = Event_queue.schedule t.events ~time:(t.now () + latency ()) k
 
-(** DMA frame [pfn] of [mem] into [block]: the frame's extent replaces the
-    block at submission; [k ()] runs on completion. *)
-let write_frame t ~block mem ~pfn k =
-  t.writes <- t.writes + 1;
-  ignore (Phys_mem.copy_image_out mem ~pfn (replace_buffer t block));
-  complete t k
+(** DMA frames [pfns] of [mem] into the run of blocks [block],
+    [block + 1], ...: each frame's extent replaces its block at submission;
+    [k ()] runs once, when the last page is down. *)
+let write_frames t ~block mem ~pfns k =
+  let n = Array.length pfns in
+  t.writes <- t.writes + n;
+  Array.iteri
+    (fun i pfn -> ignore (Phys_mem.copy_image_out mem ~pfn (replace_buffer t (block + i))))
+    pfns;
+  Event_queue.schedule t.events ~time:(t.now () + run_latency n) k
+
+let write_frame t ~block mem ~pfn k = write_frames t ~block mem ~pfns:[| pfn |] k
 
 (** DMA [block] into frame [pfn] of [mem]: the block is captured at
     submission into a staging buffer (one per read in flight, reused) and

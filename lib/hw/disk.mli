@@ -7,9 +7,13 @@
     between a block's own buffer and a frame or caller buffer; a read
     always returns the block's contents as of its submission.
 
+    A batch of frames ({!write_frames}) goes to a run of consecutive blocks
+    ({!alloc_run}) as one sequential transfer: one seek, then one page
+    transfer per frame.
+
     Zero-tail invariant: a block's buffer holds its bytes at least up to
     the last nonzero one, and every byte past the buffer reads as zero.
-    Whole-page writes ({!write_frame}, {!write_page_now}, {!import})
+    Whole-page writes ({!write_frames}, {!write_page_now}, {!import})
     replace the block with the page's extent, so a shorter rewrite reads
     zero past it; range writes ({!write_from}, {!write_now}) overlay the
     old contents.  Simulated costs are per page regardless. *)
@@ -30,16 +34,30 @@ val alloc_block : t -> int
 (** The most recently freed block first, then never-used numbers in
     ascending order. *)
 
+val alloc_run : t -> int -> int
+(** [alloc_run t n] allocates [n] consecutive never-used blocks and returns
+    the first.  Freed numbers go only to {!alloc_block}. *)
+
 val free_block : t -> int -> unit
 (** Return a block to the allocator and drop its data: it reads as zeroes
     until written again. *)
 
 val latency : unit -> Cost.cycles
+(** One page transfer: [run_latency 1]. *)
+
+val run_latency : int -> Cost.cycles
+(** A sequential transfer of [n] pages: one seek, then [n] page
+    transfers. *)
+
+val write_frames :
+  t -> block:int -> Phys_mem.t -> pfns:int array -> (unit -> unit) -> unit
+(** [write_frames t ~block mem ~pfns k] writes frame [pfns.(i)] to block
+    [block + i], as one transfer of [run_latency n].  Each frame's extent
+    replaces its block at submission and counts as one write; [k] runs once
+    from the event queue on completion. *)
 
 val write_frame : t -> block:int -> Phys_mem.t -> pfn:int -> (unit -> unit) -> unit
-(** Write a frame to a block.  The frame's extent replaces the block at
-    submission; the continuation runs from the event queue on
-    completion. *)
+(** [write_frames] of one frame. *)
 
 val read_frame : t -> block:int -> Phys_mem.t -> pfn:int -> (unit -> unit) -> unit
 (** Read a block into a frame.  The block is captured at submission into a

@@ -215,11 +215,12 @@ let install_locality_aware_eviction t =
   mgr.Segment_mgr.choose_victim <-
     (fun m ->
       (* scan the particle segment for a resident page whose cells are all
-         outside the active window; fall back to the default (Clock) *)
+         outside the active window and that is not already being written
+         out; fall back to the default (Clock) *)
       let c0, c1 = t.active_window in
       let found = ref None in
       Segment.iter_resident t.seg (fun page r ->
-          if !found = None then begin
+          if !found = None && not (Segment_mgr.laundering m r) then begin
             let first_slot = page * particles_per_page in
             let in_window = ref false in
             for s = first_slot to first_slot + particles_per_page - 1 do

@@ -438,7 +438,9 @@ let of_app_kernel ak =
       by_tlid = Hashtbl.create 64;
       next_pid = 1;
       console = Buffer.create 256;
-      fs = Fs.create ~inst:ak.App_kernel.inst ~disk:ak.App_kernel.disk;
+      fs =
+        Fs.create ~inst:ak.App_kernel.inst ~threads:ak.App_kernel.threads
+          ~disk:ak.App_kernel.disk;
       next_pipe = 0;
       spawned = 0;
       exited = 0;

@@ -42,6 +42,7 @@ let cache_blocks = 64
 
 type t = {
   inst : Instance.t;
+  threads : Aklib.Thread_lib.t; (* whose threads block on transfers *)
   disk : Hw.Disk.t;
   files : (string, file) Hashtbl.t;
   ring : int array;
@@ -52,9 +53,10 @@ type t = {
   mutable writes : int;
 }
 
-let create ~inst ~disk =
+let create ~inst ~threads ~disk =
   {
     inst;
+    threads;
     disk;
     files = Hashtbl.create 32;
     ring = Array.make cache_blocks (-1);
@@ -140,7 +142,7 @@ let fs_token_base = 0x7A000000
 
 let block_for_io t ~thread start =
   t.next_token <- t.next_token + 1;
-  Aklib.Thread_lib.await_token t.inst ~thread ~token:(fs_token_base + (t.next_token * 4)) start
+  Aklib.Thread_lib.await_token t.threads ~thread ~token:(fs_token_base + (t.next_token * 4)) start
 
 (** (handler context) Read up to [len] bytes at [offset]: cached extents
     are copied out, the others block the calling thread on a disk read. *)

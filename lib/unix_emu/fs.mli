@@ -23,7 +23,7 @@ type t
 val cache_blocks : int
 (** Buffer-cache capacity, in blocks. *)
 
-val create : inst:Instance.t -> disk:Hw.Disk.t -> t
+val create : inst:Instance.t -> threads:Aklib.Thread_lib.t -> disk:Hw.Disk.t -> t
 
 val cached : t -> int -> bool
 (** Whether a disk block is in the buffer cache. *)

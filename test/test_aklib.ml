@@ -330,6 +330,221 @@ let test_queue_names_the_residency () =
   | Some (seg, _, _) -> Alcotest.(check string) "one chance each" "parent" seg.Segment.name
   | None -> Alcotest.fail "no victim"
 
+(* -- Laundering: the hand sets dirty victims aside and writes them in
+   batches -- *)
+
+let page_va p = base + (p * Hw.Addr.page_size)
+
+(* Pages 0 .. [dirty]-1 written, then pages [dirty] .. [dirty + clean]-1
+   read, all unmapped: the hand meets the dirty ones first. *)
+let dirty_then_clean inst ak vsp seg ~dirty ~clean =
+  ignore
+    (spawn_user ak vsp ~priority:8 (fun () ->
+         for p = 0 to dirty - 1 do
+           Hw.Exec.mem_write (page_va p) (100 + p)
+         done;
+         for p = dirty to dirty + clean - 1 do
+           ignore (Hw.Exec.mem_read (page_va p))
+         done));
+  ignore (Engine.run [| inst |]);
+  unmap_pages ak seg (List.init (dirty + clean) Fun.id)
+
+(* A full batch of dirty pages sits ahead of a clean one.  A fault that
+   needs a frame evicts the clean page at once; the dirty ones leave as
+   one sequential write to consecutive blocks, which completes one seek
+   plus n transfers after its submission, after the fault was served. *)
+let test_launder_clean_victim_first () =
+  let inst, ak = make () in
+  let mgr = ak.App_kernel.mgr and disk = ak.App_kernel.disk in
+  let node = inst.Instance.node in
+  let n = Segment_mgr.launder_batch in
+  hostage_all_but ak (n + 1);
+  let vsp, seg = one_segment_space ak ~name:"launder" ~pages:(n + 2) in
+  dirty_then_clean inst ak vsp seg ~dirty:n ~clean:1;
+  let writes0 = Hw.Disk.writes disk in
+  let events = ref [] in
+  let t0 = ref 0 and t1 = ref 0 and done_at = ref 0 in
+  ignore
+    (spawn_user ak vsp ~priority:8 (fun () ->
+         t0 := Hw.Mpm.now node;
+         ignore (Hw.Exec.mem_read (page_va (n + 1)));
+         t1 := Hw.Mpm.now node;
+         events := (`Served, Hw.Disk.writes disk - writes0) :: !events;
+         mgr.Segment_mgr.launder_waiters <-
+           (fun () ->
+             done_at := Hw.Mpm.now node;
+             events := (`Batch_done, Hw.Disk.writes disk - writes0) :: !events)
+           :: mgr.Segment_mgr.launder_waiters));
+  ignore (Engine.run [| inst |]);
+  Alcotest.(check (list (pair bool int)))
+    "served with the batch written, before it completed"
+    [ (true, n); (false, n) ]
+    (List.rev_map (fun (e, w) -> (e = `Served, w)) !events);
+  Alcotest.(check bool) "the fault did not wait for the disk" true
+    (!t1 - !t0 < Hw.Disk.latency ());
+  let lat = Hw.Disk.run_latency n in
+  if !done_at < !t0 + lat || !done_at > !t1 + lat then
+    Alcotest.failf "batch done at %d, submitted in [%d, %d], latency %d" !done_at !t0 !t1
+      lat;
+  Alcotest.(check bool) "the clean page went" false (is_resident seg n);
+  let blocks =
+    List.init n (fun p ->
+        match Segment.state seg p with
+        | Segment.On_disk b -> b
+        | _ -> Alcotest.failf "dirty page %d is not on disk" p)
+  in
+  let first = List.hd blocks in
+  Alcotest.(check (list int)) "one run of consecutive blocks" (List.init n (( + ) first))
+    blocks;
+  Alcotest.(check (list (option int))) "every page reads back"
+    (List.init n (fun p -> Some (100 + p)))
+    (List.init n (word_of_page ak seg));
+  Alcotest.(check int) "every victim evicted" (n + 1)
+    (Segment_mgr.stats mgr).Segment_mgr.evictions
+
+(* A laundered page is faulted back in and rewritten while its batch is in
+   flight: it stays resident with the new data, dirty, and its frame is
+   not freed under it — whether its new mapping is still loaded when the
+   batch completes or was unloaded again, reporting the write. *)
+let launder_remap_in_flight ~unmap_again () =
+  let inst, ak = make () in
+  let mgr = ak.App_kernel.mgr in
+  let n = Segment_mgr.launder_batch in
+  hostage_all_but ak (n + 1);
+  let vsp, seg = one_segment_space ak ~name:"remap" ~pages:(n + 2) in
+  dirty_then_clean inst ak vsp seg ~dirty:n ~clean:1;
+  let in_flight = ref 0 and seen = ref 0 in
+  ignore
+    (spawn_user ak vsp ~priority:8 (fun () ->
+         ignore (Hw.Exec.mem_read (page_va (n + 1)));
+         Hw.Exec.mem_write (page_va 0) 777;
+         seen := Hw.Exec.mem_read (page_va 0);
+         if unmap_again then unmap_pages ak seg [ 0 ];
+         in_flight := List.length mgr.Segment_mgr.launder_in_flight));
+  ignore (Engine.run [| inst |]);
+  Alcotest.(check int) "the batch was in flight" 1 !in_flight;
+  Alcotest.(check int) "the thread reads its write" 777 !seen;
+  Alcotest.(check bool) "the rewritten page stayed" true (is_resident seg 0);
+  Alcotest.(check (option int)) "with its new data" (Some 777) (word_of_page ak seg 0);
+  unmap_pages ak seg [ 0 ];
+  Alcotest.(check bool) "and is dirty" true (resident seg 0).Segment.dirty;
+  Alcotest.(check int) "the clean page and the other dirty ones went" n
+    (Segment_mgr.stats mgr).Segment_mgr.evictions
+
+(* A victim hook that scans pages itself (as MP3D's does) may offer a
+   page whose batch is still in flight.  Its frame is not free until the
+   write completes: the evictor waits for the batch instead of taking it. *)
+let test_launder_hook_offers_in_flight () =
+  let inst, ak = make () in
+  let mgr = ak.App_kernel.mgr in
+  let n = Segment_mgr.launder_batch in
+  hostage_all_but ak (n + 1);
+  let vsp, seg = one_segment_space ak ~name:"offer" ~pages:(n + 3) in
+  dirty_then_clean inst ak vsp seg ~dirty:n ~clean:1;
+  let order = ref [] in
+  ignore
+    (spawn_user ak vsp ~priority:8 (fun () ->
+         ignore (Hw.Exec.mem_read (page_va (n + 1)));
+         let default = mgr.Segment_mgr.choose_victim in
+         mgr.Segment_mgr.choose_victim <-
+           (fun m ->
+             match Segment.state seg 0 with
+             | Segment.In_memory r -> Some (seg, 0, r)
+             | _ -> default m);
+         mgr.Segment_mgr.launder_waiters <-
+           (fun () -> order := `Batch_done :: !order) :: mgr.Segment_mgr.launder_waiters;
+         ignore (Hw.Exec.mem_read (page_va (n + 2)));
+         order := `Served :: !order));
+  ignore (Engine.run [| inst |]);
+  Alcotest.(check bool) "the fault was served after the batch completed" true
+    (List.rev !order = [ `Batch_done; `Served ]);
+  Alcotest.(check (option int)) "the offered page reads back" (Some 100) (word_of_page ak seg 0)
+
+(* A thread zero-fills a stream of pages, writing every other one, so the
+   hand finds a clean victim after each dirty one and dirty pages pile up
+   faster than batches complete.  At most [launder_max_in_flight] batches
+   are ever on their way, the laundry never holds more than a batch, and
+   every write survives. *)
+let test_launder_in_flight_bounded () =
+  let inst, ak = make () in
+  let mgr = ak.App_kernel.mgr in
+  let pages = 512 in
+  hostage_all_but ak 64;
+  let vsp, seg = one_segment_space ak ~name:"stream" ~pages in
+  let in_flight = ref 0 and laundry = ref 0 in
+  let default = mgr.Segment_mgr.choose_victim in
+  mgr.Segment_mgr.choose_victim <-
+    (fun m ->
+      in_flight := max !in_flight (List.length m.Segment_mgr.launder_in_flight);
+      laundry := max !laundry (List.length m.Segment_mgr.laundry);
+      default m);
+  ignore
+    (spawn_user ak vsp ~priority:8 (fun () ->
+         for p = 0 to pages - 1 do
+           if p land 1 = 0 then Hw.Exec.mem_write (page_va p) (p + 1)
+           else ignore (Hw.Exec.mem_read (page_va p))
+         done));
+  ignore (Engine.run [| inst |]);
+  Alcotest.(check int) "the bound was reached, not passed" Segment_mgr.launder_max_in_flight
+    !in_flight;
+  Alcotest.(check bool) "the laundry holds at most a batch" true
+    (!laundry <= Segment_mgr.launder_batch);
+  Alcotest.(check (list (option int))) "every write reads back"
+    (List.init (pages / 2) (fun i -> Some ((2 * i) + 1)))
+    (List.init (pages / 2) (fun i -> word_of_page ak seg (2 * i)))
+
+(* Every candidate is dirty: the hand sets them all aside and finds no
+   victim, so the evictor submits the laundry and waits for it, then gets
+   a frame.  Reporting "nothing to evict" instead leaves the fault
+   unserved until the thread is killed for making no progress. *)
+let test_launder_waits_for_progress () =
+  let inst, ak = make () in
+  let k = 3 in
+  hostage_all_but ak k;
+  let vsp, seg = one_segment_space ak ~name:"wait" ~pages:(k + 1) in
+  dirty_then_clean inst ak vsp seg ~dirty:k ~clean:0;
+  let seen = ref (-1) in
+  ignore
+    (spawn_user ak vsp ~priority:8 (fun () ->
+         Hw.Exec.mem_write (page_va k) 55;
+         seen := Hw.Exec.mem_read (page_va k)));
+  ignore (Engine.run [| inst |]);
+  Alcotest.(check int) "the access completed" 55 !seen;
+  Alcotest.(check int) "one batch of every dirty page" k
+    (Backing_store.page_outs ak.App_kernel.store);
+  Alcotest.(check (list (option int))) "the laundered pages read back"
+    (List.init k (fun p -> Some (100 + p)))
+    (List.init k (word_of_page ak seg))
+
+(* -- Blocking I/O survives a thread reload -- *)
+
+(* A thread reads a page that is on disk and blocks in the page-in; it is
+   descheduled while the read is in flight and scheduled again before or
+   after the disk completes.  Either way the completion must reach it. *)
+let page_in_across_reload ~reschedule_before () =
+  let inst, ak = make () in
+  let vsp, seg = one_segment_space ak ~name:"reload" ~pages:1 in
+  let store = ak.App_kernel.store in
+  let block = Backing_store.alloc_block store in
+  let image = Bytes.make 4 '\000' in
+  Bytes.set_int32_le image 0 4242l;
+  Backing_store.write_block_now store ~block image;
+  Segment.set_state seg 0 (Segment.On_disk block);
+  let seen = ref (-1) in
+  let tid = spawn_user ak vsp ~priority:8 (fun () -> seen := Hw.Exec.mem_read base) in
+  let io_us = Hw.Cost.us_of_cycles (Hw.Disk.latency ()) in
+  ignore (Engine.run ~until_us:(io_us /. 4.0) [| inst |]);
+  Alcotest.(check int) "blocked in the page-in" 1
+    (Segment_mgr.stats ak.App_kernel.mgr).Segment_mgr.page_in_faults;
+  ok (Thread_lib.deschedule ak.App_kernel.threads tid);
+  ignore (Engine.run ~until_us:(io_us /. 2.0) [| inst |]);
+  Alcotest.(check bool) "written back" false (Thread_lib.running ak.App_kernel.threads tid);
+  if reschedule_before then ignore (ok (Thread_lib.schedule ak.App_kernel.threads tid));
+  ignore (Engine.run ~until_us:(io_us *. 2.0) [| inst |]);
+  if not reschedule_before then ignore (ok (Thread_lib.schedule ak.App_kernel.threads tid));
+  ignore (Engine.run [| inst |]);
+  Alcotest.(check int) "the access completed" 4242 !seen
+
 let test_channel_ping_pong () =
   let inst, ak = make () in
   let sender_sp = user_space ak in
@@ -567,11 +782,31 @@ let () =
           Alcotest.test_case "queue entries name the residency" `Quick
             test_queue_names_the_residency;
         ] );
+      ( "laundering",
+        [
+          Alcotest.test_case "a clean victim goes while the dirty ones are written" `Quick
+            test_launder_clean_victim_first;
+          Alcotest.test_case "a page rewritten in flight stays (mapped)" `Quick
+            (launder_remap_in_flight ~unmap_again:false);
+          Alcotest.test_case "a page rewritten in flight stays (unmapped)" `Quick
+            (launder_remap_in_flight ~unmap_again:true);
+          Alcotest.test_case "a hook's offer of a page in flight waits" `Quick
+            test_launder_hook_offers_in_flight;
+          Alcotest.test_case "batches in flight are bounded" `Quick
+            test_launder_in_flight_bounded;
+          Alcotest.test_case "all candidates dirty: the evictor waits" `Quick
+            test_launder_waits_for_progress;
+        ] );
       ( "channels",
         [ Alcotest.test_case "ping-pong over messaging" `Quick test_channel_ping_pong ] );
       ( "threads",
-        [ Alcotest.test_case "unload and reload with state" `Quick test_thread_unload_reload ]
-      );
+        [
+          Alcotest.test_case "unload and reload with state" `Quick test_thread_unload_reload;
+          Alcotest.test_case "page-in completes after a reload" `Quick
+            (page_in_across_reload ~reschedule_before:true);
+          Alcotest.test_case "page-in completes into a written-back thread" `Quick
+            (page_in_across_reload ~reschedule_before:false);
+        ] );
       ( "rpc",
         [
           Alcotest.test_case "call/serve over messaging" `Quick test_rpc_roundtrip;

@@ -390,6 +390,56 @@ let test_tier_deterministic_replay () =
   Alcotest.(check string) "tier metrics replay identically" m1 m2;
   Alcotest.(check string) "tier trace replays identically" t1 t2
 
+(* -- Laundering under block-I/O chaos --
+
+   Dirty victims leave in batches, one [bstore] attempt per batch.  A
+   batch that fails retries whole; a delayed one is written when it
+   starts, and a page rewritten meanwhile stays resident.  Whatever the
+   plane injects, every page's last write reads back from wherever the
+   segment manager holds it, and the audit is clean. *)
+
+let launder_run ~io_fail ~io_delay =
+  let config = { Config.default with Config.chaos = chaos ~io_fail ~io_delay () } in
+  let inst, ak, vsp, seg =
+    Workload.Sweeps.segment_setup ~config ~prepare:ignore ~name:"launder" 64
+  in
+  let frames = ak.App_kernel.frames in
+  ignore (Frame_alloc.take frames (Frame_alloc.available frames - 16));
+  let value round p = (round * 1000) + p + 1 in
+  let rounds = 4 in
+  ignore
+    (Workload.Sweeps.run_body inst ak vsp (fun () ->
+         for round = 1 to rounds do
+           for i = 0 to 63 do
+             let p = ((i * 7) + round) land 63 in
+             Hw.Exec.mem_write (Workload.Sweeps.base + (p * Hw.Addr.page_size)) (value round p)
+           done
+         done));
+  let mem = inst.Instance.node.Hw.Mpm.mem in
+  for p = 0 to 63 do
+    let got =
+      match Segment.state seg p with
+      | Segment.In_memory r -> Hw.Phys_mem.read_word mem (Hw.Addr.addr_of_page r.Segment.pfn)
+      | Segment.On_disk block ->
+        let b = Backing_store.read_block_now ak.App_kernel.store ~block in
+        Int32.to_int (Bytes.get_int32_le b 0) land 0xFFFFFFFF
+      | _ -> -1
+    in
+    Alcotest.(check int) (Printf.sprintf "page %d reads back" p) (value rounds p) got
+  done;
+  Alcotest.(check bool) "several batches went out" true
+    (Backing_store.page_outs ak.App_kernel.store > 4 * Segment_mgr.launder_batch);
+  let report = Audit.run ~repair:false inst in
+  if not (Audit.clean report) then Alcotest.failf "audit: %a" Audit.pp_report report;
+  inst
+
+let test_launder_chaos ~io_fail ~io_delay kind () =
+  let inst = launder_run ~io_fail ~io_delay in
+  let site = "bstore." ^ kind in
+  let injected = counter inst ("inject." ^ site) in
+  Alcotest.(check bool) (site ^ " injected") true (injected > 0);
+  Alcotest.(check int) (site ^ " inject = recover") injected (counter inst ("recover." ^ site))
+
 (* -- Figure 2 under adversity -- *)
 
 (* The `ckos trace` demo: one thread demand-faulting four pages through the
@@ -612,6 +662,13 @@ let () =
             test_tier_with_io_chaos;
           Alcotest.test_case "tiered chaos replays deterministically" `Quick
             test_tier_deterministic_replay;
+        ] );
+      ( "laundering",
+        [
+          Alcotest.test_case "failed batches retry whole" `Quick
+            (test_launder_chaos ~io_fail:0.4 ~io_delay:0.0 "fail");
+          Alcotest.test_case "delayed batches" `Quick
+            (test_launder_chaos ~io_fail:0.0 ~io_delay:0.4 "delay");
         ] );
       ( "fig2",
         [

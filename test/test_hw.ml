@@ -398,7 +398,7 @@ let test_exec () =
 
 (* -- Disk -- *)
 
-let disk_env () =
+let disk_env_events () =
   let events = Hw.Event_queue.create () in
   let now = ref 0 in
   let disk = Hw.Disk.create ~events ~now:(fun () -> !now) in
@@ -408,6 +408,10 @@ let disk_env () =
       now := Hw.Event_queue.run_next events
     done
   in
+  (disk, mem, now, drain, events)
+
+let disk_env () =
+  let disk, mem, now, drain, _ = disk_env_events () in
   (disk, mem, now, drain)
 
 let fill_frame mem pfn c =
@@ -573,10 +577,15 @@ let sparse_page ~kind n =
   p
 
 let run_disk_model ops =
-  let disk, mem, _, drain = disk_env () in
+  let disk, mem, now, drain, events = disk_env_events () in
   let model = Full_disk.create () in
   let ps = Hw.Addr.page_size in
   let blocks = ref [] in
+  let ever = Hashtbl.create 16 in (* every block number handed out *)
+  let fresh ctx block =
+    if Hashtbl.mem ever block then Alcotest.failf "%s: run block %d was used before" ctx block;
+    Hashtbl.replace ever block ()
+  in
   let pick a = match !blocks with [] -> None | l -> Some (List.nth l (a mod List.length l)) in
   let frame pfn = Hw.Phys_mem.read_bytes mem (Hw.Addr.addr_of_page pfn) ps in
   (* pfn 3 is never written: the untouched-frame source *)
@@ -594,7 +603,10 @@ let run_disk_model ops =
       let off = b mod ps in
       let len = c mod (ps - off + 1) in
       (match (op, pick a) with
-      | 0, _ -> blocks := Hw.Disk.alloc_block disk :: !blocks
+      | 0, _ ->
+        let block = Hw.Disk.alloc_block disk in
+        Hashtbl.replace ever block ();
+        blocks := block :: !blocks
       | 1, Some block ->
         Hw.Disk.free_block disk block;
         Full_disk.free model block;
@@ -635,6 +647,7 @@ let run_disk_model ops =
         let n = b mod (3 * ps) in
         let data = Bytes.init n (fun j -> if (j * 7) mod (c + 1) = 0 then 'i' else '\000') in
         let imported = Hw.Disk.import disk data in
+        List.iter (fun block -> Hashtbl.replace ever block ()) imported;
         if List.length imported <> max 1 ((n + ps - 1) / ps) then
           Alcotest.failf "%s: import used %d blocks" ctx (List.length imported);
         List.iteri
@@ -650,6 +663,39 @@ let run_disk_model ops =
         write_frame block ~kind:2 c;
         write_frame block ~kind:1 b;
         agree ctx "shrunk block" (Hw.Disk.read_now disk ~block) (Full_disk.get model block)
+      | 11, target ->
+        (* a batch to a fresh run, or a batch of one to an existing block:
+           frames 0 and 2 get sparse pages, 3 stays zero, 1 holds whatever
+           the last frame read left there *)
+        Hw.Phys_mem.write_bytes mem 0 (sparse_page ~kind:(b mod 4) c);
+        Hw.Phys_mem.write_bytes mem (Hw.Addr.addr_of_page 2) (sparse_page ~kind:(c mod 4) b);
+        let n, first =
+          match target with
+          | Some block when a mod 3 = 0 -> (1, block)
+          | _ ->
+            let n = 1 + (b mod 8) in
+            let first = Hw.Disk.alloc_run disk n in
+            for k = 0 to n - 1 do
+              fresh ctx (first + k)
+            done;
+            blocks := List.init n (( + ) first) @ !blocks;
+            (n, first)
+        in
+        let pfns = Array.init n (fun k -> (a + k + c) mod 4) in
+        Array.iteri
+          (fun k pfn -> Full_disk.write_range model ~block:(first + k) ~off:0 (frame pfn))
+          pfns;
+        model.writes <- model.writes + n;
+        let completions = ref 0 in
+        let t0 = !now in
+        Hw.Disk.write_frames disk ~block:first mem ~pfns (fun () -> incr completions);
+        if Hw.Event_queue.length events <> 1 then
+          Alcotest.failf "%s: %d events for one batch" ctx (Hw.Event_queue.length events);
+        drain ();
+        if !completions <> 1 || !now - t0 <> Hw.Disk.run_latency n then
+          Alcotest.failf "%s: %d completions after %d cycles" ctx !completions (!now - t0);
+        if n = 1 && !now - t0 <> Hw.Disk.latency () then
+          Alcotest.failf "%s: a batch of one is not a page write" ctx
       | _ -> ());
       drain ();
       if Hw.Disk.live_blocks disk <> Full_disk.live model then
@@ -671,7 +717,7 @@ let prop_disk_model =
   QCheck.Test.make ~count:300 ~name:"disk: zero-tail store matches the full-page model"
     QCheck.(
       list
-        (quad (int_bound 10) (int_bound 4096) (int_bound (3 * 4096)) (int_bound 4096)))
+        (quad (int_bound 11) (int_bound 4096) (int_bound (3 * 4096)) (int_bound 4096)))
     run_disk_model
 
 (* Page images: a frame up to its last nonzero byte, and back. *)
