@@ -36,8 +36,7 @@ let show_info () =
   Fmt.pr "key costs (cycles): trap entry %d, fault forward %d, trap forward %d,@."
     Hw.Cost.trap_entry Hw.Cost.exception_forward Hw.Cost.trap_forward;
   Fmt.pr "  exception return %d, context switch %d, disk page %d@."
-    Hw.Cost.exception_return Hw.Cost.context_switch
-    (Hw.Cost.disk_seek + Hw.Cost.disk_page_transfer)
+    Hw.Cost.exception_return Hw.Cost.context_switch (Hw.Disk.latency ())
 
 let write_json path what v =
   try
@@ -84,9 +83,9 @@ let run_audit inst ~audit_out =
   end
 
 let run_workload cpus procs chaos chaos_seed partition_at partition_for partition_minority
-    prefetch batch policy tiers audit audit_out metrics_out trace_out =
-  if prefetch < 0 || batch < 1 then begin
-    Fmt.epr "ckos: --prefetch must be >= 0 and --batch >= 1@.";
+    prefetch policy tiers audit audit_out metrics_out trace_out =
+  if prefetch < 0 then begin
+    Fmt.epr "ckos: --prefetch must be >= 0@.";
     Stdlib.exit 1
   end;
   if tiers < 0 then begin
@@ -100,7 +99,6 @@ let run_workload cpus procs chaos chaos_seed partition_at partition_for partitio
         Workload.Session.chaos ~rate:chaos ~seed:chaos_seed ?partition_at ~partition_for
           ~partition_minority ();
       fault_prefetch = prefetch;
-      mapping_batch_max = batch;
       policy = parse_policy policy;
       fast_tier_slots = tiers;
     }
@@ -297,13 +295,6 @@ let prefetch_arg =
            manager batch-loads up to $(docv) resident same-segment neighbours \
            alongside the faulting mapping (0 disables, the default).")
 
-let batch_arg =
-  Arg.(
-    value
-    & opt int Config.default.Config.mapping_batch_max
-    & info [ "batch" ] ~docv:"N"
-        ~doc:"Maximum mapping specs accepted by one batched load call.")
-
 let policy_arg =
   Arg.(
     value
@@ -373,9 +364,8 @@ let chaos_seed_arg =
 let run_term =
   Term.(
     const run_workload $ cpus_arg $ procs_arg $ chaos_arg $ chaos_seed_arg $ partition_at_arg
-    $ partition_for_arg $ partition_minority_arg $ prefetch_arg $ batch_arg
-    $ policy_arg $ tiers_arg $ audit_flag $ audit_out $ metrics_out
-    $ trace_out)
+    $ partition_for_arg $ partition_minority_arg $ prefetch_arg $ policy_arg $ tiers_arg
+    $ audit_flag $ audit_out $ metrics_out $ trace_out)
 
 let run_cmd = Cmd.v (Cmd.info "run" ~doc:"Run a UNIX workload and print statistics") run_term
 

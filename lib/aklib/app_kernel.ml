@@ -79,29 +79,21 @@ and handlers_of t =
     on_writeback = (fun () -> drain t);
   }
 
-(* fast-tier demotions per batched disk transfer *)
-let tier_batch = 8
-
 (** Prepare an application kernel: builds the libraries and the kernel-
     object spec whose handlers close over them.  The kernel object itself
     is loaded by the caller (the boot path or the system resource manager),
     which then calls {!attach}. *)
 let prepare inst ~name ?(cpu_percent = 100) ?(max_priority = 24) ?(max_locked = 8) () =
   let frames = Frame_alloc.create () in
-  let disk =
-    Hw.Disk.create ~events:inst.Instance.node.Hw.Mpm.events ~now:(fun () ->
-        Hw.Mpm.now inst.Instance.node)
-  in
-  let store = Backing_store.create ~disk ~mem:inst.Instance.node.Hw.Mpm.mem in
+  let node = inst.Instance.node in
+  let events = node.Hw.Mpm.events and now () = Hw.Mpm.now node in
+  let disk = Hw.Disk.create ~events ~now in
+  let store = Backing_store.create ~disk ~mem:node.Hw.Mpm.mem ~events ~now in
   if Fault_inject.enabled inst.Instance.fi then
-    Backing_store.set_fault_plane store ~fi:inst.Instance.fi
-      ~events:inst.Instance.node.Hw.Mpm.events ~now:(fun () ->
-        Hw.Mpm.now inst.Instance.node);
+    Backing_store.set_fault_plane store inst.Instance.fi;
   let cfg = inst.Instance.config in
   if cfg.Config.fast_tier_slots > 0 then begin
-    Backing_store.configure_tiers store ~slots:cfg.Config.fast_tier_slots
-      ~batch:tier_batch ~events:inst.Instance.node.Hw.Mpm.events
-      ~now:(fun () -> Hw.Mpm.now inst.Instance.node);
+    Backing_store.configure_tiers store ~slots:cfg.Config.fast_tier_slots;
     Backing_store.set_observer store
       ~count:(fun name -> Instance.count inst name)
       ~service:(fun ~fast cycles ->

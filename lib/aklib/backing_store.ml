@@ -10,7 +10,9 @@
    page images, charged [Hw.Cost.fast_tier_setup + fast_tier_page_copy]
    per move — in front of the paging disk.  Every page-out image lands
    fast and every slow-tier refault is promoted; when the fast tier
-   overflows, the least recently touched images are demoted to disk.
+   overflows, the least recently touched images are demoted to disk,
+   [demote_batch] at a time through [Hw.Disk.write_images] — the same
+   disk, and the same cost rule, as every other paging transfer.
    Fast-tier images are trimmed page images ([Hw.Phys_mem.image]), the
    zero-tail form the disk stores; whole-page reads pad them back out.
    Blocks keep their disk-allocated numbers in either tier, so callers
@@ -19,12 +21,6 @@
    [fast_tier_slots = 0] (the default) none of this exists and every path
    below reduces to the seed's flat store, bit for bit — the equivalence
    suite in test_tiers pins that. *)
-
-type chaos_plane = {
-  fi : Cachekernel.Fault_inject.t;
-  events : Hw.Event_queue.t;
-  now : unit -> Hw.Cost.cycles;
-}
 
 type tier = Fast | Slow
 
@@ -38,9 +34,6 @@ type meta = {
 
 type tiering = {
   slots : int; (* fast-tier capacity, > 0 *)
-  batch : int; (* demotions per batched disk transfer *)
-  t_events : Hw.Event_queue.t;
-  t_now : unit -> Hw.Cost.cycles;
   fast : (int, Bytes.t) Hashtbl.t; (* block -> authoritative page image *)
   meta : (int, meta) Hashtbl.t; (* block -> tier metadata *)
   mutable fast_live : int; (* derived fast-image count; audited *)
@@ -60,36 +53,40 @@ type tiering = {
 type t = {
   disk : Hw.Disk.t;
   mem : Hw.Phys_mem.t;
+  events : Hw.Event_queue.t; (* the node's queue: retries, fast-tier moves *)
+  now : unit -> Hw.Cost.cycles;
   mutable page_ins : int;
   mutable page_outs : int;
   mutable retries : int;
-  mutable chaos : chaos_plane option;
+  mutable fi : Cachekernel.Fault_inject.t option; (* None = direct transfers *)
   mutable tiers : tiering option; (* None = the seed's flat store *)
 }
 
-let create ~disk ~mem =
+let create ~disk ~mem ~events ~now =
   {
     disk;
     mem;
+    events;
+    now;
     page_ins = 0;
     page_outs = 0;
     retries = 0;
-    chaos = None;
+    fi = None;
     tiers = None;
   }
 
-let set_fault_plane t ~fi ~events ~now = t.chaos <- Some { fi; events; now }
+let set_fault_plane t fi = t.fi <- Some fi
 
-let configure_tiers t ~slots ~batch ~events ~now =
+(* Fast-tier images demoted per disk write. *)
+let demote_batch = 8
+
+let configure_tiers t ~slots =
   if slots <= 0 then t.tiers <- None
   else
     t.tiers <-
       Some
         {
           slots;
-          batch = max 1 batch;
-          t_events = events;
-          t_now = now;
           fast = Hashtbl.create 64;
           meta = Hashtbl.create 64;
           fast_live = 0;
@@ -120,9 +117,9 @@ let set_observer t ~count ~service ~move =
    not a load-bearing one).  An injected delay just starts the transfer
    late and completes on its own. *)
 let attempt t (io : Cachekernel.Fault_inject.io_site) go =
-  match t.chaos with
+  match t.fi with
   | None -> go ()
-  | Some { fi; events; now } ->
+  | Some fi ->
     let open Cachekernel in
     let report f suffix = f fi ~site:(io.Fault_inject.site ^ suffix) in
     let rec try_n n =
@@ -137,14 +134,14 @@ let attempt t (io : Cachekernel.Fault_inject.io_site) go =
         let backoff =
           Fault_inject.io_retry_backoff_us fi *. (2.0 ** float_of_int (n - 1))
         in
-        Hw.Event_queue.schedule events
-          ~time:(now () + Hw.Cost.cycles_of_us backoff)
+        Hw.Event_queue.schedule t.events
+          ~time:(t.now () + Hw.Cost.cycles_of_us backoff)
           (fun () -> try_n (n + 1))
       | `Fail -> go () (* retry budget exhausted: let the transfer through *)
       | `Delay us ->
         report Fault_inject.inject ".delay";
-        Hw.Event_queue.schedule events
-          ~time:(now () + Hw.Cost.cycles_of_us us)
+        Hw.Event_queue.schedule t.events
+          ~time:(t.now () + Hw.Cost.cycles_of_us us)
           (fun () ->
             report Fault_inject.recover ".delay";
             go ())
@@ -190,78 +187,8 @@ let get_meta tr block =
     Hashtbl.replace tr.meta block m;
     m
 
-(* -- batched demotion framing --
-
-   A demotion batch travels as one checksummed, length-prefixed frame (the
-   migration codec's contract, restated locally: aklib cannot depend on
-   lib/migrate).  The frame is built when the batch starts and verified
-   before any block is applied to the disk, so a corrupted transfer is
-   rejected whole. *)
-
-let frame_magic = "CKT1"
-
-let fnv1a bytes upto =
-  let p = 0x100000001B3L and h = ref 0xCBF29CE484222325L in
-  for i = 0 to upto - 1 do
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.get bytes i)))) p
-  done;
-  !h
-
-(* entries: (block, gen, data) *)
-let encode_batch entries =
-  let buf =
-    Buffer.create (List.fold_left (fun n (_, _, data) -> n + 24 + Bytes.length data) 12 entries)
-  in
-  Buffer.add_string buf frame_magic;
-  Buffer.add_int64_le buf (Int64.of_int (List.length entries));
-  List.iter
-    (fun (block, gen, data) ->
-      Buffer.add_int64_le buf (Int64.of_int block);
-      Buffer.add_int64_le buf (Int64.of_int gen);
-      Buffer.add_int64_le buf (Int64.of_int (Bytes.length data));
-      Buffer.add_bytes buf data)
-    entries;
-  let body = Buffer.to_bytes buf in
-  let buf = Buffer.create (Bytes.length body + 8) in
-  Buffer.add_bytes buf body;
-  Buffer.add_int64_le buf (fnv1a body (Bytes.length body));
-  Buffer.to_bytes buf
-
-(* A 64-bit field [encode_batch] wrote from an OCaml int; a value an int
-   cannot hold (bit 63 set over a small value, say) is a damaged frame,
-   not something to truncate. *)
-let get_int frame off =
-  let w = Bytes.get_int64_le frame off in
-  let v = Int64.to_int w in
-  if Int64.of_int v = w then Some v else None
-
-let decode_batch frame =
-  let len = Bytes.length frame in
-  if len < String.length frame_magic + 16 then Error "truncated frame"
-  else if Bytes.sub_string frame 0 4 <> frame_magic then Error "bad magic"
-  else if Bytes.get_int64_le frame (len - 8) <> fnv1a frame (len - 8) then
-    Error "checksum mismatch"
-  else begin
-    let rec entries acc off n =
-      if n = 0 then if off = len - 8 then Ok (List.rev acc) else Error "trailing bytes"
-      else if off + 24 > len - 8 then Error "truncated entry"
-      else
-        match (get_int frame off, get_int frame (off + 8), get_int frame (off + 16)) with
-        | Some block, Some gen, Some dlen ->
-          if dlen < 0 || dlen > Hw.Addr.page_size then Error "bad payload length"
-          else if off + 24 + dlen > len - 8 then Error "truncated payload"
-          else
-            entries ((block, gen, Bytes.sub frame (off + 24) dlen) :: acc) (off + 24 + dlen)
-              (n - 1)
-        | _ -> Error "field out of range"
-    in
-    match get_int frame 4 with
-    | Some count when count >= 0 -> entries [] (4 + 8) count
-    | _ -> Error "bad count"
-  end
-
-(* -- demotion: drain the fast tier down to capacity, [batch] blocks per
-   framed disk transfer (one seek amortized across the batch) -- *)
+(* -- demotion: drain the fast tier down to capacity, [demote_batch]
+   images per disk write (one seek amortized across the batch) -- *)
 
 let rec maybe_demote t tr =
   if (not tr.demoting) && tr.fast_live > tr.slots then begin
@@ -277,42 +204,39 @@ let rec maybe_demote t tr =
     in
     (* drain exactly to capacity: a one-block overflow must not demote a
        full batch and strand the fast tier below capacity *)
-    let victims = take (min tr.batch (tr.fast_live - tr.slots)) candidates in
+    let victims = take (min demote_batch (tr.fast_live - tr.slots)) candidates in
     if victims <> [] then begin
       tr.demoting <- true;
-      (* copy-then-delete: capture the images now, keep the fast copies
-         authoritative (and readable) until the disk transfer lands *)
-      let entries =
-        List.filter_map
-          (fun (block, _) ->
-            match Hashtbl.find_opt tr.fast block with
-            | Some data -> Some (block, (get_meta tr block).gen, data)
-            | None -> None)
-          victims
-      in
-      let frame = encode_batch entries in
-      let n = List.length entries in
       attempt t Cachekernel.Fault_inject.tier_demote (fun () ->
-          Hw.Event_queue.schedule tr.t_events
-            ~time:(tr.t_now () + Hw.Cost.disk_seek + (n * Hw.Cost.disk_page_transfer))
+          (* copy-then-delete: the images (and their generations) are taken
+             when the write starts, and the fast copies stay authoritative
+             (and readable) until it completes *)
+          let entries =
+            List.filter_map
+              (fun (block, _) ->
+                Option.map
+                  (fun data -> (block, (get_meta tr block).gen, data))
+                  (Hashtbl.find_opt tr.fast block))
+              victims
+            |> Array.of_list
+          in
+          let n = Array.length entries in
+          Hw.Disk.write_images t.disk
+            (Array.map (fun (block, _, data) -> (block, data)) entries)
             (fun () ->
-              (match decode_batch frame with
-              | Error _ -> tr.obs_count "tier.frame_rejected"
-              | Ok entries ->
-                List.iter
-                  (fun (block, gen, data) ->
-                    match Hashtbl.find_opt tr.meta block with
-                    | Some m when m.gen = gen && m.tier = Fast ->
-                      Hw.Disk.write_page_now t.disk ~block data;
-                      m.tier <- Slow;
-                      Hashtbl.remove tr.fast block;
-                      tr.fast_live <- tr.fast_live - 1;
-                      tr.demotes <- tr.demotes + 1;
-                      tr.obs_count "tier.demote";
-                      tr.obs_move ~block ~to_fast:false ~batch:n
-                    | _ -> () (* overwritten or freed mid-flight: the live
-                                 copy (if any) stays where it is *))
-                  entries);
+              Array.iter
+                (fun (block, gen, _) ->
+                  match Hashtbl.find_opt tr.meta block with
+                  | Some m when m.gen = gen && m.tier = Fast ->
+                    m.tier <- Slow;
+                    Hashtbl.remove tr.fast block;
+                    tr.fast_live <- tr.fast_live - 1;
+                    tr.demotes <- tr.demotes + 1;
+                    tr.obs_count "tier.demote";
+                    tr.obs_move ~block ~to_fast:false ~batch:n
+                  | _ -> () (* overwritten or freed mid-flight: the live
+                               copy (if any) stays where it is *))
+                entries;
               tr.demoting <- false;
               maybe_demote t tr))
     end
@@ -343,7 +267,7 @@ let page_out_batch t ~block ~pfns k =
     let metas =
       Array.init n (fun i ->
           let m = get_meta tr (block + i) in
-          m.last_touch <- tr.t_now ();
+          m.last_touch <- t.now ();
           m.gen <- m.gen + 1;
           m)
     in
@@ -353,18 +277,11 @@ let page_out_batch t ~block ~pfns k =
             metas.(i).tier <- Fast;
             install_fast tr ~block:(block + i) (Hw.Phys_mem.image t.mem ~pfn))
           pfns;
-        Hw.Event_queue.schedule tr.t_events
-          ~time:
-            (tr.t_now () + Hw.Cost.fast_tier_setup + (n * Hw.Cost.fast_tier_page_copy))
+        Hw.Event_queue.schedule t.events
+          ~time:(t.now () + Hw.Cost.fast_tier_setup + (n * Hw.Cost.fast_tier_page_copy))
           (fun () ->
             maybe_demote t tr;
             k ()))
-
-(** Write frame [pfn] to a fresh (or supplied) block; [k block] runs on
-    completion.  The batch of one. *)
-let page_out t ?block ~pfn k =
-  let block = match block with Some b -> b | None -> alloc_block t in
-  page_out_batch t ~block ~pfns:[| pfn |] (fun () -> k block)
 
 (* Promotion: a slow-tier fault copies the just-read image into the fast
    tier so the next fault on this block is served at RAM cost. *)
@@ -372,8 +289,8 @@ let promote t tr ~block data =
   let m = get_meta tr block in
   let gen0 = m.gen in
   attempt t Cachekernel.Fault_inject.tier_promote (fun () ->
-      Hw.Event_queue.schedule tr.t_events
-        ~time:(tr.t_now () + Hw.Cost.fast_tier_setup + Hw.Cost.fast_tier_page_copy)
+      Hw.Event_queue.schedule t.events
+        ~time:(t.now () + Hw.Cost.fast_tier_setup + Hw.Cost.fast_tier_page_copy)
         (fun () ->
           match Hashtbl.find_opt tr.meta block with
           | Some m when m.gen = gen0 && m.tier = Slow ->
@@ -393,7 +310,7 @@ let page_in t ~block ~pfn k =
     attempt t Cachekernel.Fault_inject.bstore (fun () ->
         Hw.Disk.read_frame t.disk ~block t.mem ~pfn k)
   | Some tr ->
-    let start = tr.t_now () in
+    let start = t.now () in
     let m = get_meta tr block in
     m.last_touch <- start;
     let fast_hit = m.tier = Fast && Hashtbl.mem tr.fast block in
@@ -410,15 +327,15 @@ let page_in t ~block ~pfn k =
            demotion, in which case the image is now on disk *)
         match Hashtbl.find_opt tr.fast block with
         | Some data ->
-          Hw.Event_queue.schedule tr.t_events
-            ~time:(tr.t_now () + Hw.Cost.fast_tier_setup + Hw.Cost.fast_tier_page_copy)
+          Hw.Event_queue.schedule t.events
+            ~time:(t.now () + Hw.Cost.fast_tier_setup + Hw.Cost.fast_tier_page_copy)
             (fun () ->
               Hw.Phys_mem.copy_page_in t.mem ~pfn data;
-              tr.obs_service ~fast:true (tr.t_now () - start);
+              tr.obs_service ~fast:true (t.now () - start);
               k ())
         | None ->
           Hw.Disk.read_frame t.disk ~block t.mem ~pfn (fun () ->
-              tr.obs_service ~fast:false (tr.t_now () - start);
+              tr.obs_service ~fast:false (t.now () - start);
               if not fast_hit then promote t tr ~block (Hw.Phys_mem.image t.mem ~pfn);
               k ()))
 

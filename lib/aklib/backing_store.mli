@@ -4,42 +4,37 @@
 
     Page-outs are batched: {!page_out_batch} writes a batch of frames to a
     run of consecutive blocks as one sequential transfer, which is how the
-    segment manager's laundering writes its dirty victims; {!page_out} is
-    the batch of one.
+    segment manager's laundering writes its dirty victims.
 
     The store is optionally tiered (DESIGN.md section 9): a small pinned
     local-RAM fast tier in front of the paging disk: every writeback image
-    lands fast and least-recently-touched images are demoted to disk.
-    Blocks keep their disk
-    numbers in either tier, so the API is unchanged; with
+    lands fast and least-recently-touched images are demoted to disk, 8 per
+    {!Hw.Disk.write_images} transfer, so demotions are disk writes like any
+    other.  Blocks keep their disk numbers in either tier, so the API is
+    unchanged; with
     [Config.fast_tier_slots = 0] (the default) the store is the seed's
     flat single-tier implementation, bit for bit. *)
 
 type t
 
-val create : disk:Hw.Disk.t -> mem:Hw.Phys_mem.t -> t
-
-val set_fault_plane :
-  t ->
-  fi:Cachekernel.Fault_inject.t ->
+val create :
+  disk:Hw.Disk.t ->
+  mem:Hw.Phys_mem.t ->
   events:Hw.Event_queue.t ->
   now:(unit -> Hw.Cost.cycles) ->
-  unit
+  t
+(** A store over [disk] and [mem]; [events] and [now] are the node's event
+    queue and clock, which time retries and fast-tier moves. *)
+
+val set_fault_plane : t -> Cachekernel.Fault_inject.t -> unit
 (** Route transfers through the fault-injection plane (chaos sites
     [bstore.fail], [bstore.delay]; tier moves add [tier.promote.*] and
-    [tier.demote.*]).  Injected failures retry with exponential backoff on
-    [events]; injected delays start the transfer late.  Without this call,
-    transfers are direct. *)
+    [tier.demote.*]).  Injected failures retry with exponential backoff;
+    injected delays start the transfer late.  Without this call, transfers
+    are direct. *)
 
-val configure_tiers :
-  t ->
-  slots:int ->
-  batch:int ->
-  events:Hw.Event_queue.t ->
-  now:(unit -> Hw.Cost.cycles) ->
-  unit
-(** Enable the fast tier: [slots] page images of capacity, demotions
-    batched [batch] blocks per framed disk transfer.  [slots <= 0]
+val configure_tiers : t -> slots:int -> unit
+(** Enable the fast tier: [slots] page images of capacity.  [slots <= 0]
     disables tiering (the flat store). *)
 
 val set_observer :
@@ -72,10 +67,6 @@ val page_out_batch : t -> block:int -> pfns:int array -> (unit -> unit) -> unit
     store every image lands in the fast tier, at RAM cost.  One [bstore]
     injection attempt covers the whole batch. *)
 
-val page_out : t -> ?block:int -> pfn:int -> (int -> unit) -> unit
-(** The batch of one: write a frame to a block (fresh unless supplied);
-    the continuation receives the block on completion. *)
-
 val page_in : t -> block:int -> pfn:int -> (unit -> unit) -> unit
 
 val write_block_now : t -> block:int -> Bytes.t -> unit
@@ -98,17 +89,6 @@ val audit_tiers : t -> repair:bool -> (string * string * string * bool) list
     image lives in exactly one tier and the derived fast-resident count
     matches a recount.  Returns [(check, subject, detail, repaired)] rows
     in {!Cachekernel.Audit} hook format. *)
-
-val encode_batch : (int * int * Bytes.t) list -> Bytes.t
-(** The framing of one demotion batch: [(block, generation, page image)]
-    entries, length-prefixed and checksummed as one [CKT1] frame. *)
-
-val decode_batch : Bytes.t -> ((int * int * Bytes.t) list, string) result
-(** Verify and unpack a demotion frame.  A bad magic or checksum, a
-    truncated entry, a 64-bit field outside OCaml's int range, a payload
-    length outside [0..page_size] or bytes past the last entry is an
-    [Error]; it never raises.  A frame it accepts re-encodes to the same
-    bytes. *)
 
 val corrupt_tier_for_test :
   t -> [ `Orphan_image | `Missing_image | `Drift ] -> bool

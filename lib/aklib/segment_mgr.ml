@@ -52,7 +52,6 @@ type t = {
   spaces : (int, vspace) Hashtbl.t; (* by tag *)
   mutable next_space_tag : int;
   mutable next_segment_id : int;
-  mutable next_wait_token : int;
   clock : (Segment.t * int * Segment.resident) Queue.t;
       (* eviction candidates in the order the Clock hand visits them; an
          entry names one residency and goes stale when the page leaves it *)
@@ -64,17 +63,6 @@ type t = {
   mutable launder_waiters : (unit -> unit) list;
       (* evictors blocked until the next batch completes *)
   stats : stats;
-  (* clustered fault prefetch (Config.fault_prefetch), adaptive throttle *)
-  mutable prefetch_depth : int;
-      (* neighbors loaded per fault right now, in [1, fault_prefetch];
-         halved when a throttle window shows mostly wasted prefetch, grown
-         back by one when prefetch proves useful *)
-  prefetched : (int * int, unit) Hashtbl.t;
-      (* (space tag, va) loaded ahead of demand and not yet judged: the
-         mapping's writeback tells us (via the referenced bit) whether the
-         prefetch was used or wasted *)
-  mutable prefetch_used : int; (* current throttle window *)
-  mutable prefetch_wasted : int;
   mutable on_segv : t -> Kernel_obj.fault_ctx -> unit;
       (* policy hook: no region / protection error.  Default: terminate the
          thread by unloading it. *)
@@ -85,8 +73,6 @@ type t = {
          distributed-shared-memory layer installs its protocol here;
          returning false falls through to [on_segv]. *)
 }
-
-let wait_token_base = 0x7E000000
 
 let default_segv t (ctx : Kernel_obj.fault_ctx) =
   Logs.info (fun m ->
@@ -130,7 +116,6 @@ let create env =
       spaces = Hashtbl.create 16;
       next_space_tag = 1;
       next_segment_id = 1;
-      next_wait_token = 0;
       clock = Queue.create ();
       laundry = [];
       launder_in_flight = [];
@@ -145,10 +130,6 @@ let create env =
           segv = 0;
           evictions = 0;
         };
-      prefetch_depth = env.inst.Instance.config.Config.fault_prefetch;
-      prefetched = Hashtbl.create 64;
-      prefetch_used = 0;
-      prefetch_wasted = 0;
       on_segv = default_segv;
       choose_victim = default_victim;
       on_consistency = (fun _ _ -> false);
@@ -209,17 +190,6 @@ let mark_crashed t =
       vsp.loaded <- false;
       vsp.oid <- Oid.none)
     t.spaces
-
-(* -- Blocking I/O from fault-handler context -- *)
-
-(* Each wait gets a unique completion token; Thread_lib.await_token
-   blocks on it and keeps any other signal for its real consumer. *)
-let fresh_token t =
-  t.next_wait_token <- t.next_wait_token + 1;
-  wait_token_base + (t.next_wait_token * 4)
-
-let block_until t ~thread start =
-  Thread_lib.await_token t.env.threads ~thread ~token:(fresh_token t) start
 
 (* -- Page replacement -- *)
 
@@ -340,7 +310,8 @@ let wait_for_laundry t ~thread =
   if can_submit t then submit_laundry t;
   t.launder_in_flight <> []
   && begin
-       block_until t ~thread (fun ~done_ -> t.launder_waiters <- done_ :: t.launder_waiters);
+       Thread_lib.await_token t.env.threads ~thread (fun ~done_ ->
+           t.launder_waiters <- done_ :: t.launder_waiters);
        true
      end
 
@@ -418,7 +389,7 @@ let rec ensure_resident t seg page ~thread =
     | None -> None
     | Some pfn ->
       t.stats.page_in_faults <- t.stats.page_in_faults + 1;
-      block_until t ~thread (fun ~done_ ->
+      Thread_lib.await_token t.env.threads ~thread (fun ~done_ ->
           Backing_store.page_in t.env.store ~block ~pfn (fun () -> done_ ()));
       let r = Segment.resident ~backing:block pfn in
       install t seg page r;
@@ -499,45 +470,19 @@ let record_demand (r : Segment.resident) vsp va =
    unmapped neighbors of the faulting page through the same batched call
    ({!Api.load_mappings_and_resume}).  Each avoided future soft fault saves
    a full trap + forward + handler navigation; a wrong guess costs one
-   [Hw.Cost.batch_entry] plus the install, and the adaptive throttle backs
-   the depth off when writebacks show prefetched mappings going unused. *)
-
-(* Throttle window: judge the depth every this many prefetch outcomes. *)
-let prefetch_window = 32
-
-let note_prefetch_outcome t ~used =
-  let inst = t.env.inst in
-  if used then begin
-    t.prefetch_used <- t.prefetch_used + 1;
-    Instance.count inst "prefetch.used"
-  end
-  else begin
-    t.prefetch_wasted <- t.prefetch_wasted + 1;
-    Instance.count inst "prefetch.wasted"
-  end;
-  if t.prefetch_used + t.prefetch_wasted >= prefetch_window then begin
-    let max_depth = inst.Instance.config.Config.fault_prefetch in
-    if t.prefetch_wasted > t.prefetch_used then
-      (* mostly wasted: halve, but keep probing with depth 1 so a returning
-         sequential phase can grow it back *)
-      t.prefetch_depth <- max 1 (t.prefetch_depth / 2)
-    else if t.prefetch_depth < max_depth then
-      t.prefetch_depth <- t.prefetch_depth + 1;
-    t.prefetch_used <- 0;
-    t.prefetch_wasted <- 0
-  end
+   [Hw.Cost.batch_entry] plus the install. *)
 
 (* Resident, not-yet-mapped neighbors of segment page [page] inside
-   [region], nearest first, up to the adaptive depth (capped so the batch
-   including the faulting entry fits [Config.mapping_batch_max]).  Only
+   [region], nearest first, up to [Config.fault_prefetch] (capped so the
+   batch including the faulting entry fits [Config.mapping_batch_max]).  Only
    [In_memory] pages qualify: prefetch amortizes the crossing, it must
    never start disk I/O or zero-fill — and it never reaches outside the
    region's segment window, so it cannot map past the segment's bounds. *)
 let prefetch_candidates t vsp (region : Region.t) ~page =
-  let config = t.env.inst.Instance.config in
-  if config.Config.fault_prefetch <= 0 then []
+  let prefetch = t.env.inst.Instance.config.Config.fault_prefetch in
+  if prefetch <= 0 then []
   else begin
-    let depth = min t.prefetch_depth (config.Config.mapping_batch_max - 1) in
+    let depth = min prefetch (Config.mapping_batch_max - 1) in
     let lo = region.Region.seg_offset in
     let hi = region.Region.seg_offset + region.Region.pages - 1 in
     let seg = region.Region.segment in
@@ -612,7 +557,6 @@ let load_batch_with_prefetch t vsp (region : Region.t) ~va (r : Segment.resident
       if loaded.(j) then begin
         let va', r' = entries.(j) in
         record_mapper r' vsp va';
-        Hashtbl.replace t.prefetched (vsp.tag, va') ();
         Instance.count inst "prefetch.issued"
       end
     done;
@@ -770,12 +714,6 @@ let handle_mapping_writeback t ~space_tag (state : Wb.mapping_state) =
   match space_by_tag t space_tag with
   | None -> ()
   | Some vsp -> (
-    (* A prefetched mapping's verdict arrives here: the referenced bit in
-       its writeback says whether the guess was used before displacement. *)
-    if Hashtbl.mem t.prefetched (vsp.tag, state.Wb.va) then begin
-      Hashtbl.remove t.prefetched (vsp.tag, state.Wb.va);
-      note_prefetch_outcome t ~used:state.Wb.referenced
-    end;
     match region_of vsp state.Wb.va with
     | None -> ()
     | Some region -> (

@@ -12,9 +12,15 @@
     ({!Backing_store.page_out_batch}).  A page stays resident while it is
     set aside or in flight; its frame goes when the write completes, if it
     is still unmapped and unmodified.  An evictor blocks only when the
-    hand finds no clean victim, until a batch completes.  Policy hooks
-    ([on_segv], [choose_victim], [on_consistency]) are mutable fields, the
-    simulation analogue of overriding the C++ library's virtual methods.
+    hand finds no clean victim, until a batch completes.
+
+    With [Config.fault_prefetch = k > 0] a forwarded fault also maps up to
+    [min k (Config.mapping_batch_max - 1)] resident, unmapped neighbours
+    of the faulting page in the same batched call; the depth is fixed.
+
+    Policy hooks ([on_segv], [choose_victim], [on_consistency]) are
+    mutable fields, the simulation analogue of overriding the C++
+    library's virtual methods.
 
     Fault handling executes inside the faulting thread's application-kernel
     frame, so operations that wait for disk I/O block the thread on an
@@ -54,7 +60,6 @@ type t = {
   spaces : (int, vspace) Hashtbl.t;
   mutable next_space_tag : int;
   mutable next_segment_id : int;
-  mutable next_wait_token : int;
   clock : (Segment.t * int * Segment.resident) Queue.t;
       (** eviction candidates in the order the Clock hand visits them; an
           entry names one residency and is skipped once the page has left
@@ -68,14 +73,6 @@ type t = {
   mutable launder_waiters : (unit -> unit) list;
       (** evictors blocked until the next batch completes *)
   stats : stats;
-  mutable prefetch_depth : int;
-      (** clustered-prefetch depth in use, adaptively throttled within
-          [1, Config.fault_prefetch] by the prefetch.used/wasted outcomes *)
-  prefetched : (int * int, unit) Hashtbl.t;
-      (** (space tag, va) mappings loaded ahead of demand, awaiting their
-          writeback's referenced-bit verdict *)
-  mutable prefetch_used : int;
-  mutable prefetch_wasted : int;
   mutable on_segv : t -> Kernel_obj.fault_ctx -> unit;
       (** policy hook: no region / protection error *)
   mutable choose_victim : t -> (Segment.t * int * Segment.resident) option;

@@ -30,6 +30,7 @@ type t = {
       (* resolve (and reload if written back) the space with a given tag *)
   table : (int, entry) Hashtbl.t;
   mutable next_id : int;
+  mutable next_token : int; (* completion tokens minted by [await_token] *)
   mutable reload_retries : int; (* stale-space retries performed *)
   mutable forwarder : (int -> va:int -> bool) option;
       (* re-targets signals for threads that migrated away (set by the
@@ -43,6 +44,7 @@ let create ~inst ~kernel ~space_oid =
     space_oid;
     table = Hashtbl.create 32;
     next_id = 1;
+    next_token = 0;
     reload_retries = 0;
     forwarder = None;
   }
@@ -218,16 +220,22 @@ let deliver t id ~va =
            { saved with Thread_obj.pending_signals = saved.Thread_obj.pending_signals @ [ va ] })
   | Some { run = Unloaded None | Exited; _ } | None -> ()
 
+(* Completion tokens are address-valued signals in a range no mapping or
+   other library uses; each wait gets its own. *)
+let token_base = 0x7E000000
+
 (** Block the calling thread (handler context) until the completion
-    signal carrying [token] arrives.  [start ~done_] submits the I/O;
+    signal carrying a fresh token arrives.  [start ~done_] submits the I/O;
     [done_] delivers the token to the thread by its local id, which
     survives a displacement and reload during the wait where its Cache
     Kernel identifier does not.  Other signals that arrive meanwhile are
     held aside and queued on the thread again once the token is in, in
     arrival order, so their real consumer still gets them; requeueing
     them during the wait would hand them straight back to this loop. *)
-let await_token t ~thread ~token (start : done_:(unit -> unit) -> unit) =
+let await_token t ~thread (start : done_:(unit -> unit) -> unit) =
   let inst = t.inst in
+  t.next_token <- t.next_token + 1;
+  let token = token_base + (t.next_token * 4) in
   let id =
     match Instance.find_thread inst thread with
     | Some th -> (

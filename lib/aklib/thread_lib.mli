@@ -87,13 +87,12 @@ val exited : t -> int -> bool
 val reload_retries : t -> int
 val iter : t -> (entry -> unit) -> unit
 
-val await_token :
-  t -> thread:Oid.t -> token:int -> (done_:(unit -> unit) -> unit) -> unit
-(** (handler context) [await_token t ~thread ~token start] submits I/O
-    with [start ~done_] and blocks [thread] until [done_] has delivered
-    [token] to it.  Delivery finds the thread by its local id: a thread
-    displaced and reloaded during the wait (a new identifier) still gets
-    the token, and one still written back finds it among its saved pending
-    signals when it is loaded again.  Signals other than [token] that
-    arrive during the wait are queued on the thread again afterwards, in
-    arrival order. *)
+val await_token : t -> thread:Oid.t -> (done_:(unit -> unit) -> unit) -> unit
+(** (handler context) [await_token t ~thread start] submits I/O with
+    [start ~done_] and blocks [thread] until [done_] has delivered a
+    completion token, minted fresh for this wait, to it.  Delivery finds
+    the thread by its local id: a thread displaced and reloaded during the
+    wait (a new identifier) still gets the token, and one still written
+    back finds it among its saved pending signals when it is loaded again.
+    Other signals that arrive during the wait are queued on the thread
+    again afterwards, in arrival order. *)

@@ -473,7 +473,7 @@ let load_mapping t ~caller ~space (spec : mapping_spec) =
 let load_mappings t ~caller ~space (specs : mapping_spec list) =
   match specs with
   | [] -> Ok 0
-  | _ when List.length specs > t.config.Config.mapping_batch_max ->
+  | _ when List.length specs > Config.mapping_batch_max ->
     Error (0, Bad_argument "batch exceeds mapping_batch_max")
   | _ ->
     charge t (Config.c_validate + Config.c_access_check);

@@ -103,17 +103,12 @@ type t = {
          or silent node cannot remain a migration target; 0 keeps reports
          forever (the pre-detector behavior) *)
   policy : Policy.kind; (* replacement policy of every descriptor cache *)
-  (* batched mapping loads & clustered fault prefetch *)
-  mapping_batch_max : int;
-      (* most mapping specs one [Api.load_mappings] call accepts: the batch
-         shares one trap/crossing charge, so the cap bounds how much work a
-         single supervisor entry can queue *)
+  (* clustered fault prefetch *)
   fault_prefetch : int;
-      (* clustered prefetch: on a forwarded page fault the segment manager
-         may load up to this many resident same-segment neighbors in the
-         same batch as the faulting mapping; 0 disables prefetch entirely
-         (the adaptive throttle can lower the effective depth, never raise
-         it past this) *)
+      (* on a forwarded page fault the segment manager loads up to this
+         many resident same-segment neighbors in the same batch as the
+         faulting mapping (at most [mapping_batch_max - 1]); 0 disables
+         prefetch entirely *)
   (* tiered backing store (fast local-RAM tier over the paging disk) *)
   fast_tier_slots : int;
       (* page capacity of the fast backing tier; 0 keeps the seed's flat
@@ -137,10 +132,14 @@ let default =
     suspect_timeout_us = 1_000.0;
     load_report_stale_us = 1_000_000.0;
     policy = Policy.Clock;
-    mapping_batch_max = 16;
     fault_prefetch = 0;
     fast_tier_slots = 0;
   }
+
+(* Most mapping specs one [Api.load_mappings] call accepts: the batch
+   shares one trap/crossing charge, so the cap bounds how much work a
+   single supervisor entry can queue. *)
+let mapping_batch_max = 16
 
 (* Table 1: descriptor sizes, bytes (space accounting and copy costs). *)
 

@@ -10,11 +10,13 @@
 
    A batch of frames ([write_frames]) goes to a run of consecutive blocks
    ([alloc_run]) as one sequential transfer: one seek, then one page
-   transfer per frame.
+   transfer per frame.  A batch of page images ([write_images], the tiered
+   store's demotions) is charged the same way.
 
    Zero-tail invariant: a block's buffer holds the block's bytes at least up
    to its last nonzero byte, and every byte past the buffer reads as zero.
-   Whole-page writes ([write_frames], [write_page_now], [import]) replace
+   Whole-page writes ([write_frames], [write_images], [write_page_now],
+   [import]) replace
    the block with the page's extent, its length without the zero tail; the
    buffer is reused, its tail zeroed, when the extent fits, and a block
    without one takes a freed block's buffer that fits, so a steady stream
@@ -165,8 +167,6 @@ let write_frames t ~block mem ~pfns k =
     pfns;
   Event_queue.schedule t.events ~time:(t.now () + run_latency n) k
 
-let write_frame t ~block mem ~pfn k = write_frames t ~block mem ~pfns:[| pfn |] k
-
 (** DMA [block] into frame [pfn] of [mem]: the block is captured at
     submission into a staging buffer (one per read in flight, reused) and
     lands in the frame at completion, just before [k ()] runs. *)
@@ -231,6 +231,15 @@ let write_page_now t ~block data =
   if len > Addr.page_size then
     invalid_arg (Printf.sprintf "Disk.write_page_now: %d-byte image" len);
   replace t ~block data ~pos:0 ~len
+
+(** Write the page images [(block, data)] as one transfer: each image
+    replaces its block at submission; [k ()] runs once, when the last
+    page is down. *)
+let write_images t images k =
+  let n = Array.length images in
+  t.writes <- t.writes + n;
+  Array.iter (fun (block, data) -> write_page_now t ~block data) images;
+  Event_queue.schedule t.events ~time:(t.now () + run_latency n) k
 
 (** Concatenate the contents of [blocks] (checkpoint-file export); each
     read is counted like a boot-time transfer. *)

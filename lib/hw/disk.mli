@@ -9,11 +9,13 @@
 
     A batch of frames ({!write_frames}) goes to a run of consecutive blocks
     ({!alloc_run}) as one sequential transfer: one seek, then one page
-    transfer per frame.
+    transfer per frame; a batch of page images ({!write_images}) is charged
+    the same way.
 
     Zero-tail invariant: a block's buffer holds its bytes at least up to
     the last nonzero one, and every byte past the buffer reads as zero.
-    Whole-page writes ({!write_frames}, {!write_page_now}, {!import})
+    Whole-page writes ({!write_frames}, {!write_images}, {!write_page_now},
+    {!import})
     replace the block with the page's extent, so a shorter rewrite reads
     zero past it; range writes ({!write_from}, {!write_now}) overlay the
     old contents.  Simulated costs are per page regardless. *)
@@ -56,8 +58,11 @@ val write_frames :
     replaces its block at submission and counts as one write; [k] runs once
     from the event queue on completion. *)
 
-val write_frame : t -> block:int -> Phys_mem.t -> pfn:int -> (unit -> unit) -> unit
-(** [write_frames] of one frame. *)
+val write_images : t -> (int * Bytes.t) array -> (unit -> unit) -> unit
+(** [write_images t images k] writes each page image [(block, data)], at
+    most a page long, as one transfer of [run_latency n] for [n] images.
+    Each image replaces its block at submission and counts as one write;
+    [k] runs once from the event queue on completion. *)
 
 val read_frame : t -> block:int -> Phys_mem.t -> pfn:int -> (unit -> unit) -> unit
 (** Read a block into a frame.  The block is captured at submission into a
@@ -88,8 +93,8 @@ val write_now : t -> block:int -> off:int -> Bytes.t -> pos:int -> len:int -> un
 (** Synchronous counterpart of {!write_from}. *)
 
 val write_page_now : t -> block:int -> Bytes.t -> unit
-(** Synchronous whole-page write (boot loading, tier demotion, checkpoint
-    flush): the page image, at most a page long, replaces the block. *)
+(** Synchronous whole-page write (boot loading, checkpoint flush): the
+    page image, at most a page long, replaces the block. *)
 
 val export : t -> blocks:int list -> Bytes.t
 (** Concatenate the contents of [blocks] — how a checkpoint image leaves

@@ -48,7 +48,6 @@ type t = {
   ring : int array;
   slot_of : (int, int) Hashtbl.t;
   mutable hand : int;
-  mutable next_token : int;
   mutable reads : int;
   mutable writes : int;
 }
@@ -62,7 +61,6 @@ let create ~inst ~threads ~disk =
     ring = Array.make cache_blocks (-1);
     slot_of = Hashtbl.create cache_blocks;
     hand = 0;
-    next_token = 0;
     reads = 0;
     writes = 0;
   }
@@ -137,13 +135,6 @@ let write_now t f ~offset data =
       Hw.Disk.write_now t.disk ~block ~off:in_block data ~pos ~len:chunk);
   f.size <- max f.size (offset + Bytes.length data)
 
-(* Blocking I/O from a syscall-handler frame: wait on a completion token. *)
-let fs_token_base = 0x7A000000
-
-let block_for_io t ~thread start =
-  t.next_token <- t.next_token + 1;
-  Aklib.Thread_lib.await_token t.threads ~thread ~token:(fs_token_base + (t.next_token * 4)) start
-
 (** (handler context) Read up to [len] bytes at [offset]: cached extents
     are copied out, the others block the calling thread on a disk read. *)
 let read t f ~thread ~offset ~len =
@@ -159,7 +150,7 @@ let read t f ~thread ~offset ~len =
           Instance.charge t.inst (3 * ((chunk + 3) / 4))
         end
         else
-          block_for_io t ~thread (fun ~done_ ->
+          Aklib.Thread_lib.await_token t.threads ~thread (fun ~done_ ->
               remember t block;
               Hw.Disk.read_into t.disk ~block ~off:in_block out ~pos ~len:chunk done_));
     out
@@ -171,7 +162,7 @@ let write t f ~thread ~offset data =
   t.writes <- t.writes + 1;
   let len = Bytes.length data in
   each_extent t f ~offset ~len (fun ~fresh ~block ~in_block ~pos ~chunk ->
-      block_for_io t ~thread (fun ~done_ ->
+      Aklib.Thread_lib.await_token t.threads ~thread (fun ~done_ ->
           let write () = Hw.Disk.write_from t.disk ~block ~off:in_block data ~pos ~len:chunk done_ in
           let hit = fresh || cached t block in
           remember t block;

@@ -443,12 +443,11 @@ let fp () =
         ~prepare:(fun inst -> captured := Some inst)
         ~mapping_capacity:256 1024
     in
-    let counter name = Metrics.counter (Option.get !captured).Instance.metrics name in
+    let issued = Metrics.counter (Option.get !captured).Instance.metrics "prefetch.issued" in
     ( p,
       [
         int "prefetch" prefetch; int "faults" p.faults; num "us_per_access" p.us_per_access;
-        int "issued" (counter "prefetch.issued"); int "used" (counter "prefetch.used");
-        int "wasted" (counter "prefetch.wasted");
+        int "issued" issued;
       ] )
   in
   let off, off_row = point 0 in
@@ -580,10 +579,7 @@ let ts () =
       [
         int "checkpoint_slots" slots; int "fast_resident" !resident; int "flushed" !flushed;
         num "pause_us"
-          (if !flushed = 0 then 0.0
-           else
-             Hw.Cost.us_of_cycles
-               (Hw.Cost.disk_seek + (!flushed * Hw.Cost.disk_page_transfer)));
+          (if !flushed = 0 then 0.0 else Hw.Cost.us_of_cycles (Hw.Disk.run_latency !flushed));
       ]
   in
   let ck_rows = List.map checkpoint [ 0; 32; 128 ] in

@@ -123,10 +123,9 @@ let test_page_out_stores_image () =
   Hw.Phys_mem.zero_page mem pfn;
   Hw.Phys_mem.write_word mem (Hw.Addr.addr_of_page pfn) 0x1234;
   let stored0 = Hw.Disk.stored_bytes disk in
-  let block = ref None in
-  Backing_store.page_out ak.App_kernel.store ~pfn (fun b -> block := Some b);
+  let block = Backing_store.alloc_block ak.App_kernel.store in
+  Backing_store.page_out_batch ak.App_kernel.store ~block ~pfns:[| pfn |] ignore;
   ignore (Engine.run [| inst |]);
-  let block = Option.get !block in
   let stored = Hw.Disk.stored_bytes disk - stored0 in
   if stored > 8 then Alcotest.failf "a one-word page stores %d bytes" stored;
   let want = Bytes.make Hw.Addr.page_size '\000' in
@@ -265,7 +264,6 @@ let test_prefetch_is_not_a_reference () =
   Alcotest.(check (pair bool bool)) "mapped but not referenced" (true, false)
     ((resident seg 1).Segment.mappers <> [], (resident seg 1).Segment.referenced);
   unmap_pages ak seg [ 0; 1 ];
-  Alcotest.(check int) "its writeback judged it wasted" 1 (count "prefetch.wasted");
   match mgr.Segment_mgr.choose_victim mgr with
   | Some (_, page, _) -> Alcotest.(check int) "the untouched neighbour is the victim" 1 page
   | None -> Alcotest.fail "no victim"

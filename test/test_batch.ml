@@ -89,7 +89,7 @@ let qcheck_batch_equiv =
 
 let test_batch_max_respected () =
   let inst, caller, space = fixture () in
-  let max = Config.default.Config.mapping_batch_max in
+  let max = Config.mapping_batch_max in
   let specs = specs_of (List.init (max + 1) Fun.id) in
   (match Api.load_mappings inst ~caller ~space specs with
   | Error (0, Api.Bad_argument _) -> ()

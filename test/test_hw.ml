@@ -424,7 +424,7 @@ let test_disk () =
   let b = Hw.Disk.alloc_block disk in
   fill_frame mem 0 'x';
   let done_w = ref false in
-  Hw.Disk.write_frame disk ~block:b mem ~pfn:0 (fun () -> done_w := true);
+  Hw.Disk.write_frames disk ~block:b mem ~pfns:[| 0 |] (fun () -> done_w := true);
   Alcotest.(check bool) "write pending until event runs" false !done_w;
   drain ();
   Alcotest.(check bool) "write completed" true !done_w;
@@ -452,13 +452,13 @@ let test_disk_read_snapshot () =
   let disk, mem, _, drain = disk_env () in
   let b = Hw.Disk.alloc_block disk in
   fill_frame mem 0 'a';
-  Hw.Disk.write_frame disk ~block:b mem ~pfn:0 ignore;
+  Hw.Disk.write_frames disk ~block:b mem ~pfns:[| 0 |] ignore;
   drain ();
   let out = Bytes.make 1 '.' in
   Hw.Disk.read_frame disk ~block:b mem ~pfn:1 ignore;
   Hw.Disk.read_into disk ~block:b ~off:0 out ~pos:0 ~len:1 ignore;
   fill_frame mem 0 'b';
-  Hw.Disk.write_frame disk ~block:b mem ~pfn:0 ignore;
+  Hw.Disk.write_frames disk ~block:b mem ~pfns:[| 0 |] ignore;
   Hw.Disk.write_now disk ~block:b ~off:0 (Bytes.of_string "c") ~pos:0 ~len:1;
   drain ();
   Alcotest.(check char) "frame read sees the block as submitted" 'a'
@@ -519,7 +519,7 @@ let test_disk_alloc_free () =
   Alcotest.(check bool) "unwritten block reads zero" true
     (Bytes.equal zero (Hw.Disk.read_now disk ~block:b2));
   fill_frame mem 0 'q';
-  List.iter (fun b -> Hw.Disk.write_frame disk ~block:b mem ~pfn:0 ignore) [ b0; b1; b2 ];
+  List.iter (fun b -> Hw.Disk.write_frames disk ~block:b mem ~pfns:[| 0 |] ignore) [ b0; b1; b2 ];
   drain ();
   Alcotest.(check int) "three live blocks" 3 (Hw.Disk.live_blocks disk);
   Hw.Disk.free_block disk b0;
@@ -592,7 +592,7 @@ let run_disk_model ops =
   let write_frame block ~kind n =
     let page = sparse_page ~kind n in
     if kind <> 0 then Hw.Phys_mem.write_bytes mem 0 page;
-    Hw.Disk.write_frame disk ~block mem ~pfn:(if kind = 0 then 3 else 0) ignore;
+    Hw.Disk.write_frames disk ~block mem ~pfns:[| (if kind = 0 then 3 else 0) |] ignore;
     model.Full_disk.writes <- model.writes + 1;
     Full_disk.write_range model ~block ~off:0 page
   in
