@@ -36,7 +36,7 @@ let show_info () =
   Fmt.pr "key costs (cycles): trap entry %d, fault forward %d, trap forward %d,@."
     Hw.Cost.trap_entry Hw.Cost.exception_forward Hw.Cost.trap_forward;
   Fmt.pr "  exception return %d, context switch %d, disk page %d@."
-    Hw.Cost.exception_return Hw.Cost.context_switch (Hw.Disk.latency ())
+    Hw.Cost.exception_return Hw.Cost.context_switch (Hw.Disk.run_latency 1)
 
 let write_json path what v =
   try

@@ -81,6 +81,19 @@ let () =
   Printf.printf "  %-44s %6d lines\n" "  of which bin/ckos.ml, lib/workload"
     bench_harness;
   Printf.printf "\n";
+  (* per module: its lines, and whether a `ckos bench` scenario or a
+     perfbench workload reaches it (Reach's transitive reference walk) *)
+  Printf.printf "  %-44s %6s  %s\n" "lib module (.ml + .mli)" "lines" "measured";
+  List.iter
+    (fun ((m : Reach.lib_module), reached) ->
+      let file ext = dir (Filename.concat m.dir (String.uncapitalize_ascii m.name ^ ext)) in
+      let lines f = if Sys.file_exists f then fst (read_lines f) else 0 in
+      Printf.printf "  %-44s %6d  %s\n"
+        (m.dir ^ "/" ^ m.name)
+        (lines (file ".ml") + lines (file ".mli"))
+        (if reached then "yes" else "NO"))
+    (Reach.reachability ~root);
+  Printf.printf "\n";
   Printf.printf "  paper: Cache Kernel VM < 1,500 lines vs 13,087 (V), 23,400 (Ultrix),\n";
   Printf.printf "  14,400 (SunOS), ~20,000 (Mach); whole Cache Kernel 14,958 lines.\n";
   Printf.printf "  The structural claim holds here the same way: the supervisor's VM\n";

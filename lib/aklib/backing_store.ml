@@ -7,8 +7,8 @@
 
    The store is optionally *tiered* (DESIGN.md section 9): a small fast
    tier — a pinned local-RAM backing segment of [Config.fast_tier_slots]
-   page images, charged [Hw.Cost.fast_tier_setup + fast_tier_page_copy]
-   per move — in front of the paging disk.  Every page-out image lands
+   page images, charged [fast_latency n] for a move of [n] images — in
+   front of the paging disk.  Every page-out image lands
    fast and every slow-tier refault is promoted; when the fast tier
    overflows, the least recently touched images are demoted to disk,
    [demote_batch] at a time through [Hw.Disk.write_images] — the same
@@ -79,6 +79,9 @@ let set_fault_plane t fi = t.fi <- Some fi
 
 (* Fast-tier images demoted per disk write. *)
 let demote_batch = 8
+
+(* A fast-tier move of [n] images, as [Hw.Disk.run_latency] is a disk's. *)
+let fast_latency n = Hw.Cost.fast_tier_setup + (n * Hw.Cost.fast_tier_page_copy)
 
 let configure_tiers t ~slots =
   if slots <= 0 then t.tiers <- None
@@ -278,7 +281,7 @@ let page_out_batch t ~block ~pfns k =
             install_fast tr ~block:(block + i) (Hw.Phys_mem.image t.mem ~pfn))
           pfns;
         Hw.Event_queue.schedule t.events
-          ~time:(t.now () + Hw.Cost.fast_tier_setup + (n * Hw.Cost.fast_tier_page_copy))
+          ~time:(t.now () + fast_latency n)
           (fun () ->
             maybe_demote t tr;
             k ()))
@@ -290,7 +293,7 @@ let promote t tr ~block data =
   let gen0 = m.gen in
   attempt t Cachekernel.Fault_inject.tier_promote (fun () ->
       Hw.Event_queue.schedule t.events
-        ~time:(t.now () + Hw.Cost.fast_tier_setup + Hw.Cost.fast_tier_page_copy)
+        ~time:(t.now () + fast_latency 1)
         (fun () ->
           match Hashtbl.find_opt tr.meta block with
           | Some m when m.gen = gen0 && m.tier = Slow ->
@@ -328,7 +331,7 @@ let page_in t ~block ~pfn k =
         match Hashtbl.find_opt tr.fast block with
         | Some data ->
           Hw.Event_queue.schedule t.events
-            ~time:(t.now () + Hw.Cost.fast_tier_setup + Hw.Cost.fast_tier_page_copy)
+            ~time:(t.now () + fast_latency 1)
             (fun () ->
               Hw.Phys_mem.copy_page_in t.mem ~pfn data;
               tr.obs_service ~fast:true (t.now () - start);
@@ -359,34 +362,32 @@ let write_block_now t ~block data =
 (** Synchronous block read that honours the tier split: migration and
     checkpoint capture must see the authoritative copy wherever it lives. *)
 let read_block_now t ~block =
-  match t.tiers with
-  | None -> Hw.Disk.read_now t.disk ~block
-  | Some tr -> (
-    match Hashtbl.find_opt tr.fast block with
-    | Some data when (get_meta tr block).tier = Fast ->
-      let page = Bytes.make Hw.Addr.page_size '\000' in
-      Bytes.blit data 0 page 0 (Bytes.length data);
-      page
-    | _ -> Hw.Disk.read_now t.disk ~block)
+  let page = Bytes.make Hw.Addr.page_size '\000' in
+  (match t.tiers with
+  | Some tr when Hashtbl.mem tr.fast block && (get_meta tr block).tier = Fast ->
+    let data = Hashtbl.find tr.fast block in
+    Bytes.blit data 0 page 0 (Bytes.length data)
+  | _ -> Hw.Disk.read_into_now t.disk ~block ~off:0 page ~pos:0 ~len:Hw.Addr.page_size);
+  page
 
-(** Synchronously demote every fast-tier image to the paging disk.  A
-    checkpoint must not depend on the volatile RAM tier, so capture flushes
-    first; the returned count lets callers model the extra pause. *)
-let checkpoint_flush t =
+(** Demote every fast-tier image to the paging disk as one timed
+    [Hw.Disk.write_images]; the images leave the fast tier at submission.
+    A checkpoint must not depend on the volatile RAM tier. *)
+let checkpoint_flush t k =
   match t.tiers with
   | None -> 0
   | Some tr ->
-    let entries = Hashtbl.fold (fun block data acc -> (block, data) :: acc) tr.fast [] in
+    let images = Hashtbl.fold (fun block data acc -> (block, data) :: acc) tr.fast [] in
     List.iter
-      (fun (block, data) ->
-        Hw.Disk.write_page_now t.disk ~block data;
+      (fun (block, _) ->
         (get_meta tr block).tier <- Slow;
         Hashtbl.remove tr.fast block;
         tr.fast_live <- tr.fast_live - 1;
         tr.demotes <- tr.demotes + 1;
         tr.obs_count "tier.checkpoint_flush")
-      entries;
-    List.length entries
+      images;
+    if images <> [] then Hw.Disk.write_images t.disk (Array.of_list images) k;
+    List.length images
 
 (* -- audit: per-tier conservation --
 

@@ -79,10 +79,13 @@ val read_block_now : t -> block:int -> Bytes.t
     (migration and checkpoint capture must not read a stale disk image
     behind the fast tier). *)
 
-val checkpoint_flush : t -> int
-(** Synchronously demote every fast-tier image to the paging disk and
-    return how many moved — a checkpoint must not depend on the volatile
-    RAM tier.  [0] on a flat store. *)
+val checkpoint_flush : t -> (unit -> unit) -> int
+(** [checkpoint_flush t k] demotes every fast-tier image to the paging disk
+    as one timed {!Hw.Disk.write_images} and returns how many moved — a
+    checkpoint must not depend on the volatile RAM tier.  The images leave
+    the fast tier at submission; [k] runs once on the disk's completion,
+    [Hw.Disk.run_latency n] later.  With nothing to flush (always on a flat
+    store) it returns [0] and [k] never runs. *)
 
 val audit_tiers : t -> repair:bool -> (string * string * string * bool) list
 (** Per-tier conservation check (check name ["tier"]): every writeback

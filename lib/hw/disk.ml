@@ -8,22 +8,26 @@
    The disk owns block allocation: every allocated block has one owner that
    rewrites it in place or frees it, and a freed block drops its data.
 
-   A batch of frames ([write_frames]) goes to a run of consecutive blocks
-   ([alloc_run]) as one sequential transfer: one seek, then one page
-   transfer per frame.  A batch of page images ([write_images], the tiered
-   store's demotions) is charged the same way.
+   One completion rule: every timed transfer ([write_frames],
+   [write_images], [read_frame], [read_into], [write_from]) goes through
+   [submit], which counts its [n] pages as reads or writes and completes
+   at now + [run_latency n] — one seek, then one page transfer per page.
+   A batch of frames goes to a run of consecutive blocks ([alloc_run]);
+   a batch of page images (the tiered store's demotions and checkpoint
+   flush) may go anywhere.  The untimed calls ([read_into_now],
+   [write_now], [write_page_now]) serve boot-time loading, capture and a
+   buffer cache's hits: no count, no event.
 
    Zero-tail invariant: a block's buffer holds the block's bytes at least up
    to its last nonzero byte, and every byte past the buffer reads as zero.
-   Whole-page writes ([write_frames], [write_images], [write_page_now],
-   [import]) replace
-   the block with the page's extent, its length without the zero tail; the
-   buffer is reused, its tail zeroed, when the extent fits, and a block
-   without one takes a freed block's buffer that fits, so a steady stream
-   of page-outs, in place or to fresh runs, allocates next to nothing.
-   Range writes ([write_from], [write_now]) overlay: they grow the buffer
-   to cover the range and never shrink it.  Costs are charged per page
-   whatever a buffer holds.
+   Whole-page writes ([write_frames], [write_images], [write_page_now])
+   replace the block with the page's extent, its length without the zero
+   tail; the buffer is reused, its tail zeroed, when the extent fits, and a
+   block without one takes a freed block's buffer that fits, so a steady
+   stream of page-outs, in place or to fresh runs, allocates next to
+   nothing.  Range writes ([write_from], [write_now]) overlay: they grow
+   the buffer to cover the range and never shrink it.  Costs are charged
+   per page whatever a buffer holds.
 
    Transfers are DMA-style: bytes move between a block's own buffer and a
    frame or caller buffer, with no intermediate copy except the staging
@@ -93,7 +97,6 @@ let free_block t block =
 
 (* One seek, then [n] page transfers. *)
 let run_latency n = Cost.disk_seek + (n * Cost.disk_page_transfer)
-let latency () = run_latency 1
 
 (* The smallest spare buffer of at least [n] bytes, taken out of the
    pool: a page written to a fresh block mostly finds its own old one. *)
@@ -154,76 +157,21 @@ let check_range name ~off ~len =
   if off < 0 || len < 0 || off + len > Addr.page_size then
     invalid_arg (Printf.sprintf "Disk.%s: range %d+%d outside the block" name off len)
 
-let complete t k = Event_queue.schedule t.events ~time:(t.now () + latency ()) k
+(* The one timed transfer: count [n] pages read or written, and run [k]
+   from the event queue at now + [run_latency n].  The caller moves the
+   bytes, at submission or inside [k]. *)
+let submit t ~write n k =
+  if write then t.writes <- t.writes + n else t.reads <- t.reads + n;
+  Event_queue.schedule t.events ~time:(t.now () + run_latency n) k
 
 (** DMA frames [pfns] of [mem] into the run of blocks [block],
     [block + 1], ...: each frame's extent replaces its block at submission;
     [k ()] runs once, when the last page is down. *)
 let write_frames t ~block mem ~pfns k =
-  let n = Array.length pfns in
-  t.writes <- t.writes + n;
   Array.iteri
     (fun i pfn -> ignore (Phys_mem.copy_image_out mem ~pfn (replace_buffer t (block + i))))
     pfns;
-  Event_queue.schedule t.events ~time:(t.now () + run_latency n) k
-
-(** DMA [block] into frame [pfn] of [mem]: the block is captured at
-    submission into a staging buffer (one per read in flight, reused) and
-    lands in the frame at completion, just before [k ()] runs. *)
-let read_frame t ~block mem ~pfn k =
-  t.reads <- t.reads + 1;
-  if not (Hashtbl.mem t.blocks block) then
-    complete t (fun () ->
-        Phys_mem.zero_page mem pfn;
-        k ())
-  else begin
-    let stage =
-      match t.staging with
-      | s :: rest ->
-        t.staging <- rest;
-        s
-      | [] -> Bytes.create Addr.page_size
-    in
-    blit_out t block ~off:0 stage ~pos:0 ~len:Addr.page_size;
-    complete t (fun () ->
-        Phys_mem.copy_page_in mem ~pfn stage;
-        t.staging <- stage :: t.staging;
-        k ())
-  end
-
-(** Read [len] bytes at [off] of [block] into [dst] at [pos].  The bytes
-    land at submission, which is the snapshot: [dst] is the caller's
-    private buffer and must not be looked at before [k ()] runs. *)
-let read_into t ~block ~off dst ~pos ~len k =
-  check_range "read_into" ~off ~len;
-  t.reads <- t.reads + 1;
-  blit_out t block ~off dst ~pos ~len;
-  complete t k
-
-(** Write [len] bytes of [src] at [pos] into [block] at [off]; the bytes
-    land in the block's buffer at submission, [k ()] runs on completion. *)
-let write_from t ~block ~off src ~pos ~len k =
-  check_range "write_from" ~off ~len;
-  t.writes <- t.writes + 1;
-  Bytes.blit src pos (overlay_buffer t block (off + len)) off len;
-  complete t k
-
-(** Synchronous variants for boot-time loading and capture (no latency
-    modelling).  [read_now] returns a page the caller owns. *)
-let read_now t ~block =
-  let page = Bytes.create Addr.page_size in
-  blit_out t block ~off:0 page ~pos:0 ~len:Addr.page_size;
-  page
-
-(** Copy [len] bytes at [off] of [block] into [dst] at [pos] at once:
-    no latency, no count, no allocation — a buffer cache's hit path. *)
-let read_into_now t ~block ~off dst ~pos ~len =
-  check_range "read_into_now" ~off ~len;
-  blit_out t block ~off dst ~pos ~len
-
-let write_now t ~block ~off src ~pos ~len =
-  check_range "write_now" ~off ~len;
-  Bytes.blit src pos (overlay_buffer t block (off + len)) off len
+  submit t ~write:true (Array.length pfns) k
 
 (** Replace [block] with the page image [data]. *)
 let write_page_now t ~block data =
@@ -236,30 +184,54 @@ let write_page_now t ~block data =
     replaces its block at submission; [k ()] runs once, when the last
     page is down. *)
 let write_images t images k =
-  let n = Array.length images in
-  t.writes <- t.writes + n;
   Array.iter (fun (block, data) -> write_page_now t ~block data) images;
-  Event_queue.schedule t.events ~time:(t.now () + run_latency n) k
+  submit t ~write:true (Array.length images) k
 
-(** Concatenate the contents of [blocks] (checkpoint-file export); each
-    read is counted like a boot-time transfer. *)
-let export t ~blocks =
-  let out = Bytes.create (List.length blocks * Addr.page_size) in
-  List.iteri
-    (fun i block ->
-      t.reads <- t.reads + 1;
-      blit_out t block ~off:0 out ~pos:(i * Addr.page_size) ~len:Addr.page_size)
-    blocks;
-  out
+(** DMA [block] into frame [pfn] of [mem]: the block is captured at
+    submission into a staging buffer (one per read in flight, reused) and
+    lands in the frame at completion, just before [k ()] runs. *)
+let read_frame t ~block mem ~pfn k =
+  if not (Hashtbl.mem t.blocks block) then
+    submit t ~write:false 1 (fun () ->
+        Phys_mem.zero_page mem pfn;
+        k ())
+  else begin
+    let stage =
+      match t.staging with
+      | s :: rest ->
+        t.staging <- rest;
+        s
+      | [] -> Bytes.create Addr.page_size
+    in
+    blit_out t block ~off:0 stage ~pos:0 ~len:Addr.page_size;
+    submit t ~write:false 1 (fun () ->
+        Phys_mem.copy_page_in mem ~pfn stage;
+        t.staging <- stage :: t.staging;
+        k ())
+  end
 
-(** Write a byte string across freshly allocated blocks (zero-padded to
-    page size); returns the blocks in order. *)
-let import t data =
-  let len = Bytes.length data in
-  let n = max 1 ((len + Addr.page_size - 1) / Addr.page_size) in
-  List.init n (fun i ->
-      let off = i * Addr.page_size in
-      let block = alloc_block t in
-      t.writes <- t.writes + 1;
-      replace t ~block data ~pos:off ~len:(min Addr.page_size (len - off));
-      block)
+(** Read [len] bytes at [off] of [block] into [dst] at [pos].  The bytes
+    land at submission, which is the snapshot: [dst] is the caller's
+    private buffer and must not be looked at before [k ()] runs. *)
+let read_into t ~block ~off dst ~pos ~len k =
+  check_range "read_into" ~off ~len;
+  blit_out t block ~off dst ~pos ~len;
+  submit t ~write:false 1 k
+
+(** Write [len] bytes of [src] at [pos] into [block] at [off]; the bytes
+    land in the block's buffer at submission, [k ()] runs on completion. *)
+let write_from t ~block ~off src ~pos ~len k =
+  check_range "write_from" ~off ~len;
+  Bytes.blit src pos (overlay_buffer t block (off + len)) off len;
+  submit t ~write:true 1 k
+
+(** Copy [len] bytes at [off] of [block] into [dst] at [pos] at once:
+    no latency, no count, no allocation — a buffer cache's hit path, and
+    capture's whole-page read. *)
+let read_into_now t ~block ~off dst ~pos ~len =
+  check_range "read_into_now" ~off ~len;
+  blit_out t block ~off dst ~pos ~len
+
+let write_now t ~block ~off src ~pos ~len =
+  check_range "write_now" ~off ~len;
+  Bytes.blit src pos (overlay_buffer t block (off + len)) off len

@@ -7,15 +7,18 @@
     between a block's own buffer and a frame or caller buffer; a read
     always returns the block's contents as of its submission.
 
-    A batch of frames ({!write_frames}) goes to a run of consecutive blocks
-    ({!alloc_run}) as one sequential transfer: one seek, then one page
-    transfer per frame; a batch of page images ({!write_images}) is charged
-    the same way.
+    One completion rule covers every timed transfer ({!write_frames},
+    {!write_images}, {!read_frame}, {!read_into}, {!write_from}): its [n]
+    pages count [n] in {!reads} or {!writes}, and its continuation runs
+    once from the event queue at now + {!run_latency}[ n] — one seek, then
+    one page transfer per page.  A batch of frames goes to a run of
+    consecutive blocks ({!alloc_run}).  The untimed calls
+    ({!read_into_now}, {!write_now}, {!write_page_now}) serve boot-time
+    loading, capture and a buffer cache's hits: no count, no event.
 
     Zero-tail invariant: a block's buffer holds its bytes at least up to
     the last nonzero one, and every byte past the buffer reads as zero.
-    Whole-page writes ({!write_frames}, {!write_images}, {!write_page_now},
-    {!import})
+    Whole-page writes ({!write_frames}, {!write_images}, {!write_page_now})
     replace the block with the page's extent, so a shorter rewrite reads
     zero past it; range writes ({!write_from}, {!write_now}) overlay the
     old contents.  Simulated costs are per page regardless. *)
@@ -43,9 +46,6 @@ val alloc_run : t -> int -> int
 val free_block : t -> int -> unit
 (** Return a block to the allocator and drop its data: it reads as zeroes
     until written again. *)
-
-val latency : unit -> Cost.cycles
-(** One page transfer: [run_latency 1]. *)
 
 val run_latency : int -> Cost.cycles
 (** A sequential transfer of [n] pages: one seek, then [n] page
@@ -80,26 +80,15 @@ val write_from :
 (** [write_from t ~block ~off src ~pos ~len k] writes [len] bytes of [src]
     at [pos] into the block at [off], landing at submission. *)
 
-val read_now : t -> block:int -> Bytes.t
-(** Synchronous read for boot-time loading and capture (no latency
-    modelled); returns a whole page the caller owns. *)
-
 val read_into_now : t -> block:int -> off:int -> Bytes.t -> pos:int -> len:int -> unit
 (** Synchronous counterpart of {!read_into}: the bytes land at once, with
     no latency, no event and no count in {!reads}; nothing is allocated.
-    A buffer cache serves its hits through this. *)
+    A buffer cache serves its hits through this, and capture reads whole
+    pages through it. *)
 
 val write_now : t -> block:int -> off:int -> Bytes.t -> pos:int -> len:int -> unit
 (** Synchronous counterpart of {!write_from}. *)
 
 val write_page_now : t -> block:int -> Bytes.t -> unit
-(** Synchronous whole-page write (boot loading, checkpoint flush): the
-    page image, at most a page long, replaces the block. *)
-
-val export : t -> blocks:int list -> Bytes.t
-(** Concatenate the contents of [blocks] — how a checkpoint image leaves
-    the simulated disk for a host file. *)
-
-val import : t -> Bytes.t -> int list
-(** Spread a byte string across freshly allocated blocks (zero-padded to
-    page size); returns the blocks in order. *)
+(** Synchronous whole-page write for boot-time loading: the page image,
+    at most a page long, replaces the block. *)

@@ -1,11 +1,14 @@
-(* Checkpoint/restore: the migration codec written through the paging
-   disk instead of the fiber.
+(* Checkpoint/restore: the migration codec written to a host file
+   instead of the fiber.
 
    A checkpoint is a passive capture of every managed address space (the
    kernel's own space excluded — the restoring kernel brings its own) and
-   every live thread record.  The image is staged through the simulated
-   disk — [Hw.Disk.import] charges the writes, [export] the reads — and
-   then persisted to a host file so a later *process* can restore it.
+   every live thread record.  The file holds the codec bytes themselves,
+   so a later *process* can restore it; the capture reads pages with the
+   untimed [Backing_store.read_block_now].  What the simulation charges is
+   the fast-tier flush that comes with a save: one timed disk write of
+   every fast-resident image, whose duration lands in
+   [checkpoint.flush_us].
 
    Continuations do not survive a process boundary (DESIGN.md section 2):
    restored threads restart fresh from their program bodies, rebound by
@@ -57,31 +60,22 @@ let image_of ak ?(extras = []) ?(name_of = fun (_ : Thread_lib.entry) -> "") () 
     extras;
   }
 
-(* Round-trip [bytes] through the paging disk, charged as ordinary block
-   writes and reads; the staging blocks are freed once read back. *)
-let stage ak bytes =
-  let disk = ak.App_kernel.disk in
-  let blocks = Hw.Disk.import disk bytes in
-  let staged = Hw.Disk.export disk ~blocks in
-  List.iter (Hw.Disk.free_block disk) blocks;
-  staged
-
 (* Persist an already-captured image (e.g. one taken mid-session, with
    extras appended later) to [path].  Returns the image size in bytes. *)
 let save_image ak ~path img =
   let i = ak.App_kernel.inst in
   (* a checkpoint must not depend on the volatile fast tier: demote every
-     fast-resident image to the paging disk first (the flush count models
-     the extra persistence pause) *)
-  let flushed = Backing_store.checkpoint_flush ak.App_kernel.store in
+     fast-resident image to the paging disk first, as one timed write whose
+     completion records the persistence pause *)
+  let now () = Hw.Mpm.now i.Instance.node in
+  let t0 = now () in
+  let flushed =
+    Backing_store.checkpoint_flush ak.App_kernel.store (fun () ->
+        Instance.observe_cycles i "checkpoint.flush_us" (now () - t0))
+  in
   if flushed > 0 then Metrics.incr ~by:flushed i.Instance.metrics "checkpoint.tier_flush";
   let bytes = Codec.encode img in
-  (* stage through the paging disk: the checkpoint leaves via the backing
-     store, charged as ordinary block writes/reads *)
-  let staged = stage ak bytes in
-  (* [staged] is page-padded; the codec header records the true length,
-     and decode ignores bytes past the checksum *)
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc staged);
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc bytes);
   Metrics.incr ~by:(Bytes.length bytes) i.Instance.metrics "checkpoint.bytes";
   Instance.trace i (Trace.Checkpointed { restore = false; bytes = Bytes.length bytes });
   Bytes.length bytes
@@ -103,9 +97,8 @@ let restore ak ~path ~programs ?(schedule = true) () =
   let data =
     In_channel.with_open_bin path (fun ic -> Bytes.of_string (In_channel.input_all ic))
   in
-  (* land the image on the local paging disk first — a restore arrives
-     from the backing store, charged like any page-in *)
-  let data = stage ak data in
+  (* files written before checkpoints held the bare codec bytes are
+     page-padded: decode ignores bytes past the checksum *)
   match Codec.decode data with
   | Error msg -> Error msg
   | Ok img -> (

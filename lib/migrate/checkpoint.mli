@@ -1,6 +1,5 @@
-(** Checkpoint/restore: the {!Codec} image written through the paging disk
-    to a host file, so an application-kernel session survives a process
-    boundary.
+(** Checkpoint/restore: the {!Codec} image written to a host file, so an
+    application-kernel session survives a process boundary.
 
     Continuations do not cross processes: restored threads restart fresh
     from their program bodies, rebound by the program name recorded at
@@ -24,8 +23,9 @@ val save :
   ?name_of:(Thread_lib.entry -> string) ->
   unit ->
   int
-(** Encode, stage through the simulated disk (charged as block I/O), and
-    persist to [path].  Returns the image size in bytes. *)
+(** Flush the fast tier to the paging disk (one timed write; its duration
+    is observed as [checkpoint.flush_us] once the node's queue runs it),
+    then encode and persist to [path].  Returns the image size in bytes. *)
 
 val save_image : App_kernel.t -> path:string -> Codec.image -> int
 (** [save] for an already-captured image — e.g. one taken mid-session
@@ -44,6 +44,5 @@ val restore :
   ?schedule:bool ->
   unit ->
   (restored, string) result
-(** Decode [path] (staged back through the simulated disk), rebuild its
-    spaces, and adopt its threads; [programs] rebinds saved program names
+(** Decode [path], rebuild its spaces, and adopt its threads; [programs] rebinds saved program names
     to bodies.  Rejects corrupt images without applying anything. *)

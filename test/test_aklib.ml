@@ -150,7 +150,7 @@ let test_remap_during_page_out () =
   in
   let vsp_b, seg_b = page_space "b" in
   let vsp_a, seg_a = page_space "a" in
-  let io = Hw.Disk.latency () in
+  let io = Hw.Disk.run_latency 1 in
   let seen = ref (-1) in
   ignore
     (spawn_user ak vsp_b ~priority:8 (fun () ->
@@ -379,7 +379,7 @@ let test_launder_clean_victim_first () =
     [ (true, n); (false, n) ]
     (List.rev_map (fun (e, w) -> (e = `Served, w)) !events);
   Alcotest.(check bool) "the fault did not wait for the disk" true
-    (!t1 - !t0 < Hw.Disk.latency ());
+    (!t1 - !t0 < Hw.Disk.run_latency 1);
   let lat = Hw.Disk.run_latency n in
   if !done_at < !t0 + lat || !done_at > !t1 + lat then
     Alcotest.failf "batch done at %d, submitted in [%d, %d], latency %d" !done_at !t0 !t1
@@ -530,7 +530,7 @@ let page_in_across_reload ~reschedule_before () =
   Segment.set_state seg 0 (Segment.On_disk block);
   let seen = ref (-1) in
   let tid = spawn_user ak vsp ~priority:8 (fun () -> seen := Hw.Exec.mem_read base) in
-  let io_us = Hw.Cost.us_of_cycles (Hw.Disk.latency ()) in
+  let io_us = Hw.Cost.us_of_cycles (Hw.Disk.run_latency 1) in
   ignore (Engine.run ~until_us:(io_us /. 4.0) [| inst |]);
   Alcotest.(check int) "blocked in the page-in" 1
     (Segment_mgr.stats ak.App_kernel.mgr).Segment_mgr.page_in_faults;

@@ -18,7 +18,8 @@
    - unit coverage for the placement rule (page-outs land fast, slow
      refaults promote, the least recently touched image is demoted),
      demotion batching, demotion as a disk write ([Hw.Disk.writes] and
-     [Hw.Disk.run_latency]), [read_block_now] and [checkpoint_flush]. *)
+     [Hw.Disk.run_latency]), [read_block_now] and [checkpoint_flush] (one
+     timed [Hw.Disk.write_images] of every fast image). *)
 
 open Cachekernel
 open Aklib
@@ -53,6 +54,12 @@ let fill_frame env ~pfn seed =
   Hw.Phys_mem.write_bytes env.mem
     (Hw.Addr.addr_of_page pfn)
     (Bytes.init Hw.Addr.page_size (fun i -> Char.chr ((seed + (i * 7)) land 0xff)))
+
+(* The whole page the raw disk holds for [block], past any fast image. *)
+let disk_page env ~block =
+  let page = Bytes.create Hw.Addr.page_size in
+  Hw.Disk.read_into_now env.disk ~block ~off:0 page ~pos:0 ~len:Hw.Addr.page_size;
+  page
 
 let image seed = Bytes.init Hw.Addr.page_size (fun i -> Char.chr ((seed + (i * 7)) land 0xff))
 
@@ -410,8 +417,17 @@ let test_checkpoint_flush () =
         (!b, i * 17))
   in
   Alcotest.(check int) "all fast-resident" 5 (Backing_store.fast_resident store);
-  Alcotest.(check int) "flush count" 5 (Backing_store.checkpoint_flush store);
-  Alcotest.(check int) "fast tier empty" 0 (Backing_store.fast_resident store);
+  let writes0 = Hw.Disk.writes env.disk and t0 = !(env.now) in
+  let completions = ref 0 in
+  Alcotest.(check int) "flush count" 5
+    (Backing_store.checkpoint_flush store (fun () -> incr completions));
+  Alcotest.(check int) "fast tier empty at submission" 0 (Backing_store.fast_resident store);
+  Alcotest.(check int) "one write per image" 5 (Hw.Disk.writes env.disk - writes0);
+  Alcotest.(check int) "one disk transfer in flight" 1 (Hw.Event_queue.length env.events);
+  drain env;
+  Alcotest.(check int) "one completion" 1 !completions;
+  Alcotest.(check int) "completes run_latency 5 after submission" (Hw.Disk.run_latency 5)
+    (!(env.now) - t0);
   (* flushed images now read back from the raw disk *)
   List.iter
     (fun (block, seed) ->
@@ -419,9 +435,11 @@ let test_checkpoint_flush () =
       Alcotest.(check bool)
         (Printf.sprintf "block %d persisted" block)
         true
-        (Bytes.equal want (Hw.Disk.read_now env.disk ~block)))
+        (Bytes.equal want (disk_page env ~block)))
     blocks;
-  Alcotest.(check int) "second flush is empty" 0 (Backing_store.checkpoint_flush store)
+  Alcotest.(check int) "second flush is empty" 0
+    (Backing_store.checkpoint_flush store (fun () -> Alcotest.fail "an empty flush completed"));
+  Alcotest.(check bool) "an empty flush submits nothing" true (Hw.Event_queue.is_empty env.events)
 
 (* A demotion captured under a block's previous life must not apply after
    the block is freed and reallocated: the batch travels with the victim's
@@ -548,7 +566,7 @@ let test_fast_first_and_promote () =
   ignore (page_out 1 2);
   Alcotest.(check int) "overflow demoted one image" 1 (Backing_store.tier_demotes store);
   Alcotest.(check bool) "demoted image reached the disk" true
-    (Bytes.equal (image 1) (Hw.Disk.read_now env.disk ~block:a));
+    (Bytes.equal (image 1) (disk_page env ~block:a));
   Backing_store.page_in store ~block:a ~pfn:2 (fun () -> ());
   drain env;
   Alcotest.(check bool) "slow refault read the image" true (frame_holds env ~pfn:2 1);
@@ -581,11 +599,11 @@ let test_demotion_order () =
   ignore (page_out 4);
   Alcotest.(check int) "one demotion" 1 (Backing_store.tier_demotes store);
   Alcotest.(check bool) "least recently touched block demoted" true
-    (Bytes.equal (image 41) (Hw.Disk.read_now env.disk ~block:b));
+    (Bytes.equal (image 41) (disk_page env ~block:b));
   Alcotest.(check bool) "refaulted block stayed fast" false
-    (Bytes.equal (image 40) (Hw.Disk.read_now env.disk ~block:a));
+    (Bytes.equal (image 40) (disk_page env ~block:a));
   Alcotest.(check bool) "younger block stayed fast" false
-    (Bytes.equal (image 42) (Hw.Disk.read_now env.disk ~block:c));
+    (Bytes.equal (image 42) (disk_page env ~block:c));
   List.iter
     (fun (block, seed) ->
       Alcotest.(check bool)
@@ -607,7 +625,7 @@ let test_read_block_now_fast () =
     (Bytes.equal want (Backing_store.read_block_now store ~block:!b));
   (* the raw disk never saw this hot image *)
   Alcotest.(check bool) "raw disk is stale" false
-    (Bytes.equal want (Hw.Disk.read_now env.disk ~block:!b))
+    (Bytes.equal want (disk_page env ~block:!b))
 
 (* A page image replaces its block on disk: demoting or flushing a short
    image over a block that held a longer one leaves nothing of the old
@@ -631,10 +649,10 @@ let test_short_image_replaces () =
   Alcotest.(check int) "the overflow demoted the older image" 1
     (Backing_store.tier_demotes store);
   Alcotest.(check bool) "demoted short image reads zero past its extent" true
-    (Bytes.equal short (Hw.Disk.read_now env.disk ~block:a));
-  Alcotest.(check int) "flush moved the other" 1 (Backing_store.checkpoint_flush store);
+    (Bytes.equal short (disk_page env ~block:a));
+  Alcotest.(check int) "flush moved the other" 1 (Backing_store.checkpoint_flush store ignore);
   Alcotest.(check bool) "flushed short image reads zero past its extent" true
-    (Bytes.equal short (Hw.Disk.read_now env.disk ~block:b))
+    (Bytes.equal short (disk_page env ~block:b))
 
 let () =
   Alcotest.run "tiers"

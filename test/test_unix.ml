@@ -523,7 +523,11 @@ let test_exit_frees_blocks_keeps_text () =
     let f = Option.get (Fs.lookup emu.Emulator.fs "/bin/job") in
     List.init
       ((Fs.size f + Hw.Addr.page_size - 1) / Hw.Addr.page_size)
-      (fun i -> Hw.Disk.read_now disk ~block:(Fs.block_of emu.Emulator.fs f i))
+      (fun i ->
+        let page = Bytes.create Hw.Addr.page_size in
+        Hw.Disk.read_into_now disk ~block:(Fs.block_of emu.Emulator.fs f i) ~off:0 page ~pos:0
+          ~len:Hw.Addr.page_size;
+        page)
   in
   let text = text_image () in
   let live0 = Hw.Disk.live_blocks disk in
