@@ -6,7 +6,7 @@
    loading of mapping descriptors on page faults."
 
    This is where paging *policy* lives: frame allocation, page replacement
-   (Clock with a pluggable victim hook), backing-store I/O, zero-fill and
+   (Clock with a pluggable [keep] test), backing-store I/O, zero-fill and
    copy-on-write — everything a monolithic kernel's VM system does, but in
    user mode, driving the Cache Kernel through load/unload of mappings and
    reading the referenced/modified bits out of writeback records.
@@ -47,27 +47,37 @@ type stats = {
   mutable evictions : int;
 }
 
-type t = {
-  env : env;
-  spaces : (int, vspace) Hashtbl.t; (* by tag *)
-  mutable next_space_tag : int;
-  mutable next_segment_id : int;
+(* The hand's bookkeeping.  A residency has at most one entry across
+   [clock], [laundry] and [in_flight]: [install] queues it once, the hand
+   pops it before setting it aside, and a completed batch requeues only
+   the pages it does not free.  So the hand never visits a page that is
+   set aside or in flight. *)
+type hand = {
   clock : (Segment.t * int * Segment.resident) Queue.t;
       (* eviction candidates in the order the Clock hand visits them; an
          entry names one residency and goes stale when the page leaves it *)
   mutable laundry : (Segment.t * int * Segment.resident) list;
       (* dirty victims set aside by the hand and not yet written, newest
          first; out of [clock] until their batch completes *)
-  mutable launder_in_flight : (Segment.t * int * Segment.resident) array list;
+  mutable in_flight : (Segment.t * int * Segment.resident) array list;
       (* batches written and not yet complete *)
-  mutable launder_waiters : (unit -> unit) list;
+  mutable waiters : (unit -> unit) list;
       (* evictors blocked until the next batch completes *)
+}
+
+type t = {
+  env : env;
+  spaces : (int, vspace) Hashtbl.t; (* by tag *)
+  mutable next_space_tag : int;
+  mutable next_segment_id : int;
+  hand : hand;
   stats : stats;
   mutable on_segv : t -> Kernel_obj.fault_ctx -> unit;
       (* policy hook: no region / protection error.  Default: terminate the
          thread by unloading it. *)
-  mutable choose_victim : t -> (Segment.t * int * Segment.resident) option;
-      (* policy hook: page replacement.  Default: Clock over [clock]. *)
+  mutable keep : Segment.t -> int -> Segment.resident -> bool;
+      (* policy hook: page replacement.  Whether the hand passes over this
+         page once more.  Default: Clock's test. *)
   mutable on_consistency : t -> Kernel_obj.fault_ctx -> bool;
       (* policy hook: consistency faults (remote/failed memory).  A
          distributed-shared-memory layer installs its protocol here;
@@ -81,33 +91,36 @@ let default_segv t (ctx : Kernel_obj.fault_ctx) =
   ignore
     (Api.unload_thread t.env.inst ~caller:(t.env.kernel ()) ctx.Kernel_obj.thread)
 
-(* Clock (second chance).  The hand passes over a page that was referenced
-   since its last visit or still has a mapping loaded, clearing the bit and
-   requeueing the page; the first page that is neither is the victim.  An
-   entry whose page has since left that residency is dropped.  After
-   2 x queue-length passes (every page mapped) the next live entry is taken
-   as it is. *)
-let default_victim t =
+(* Clock (second chance): pass over a page referenced since the hand's last
+   visit or still mapped. *)
+let clock_keep _seg _page (r : Segment.resident) = r.Segment.referenced || r.Segment.mappers <> []
+
+(* The hand.  A page [keep] passes over has its bit cleared and is requeued;
+   the first it does not is the victim.  An entry whose page has since left
+   that residency is dropped.  After 2 x queue-length passes (every page
+   kept) the next live entry is taken as it is. *)
+let next_victim t =
+  let clock = t.hand.clock in
   let rec scan budget =
-    match Queue.take_opt t.clock with
+    match Queue.take_opt clock with
     | None -> None
     | Some ((seg, page, r) as entry) -> (
       match Segment.state seg page with
       | Segment.In_memory r' when r' == r ->
-        if budget > 0 && (r.Segment.referenced || r.Segment.mappers <> []) then begin
+        if budget > 0 && t.keep seg page r then begin
           r.Segment.referenced <- false;
-          Queue.push entry t.clock;
+          Queue.push entry clock;
           scan (budget - 1)
         end
         else Some entry
       | _ -> scan budget (* stale candidate *))
   in
-  scan (2 * Queue.length t.clock)
+  scan (2 * Queue.length clock)
 
 (* Make [r] the page's residency and queue it for the hand. *)
 let install t seg page (r : Segment.resident) =
   Segment.set_state seg page (Segment.In_memory r);
-  Queue.push (seg, page, r) t.clock
+  Queue.push (seg, page, r) t.hand.clock
 
 let create env =
   let t =
@@ -116,10 +129,7 @@ let create env =
       spaces = Hashtbl.create 16;
       next_space_tag = 1;
       next_segment_id = 1;
-      clock = Queue.create ();
-      laundry = [];
-      launder_in_flight = [];
-      launder_waiters = [];
+      hand = { clock = Queue.create (); laundry = []; in_flight = []; waiters = [] };
       stats =
         {
           soft_faults = 0;
@@ -131,7 +141,7 @@ let create env =
           evictions = 0;
         };
       on_segv = default_segv;
-      choose_victim = default_victim;
+      keep = clock_keep;
       on_consistency = (fun _ _ -> false);
     }
   in
@@ -153,6 +163,13 @@ let create_space t =
   | Error e -> Error e
 
 let space_by_tag t tag = Hashtbl.find_opt t.spaces tag
+
+let list_spaces t =
+  Hashtbl.fold (fun _ vsp acc -> vsp :: acc) t.spaces []
+  |> List.sort (fun a b -> compare a.tag b.tag)
+
+(** Forget a space whose owner has released it. *)
+let drop_space t vsp = Hashtbl.remove t.spaces vsp.tag
 
 (** Resolve a Cache Kernel space identifier to our record. *)
 let space_by_oid t oid =
@@ -240,8 +257,8 @@ let release t (r : Segment.resident) =
   t.stats.evictions <- t.stats.evictions + 1;
   Frame_alloc.free t.env.frames r.Segment.pfn
 
-let laundry_full t = List.compare_length_with t.laundry launder_batch >= 0
-let can_submit t = List.compare_length_with t.launder_in_flight launder_max_in_flight < 0
+let laundry_full t = List.compare_length_with t.hand.laundry launder_batch >= 0
+let can_submit t = List.compare_length_with t.hand.in_flight launder_max_in_flight < 0
 
 (* A batch is down: free every page still eligible, requeue the others,
    send a full laundry that was waiting for room, wake the evictors. *)
@@ -254,13 +271,13 @@ let rec launder_done t batch =
           Segment.set_state seg page (Segment.On_disk (Option.get r.Segment.backing));
           release t r
         end
-        else Queue.push entry t.clock
+        else Queue.push entry t.hand.clock
       | _ -> () (* the page left residency meanwhile; its frame is not ours *))
     batch;
-  t.launder_in_flight <- List.filter (fun b -> b != batch) t.launder_in_flight;
+  t.hand.in_flight <- List.filter (fun b -> b != batch) t.hand.in_flight;
   if laundry_full t then submit_laundry t;
-  let waiters = t.launder_waiters in
-  t.launder_waiters <- [];
+  let waiters = t.hand.waiters in
+  t.hand.waiters <- [];
   List.iter (fun k -> k ()) (List.rev waiters)
 
 (* Write the laundry as one batch.  Each page is marked clean and moves to
@@ -268,14 +285,14 @@ let rec launder_done t batch =
    freed (a file's block is not the page's to free). *)
 and submit_laundry t =
   let batch =
-    List.rev t.laundry
+    List.rev t.hand.laundry
     |> List.filter (fun (seg, page, r) ->
            match Segment.state seg page with
            | Segment.In_memory r' -> r' == r
            | _ -> false)
     |> Array.of_list
   in
-  t.laundry <- [];
+  t.hand.laundry <- [];
   let n = Array.length batch in
   if n > 0 then begin
     let store = t.env.store in
@@ -287,31 +304,24 @@ and submit_laundry t =
         r.Segment.backing <- Some (first + i);
         r.Segment.dirty <- false)
       batch;
-    t.launder_in_flight <- batch :: t.launder_in_flight;
+    t.hand.in_flight <- batch :: t.hand.in_flight;
     Backing_store.page_out_batch store ~block:first
       ~pfns:(Array.map (fun (_, _, (r : Segment.resident)) -> r.Segment.pfn) batch)
       (fun () -> launder_done t batch)
   end
 
 let set_aside t entry =
-  t.laundry <- entry :: t.laundry;
+  t.hand.laundry <- entry :: t.hand.laundry;
   if laundry_full t && can_submit t then submit_laundry t
-
-(** Whether [r] is set aside or on its way to disk: not a victim until
-    its batch completes.  A [choose_victim] hook that does not take its
-    candidates from [clock] should pass over such pages. *)
-let laundering t (r : Segment.resident) =
-  let is (_, _, r') = r' == r in
-  List.exists is t.laundry || List.exists (Array.exists is) t.launder_in_flight
 
 (* Submit the laundry if there is room and block until a batch completes;
    [false] when no batch is in flight to wait for. *)
 let wait_for_laundry t ~thread =
   if can_submit t then submit_laundry t;
-  t.launder_in_flight <> []
+  t.hand.in_flight <> []
   && begin
        Thread_lib.await_token t.env.threads ~thread (fun ~done_ ->
-           t.launder_waiters <- done_ :: t.launder_waiters);
+           t.hand.waiters <- done_ :: t.hand.waiters);
        true
      end
 
@@ -323,12 +333,8 @@ let wait_for_laundry t ~thread =
    only when nothing is resident, set aside or in flight. *)
 let rec reclaim t ~thread budget =
   let wait () = if wait_for_laundry t ~thread then `Waited else `Nothing in
-  let pass () =
-    if budget > 0 && not (laundry_full t) then reclaim t ~thread (budget - 1) else wait ()
-  in
-  match if laundry_full t then None else t.choose_victim t with
+  match if laundry_full t then None else next_victim t with
   | None -> wait ()
-  | Some (_, _, r) when laundering t r -> pass () (* a hook offered a page on its way out *)
   | Some ((seg, page, r) as entry) -> (
     unmap_residents t r;
     match r.Segment.cow_pending with
@@ -338,7 +344,7 @@ let rec reclaim t ~thread budget =
       `Freed r.Segment.pfn
     | _ when r.Segment.dirty ->
       set_aside t entry;
-      pass ()
+      if budget > 0 && not (laundry_full t) then reclaim t ~thread (budget - 1) else wait ()
     | _ ->
       (match r.Segment.backing with
       | Some block -> Segment.set_state seg page (Segment.On_disk block)

@@ -1,10 +1,10 @@
 (** The segment manager: the memory-management class library of section 3.
 
     Paging *policy* lives here, in user mode: frame allocation, page
-    replacement (Clock with a pluggable victim hook), backing-store I/O,
-    zero fill and copy-on-write — driving the Cache Kernel through mapping
-    load/unload and digesting the referenced/modified bits out of
-    writeback records.
+    replacement (a Clock hand with one pluggable [keep] test),
+    backing-store I/O, zero fill and copy-on-write — driving the Cache
+    Kernel through mapping load/unload and digesting the
+    referenced/modified bits out of writeback records.
 
     Dirty victims are laundered (WSClock): the hand sets them aside and
     evicts the next clean page, and every {!launder_batch} dirty pages
@@ -18,9 +18,10 @@
     [min k (Config.mapping_batch_max - 1)] resident, unmapped neighbours
     of the faulting page in the same batched call; the depth is fixed.
 
-    Policy hooks ([on_segv], [choose_victim], [on_consistency]) are
+    Policy hooks ([on_segv], [keep], [on_consistency]) are
     mutable fields, the simulation analogue of overriding the C++
-    library's virtual methods.
+    library's virtual methods.  The manager alone holds the hand's queue,
+    the laundry and the spaces; a policy sees only what the hand asks.
 
     Fault handling executes inside the faulting thread's application-kernel
     frame, so operations that wait for disk I/O block the thread on an
@@ -55,31 +56,27 @@ type stats = {
   mutable evictions : int;
 }
 
+type hand
+(** The Clock hand's queue and the laundry; private to the manager. *)
+
 type t = {
   env : env;
   spaces : (int, vspace) Hashtbl.t;
+      (** by tag; perfbench reads it.  Elsewhere use {!list_spaces},
+          {!space_by_tag} and {!drop_space}. *)
   mutable next_space_tag : int;
   mutable next_segment_id : int;
-  clock : (Segment.t * int * Segment.resident) Queue.t;
-      (** eviction candidates in the order the Clock hand visits them; an
-          entry names one residency and is skipped once the page has left
-          it *)
-  mutable laundry : (Segment.t * int * Segment.resident) list;
-      (** dirty victims the hand set aside and has not yet written, newest
-          first; they rejoin [clock] only if still in use when their batch
-          completes *)
-  mutable launder_in_flight : (Segment.t * int * Segment.resident) array list;
-      (** laundry batches on their way to disk *)
-  mutable launder_waiters : (unit -> unit) list;
-      (** evictors blocked until the next batch completes *)
+  hand : hand;
   stats : stats;
   mutable on_segv : t -> Kernel_obj.fault_ctx -> unit;
       (** policy hook: no region / protection error *)
-  mutable choose_victim : t -> (Segment.t * int * Segment.resident) option;
-      (** policy hook: page replacement (default Clock: pass over pages
-          referenced since the hand's last visit or still mapped, clearing
-          the bit; take the first that is neither, or the next live entry
-          after 2 x queue-length passes) *)
+  mutable keep : Segment.t -> int -> Segment.resident -> bool;
+      (** policy hook: page replacement.  [keep seg page r]: whether the
+          hand passes over segment page [page], resident as [r], once more
+          (clearing [r.referenced]).  The first page not kept is the
+          victim; after 2 x queue-length passes the next goes regardless.
+          Only the hand asks, and never about a page set aside or in
+          flight.  Default: Clock, [r.referenced || r.mappers <> []]. *)
   mutable on_consistency : t -> Kernel_obj.fault_ctx -> bool;
       (** policy hook: consistency faults; a DSM layer installs its
           protocol here *)
@@ -93,6 +90,15 @@ val stats : t -> stats
 val create_space : t -> (vspace, Api.error) result
 val space_by_tag : t -> int -> vspace option
 val space_by_oid : t -> Oid.t -> vspace option
+
+val list_spaces : t -> vspace list
+(** Every space the manager holds, in tag order. *)
+
+val drop_space : t -> vspace -> unit
+(** Forget a space its owner has released (its segments freed and its
+    identifier unloaded): it no longer resolves by tag or identifier, and
+    a checkpoint no longer captures it. *)
+
 val create_segment : t -> name:string -> pages:int -> Segment.t
 val attach_region : t -> vspace -> Region.t -> unit
 val region_of : vspace -> int -> Region.t option
@@ -125,12 +131,6 @@ val evict_one : t -> thread:Oid.t -> int option
     flight. *)
 
 val unmap_residents : t -> Segment.resident -> unit
-
-val laundering : t -> Segment.resident -> bool
-(** Whether a page is set aside or on its way to disk.  Such a page is not
-    a victim until its batch completes: a [choose_victim] hook that finds
-    candidates elsewhere than in [clock] should pass over it (an offered
-    one only costs the hand part of its scan). *)
 
 val ensure_resident : t -> Segment.t -> int -> thread:Oid.t -> Segment.resident option
 (** (handler context) Bring a segment page into memory. *)

@@ -27,11 +27,9 @@ let image_of ak ?(extras = []) ?(name_of = fun (_ : Thread_lib.entry) -> "") () 
     match ak.App_kernel.own_space with Some v -> Some v.Segment_mgr.tag | None -> None
   in
   let spaces =
-    Hashtbl.fold
-      (fun tag vsp acc -> if Some tag = own then acc else (tag, vsp) :: acc)
-      mgr.Segment_mgr.spaces []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map snd
+    List.filter
+      (fun (v : Segment_mgr.vspace) -> Some v.Segment_mgr.tag <> own)
+      (Segment_mgr.list_spaces mgr)
   in
   let space_index tag =
     let rec go i = function
@@ -40,9 +38,13 @@ let image_of ak ?(extras = []) ?(name_of = fun (_ : Thread_lib.entry) -> "") () 
     in
     go 0 spaces
   in
+  (* a thread goes with its space: an exited process's, dropped, is not
+     captured (and so not rebound to the kernel's own space) *)
   let entries = ref [] in
   Thread_lib.iter ak.App_kernel.threads (fun e ->
-      if e.Thread_lib.run <> Thread_lib.Exited then entries := e :: !entries);
+      let tag = e.Thread_lib.space_tag in
+      if e.Thread_lib.run <> Thread_lib.Exited && (Some tag = own || space_index tag <> None)
+      then entries := e :: !entries);
   let entries =
     List.sort (fun (a : Thread_lib.entry) b -> compare a.Thread_lib.id b.Thread_lib.id) !entries
   in

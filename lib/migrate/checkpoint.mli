@@ -14,7 +14,8 @@ val image_of :
   unit ->
   Codec.image
 (** Passive capture of every managed space (the kernel's own space
-    excluded) and every live thread record. *)
+    excluded) and every live thread record in a captured space or the
+    kernel's own. *)
 
 val save :
   App_kernel.t ->

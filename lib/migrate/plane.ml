@@ -291,7 +291,7 @@ let release_space t (vsp : Segment_mgr.vspace) =
         | _ -> ()
       done)
     (space_segments vsp);
-  Hashtbl.remove ak.App_kernel.mgr.Segment_mgr.spaces vsp.Segment_mgr.tag
+  Segment_mgr.drop_space ak.App_kernel.mgr vsp
 
 (* -- applying an image (destination side) ------------------------------- *)
 

@@ -205,34 +205,24 @@ let run t ~steps ?workers () =
     evictions = (Segment_mgr.stats t.ak.App_kernel.mgr).Segment_mgr.evictions;
   }
 
-(** Install the application-specific page-replacement policy: prefer to
-    evict particle pages belonging to cells outside the active window —
-    the application-controlled physical memory of Harty & Cheriton that
-    the Cache Kernel model exports to user level. *)
+(** Install the application-specific page-replacement policy: keep a
+    particle page while any of its cells is in the active window and let
+    it go otherwise, whatever its mapping and referenced bit say; Clock
+    decides the other pages.  This is the application-controlled physical
+    memory of Harty & Cheriton that the Cache Kernel model exports to user
+    level.  Scattered pages mix every cell, so the window says nothing
+    about them and Clock decides those too. *)
 let install_locality_aware_eviction t =
   let mgr = t.ak.App_kernel.mgr in
-  let default = mgr.Segment_mgr.choose_victim in
-  mgr.Segment_mgr.choose_victim <-
-    (fun m ->
-      (* scan the particle segment for a resident page whose cells are all
-         outside the active window and that is not already being written
-         out; fall back to the default (Clock) *)
-      let c0, c1 = t.active_window in
-      let found = ref None in
-      Segment.iter_resident t.seg (fun page r ->
-          if !found = None && not (Segment_mgr.laundering m r) then begin
-            let first_slot = page * particles_per_page in
-            let in_window = ref false in
-            for s = first_slot to first_slot + particles_per_page - 1 do
-              (* which cell does the particle in slot s belong to? invert
-                 the layout only for clustered; scattered pages mix cells *)
-              match t.placement with
-              | Clustered ->
-                let per_cell = max 1 (t.particles / t.cells) in
-                let c = s / per_cell in
-                if c >= c0 && c < c1 then in_window := true
-              | Scattered -> in_window := true
-            done;
-            if not !in_window then found := Some (t.seg, page, r)
-          end);
-      match !found with Some v -> Some v | None -> default m)
+  let default = mgr.Segment_mgr.keep in
+  (* clustered placement is cell-major: a page's slots hold the particles
+     of one contiguous range of cells *)
+  let per_cell = max 1 (t.particles / t.cells) in
+  let in_window page =
+    let c0, c1 = t.active_window in
+    let first = page * particles_per_page in
+    first / per_cell < c1 && (first + particles_per_page - 1) / per_cell >= c0
+  in
+  mgr.Segment_mgr.keep <-
+    (fun seg page r ->
+      if seg == t.seg && t.placement = Clustered then in_window page else default seg page r)

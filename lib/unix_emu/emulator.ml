@@ -185,7 +185,8 @@ let destroy_memory t (p : Process.t) =
     ignore
       (Api.unload_space t.ak.App_kernel.inst
          ~caller:(App_kernel.oid t.ak)
-         p.Process.vspace.Segment_mgr.oid)
+         p.Process.vspace.Segment_mgr.oid);
+  Segment_mgr.drop_space mgr p.Process.vspace
 
 (* Sleep/wakeup: "a thread is unloaded when it begins to sleep ... It is
    then reloaded when a wakeup call is issued on this event." *)

@@ -475,17 +475,10 @@ let fp () =
    end-to-end number that justifies keeping LRU next to Clock.
 
    The paging pair replays one Zipf page trace over a bounded frame pool
-   twice: with the segment manager's default Clock, and with the FIFO
-   victim hook below, which ignores the referenced bits.  Gate: Clock's
-   us/access strictly below FIFO's, the number that justifies the hand. *)
-let rec fifo_victim (m : Aklib.Segment_mgr.t) =
-  match Queue.take_opt m.Aklib.Segment_mgr.clock with
-  | None -> None
-  | Some ((seg, page, r) as entry) -> (
-    match Aklib.Segment.state seg page with
-    | Aklib.Segment.In_memory r' when r' == r -> Some entry
-    | _ -> fifo_victim m)
-
+   twice: with the segment manager's default Clock, and with a [keep] test
+   that keeps nothing, so the hand evicts in install order (FIFO), ignoring
+   the referenced bits.  Gate: Clock's us/access strictly below FIFO's, the
+   number that justifies the hand. *)
 let pl () =
   let c2_pages = 512 and c2_passes = 4 in
   let point kind =
@@ -525,7 +518,7 @@ let pl () =
         ] )
   in
   let fifo_us, fifo =
-    paging "fifo" (fun m -> m.Aklib.Segment_mgr.choose_victim <- fifo_victim)
+    paging "fifo" (fun m -> m.Aklib.Segment_mgr.keep <- (fun _ _ _ -> false))
   in
   let clock_us, clock_paging = paging "clock" ignore in
   {

@@ -251,7 +251,8 @@ let test_clock_all_mapped () =
 (* A mapping loaded ahead of demand is not a reference: with prefetch on,
    a fault on page 0 also maps its resident neighbour 1, which the thread
    never touches.  Once both mappings are written back, page 1 is the next
-   victim although page 0 is ahead of it in the queue. *)
+   victim although page 0 is ahead of it in the queue.  (Both pages are
+   marked clean, so the victim is freed rather than laundered.) *)
 let test_prefetch_is_not_a_reference () =
   let inst, ak = make ~config:{ Config.default with Config.fault_prefetch = 1 } () in
   let mgr = ak.App_kernel.mgr in
@@ -264,16 +265,33 @@ let test_prefetch_is_not_a_reference () =
   Alcotest.(check (pair bool bool)) "mapped but not referenced" (true, false)
     ((resident seg 1).Segment.mappers <> [], (resident seg 1).Segment.referenced);
   unmap_pages ak seg [ 0; 1 ];
-  match mgr.Segment_mgr.choose_victim mgr with
-  | Some (_, page, _) -> Alcotest.(check int) "the untouched neighbour is the victim" 1 page
-  | None -> Alcotest.fail "no victim"
+  List.iter (fun p -> (resident seg p).Segment.dirty <- false) [ 0; 1 ];
+  evict ak;
+  Alcotest.(check (list bool)) "the untouched neighbour is the victim" [ true; false ]
+    (List.map (is_resident seg) [ 0; 1 ])
+
+(* Wrap the manager's [keep] so that every page the hand asks about is
+   logged (segment name, page, residency, answer) and checked to be the
+   page's current residency. *)
+let record_keep mgr =
+  let log = ref [] in
+  let default = mgr.Segment_mgr.keep in
+  mgr.Segment_mgr.keep <-
+    (fun seg page r ->
+      (match Segment.state seg page with
+      | Segment.In_memory r' when r' == r -> ()
+      | _ -> Alcotest.failf "asked about %s page %d, not its residency" seg.Segment.name page);
+      let k = default seg page r in
+      log := (seg.Segment.name, page, r, k) :: !log;
+      k);
+  log
 
 (* A page that leaves residency without a pop leaves its queue entry
    behind.  Here a deferred copy's mapping writes back unmodified, so the
    copy never happened and the page reverts to the parent's; a later write
    makes it resident again.  The queue then holds two entries for the
-   page, but only one names its current residency, so the hand gives it
-   one chance, not two. *)
+   page, but only one names its current residency: the hand asks about
+   that one alone and gives the page one chance, not two. *)
 let test_queue_names_the_residency () =
   let inst, ak = make () in
   let mgr = ak.App_kernel.mgr in
@@ -282,18 +300,11 @@ let test_queue_names_the_residency () =
   let vsp, child = one_segment_space ak ~name:"child" ~pages:1 in
   (* the state a copy-on-write fault leaves behind: a queued copy frame
      whose mapping still names the parent's frame *)
-  let copy =
-    {
-      Segment.pfn = Option.get (Frame_alloc.alloc ak.App_kernel.frames);
-      dirty = true;
-      backing = None;
-      mappers = [ (vsp.Segment_mgr.tag, base) ];
-      referenced = true;
-      cow_pending = Some (parent, 0);
-    }
-  in
-  Segment.set_state child 0 (Segment.In_memory copy);
-  Queue.push (child, 0, copy) mgr.Segment_mgr.clock;
+  Segment_mgr.write_segment_now mgr child ~offset:0 (Bytes.make 4 '\007');
+  let copy = resident child 0 in
+  copy.Segment.mappers <- [ (vsp.Segment_mgr.tag, base) ];
+  copy.Segment.referenced <- true;
+  copy.Segment.cow_pending <- Some (parent, 0);
   Segment_mgr.handle_mapping_writeback mgr ~space_tag:vsp.Segment_mgr.tag
     {
       Wb.va = base;
@@ -308,25 +319,45 @@ let test_queue_names_the_residency () =
   ignore (spawn_user ak vsp ~priority:8 (fun () -> Hw.Exec.mem_write base 9));
   ignore (Engine.run [| inst |]);
   let current = resident child 0 in
-  let entries, live =
-    Queue.fold
-      (fun (n, live) (seg, page, r) ->
-        if seg == child && page = 0 then (n + 1, if r == current then live + 1 else live)
-        else (n, live))
-      (0, 0) mgr.Segment_mgr.clock
-  in
-  Alcotest.(check (pair int int)) "two entries, one naming the residency" (2, 1)
-    (entries, live);
+  Alcotest.(check bool) "a new residency" true (current != copy);
   (* The parent's page, queued first, and the child's are both referenced
      and unmapped: one pass clears both bits and the hand comes round to
      the parent.  Had the stale entry counted, it would have spent the
-     child's chance and the live entry behind it would be the victim. *)
+     child's chance and the live entry behind it would be the victim.
+     Both are marked clean, so the victim is freed rather than laundered. *)
   unmap_pages ak child [ 0 ];
   (resident parent 0).Segment.referenced <- true;
   Alcotest.(check bool) "the write was reported" true current.Segment.referenced;
-  match mgr.Segment_mgr.choose_victim mgr with
-  | Some (seg, _, _) -> Alcotest.(check string) "one chance each" "parent" seg.Segment.name
-  | None -> Alcotest.fail "no victim"
+  List.iter (fun seg -> (resident seg 0).Segment.dirty <- false) [ parent; child ];
+  let log = record_keep mgr in
+  evict ak;
+  Alcotest.(check (list (pair string bool))) "asked once each, then the parent again"
+    [ ("parent", true); ("child", true); ("parent", false) ]
+    (List.rev_map (fun (name, _, _, k) -> (name, k)) !log);
+  Alcotest.(check bool) "about the child's live residency" true
+    (List.for_all (fun (name, _, r, _) -> name <> "child" || r == current) !log);
+  Alcotest.(check (pair bool bool)) "one chance each: the parent went" (false, true)
+    (is_resident parent 0, is_resident child 0)
+
+(* With a [keep] that keeps nothing the hand is FIFO: pages go in the
+   order they became resident, mapped and referenced or not.  PL's paging
+   pair runs this policy against Clock. *)
+let test_keep_nothing_is_fifo () =
+  let inst, ak = make () in
+  let mgr = ak.App_kernel.mgr in
+  let vsp, seg = one_segment_space ak ~name:"fifo" ~pages:4 in
+  read_pages inst ak vsp [ 2; 0; 3; 1 ];
+  unmap_pages ak seg [ 0; 3 ];
+  Alcotest.(check (list bool)) "pages 1 and 2 still mapped" [ false; true; true; false ]
+    (List.map (fun p -> (resident seg p).Segment.mappers <> []) [ 0; 1; 2; 3 ]);
+  mgr.Segment_mgr.keep <- (fun _ _ _ -> false);
+  let gone = ref [] in
+  for _ = 1 to 4 do
+    evict ak;
+    gone :=
+      List.find (fun p -> not (is_resident seg p || List.mem p !gone)) [ 0; 1; 2; 3 ] :: !gone
+  done;
+  Alcotest.(check (list int)) "evicted in install order" [ 2; 0; 3; 1 ] (List.rev !gone)
 
 (* -- Laundering: the hand sets dirty victims aside and writes them in
    batches -- *)
@@ -360,30 +391,28 @@ let test_launder_clean_victim_first () =
   let vsp, seg = one_segment_space ak ~name:"launder" ~pages:(n + 2) in
   dirty_then_clean inst ak vsp seg ~dirty:n ~clean:1;
   let writes0 = Hw.Disk.writes disk in
-  let events = ref [] in
-  let t0 = ref 0 and t1 = ref 0 and done_at = ref 0 in
+  let lat = Hw.Disk.run_latency n in
+  (* record whether the batch's first page is still resident at [time] *)
+  let probe time seen =
+    Hw.Event_queue.schedule node.Hw.Mpm.events ~time (fun () -> seen := Some (is_resident seg 0))
+  in
+  let t0 = ref 0 and t1 = ref 0 and served_writes = ref 0 in
+  let before = ref None and after = ref None in
   ignore
     (spawn_user ak vsp ~priority:8 (fun () ->
          t0 := Hw.Mpm.now node;
          ignore (Hw.Exec.mem_read (page_va (n + 1)));
          t1 := Hw.Mpm.now node;
-         events := (`Served, Hw.Disk.writes disk - writes0) :: !events;
-         mgr.Segment_mgr.launder_waiters <-
-           (fun () ->
-             done_at := Hw.Mpm.now node;
-             events := (`Batch_done, Hw.Disk.writes disk - writes0) :: !events)
-           :: mgr.Segment_mgr.launder_waiters));
+         served_writes := Hw.Disk.writes disk - writes0;
+         probe (!t0 + lat - 1) before;
+         probe (!t1 + lat) after));
   ignore (Engine.run [| inst |]);
-  Alcotest.(check (list (pair bool int)))
-    "served with the batch written, before it completed"
-    [ (true, n); (false, n) ]
-    (List.rev_map (fun (e, w) -> (e = `Served, w)) !events);
+  Alcotest.(check int) "served with the batch written" n !served_writes;
   Alcotest.(check bool) "the fault did not wait for the disk" true
     (!t1 - !t0 < Hw.Disk.run_latency 1);
-  let lat = Hw.Disk.run_latency n in
-  if !done_at < !t0 + lat || !done_at > !t1 + lat then
-    Alcotest.failf "batch done at %d, submitted in [%d, %d], latency %d" !done_at !t0 !t1
-      lat;
+  Alcotest.(check (pair (option bool) (option bool)))
+    "the batch completed one seek plus n transfers after its submission"
+    (Some true, Some false) (!before, !after);
   Alcotest.(check bool) "the clean page went" false (is_resident seg n);
   let blocks =
     List.init n (fun p ->
@@ -406,21 +435,23 @@ let test_launder_clean_victim_first () =
    batch completes or was unloaded again, reporting the write. *)
 let launder_remap_in_flight ~unmap_again () =
   let inst, ak = make () in
-  let mgr = ak.App_kernel.mgr in
+  let mgr = ak.App_kernel.mgr and disk = ak.App_kernel.disk in
   let n = Segment_mgr.launder_batch in
   hostage_all_but ak (n + 1);
   let vsp, seg = one_segment_space ak ~name:"remap" ~pages:(n + 2) in
   dirty_then_clean inst ak vsp seg ~dirty:n ~clean:1;
-  let in_flight = ref 0 and seen = ref 0 in
+  let writes0 = Hw.Disk.writes disk in
+  let in_flight = ref (0, false) and seen = ref 0 in
   ignore
     (spawn_user ak vsp ~priority:8 (fun () ->
          ignore (Hw.Exec.mem_read (page_va (n + 1)));
          Hw.Exec.mem_write (page_va 0) 777;
          seen := Hw.Exec.mem_read (page_va 0);
          if unmap_again then unmap_pages ak seg [ 0 ];
-         in_flight := List.length mgr.Segment_mgr.launder_in_flight));
+         (* written, and its other pages not yet freed *)
+         in_flight := (Hw.Disk.writes disk - writes0, is_resident seg 1)));
   ignore (Engine.run [| inst |]);
-  Alcotest.(check int) "the batch was in flight" 1 !in_flight;
+  Alcotest.(check (pair int bool)) "the batch was in flight" (n, true) !in_flight;
   Alcotest.(check int) "the thread reads its write" 777 !seen;
   Alcotest.(check bool) "the rewritten page stayed" true (is_resident seg 0);
   Alcotest.(check (option int)) "with its new data" (Some 777) (word_of_page ak seg 0);
@@ -429,53 +460,42 @@ let launder_remap_in_flight ~unmap_again () =
   Alcotest.(check int) "the clean page and the other dirty ones went" n
     (Segment_mgr.stats mgr).Segment_mgr.evictions
 
-(* A victim hook that scans pages itself (as MP3D's does) may offer a
-   page whose batch is still in flight.  Its frame is not free until the
-   write completes: the evictor waits for the batch instead of taking it. *)
-let test_launder_hook_offers_in_flight () =
-  let inst, ak = make () in
-  let mgr = ak.App_kernel.mgr in
-  let n = Segment_mgr.launder_batch in
-  hostage_all_but ak (n + 1);
-  let vsp, seg = one_segment_space ak ~name:"offer" ~pages:(n + 3) in
-  dirty_then_clean inst ak vsp seg ~dirty:n ~clean:1;
-  let order = ref [] in
-  ignore
-    (spawn_user ak vsp ~priority:8 (fun () ->
-         ignore (Hw.Exec.mem_read (page_va (n + 1)));
-         let default = mgr.Segment_mgr.choose_victim in
-         mgr.Segment_mgr.choose_victim <-
-           (fun m ->
-             match Segment.state seg 0 with
-             | Segment.In_memory r -> Some (seg, 0, r)
-             | _ -> default m);
-         mgr.Segment_mgr.launder_waiters <-
-           (fun () -> order := `Batch_done :: !order) :: mgr.Segment_mgr.launder_waiters;
-         ignore (Hw.Exec.mem_read (page_va (n + 2)));
-         order := `Served :: !order));
-  ignore (Engine.run [| inst |]);
-  Alcotest.(check bool) "the fault was served after the batch completed" true
-    (List.rev !order = [ `Batch_done; `Served ]);
-  Alcotest.(check (option int)) "the offered page reads back" (Some 100) (word_of_page ak seg 0)
-
 (* A thread zero-fills a stream of pages, writing every other one, so the
    hand finds a clean victim after each dirty one and dirty pages pile up
-   faster than batches complete.  At most [launder_max_in_flight] batches
-   are ever on their way, the laundry never holds more than a batch, and
-   every write survives. *)
+   faster than batches complete.  Each page is touched once, so a page
+   written to disk is on its way until it is [On_disk], and a dirty page
+   without a mapping is in the laundry.  At most [launder_max_in_flight]
+   batches are ever on their way, the laundry never holds more than a
+   batch, and every write survives. *)
 let test_launder_in_flight_bounded () =
   let inst, ak = make () in
-  let mgr = ak.App_kernel.mgr in
+  let mgr = ak.App_kernel.mgr and disk = ak.App_kernel.disk in
   let pages = 512 in
   hostage_all_but ak 64;
   let vsp, seg = one_segment_space ak ~name:"stream" ~pages in
-  let in_flight = ref 0 and laundry = ref 0 in
-  let default = mgr.Segment_mgr.choose_victim in
-  mgr.Segment_mgr.choose_victim <-
-    (fun m ->
-      in_flight := max !in_flight (List.length m.Segment_mgr.launder_in_flight);
-      laundry := max !laundry (List.length m.Segment_mgr.laundry);
-      default m);
+  let writes0 = Hw.Disk.writes disk in
+  let in_flight = ref 0 and laundry = ref 0 and evictions = ref (-1) in
+  (* sampled once per eviction, at the hand's first question *)
+  let sample () =
+    let on_disk = ref 0 and set_aside = ref 0 in
+    for p = 0 to pages - 1 do
+      match Segment.state seg p with
+      | Segment.On_disk _ -> incr on_disk
+      | Segment.In_memory r when r.Segment.dirty && r.Segment.mappers = [] -> incr set_aside
+      | _ -> ()
+    done;
+    in_flight := max !in_flight (Hw.Disk.writes disk - writes0 - !on_disk);
+    laundry := max !laundry !set_aside
+  in
+  let default = mgr.Segment_mgr.keep in
+  mgr.Segment_mgr.keep <-
+    (fun seg' page r ->
+      let e = (Segment_mgr.stats mgr).Segment_mgr.evictions in
+      if e <> !evictions then begin
+        evictions := e;
+        sample ()
+      end;
+      default seg' page r);
   ignore
     (spawn_user ak vsp ~priority:8 (fun () ->
          for p = 0 to pages - 1 do
@@ -483,13 +503,58 @@ let test_launder_in_flight_bounded () =
            else ignore (Hw.Exec.mem_read (page_va p))
          done));
   ignore (Engine.run [| inst |]);
-  Alcotest.(check int) "the bound was reached, not passed" Segment_mgr.launder_max_in_flight
+  Alcotest.(check int) "the bound was reached, not passed"
+    (Segment_mgr.launder_max_in_flight * Segment_mgr.launder_batch)
     !in_flight;
   Alcotest.(check bool) "the laundry holds at most a batch" true
     (!laundry <= Segment_mgr.launder_batch);
   Alcotest.(check (list (option int))) "every write reads back"
     (List.init (pages / 2) (fun i -> Some ((2 * i) + 1)))
     (List.init (pages / 2) (fun i -> word_of_page ak seg (2 * i)))
+
+(* The hand owns the candidates: under heavy laundering (a 16-entry
+   mapping cache unloads most mappings, so the hand meets many unmapped
+   dirty pages) a recording [keep] is asked only about pages' current
+   residencies, and never again about a residency it let go — freed, or
+   set aside and then on its way to disk, since no page is touched
+   twice. *)
+let test_keep_sees_only_the_hand () =
+  let inst, ak = make ~config:{ Config.default with Config.mapping_cache = 16 } () in
+  let mgr = ak.App_kernel.mgr in
+  let pages = 384 in
+  hostage_all_but ak 48;
+  let vsp, seg = one_segment_space ak ~name:"heavy" ~pages in
+  let log = record_keep mgr in
+  ignore
+    (spawn_user ak vsp ~priority:8 (fun () ->
+         for p = 0 to pages - 1 do
+           if p mod 3 <> 2 then Hw.Exec.mem_write (page_va p) (p + 1)
+           else ignore (Hw.Exec.mem_read (page_va p))
+         done));
+  ignore (Engine.run [| inst |]);
+  let dirty_let_go = ref 0 in
+  ignore
+    (List.fold_left
+       (fun gone (_, page, r, k) ->
+         if List.memq r gone then
+           Alcotest.failf "asked again about page %d after letting it go" page;
+         if k then gone
+         else begin
+           (* a page-out gave it a block *)
+           if r.Segment.backing <> None then incr dirty_let_go;
+           r :: gone
+         end)
+       [] (List.rev !log));
+  (* more dirty pages let go than fit on their way to disk at once *)
+  if !dirty_let_go <= Segment_mgr.launder_max_in_flight * Segment_mgr.launder_batch then
+    Alcotest.failf "only %d dirty pages let go" !dirty_let_go;
+  Alcotest.(check (list (option int))) "every write reads back"
+    (List.filter_map
+       (fun p -> if p mod 3 <> 2 then Some (Some (p + 1)) else None)
+       (List.init pages Fun.id))
+    (List.filter_map
+       (fun p -> if p mod 3 <> 2 then Some (word_of_page ak seg p) else None)
+       (List.init pages Fun.id))
 
 (* Every candidate is dirty: the hand sets them all aside and finds no
    victim, so the evictor submits the laundry and waits for it, then gets
@@ -779,6 +844,8 @@ let () =
             test_prefetch_is_not_a_reference;
           Alcotest.test_case "queue entries name the residency" `Quick
             test_queue_names_the_residency;
+          Alcotest.test_case "keeping nothing evicts in install order" `Quick
+            test_keep_nothing_is_fifo;
         ] );
       ( "laundering",
         [
@@ -788,8 +855,8 @@ let () =
             (launder_remap_in_flight ~unmap_again:false);
           Alcotest.test_case "a page rewritten in flight stays (unmapped)" `Quick
             (launder_remap_in_flight ~unmap_again:true);
-          Alcotest.test_case "a hook's offer of a page in flight waits" `Quick
-            test_launder_hook_offers_in_flight;
+          Alcotest.test_case "keep is asked only about the hand's pages" `Quick
+            test_keep_sees_only_the_hand;
           Alcotest.test_case "batches in flight are bounded" `Quick
             test_launder_in_flight_bounded;
           Alcotest.test_case "all candidates dirty: the evictor waits" `Quick

@@ -299,15 +299,12 @@ let migration_setup ?(config = fo_config ()) () =
    [ws_name], and the copy is "live" when a non-exited thread is bound to
    that space. *)
 let ws_space (ak : App_kernel.t) =
-  Hashtbl.fold
-    (fun _ (vsp : Segment_mgr.vspace) acc ->
-      if
-        List.exists
-          (fun (r : Region.t) -> r.Region.segment.Segment.name = ws_name)
-          vsp.Segment_mgr.regions
-      then Some vsp
-      else acc)
-    ak.App_kernel.mgr.Segment_mgr.spaces None
+  List.find_opt
+    (fun (vsp : Segment_mgr.vspace) ->
+      List.exists
+        (fun (r : Region.t) -> r.Region.segment.Segment.name = ws_name)
+        vsp.Segment_mgr.regions)
+    (Segment_mgr.list_spaces ak.App_kernel.mgr)
 
 let live_copy_census c =
   let holders = ref 0 and live_threads = ref 0 in

@@ -535,12 +535,11 @@ let test_chaos_recovery () =
 
 (* Spaces of [ak] that map a segment named [name]. *)
 let spaces_holding (ak : App_kernel.t) name =
-  Hashtbl.fold
-    (fun _ (v : Segment_mgr.vspace) n ->
-      if List.exists (fun (r : Region.t) -> r.Region.segment.Segment.name = name) v.Segment_mgr.regions
-      then n + 1
-      else n)
-    ak.App_kernel.mgr.Segment_mgr.spaces 0
+  List.length
+    (List.filter
+       (fun (v : Segment_mgr.vspace) ->
+         List.exists (fun (r : Region.t) -> r.Region.segment.Segment.name = name) v.Segment_mgr.regions)
+       (Segment_mgr.list_spaces ak.App_kernel.mgr))
 
 (* Node 1's space cache is full of locked descriptors, so it cannot build
    the shipped space: it refuses the landing with a negative ack, and the
@@ -738,7 +737,7 @@ let test_chunk_size_from_wire () =
       Alcotest.(check int) (what ^ ": completed") 1 (counter i0 "migrate.completed");
       let ak1 = srm1.Srm.Manager.ak in
       let landed =
-        Hashtbl.fold (fun _ v acc -> v :: acc) ak1.App_kernel.mgr.Segment_mgr.spaces []
+        Segment_mgr.list_spaces ak1.App_kernel.mgr
         |> List.filter_map (fun v ->
                let img = Migrate.Plane.space_image_of ak1 v in
                if img.Migrate.Codec.segments = [] then None else Some img.Migrate.Codec.segments)

@@ -544,6 +544,72 @@ let test_exit_frees_blocks_keeps_text () =
   Alcotest.(check int) "and their stored bytes" stored0 (Hw.Disk.stored_bytes disk);
   Alcotest.(check bool) "program text intact" true (List.for_all2 Bytes.equal text (text_image ()))
 
+(* A wave of children exits while init and two sleepers live on.  The
+   segment manager then holds exactly the live processes' spaces (and the
+   emulator's own), and a checkpoint taken then encodes only those, with
+   the live processes' threads in them and no dead process's thread
+   anywhere: an exited process's space is dropped, not kept for a fault or
+   a checkpoint to walk over. *)
+let test_exit_drops_space () =
+  let inst, emu = boot () in
+  let ak = emu.Emulator.ak in
+  let mgr = ak.Aklib.App_kernel.mgr in
+  let quick = Syscall.program "quick" (fun () -> Hw.Exec.mem_write Process.data_base 1; 0) in
+  let sleeper = Syscall.program "sleeper" (fun () -> Syscall.sleep "hold"; 0) in
+  let init =
+    Syscall.program "init" (fun () ->
+        for _ = 1 to 6 do
+          ignore (Syscall.spawn quick)
+        done;
+        for _ = 1 to 6 do
+          ignore (Syscall.wait ())
+        done;
+        ignore (Syscall.spawn sleeper);
+        ignore (Syscall.spawn sleeper);
+        Syscall.sleep "hold";
+        0)
+  in
+  ignore (ok (Emulator.start_init emu init));
+  ignore (Engine.run [| inst |]);
+  Alcotest.(check int) "the wave exited" 6 emu.Emulator.exited;
+  let tag (v : Aklib.Segment_mgr.vspace) = v.Aklib.Segment_mgr.tag in
+  let live =
+    List.filter_map
+      (fun (p : Process.t) -> if Process.is_zombie p then None else Some (tag p.Process.vspace))
+      (Emulator.procs emu)
+    |> List.sort compare
+  in
+  Alcotest.(check int) "init and two sleepers live" 3 (List.length live);
+  let own = Option.map tag ak.Aklib.App_kernel.own_space in
+  Alcotest.(check (list int)) "the manager holds the live spaces"
+    (List.sort compare (Option.to_list own @ live))
+    (List.map tag (Aklib.Segment_mgr.list_spaces mgr));
+  let img =
+    match Migrate.Codec.decode (Migrate.Codec.encode (Migrate.Checkpoint.image_of ak ())) with
+    | Ok img -> img
+    | Error e -> Alcotest.failf "decode: %s" e
+  in
+  Alcotest.(check (list int)) "the checkpoint encodes only those" live
+    (List.map (fun (s : Migrate.Codec.space_image) -> s.Migrate.Codec.space_tag) img.Migrate.Codec.spaces);
+  let own = Option.get own in
+  let bound (th : Migrate.Codec.thread_image) =
+    match th.Migrate.Codec.space with Some i -> List.nth live i | None -> own
+  in
+  let entry (th : Migrate.Codec.thread_image) =
+    Option.get (Aklib.Thread_lib.entry ak.Aklib.App_kernel.threads th.Migrate.Codec.thread_tag)
+  in
+  Alcotest.(check bool) "every thread is bound to its own space" true
+    (List.for_all (fun th -> (entry th).Aklib.Thread_lib.space_tag = bound th) img.Migrate.Codec.threads);
+  Alcotest.(check (list int)) "the process threads are the live processes'"
+    (List.filter_map
+       (fun (p : Process.t) -> if Process.is_zombie p then None else Some p.Process.thread)
+       (Emulator.procs emu)
+    |> List.sort compare)
+    (List.filter_map
+       (fun th -> if bound th = own then None else Some th.Migrate.Codec.thread_tag)
+       img.Migrate.Codec.threads
+    |> List.sort compare)
+
 let test_pipes () =
   let inst, emu = boot () in
   (* parent creates the pipe; children inherit the fd numbers by convention
@@ -637,6 +703,8 @@ let () =
           Alcotest.test_case "swapping releases descriptors" `Quick test_swapping;
           Alcotest.test_case "exit frees blocks, keeps program text" `Quick
             test_exit_frees_blocks_keeps_text;
+          Alcotest.test_case "exited processes' spaces are dropped" `Quick
+            test_exit_drops_space;
           Alcotest.test_case "decay scheduler" `Quick test_decay_scheduler;
           Alcotest.test_case "nice lowers priority" `Quick test_nice_lowers_priority;
         ] );
