@@ -209,12 +209,12 @@ let mark_crashed t =
   Segment_mgr.mark_crashed t.mgr;
   Thread_lib.mark_crashed t.threads
 
-(** Reload every written-back (non-exited) thread — used after swap-in. *)
+(** Reload every written-back thread — used after swap-in. *)
 let resume_threads t =
   Thread_lib.iter t.threads (fun e ->
       match e.Thread_lib.run with
       | Thread_lib.Unloaded _ -> ignore (Thread_lib.schedule t.threads e.Thread_lib.id)
-      | Thread_lib.Loaded | Thread_lib.Exited -> ())
+      | Thread_lib.Loaded -> ())
 
 (** Re-boot this kernel as the first kernel of a restarted node: reload
     the kernel object through {!Api.boot} (the crashed node's caches are

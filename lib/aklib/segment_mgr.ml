@@ -168,9 +168,6 @@ let list_spaces t =
   Hashtbl.fold (fun _ vsp acc -> vsp :: acc) t.spaces []
   |> List.sort (fun a b -> compare a.tag b.tag)
 
-(** Forget a space whose owner has released it. *)
-let drop_space t vsp = Hashtbl.remove t.spaces vsp.tag
-
 (** Resolve a Cache Kernel space identifier to our record. *)
 let space_by_oid t oid =
   Hashtbl.fold
@@ -186,6 +183,18 @@ let create_segment t ~name ~pages =
 let attach_region _t vsp region = vsp.regions <- region :: vsp.regions
 
 let region_of vsp va = List.find_opt (fun r -> Region.contains r va) vsp.regions
+
+(* Add the segments of [regions] not in [acc] yet, in list order. *)
+let add_segments acc regions =
+  List.fold_left
+    (fun acc (r : Region.t) ->
+      let seg = r.Region.segment in
+      if List.exists (fun (s : Segment.t) -> s.Segment.id = seg.Segment.id) acc then acc
+      else seg :: acc)
+    acc regions
+
+(** Unique segments of a space, in region-attach order. *)
+let segments vsp = List.rev (add_segments [] (List.rev vsp.regions))
 
 (** Reload a written-back space (a new identifier is assigned). *)
 let reload_space t vsp =
@@ -227,6 +236,79 @@ let unmap_residents t (r : Segment.resident) =
 let revert_cow t seg page (r : Segment.resident) (pseg, ppage) =
   Option.iter (Backing_store.free_block t.env.store) r.Segment.backing;
   Segment.set_state seg page (Segment.Cow_of (pseg, ppage))
+
+(* -- Release: the one way a space leaves (see the interface) --
+
+   Frames go in the segment's table order, then blocks: exit's order,
+   which paging afterwards sees through the LIFO frame pool. *)
+
+let release_space t vsp =
+  let inst = t.env.inst and kernel = t.env.kernel () in
+  let others = List.filter (fun v -> v.tag <> vsp.tag) (list_spaces t) in
+  let live = List.fold_left (fun acc v -> add_segments acc (List.rev v.regions)) [] others in
+  let segs = List.filter (fun s -> not (List.memq s live)) (segments vsp) in
+  (* (our page, a live page naming it); a file's pages stay the file's *)
+  let heirs =
+    List.concat_map
+      (fun (s : Segment.t) ->
+        Hashtbl.fold
+          (fun page st acc ->
+            match st with
+            | Segment.Cow_of (pseg, ppage)
+              when List.memq pseg segs && not pseg.Segment.file_backed ->
+              ((pseg, ppage), (s, page)) :: acc
+            | _ -> acc)
+          s.Segment.table [])
+      live
+  in
+  let heirs_of seg page =
+    List.filter_map (fun ((s, p), h) -> if s == seg && p = page then Some h else None) heirs
+  in
+  let mapped_elsewhere (r : Segment.resident) =
+    List.exists (fun (tag, _) -> tag <> vsp.tag && Hashtbl.mem t.spaces tag) r.Segment.mappers
+  in
+  let release_segment (seg : Segment.t) =
+    let pages = List.rev (Hashtbl.fold (fun page _ acc -> page :: acc) seg.Segment.table []) in
+    List.iter
+      (fun page ->
+        match Segment.state seg page with
+        | Segment.In_memory r -> (
+          if vsp.loaded then
+            List.iter
+              (fun (tag, va) ->
+                if tag = vsp.tag then
+                  ignore (Api.unload_mapping inst ~caller:kernel ~space:vsp.oid ~va))
+              r.Segment.mappers;
+          match Segment.state seg page with
+          | Segment.In_memory r' when r' == r && (not (mapped_elsewhere r)) && heirs_of seg page = [] ->
+            Frame_alloc.free t.env.frames r.Segment.pfn;
+            Segment.set_state seg page
+              (match r.Segment.backing with Some b -> Segment.On_disk b | None -> Segment.Zero)
+          | _ -> () (* reverted by its writeback, or not ours to free *))
+        | _ -> ())
+      pages;
+    List.iter
+      (fun page ->
+        match (Segment.state seg page, heirs_of seg page) with
+        | Segment.In_memory r, _ when mapped_elsewhere r -> () (* the hand's *)
+        | st, (heir, hpage) :: rest ->
+          (match st with
+          | Segment.In_memory r -> install t heir hpage r
+          | st -> Segment.set_state heir hpage st);
+          List.iter (fun (s, p) -> Segment.set_state s p (Segment.Cow_of (heir, hpage))) rest;
+          Segment.set_state seg page Segment.Zero
+        | st, [] ->
+          (match st with
+          | Segment.On_disk b when not seg.Segment.file_backed -> Backing_store.free_block t.env.store b
+          | _ -> ());
+          Segment.set_state seg page Segment.Zero)
+      pages
+  in
+  List.iter release_segment segs;
+  (* refused while a thread of the space still runs (a process in its
+     exit trap): [vsp.loaded] stays true, and the owner unloads it later *)
+  if vsp.loaded then ignore (Api.unload_space inst ~caller:kernel vsp.oid);
+  Hashtbl.remove t.spaces vsp.tag
 
 (* -- Laundering --
 

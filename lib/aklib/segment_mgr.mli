@@ -63,7 +63,7 @@ type t = {
   env : env;
   spaces : (int, vspace) Hashtbl.t;
       (** by tag; perfbench reads it.  Elsewhere use {!list_spaces},
-          {!space_by_tag} and {!drop_space}. *)
+          {!space_by_tag} and {!release_space}. *)
   mutable next_space_tag : int;
   mutable next_segment_id : int;
   hand : hand;
@@ -94,14 +94,24 @@ val space_by_oid : t -> Oid.t -> vspace option
 val list_spaces : t -> vspace list
 (** Every space the manager holds, in tag order. *)
 
-val drop_space : t -> vspace -> unit
-(** Forget a space its owner has released (its segments freed and its
-    identifier unloaded): it no longer resolves by tag or identifier, and
-    a checkpoint no longer captures it. *)
+val release_space : t -> vspace -> unit
+(** The one way a space leaves its kernel: a process exits, a space
+    migrates away, a landing is purged.  A segment another live space also
+    attaches stays whole; in the others, page by page: the space's own
+    mappings are unloaded; a page another live space still maps stays for
+    the hand; a page another live segment names through [Cow_of] goes to
+    that segment (the others naming it then name that one); every other
+    frame, and every block a file does not own, is freed.  Last the Cache
+    Kernel space is unloaded — unless a thread of it is still running,
+    when [loaded] stays true for the caller to unload it later — and the
+    space is forgotten: no tag, identifier or checkpoint reaches it. *)
 
 val create_segment : t -> name:string -> pages:int -> Segment.t
 val attach_region : t -> vspace -> Region.t -> unit
 val region_of : vspace -> int -> Region.t option
+
+val segments : vspace -> Segment.t list
+(** Unique segments of a space, in region-attach order. *)
 
 val reload_space : t -> vspace -> (Oid.t, Api.error) result
 (** Reload a written-back space (a new identifier is assigned). *)

@@ -10,7 +10,7 @@
 
 open Cachekernel
 
-type run = Loaded | Unloaded of Thread_obj.saved option | Exited
+type run = Loaded | Unloaded of Thread_obj.saved option
 
 type entry = {
   id : int;
@@ -117,15 +117,10 @@ let adopt t ~space_tag ~priority ?affinity ?(lock = false) ?saved ?body () =
   Hashtbl.replace t.table id e;
   id
 
-(** Retire an entry whose thread now lives on another node: the migrated
-    state must not be locally reschedulable.  (Signals that still arrive
-    here go through the migration plane's forwarding stub.) *)
-let retire t id =
-  match entry t id with
-  | None -> ()
-  | Some e ->
-    e.oid <- Oid.none;
-    e.run <- Exited
+(** Remove the entry of a thread that no longer runs here: it exited,
+    migrated away, or belonged to a purged landing.  (Signals that still
+    arrive for it go through the migration plane's forwarding stub.) *)
+let retire t id = Hashtbl.remove t.table id
 
 (** Raise an address-valued signal against the thread with local id [id].
     A loaded thread gets it directly; a thread that migrated away has no
@@ -155,7 +150,6 @@ let schedule t id =
   | Some e -> (
     match e.run with
     | Loaded -> Ok e.oid
-    | Exited -> Error Api.Stale_reference
     | Unloaded (Some saved) -> load_entry t e ~start:(Thread_obj.Saved saved)
     | Unloaded None -> (
       match e.body with
@@ -177,7 +171,7 @@ let handle_writeback t ~tag ~(state : Thread_obj.saved) ~(reason : Wb.reason) ~p
   | Some e -> (
     e.priority <- priority;
     match reason with
-    | Wb.Exited -> e.run <- Exited
+    | Wb.Exited -> retire t tag
     | Wb.Displaced | Wb.Requested | Wb.Dependent | Wb.Consistency ->
       e.run <- Unloaded (Some state))
 
@@ -193,20 +187,25 @@ let mark_crashed t =
       | Loaded ->
         e.oid <- Oid.none;
         e.run <- Unloaded None
-      | Unloaded _ | Exited -> ())
+      | Unloaded _ -> ())
     t.table
 
 let running t id = match entry t id with Some e -> e.run = Loaded | None -> false
-let exited t id = match entry t id with Some e -> e.run = Exited | None -> true
+let exited t id = not (Hashtbl.mem t.table id)
 let reload_retries t = t.reload_retries
 
 (** All entries (for schedulers that sweep, e.g. priority decay). *)
 let iter t f = Hashtbl.iter (fun _ e -> f e) t.table
 
+(** The entries of the space tagged [space_tag], in id order. *)
+let of_space t space_tag =
+  Hashtbl.fold (fun _ e acc -> if e.space_tag = space_tag then e :: acc else acc) t.table []
+  |> List.sort (fun a b -> compare a.id b.id)
+
 (** Deliver the address-valued signal [va] to the thread with local id
     [id] wherever it is now: posted to its current identifier if it is
     loaded, appended to its saved pending signals if it is written back
-    (the next load queues them).  An exited or crashed thread drops it. *)
+    (the next load queues them).  A crashed thread, or one with no entry, drops it. *)
 let deliver t id ~va =
   match entry t id with
   | Some ({ run = Loaded; _ } as e) -> (
@@ -218,7 +217,7 @@ let deliver t id ~va =
       Unloaded
         (Some
            { saved with Thread_obj.pending_signals = saved.Thread_obj.pending_signals @ [ va ] })
-  | Some { run = Unloaded None | Exited; _ } | None -> ()
+  | Some { run = Unloaded None; _ } | None -> ()
 
 (* Completion tokens are address-valued signals in a range no mapping or
    other library uses; each wait gets its own. *)

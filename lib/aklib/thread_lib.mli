@@ -10,7 +10,9 @@
 
 open Cachekernel
 
-type run = Loaded | Unloaded of Thread_obj.saved option | Exited
+(** A thread that exits, migrates away or is purged has no entry at all
+    ({!retire}); an entry is loaded or written back. *)
+type run = Loaded | Unloaded of Thread_obj.saved option
 
 type entry = {
   id : int;
@@ -59,8 +61,9 @@ val adopt :
     restore) without loading it; [schedule] loads it. *)
 
 val retire : t -> int -> unit
-(** Mark an entry as living elsewhere (migrated away): it can no longer be
-    scheduled locally. *)
+(** Remove an entry whose thread no longer runs here (exited, migrated
+    away, or in a purged landing); an [Exited] thread writeback does the
+    same. *)
 
 val set_forwarder : t -> (int -> va:int -> bool) -> unit
 (** Install the hook consulted by {!signal} for threads with no local
@@ -84,6 +87,11 @@ val mark_crashed : t -> unit
 
 val running : t -> int -> bool
 val exited : t -> int -> bool
+(** No entry: the thread exited, was retired, or never existed. *)
+
+val of_space : t -> int -> entry list
+(** The entries of the space with the given tag, in id order. *)
+
 val reload_retries : t -> int
 val iter : t -> (entry -> unit) -> unit
 

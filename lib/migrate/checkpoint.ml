@@ -19,48 +19,13 @@
 open Cachekernel
 open Aklib
 
-(* The saved image of one kernel: spaces in tag order, threads in id
-   order, caller-supplied annotations in [extras]. *)
-let image_of ak ?(extras = []) ?(name_of = fun (_ : Thread_lib.entry) -> "") () =
-  let mgr = ak.App_kernel.mgr in
-  let own =
-    match ak.App_kernel.own_space with Some v -> Some v.Segment_mgr.tag | None -> None
-  in
-  let spaces =
-    List.filter
-      (fun (v : Segment_mgr.vspace) -> Some v.Segment_mgr.tag <> own)
-      (Segment_mgr.list_spaces mgr)
-  in
-  let space_index tag =
-    let rec go i = function
-      | [] -> None
-      | (v : Segment_mgr.vspace) :: tl -> if v.Segment_mgr.tag = tag then Some i else go (i + 1) tl
-    in
-    go 0 spaces
-  in
-  (* a thread goes with its space: an exited process's, dropped, is not
-     captured (and so not rebound to the kernel's own space) *)
-  let entries = ref [] in
-  Thread_lib.iter ak.App_kernel.threads (fun e ->
-      let tag = e.Thread_lib.space_tag in
-      if e.Thread_lib.run <> Thread_lib.Exited && (Some tag = own || space_index tag <> None)
-      then entries := e :: !entries);
-  let entries =
-    List.sort (fun (a : Thread_lib.entry) b -> compare a.Thread_lib.id b.Thread_lib.id) !entries
-  in
-  let threads =
-    List.map
-      (fun (e : Thread_lib.entry) ->
-        Plane.thread_image_of ~program:(name_of e) ~xfer:0
-          ~space:(space_index e.Thread_lib.space_tag) e)
-      entries
-  in
-  {
-    Codec.src_node = Instance.node_id ak.App_kernel.inst;
-    spaces = List.map (Plane.space_image_of ak) spaces;
-    threads;
-    extras;
-  }
+(* The saved image of one kernel: every space but its own, with its
+   threads, and the own space's threads, bound to no space. *)
+let image_of ak ?(extras = []) ?name_of () =
+  let threads v = Thread_lib.of_space ak.App_kernel.threads v.Segment_mgr.tag in
+  let own = Option.fold ~none:[] ~some:threads ak.App_kernel.own_space in
+  let spaces = Segment_mgr.list_spaces ak.App_kernel.mgr in
+  { (Plane.image_of ak ?program:name_of ~own ~xfer:0 spaces) with Codec.extras }
 
 (* Persist an already-captured image (e.g. one taken mid-session, with
    extras appended later) to [path].  Returns the image size in bytes. *)
@@ -104,30 +69,17 @@ let restore ak ~path ~programs ?(schedule = true) () =
   match Codec.decode data with
   | Error msg -> Error msg
   | Ok img -> (
-    match Plane.build_spaces ak img.Codec.spaces with
+    let bind (th : Codec.thread_image) = (None, List.assoc_opt th.Codec.program programs) in
+    match Plane.adopt_image ak ~bind img with
     | Error msg -> Error msg
-    | Ok vsps ->
-      let threads =
-        List.filter_map
-          (fun (th : Codec.thread_image) ->
-            let space_tag =
-              match th.Codec.space with
-              | Some idx -> Some (List.nth vsps idx).Segment_mgr.tag
-              | None -> Result.to_option (Plane.own_space_tag ak)
-            in
-            match space_tag with
-            | None -> None
-            | Some space_tag ->
-              let body = List.assoc_opt th.Codec.program programs in
-              let id =
-                Thread_lib.adopt ak.App_kernel.threads ~space_tag ~priority:th.Codec.priority
-                  ?affinity:th.Codec.affinity ~lock:th.Codec.locked ?body ()
-              in
-              if schedule && body <> None then
-                ignore (Thread_lib.schedule ak.App_kernel.threads id);
-              Some (th.Codec.thread_tag, id))
-          img.Codec.threads
-      in
+    | Ok (spaces, threads) ->
+      if schedule then
+        List.iter
+          (fun (_, id) ->
+            match Thread_lib.entry ak.App_kernel.threads id with
+            | Some { Thread_lib.body = Some _; _ } -> ignore (Thread_lib.schedule ak.App_kernel.threads id)
+            | _ -> ())
+          threads;
       Metrics.incr ~by:(Bytes.length data) i.Instance.metrics "restore.bytes";
       Instance.trace i (Trace.Checkpointed { restore = true; bytes = Bytes.length data });
-      Ok { image = img; spaces = vsps; threads })
+      Ok { image = img; spaces; threads })

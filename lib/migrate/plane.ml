@@ -205,19 +205,9 @@ let segment_pages ak (seg : Segment.t) =
   done;
   !pages
 
-(* Unique segments of a space, in region-attach order. *)
-let space_segments (vsp : Segment_mgr.vspace) =
-  List.fold_left
-    (fun acc (r : Region.t) ->
-      if List.exists (fun (s : Segment.t) -> s.Segment.id = r.Region.segment.Segment.id) acc
-      then acc
-      else acc @ [ r.Region.segment ])
-    []
-    (List.rev vsp.Segment_mgr.regions)
-
 let space_image_of ak (vsp : Segment_mgr.vspace) =
   let regions = List.rev vsp.Segment_mgr.regions in
-  let segs = space_segments vsp in
+  let segs = Segment_mgr.segments vsp in
   let seg_index (s : Segment.t) =
     let rec idx i = function
       | [] -> raise Not_found
@@ -251,11 +241,11 @@ let space_image_of ak (vsp : Segment_mgr.vspace) =
         regions;
   }
 
-let thread_image_of ?(program = "") ~xfer ~space (e : Thread_lib.entry) =
+let thread_image_of ~program ~xfer ~space (e : Thread_lib.entry) =
   {
     Codec.thread_tag = e.Thread_lib.id;
     thread_gen = e.Thread_lib.oid.Oid.gen;
-    program;
+    program = program e;
     priority = e.Thread_lib.priority;
     affinity = e.Thread_lib.affinity;
     locked = e.Thread_lib.lock;
@@ -263,68 +253,46 @@ let thread_image_of ?(program = "") ~xfer ~space (e : Thread_lib.entry) =
     xfer;
   }
 
-let deposit_residue ~xfer (e : Thread_lib.entry) =
-  let saved = match e.Thread_lib.run with Thread_lib.Unloaded s -> s | _ -> None in
-  Hashtbl.replace registry (xfer, e.Thread_lib.id)
-    { res_saved = saved; res_body = e.Thread_lib.body }
-
-(* Release the source-side storage of a migrated space: frames whose only
-   users were this space's mappings, and backing-store blocks.  Shared
-   residencies (other spaces still map the frame) and the blocks of
-   file-backed segments are left alone. *)
-let release_space t (vsp : Segment_mgr.vspace) =
-  let ak = t.ak in
-  List.iter
-    (fun (seg : Segment.t) ->
-      let free_block block =
-        if not seg.Segment.file_backed then Backing_store.free_block ak.App_kernel.store block
-      in
-      for page = 0 to seg.Segment.pages - 1 do
-        match Segment.state seg page with
-        | Segment.In_memory res when res.Segment.mappers = [] ->
-          Option.iter free_block res.Segment.backing;
-          Frame_alloc.free ak.App_kernel.frames res.Segment.pfn;
-          Segment.set_state seg page Segment.Zero
-        | Segment.On_disk block ->
-          free_block block;
-          Segment.set_state seg page Segment.Zero
-        | _ -> ()
-      done)
-    (space_segments vsp);
-  Segment_mgr.drop_space ak.App_kernel.mgr vsp
+(* See the interface: [spaces] but the kernel's own, with their threads,
+   and the own-space threads [own]; threads in id order. *)
+let image_of ak ?(program = fun (_ : Thread_lib.entry) -> "") ?(own = []) ~xfer spaces =
+  let spaces = List.filter (fun v -> not (Option.equal ( == ) (Some v) ak.App_kernel.own_space)) spaces in
+  let threads =
+    List.map (fun e -> (e, None)) own
+    @ List.concat
+        (List.mapi
+           (fun i (v : Segment_mgr.vspace) ->
+             List.map (fun e -> (e, Some i)) (Thread_lib.of_space ak.App_kernel.threads v.Segment_mgr.tag))
+           spaces)
+    |> List.sort (fun ((a : Thread_lib.entry), _) (b, _) -> compare a.Thread_lib.id b.Thread_lib.id)
+  in
+  {
+    Codec.src_node = Instance.node_id ak.App_kernel.inst;
+    spaces = List.map (space_image_of ak) spaces;
+    threads = List.map (fun (e, space) -> thread_image_of ~program ~xfer ~space e) threads;
+    extras = [];
+  }
 
 (* -- applying an image (destination side) ------------------------------- *)
 
 let build_space ak (s : Codec.space_image) =
   let mgr = ak.App_kernel.mgr in
-  let segs =
-    List.map
-      (fun (si : Codec.segment_image) ->
-        let seg = Segment_mgr.create_segment mgr ~name:si.Codec.seg_name ~pages:si.Codec.seg_pages in
-        List.iter
-          (fun (p : Codec.page) ->
-            Segment_mgr.write_segment_now mgr seg
-              ~offset:(p.Codec.index * Hw.Addr.page_size)
-              p.Codec.data)
-          si.Codec.payload;
-        seg)
-      s.Codec.segments
-  in
   match Segment_mgr.create_space mgr with
-  | Error e ->
-    (* refused: give back the frames the segments were just filled into *)
-    List.iter
-      (fun (seg : Segment.t) ->
-        for page = 0 to seg.Segment.pages - 1 do
-          match Segment.state seg page with
-          | Segment.In_memory r ->
-            Frame_alloc.free ak.App_kernel.frames r.Segment.pfn;
-            Segment.set_state seg page Segment.Zero
-          | _ -> ()
-        done)
-      segs;
-    Error (Fmt.str "create_space: %a" Api.pp_error e)
+  | Error e -> Error (Fmt.str "create_space: %a" Api.pp_error e)
   | Ok vsp ->
+    let segs =
+      List.map
+        (fun (si : Codec.segment_image) ->
+          let seg = Segment_mgr.create_segment mgr ~name:si.Codec.seg_name ~pages:si.Codec.seg_pages in
+          List.iter
+            (fun (p : Codec.page) ->
+              Segment_mgr.write_segment_now mgr seg
+                ~offset:(p.Codec.index * Hw.Addr.page_size)
+                p.Codec.data)
+            si.Codec.payload;
+          seg)
+        s.Codec.segments
+    in
     List.iter
       (fun (r : Codec.region_image) ->
         let segment = List.nth segs r.Codec.seg in
@@ -336,21 +304,37 @@ let build_space ak (s : Codec.space_image) =
       s.Codec.regions;
     Ok vsp
 
-(* Rebuild every space of an image locally; shared with {!Checkpoint}. *)
-let build_spaces ak (spaces : Codec.space_image list) =
-  let rec go acc = function
+(* See the interface.  The space is built before it is filled, so a
+   refused space leaves nothing to undo; the spaces before it leave
+   through the one release. *)
+let adopt_image ak ~bind (img : Codec.image) =
+  let rec build acc = function
     | [] -> Ok (List.rev acc)
-    | s :: tl -> ( match build_space ak s with Ok v -> go (v :: acc) tl | Error e -> Error e)
+    | s :: tl -> (
+      match build_space ak s with
+      | Ok v -> build (v :: acc) tl
+      | Error e ->
+        List.iter (Segment_mgr.release_space ak.App_kernel.mgr) acc;
+        Error e)
   in
-  go [] spaces
-
-let own_space_tag ak =
-  match ak.App_kernel.own_space with
-  | Some v -> Ok v.Segment_mgr.tag
-  | None -> (
-    match App_kernel.init_own_space ak with
-    | Ok v -> Ok v.Segment_mgr.tag
-    | Error e -> Error (Fmt.str "own space: %a" Api.pp_error e))
+  let own =
+    match ak.App_kernel.own_space with Some v -> Ok v | None -> App_kernel.init_own_space ak
+  in
+  match own with
+  | Error e -> Error (Fmt.str "own space: %a" Api.pp_error e)
+  | Ok own -> (
+    match build [] img.Codec.spaces with
+    | Error e -> Error e
+    | Ok vsps ->
+      let adopt (th : Codec.thread_image) =
+        let space = match th.Codec.space with Some idx -> List.nth vsps idx | None -> own in
+        let saved, body = bind th in
+        ( th.Codec.thread_tag,
+          Thread_lib.adopt ak.App_kernel.threads ~space_tag:space.Segment_mgr.tag
+            ~priority:th.Codec.priority ?affinity:th.Codec.affinity ~lock:th.Codec.locked ?saved
+            ?body () )
+      in
+      Ok (vsps, List.map adopt img.Codec.threads))
 
 let deliver_local t ~local_id ~va =
   let i = inst t in
@@ -369,39 +353,23 @@ let deliver_local t ~local_id ~va =
    consumed — it belongs to the source until the transfer reaches a
    terminal state (commit-acked, or re-adopted at the source). *)
 let apply t ~xfer (img : Codec.image) =
-  match build_spaces t.ak img.Codec.spaces with
+  let bind (th : Codec.thread_image) =
+    match Hashtbl.find_opt registry (th.Codec.xfer, th.Codec.thread_tag) with
+    | Some r -> (r.res_saved, r.res_body)
+    | None -> (None, None)
+  in
+  match adopt_image t.ak ~bind img with
   | Error e -> Error e
-  | Ok vsps -> (
-    match own_space_tag t.ak with
-    | Error e -> Error e
-    | Ok own ->
-      let threads =
-        List.map
-          (fun (th : Codec.thread_image) ->
-            let space_tag =
-              match th.Codec.space with
-              | Some idx -> (List.nth vsps idx).Segment_mgr.tag
-              | None -> own
-            in
-            let res = Hashtbl.find_opt registry (th.Codec.xfer, th.Codec.thread_tag) in
-            let saved = Option.bind res (fun r -> r.res_saved) in
-            let body = Option.bind res (fun r -> r.res_body) in
-            let id =
-              Thread_lib.adopt t.ak.App_kernel.threads ~space_tag ~priority:th.Codec.priority
-                ?affinity:th.Codec.affinity ~lock:th.Codec.locked ?saved ?body ()
-            in
-            (th.Codec.thread_tag, id))
-          img.Codec.threads
-      in
-      let landing =
-        {
-          l_threads = threads;
-          l_space_tags = List.map (fun (v : Segment_mgr.vspace) -> v.Segment_mgr.tag) vsps;
-          l_committed = false;
-        }
-      in
-      Hashtbl.replace t.landings xfer landing;
-      Ok landing)
+  | Ok (vsps, threads) ->
+    let landing =
+      {
+        l_threads = threads;
+        l_space_tags = List.map (fun (v : Segment_mgr.vspace) -> v.Segment_mgr.tag) vsps;
+        l_committed = false;
+      }
+    in
+    Hashtbl.replace t.landings xfer landing;
+    Ok landing
 
 (* Schedule a landing's parked threads and deliver the signals that beat
    the commit here.  [counter] is bumped per thread successfully loaded. *)
@@ -442,7 +410,7 @@ let purge_landing t ~xfer (l : landing) =
   List.iter
     (fun stag ->
       match Segment_mgr.space_by_tag t.ak.App_kernel.mgr stag with
-      | Some vsp -> release_space t vsp
+      | Some vsp -> Segment_mgr.release_space t.ak.App_kernel.mgr vsp
       | None -> ())
     l.l_space_tags;
   Hashtbl.remove t.landings xfer;
@@ -589,22 +557,28 @@ let ship t ~dst ~xfer ~oid img =
 
 (* -- thread migration --------------------------------------------------- *)
 
+(* Hand a captured image's threads over to transfer [xfer]: each leaves
+   its residue in the registry and its entry here, and a forwarding stub
+   re-targets the signals still raised against it. *)
+let hand_over t ~dst ~xfer (img : Codec.image) =
+  let threads = t.ak.App_kernel.threads in
+  List.iter
+    (fun (th : Codec.thread_image) ->
+      let id = th.Codec.thread_tag in
+      Option.iter
+        (fun (e : Thread_lib.entry) ->
+          let saved = match e.Thread_lib.run with Thread_lib.Unloaded s -> s | Thread_lib.Loaded -> None in
+          Hashtbl.replace registry (xfer, id) { res_saved = saved; res_body = e.Thread_lib.body })
+        (Thread_lib.entry threads id);
+      Thread_lib.retire threads id;
+      Hashtbl.replace t.forwards id (xfer, dst))
+    img.Codec.threads
+
 let capture_thread t ~dst ~xfer (e : Thread_lib.entry) =
-  let i = inst t in
-  deposit_residue ~xfer e;
-  let oid = e.Thread_lib.oid in
-  let img =
-    {
-      Codec.src_node = t.node_id;
-      spaces = [];
-      threads = [ thread_image_of ~xfer ~space:None e ];
-      extras = [];
-    }
-  in
-  Thread_lib.retire t.ak.App_kernel.threads e.Thread_lib.id;
-  Hashtbl.replace t.forwards e.Thread_lib.id (xfer, dst);
-  Instance.count i "migrate.moves";
-  ship t ~dst ~xfer ~oid img
+  let img = image_of t.ak ~own:[ e ] ~xfer [] in
+  hand_over t ~dst ~xfer img;
+  Instance.count (inst t) "migrate.moves";
+  ship t ~dst ~xfer ~oid:e.Thread_lib.oid img
 
 let capture_retry_us = 100.0
 let capture_max_attempts = 16
@@ -628,7 +602,7 @@ let defer_capture t ~attempts retry =
 let rec try_capture_thread t ~dst ~xfer ~id ~attempts =
   let i = inst t in
   match Thread_lib.entry t.ak.App_kernel.threads id with
-  | None | Some { Thread_lib.run = Thread_lib.Exited; _ } -> Instance.count i "migrate.aborted"
+  | None -> Instance.count i "migrate.aborted"
   | Some ({ Thread_lib.run = Thread_lib.Unloaded _; _ } as e) -> capture_thread t ~dst ~xfer e
   | Some ({ Thread_lib.run = Thread_lib.Loaded; _ } as e) -> (
     match Thread_lib.deschedule t.ak.App_kernel.threads id with
@@ -636,7 +610,7 @@ let rec try_capture_thread t ~dst ~xfer ~id ~attempts =
     | Ok () -> (
       match e.Thread_lib.run with
       | Thread_lib.Unloaded _ -> capture_thread t ~dst ~xfer e
-      | _ ->
+      | Thread_lib.Loaded ->
         defer_capture t ~attempts (fun attempts -> try_capture_thread t ~dst ~xfer ~id ~attempts)))
 
 (* Move one thread of the kernel's own address space to [dst].  Returns
@@ -645,7 +619,6 @@ let rec try_capture_thread t ~dst ~xfer ~id ~attempts =
 let move_thread t ~dst id =
   match Thread_lib.entry t.ak.App_kernel.threads id with
   | None -> Error Api.Stale_reference
-  | Some { Thread_lib.run = Thread_lib.Exited; _ } -> Error Api.Stale_reference
   | Some _ ->
     let xfer = fresh_xfer t in
     try_capture_thread t ~dst ~xfer ~id ~attempts:0;
@@ -654,33 +627,11 @@ let move_thread t ~dst id =
 (* -- space migration ---------------------------------------------------- *)
 
 let capture_space t ~dst ~xfer (vsp : Segment_mgr.vspace) =
-  let i = inst t in
-  let simg = space_image_of t.ak vsp in
-  let entries = ref [] in
-  Thread_lib.iter t.ak.App_kernel.threads (fun e ->
-      if
-        e.Thread_lib.space_tag = vsp.Segment_mgr.tag
-        && e.Thread_lib.run <> Thread_lib.Exited
-      then entries := e :: !entries);
-  let entries =
-    List.sort (fun (a : Thread_lib.entry) b -> compare a.Thread_lib.id b.Thread_lib.id) !entries
-  in
-  let threads =
-    List.map
-      (fun e ->
-        deposit_residue ~xfer e;
-        thread_image_of ~xfer ~space:(Some 0) e)
-      entries
-  in
+  let img = image_of t.ak ~xfer [ vsp ] in
   let oid = vsp.Segment_mgr.oid in
-  let img = { Codec.src_node = t.node_id; spaces = [ simg ]; threads; extras = [] } in
-  List.iter
-    (fun (e : Thread_lib.entry) ->
-      Thread_lib.retire t.ak.App_kernel.threads e.Thread_lib.id;
-      Hashtbl.replace t.forwards e.Thread_lib.id (xfer, dst))
-    entries;
-  release_space t vsp;
-  Instance.count i "migrate.space_moves";
+  hand_over t ~dst ~xfer img;
+  Segment_mgr.release_space t.ak.App_kernel.mgr vsp;
+  Instance.count (inst t) "migrate.space_moves";
   ship t ~dst ~xfer ~oid img
 
 let rec try_capture_space t ~dst ~xfer ~tag ~attempts =
@@ -691,9 +642,14 @@ let rec try_capture_space t ~dst ~xfer ~tag ~attempts =
     (* unload threads first (space unload would write them back anyway,
        but descheduling through the thread library keeps its records in
        step), then the space itself *)
-    Thread_lib.iter t.ak.App_kernel.threads (fun e ->
-        if e.Thread_lib.space_tag = tag && e.Thread_lib.run = Thread_lib.Loaded then
-          ignore (Thread_lib.deschedule t.ak.App_kernel.threads e.Thread_lib.id));
+    let loaded () =
+      List.filter
+        (fun (e : Thread_lib.entry) -> e.Thread_lib.run = Thread_lib.Loaded)
+        (Thread_lib.of_space t.ak.App_kernel.threads tag)
+    in
+    List.iter
+      (fun (e : Thread_lib.entry) -> ignore (Thread_lib.deschedule t.ak.App_kernel.threads e.Thread_lib.id))
+      (loaded ());
     let unloaded =
       if not vsp.Segment_mgr.loaded then Ok ()
       else
@@ -704,11 +660,7 @@ let rec try_capture_space t ~dst ~xfer ~tag ~attempts =
       | Error _ -> false
       | Ok () ->
         (* any thread still Loaded has a deferred writeback in flight *)
-        let busy = ref false in
-        Thread_lib.iter t.ak.App_kernel.threads (fun e ->
-            if e.Thread_lib.space_tag = tag && e.Thread_lib.run = Thread_lib.Loaded then
-              busy := true);
-        (not !busy) && not vsp.Segment_mgr.loaded
+        loaded () = [] && not vsp.Segment_mgr.loaded
     in
     if quiesced then capture_space t ~dst ~xfer vsp
     else defer_capture t ~attempts (fun attempts -> try_capture_space t ~dst ~xfer ~tag ~attempts))
@@ -718,6 +670,8 @@ let rec try_capture_space t ~dst ~xfer ~tag ~attempts =
 let move_space t ~dst tag =
   match Segment_mgr.space_by_tag t.ak.App_kernel.mgr tag with
   | None -> Error Api.Stale_reference
+  | Some v when Option.equal ( == ) (Some v) t.ak.App_kernel.own_space ->
+    Error (Api.Bad_argument "the kernel's own space does not move")
   | Some _ ->
     let xfer = fresh_xfer t in
     try_capture_space t ~dst ~xfer ~tag ~attempts:0;
@@ -990,19 +944,16 @@ let resume_transfers t =
 (* The cheapest profitable victim: the lowest-id loaded own-space thread
    that is not locked, pinned, or already a forwarding stub. *)
 let pick_movable t =
-  let own =
-    match t.ak.App_kernel.own_space with Some v -> v.Segment_mgr.tag | None -> -1
-  in
-  let best = ref None in
-  Thread_lib.iter t.ak.App_kernel.threads (fun e ->
-      if
-        e.Thread_lib.run = Thread_lib.Loaded
-        && (not e.Thread_lib.lock)
-        && e.Thread_lib.affinity = None
-        && e.Thread_lib.space_tag = own
-        && not (Hashtbl.mem t.forwards e.Thread_lib.id)
-      then
-        match !best with
-        | Some b when b <= e.Thread_lib.id -> ()
-        | _ -> best := Some e.Thread_lib.id);
-  !best
+  match t.ak.App_kernel.own_space with
+  | None -> None
+  | Some own ->
+    List.find_map
+      (fun (e : Thread_lib.entry) ->
+        if
+          e.Thread_lib.run = Thread_lib.Loaded
+          && (not e.Thread_lib.lock)
+          && e.Thread_lib.affinity = None
+          && not (Hashtbl.mem t.forwards e.Thread_lib.id)
+        then Some e.Thread_lib.id
+        else None)
+      (Thread_lib.of_space t.ak.App_kernel.threads own.Segment_mgr.tag)

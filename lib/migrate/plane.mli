@@ -50,7 +50,7 @@ val move_thread : t -> dst:int -> int -> (int, Api.error) result
 
 val move_space : t -> dst:int -> int -> (int, Api.error) result
 (** Migrate a whole address space (tag) with its regions, segment contents
-    and threads. *)
+    and threads; the kernel's own space does not move. *)
 
 val in_flight : t -> bool
 (** Any outgoing transfer not yet commit-acked (still shipping, or acked
@@ -121,19 +121,31 @@ val set_step_hook : t -> (string -> unit) option -> unit
     inside the hook; every call site checks [halted] afterwards and cuts
     the handler short, exactly as a real crash would. *)
 
-(** {1 Image helpers shared with {!Checkpoint}} *)
+(** {1 Capture and adoption, shared with {!Checkpoint}} *)
 
 val space_image_of : App_kernel.t -> Segment_mgr.vspace -> Codec.space_image
 
-val thread_image_of :
-  ?program:string -> xfer:int -> space:int option -> Thread_lib.entry -> Codec.thread_image
-(** The structural record of a thread; [program] (default [""]) names its
-    body for a cross-process restore. *)
+val image_of :
+  App_kernel.t ->
+  ?program:(Thread_lib.entry -> string) ->
+  ?own:Thread_lib.entry list ->
+  xfer:int ->
+  Segment_mgr.vspace list ->
+  Codec.image
+(** Passive capture of [spaces] (the kernel's own left out: the adopting
+    kernel brings its own) with all their threads, plus the own-space
+    threads [own] bound to no space; threads in id order, stamped [xfer]
+    and named by [program] (default [""]). *)
 
-val build_spaces : App_kernel.t -> Codec.space_image list -> (Segment_mgr.vspace list, string) result
-
-val own_space_tag : App_kernel.t -> (int, string) result
-(** The kernel's own space, created on first use. *)
+val adopt_image :
+  App_kernel.t ->
+  bind:(Codec.thread_image -> Thread_obj.saved option * (unit -> Hw.Exec.payload) option) ->
+  Codec.image ->
+  (Segment_mgr.vspace list * (int * int) list, string) result
+(** Build the image's spaces and adopt its threads unscheduled, each bound
+    to its space or else to the kernel's own, with the saved state and
+    body [bind] gives.  Returns the spaces in image order and (image
+    thread tag, local id) pairs.  On a refusal nothing stays built. *)
 
 val pick_movable : t -> int option
 (** Lowest-id loaded, unlocked, unpinned own-space thread — the balancing

@@ -159,35 +159,6 @@ let create_process t ?(priority = 12) ~parent ?(inherit_from : Process.t option)
       | None -> ());
       Ok p)
 
-(* Release a dead process's memory: unmap and free frames, free the blocks
-   its pages own (text blocks belong to the program's file). *)
-let destroy_memory t (p : Process.t) =
-  let mgr = t.ak.App_kernel.mgr in
-  let store = t.ak.App_kernel.store in
-  let release (seg : Segment.t) =
-    Segment.iter_resident seg (fun _page r ->
-        Segment_mgr.unmap_residents mgr r;
-        Frame_alloc.free t.ak.App_kernel.frames r.Segment.pfn);
-    if not seg.Segment.file_backed then
-      Hashtbl.iter
-        (fun _ -> function
-          | Segment.In_memory { Segment.backing = Some block; _ } | Segment.On_disk block ->
-            Backing_store.free_block store block
-          | _ -> ())
-        seg.Segment.table;
-    Hashtbl.reset seg.Segment.table;
-    seg.Segment.resident_count <- 0
-  in
-  release p.Process.text;
-  release p.Process.data;
-  release p.Process.stack;
-  if p.Process.vspace.Segment_mgr.loaded then
-    ignore
-      (Api.unload_space t.ak.App_kernel.inst
-         ~caller:(App_kernel.oid t.ak)
-         p.Process.vspace.Segment_mgr.oid);
-  Segment_mgr.drop_space mgr p.Process.vspace
-
 (* Sleep/wakeup: "a thread is unloaded when it begins to sleep ... It is
    then reloaded when a wakeup call is issued on this event." *)
 
@@ -211,12 +182,15 @@ let wakeup_event t event =
       | _ -> ())
     t.procs
 
-(* Process termination. *)
+(* Process termination: the thread's entry goes, and the space leaves
+   through the segment manager's one release (a copy-on-write child
+   inherits the pages it still names). *)
 let do_exit t (p : Process.t) code =
   p.Process.state <- Process.Zombie code;
   p.Process.exit_code <- Some code;
   t.exited <- t.exited + 1;
-  destroy_memory t p;
+  Thread_lib.retire t.ak.App_kernel.threads p.Process.thread;
+  Segment_mgr.release_space t.ak.App_kernel.mgr p.Process.vspace;
   (* wake a parent sleeping in wait() *)
   match proc t p.Process.parent with
   | Some parent -> (
@@ -228,12 +202,13 @@ let do_exit t (p : Process.t) code =
 
 (** Terminate [pid] as if by an uncatchable signal. *)
 let kill_process t (p : Process.t) ~code =
-  (match p.Process.state with
+  match p.Process.state with
   | Process.Zombie _ -> ()
   | _ ->
-    do_exit t p code;
-    ignore (Thread_lib.deschedule t.ak.App_kernel.threads p.Process.thread));
-  ()
+    (* while its entry lasts: a thread killed from its own fault handler
+       is still running, and unloads at its next kernel exit *)
+    ignore (Thread_lib.deschedule t.ak.App_kernel.threads p.Process.thread);
+    do_exit t p code
 
 (* wait(): reap a zombie child, or sleep until one appears. *)
 let do_wait t (p : Process.t) =
@@ -249,7 +224,9 @@ let do_wait t (p : Process.t) =
   | Some c ->
     let code = Option.value c.Process.exit_code ~default:(-1) in
     p.Process.children <- List.filter (fun x -> x <> c.Process.pid) p.Process.children;
-    (* the zombie's threads are gone now, so its space can be unloaded *)
+    (* exit may not have unloaded the space: the Cache Kernel refuses
+       while a thread of it is active, as the exiting one is in its exit
+       trap.  That thread is gone now. *)
     if c.Process.vspace.Segment_mgr.loaded then
       ignore
         (Api.unload_space t.ak.App_kernel.inst

@@ -724,6 +724,57 @@ let test_deferred_copy_fork () =
   Alcotest.(check bool) "the Cache Kernel performed the deferred copy" true
     (inst.Instance.stats.Stats.cow_copies >= 1)
 
+(* A space leaves while another space's segment still inherits two of its
+   pages copy-on-write, one resident and one on disk.  Both go to the
+   heir, whose thread then reads them; the frame and the block nobody
+   inherits come back. *)
+let test_release_hands_inherited_pages () =
+  let inst, ak = make () in
+  let mgr = ak.App_kernel.mgr in
+  let store = ak.App_kernel.store in
+  let page = Hw.Addr.page_size in
+  let image v =
+    let b = Bytes.make page '\000' in
+    Bytes.set_int32_le b 0 (Int32.of_int v);
+    b
+  in
+  let parent_sp = user_space ak in
+  let child_sp = user_space ak in
+  let pseg = Segment_mgr.create_segment mgr ~name:"p" ~pages:4 in
+  let cseg = Segment_mgr.create_segment mgr ~name:"c" ~pages:2 in
+  let base = 0x40000000 in
+  Segment_mgr.attach_region mgr parent_sp
+    (Region.v ~va_start:base ~pages:4 ~segment:pseg ~seg_offset:0 ());
+  Segment_mgr.attach_region mgr child_sp
+    (Region.v ~va_start:base ~pages:2 ~segment:cseg ~seg_offset:0 ());
+  (* pages 0 and 2 resident, 1 and 3 on disk; the child inherits 0 and 1 *)
+  Segment_mgr.write_segment_now mgr pseg ~offset:0 (image 111);
+  Segment_mgr.write_segment_now mgr pseg ~offset:(2 * page) (image 333);
+  let on_disk p v =
+    let block = Backing_store.alloc_block store in
+    Backing_store.write_block_now store ~block (image v);
+    Segment.set_state pseg p (Segment.On_disk block)
+  in
+  on_disk 1 222;
+  on_disk 3 444;
+  Segment.set_state cseg 0 (Segment.Cow_of (pseg, 0));
+  Segment.set_state cseg 1 (Segment.Cow_of (pseg, 1));
+  let frames0 = Frame_alloc.available ak.App_kernel.frames in
+  let blocks0 = Hw.Disk.live_blocks ak.App_kernel.disk in
+  Segment_mgr.release_space mgr parent_sp;
+  Alcotest.(check bool) "the space is forgotten" true
+    (Segment_mgr.space_by_tag mgr parent_sp.Segment_mgr.tag = None);
+  Alcotest.(check int) "the uninherited frame came back" (frames0 + 1)
+    (Frame_alloc.available ak.App_kernel.frames);
+  Alcotest.(check int) "the uninherited block came back" (blocks0 - 1)
+    (Hw.Disk.live_blocks ak.App_kernel.disk);
+  let got = ref [] in
+  ignore
+    (spawn_user ak child_sp ~priority:8 (fun () ->
+         got := [ Hw.Exec.mem_read base; Hw.Exec.mem_read (base + page) ]));
+  ignore (Engine.run [| inst |]);
+  Alcotest.(check (list int)) "the heir reads what it inherited" [ 111; 222 ] !got
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let test_rpc_roundtrip () =
@@ -827,6 +878,8 @@ let () =
           Alcotest.test_case "demand paging with eviction" `Quick
             test_demand_paging_with_eviction;
           Alcotest.test_case "deferred-copy fork" `Quick test_deferred_copy_fork;
+          Alcotest.test_case "release hands inherited pages to the heir" `Quick
+            test_release_hands_inherited_pages;
           Alcotest.test_case "a page-out stores the frame's image" `Quick
             test_page_out_stores_image;
           Alcotest.test_case "paging keeps one block per page" `Quick

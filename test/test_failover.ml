@@ -315,9 +315,8 @@ let live_copy_census c =
       | None -> ()
       | Some vsp ->
         incr holders;
-        Thread_lib.iter ak.App_kernel.threads (fun e ->
-            if e.Thread_lib.space_tag = vsp.Segment_mgr.tag && e.Thread_lib.run <> Thread_lib.Exited
-            then incr live_threads))
+        live_threads :=
+          !live_threads + List.length (Thread_lib.of_space ak.App_kernel.threads vsp.Segment_mgr.tag))
     [| 0; 1; 2 |];
   (!holders, !live_threads)
 

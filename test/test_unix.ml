@@ -106,6 +106,30 @@ let test_spawn_inherit_cow () =
   Alcotest.(check bool) "deferred copy used" true
     (inst.Instance.stats.Stats.cow_copies >= 1)
 
+(* The parent exits before its copy-on-write child reads the inherited
+   word: the page goes to the child, which still reads the pre-fork
+   value. *)
+let test_cow_child_outlives_parent () =
+  let inst, emu = boot () in
+  let parent_gone = ref false and observed = ref (-1) in
+  let worker =
+    Syscall.program "worker" (fun () ->
+        Hw.Exec.compute 2_000_000;
+        parent_gone := Process.is_zombie (Option.get (Emulator.proc emu 1));
+        observed := Hw.Exec.mem_read Process.data_base;
+        0)
+  in
+  let init =
+    Syscall.program "init" (fun () ->
+        Hw.Exec.mem_write Process.data_base 4242;
+        ignore (Syscall.spawn ~inherit_memory:true worker);
+        0)
+  in
+  ignore (ok (Emulator.start_init emu init));
+  ignore (Engine.run [| inst |]);
+  Alcotest.(check bool) "the parent exited first" true !parent_gone;
+  Alcotest.(check int) "the child reads the parent's pre-fork word" 4242 !observed
+
 let test_swapping () =
   let inst, emu = boot () in
   let resumed = ref false in
@@ -549,11 +573,9 @@ let test_exit_frees_blocks_keeps_text () =
    emulator's own), and a checkpoint taken then encodes only those, with
    the live processes' threads in them and no dead process's thread
    anywhere: an exited process's space is dropped, not kept for a fault or
-   a checkpoint to walk over. *)
+   a checkpoint to walk over, and its thread entry is removed. *)
 let test_exit_drops_space () =
   let inst, emu = boot () in
-  let ak = emu.Emulator.ak in
-  let mgr = ak.Aklib.App_kernel.mgr in
   let quick = Syscall.program "quick" (fun () -> Hw.Exec.mem_write Process.data_base 1; 0) in
   let sleeper = Syscall.program "sleeper" (fun () -> Syscall.sleep "hold"; 0) in
   let init =
@@ -572,6 +594,8 @@ let test_exit_drops_space () =
   ignore (ok (Emulator.start_init emu init));
   ignore (Engine.run [| inst |]);
   Alcotest.(check int) "the wave exited" 6 emu.Emulator.exited;
+  let ak = emu.Emulator.ak in
+  let mgr = ak.Aklib.App_kernel.mgr in
   let tag (v : Aklib.Segment_mgr.vspace) = v.Aklib.Segment_mgr.tag in
   let live =
     List.filter_map
@@ -608,7 +632,17 @@ let test_exit_drops_space () =
     (List.filter_map
        (fun th -> if bound th = own then None else Some th.Migrate.Codec.thread_tag)
        img.Migrate.Codec.threads
+    |> List.sort compare);
+  (* and the thread library holds no dead child's entry *)
+  let held = ref [] in
+  Aklib.Thread_lib.iter ak.Aklib.App_kernel.threads (fun e ->
+      if e.Aklib.Thread_lib.space_tag <> own then held := e.Aklib.Thread_lib.id :: !held);
+  Alcotest.(check (list int)) "the thread entries are the live processes'"
+    (List.filter_map
+       (fun (p : Process.t) -> if Process.is_zombie p then None else Some p.Process.thread)
+       (Emulator.procs emu)
     |> List.sort compare)
+    (List.sort compare !held)
 
 let test_pipes () =
   let inst, emu = boot () in
@@ -693,6 +727,8 @@ let () =
           Alcotest.test_case "sleep unloads, wakeup reloads" `Quick
             test_sleep_wakeup_unloads_thread;
           Alcotest.test_case "spawn with COW inheritance" `Quick test_spawn_inherit_cow;
+          Alcotest.test_case "a COW child outlives its parent" `Quick
+            test_cow_child_outlives_parent;
           Alcotest.test_case "SIGSEGV terminates" `Quick test_sigsegv;
           Alcotest.test_case "stable pids across reloads" `Quick
             test_stable_pid_across_reloads;
