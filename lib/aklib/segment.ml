@@ -35,7 +35,6 @@ and t = {
   name : string;
   pages : int;
   table : (int, page_state) Hashtbl.t; (* sparse: absent = Zero *)
-  mutable resident_count : int;
   mutable file_backed : bool;
       (* the pages' blocks belong to a file (shared read-only program
          text): paging reads them but never writes or frees them *)
@@ -45,26 +44,11 @@ let resident ?backing pfn =
   { pfn; dirty = false; backing; mappers = []; referenced = false; cow_pending = None }
 
 let create ~id ~name ~pages =
-  { id; name; pages; table = Hashtbl.create 16; resident_count = 0; file_backed = false }
+  { id; name; pages; table = Hashtbl.create 16; file_backed = false }
 
 let state t page =
   if page < 0 || page >= t.pages then invalid_arg "Segment.state: page out of range";
   match Hashtbl.find_opt t.table page with Some s -> s | None -> Zero
 
 let set_state t page s =
-  let was_resident =
-    match Hashtbl.find_opt t.table page with Some (In_memory _) -> true | _ -> false
-  in
-  let is_resident = match s with In_memory _ -> true | _ -> false in
-  (match s with Zero -> Hashtbl.remove t.table page | _ -> Hashtbl.replace t.table page s);
-  if was_resident && not is_resident then t.resident_count <- t.resident_count - 1
-  else if is_resident && not was_resident then t.resident_count <- t.resident_count + 1
-
-let resident_count t = t.resident_count
-
-(** Iterate over resident pages. *)
-let iter_resident t f =
-  Hashtbl.iter (fun page -> function In_memory r -> f page r | _ -> ()) t.table
-
-let pp ppf t =
-  Fmt.pf ppf "segment#%d %s (%d pages, %d resident)" t.id t.name t.pages t.resident_count
+  match s with Zero -> Hashtbl.remove t.table page | _ -> Hashtbl.replace t.table page s

@@ -33,7 +33,6 @@ and t = {
   name : string;
   pages : int;
   table : (int, page_state) Hashtbl.t;
-  mutable resident_count : int;
   mutable file_backed : bool;
       (** the pages' blocks belong to a file (shared read-only program
           text): paging reads them but never writes or frees them *)
@@ -45,6 +44,3 @@ val resident : ?backing:int -> int -> resident
 val create : id:int -> name:string -> pages:int -> t
 val state : t -> int -> page_state
 val set_state : t -> int -> page_state -> unit
-val resident_count : t -> int
-val iter_resident : t -> (int -> resident -> unit) -> unit
-val pp : t Fmt.t

@@ -219,17 +219,25 @@ let mark_crashed t =
 
 (* -- Page replacement -- *)
 
-(** Unload every loaded mapping of a resident page; the writeback records
-    (drained synchronously by the owning kernel's writeback hook) update
-    the dirty bit and clear [mappers]. *)
-let unmap_residents t (r : Segment.resident) =
+(** Unload every loaded mapping of a resident page, or only [space]'s; the
+    writeback records (drained synchronously by the owning kernel's
+    writeback hook) update the dirty bit and clear [mappers]. *)
+let unmap_residents t ?space (r : Segment.resident) =
   List.iter
     (fun (space_tag, va) ->
       match space_by_tag t space_tag with
-      | Some vsp when vsp.loaded ->
+      | Some vsp when vsp.loaded && Option.fold ~none:true ~some:(( == ) vsp) space ->
         ignore (Api.unload_mapping t.env.inst ~caller:(t.env.kernel ()) ~space:vsp.oid ~va)
       | _ -> ())
     r.Segment.mappers
+
+(* The residency segment page [page] shows: its own, or the one a
+   copy-on-write page shares. *)
+let rec shown seg page =
+  match Segment.state seg page with
+  | Segment.In_memory r -> Some r
+  | Segment.Cow_of (pseg, ppage) -> shown pseg ppage
+  | Segment.Zero | Segment.On_disk _ -> None
 
 (* A deferred copy that never happened reverts to the parent's page; a
    block the residency took for an earlier page-out goes back. *)
@@ -243,7 +251,6 @@ let revert_cow t seg page (r : Segment.resident) (pseg, ppage) =
    which paging afterwards sees through the LIFO frame pool. *)
 
 let release_space t vsp =
-  let inst = t.env.inst and kernel = t.env.kernel () in
   let others = List.filter (fun v -> v.tag <> vsp.tag) (list_spaces t) in
   let live = List.fold_left (fun acc v -> add_segments acc (List.rev v.regions)) [] others in
   let segs = List.filter (fun s -> not (List.memq s live)) (segments vsp) in
@@ -271,21 +278,13 @@ let release_space t vsp =
     let pages = List.rev (Hashtbl.fold (fun page _ acc -> page :: acc) seg.Segment.table []) in
     List.iter
       (fun page ->
+        Option.iter (unmap_residents t ~space:vsp) (shown seg page);
         match Segment.state seg page with
-        | Segment.In_memory r -> (
-          if vsp.loaded then
-            List.iter
-              (fun (tag, va) ->
-                if tag = vsp.tag then
-                  ignore (Api.unload_mapping inst ~caller:kernel ~space:vsp.oid ~va))
-              r.Segment.mappers;
-          match Segment.state seg page with
-          | Segment.In_memory r' when r' == r && (not (mapped_elsewhere r)) && heirs_of seg page = [] ->
-            Frame_alloc.free t.env.frames r.Segment.pfn;
-            Segment.set_state seg page
-              (match r.Segment.backing with Some b -> Segment.On_disk b | None -> Segment.Zero)
-          | _ -> () (* reverted by its writeback, or not ours to free *))
-        | _ -> ())
+        | Segment.In_memory r when (not (mapped_elsewhere r)) && heirs_of seg page = [] ->
+          Frame_alloc.free t.env.frames r.Segment.pfn;
+          Segment.set_state seg page
+            (match r.Segment.backing with Some b -> Segment.On_disk b | None -> Segment.Zero)
+        | _ -> () (* a share, reverted by its writeback, or not ours to free *))
       pages;
     List.iter
       (fun page ->
@@ -307,7 +306,7 @@ let release_space t vsp =
   List.iter release_segment segs;
   (* refused while a thread of the space still runs (a process in its
      exit trap): [vsp.loaded] stays true, and the owner unloads it later *)
-  if vsp.loaded then ignore (Api.unload_space inst ~caller:kernel vsp.oid);
+  if vsp.loaded then ignore (Api.unload_space t.env.inst ~caller:(t.env.kernel ()) vsp.oid);
   Hashtbl.remove t.spaces vsp.tag
 
 (* -- Laundering --
@@ -496,31 +495,53 @@ let flags_of (region : Region.t) ~writable =
     message_mode = region.Region.message_mode;
   }
 
-let load_map t vsp (region : Region.t) ~va ~pfn ?cow_dst ~writable ~resume () =
-  let spec =
-    Api.mapping ~va ~pfn
-      ~flags:(flags_of region ~writable)
-      ?signal_thread:(region.Region.signal_thread ())
-      ?cow_dst ()
+(* The manager's one mapping load: [entries] are [(va, pfn, cow_dst)] in
+   [region], the faulting page first, loaded through one batched call
+   (with the combined resume when [resume]); a batch of one charges
+   exactly what a single load does.  Entries before a failure stay loaded,
+   so recovery resumes from the failed entry.  One rule: a stale space is
+   reloaded once and the call retried (section 2.1's reload-and-retry,
+   also what chaos injects); the first entry already mapped is replaced
+   once (a read-only share promoted to a deferred copy); a later entry
+   already mapped was raced in by another path and is skipped; any other
+   error stops.  Returns, entry by entry, whether it loaded. *)
+let load t vsp (region : Region.t) ~writable ~resume entries =
+  let inst = t.env.inst in
+  let flags = flags_of region ~writable in
+  let signal_thread = region.Region.signal_thread () in
+  let entries = Array.of_list entries in
+  let specs =
+    Array.map
+      (fun (va, pfn, cow_dst) -> Api.mapping ~va ~pfn ~flags ?signal_thread ?cow_dst ())
+      entries
   in
-  let load = if resume then Api.load_mapping_and_resume else Api.load_mapping in
-  match load t.env.inst ~caller:(t.env.kernel ()) ~space:vsp.oid spec with
-  | Ok () -> Ok ()
-  | Error Api.Already_mapped -> (
-    (* Upgrade: replace the stale mapping (e.g. a read-only share being
-       promoted to a deferred copy). *)
-    ignore (Api.unload_mapping t.env.inst ~caller:(t.env.kernel ()) ~space:vsp.oid ~va);
-    match load t.env.inst ~caller:(t.env.kernel ()) ~space:vsp.oid spec with
-    | Ok () -> Ok ()
-    | Error e -> Error e)
-  | Error Api.Stale_reference -> (
-    (* The space was victimized between the fault and this load — or chaos
-       injected the same outcome.  Reload it and retry once: the paper's
-       reload-and-retry protocol for stale identifiers (section 2.1). *)
-    match reload_space t vsp with
-    | Error e -> Error e
-    | Ok _ -> load t.env.inst ~caller:(t.env.kernel ()) ~space:vsp.oid spec)
-  | Error e -> Error e
+  let n = Array.length specs in
+  let loaded = Array.make n false in
+  let call = if resume then Api.load_mappings_and_resume else Api.load_mappings in
+  let rec go start ~stale ~replace =
+    if start < n then
+      match
+        call inst ~caller:(t.env.kernel ()) ~space:vsp.oid
+          (Array.to_list (Array.sub specs start (n - start)))
+      with
+      | Ok _ -> Array.fill loaded start (n - start) true
+      | Error (i, e) -> (
+        let fail = start + i in
+        Array.fill loaded start i true;
+        match e with
+        | Api.Stale_reference when stale -> (
+          match reload_space t vsp with
+          | Ok _ -> go fail ~stale:false ~replace
+          | Error _ -> ())
+        | Api.Already_mapped when fail = 0 && replace ->
+          let va, _, _ = entries.(0) in
+          ignore (Api.unload_mapping inst ~caller:(t.env.kernel ()) ~space:vsp.oid ~va);
+          go 0 ~stale ~replace:false
+        | Api.Already_mapped when fail > 0 -> go (fail + 1) ~stale ~replace
+        | _ -> ())
+  in
+  go 0 ~stale:true ~replace:true;
+  Array.to_list loaded
 
 (* Regions (across all spaces) that view segment page [page] of [seg]. *)
 let viewers t seg page =
@@ -555,10 +576,10 @@ let record_demand (r : Segment.resident) vsp va =
    Section 4.4's clustered page-group descriptors, applied to fault
    handling: pages of a segment are touched in runs, so when one forwarded
    fault has already paid the trap and crossing, reload the resident
-   unmapped neighbors of the faulting page through the same batched call
-   ({!Api.load_mappings_and_resume}).  Each avoided future soft fault saves
-   a full trap + forward + handler navigation; a wrong guess costs one
-   [Hw.Cost.batch_entry] plus the install. *)
+   unmapped neighbors of the faulting page in the same batched [load].
+   Each avoided future soft fault saves a full trap + forward + handler
+   navigation; a wrong guess costs one [Hw.Cost.batch_entry] plus the
+   install. *)
 
 (* Resident, not-yet-mapped neighbors of segment page [page] inside
    [region], nearest first, up to [Config.fault_prefetch] (capped so the
@@ -596,62 +617,6 @@ let prefetch_candidates t vsp (region : Region.t) ~page =
     List.rev !acc
   end
 
-(* Serve a soft fault with one batched crossing: the faulting mapping first,
-   prefetched neighbors after it.  Returns true when the faulting entry
-   loaded.  The retry loop realises the batch's partial-failure contract:
-   entries before a failure index stay loaded, so recovery resumes from the
-   failed suffix — reload-and-retry for a stale space identifier,
-   skip-and-continue when a neighbor raced to [Already_mapped].  Any other
-   neighbor failure just abandons the remaining prefetch: the fault itself
-   was served. *)
-let load_batch_with_prefetch t vsp (region : Region.t) ~va (r : Segment.resident)
-    cands =
-  let inst = t.env.inst in
-  let entries = Array.of_list ((va, r) :: cands) in
-  let n = Array.length entries in
-  let loaded = Array.make n false in
-  let spec_of (va', (r' : Segment.resident)) =
-    Api.mapping ~va:va' ~pfn:r'.Segment.pfn
-      ~flags:(flags_of region ~writable:true)
-      ?signal_thread:(region.Region.signal_thread ())
-      ()
-  in
-  let stale_budget = ref 1 in
-  let rec go start =
-    if start < n then begin
-      let specs = List.map spec_of (Array.to_list (Array.sub entries start (n - start))) in
-      match
-        Api.load_mappings_and_resume inst ~caller:(t.env.kernel ()) ~space:vsp.oid specs
-      with
-      | Ok _ -> Array.fill loaded start (n - start) true
-      | Error (i, e) -> (
-        let fail = start + i in
-        Array.fill loaded start i true;
-        match e with
-        | Api.Stale_reference when !stale_budget > 0 -> (
-          decr stale_budget;
-          match reload_space t vsp with Ok _ -> go fail | Error _ -> ())
-        | Api.Already_mapped when fail > 0 ->
-          (* another path (sibling load, another fault) raced this neighbor
-             in; it is mapped, just not by us — skip it *)
-          go (fail + 1)
-        | _ -> () (* keep the loaded prefix; drop the rest *))
-    end
-  in
-  go 0;
-  if loaded.(0) then begin
-    record_demand r vsp va;
-    for j = 1 to n - 1 do
-      if loaded.(j) then begin
-        let va', r' = entries.(j) in
-        record_mapper r' vsp va';
-        Instance.count inst "prefetch.issued"
-      end
-    done;
-    true
-  end
-  else false
-
 (* Multi-mapping consistency (section 4.2): "each application kernel is
    expected to load all the mappings for a message page when it loads any
    of the mappings" — otherwise a sender could signal on a page whose
@@ -662,35 +627,35 @@ let load_siblings t seg page (r : Segment.resident) ~skip =
     (fun (vsp', (region' : Region.t)) ->
       let va' = Region.va_of_page region' page in
       if (vsp'.tag, va') <> skip && not (List.mem (vsp'.tag, va') r.Segment.mappers) then
-        match
-          load_map t vsp' region' ~va:va' ~pfn:r.Segment.pfn ~writable:true ~resume:false
-            ()
-        with
-        | Ok () -> record_mapper r vsp' va'
-        | Error _ -> ())
+        if load t vsp' region' ~writable:true ~resume:false [ (va', r.Segment.pfn, None) ] = [ true ]
+        then record_mapper r vsp' va')
     (viewers t seg page)
-
-(* Serve a soft fault: the faulting mapping (combined resume) plus any
-   clustered prefetch, batched through one crossing; the plain single-call
-   path when there is nothing to prefetch, or as the fallback when the
-   batch could not serve the faulting entry itself (load_map's
-   Already_mapped-upgrade and stale-retry handling then applies). *)
-let load_faulting_mapping t vsp (region : Region.t) ~va ~page (r : Segment.resident) =
-  let single () =
-    match load_map t vsp region ~va ~pfn:r.Segment.pfn ~writable:true ~resume:true () with
-    | Ok () ->
-      record_demand r vsp va;
-      true
-    | Error _ -> false
-  in
-  match prefetch_candidates t vsp region ~page with
-  | [] -> single ()
-  | cands -> load_batch_with_prefetch t vsp region ~va r cands || single ()
 
 (* Serve a fault against [region] at [va]. *)
 let serve t vsp (region : Region.t) ~va ~(access : Hw.Mmu.access) ~thread =
   let page = Region.page_index region va in
   let seg = region.Region.segment in
+  (* the page is resident as [r]: its mapping (combined resume) and any
+     clustered prefetch in one [load], then a message page's siblings *)
+  let demand (r : Segment.resident) =
+    let cands = prefetch_candidates t vsp region ~page in
+    let entries =
+      (va, r.Segment.pfn, None)
+      :: List.map (fun (va', (r' : Segment.resident)) -> (va', r'.Segment.pfn, None)) cands
+    in
+    match load t vsp region ~writable:true ~resume:true entries with
+    | true :: prefetched ->
+      record_demand r vsp va;
+      List.iter2
+        (fun ok (va', r') ->
+          if ok then begin
+            record_mapper r' vsp va';
+            Instance.count t.env.inst "prefetch.issued"
+          end)
+        prefetched cands;
+      if region.Region.message_mode then load_siblings t seg page r ~skip:(vsp.tag, va)
+    | _ -> ()
+  in
   match Segment.state seg page with
   | Segment.Cow_of (parent, ppage) when access = Hw.Mmu.Write -> (
     (* Write to a copy-on-write page: preallocate the destination frame and
@@ -700,11 +665,11 @@ let serve t vsp (region : Region.t) ~va ~(access : Hw.Mmu.access) ~thread =
     t.stats.cow_faults <- t.stats.cow_faults + 1;
     ignore (Api.unload_mapping t.env.inst ~caller:(t.env.kernel ()) ~space:vsp.oid ~va);
     match ensure_resident t parent ppage ~thread with
-    | None -> false
+    | None -> ()
     | Some pres -> (
       match alloc_frame t ~thread with
-      | None -> false
-      | Some dst -> (
+      | None -> ()
+      | Some dst ->
         let r =
           {
             Segment.pfn = dst;
@@ -716,39 +681,20 @@ let serve t vsp (region : Region.t) ~va ~(access : Hw.Mmu.access) ~thread =
           }
         in
         install t seg page r;
-        match
-          load_map t vsp region ~va ~pfn:pres.Segment.pfn ~cow_dst:dst ~writable:true
-            ~resume:true ()
-        with
-        | Ok () -> true
-        | Error _ -> false)))
+        ignore
+          (load t vsp region ~writable:true ~resume:true [ (va, pres.Segment.pfn, Some dst) ])))
   | Segment.Cow_of (parent, ppage) -> (
     (* Read of a copy-on-write page: share the parent's frame read-only. *)
     t.stats.soft_faults <- t.stats.soft_faults + 1;
     match ensure_resident t parent ppage ~thread with
-    | None -> false
-    | Some pres -> (
-      match
-        load_map t vsp region ~va ~pfn:pres.Segment.pfn ~writable:false ~resume:true ()
-      with
-      | Ok () ->
-        record_demand pres vsp va;
-        true
-      | Error _ -> false))
+    | None -> ()
+    | Some pres ->
+      if load t vsp region ~writable:false ~resume:true [ (va, pres.Segment.pfn, None) ] = [ true ]
+      then record_demand pres vsp va)
   | Segment.In_memory r ->
     t.stats.soft_faults <- t.stats.soft_faults + 1;
-    let served = load_faulting_mapping t vsp region ~va ~page r in
-    if served && region.Region.message_mode then
-      load_siblings t seg page r ~skip:(vsp.tag, va);
-    served
-  | Segment.Zero | Segment.On_disk _ -> (
-    match ensure_resident t seg page ~thread with
-    | None -> false
-    | Some r ->
-      let served = load_faulting_mapping t vsp region ~va ~page r in
-      if served && region.Region.message_mode then
-        load_siblings t seg page r ~skip:(vsp.tag, va);
-      served)
+    demand r
+  | Segment.Zero | Segment.On_disk _ -> Option.iter demand (ensure_resident t seg page ~thread)
 
 (** The application kernel's page-fault handler (Figure 2 step 3): resolve
     the faulting address to a region and serve the page. *)
@@ -787,10 +733,7 @@ and handle_vm_fault t (ctx : Kernel_obj.fault_ctx) =
         t.stats.protection_errors <- t.stats.protection_errors + 1;
         t.on_segv t ctx
       end
-      else
-        ignore
-          (serve t vsp region ~va ~access:ctx.Kernel_obj.access
-             ~thread:ctx.Kernel_obj.thread))
+      else serve t vsp region ~va ~access:ctx.Kernel_obj.access ~thread:ctx.Kernel_obj.thread)
 
 (* -- Writeback processing -- *)
 

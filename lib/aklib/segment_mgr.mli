@@ -89,7 +89,6 @@ val stats : t -> stats
 
 val create_space : t -> (vspace, Api.error) result
 val space_by_tag : t -> int -> vspace option
-val space_by_oid : t -> Oid.t -> vspace option
 
 val list_spaces : t -> vspace list
 (** Every space the manager holds, in tag order. *)
@@ -97,9 +96,11 @@ val list_spaces : t -> vspace list
 val release_space : t -> vspace -> unit
 (** The one way a space leaves its kernel: a process exits, a space
     migrates away, a landing is purged.  A segment another live space also
-    attaches stays whole; in the others, page by page: the space's own
-    mappings are unloaded; a page another live space still maps stays for
-    the hand; a page another live segment names through [Cow_of] goes to
+    attaches stays whole; in the others, page by page: the space's
+    mappings of the page it shows are unloaded ({!unmap_residents}: its
+    own residency, or the parent page a copy-on-write page shares
+    read-only); a page another live space still maps stays for the
+    hand; a page another live segment names through [Cow_of] goes to
     that segment (the others naming it then name that one); every other
     frame, and every block a file does not own, is freed.  Last the Cache
     Kernel space is unloaded — unless a thread of it is still running,
@@ -108,7 +109,6 @@ val release_space : t -> vspace -> unit
 
 val create_segment : t -> name:string -> pages:int -> Segment.t
 val attach_region : t -> vspace -> Region.t -> unit
-val region_of : vspace -> int -> Region.t option
 
 val segments : vspace -> Segment.t list
 (** Unique segments of a space, in region-attach order. *)
@@ -129,21 +129,17 @@ val launder_max_in_flight : int
 (** Laundry batches on their way to disk at once (a constant: 4).  A full
     laundry waits for room, and so does an evictor that meets it. *)
 
-val alloc_frame : t -> thread:Oid.t -> int option
-(** (handler context) Allocate a frame, evicting as needed.  Dirty victims
-    are laundered, not written on the spot; the thread blocks only when
-    the hand finds no clean victim, until a laundry batch completes. *)
-
 val evict_one : t -> thread:Oid.t -> int option
-(** Evict one page and return its frame, setting dirty victims aside on
-    the way (and blocking the thread, as {!alloc_frame} does, when there
-    is no clean one).  [None] when nothing is resident, set aside or in
-    flight. *)
+(** (handler context) Evict one page and return its frame, setting dirty
+    victims aside on the way; the thread blocks only when the hand finds
+    no clean victim, until a laundry batch completes.  [None] when nothing
+    is resident, set aside or in flight. *)
 
-val unmap_residents : t -> Segment.resident -> unit
-
-val ensure_resident : t -> Segment.t -> int -> thread:Oid.t -> Segment.resident option
-(** (handler context) Bring a segment page into memory. *)
+val unmap_residents : t -> ?space:vspace -> Segment.resident -> unit
+(** The one unload rule: unload every loaded mapping of a resident page,
+    or only [space]'s.  The writebacks, digested by
+    {!handle_mapping_writeback} while the spaces are still known, clear
+    [mappers] and fold in the referenced and modified bits. *)
 
 (** {1 Handlers} *)
 

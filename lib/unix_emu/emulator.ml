@@ -146,7 +146,6 @@ let create_process t ?(priority = 12) ~parent ?(inherit_from : Process.t option)
           p_cpu = 0;
           last_consumed = 0;
           segv_handler = None;
-          exit_code = None;
           fds = Hashtbl.create 8;
           next_fd = 3; (* 0-2 reserved for the console convention *)
         }
@@ -187,7 +186,6 @@ let wakeup_event t event =
    inherits the pages it still names). *)
 let do_exit t (p : Process.t) code =
   p.Process.state <- Process.Zombie code;
-  p.Process.exit_code <- Some code;
   t.exited <- t.exited + 1;
   Thread_lib.retire t.ak.App_kernel.threads p.Process.thread;
   Segment_mgr.release_space t.ak.App_kernel.mgr p.Process.vspace;
@@ -216,13 +214,14 @@ let do_wait t (p : Process.t) =
     List.find_map
       (fun cpid ->
         match proc t cpid with
-        | Some c when Process.is_zombie c -> Some c
+        | Some ({ Process.state = Process.Zombie code; _ } as c) -> Some (c, code)
         | _ -> None)
       p.Process.children
   in
   match zombie with
-  | Some c ->
-    let code = Option.value c.Process.exit_code ~default:(-1) in
+  | Some (c, code) ->
+    (* this wait may have slept: spend the wakeup that ended it *)
+    p.Process.woken <- false;
     p.Process.children <- List.filter (fun x -> x <> c.Process.pid) p.Process.children;
     (* exit may not have unloaded the space: the Cache Kernel refuses
        while a thread of it is active, as the exiting one is in its exit
@@ -292,11 +291,12 @@ let do_read t (p : Process.t) thread_oid fd len =
     let avail = Buffer.length pipe.Process.buf in
     if avail = 0 then begin
       (* sleep until a writer rings the pipe's event; the stub retries *)
-      p.Process.woken <- false;
       put_to_sleep t p (pipe_event pipe);
       Syscall.Ret_would_block
     end
     else begin
+      (* this read may have slept: spend the wakeup that ended it *)
+      p.Process.woken <- false;
       let n = min len avail in
       let s = Buffer.sub pipe.Process.buf 0 n in
       let rest = Buffer.sub pipe.Process.buf n (avail - n) in

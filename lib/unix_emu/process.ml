@@ -46,13 +46,14 @@ type t = {
   mutable brk_pages : int; (* current data region size *)
   mutable state : state;
   mutable swapped_from : state option; (* state to restore at swap-in *)
-  mutable woken : bool; (* a wakeup arrived while we were off-processor *)
+  mutable woken : bool;
+      (* the wakeup ending our sleep arrived; the retried call that slept
+         (sleep, wait or a pipe read) spends it *)
   mutable children : int list;
   mutable nice : int; (* -20..19, UNIX style *)
   mutable p_cpu : int; (* decaying CPU usage estimate (4.3BSD p_cpu) *)
   mutable last_consumed : Hw.Cost.cycles; (* thread consumption at last decay *)
   mutable segv_handler : (unit -> [ `Retry | `Die ]) option;
-  mutable exit_code : int option;
   fds : (int, fd_state) Hashtbl.t; (* the open file table *)
   mutable next_fd : int;
 }

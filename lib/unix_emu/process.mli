@@ -41,7 +41,6 @@ type t = {
   mutable p_cpu : int;
   mutable last_consumed : Hw.Cost.cycles;
   mutable segv_handler : (unit -> [ `Retry | `Die ]) option;
-  mutable exit_code : int option;
   fds : (int, fd_state) Hashtbl.t;
   mutable next_fd : int;
 }

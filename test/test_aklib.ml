@@ -775,6 +775,31 @@ let test_release_hands_inherited_pages () =
   ignore (Engine.run [| inst |]);
   Alcotest.(check (list int)) "the heir reads what it inherited" [ 111; 222 ] !got
 
+(* A read-only mapping of a resident page is loaded behind the manager's
+   back.  The thread's write through the page's [Rw] region faults, and
+   the load finds the page already mapped: the manager replaces that
+   mapping once, and the write lands after one forwarded fault. *)
+let test_load_replaces_a_mapped_page () =
+  let inst, ak = make () in
+  let mgr = ak.App_kernel.mgr in
+  let vsp, seg = one_segment_space ak ~name:"data" ~pages:1 in
+  Segment_mgr.write_segment_now mgr seg ~offset:0 (Bytes.make 8 '\000');
+  ok
+    (Api.load_mapping inst ~caller:(App_kernel.oid ak) ~space:vsp.Segment_mgr.oid
+       (Api.mapping ~flags:Hw.Page_table.ro ~va:base ~pfn:(resident seg 0).Segment.pfn ()));
+  let forwarded () = inst.Instance.stats.Stats.faults_forwarded in
+  let before = forwarded () in
+  let seen = ref 0 in
+  ignore
+    (spawn_user ak vsp ~priority:8 (fun () ->
+         Hw.Exec.mem_write base 77;
+         seen := Hw.Exec.mem_read base));
+  ignore (Engine.run ~max_steps:100_000 [| inst |]);
+  Alcotest.(check int) "the write landed" 77 !seen;
+  Alcotest.(check int) "one forwarded fault" (before + 1) (forwarded ());
+  Alcotest.(check (list (pair int int))) "the manager's mapping is the page's only one"
+    [ (vsp.Segment_mgr.tag, base) ] (resident seg 0).Segment.mappers
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let test_rpc_roundtrip () =
@@ -878,6 +903,8 @@ let () =
           Alcotest.test_case "demand paging with eviction" `Quick
             test_demand_paging_with_eviction;
           Alcotest.test_case "deferred-copy fork" `Quick test_deferred_copy_fork;
+          Alcotest.test_case "a load replaces a mapping it finds" `Quick
+            test_load_replaces_a_mapped_page;
           Alcotest.test_case "release hands inherited pages to the heir" `Quick
             test_release_hands_inherited_pages;
           Alcotest.test_case "a page-out stores the frame's image" `Quick

@@ -130,6 +130,54 @@ let test_cow_child_outlives_parent () =
   Alcotest.(check bool) "the parent exited first" true !parent_gone;
   Alcotest.(check int) "the child reads the parent's pre-fork word" 4242 !observed
 
+(* An inheriting child reads its parent's page and exits.  Its space
+   leaves with its read-only share unloaded, so the parent's page lists
+   only the parent's own mapping. *)
+let test_dead_child_leaves_no_mapper () =
+  let inst, emu = boot () in
+  let reader = Syscall.program "reader" (fun () -> ignore (Hw.Exec.mem_read Process.data_base); 0) in
+  let mappers = ref [] in
+  let init =
+    Syscall.program "init" (fun () ->
+        Hw.Exec.mem_write Process.data_base 4242;
+        ignore (Syscall.spawn ~inherit_memory:true reader);
+        ignore (Syscall.wait ());
+        Hw.Exec.compute 20_000;
+        let p = Option.get (Emulator.proc emu 1) in
+        (match Aklib.Segment.state p.Process.data 0 with
+        | Aklib.Segment.In_memory r -> mappers := r.Aklib.Segment.mappers
+        | _ -> Alcotest.fail "init's data page is not resident");
+        0)
+  in
+  let init_p = ok (Emulator.start_init emu init) in
+  ignore (Engine.run [| inst |]);
+  Alcotest.(check int) "both exited" 2 emu.Emulator.exited;
+  Alcotest.(check (list (pair int int))) "init's page 0 lists init's mapping only"
+    [ (init_p.Process.vspace.Aklib.Segment_mgr.tag, Process.data_base) ]
+    !mappers
+
+(* init's wait() sleeps until its child exits.  That wakeup is the wait's:
+   init's next sleep still sleeps. *)
+let test_wait_spends_its_wakeup () =
+  let inst, emu = boot () in
+  let child = Syscall.program "child" (fun () -> Hw.Exec.compute 50_000; 0) in
+  let waited = ref false in
+  let init =
+    Syscall.program "init" (fun () ->
+        ignore (Syscall.spawn child);
+        ignore (Syscall.wait ());
+        waited := true;
+        Syscall.sleep "hold";
+        0)
+  in
+  ignore (ok (Emulator.start_init emu init));
+  ignore (Engine.run [| inst |]);
+  let p = Option.get (Emulator.proc emu 1) in
+  Alcotest.(check bool) "init reaped its child" true !waited;
+  Alcotest.(check int) "only the child exited" 1 emu.Emulator.exited;
+  Alcotest.(check string) "init sleeps on hold" "sleeping(hold)"
+    (Fmt.str "%a" Process.pp_state p.Process.state)
+
 let test_swapping () =
   let inst, emu = boot () in
   let resumed = ref false in
@@ -726,9 +774,13 @@ let () =
           Alcotest.test_case "spawn/wait/getpid tree" `Quick test_process_tree;
           Alcotest.test_case "sleep unloads, wakeup reloads" `Quick
             test_sleep_wakeup_unloads_thread;
+          Alcotest.test_case "a wait's wakeup is spent by the wait" `Quick
+            test_wait_spends_its_wakeup;
           Alcotest.test_case "spawn with COW inheritance" `Quick test_spawn_inherit_cow;
           Alcotest.test_case "a COW child outlives its parent" `Quick
             test_cow_child_outlives_parent;
+          Alcotest.test_case "a dead COW child leaves no mapper" `Quick
+            test_dead_child_leaves_no_mapper;
           Alcotest.test_case "SIGSEGV terminates" `Quick test_sigsegv;
           Alcotest.test_case "stable pids across reloads" `Quick
             test_stable_pid_across_reloads;
