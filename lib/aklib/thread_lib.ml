@@ -31,7 +31,6 @@ type t = {
   table : (int, entry) Hashtbl.t;
   mutable next_id : int;
   mutable next_token : int; (* completion tokens minted by [await_token] *)
-  mutable reload_retries : int; (* stale-space retries performed *)
   mutable forwarder : (int -> va:int -> bool) option;
       (* re-targets signals for threads that migrated away (set by the
          migration plane) *)
@@ -45,7 +44,6 @@ let create ~inst ~kernel ~space_oid =
     table = Hashtbl.create 32;
     next_id = 1;
     next_token = 0;
-    reload_retries = 0;
     forwarder = None;
   }
 
@@ -71,7 +69,6 @@ let load_entry t (e : entry) ~start =
     (* The space was written back concurrently with the load (or chaos
        injected the same outcome): reload the address space object and
        retry — the paper's retry protocol. *)
-    t.reload_retries <- t.reload_retries + 1;
     Instance.count t.inst "thread.reload_retry";
     (match load () with
     | Ok oid ->
@@ -192,7 +189,6 @@ let mark_crashed t =
 
 let running t id = match entry t id with Some e -> e.run = Loaded | None -> false
 let exited t id = not (Hashtbl.mem t.table id)
-let reload_retries t = t.reload_retries
 
 (** All entries (for schedulers that sweep, e.g. priority decay). *)
 let iter t f = Hashtbl.iter (fun _ e -> f e) t.table

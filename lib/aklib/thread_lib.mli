@@ -92,7 +92,6 @@ val exited : t -> int -> bool
 val of_space : t -> int -> entry list
 (** The entries of the space with the given tag, in id order. *)
 
-val reload_retries : t -> int
 val iter : t -> (entry -> unit) -> unit
 
 val await_token : t -> thread:Oid.t -> (done_:(unit -> unit) -> unit) -> unit

@@ -7,9 +7,9 @@
 
    Every operation validates its identifiers (stale ones fail and the
    application kernel retries after reloading), checks the caller's
-   authority (page-group access for mappings, first-kernel privilege for
-   kernel-object operations), and charges the cycle cost of the supervisor
-   work it performs.  Loads that find a full cache first write back a
+   authority (the ownership rule {!owned}, plus page-group access for
+   mappings), and charges the cycle cost of the supervisor work it
+   performs.  Loads that find a full cache first write back a
    victim, exactly like a hardware cache: the application kernel never sees
    a "hard" out-of-descriptors error, only more writeback traffic. *)
 
@@ -71,8 +71,29 @@ let require_space_for_load t oid =
     require_space t oid
   | Fault_inject.Pass -> require_space t oid
 
-let require_first t ~caller =
-  if Oid.equal caller t.first_kernel then Ok () else Error Permission
+(* The one ownership rule (sections 2.4, 3): only the kernel that owns an
+   object, or the first kernel, may act on it.  Kernel objects are owned by
+   the first kernel. *)
+let owned t ~caller owner =
+  if Oid.equal caller owner || Oid.equal caller t.first_kernel then Ok ()
+  else Error Permission
+
+(* The locked-object quota of the kernel a new lock would count against. *)
+let lock_budget t ~owner =
+  let* k = require_kernel t owner in
+  if k.Kernel_obj.locked_count >= k.Kernel_obj.max_locked then Error Limit_exceeded
+  else Ok ()
+
+(* A load into a full cache first writes a victim back (section 4.2):
+   [Ok displaced], or [No_victim] when nothing can be displaced. *)
+let room ~full free =
+  if not full then Ok false else if free () then Ok true else Error No_victim
+
+(* The shared tail of a successful object load. *)
+let loaded t counter ~displaced oid =
+  Stats.loaded counter ~displaced;
+  trace t (Trace.Object_loaded { oid });
+  Ok oid
 
 (* -- Kernel objects (section 2.4) -- *)
 
@@ -80,32 +101,29 @@ let require_first t ~caller =
     manager) loads kernels; the boot path passes [~boot:true]. *)
 let load_kernel ?(boot = false) t ~caller (spec : Kernel_obj.spec) =
   charge t Config.c_validate;
-  let* () = if boot then Ok () else require_first t ~caller in
+  let* () = if boot then Ok () else owned t ~caller t.first_kernel in
   let* () =
     if Array.length spec.Kernel_obj.cpu_percent = n_cpus t then Ok ()
     else Error (Bad_argument "cpu_percent arity")
   in
   let k = Kernel_obj.create ~n_cpus:(n_cpus t) ~n_groups:(n_groups t) spec in
-  let had_writeback = Caches.Kernel_cache.is_full t.kernels in
-  if had_writeback && not (Replacement.make_room_kernel t) then Error No_victim
-  else begin
-    charge t
-      (Config.c_slot_alloc + Config.c_kernel_init
-      + Config.descriptor_copy Config.kernel_desc_bytes);
-    match Caches.Kernel_cache.load t.kernels k with
-    | None -> Error No_victim
-    | Some oid ->
-      t.stats.Stats.kernels.Stats.loads <- t.stats.Stats.kernels.Stats.loads + 1;
-      if had_writeback then
-        t.stats.Stats.kernels.Stats.loads_with_writeback <-
-          t.stats.Stats.kernels.Stats.loads_with_writeback + 1;
-      trace t (Trace.Object_loaded { oid });
-      Ok oid
-  end
+  let* displaced =
+    room ~full:(Caches.Kernel_cache.is_full t.kernels) (fun () ->
+        Replacement.make_room t ~metric:"victim_scan.kernel"
+          ~scan_length:(fun () -> Caches.Kernel_cache.last_scan_length t.kernels)
+          (Caches.Kernel_cache.victim t.kernels)
+          (fun v -> Replacement.unload_kernel_now t ~reason:Wb.Displaced v = `Done))
+  in
+  charge t
+    (Config.c_slot_alloc + Config.c_kernel_init
+    + Config.descriptor_copy Config.kernel_desc_bytes);
+  match Caches.Kernel_cache.load t.kernels k with
+  | None -> Error No_victim
+  | Some oid -> loaded t t.stats.Stats.kernels ~displaced oid
 
 let unload_kernel t ~caller oid =
   charge t Config.c_validate;
-  let* () = require_first t ~caller in
+  let* () = owned t ~caller t.first_kernel in
   let* k = require_kernel t oid in
   if Oid.equal oid t.first_kernel then Error Permission
   else
@@ -119,7 +137,7 @@ let unload_kernel t ~caller oid =
 (** Grant or revoke a page group in [kernel]'s memory access array. *)
 let set_mem_access t ~caller ~kernel ~group access =
   charge t (Config.c_validate + Config.c_access_check);
-  let* () = require_first t ~caller in
+  let* () = owned t ~caller t.first_kernel in
   let* k = require_kernel t kernel in
   if group < 0 || group >= n_groups t then Error (Bad_argument "group")
   else begin
@@ -130,7 +148,7 @@ let set_mem_access t ~caller ~kernel ~group access =
 (** Replace [kernel]'s per-processor percentage allocation. *)
 let set_cpu_quota t ~caller ~kernel percent =
   charge t Config.c_validate;
-  let* () = require_first t ~caller in
+  let* () = owned t ~caller t.first_kernel in
   let* k = require_kernel t kernel in
   if Array.length percent <> n_cpus t then Error (Bad_argument "percent arity")
   else if Array.exists (fun p -> p < 0 || p > 100) percent then
@@ -144,7 +162,7 @@ let set_cpu_quota t ~caller ~kernel percent =
 (** Cap the priority [kernel] may assign to its threads. *)
 let set_max_priority t ~caller ~kernel priority =
   charge t Config.c_validate;
-  let* () = require_first t ~caller in
+  let* () = owned t ~caller t.first_kernel in
   let* k = require_kernel t kernel in
   if priority < 0 || priority >= Config.priorities then
     Error (Bad_argument "priority")
@@ -160,73 +178,37 @@ let set_kernel_space t ~caller ~kernel ~space =
   charge t Config.c_validate;
   let* k = require_kernel t kernel in
   let* _sp = require_space t space in
-  if Oid.equal caller kernel || Oid.equal caller t.first_kernel then begin
-    k.Kernel_obj.space <- space;
-    Ok ()
-  end
-  else Error Permission
+  let* () = owned t ~caller kernel in
+  k.Kernel_obj.space <- space;
+  Ok ()
 
 (* -- Locking (section 2) -- *)
 
-let lock_budget _t (k : Kernel_obj.t) =
-  if k.Kernel_obj.locked_count >= k.Kernel_obj.max_locked then Error Limit_exceeded
-  else Ok ()
-
-(** Lock an object against writeback.  Locked objects keep page-fault
-    handlers, schedulers and trap handlers resident; the per-kernel quota
-    of locked objects bounds the interference this causes. *)
-let lock_object t ~caller oid =
+(** Lock or unlock an object against writeback.  Locked objects keep
+    page-fault handlers, schedulers and trap handlers resident; the owning
+    kernel's quota of locked objects bounds the interference this causes. *)
+let set_lock t ~caller oid locked =
   charge t Config.c_validate;
-  let* k = require_kernel t caller in
-  let set_locked owner locked setter =
-    if not (Oid.equal owner caller) && not (Oid.equal caller t.first_kernel) then
-      Error Permission
-    else if locked then Ok ()
+  let flip owner was set =
+    let* () = owned t ~caller owner in
+    if was = locked then Ok ()
     else
-      let* () = lock_budget t k in
-      setter true;
-      k.Kernel_obj.locked_count <- k.Kernel_obj.locked_count + 1;
+      let* () = if locked then lock_budget t ~owner else Ok () in
+      set locked;
+      if locked then take_lock t ~owner else release_lock t ~owner;
       Ok ()
   in
   match oid.Oid.kind with
   | Oid.Thread ->
     let* th = require_thread t oid in
-    set_locked th.Thread_obj.owner th.Thread_obj.locked (fun v ->
-        th.Thread_obj.locked <- v)
+    flip th.Thread_obj.owner th.Thread_obj.locked (fun v -> th.Thread_obj.locked <- v)
   | Oid.Space ->
     let* sp = require_space t oid in
-    set_locked sp.Space_obj.owner sp.Space_obj.locked (fun v -> sp.Space_obj.locked <- v)
+    flip sp.Space_obj.owner sp.Space_obj.locked (fun v -> sp.Space_obj.locked <- v)
   | Oid.Kernel ->
-    let* target = require_kernel t oid in
-    let* () = require_first t ~caller in
-    target.Kernel_obj.locked <- true;
-    Ok ()
-
-let unlock_object t ~caller oid =
-  charge t Config.c_validate;
-  let* k = require_kernel t caller in
-  let clear owner locked setter =
-    if not (Oid.equal owner caller) && not (Oid.equal caller t.first_kernel) then
-      Error Permission
-    else begin
-      if locked then begin
-        setter false;
-        k.Kernel_obj.locked_count <- max 0 (k.Kernel_obj.locked_count - 1)
-      end;
-      Ok ()
-    end
-  in
-  match oid.Oid.kind with
-  | Oid.Thread ->
-    let* th = require_thread t oid in
-    clear th.Thread_obj.owner th.Thread_obj.locked (fun v -> th.Thread_obj.locked <- v)
-  | Oid.Space ->
-    let* sp = require_space t oid in
-    clear sp.Space_obj.owner sp.Space_obj.locked (fun v -> sp.Space_obj.locked <- v)
-  | Oid.Kernel ->
-    let* target = require_kernel t oid in
-    let* () = require_first t ~caller in
-    target.Kernel_obj.locked <- false;
+    let* k = require_kernel t oid in
+    let* () = owned t ~caller t.first_kernel in
+    k.Kernel_obj.locked <- locked;
     Ok ()
 
 (* -- Address spaces (section 2.1) -- *)
@@ -235,39 +217,35 @@ let unlock_object t ~caller oid =
     lock bit), returning its identifier. *)
 let load_space t ~caller ?(lock = false) ~tag () =
   charge t Config.c_validate;
-  let* k = require_kernel t caller in
-  let* () = if lock then lock_budget t k else Ok () in
-  let had_writeback = Caches.Space_cache.is_full t.spaces in
-  if had_writeback && not (Replacement.make_room_space t) then Error No_victim
-  else begin
-    let sp = Space_obj.create ~owner:caller ~tag in
-    charge t
-      (Config.c_slot_alloc + Config.c_space_table_init
-      + Config.descriptor_copy Config.space_desc_bytes);
-    match Caches.Space_cache.load t.spaces sp with
-    | None -> Error No_victim
-    | Some oid ->
-      if lock then begin
-        sp.Space_obj.locked <- true;
-        k.Kernel_obj.locked_count <- k.Kernel_obj.locked_count + 1
-      end;
-      t.stats.Stats.spaces.Stats.loads <- t.stats.Stats.spaces.Stats.loads + 1;
-      if had_writeback then
-        t.stats.Stats.spaces.Stats.loads_with_writeback <-
-          t.stats.Stats.spaces.Stats.loads_with_writeback + 1;
-      trace t (Trace.Object_loaded { oid });
-      Ok oid
-  end
+  let* _k = require_kernel t caller in
+  let* () = if lock then lock_budget t ~owner:caller else Ok () in
+  let* displaced =
+    room ~full:(Caches.Space_cache.is_full t.spaces) (fun () ->
+        Replacement.make_room t ~metric:"victim_scan.space"
+          ~scan_length:(fun () -> Caches.Space_cache.last_scan_length t.spaces)
+          (Caches.Space_cache.victim t.spaces)
+          (fun v -> Replacement.unload_space_now t ~reason:Wb.Displaced v = `Done))
+  in
+  let sp = Space_obj.create ~owner:caller ~tag in
+  charge t
+    (Config.c_slot_alloc + Config.c_space_table_init
+    + Config.descriptor_copy Config.space_desc_bytes);
+  match Caches.Space_cache.load t.spaces sp with
+  | None -> Error No_victim
+  | Some oid ->
+    if lock then begin
+      sp.Space_obj.locked <- true;
+      take_lock t ~owner:caller
+    end;
+    loaded t t.stats.Stats.spaces ~displaced oid
 
 let unload_space t ~caller oid =
   charge t Config.c_validate;
   let* sp = require_space t oid in
-  if not (Oid.equal sp.Space_obj.owner caller) && not (Oid.equal caller t.first_kernel)
-  then Error Permission
-  else
-    match Replacement.unload_space_now t ~reason:Wb.Requested sp with
-    | `Done -> Ok ()
-    | `Busy -> Error Busy
+  let* () = owned t ~caller sp.Space_obj.owner in
+  match Replacement.unload_space_now t ~reason:Wb.Requested sp with
+  | `Done -> Ok ()
+  | `Busy -> Error Busy
 
 (* -- Threads (section 2.3) -- *)
 
@@ -280,40 +258,37 @@ let load_thread t ~caller ~space ~priority ?(affinity = None) ?(lock = false) ~t
   charge t Config.c_validate;
   let* k = require_kernel t caller in
   let* sp = require_space_for_load t space in
-  let* () =
-    if Oid.equal sp.Space_obj.owner caller || Oid.equal caller t.first_kernel then Ok ()
-    else Error Permission
-  in
+  let* () = owned t ~caller sp.Space_obj.owner in
   let* () =
     if priority < 0 || priority > k.Kernel_obj.max_priority then Error Limit_exceeded
     else Ok ()
   in
-  let* () = if lock then lock_budget t k else Ok () in
-  let had_writeback = Caches.Thread_cache.is_full t.threads in
-  if had_writeback && not (Replacement.make_room_thread t) then Error No_victim
-  else begin
-    let th = Thread_obj.create ~owner:caller ~space ~tag ~priority ~start in
-    th.Thread_obj.affinity <- affinity;
-    charge t
-      (Config.c_slot_alloc + Config.c_thread_init
-      + Config.descriptor_copy Config.thread_desc_bytes
-      + Config.c_sched_enqueue);
-    match Caches.Thread_cache.load t.threads th with
-    | None -> Error No_victim
-    | Some oid ->
-      if lock then begin
-        th.Thread_obj.locked <- true;
-        k.Kernel_obj.locked_count <- k.Kernel_obj.locked_count + 1
-      end;
-      sp.Space_obj.thread_count <- sp.Space_obj.thread_count + 1;
-      make_ready t th;
-      t.stats.Stats.threads.Stats.loads <- t.stats.Stats.threads.Stats.loads + 1;
-      if had_writeback then
-        t.stats.Stats.threads.Stats.loads_with_writeback <-
-          t.stats.Stats.threads.Stats.loads_with_writeback + 1;
-      trace t (Trace.Object_loaded { oid });
-      Ok oid
-  end
+  let* () = if lock then lock_budget t ~owner:caller else Ok () in
+  let* displaced =
+    room ~full:(Caches.Thread_cache.is_full t.threads) (fun () ->
+        Replacement.make_room t ~metric:"victim_scan.thread"
+          ~scan_length:(fun () -> Caches.Thread_cache.last_scan_length t.threads)
+          (Caches.Thread_cache.victim t.threads)
+          (fun v ->
+            Replacement.unload_thread_now t ~reason:Wb.Displaced v;
+            true))
+  in
+  let th = Thread_obj.create ~owner:caller ~space ~tag ~priority ~start in
+  th.Thread_obj.affinity <- affinity;
+  charge t
+    (Config.c_slot_alloc + Config.c_thread_init
+    + Config.descriptor_copy Config.thread_desc_bytes
+    + Config.c_sched_enqueue);
+  match Caches.Thread_cache.load t.threads th with
+  | None -> Error No_victim
+  | Some oid ->
+    if lock then begin
+      th.Thread_obj.locked <- true;
+      take_lock t ~owner:caller
+    end;
+    sp.Space_obj.thread_count <- sp.Space_obj.thread_count + 1;
+    make_ready t th;
+    loaded t t.stats.Stats.threads ~displaced oid
 
 (** Unload (deschedule and write back) a thread.  If the target is the
     thread making this very call, the writeback is deferred to the next
@@ -321,16 +296,10 @@ let load_thread t ~caller ~space ~priority ?(affinity = None) ?(lock = false) ~t
 let unload_thread t ~caller oid =
   charge t Config.c_validate;
   let* th = require_thread t oid in
-  if not (Oid.equal th.Thread_obj.owner caller) && not (Oid.equal caller t.first_kernel)
-  then Error Permission
-  else if Replacement.is_active_thread t th then begin
-    th.Thread_obj.unload_pending <- true;
-    Ok ()
-  end
-  else begin
-    Replacement.unload_thread_now t ~reason:Wb.Requested th;
-    Ok ()
-  end
+  let* () = owned t ~caller th.Thread_obj.owner in
+  if Replacement.is_active_thread t th then th.Thread_obj.unload_pending <- true
+  else Replacement.unload_thread_now t ~reason:Wb.Requested th;
+  Ok ()
 
 (** Modify the priority of a loaded thread — the optimisation the
     per-processor scheduling thread of a UNIX emulator uses each
@@ -339,9 +308,8 @@ let set_priority t ~caller oid priority =
   charge t (Config.c_validate + Config.c_sched_enqueue);
   let* th = require_thread t oid in
   let* k = require_kernel t caller in
-  if not (Oid.equal th.Thread_obj.owner caller) && not (Oid.equal caller t.first_kernel)
-  then Error Permission
-  else if priority < 0 || priority > k.Kernel_obj.max_priority then Error Limit_exceeded
+  let* () = owned t ~caller th.Thread_obj.owner in
+  if priority < 0 || priority > k.Kernel_obj.max_priority then Error Limit_exceeded
   else begin
     th.Thread_obj.priority <- priority;
     (* If it sits in a ready queue at the old priority, requeue it. *)
@@ -385,10 +353,7 @@ let mapping ?(flags = Hw.Page_table.rw) ?signal_thread ?cow_dst ?(remote = false
 let load_mapping_body t ~caller ~space (spec : mapping_spec) =
   let* k = require_kernel t caller in
   let* sp = require_space_for_load t space in
-  let* () =
-    if Oid.equal sp.Space_obj.owner caller || Oid.equal caller t.first_kernel then Ok ()
-    else Error Permission
-  in
+  let* () = owned t ~caller sp.Space_obj.owner in
   let* () =
     (* with a deferred copy, the source frame only needs read access *)
     let write = spec.flags.Hw.Page_table.writable && spec.cow_dst = None in
@@ -405,50 +370,53 @@ let load_mapping_body t ~caller ~space (spec : mapping_spec) =
     | None -> Ok ()
     | Some th_oid ->
       let* th = require_thread t th_oid in
-      if Oid.equal th.Thread_obj.owner caller || Oid.equal caller t.first_kernel then
-        Ok ()
-      else Error Permission
+      owned t ~caller th.Thread_obj.owner
   in
-  let* () = if spec.lock then lock_budget t k else Ok () in
+  let* () = if spec.lock then lock_budget t ~owner:caller else Ok () in
   let* () =
     if Mappings.find t.mappings ~space_slot:(Space_obj.asid sp) ~va:spec.va = None then
       Ok ()
     else Error Already_mapped
   in
-  let had_writeback = Mappings.is_full t.mappings in
-  if had_writeback && not (Replacement.make_room_mapping t) then Error No_victim
-  else begin
-    (* Deferred copy: map the source read-only; the copy into the
-       destination frame happens on the first write fault (section 6's
-       "additional support for deferred copy"). *)
-    let flags =
-      match spec.cow_dst with
-      | Some _ -> { spec.flags with Hw.Page_table.writable = false }
-      | None -> spec.flags
-    in
-    let pte = Hw.Page_table.make_entry ~remote:spec.remote ~frame:spec.pfn ~flags () in
-    ignore (Hw.Page_table.insert sp.Space_obj.table spec.va pte);
-    charge t (Config.c_pte_install + (2 * Config.c_hash_update));
-    match
-      Mappings.insert t.mappings ~owner:caller ~space_slot:(Space_obj.asid sp)
-        ~space ~va:(Hw.Addr.page_base spec.va) ~pte ~signal_thread:spec.signal_thread
-        ~cow_dst:spec.cow_dst ~locked:spec.lock
-    with
-    | None ->
-      ignore (Hw.Page_table.remove sp.Space_obj.table spec.va);
-      Error No_victim
-    | Some _m ->
-      if spec.lock then k.Kernel_obj.locked_count <- k.Kernel_obj.locked_count + 1;
-      sp.Space_obj.mapping_count <- sp.Space_obj.mapping_count + 1;
-      t.stats.Stats.mappings.Stats.loads <- t.stats.Stats.mappings.Stats.loads + 1;
-      if had_writeback then
-        t.stats.Stats.mappings.Stats.loads_with_writeback <-
-          t.stats.Stats.mappings.Stats.loads_with_writeback + 1;
-      if tracing t then
-        trace t
-          (Trace.Mapping_loaded { space; va = Hw.Addr.page_base spec.va; pfn = spec.pfn });
-      Ok ()
-  end
+  let* displaced =
+    room ~full:(Mappings.is_full t.mappings) (fun () ->
+        Replacement.make_room t ~metric:"victim_scan.mapping"
+          ~scan_length:(fun () -> Mappings.last_scan_length t.mappings)
+          (Mappings.victim t.mappings ~protected:(Replacement.mapping_protected t))
+          (fun (v : Mappings.m) ->
+            match find_space t v.Mappings.space with
+            | Some vsp ->
+              Replacement.writeback_mapping t ~reason:Wb.Displaced vsp v;
+              true
+            | None -> false))
+  in
+  (* Deferred copy: map the source read-only; the copy into the destination
+     frame happens on the first write fault (section 6's "additional
+     support for deferred copy"). *)
+  let flags =
+    match spec.cow_dst with
+    | Some _ -> { spec.flags with Hw.Page_table.writable = false }
+    | None -> spec.flags
+  in
+  let pte = Hw.Page_table.make_entry ~remote:spec.remote ~frame:spec.pfn ~flags () in
+  ignore (Hw.Page_table.insert sp.Space_obj.table spec.va pte);
+  charge t (Config.c_pte_install + (2 * Config.c_hash_update));
+  match
+    Mappings.insert t.mappings ~owner:caller ~space_slot:(Space_obj.asid sp) ~space
+      ~va:(Hw.Addr.page_base spec.va) ~pte ~signal_thread:spec.signal_thread
+      ~cow_dst:spec.cow_dst ~locked:spec.lock
+  with
+  | None ->
+    ignore (Hw.Page_table.remove sp.Space_obj.table spec.va);
+    Error No_victim
+  | Some _m ->
+    if spec.lock then take_lock t ~owner:caller;
+    sp.Space_obj.mapping_count <- sp.Space_obj.mapping_count + 1;
+    Stats.loaded t.stats.Stats.mappings ~displaced;
+    if tracing t then
+      trace t
+        (Trace.Mapping_loaded { space; va = Hw.Addr.page_base spec.va; pfn = spec.pfn });
+    Ok ()
 
 (** Load a per-page mapping into [space].  The physical address and access
     are checked against the caller's memory access array; loading may
@@ -492,10 +460,7 @@ let load_mappings t ~caller ~space (specs : mapping_spec list) =
 let unload_mapping t ~caller ~space ~va =
   charge t Config.c_validate;
   let* sp = require_space t space in
-  let* () =
-    if Oid.equal sp.Space_obj.owner caller || Oid.equal caller t.first_kernel then Ok ()
-    else Error Permission
-  in
+  let* () = owned t ~caller sp.Space_obj.owner in
   match Mappings.find t.mappings ~space_slot:(Space_obj.asid sp) ~va with
   | None -> Error Stale_reference
   | Some m ->
@@ -543,10 +508,7 @@ let load_mappings_and_resume t ~caller ~space specs =
 let redirect_signal t ~caller ~space ~va ~thread =
   charge t Config.c_validate;
   let* sp = require_space t space in
-  let* () =
-    if Oid.equal sp.Space_obj.owner caller || Oid.equal caller t.first_kernel then Ok ()
-    else Error Permission
-  in
+  let* () = owned t ~caller sp.Space_obj.owner in
   match Mappings.find t.mappings ~space_slot:(Space_obj.asid sp) ~va with
   | None -> Error Stale_reference
   | Some m ->
@@ -554,8 +516,8 @@ let redirect_signal t ~caller ~space ~va ~thread =
       match thread with
       | None -> Ok ()
       | Some th_oid ->
-        let* _th = require_thread t th_oid in
-        Ok ()
+        let* th = require_thread t th_oid in
+        owned t ~caller th.Thread_obj.owner
     in
     Mappings.set_signal_thread t.mappings m thread;
     Replacement.flush_rtlbs_pfn t ~pfn:(Mappings.pfn m);
@@ -568,12 +530,9 @@ let redirect_signal t ~caller ~space ~va ~thread =
 let post_signal t ~caller ~thread ~va =
   charge t Config.c_validate;
   let* th = require_thread t thread in
-  if not (Oid.equal th.Thread_obj.owner caller) && not (Oid.equal caller t.first_kernel)
-  then Error Permission
-  else begin
-    Signals.post_signal t th ~va;
-    Ok ()
-  end
+  let* () = owned t ~caller th.Thread_obj.owner in
+  Signals.post_signal t th ~va;
+  Ok ()
 
 (* -- Boot (section 3) -- *)
 

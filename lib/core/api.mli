@@ -11,7 +11,16 @@
     Every operation validates identifiers, checks the caller's authority,
     and charges its supervisor cycle cost to the active CPU.  A load that
     finds a full cache writes a victim back first: there is no "hard"
-    out-of-descriptors error. *)
+    out-of-descriptors error.
+
+    Ownership (sections 2.4, 3): an object belongs to the kernel that
+    loaded it, and kernel objects belong to the first kernel.  A call that
+    names a space, a thread, or a mapping's space or signal thread fails
+    with [Permission] unless the caller owns that object or is the first
+    kernel.  Kernel-object calls are the first kernel's alone, except that a
+    kernel may name its own address space ({!set_kernel_space}).  A lock
+    counts against the owning kernel's [max_locked] quota, whichever of the
+    two set it. *)
 
 type error =
   | Stale_reference  (** identifier no longer names a loaded object *)
@@ -72,12 +81,12 @@ val set_kernel_space :
 
 (** {1 Locking (section 2)} *)
 
-val lock_object : Instance.t -> caller:Oid.t -> Oid.t -> (unit, error) result
-(** Protect an object from writeback, within the caller's locked-object
-    quota.  Locked page-fault handlers, schedulers and trap handlers never
-    themselves fault. *)
-
-val unlock_object : Instance.t -> caller:Oid.t -> Oid.t -> (unit, error) result
+val set_lock : Instance.t -> caller:Oid.t -> Oid.t -> bool -> (unit, error) result
+(** [set_lock t ~caller oid true] protects an object from writeback, within
+    its owner's locked-object quota ([Limit_exceeded] past it); [false]
+    releases the lock.  Setting the state it already has is [Ok].  Locked
+    page-fault handlers, schedulers and trap handlers never themselves
+    fault. *)
 
 (** {1 Address spaces (section 2.1)} *)
 
@@ -194,7 +203,8 @@ val redirect_signal :
   (unit, error) result
 (** Rebind a loaded mapping's signal thread — how signals for an unloaded
     thread are redirected to an application kernel's internal thread
-    (section 2.3). *)
+    (section 2.3).  The new thread is owner-checked like
+    {!load_mapping}'s. *)
 
 val post_signal :
   Instance.t -> caller:Oid.t -> thread:Oid.t -> va:int -> (unit, error) result

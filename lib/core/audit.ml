@@ -60,7 +60,8 @@ let oid_str o = Fmt.str "%a" Oid.pp o
 
 (* Remove a mapping whose space is no longer resident.  The ordinary
    writeback path needs the space (page-table entry, tag); here only the
-   translation caches and the mapping record are left to clean up. *)
+   translation caches, the mapping record and its lock are left to clean
+   up. *)
 let remove_orphan_mapping t (m : Mappings.m) =
   let vpn = Hw.Addr.page_of m.Mappings.va in
   let asid = m.Mappings.space.Oid.slot in
@@ -70,22 +71,16 @@ let remove_orphan_mapping t (m : Mappings.m) =
       Hw.Rtlb.flush_pfn cpu.Hw.Cpu.rtlb ~pfn:(Mappings.pfn m))
     t.node.Hw.Mpm.cpus;
   Mappings.remove t.mappings ~space_slot:asid m;
-  t.stats.Stats.mappings.Stats.unloads <- t.stats.Stats.mappings.Stats.unloads + 1;
-  t.stats.Stats.mappings.Stats.writebacks <- t.stats.Stats.mappings.Stats.writebacks + 1;
-  let pte = m.Mappings.pte in
-  let state =
-    {
-      Wb.va = m.Mappings.va;
-      pfn = pte.Hw.Page_table.frame;
-      flags = pte.Hw.Page_table.flags;
-      referenced = pte.Hw.Page_table.referenced || m.Mappings.aged_referenced;
-      modified = pte.Hw.Page_table.modified;
-      had_signal_thread = m.Mappings.signal_thread <> None;
-    }
-  in
+  Replacement.release_mapping_lock t m;
+  Stats.unloaded t.stats.Stats.mappings ~written_back:true;
   push_writeback ~cost:0 t ~owner:m.Mappings.owner
     (Wb.Mapping_wb
-       { space = m.Mappings.space; space_tag = -1; state; reason = Wb.Dependent })
+       {
+         space = m.Mappings.space;
+         space_tag = -1;
+         state = Replacement.mapping_state m;
+         reason = Wb.Dependent;
+       })
 
 let check_dependency t ~repair acc =
   (* spaces whose owning kernel vanished *)

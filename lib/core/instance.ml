@@ -236,6 +236,19 @@ let find_kernel t oid = Caches.Kernel_cache.find t.kernels oid
 let find_space t oid = Caches.Space_cache.find t.spaces oid
 let find_thread t oid = Caches.Thread_cache.find t.threads oid
 
+(* The locked-object ledger (section 2): a lock counts against the kernel
+   that owns the object, whoever set it.  These two are the only writers of
+   [locked_count] apart from the audit's repair. *)
+let take_lock t ~owner =
+  match find_kernel t owner with
+  | Some k -> k.Kernel_obj.locked_count <- k.Kernel_obj.locked_count + 1
+  | None -> ()
+
+let release_lock t ~owner =
+  match find_kernel t owner with
+  | Some k -> k.Kernel_obj.locked_count <- k.Kernel_obj.locked_count - 1
+  | None -> ()
+
 (** Resolve a Ready thread for the scheduler; drops stale/unready entries. *)
 let resolve_ready t oid = t.sched_resolve oid
 

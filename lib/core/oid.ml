@@ -20,7 +20,6 @@ type t = { kind : kind; slot : int; gen : int }
 let v ~kind ~slot ~gen = { kind; slot; gen }
 let equal a b = a.kind = b.kind && a.slot = b.slot && a.gen = b.gen
 let compare = Stdlib.compare
-let hash = Hashtbl.hash
 let pp ppf t = Fmt.pf ppf "%a#%d.%d" pp_kind t.kind t.slot t.gen
 
 (** A never-valid identifier, for fields not yet bound. *)

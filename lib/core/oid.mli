@@ -15,7 +15,6 @@ type t = { kind : kind; slot : int; gen : int }
 val v : kind:kind -> slot:int -> gen:int -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val pp : t Fmt.t
 
 val none : t

@@ -30,6 +30,25 @@ let flush_rtlbs_pfn t ~pfn =
   Array.iter (fun cpu -> Hw.Rtlb.flush_pfn cpu.Hw.Cpu.rtlb ~pfn) t.node.Hw.Mpm.cpus;
   charge t (Config.c_rtlb_update * Hw.Mpm.n_cpus t.node)
 
+(* Did replacement, rather than the owner's own request, send the object
+   back?  Such unloads are the [writebacks] statistic. *)
+let forced = function
+  | Wb.Displaced | Wb.Dependent | Wb.Consistency -> true
+  | Wb.Requested | Wb.Exited -> false
+
+(** Free one descriptor: write back [victim], the policy's choice after a
+    scan of [scan_length ()] descriptors, observe that scan under [metric]
+    and count the displacement.  False when there is no victim or [unload]
+    could not write it back. *)
+let make_room t ~metric ~scan_length victim unload =
+  match victim with
+  | None -> false
+  | Some v ->
+    observe t metric (float_of_int (scan_length ()));
+    let ok = unload v in
+    if ok then note_displacement t;
+    ok
+
 (* -- Mappings -- *)
 
 (** Is this mapping protected from the reclamation scan?  Only when it and
@@ -54,6 +73,26 @@ let mapping_protected t (m : Mappings.m) =
       match find_thread t th with Some d -> d.Thread_obj.locked | None -> false)
   in
   space_locked && kernel_locked && signal_locked
+
+(** A mapping's writeback state: its translation plus the referenced and
+    modified bits its owner needs for paging decisions. *)
+let mapping_state (m : Mappings.m) =
+  let pte = m.Mappings.pte in
+  {
+    Wb.va = m.Mappings.va;
+    pfn = pte.Hw.Page_table.frame;
+    flags = pte.Hw.Page_table.flags;
+    referenced = pte.Hw.Page_table.referenced || m.Mappings.aged_referenced;
+    modified = pte.Hw.Page_table.modified;
+    had_signal_thread = m.Mappings.signal_thread <> None;
+  }
+
+(** Take a departing mapping's lock off its owner's ledger. *)
+let release_mapping_lock t (m : Mappings.m) =
+  if m.Mappings.locked then begin
+    m.Mappings.locked <- false;
+    release_lock t ~owner:m.Mappings.owner
+  end
 
 (** Write one mapping back to its owner: remove the page-table entry, shoot
     down TLB and reverse-TLB state, drop the dependency records, and emit
@@ -91,7 +130,6 @@ and remove_one t ~reason (space : Space_obj.t) (m : Mappings.m) =
   if m.Mappings.removed then ()
   else begin
     let wb_t0 = now t in
-    let pte = m.Mappings.pte in
     let vpn = Hw.Addr.page_of m.Mappings.va in
     ignore (Hw.Page_table.remove space.Space_obj.table m.Mappings.va);
     charge t Config.c_pte_remove;
@@ -99,53 +137,23 @@ and remove_one t ~reason (space : Space_obj.t) (m : Mappings.m) =
     flush_rtlbs_pfn t ~pfn:(Mappings.pfn m);
     Mappings.remove t.mappings ~space_slot:(Space_obj.asid space) m;
     charge t (2 * Config.c_hash_update);
-    if m.Mappings.locked then begin
-      m.Mappings.locked <- false;
-      match find_kernel t m.Mappings.owner with
-      | Some k -> k.Kernel_obj.locked_count <- k.Kernel_obj.locked_count - 1
-      | None -> ()
-    end;
-    (* exact: the [removed] guard above makes a second visit impossible,
-       so no [max 0] floor is needed to hide double-decrements *)
+    release_mapping_lock t m;
+    (* exact: the [removed] guard above makes a second visit impossible *)
     space.Space_obj.mapping_count <- space.Space_obj.mapping_count - 1;
-  t.stats.Stats.mappings.Stats.unloads <- t.stats.Stats.mappings.Stats.unloads + 1;
-  (match reason with
-  | Wb.Displaced | Wb.Dependent | Wb.Consistency ->
-    t.stats.Stats.mappings.Stats.writebacks <- t.stats.Stats.mappings.Stats.writebacks + 1
-  | Wb.Requested | Wb.Exited -> ());
-  let state =
-    {
-      Wb.va = m.Mappings.va;
-      pfn = pte.Hw.Page_table.frame;
-      flags = pte.Hw.Page_table.flags;
-      referenced = pte.Hw.Page_table.referenced || m.Mappings.aged_referenced;
-      modified = pte.Hw.Page_table.modified;
-      had_signal_thread = m.Mappings.signal_thread <> None;
-    }
-  in
-  trace t
-    (Trace.Mapping_written_back
-       { space = space.Space_obj.oid; va = m.Mappings.va; to_kernel = m.Mappings.owner });
-  push_writeback t ~owner:m.Mappings.owner
-    (Wb.Mapping_wb
-       { space = space.Space_obj.oid; space_tag = space.Space_obj.tag; state; reason });
+    Stats.unloaded t.stats.Stats.mappings ~written_back:(forced reason);
+    trace t
+      (Trace.Mapping_written_back
+         { space = space.Space_obj.oid; va = m.Mappings.va; to_kernel = m.Mappings.owner });
+    push_writeback t ~owner:m.Mappings.owner
+      (Wb.Mapping_wb
+         {
+           space = space.Space_obj.oid;
+           space_tag = space.Space_obj.tag;
+           state = mapping_state m;
+           reason;
+         });
     observe_cycles t "wb.mapping_us" (now t - wb_t0)
   end
-
-(** Free one mapping descriptor by evicting a victim.  False if every
-    mapping is protected (whole chains locked). *)
-let make_room_mapping t =
-  match Mappings.victim t.mappings ~protected:(mapping_protected t) with
-  | None -> false
-  | Some m -> (
-    observe t "victim_scan.mapping"
-      (float_of_int (Mappings.last_scan_length t.mappings));
-    match find_space t m.Mappings.space with
-    | Some space ->
-      writeback_mapping t ~reason:Wb.Displaced space m;
-      note_displacement t;
-      true
-    | None -> false)
 
 (* -- Threads -- *)
 
@@ -184,24 +192,18 @@ let unload_thread_now t ~reason (th : Thread_obj.t) =
           tag land 0xFFFF = th.Thread_obj.oid.Oid.slot))
     t.node.Hw.Mpm.cpus;
   (match find_space t th.Thread_obj.space with
-  | Some sp -> sp.Space_obj.thread_count <- max 0 (sp.Space_obj.thread_count - 1)
+  | Some sp -> sp.Space_obj.thread_count <- sp.Space_obj.thread_count - 1
   | None -> ());
   if th.Thread_obj.locked then begin
     th.Thread_obj.locked <- false;
-    match find_kernel t th.Thread_obj.owner with
-    | Some k -> k.Kernel_obj.locked_count <- max 0 (k.Kernel_obj.locked_count - 1)
-    | None -> ()
+    release_lock t ~owner:th.Thread_obj.owner
   end;
   th.Thread_obj.unload_pending <- false;
   let oid = th.Thread_obj.oid in
   ignore (Caches.Thread_cache.unload t.threads oid);
   charge t (Config.c_slot_free + Config.descriptor_copy Config.thread_desc_bytes);
   th.Thread_obj.state <- Thread_obj.Exited;
-  t.stats.Stats.threads.Stats.unloads <- t.stats.Stats.threads.Stats.unloads + 1;
-  (match reason with
-  | Wb.Displaced | Wb.Dependent ->
-    t.stats.Stats.threads.Stats.writebacks <- t.stats.Stats.threads.Stats.writebacks + 1
-  | _ -> ());
+  Stats.unloaded t.stats.Stats.threads ~written_back:(forced reason);
   trace t (Trace.Object_written_back { oid; to_kernel = th.Thread_obj.owner });
   push_writeback t ~owner:th.Thread_obj.owner
     (Wb.Thread_wb
@@ -226,17 +228,6 @@ let active_thread t =
 let is_active_thread t (th : Thread_obj.t) =
   match active_thread t with Some a -> a == th | None -> false
 
-(** Free one thread descriptor by evicting a victim. *)
-let make_room_thread t =
-  match Caches.Thread_cache.victim t.threads with
-  | None -> false
-  | Some th ->
-    observe t "victim_scan.thread"
-      (float_of_int (Caches.Thread_cache.last_scan_length t.threads));
-    unload_thread_now t ~reason:Wb.Displaced th;
-    note_displacement t;
-    true
-
 (* -- Address spaces -- *)
 
 (** Unload an address space: all its page mappings and all its threads are
@@ -254,18 +245,12 @@ let unload_space_now t ~reason (space : Space_obj.t) =
     flush_tlbs_space t ~asid:(Space_obj.asid space);
     if space.Space_obj.locked then begin
       space.Space_obj.locked <- false;
-      match find_kernel t space.Space_obj.owner with
-      | Some k -> k.Kernel_obj.locked_count <- max 0 (k.Kernel_obj.locked_count - 1)
-      | None -> ()
+      release_lock t ~owner:space.Space_obj.owner
     end;
     let oid = space.Space_obj.oid in
     ignore (Caches.Space_cache.unload t.spaces oid);
     charge t (Config.c_slot_free + Config.descriptor_copy Config.space_desc_bytes);
-    t.stats.Stats.spaces.Stats.unloads <- t.stats.Stats.spaces.Stats.unloads + 1;
-    (match reason with
-    | Wb.Displaced | Wb.Dependent ->
-      t.stats.Stats.spaces.Stats.writebacks <- t.stats.Stats.spaces.Stats.writebacks + 1
-    | _ -> ());
+    Stats.unloaded t.stats.Stats.spaces ~written_back:(forced reason);
     trace t (Trace.Object_written_back { oid; to_kernel = space.Space_obj.owner });
     push_writeback t ~owner:space.Space_obj.owner
       (Wb.Space_wb { oid; tag = space.Space_obj.tag; reason });
@@ -273,16 +258,6 @@ let unload_space_now t ~reason (space : Space_obj.t) =
     observe_cycles t "wb.space_us" (now t - wb_t0);
     `Done
   end
-
-let make_room_space t =
-  match Caches.Space_cache.victim t.spaces with
-  | None -> false
-  | Some space ->
-    observe t "victim_scan.space"
-      (float_of_int (Caches.Space_cache.last_scan_length t.spaces));
-    let ok = unload_space_now t ~reason:Wb.Displaced space = `Done in
-    if ok then note_displacement t;
-    ok
 
 (* -- Kernels -- *)
 
@@ -314,11 +289,7 @@ let unload_kernel_now t ~reason (kernel : Kernel_obj.t) =
     (* the kernel writeback record is short: resource grants and handler
        attributes, not the bulk access array *)
     charge t Config.c_slot_free;
-    t.stats.Stats.kernels.Stats.unloads <- t.stats.Stats.kernels.Stats.unloads + 1;
-    (match reason with
-    | Wb.Displaced | Wb.Dependent ->
-      t.stats.Stats.kernels.Stats.writebacks <- t.stats.Stats.kernels.Stats.writebacks + 1
-    | _ -> ());
+    Stats.unloaded t.stats.Stats.kernels ~written_back:(forced reason);
     trace t (Trace.Object_written_back { oid; to_kernel = t.first_kernel });
     (* Kernel objects are owned by, and written back to, the first kernel. *)
     push_writeback t ~cost:Config.c_kernel_writeback ~owner:t.first_kernel
@@ -326,13 +297,3 @@ let unload_kernel_now t ~reason (kernel : Kernel_obj.t) =
     observe_cycles t "wb.kernel_us" (now t - wb_t0);
     `Done
   end
-
-let make_room_kernel t =
-  match Caches.Kernel_cache.victim t.kernels with
-  | None -> false
-  | Some k ->
-    observe t "victim_scan.kernel"
-      (float_of_int (Caches.Kernel_cache.last_scan_length t.kernels));
-    let ok = unload_kernel_now t ~reason:Wb.Displaced k = `Done in
-    if ok then note_displacement t;
-    ok

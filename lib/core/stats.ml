@@ -52,6 +52,17 @@ let create () =
     preemptions = 0;
   }
 
+(** One object loaded; [displaced] when a victim was written back first. *)
+let loaded c ~displaced =
+  c.loads <- c.loads + 1;
+  if displaced then c.loads_with_writeback <- c.loads_with_writeback + 1
+
+(** One object unloaded; [written_back] when replacement, not its owner,
+    sent it back. *)
+let unloaded c ~written_back =
+  c.unloads <- c.unloads + 1;
+  if written_back then c.writebacks <- c.writebacks + 1
+
 let counter t (kind : Oid.kind) =
   match kind with
   | Oid.Kernel -> t.kernels

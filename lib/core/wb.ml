@@ -16,13 +16,6 @@ type reason =
   | Exited (* thread finished execution *)
   | Consistency (* flushed for multi-mapping consistency *)
 
-let pp_reason ppf = function
-  | Displaced -> Fmt.string ppf "displaced"
-  | Requested -> Fmt.string ppf "requested"
-  | Dependent -> Fmt.string ppf "dependent"
-  | Exited -> Fmt.string ppf "exited"
-  | Consistency -> Fmt.string ppf "consistency"
-
 type mapping_state = {
   va : int;
   pfn : int;

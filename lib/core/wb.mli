@@ -12,8 +12,6 @@ type reason =
   | Exited  (** thread finished execution *)
   | Consistency  (** flushed for multi-mapping consistency *)
 
-val pp_reason : reason Fmt.t
-
 type mapping_state = {
   va : int;
   pfn : int;

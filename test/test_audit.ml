@@ -98,6 +98,9 @@ let test_clean_after_crash () =
 let with_stale_retry op =
   match op () with Error Api.Stale_reference -> op () | r -> r
 
+(* Two kernels share the instance: the first kernel and k2.  Every object
+   is loaded by its owner; locks are set and cleared both by the owner and
+   by the first kernel, so the lock ledger must follow the owner. *)
 let run_ops_and_audit ops =
   let config =
     {
@@ -109,52 +112,69 @@ let run_ops_and_audit ops =
     }
   in
   let inst = Workload.Setup.instance ~config ~cpus:1 () in
-  let spec =
+  let spec name =
     {
-      Kernel_obj.name = "w";
+      Kernel_obj.name;
       handlers = Kernel_obj.null_handlers;
       cpu_percent = [| 100 |];
       max_priority = 31;
       max_locked = 8;
     }
   in
-  let koid = ok (Api.boot inst spec) in
+  let koid = ok (Api.boot inst (spec "w")) in
+  let k2 = ok (Api.load_kernel inst ~caller:koid (spec "k2")) in
+  for g = 0 to Instance.n_groups inst - 1 do
+    ok (Api.set_mem_access inst ~caller:koid ~kernel:k2 ~group:g Kernel_obj.Read_write)
+  done;
+  (* (identifier, owner) of every space and thread loaded so far *)
   let spaces = ref [] in
   let threads = ref [] in
   let next_tag = ref 0 in
   let pick l i = List.nth l (i mod List.length l) in
   let apply (code, operand) =
-    match code mod 5 with
+    match code mod 7 with
     | 0 ->
       incr next_tag;
-      let oid = ok (Api.load_space inst ~caller:koid ~tag:!next_tag ()) in
-      spaces := oid :: !spaces
+      let owner = if operand land 1 = 0 then koid else k2 in
+      let oid = ok (Api.load_space inst ~caller:owner ~tag:!next_tag ()) in
+      spaces := (oid, owner) :: !spaces
     | 1 ->
-      if !spaces <> [] then ignore (Api.unload_space inst ~caller:koid (pick !spaces operand))
+      if !spaces <> [] then
+        let sp, owner = pick !spaces operand in
+        ignore (Api.unload_space inst ~caller:owner sp)
     | 2 ->
       if !spaces <> [] then begin
         incr next_tag;
+        let sp, owner = pick !spaces operand in
         match
           with_stale_retry (fun () ->
-              Api.load_thread inst ~caller:koid ~space:(pick !spaces operand) ~priority:1
-                ~tag:!next_tag
+              Api.load_thread inst ~caller:owner ~space:sp ~priority:1 ~tag:!next_tag
                 ~start:(Thread_obj.Fresh (Hw.Exec.unit_body (fun () -> ())))
                 ())
         with
-        | Ok oid -> threads := oid :: !threads
+        | Ok oid -> threads := (oid, owner) :: !threads
         | Error _ -> ()
       end
     | 3 ->
       if !threads <> [] then
-        ignore (Api.unload_thread inst ~caller:koid (pick !threads operand))
-    | _ ->
+        let th, owner = pick !threads operand in
+        ignore (Api.unload_thread inst ~caller:owner th)
+    | 4 ->
       if !spaces <> [] then begin
         let va = 0x40000000 + (operand mod 64 * Hw.Addr.page_size) in
+        let sp, owner = pick !spaces operand in
         ignore
           (with_stale_retry (fun () ->
-               Api.load_mapping inst ~caller:koid ~space:(pick !spaces operand)
+               Api.load_mapping inst ~caller:owner ~space:sp
                  (Api.mapping ~va ~pfn:(operand mod 128) ())))
       end
+    | code ->
+      (* 5 locks, 6 unlocks; an odd operand acts as the first kernel *)
+      let objects = !spaces @ !threads in
+      if objects <> [] then
+        let oid, owner = pick objects (operand / 2) in
+        let caller = if operand land 1 = 1 then koid else owner in
+        ignore (Api.set_lock inst ~caller oid (code = 5))
   in
   List.iter apply ops;
   Audit.clean (Audit.run inst)
@@ -203,6 +223,22 @@ let test_orphan_mapping () =
   (* the repair went through the writeback channel, not a silent drop *)
   Alcotest.(check bool) "orphan writebacks pushed" true
     (inst.Instance.stats.Stats.mappings.Stats.writebacks > 0)
+
+let test_orphan_locked_mapping () =
+  (* a locked orphan's lock leaves with it: the repairing pass must not
+     report a counter drift of its own making *)
+  let inst, vsp = fig2_run () in
+  let sp = demo_space inst vsp in
+  ok
+    (Api.load_mapping inst ~caller:sp.Space_obj.owner ~space:sp.Space_obj.oid
+       (Api.mapping ~va:0x50000000 ~pfn:100 ~lock:true ()));
+  ignore (Caches.Space_cache.unload inst.Instance.spaces sp.Space_obj.oid);
+  let r = Audit.run ~repair:true inst in
+  Alcotest.(check bool) "orphans detected" true (has_check "dependency" r);
+  Alcotest.(check bool) "orphans repaired" true (all_repaired r);
+  if has_check "counter" r then
+    Alcotest.failf "repair manufactured a counter violation: %a" Audit.pp_report r;
+  check_clean "re-audit" (Audit.run inst)
 
 let test_conservation_drift () =
   let inst, _ = fig2_run () in
@@ -410,6 +446,7 @@ let () =
           Alcotest.test_case "counter drift" `Quick test_counter_drift;
           Alcotest.test_case "locked_count drift" `Quick test_locked_drift;
           Alcotest.test_case "orphan mapping" `Quick test_orphan_mapping;
+          Alcotest.test_case "locked orphan mapping" `Quick test_orphan_locked_mapping;
           Alcotest.test_case "conservation drift" `Quick test_conservation_drift;
           Alcotest.test_case "bogus page-table entry" `Quick test_bogus_page_table_entry;
           Alcotest.test_case "detached mapping pte" `Quick test_detached_mapping_pte;

@@ -228,15 +228,46 @@ let test_locking () =
   ignore sp_a;
   err Api.Limit_exceeded (Api.load_space inst ~caller:k2 ~lock:true ~tag:101 ());
   (* unlock frees quota *)
-  ok (Api.unlock_object inst ~caller:k2 sp_a);
+  ok (Api.set_lock inst ~caller:k2 sp_a false);
   ignore (ok (Api.load_space inst ~caller:k2 ~lock:true ~tag:102 ()))
+
+(* A lock counts against the object's owner, whoever set it: the first
+   kernel locking k2's thread spends k2's quota, and the thread's writeback
+   gives it back to k2. *)
+let test_lock_ledger_owner () =
+  let inst, first = make () in
+  let k2 = ok (Api.load_kernel inst ~caller:first (null_spec ~max_locked:1 inst "k2")) in
+  let sp = ok (Api.load_space inst ~caller:k2 ~tag:1 ()) in
+  let thread tag =
+    ok
+      (Api.load_thread inst ~caller:k2 ~space:sp ~priority:4 ~tag
+         ~start:(Thread_obj.Fresh idle_body) ())
+  in
+  let th = thread 1 and th' = thread 2 in
+  let expect what ~first:n1 ~k2:n2 =
+    let locked k = (Option.get (Instance.find_kernel inst k)).Kernel_obj.locked_count in
+    Alcotest.(check (pair int int)) (what ^ ": first, k2 locked_count") (n1, n2)
+      (locked first, locked k2);
+    let r = Audit.run inst in
+    if not (Audit.clean r) then Alcotest.failf "%s: %a" what Audit.pp_report r
+  in
+  expect "nothing locked" ~first:0 ~k2:0;
+  ok (Api.set_lock inst ~caller:first th true);
+  expect "first kernel locks k2's thread" ~first:0 ~k2:1;
+  err Api.Limit_exceeded (Api.set_lock inst ~caller:first th' true);
+  ok (Api.unload_thread inst ~caller:first th);
+  expect "locked thread unloaded" ~first:0 ~k2:0;
+  ok (Api.set_lock inst ~caller:first th' true);
+  expect "quota slot returned" ~first:0 ~k2:1;
+  ok (Api.set_lock inst ~caller:first th' false);
+  expect "unlocked" ~first:0 ~k2:0
 
 let test_locked_mapping_chain () =
   let inst, first = make () in
   (* "a locked mapping can be reclaimed unless its address space, its
      kernel object and its signal thread (if any) are locked" *)
   let sp = ok (Api.load_space inst ~caller:first ~lock:true ~tag:1 ()) in
-  ok (Api.lock_object inst ~caller:first first);
+  ok (Api.set_lock inst ~caller:first first true);
   ok
     (Api.load_mapping inst ~caller:first ~space:sp
        (Api.mapping ~va:0x40000000 ~pfn:64 ~lock:true ()));
@@ -254,24 +285,106 @@ let test_locked_mapping_chain () =
 
 (* -- Permissions and resource checks -- *)
 
-let test_permissions () =
+(* The owner-checked calls, one row each.  Every row runs on a fresh
+   fixture: the first kernel, the owner k2 and a foreign kernel k3, each
+   with a space holding a mapping at [va]; k2 also has a thread. *)
+type fixture = {
+  inst : Instance.t;
+  first : Oid.t;
+  k2 : Oid.t;
+  sp2 : Oid.t; (* k2's space *)
+  th2 : Oid.t; (* k2's thread *)
+  own_space : Oid.t -> Oid.t; (* the space each kernel owns *)
+}
+
+let va = 0x40000000
+
+let fixture () =
   let inst, first = make () in
-  let k2 = ok (Api.load_kernel inst ~caller:first (null_spec inst "k2")) in
-  let sp2 = ok (Api.load_space inst ~caller:k2 ~tag:1 ()) in
-  (* another kernel cannot unload or map into k2's space *)
-  let k3 = ok (Api.load_kernel inst ~caller:first (null_spec inst "k3")) in
-  err Api.Permission (Api.unload_space inst ~caller:k3 sp2);
-  err Api.Permission
-    (Api.load_mapping inst ~caller:k3 ~space:sp2 (Api.mapping ~va:0x40000000 ~pfn:64 ()));
+  let kernel name =
+    let k = ok (Api.load_kernel inst ~caller:first (null_spec inst name)) in
+    for g = 0 to Instance.n_groups inst - 1 do
+      ok (Api.set_mem_access inst ~caller:first ~kernel:k ~group:g Kernel_obj.Read_write)
+    done;
+    k
+  in
+  let k2 = kernel "k2" and k3 = kernel "k3" in
+  let spaces =
+    List.mapi
+      (fun i k ->
+        let sp = ok (Api.load_space inst ~caller:k ~tag:i ()) in
+        ok (Api.load_mapping inst ~caller:k ~space:sp (Api.mapping ~va ~pfn:(64 + i) ()));
+        (k, sp))
+      [ first; k2; k3 ]
+  in
+  let own_space k = List.assoc k spaces in
+  let sp2 = own_space k2 in
+  let th2 =
+    ok
+      (Api.load_thread inst ~caller:k2 ~space:sp2 ~priority:4 ~tag:1
+         ~start:(Thread_obj.Fresh idle_body) ())
+  in
+  ({ inst; first; k2; sp2; th2; own_space }, k3)
+
+let owner_checked : (string * (fixture -> caller:Oid.t -> (unit, Api.error) result)) list =
+  [
+    ( "set_kernel_space",
+      fun f ~caller -> Api.set_kernel_space f.inst ~caller ~kernel:f.k2 ~space:f.sp2 );
+    ("lock_object", fun f ~caller -> Api.set_lock f.inst ~caller f.th2 true);
+    ( "unlock_object",
+      fun f ~caller ->
+        ok (Api.set_lock f.inst ~caller:f.k2 f.th2 true);
+        Api.set_lock f.inst ~caller f.th2 false );
+    ("unload_space", fun f ~caller -> Api.unload_space f.inst ~caller f.sp2);
+    ( "load_thread",
+      fun f ~caller ->
+        Result.map ignore
+          (Api.load_thread f.inst ~caller ~space:f.sp2 ~priority:4 ~tag:2
+             ~start:(Thread_obj.Fresh idle_body) ()) );
+    ("unload_thread", fun f ~caller -> Api.unload_thread f.inst ~caller f.th2);
+    ("set_priority", fun f ~caller -> Api.set_priority f.inst ~caller f.th2 6);
+    ( "load_mapping space",
+      fun f ~caller ->
+        Api.load_mapping f.inst ~caller ~space:f.sp2 (Api.mapping ~va:(va + 4096) ~pfn:80 ()) );
+    ( "load_mapping signal thread",
+      fun f ~caller ->
+        Api.load_mapping f.inst ~caller ~space:(f.own_space caller)
+          (Api.mapping ~va:(va + 4096) ~pfn:80 ~signal_thread:f.th2 ()) );
+    ("unload_mapping", fun f ~caller -> Api.unload_mapping f.inst ~caller ~space:f.sp2 ~va);
+    ( "redirect_signal space",
+      fun f ~caller -> Api.redirect_signal f.inst ~caller ~space:f.sp2 ~va ~thread:None );
+    ( "redirect_signal thread",
+      fun f ~caller ->
+        Api.redirect_signal f.inst ~caller ~space:(f.own_space caller) ~va
+          ~thread:(Some f.th2) );
+    ("post_signal", fun f ~caller -> Api.post_signal f.inst ~caller ~thread:f.th2 ~va);
+  ]
+
+let test_permissions () =
+  List.iter
+    (fun (name, call) ->
+      let f, k3 = fixture () in
+      (match call f ~caller:k3 with
+      | Error Api.Permission -> ()
+      | Ok () -> Alcotest.failf "%s: a foreign kernel succeeded" name
+      | Error e -> Alcotest.failf "%s: foreign kernel got %a" name Api.pp_error e);
+      List.iter
+        (fun (who, caller) ->
+          let f, _ = fixture () in
+          match call f ~caller:(caller f) with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s by the %s: %a" name who Api.pp_error e)
+        [ ("owner", fun f -> f.k2); ("first kernel", fun f -> f.first) ])
+    owner_checked;
   (* only the first kernel performs kernel-object operations *)
-  err Api.Permission (Api.load_kernel inst ~caller:k2 (null_spec inst "nope"));
-  err Api.Permission (Api.set_max_priority inst ~caller:k2 ~kernel:k2 31);
+  let f, _ = fixture () in
+  err Api.Permission (Api.load_kernel f.inst ~caller:f.k2 (null_spec f.inst "nope"));
+  err Api.Permission (Api.set_max_priority f.inst ~caller:f.k2 ~kernel:f.k2 31);
+  err Api.Permission (Api.set_lock f.inst ~caller:f.k2 f.k2 true);
   (* priority cap: k2's max is 16 *)
   err Api.Limit_exceeded
-    (Api.load_thread inst ~caller:k2 ~space:sp2 ~priority:20 ~tag:1
-       ~start:(Thread_obj.Fresh idle_body) ());
-  (* first kernel can act on other kernels' objects *)
-  ok (Api.unload_space inst ~caller:first sp2)
+    (Api.load_thread f.inst ~caller:f.k2 ~space:f.sp2 ~priority:20 ~tag:1
+       ~start:(Thread_obj.Fresh idle_body) ())
 
 let test_memory_access_array () =
   let inst, first = make () in
@@ -456,6 +569,7 @@ let () =
       ( "locking",
         [
           Alcotest.test_case "lock quota and survival" `Quick test_locking;
+          Alcotest.test_case "lock ledger keyed by owner" `Quick test_lock_ledger_owner;
           Alcotest.test_case "locked mapping needs locked chain" `Quick
             test_locked_mapping_chain;
         ] );
