@@ -22,9 +22,9 @@ let () =
   let srm = ok (Srm.Manager.boot inst ()) in
 
   (* The batch kernel: compute-bound, would love priority 31. *)
-  let batch, batch_spec = App_kernel.prepare inst ~name:"batch" ~max_priority:12 () in
+  let batch = App_kernel.prepare inst ~name:"batch" ~max_priority:12 () in
   let _launched =
-    ok (Srm.Manager.launch srm (batch, batch_spec) ~group_count:4 ~cpu_percent:80 ())
+    ok (Srm.Manager.launch srm batch ~group_count:4 ~cpu_percent:80 ())
   in
   let spin () =
     let rec loop () =

@@ -27,9 +27,9 @@ type t = {
       (* kernel-object writebacks (only the first kernel receives these) *)
   mutable draining : bool;
   mutable writebacks_processed : int;
-  mutable boot_spec : Kernel_obj.spec option;
-      (* the spec this kernel was prepared with, kept so a crashed node can
-         re-boot its first kernel ({!reboot_first}) *)
+  spec : Kernel_obj.spec;
+      (* the kernel object this kernel loads as, every time it is loaded:
+         first launch, swap-in and a restarted node's re-boot *)
 }
 
 let default_trap _t _thread p = p (* echo *)
@@ -42,7 +42,7 @@ let c_drain_record = 180
 
 (** Drain the kernel's writeback channel, dispatching each record to the
     library that owns the corresponding bookkeeping. *)
-let rec drain t =
+let drain t =
   if not t.draining then begin
     t.draining <- true;
     Fun.protect
@@ -65,24 +65,10 @@ let rec drain t =
           done)
   end
 
-and handlers_of t =
-  {
-    Kernel_obj.on_fault =
-      (fun ctx ->
-        drain t;
-        (* stay current before consulting our records *)
-        Segment_mgr.handle_fault t.mgr ctx);
-    on_trap =
-      (fun thread p ->
-        drain t;
-        t.trap_dispatch t thread p);
-    on_writeback = (fun () -> drain t);
-  }
-
 (** Prepare an application kernel: builds the libraries and the kernel-
     object spec whose handlers close over them.  The kernel object itself
     is loaded by the caller (the boot path or the system resource manager),
-    which then calls {!attach}. *)
+    which then calls {!install}. *)
 let prepare inst ~name ?(cpu_percent = 100) ?(max_priority = 24) ?(max_locked = 8) () =
   let frames = Frame_alloc.create () in
   let node = inst.Instance.node in
@@ -123,7 +109,8 @@ let prepare inst ~name ?(cpu_percent = 100) ?(max_priority = 24) ?(max_locked = 
     mgr := Some m;
     m
   in
-  let t =
+  let cpu_percent = Array.make (Instance.n_cpus inst) cpu_percent in
+  let rec t =
     {
       inst;
       name;
@@ -138,68 +125,71 @@ let prepare inst ~name ?(cpu_percent = 100) ?(max_priority = 24) ?(max_locked = 
       on_kernel_writeback = (fun _ _ _ _ -> ());
       draining = false;
       writebacks_processed = 0;
-      boot_spec = None;
+      spec =
+        {
+          Kernel_obj.name;
+          handlers =
+            {
+              Kernel_obj.on_fault =
+                (fun ctx ->
+                  drain t;
+                  (* stay current before consulting our records *)
+                  Segment_mgr.handle_fault t.mgr ctx);
+              on_trap =
+                (fun thread p ->
+                  drain t;
+                  t.trap_dispatch t thread p);
+              on_writeback = (fun () -> drain t);
+            };
+          cpu_percent;
+          max_priority;
+          max_locked;
+        };
     }
   in
-  let spec =
-    {
-      Kernel_obj.name;
-      handlers = handlers_of t;
-      cpu_percent = Array.make (Instance.n_cpus inst) cpu_percent;
-      max_priority;
-      max_locked;
-    }
+  t
+
+(** The kernel's own address space (handler frames execute in it): created
+    the first time, reloaded if it was written back, and registered on the
+    kernel object. *)
+let bind_own_space t =
+  let loaded =
+    match t.own_space with
+    | None -> Segment_mgr.create_space t.mgr
+    | Some vsp -> Result.map (fun _ -> vsp) (Segment_mgr.reload_space t.mgr vsp)
   in
-  t.boot_spec <- Some spec;
-  (t, spec)
-
-(** Bind the loaded kernel object and its granted page groups. *)
-let attach t ~oid:koid ~groups =
-  t.oid_ref := koid;
-  List.iter (fun g -> Frame_alloc.add_group t.frames g) groups
-
-(** Create the kernel's own address space (handler frames execute in it)
-    and register it on the kernel object. *)
-let init_own_space t =
-  match Segment_mgr.create_space t.mgr with
+  match loaded with
   | Error e -> Error e
   | Ok vsp -> (
     t.own_space <- Some vsp;
     match
-      Api.set_kernel_space t.inst ~caller:(oid t) ~kernel:(oid t)
-        ~space:vsp.Segment_mgr.oid
+      Api.set_kernel_space t.inst ~caller:(oid t) ~kernel:(oid t) ~space:vsp.Segment_mgr.oid
     with
     | Ok () -> Ok vsp
     | Error e -> Error e)
+
+(** Reload every written-back thread. *)
+let resume_threads t =
+  Thread_lib.iter t.threads (fun e ->
+      match e.Thread_lib.run with
+      | Thread_lib.Unloaded _ -> ignore (Thread_lib.schedule t.threads e.Thread_lib.id)
+      | Thread_lib.Loaded -> ())
+
+(** Bind the kernel object just loaded from {!field-spec}: its identifier,
+    its own space, and every written-back thread.  The one way in for a
+    kernel — first boot, launch, swap-in and a restarted node all end
+    here. *)
+let install t ~oid:koid =
+  t.oid_ref := koid;
+  Result.map (fun _ -> resume_threads t) (bind_own_space t)
 
 (** Boot path: load this kernel as the first kernel with full resources
     (including the full priority range — it hosts locked scheduler and
     real-time threads). *)
 let boot_first inst ~name ?(groups = []) () =
-  let t, spec =
-    prepare inst ~name
-      ~max_priority:(Config.priorities - 1)
-      ~max_locked:32 ()
-  in
-  match Api.boot inst spec with
-  | Error e -> Error e
-  | Ok koid ->
-    attach t ~oid:koid ~groups;
-    (match init_own_space t with Ok _ -> () | Error _ -> ());
-    Ok t
-
-(** After a kernel-object reload (swap-in): rebind the kernel's own address
-    space, reloading it if it was written back. *)
-let reattach_space t =
-  match t.own_space with
-  | None -> Ok ()
-  | Some vsp -> (
-    match Segment_mgr.reload_space t.mgr vsp with
-    | Error e -> Error e
-    | Ok space -> (
-      match Api.set_kernel_space t.inst ~caller:(oid t) ~kernel:(oid t) ~space with
-      | Ok () -> Ok ()
-      | Error e -> Error e))
+  let t = prepare inst ~name ~max_priority:(Config.priorities - 1) ~max_locked:32 () in
+  List.iter (Frame_alloc.add_group t.frames) groups;
+  Result.bind (Api.boot inst t.spec) (fun koid -> Result.map (fun () -> t) (install t ~oid:koid))
 
 (** After an MPM crash: every Cache Kernel descriptor this kernel held is
     gone without writeback.  Mark the library records accordingly — spaces
@@ -208,32 +198,6 @@ let reattach_space t =
 let mark_crashed t =
   Segment_mgr.mark_crashed t.mgr;
   Thread_lib.mark_crashed t.threads
-
-(** Reload every written-back thread — used after swap-in. *)
-let resume_threads t =
-  Thread_lib.iter t.threads (fun e ->
-      match e.Thread_lib.run with
-      | Thread_lib.Unloaded _ -> ignore (Thread_lib.schedule t.threads e.Thread_lib.id)
-      | Thread_lib.Loaded -> ())
-
-(** Re-boot this kernel as the first kernel of a restarted node: reload
-    the kernel object through {!Api.boot} (the crashed node's caches are
-    empty, so this is a fresh boot of the same spec), rebind the kernel's
-    own space and reload its threads from their writeback images.  Page
-    groups granted at the original attach stay in the frame allocator. *)
-let reboot_first t =
-  match t.boot_spec with
-  | None -> Error (Api.Bad_argument "kernel was never prepared")
-  | Some spec -> (
-    match Api.boot t.inst spec with
-    | Error e -> Error e
-    | Ok koid -> (
-      t.oid_ref := koid;
-      match reattach_space t with
-      | Error e -> Error e
-      | Ok () ->
-        resume_threads t;
-        Ok koid))
 
 (** Convenience: spawn a thread in the kernel's own address space. *)
 let spawn_internal t ~priority ?affinity ?(lock = false) body =

@@ -24,8 +24,8 @@ type t = {
       (** kernel-object writebacks (the first kernel receives these) *)
   mutable draining : bool;
   mutable writebacks_processed : int;
-  mutable boot_spec : Kernel_obj.spec option;
-      (** the spec this kernel was prepared with (for {!reboot_first}) *)
+  spec : Kernel_obj.spec;
+      (** the kernel object this kernel loads as, on every load *)
 }
 
 val oid : t -> Oid.t
@@ -41,30 +41,39 @@ val prepare :
   ?max_priority:int ->
   ?max_locked:int ->
   unit ->
-  t * Kernel_obj.spec
-(** Build the libraries and the kernel-object spec whose handlers close
-    over them; the caller (boot or the SRM) loads the spec and calls
-    {!attach}. *)
+  t
+(** Build the libraries and the kernel-object {!field-spec} whose handlers
+    close over them; the caller (boot or the SRM) loads the spec and calls
+    {!install}. *)
 
-val attach : t -> oid:Oid.t -> groups:int list -> unit
-val init_own_space : t -> (Segment_mgr.vspace, Api.error) result
+(** {1 The one way in}
 
-val boot_first : Instance.t -> name:string -> ?groups:int list -> unit -> (t, Api.error) result
-(** Load this kernel as the first kernel with full resources. *)
+    In the caching model a kernel object is state loaded from the
+    application kernel's own records, so its first load, a reload after a
+    swap-out and a re-boot after a node crash are one operation: the
+    loader loads {!field-spec} ({!Api.boot} for the first kernel,
+    {!Api.load_kernel} by the SRM for the others) and then calls
+    {!install}.  Page groups are granted once, into {!field-frames}, and
+    stay there across reloads. *)
 
-val reattach_space : t -> (unit, Api.error) result
-(** After a kernel-object reload (swap-in): rebind the kernel's own space. *)
+val install : t -> oid:Oid.t -> (unit, Api.error) result
+(** Bind the kernel object just loaded as [oid]: set the kernel's
+    identifier, {!bind_own_space}, and {!resume_threads}. *)
+
+val bind_own_space : t -> (Segment_mgr.vspace, Api.error) result
+(** The kernel's own address space, created the first time and reloaded
+    if it was written back, registered with {!Api.set_kernel_space}. *)
 
 val resume_threads : t -> unit
-(** Reload every written-back (non-exited) thread after swap-in. *)
+(** Reload every written-back (non-exited) thread. *)
+
+val boot_first : Instance.t -> name:string -> ?groups:int list -> unit -> (t, Api.error) result
+(** Prepare this kernel with full resources (the whole priority range),
+    give it [groups], load it as the first kernel and {!install} it. *)
 
 val mark_crashed : t -> unit
 (** After an MPM crash: mark all library records for descriptors that died
     with the node — spaces need reloading, loaded threads restart fresh. *)
-
-val reboot_first : t -> (Oid.t, Api.error) result
-(** Re-boot this kernel as the first kernel of a restarted node and reload
-    its own space and threads from their writeback images. *)
 
 val spawn_internal :
   t ->

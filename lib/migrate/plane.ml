@@ -318,7 +318,7 @@ let adopt_image ak ~bind (img : Codec.image) =
         Error e)
   in
   let own =
-    match ak.App_kernel.own_space with Some v -> Ok v | None -> App_kernel.init_own_space ak
+    match ak.App_kernel.own_space with Some v -> Ok v | None -> App_kernel.bind_own_space ak
   in
   match own with
   | Error e -> Error (Fmt.str "own space: %a" Api.pp_error e)

@@ -125,22 +125,35 @@ let max_cosched_kept = 64
 
 type peer_state = Alive | Suspect | Dead
 
+(* What this node knows of one node (itself included, for its own load
+   report).  A node never heard of reads as a fresh record. *)
+type peer = {
+  mutable fence : int; (* highest accepted epoch; one above it once declared dead *)
+  mutable heard_us : float option; (* last frame time; [None] until first sight *)
+  mutable state : peer_state;
+  mutable report : (int * float) option; (* last runnable count and its time (us) *)
+}
+
+(* All nodes boot at epoch 1, so a peer we never heard from is still
+   fenced *above* 1 when declared dead. *)
+let fresh () = { fence = 1; heard_us = None; state = Alive; report = None }
+
 type t = {
   srm : Manager.t;
   nic : Hw.Nic.Fiber.t;
   net : Hw.Interconnect.t;
   node_id : int;
+  records : (int, peer) Hashtbl.t; (* node -> its record, made on first use *)
   mutable peers : int list;
+      (* newest-added first: load reports and co-schedule requests leave
+         the port in this order *)
+  mutable by_id : int list;
+      (* the same, descending id: a peer added above every other (the usual
+         order) is consed on; {!ascending} walks it lowest id first *)
   gangs : (int, Oid.t list ref) Hashtbl.t; (* gang id -> local member threads *)
-  load_reports : (int, int) Hashtbl.t; (* node -> last reported runnable *)
-  report_stamp : (int, float) Hashtbl.t; (* node -> report time (us); staleness *)
   mutable cosched_applied : (int * float) list; (* gang -> local apply time (us) *)
   plane : Migrate.Plane.t;
-  (* failure detection & fencing *)
   epoch : int ref; (* this node's incarnation; stamped on every frame *)
-  peer_epochs : (int, int) Hashtbl.t; (* highest accepted epoch / fence value *)
-  last_heard : (int, float) Hashtbl.t; (* peer -> last frame time (us) *)
-  states : (int, peer_state) Hashtbl.t;
   mutable hb_gen : int; (* heartbeat-loop generation; bumped on restart *)
   mutable partition_checked : bool; (* chaos partition plan armed once *)
   mutable on_failover : (node:int -> epoch:int -> unit) option;
@@ -150,9 +163,20 @@ let inst t = t.srm.Manager.inst
 let now_us t = Hw.Cost.us_of_cycles (Hw.Mpm.now (inst t).Instance.node)
 let transmit t msg ~dst = Hw.Nic.Fiber.transmit t.nic ~dst (encode ~epoch:!(t.epoch) msg)
 
-(* All nodes boot at epoch 1, so a peer we never heard from is still
-   fenced *above* 1 when declared dead. *)
-let fence t node = match Hashtbl.find_opt t.peer_epochs node with Some e -> e | None -> 1
+let record t node =
+  match Hashtbl.find t.records node with
+  | p -> p
+  | exception Not_found ->
+    let p = fresh () in
+    Hashtbl.replace t.records node p;
+    p
+
+(* A read that leaves the table as it is. *)
+let known t node = match Hashtbl.find t.records node with p -> p | exception Not_found -> fresh ()
+
+(* [f] on every peer, lowest id first: the order heartbeats leave the port
+   in and the detector advances in. *)
+let ascending t f = List.fold_right (fun p () -> f p) t.by_id ()
 
 (* Apply a co-schedule request locally: raise every member thread of the
    gang to [priority] "at the same time". *)
@@ -171,10 +195,8 @@ let apply_cosched t ~gang ~priority =
 let local_runnable t = Scheduler.length t.srm.Manager.inst.Instance.sched
 
 let record_report t ~node ~runnable =
-  if Hashtbl.find_opt t.states node <> Some Dead then begin
-    Hashtbl.replace t.load_reports node runnable;
-    Hashtbl.replace t.report_stamp node (now_us t)
-  end
+  let p = record t node in
+  if p.state <> Dead then p.report <- Some (runnable, now_us t)
 
 (* -- restart / rejoin ---------------------------------------------------- *)
 
@@ -194,10 +216,13 @@ let rec rejoin t ~epoch =
     | Error e -> Error e
     | Ok () ->
       Hw.Interconnect.restore_node t.net t.node_id;
-      Hashtbl.reset t.last_heard;
-      Hashtbl.reset t.states;
-      Hashtbl.reset t.load_reports;
-      Hashtbl.reset t.report_stamp;
+      (* a fresh grace window and no reports; the fences stay *)
+      Hashtbl.iter
+        (fun _ p ->
+          p.heard_us <- None;
+          p.state <- Alive;
+          p.report <- None)
+        t.records;
       t.hb_gen <- t.hb_gen + 1;
       arm_heartbeat t;
       Migrate.Plane.resume_transfers t.plane;
@@ -224,20 +249,21 @@ and quorum t =
 
 and declare_dead t ~node =
   let i = inst t in
-  let next = fence t node + 1 in
-  Hashtbl.replace t.states node Dead;
-  Hashtbl.replace t.peer_epochs node next;
-  Hashtbl.remove t.load_reports node;
-  Hashtbl.remove t.report_stamp node;
+  let p = record t node in
+  let next = p.fence + 1 in
+  p.state <- Dead;
+  p.fence <- next;
+  p.report <- None;
   Instance.count i "fd.deaths";
   Instance.trace i (Trace.Node_dead { node; epoch = next });
   (* in-flight transfers toward the dead node re-adopt here *)
   Migrate.Plane.peer_dead t.plane ~node;
   (* the lowest-id node that still sees the cluster drives the failover *)
-  let live =
-    List.filter (fun p -> p <> node && Hashtbl.find_opt t.states p <> Some Dead) t.peers
+  let leader =
+    List.fold_left
+      (fun l q -> if q <> node && (known t q).state <> Dead then min l q else l)
+      t.node_id t.peers
   in
-  let leader = List.fold_left min t.node_id live in
   if t.node_id = leader then begin
     Instance.count i "fd.failovers";
     match t.on_failover with Some f -> f ~node ~epoch:next | None -> ()
@@ -248,12 +274,12 @@ and detector_tick t =
   let cfg = i.Instance.config in
   let timeout = cfg.Config.suspect_timeout_us in
   let now = now_us t in
-  let heard p =
-    match Hashtbl.find_opt t.last_heard p with
+  let heard (p : peer) =
+    match p.heard_us with
     | Some us -> us
     | None ->
       (* first sight: grant a full grace window before suspicion *)
-      Hashtbl.replace t.last_heard p now;
+      p.heard_us <- Some now;
       now
   in
   let silent p = now -. heard p > timeout in
@@ -268,25 +294,23 @@ and detector_tick t =
     Float.max timeout ((2.0 *. timeout) -. cfg.Config.heartbeat_interval_us)
   in
   let alive =
-    1
-    + List.length
-        (List.filter
-           (fun p -> (not (silent p)) && Hashtbl.find_opt t.states p <> Some Dead)
-           t.peers)
+    List.fold_left
+      (fun n node ->
+        let p = record t node in
+        if (not (silent p)) && p.state <> Dead then n + 1 else n)
+      1 t.peers
   in
-  List.iter
-    (fun p ->
-      match Hashtbl.find_opt t.states p with
-      | Some Dead -> ()
-      | Some Suspect ->
-        if now -. heard p > confirm && alive >= quorum t then declare_dead t ~node:p
-      | Some Alive | None ->
+  ascending t (fun node ->
+      let p = record t node in
+      match p.state with
+      | Dead -> ()
+      | Suspect -> if now -. heard p > confirm && alive >= quorum t then declare_dead t ~node
+      | Alive ->
         if silent p then begin
-          Hashtbl.replace t.states p Suspect;
+          p.state <- Suspect;
           Instance.count i "fd.suspects";
-          Instance.trace i (Trace.Node_suspect { node = p })
+          Instance.trace i (Trace.Node_suspect { node })
         end)
-    (List.sort compare t.peers)
 
 (* Deterministic chaos partition: the lowest-id node arms the seeded plan
    (sever at [partition_at_us], heal [partition_for_us] later) the first
@@ -321,13 +345,13 @@ and heartbeat_tick t =
     Instance.count i "fd.heartbeats";
     let runnable = local_runnable t in
     record_report t ~node:t.node_id ~runnable;
-    List.iter
-      (fun peer ->
+    ascending t (fun peer ->
         (* fenced/dead peers are heartbeated too: the [your_epoch] field is
            how a partitioned-but-alive peer learns it must self-fence, and
            how a restarted one is re-discovered *)
-        transmit t (Heartbeat { node = t.node_id; runnable; your_epoch = fence t peer }) ~dst:peer)
-      (List.sort compare t.peers);
+        transmit t
+          (Heartbeat { node = t.node_id; runnable; your_epoch = (record t peer).fence })
+          ~dst:peer);
     detector_tick t
   end
 
@@ -354,25 +378,24 @@ and report_load t =
 let note_heard t ~src ~epoch =
   if src <> t.node_id then begin
     let i = inst t in
-    (match Hashtbl.find_opt t.peer_epochs src with
-    | Some e when e >= epoch -> ()
-    | _ -> Hashtbl.replace t.peer_epochs src epoch);
-    Hashtbl.replace t.last_heard src (now_us t);
-    match Hashtbl.find_opt t.states src with
-    | Some Dead ->
+    let p = record t src in
+    p.fence <- max p.fence epoch;
+    p.heard_us <- Some (now_us t);
+    match p.state with
+    | Dead ->
       (* a frame at/above the fence: the restarted incarnation is back *)
-      Hashtbl.replace t.states src Alive;
+      p.state <- Alive;
       Instance.count i "fd.rejoins";
       Migrate.Plane.peer_rejoined t.plane ~node:src
-    | Some Suspect ->
-      Hashtbl.replace t.states src Alive;
+    | Suspect ->
+      p.state <- Alive;
       Instance.count i "fd.unsuspects";
       (* the peer may have crashed and restarted before *our* detector got
          as far as declaring it dead (another node's failover beat ours):
          re-driving owed protocol duties is idempotent and un-stalls any
          transfer whose watchdog exhausted during the silence *)
       Migrate.Plane.peer_rejoined t.plane ~node:src
-    | Some Alive | None -> Hashtbl.replace t.states src Alive
+    | Alive -> ()
   end
 
 let handle t (pkt : Hw.Interconnect.packet) =
@@ -391,7 +414,7 @@ let handle t (pkt : Hw.Interconnect.packet) =
       | _ -> false
     in
     if fenced_self || i.Instance.halted then ()
-    else if epoch < fence t src then begin
+    else if epoch < (known t src).fence then begin
       (* stale incarnation: fenced off, never processed *)
       Instance.count i "fence.rejected";
       Instance.trace i (Trace.Fence_reject { src; epoch })
@@ -416,69 +439,60 @@ let handle t (pkt : Hw.Interconnect.packet) =
 let merged_reports t =
   let i = inst t in
   let window = i.Instance.config.Config.load_report_stale_us in
-  Hashtbl.replace t.load_reports t.node_id (local_runnable t);
-  Hashtbl.replace t.report_stamp t.node_id (now_us t);
-  if window > 0.0 then begin
-    let stale =
-      Hashtbl.fold
-        (fun node _ acc ->
-          if node = t.node_id then acc
-          else
-            match Hashtbl.find_opt t.report_stamp node with
-            | Some stamp when now_us t -. stamp <= window -> acc
-            | _ -> node :: acc)
-        t.load_reports []
-    in
-    List.iter
-      (fun node ->
-        Hashtbl.remove t.load_reports node;
-        Hashtbl.remove t.report_stamp node;
-        Instance.count i "balance.stale_dropped")
-      stale
-  end;
-  Hashtbl.fold (fun node runnable acc -> (node, runnable) :: acc) t.load_reports []
+  let now = now_us t in
+  (record t t.node_id).report <- Some (local_runnable t, now);
+  Hashtbl.fold
+    (fun node p acc ->
+      match p.report with
+      | None -> acc
+      | Some (_, stamp) when window > 0.0 && node <> t.node_id && now -. stamp > window ->
+        p.report <- None;
+        Instance.count i "balance.stale_dropped";
+        acc
+      | Some (runnable, _) -> (node, runnable) :: acc)
+    t.records []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+(* The one ranking: the least- and the most-loaded node as (node,
+   runnable), ties to the lowest node id. *)
+let extremes t =
+  match merged_reports t with
+  | [] -> None
+  | hd :: tl ->
+    Some
+      (List.fold_left
+         (fun (((_, lv) as lo), ((_, hv) as hi)) ((_, v) as r) ->
+           ((if v < lv then r else lo), if v > hv then r else hi))
+         (hd, hd) tl)
 
 (** The node with the fewest runnable threads — the placement hint
     distributed scheduling uses.  Ties break to the lowest node id; the
     local node's own count is always live, never a stale report. *)
-let least_loaded t =
-  match merged_reports t with
-  | [] -> None
-  | hd :: tl ->
-    Some (fst (List.fold_left (fun (bn, bv) (n, v) -> if v < bv then (n, v) else (bn, bv)) hd tl))
+let least_loaded t = Option.map (fun ((node, _), _) -> node) (extremes t)
 
-(* One balancing step: if this node is the most loaded and the spread to
-   the least-loaded node exceeds the hysteresis band, migrate one movable
-   thread there.  One move per tick — the next tick sees the new loads. *)
 (* runnable-thread spread tolerated before the most-loaded node migrates
    work to the least-loaded one *)
 let balance_hysteresis = 2
 
+(* One balancing step: if this node is the most loaded and the spread to
+   the least-loaded node exceeds the hysteresis band, migrate one movable
+   thread there.  One move per tick — the next tick sees the new loads. *)
 let balance_tick t =
   let inst = t.srm.Manager.inst in
   Instance.count inst "balance.ticks";
   report_load t;
-  match merged_reports t with
-  | [] | [ _ ] -> ()
-  | hd :: tl ->
-    let dst, low =
-      List.fold_left (fun (bn, bv) (n, v) -> if v < bv then (n, v) else (bn, bv)) hd tl
-    in
-    let src, high =
-      List.fold_left (fun (bn, bv) (n, v) -> if v > bv then (n, v) else (bn, bv)) hd tl
-    in
-    if
-      src = t.node_id && dst <> t.node_id
-      && high - low > balance_hysteresis
-      && not (Migrate.Plane.in_flight t.plane)
-    then
-      match Migrate.Plane.pick_movable t.plane with
-      | None -> ()
-      | Some id -> (
-        match Migrate.Plane.move_thread t.plane ~dst id with
-        | Ok _ -> Instance.count inst "balance.moves"
-        | Error _ -> ())
+  match extremes t with
+  | Some ((dst, low), (src, high))
+    when src = t.node_id && dst <> t.node_id
+         && high - low > balance_hysteresis
+         && not (Migrate.Plane.in_flight t.plane) -> (
+    match Migrate.Plane.pick_movable t.plane with
+    | None -> ()
+    | Some id -> (
+      match Migrate.Plane.move_thread t.plane ~dst id with
+      | Ok _ -> Instance.count inst "balance.moves"
+      | Error _ -> ()))
+  | _ -> ()
 
 let rec arm_balance t =
   let inst = t.srm.Manager.inst in
@@ -519,16 +533,13 @@ let start srm ~net =
       nic;
       net;
       node_id = node.Hw.Mpm.node_id;
+      records = Hashtbl.create 8;
       peers = [];
+      by_id = [];
       gangs = Hashtbl.create 8;
-      load_reports = Hashtbl.create 8;
-      report_stamp = Hashtbl.create 8;
       cosched_applied = [];
       plane;
       epoch;
-      peer_epochs = Hashtbl.create 8;
-      last_heard = Hashtbl.create 8;
-      states = Hashtbl.create 8;
       hb_gen = 0;
       partition_checked = false;
       on_failover = None;
@@ -539,7 +550,15 @@ let start srm ~net =
   arm_heartbeat t;
   t
 
-let add_peer t node_id = if node_id <> t.node_id then t.peers <- node_id :: t.peers
+let add_peer t node_id =
+  if node_id <> t.node_id then begin
+    t.peers <- node_id :: t.peers;
+    let rec insert = function
+      | q :: rest when q > node_id -> q :: insert rest
+      | l -> node_id :: l
+    in
+    t.by_id <- insert t.by_id
+  end
 
 (** Register local member threads of a gang. *)
 let register_gang t ~gang members =
@@ -561,12 +580,7 @@ let cosched_applied t = t.cosched_applied
 (* -- failover introspection / wiring ------------------------------------ *)
 
 let epoch t = !(t.epoch)
-let fence_epoch t node = fence t node
-
-let node_state t node =
-  match Hashtbl.find_opt t.states node with
-  | Some Dead -> Dead
-  | Some Suspect -> Suspect
-  | Some Alive | None -> Alive
+let fence_epoch t node = (known t node).fence
+let node_state t node = (known t node).state
 
 let set_failover t f = t.on_failover <- f

@@ -15,7 +15,14 @@
     (stale frames are rejected), recovers its in-flight migrations, and
     the lowest-id live node drives the installed {!set_failover} callback.
     A fenced node that was merely partitioned self-fences on the next
-    heartbeat it hears and rejoins through restart semantics. *)
+    heartbeat it hears and rejoins through restart semantics.
+
+    What a node knows of each other node is one record: the fence, the
+    time it was last heard, the detector state and the last load report
+    with its time.  A node never heard of reads as fence 1, [Alive], no
+    report.  Heartbeats leave in ascending node id; load reports and
+    co-schedule requests leave newest-added peer first (the interconnect
+    serialises a port's frames, so the order is part of the timing). *)
 
 open Cachekernel
 
@@ -62,7 +69,7 @@ val coschedule : t -> gang:int -> priority:int -> unit
 val least_loaded : t -> int option
 (** Placement hint: the node with the fewest runnable threads.  The local
     node's count is always live; ties break to the lowest node id, so the
-    ranking is deterministic. *)
+    ranking is deterministic.  {!balance_tick} uses the same ranking. *)
 
 val balance_tick : t -> unit
 (** One step of the balancing policy (also driven periodically when
@@ -104,9 +111,10 @@ val set_failover : t -> (node:int -> epoch:int -> unit) option -> unit
 val rejoin : t -> epoch:int -> (unit, Api.error) result
 (** Bring this crashed node back as incarnation [max own epoch][epoch]:
     purge un-committed migration landings, {!Manager.restart_node} from
-    writeback images, restore the interconnect port, restart the detector
-    and heartbeats, resume in-flight transfers under the new epoch, and
-    re-report load.  Errors if the node has not crashed. *)
+    writeback images, restore the interconnect port, reset every peer
+    record (first-sight grace, [Alive], no load report) but keep its
+    fence, restart heartbeats, resume in-flight transfers under the new
+    epoch, and re-report load.  Errors if the node has not crashed. *)
 
 val heartbeat_tick : t -> unit
 (** One detector step (also driven periodically when

@@ -14,7 +14,6 @@ open Aklib
 type launched = {
   name : string;
   ak : App_kernel.t;
-  spec : Kernel_obj.spec;
   grant : Ledger.grant;
   mutable loaded : bool;
   mutable swap_outs : int;
@@ -89,39 +88,43 @@ let boot inst ?(own_groups = 2) () =
         | None -> ()));
     Ok t
 
+(* The one way in for an application kernel: load its kernel object and
+   apply the grant — page-group access, then the processor percentage —
+   and let the application kernel bind the new object.  Launch, swap-in
+   and restart all load through here, so a reload never runs on the
+   spec's percentage instead of the grant's. *)
+let install t (l : launched) =
+  match Api.load_kernel t.inst ~caller:(oid t) l.ak.App_kernel.spec with
+  | Error e -> Error e
+  | Ok koid ->
+    List.iter
+      (fun g ->
+        ignore
+          (Api.set_mem_access t.inst ~caller:(oid t) ~kernel:koid ~group:g Kernel_obj.Read_write))
+      l.grant.Ledger.groups;
+    ignore (Api.set_cpu_quota t.inst ~caller:(oid t) ~kernel:koid l.grant.Ledger.cpu_percent);
+    Result.map (fun () -> l.loaded <- true) (App_kernel.install l.ak ~oid:koid)
+
 (** Launch an application kernel prepared with {!App_kernel.prepare}:
-    create its kernel object, grant it resources, and give it its own
-    address space. *)
-let launch t ((ak : App_kernel.t), (spec : Kernel_obj.spec)) ~group_count ~cpu_percent ?(net_percent = 10) () =
+    grant it resources and install it. *)
+let launch t (ak : App_kernel.t) ~group_count ~cpu_percent ?(net_percent = 10) () =
   match
-    Ledger.allocate t.ledger ~kernel_name:spec.Kernel_obj.name ~group_count ~cpu_percent
+    Ledger.allocate t.ledger ~kernel_name:ak.App_kernel.name ~group_count ~cpu_percent
       ~net_percent
   with
   | Error `No_memory -> Error (Api.Bad_argument "no free page groups")
   | Error `No_cpu -> Error (Api.Bad_argument "no free processor capacity")
   | Error `No_net -> Error (Api.Bad_argument "no free network capacity")
   | Ok grant -> (
-    match Api.load_kernel t.inst ~caller:(oid t) spec with
+    let l = { name = ak.App_kernel.name; ak; grant; loaded = false; swap_outs = 0 } in
+    match install t l with
     | Error e ->
       Ledger.release t.ledger grant;
       Error e
-    | Ok koid -> (
-      List.iter
-        (fun g ->
-          ignore
-            (Api.set_mem_access t.inst ~caller:(oid t) ~kernel:koid ~group:g
-               Kernel_obj.Read_write))
-        grant.Ledger.groups;
-      ignore
-        (Api.set_cpu_quota t.inst ~caller:(oid t) ~kernel:koid
-           (Array.make (Instance.n_cpus t.inst) cpu_percent));
-      App_kernel.attach ak ~oid:koid ~groups:grant.Ledger.groups;
-      match App_kernel.init_own_space ak with
-      | Error e -> Error e
-      | Ok _vsp ->
-        let l = { name = spec.Kernel_obj.name; ak; spec; grant; loaded = true; swap_outs = 0 } in
-        t.kernels <- l :: t.kernels;
-        Ok l))
+    | Ok () ->
+      List.iter (Frame_alloc.add_group ak.App_kernel.frames) grant.Ledger.groups;
+      t.kernels <- l :: t.kernels;
+      Ok l)
 
 (** Swap an application kernel out: unload its kernel object, which writes
     back every address space, thread and mapping it owns.  Its state
@@ -137,38 +140,19 @@ let swap_out_kernel t l =
       Ok ()
     | Error e -> Error e
 
-(** Swap an application kernel back in: reload the kernel object (a new
-    identifier), rebind its own space, and reload its internal threads. *)
-let swap_in_kernel t l =
-  if l.loaded then Ok ()
-  else
-    match Api.load_kernel t.inst ~caller:(oid t) l.spec with
-    | Error e -> Error e
-    | Ok koid -> (
-      List.iter
-        (fun g ->
-          ignore
-            (Api.set_mem_access t.inst ~caller:(oid t) ~kernel:koid ~group:g
-               Kernel_obj.Read_write))
-        l.grant.Ledger.groups;
-      App_kernel.attach l.ak ~oid:koid ~groups:[];
-      match App_kernel.reattach_space l.ak with
-      | Error e -> Error e
-      | Ok () ->
-        App_kernel.resume_threads l.ak;
-        l.loaded <- true;
-        Ok ())
+(** Swap an application kernel back in: {!install} it again. *)
+let swap_in_kernel t l = if l.loaded then Ok () else install t l
 
 (** Rebuild a crashed node (experiment X3).  The MPM halted and lost all
     of its descriptor caches ({!Instance.crash}); what survives is the
     state held in the application kernels' own records and backing store —
     the writeback images.  The SRM (whose host-side state plays the role
     of stable storage, like [swap_out_kernel]'s) brings the node back:
-    re-boot its own kernel as the first kernel, then swap every launched
-    kernel back in through the ordinary swap-in path, which reloads kernel
-    objects, spaces and written-back threads.  Threads that were loaded at
-    the instant of the crash restart fresh from their bodies — work since
-    their last writeback is lost, exactly the paper's recovery contract.
+    re-boot its own kernel as the first kernel, then install every launched
+    kernel again; both end in {!App_kernel.install}, which reloads spaces
+    and written-back threads.  Threads that were loaded at the instant of
+    the crash restart fresh from their bodies — work since their last
+    writeback is lost, exactly the paper's recovery contract.
 
     [epoch] is the incarnation number the node rejoins under (stamped on
     the [Node_restart] trace event); automatic failover passes the fenced
@@ -184,9 +168,11 @@ let restart_node ?(epoch = 0) t =
         l.loaded <- false;
         App_kernel.mark_crashed l.ak)
       t.kernels;
-    match App_kernel.reboot_first t.ak with
+    match
+      Result.bind (Api.boot t.inst t.ak.App_kernel.spec) (fun oid -> App_kernel.install t.ak ~oid)
+    with
     | Error e -> Error e
-    | Ok _koid ->
+    | Ok () ->
       let rec bring = function
         | [] ->
           Fault_inject.recover t.inst.Instance.fi ~site:"node.crash";
@@ -200,8 +186,7 @@ let restart_node ?(epoch = 0) t =
           Instance.trace t.inst
             (Trace.Node_restart { node = Instance.node_id t.inst; epoch });
           Ok ()
-        | l :: rest -> (
-          match swap_in_kernel t l with Error e -> Error e | Ok () -> bring rest)
+        | l :: rest -> ( match install t l with Error e -> Error e | Ok () -> bring rest)
       in
       bring (List.rev t.kernels)
   end

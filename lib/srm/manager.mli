@@ -12,7 +12,6 @@ open Aklib
 type launched = {
   name : string;
   ak : App_kernel.t;
-  spec : Kernel_obj.spec;
   grant : Ledger.grant;
   mutable loaded : bool;
   mutable swap_outs : int;
@@ -47,33 +46,43 @@ val boot : Instance.t -> ?own_groups:int -> unit -> (t, Api.error) result
 (** Boot the SRM as the first kernel; ungranted page groups form the
     allocation pool. *)
 
+(** {1 The one way in}
+
+    Every load of an application kernel's kernel object — {!launch},
+    {!swap_in_kernel} and {!restart_node} — goes through one internal
+    [install]: load the kernel's [App_kernel.spec], apply the grant
+    (read-write access to its page groups, then {!Api.set_cpu_quota} with
+    its processor percentage), then {!App_kernel.install}.  The grant is
+    applied on every load, so a reloaded kernel runs at its grant's
+    percentage, not at the one it was prepared with. *)
+
 val launch :
   t ->
-  App_kernel.t * Kernel_obj.spec ->
+  App_kernel.t ->
   group_count:int ->
   cpu_percent:int ->
   ?net_percent:int ->
   unit ->
   (launched, Api.error) result
-(** Load an application kernel's kernel object, grant it resources, and
-    give it its own address space. *)
+(** Allocate a grant, install the kernel, and give it the granted page
+    groups.  A failed install releases the grant. *)
 
 val swap_out_kernel : t -> launched -> (unit, Api.error) result
 (** Unload the kernel object — every space, thread and mapping it owns is
     written back; it then consumes no Cache Kernel descriptors. *)
 
 val swap_in_kernel : t -> launched -> (unit, Api.error) result
-(** Reload the kernel object (new identifier), rebind its space, reload its
-    threads. *)
+(** Install the kernel again (a new identifier); a no-op if loaded. *)
 
 val restart_node : ?epoch:int -> t -> (unit, Api.error) result
 (** Rebuild a crashed ({!Instance.crash}) node from writeback images:
-    re-boot the SRM's kernel as the first kernel, then swap every launched
-    kernel back in.  Threads loaded at the instant of the crash restart
-    fresh; written-back state is restored (experiment X3).  Counts
-    [srm.restart], observes the simulated downtime as [srm.restart_us] and
-    traces [Node_restart] with [epoch] (the incarnation the node rejoins
-    under — {!Distrib.rejoin} passes the fenced epoch). *)
+    re-boot the SRM's kernel as the first kernel ({!Api.boot}, then
+    {!App_kernel.install}), then swap every launched kernel back in.
+    Threads loaded at the instant of the crash restart fresh; written-back
+    state is restored (experiment X3).  Counts [srm.restart], observes the
+    simulated downtime as [srm.restart_us] and traces [Node_restart] with
+    [epoch] (the incarnation the node rejoins under — {!Distrib.rejoin}
+    passes the fenced epoch). *)
 
 val register_tap :
   t ->

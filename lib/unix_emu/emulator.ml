@@ -405,9 +405,9 @@ let on_segv t (mgr : Segment_mgr.t) (ctx : Kernel_obj.fault_ctx) =
           m "unix: SIGSEGV pid %d at %a" p.Process.pid Hw.Addr.pp_addr ctx.Kernel_obj.va);
       kill_process t p ~code:(128 + Syscall.sigsegv))
 
-(** Build the emulator on an application-kernel skeleton.  [boot_first]
-    makes it the first kernel (single-OS configuration); under the SRM use
-    {!App_kernel.prepare} via {!prepare}. *)
+(** Build the emulator on an application-kernel skeleton: {!boot} makes
+    it the first kernel (single-OS configuration); under the SRM, pass a
+    kernel from {!App_kernel.prepare} and launch it. *)
 let of_app_kernel ak =
   let t =
     {

@@ -248,9 +248,8 @@ let x3 () =
           ("gang_raised_at_us", Json.List (List.map (fun (_, t) -> Json.Float t) applied));
         ])
   in
-  (* fault containment: halt node 2; nodes 0 and 1 keep making progress *)
-  (Cluster.inst c 2).Instance.halted <- true;
-  Hw.Interconnect.fail_node (Cluster.net c) 2;
+  (* fault containment: crash node 2; nodes 0 and 1 keep making progress *)
+  Cluster.crash c 2;
   let now0 () = Hw.Mpm.now (Cluster.inst c 0).Instance.node in
   let before = now0 () in
   Cluster.run ~until_us:20_000.0 c;

@@ -22,11 +22,8 @@ let quota_enforcement ?(rogue_percent = 30) ?(rogue_priority = 10) ?(run_ms = 40
   let inst = Setup.instance ~cpus:1 () in
   let srm = Setup.ok (Srm.Manager.boot inst ()) in
   let spin name percent priority =
-    let prep, spec = App_kernel.prepare inst ~name ~cpu_percent:percent () in
-    let l =
-      Setup.ok
-        (Srm.Manager.launch srm (prep, spec) ~group_count:4 ~cpu_percent:percent ())
-    in
+    let prep = App_kernel.prepare inst ~name ~cpu_percent:percent () in
+    let l = Setup.ok (Srm.Manager.launch srm prep ~group_count:4 ~cpu_percent:percent ()) in
     let body () =
       let rec loop () =
         Hw.Exec.compute 2000;

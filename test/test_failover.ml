@@ -123,6 +123,33 @@ let test_call_time_crash_and_failover () =
     (Hw.Interconnect.node_failed (C.net c) 2);
   Array.iter (audit_clean "call-time failover") (C.insts c)
 
+(* What a rejoin keeps and what it forgets: the restarted node keeps the
+   fences it learned before its crash (a fenced incarnation stays fenced),
+   but starts the detector afresh — every peer [Alive] — and holds no load
+   report but its own until a peer reports again. *)
+let test_rejoin_resets_peer_records () =
+  let c = C.create ~config:(fo_config ()) ~auto_failover:false ~n:3 () in
+  let d2 = C.dist c 2 in
+  C.run ~until_us:2_000.0 c;
+  C.crash c 1;
+  C.run ~until_us:12_000.0 c;
+  Alcotest.(check int) "node 2 fenced node 1" 2 (Srm.Distrib.fence_epoch d2 1);
+  Alcotest.(check bool) "node 2 sees node 1 dead" true
+    (Srm.Distrib.node_state d2 1 = Srm.Distrib.Dead);
+  Alcotest.(check bool) "node 2 holds node 0's report" true
+    (List.mem_assoc 0 (Srm.Distrib.load_reports d2));
+  C.crash c 2;
+  ok (Srm.Distrib.rejoin d2 ~epoch:2);
+  Alcotest.(check (list int)) "fences kept" [ 1; 2 ]
+    [ Srm.Distrib.fence_epoch d2 0; Srm.Distrib.fence_epoch d2 1 ];
+  Alcotest.(check bool) "every peer alive" true
+    (List.for_all (fun p -> Srm.Distrib.node_state d2 p = Srm.Distrib.Alive) [ 0; 1 ]);
+  Alcotest.(check (list int)) "only its own report" [ 2 ]
+    (List.map fst (Srm.Distrib.load_reports d2));
+  C.run ~until_us:14_000.0 c;
+  Alcotest.(check bool) "node 0 reports again" true
+    (List.mem_assoc 0 (Srm.Distrib.load_reports d2))
+
 (* -- stale load reports (satellite) -------------------------------------- *)
 
 let test_stale_reports_expire () =
@@ -474,9 +501,9 @@ let prop_ledger_conserved =
       let c = C.create ~config:(fo_config ()) ~n:3 () in
       let inst = C.inst c victim in
       let srm = C.srm c victim in
-      let ak, spec = App_kernel.prepare inst ~name:"guest" () in
+      let ak = App_kernel.prepare inst ~name:"guest" () in
       let _launched =
-        match Srm.Manager.launch srm (ak, spec) ~group_count:2 ~cpu_percent:20 () with
+        match Srm.Manager.launch srm ak ~group_count:2 ~cpu_percent:20 () with
         | Ok l -> l
         | Error e -> QCheck.Test.fail_reportf "launch: %a" Api.pp_error e
       in
@@ -506,6 +533,8 @@ let () =
             test_auto_failover;
           Alcotest.test_case "crash and failover act at call time" `Quick
             test_call_time_crash_and_failover;
+          Alcotest.test_case "rejoin keeps fences, forgets the rest" `Quick
+            test_rejoin_resets_peer_records;
         ] );
       ( "partition",
         [

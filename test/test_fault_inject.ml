@@ -557,8 +557,8 @@ let test_x3_crash_restart () =
     done
   in
   ignore (ok (App_kernel.spawn_internal srm1.Srm.Manager.ak ~priority:2 (Hw.Exec.unit_body clock1)));
-  let ak1, spec1 = App_kernel.prepare i1 ~name:"guest" () in
-  let launched = ok (Srm.Manager.launch srm1 (ak1, spec1) ~group_count:2 ~cpu_percent:40 ()) in
+  let ak1 = App_kernel.prepare i1 ~name:"guest" () in
+  let launched = ok (Srm.Manager.launch srm1 ak1 ~group_count:2 ~cpu_percent:40 ()) in
   let progress1 = ref 0 in
   let body1 () =
     for _ = 1 to 50 do

@@ -75,9 +75,9 @@ let test_ledger_double_release () =
 
 let test_launch_grants () =
   let inst, srm = make () in
-  let ak, spec = App_kernel.prepare inst ~name:"guest" () in
+  let ak = App_kernel.prepare inst ~name:"guest" () in
   let launched =
-    ok (Srm.Manager.launch srm (ak, spec) ~group_count:2 ~cpu_percent:40 ())
+    ok (Srm.Manager.launch srm ak ~group_count:2 ~cpu_percent:40 ())
   in
   Alcotest.(check int) "two page groups granted" (2 * Hw.Addr.pages_per_group)
     (Frame_alloc.total ak.App_kernel.frames);
@@ -101,8 +101,8 @@ let test_launch_grants () =
 
 let test_kernel_swap () =
   let inst, srm = make () in
-  let ak, spec = App_kernel.prepare inst ~name:"swappee" () in
-  let launched = ok (Srm.Manager.launch srm (ak, spec) ~group_count:2 ~cpu_percent:40 ()) in
+  let ak = App_kernel.prepare inst ~name:"swappee" () in
+  let launched = ok (Srm.Manager.launch srm ak ~group_count:2 ~cpu_percent:40 ()) in
   (* give it a running thread with observable progress *)
   let progress = ref 0 in
   let body () =
@@ -125,6 +125,30 @@ let test_kernel_swap () =
   ok (Srm.Manager.swap_in_kernel srm launched);
   ignore (Engine.run [| inst |]);
   Alcotest.(check int) "thread resumed from saved state and finished" 50 !progress
+
+(* Every load applies the grant: a kernel prepared at the default 100 %
+   and launched at 40 % must read 40 % after a swap-in and after a node
+   restart too, not the percentage of the spec it reloads from. *)
+let test_reload_keeps_grant () =
+  let inst, srm = make () in
+  let ak = App_kernel.prepare inst ~name:"guest" () in
+  let launched = ok (Srm.Manager.launch srm ak ~group_count:2 ~cpu_percent:40 ()) in
+  let check step =
+    match Instance.find_kernel inst (App_kernel.oid ak) with
+    | None -> Alcotest.failf "%s: kernel not loaded" step
+    | Some k ->
+      Alcotest.(check (array int))
+        (step ^ ": grant's percentage")
+        (Array.make (Instance.n_cpus inst) 40)
+        k.Kernel_obj.cpu_percent
+  in
+  check "launch";
+  ok (Srm.Manager.swap_out_kernel srm launched);
+  ok (Srm.Manager.swap_in_kernel srm launched);
+  check "swap-in";
+  Instance.crash inst;
+  ok (Srm.Manager.restart_node srm);
+  check "restart"
 
 (* -- I/O policing -- *)
 
@@ -308,6 +332,8 @@ let () =
         [
           Alcotest.test_case "grants bound the guest" `Quick test_launch_grants;
           Alcotest.test_case "kernel swap out and in" `Quick test_kernel_swap;
+          Alcotest.test_case "a reload keeps the grant's percentage" `Quick
+            test_reload_keeps_grant;
         ] );
       ("policing", [ Alcotest.test_case "rate disconnect/reconnect" `Quick test_io_policing ]);
       ( "distrib",
