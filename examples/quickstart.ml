@@ -47,13 +47,24 @@ let () =
     (List.fold_left ( + ) 0 (List.init 16 (fun i -> i * i)));
   Fmt.pr "simulated time: %.1f us@." (Hw.Cost.us_of_cycles (Hw.Mpm.now node));
 
-  (* The first few trace events show Figure 2's protocol. *)
+  (* The first fault's events, from its trap to the thread's resumption,
+     show Figure 2's protocol. *)
   Fmt.pr "@.first fault, step by step (Figure 2):@.";
-  let events = Trace.entries inst.Instance.trace in
-  List.iteri
-    (fun i e -> if i < 8 then Fmt.pr "  [%6.1fus] %a@."
-        (Hw.Cost.us_of_cycles e.Trace.time) Trace.pp_event e.Trace.event)
-    events;
+  let rec from_trap = function
+    | [] -> []
+    | { Trace.event = Trace.Fault_trap _; _ } :: _ as es -> es
+    | _ :: es -> from_trap es
+  in
+  let rec to_resume = function
+    | [] -> []
+    | ({ Trace.event = Trace.Thread_resumed _; _ } as e) :: _ -> [ e ]
+    | e :: es -> e :: to_resume es
+  in
+  List.iter
+    (fun e ->
+      Fmt.pr "  [%6.1fus] %a@." (Hw.Cost.us_of_cycles e.Trace.time) Trace.pp_event
+        e.Trace.event)
+    (to_resume (from_trap (Trace.entries inst.Instance.trace)));
 
   (* Memory-based messaging between two spaces. *)
   Fmt.pr "@.memory-based messaging:@.";

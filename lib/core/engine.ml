@@ -7,8 +7,8 @@
    scheduling, fault-forwarding and signal consequences.  The six-step
    page-fault protocol of Figure 2 is realised here:
 
-     1. the access faults in {!do_read}/{!do_write} and traps to the
-        Cache Kernel;
+     1. the access faults in {!translate_access} and traps to the Cache
+        Kernel;
      2. {!handle_fault} saves the thread state (its suspended continuation)
         and switches it onto its application kernel's handler;
      3. the handler frame runs application-kernel code;
@@ -22,10 +22,12 @@
    array, scheduler predicates are cached per instance, and the running
    table uses [Oid.none] sentinels instead of options.
 
-   Multi-node runs use a windowed schedule built on the same
-   conservative-lookahead argument as the per-step horizon: within a
+   Every run, of one node or many, uses one windowed schedule built on the
+   same conservative-lookahead argument as the per-step horizon: within a
    window no peer can deliver earlier than its window-start clock plus the
-   minimum link latency, so each node steps up to that cap in turn. *)
+   minimum link latency, so each node steps up to that cap in turn.  A
+   lone node has no peer, so its cap is [max_int] and only the run
+   deadline bounds it. *)
 
 open Instance
 
@@ -44,16 +46,6 @@ let frame_space t (th : Thread_obj.t) (frame : Thread_obj.frame) =
     | Some k when not (Oid.is_none k.Kernel_obj.space) -> find_space t k.Kernel_obj.space
     | _ -> None)
 
-(** Abnormal termination: the thread's owner learns through a writeback
-    with reason [Exited]; remaining state is discarded. *)
-let kill_thread t (th : Thread_obj.t) msg =
-  Logs.warn (fun m ->
-      m "node%d: killing thread %a: %s" (node_id t) Oid.pp th.Thread_obj.oid msg);
-  if Oid.equal t.running.(t.active_cpu) th.Thread_obj.oid then
-    t.running.(t.active_cpu) <- Oid.none;
-  th.Thread_obj.frames <- [];
-  Replacement.unload_thread_now t ~reason:Wb.Exited th
-
 (** Normal completion of the outermost (user) frame. *)
 let thread_exited t (th : Thread_obj.t) =
   if Oid.equal t.running.(t.active_cpu) th.Thread_obj.oid then
@@ -61,12 +53,18 @@ let thread_exited t (th : Thread_obj.t) =
   th.Thread_obj.frames <- [];
   Replacement.unload_thread_now t ~reason:Wb.Exited th
 
+(** Abnormal termination: the thread's owner learns through the same
+    writeback with reason [Exited]; remaining state is discarded. *)
+let kill_thread t (th : Thread_obj.t) msg =
+  Logs.warn (fun m ->
+      m "node%d: killing thread %a: %s" (node_id t) Oid.pp th.Thread_obj.oid msg);
+  thread_exited t th
+
 (* Push an application-kernel handler frame onto the thread and start it.
    The handler body runs with the instance's active CPU set, so direct API
    calls it makes are charged to the right processor.  Returns the frame,
    so the forwarding watchdog can later test whether it is still pending. *)
 let push_handler t (th : Thread_obj.t) ~(kernel : Kernel_obj.t) ~origin ~pushed_at body =
-  th.Thread_obj.fault_depth <- th.Thread_obj.fault_depth + 1;
   let frame =
     Thread_obj.frame ~mode:Thread_obj.Kernel_mode ~kernel:kernel.Kernel_obj.oid
       (Hw.Exec.Done Hw.Exec.Unit_payload)
@@ -119,13 +117,27 @@ let rec arm_forward_watchdog t (th : Thread_obj.t) frame ~(kernel : Kernel_obj.t
           end)
   end
 
+(* The kernel a fault or trap forwards to.  User code forwards to [owner]:
+   the owner of the faulting space for a fault, of the thread for a trap.
+   Code running inside an application kernel forwards to the kernel that
+   owns it, the first kernel (the system resource manager); the first
+   kernel's own code has no kernel to forward to. *)
+let handling_kernel t (frame : Thread_obj.frame) ~owner =
+  match frame.Thread_obj.mode with
+  | Thread_obj.User -> find_kernel t owner
+  | Thread_obj.Kernel_mode ->
+    if Oid.equal frame.Thread_obj.kernel t.first_kernel then None
+    else find_kernel t t.first_kernel
+
 (** Figure 2 steps 1-3: trap to the Cache Kernel, switch the thread onto
-    its application kernel's exception handler. *)
+    its application kernel's exception handler.  [sp] is the space the
+    faulting frame executes in. *)
 (* A thread re-faulting on the same page without completing an access is
    making no progress (a handler that cannot serve the page); bound it. *)
 let max_fault_repeat = 64
 
-let handle_fault t (th : Thread_obj.t) (frame : Thread_obj.frame) (fault : Hw.Mmu.fault) =
+let handle_fault t (th : Thread_obj.t) (frame : Thread_obj.frame) (sp : Space_obj.t)
+    (fault : Hw.Mmu.fault) =
   (* Figure 2 step 1: the end-to-end fault latency histogram starts here. *)
   let fault_t0 = now t in
   (* guarded: the kind string alone would allocate on every fault *)
@@ -150,51 +162,36 @@ let handle_fault t (th : Thread_obj.t) (frame : Thread_obj.frame) (fault : Hw.Mm
   let cow_resolved =
     match fault.Hw.Mmu.kind with
     | Hw.Mmu.Protection_violation when fault.Hw.Mmu.access = Hw.Mmu.Write -> (
-      match frame_space t th frame with
-      | Some sp -> (
-        match
-          Mappings.find t.mappings ~space_slot:(Space_obj.asid sp) ~va:fault.Hw.Mmu.va
-        with
-        | Some m when m.Mappings.cow_dst <> None ->
-          let dst = Option.get m.Mappings.cow_dst in
-          let src = Mappings.pfn m in
-          Hw.Phys_mem.copy_page t.node.Hw.Mpm.mem ~src ~dst;
-          charge t (Config.c_cow_copy_per_word * (Hw.Addr.page_size / 4));
-          Replacement.flush_rtlbs_pfn t ~pfn:src;
-          Mappings.retarget t.mappings m ~new_pfn:dst;
-          m.Mappings.pte.Hw.Page_table.flags <-
-            { m.Mappings.pte.Hw.Page_table.flags with Hw.Page_table.writable = true };
-          Mappings.clear_cow t.mappings m;
-          t.stats.Stats.cow_copies <- t.stats.Stats.cow_copies + 1;
-          true
-        | _ -> false)
-      | None -> false)
+      match
+        Mappings.find t.mappings ~space_slot:(Space_obj.asid sp) ~va:fault.Hw.Mmu.va
+      with
+      | Some m when m.Mappings.cow_dst <> None ->
+        let dst = Option.get m.Mappings.cow_dst in
+        let src = Mappings.pfn m in
+        Hw.Phys_mem.copy_page t.node.Hw.Mpm.mem ~src ~dst;
+        charge t (Config.c_cow_copy_per_word * (Hw.Addr.page_size / 4));
+        Replacement.flush_rtlbs_pfn t ~pfn:src;
+        Mappings.retarget t.mappings m ~new_pfn:dst;
+        m.Mappings.pte.Hw.Page_table.flags <-
+          { m.Mappings.pte.Hw.Page_table.flags with Hw.Page_table.writable = true };
+        Mappings.clear_cow t.mappings m;
+        t.stats.Stats.cow_copies <- t.stats.Stats.cow_copies + 1;
+        true
+      | _ -> false)
     | _ -> false
   in
   if cow_resolved then observe_cycles t "fault.cow_us" (now t - fault_t0)
+  else if th.Thread_obj.fault_repeat > max_fault_repeat then
+    kill_thread t th
+      (Fmt.str "no progress after %d repeated faults: %a" th.Thread_obj.fault_repeat
+         Hw.Mmu.pp_fault fault)
   else begin
-    if th.Thread_obj.fault_repeat > max_fault_repeat then
+    let depth = Thread_obj.handler_depth th in
+    if depth >= Config.max_fault_depth then
       kill_thread t th
-        (Fmt.str "no progress after %d repeated faults: %a" th.Thread_obj.fault_repeat
-           Hw.Mmu.pp_fault fault)
-    else if th.Thread_obj.fault_depth >= Config.max_fault_depth then
-      kill_thread t th
-        (Fmt.str "fault depth %d exceeded handling %a" th.Thread_obj.fault_depth
-           Hw.Mmu.pp_fault fault)
-    else begin
-      let target =
-        match frame.Thread_obj.mode with
-        | Thread_obj.User -> (
-          match frame_space t th frame with
-          | Some sp -> find_kernel t sp.Space_obj.owner
-          | None -> find_kernel t th.Thread_obj.owner)
-        | Thread_obj.Kernel_mode ->
-          (* A fault inside an application kernel forwards to the kernel
-             that owns it: the system resource manager. *)
-          if Oid.equal frame.Thread_obj.kernel t.first_kernel then None
-          else find_kernel t t.first_kernel
-      in
-      match target with
+        (Fmt.str "fault depth %d exceeded handling %a" depth Hw.Mmu.pp_fault fault)
+    else
+      match handling_kernel t frame ~owner:sp.Space_obj.owner with
       | None ->
         kill_thread t th
           (Fmt.str "unhandlable %a (no owning kernel)" Hw.Mmu.pp_fault fault)
@@ -211,7 +208,6 @@ let handle_fault t (th : Thread_obj.t) (frame : Thread_obj.frame) (fault : Hw.Mm
             Fault_inject.recover t.fi ~site:"fault.forward";
           charge t Hw.Cost.exception_forward;
           t.stats.Stats.faults_forwarded <- t.stats.Stats.faults_forwarded + 1;
-          Stdlib.incr t.hot.faults_forwarded;
           if tracing t then
             trace t
               (Trace.Forward_to_kernel
@@ -233,60 +229,56 @@ let handle_fault t (th : Thread_obj.t) (frame : Thread_obj.frame) (fault : Hw.Mm
               body
           in
           arm_forward_watchdog t th hframe ~kernel ~body ~retried:false)
-    end
   end
 
-(* A virtual-memory read/write by the current frame: translate, charge and
-   commit directly (no commit closure — these run once per memory access,
-   the hottest path in the simulator).  Faults divert to the forwarding
-   machinery; the paused status is left in place so the access retries
-   when the handler completes (Figure 2 step 6). *)
-let do_read t (th : Thread_obj.t) (frame : Thread_obj.frame) ~va k =
+(* The step a virtual-memory read or write shares: translate in the
+   current frame's space, charge the translation and the data-cache
+   access, or divert a fault to the forwarding machinery.  Returns the
+   MMU's own result, so the hottest path in the simulator allocates no
+   commit closure: on [Ok] the caller commits the access; on [Error] the
+   fault has been handled (or the thread killed) and the paused status is
+   left in place, so the access retries when the handler completes
+   (Figure 2 step 6). *)
+let translate_access t (th : Thread_obj.t) (frame : Thread_obj.frame) ~va ~access =
   match frame_space t th frame with
   | None ->
     kill_thread t th
-      (Fmt.str "memory access at %a with no address space" Hw.Addr.pp_addr va)
+      (Fmt.str "memory access at %a with no address space" Hw.Addr.pp_addr va);
+    Error { Hw.Mmu.va; access; kind = Hw.Mmu.Missing_mapping }
   | Some sp -> (
     let cpu = cpu t in
     match
       Hw.Mmu.translate ~tlb:cpu.Hw.Cpu.tlb ~table:sp.Space_obj.table
-        ~asid:(Space_obj.asid sp) ~va ~access:Hw.Mmu.Read
+        ~asid:(Space_obj.asid sp) ~va ~access
     with
-    | Ok tr ->
+    | Ok tr as r ->
       if th.Thread_obj.fault_repeat <> 0 then begin
         th.Thread_obj.fault_repeat <- 0;
         th.Thread_obj.fault_key <- -1
       end;
       let line = Hw.Cache_sim.access t.node.Hw.Mpm.cache tr.Hw.Mmu.paddr in
       charge t (tr.Hw.Mmu.cost + Hw.Mmu.data_cost line);
-      let w = Hw.Phys_mem.read_word t.node.Hw.Mpm.mem tr.Hw.Mmu.paddr in
-      frame.Thread_obj.status <- Effect.Deep.continue k w
-    | Error fault -> handle_fault t th frame fault)
+      r
+    | Error fault as r ->
+      handle_fault t th frame sp fault;
+      r)
+
+let do_read t (th : Thread_obj.t) (frame : Thread_obj.frame) ~va k =
+  match translate_access t th frame ~va ~access:Hw.Mmu.Read with
+  | Ok tr ->
+    let w = Hw.Phys_mem.read_word t.node.Hw.Mpm.mem tr.Hw.Mmu.paddr in
+    frame.Thread_obj.status <- Effect.Deep.continue k w
+  | Error _ -> ()
 
 let do_write t (th : Thread_obj.t) (frame : Thread_obj.frame) ~va v k =
-  match frame_space t th frame with
-  | None ->
-    kill_thread t th
-      (Fmt.str "memory access at %a with no address space" Hw.Addr.pp_addr va)
-  | Some sp -> (
-    let cpu = cpu t in
-    match
-      Hw.Mmu.translate ~tlb:cpu.Hw.Cpu.tlb ~table:sp.Space_obj.table
-        ~asid:(Space_obj.asid sp) ~va ~access:Hw.Mmu.Write
-    with
-    | Ok tr ->
-      if th.Thread_obj.fault_repeat <> 0 then begin
-        th.Thread_obj.fault_repeat <- 0;
-        th.Thread_obj.fault_key <- -1
-      end;
-      let line = Hw.Cache_sim.access t.node.Hw.Mpm.cache tr.Hw.Mmu.paddr in
-      charge t (tr.Hw.Mmu.cost + Hw.Mmu.data_cost line);
-      Hw.Phys_mem.write_word t.node.Hw.Mpm.mem tr.Hw.Mmu.paddr v;
-      frame.Thread_obj.status <- continue_unit k;
-      if tr.Hw.Mmu.pte.Hw.Page_table.flags.Hw.Page_table.message_mode then
-        Signals.on_message_write t ~pfn:tr.Hw.Mmu.pte.Hw.Page_table.frame
-          ~offset:(Hw.Addr.offset_of va)
-    | Error fault -> handle_fault t th frame fault)
+  match translate_access t th frame ~va ~access:Hw.Mmu.Write with
+  | Ok tr ->
+    Hw.Phys_mem.write_word t.node.Hw.Mpm.mem tr.Hw.Mmu.paddr v;
+    frame.Thread_obj.status <- continue_unit k;
+    if tr.Hw.Mmu.pte.Hw.Page_table.flags.Hw.Page_table.message_mode then
+      Signals.on_message_write t ~pfn:tr.Hw.Mmu.pte.Hw.Page_table.frame
+        ~offset:(Hw.Addr.offset_of va)
+  | Error _ -> ()
 
 (* Trap instruction processing: Cache Kernel calls are executed here;
    anything else forwards to the owning application kernel (section 2.3).
@@ -317,19 +309,11 @@ let do_trap t (th : Thread_obj.t) (frame : Thread_obj.frame) p k =
         frame.Thread_obj.status <- Effect.Deep.continue k (Api.Ck_signal va)
       end
     | p -> (
-      let target =
-        match frame.Thread_obj.mode with
-        | Thread_obj.User -> find_kernel t th.Thread_obj.owner
-        | Thread_obj.Kernel_mode ->
-          if Oid.equal frame.Thread_obj.kernel t.first_kernel then None
-          else find_kernel t t.first_kernel
-      in
-      match target with
+      match handling_kernel t frame ~owner:th.Thread_obj.owner with
       | None -> kill_thread t th "trap with no kernel to forward to"
       | Some kernel ->
         charge t Hw.Cost.trap_forward;
         t.stats.Stats.traps_forwarded <- t.stats.Stats.traps_forwarded + 1;
-        Stdlib.incr t.hot.traps_forwarded;
         if tracing t then
           trace t
             (Trace.Trap_forwarded
@@ -350,7 +334,6 @@ let frame_failed t (th : Thread_obj.t) (frame : Thread_obj.frame) exn =
 let frame_ok t (th : Thread_obj.t) (frame : Thread_obj.frame) v =
   ignore (Thread_obj.pop_frame th);
   if frame.Thread_obj.mode = Thread_obj.Kernel_mode then begin
-    th.Thread_obj.fault_depth <- max 0 (th.Thread_obj.fault_depth - 1);
     charge t
       (if frame.Thread_obj.combined_resume then Config.c_combined_resume
        else Hw.Cost.exception_return);
@@ -522,7 +505,6 @@ let step_cpu t ~cpu_id =
     if preempt then begin
       Hw.Cpu.charge cpu Hw.Cost.context_switch;
       t.stats.Stats.preemptions <- t.stats.Stats.preemptions + 1;
-      Stdlib.incr t.hot.preemptions;
       if tracing t then
         trace t (Trace.Thread_preempted { thread = th.Thread_obj.oid; cpu = cpu_id });
       make_ready t th;
@@ -586,11 +568,11 @@ let rec select_cpu (times : int array) nc visited i best best_t =
     advance to the next event.  [`Quiescent] means nothing can happen until
     some external input (another node's message) arrives.
 
-    [horizon] caps idle jumps: an idle node may not skip past the point up
-    to which other, still-active nodes could yet send it traffic
-    (conservative lookahead — the cap is the earliest possible arrival of
-    a frame a peer has not sent yet). *)
-let step_node ?(horizon = max_int) t =
+    [horizon] caps idle jumps: an idle node may not skip past the run
+    deadline, nor past the point up to which other, still-active nodes
+    could yet send it traffic (conservative lookahead — the cap is the
+    earliest possible arrival of a frame a peer has not sent yet). *)
+let step_node ~horizon t =
   if t.halted then `Quiescent
   else begin
     let cpus = t.node.Hw.Mpm.cpus in
@@ -637,13 +619,7 @@ let sync_clocks t =
 let node_time (n : Instance.t) =
   Array.fold_left (fun acc c -> min acc c.Hw.Cpu.local_time) max_int n.node.Hw.Mpm.cpus
 
-let past_deadline until (nd : Instance.t) =
-  match until with
-  | Some u ->
-    Array.for_all (fun (c : Hw.Cpu.t) -> c.Hw.Cpu.local_time >= u) nd.node.Hw.Mpm.cpus
-  | None -> false
-
-(* -- Windowed multi-node schedule (DESIGN.md section 12) --
+(* -- Windowed schedule (DESIGN.md section 12) --
 
    Nodes advance in windows, stepped one after another.  At each window
    start the node clocks are snapshot; node [i] may then step freely while
@@ -769,33 +745,17 @@ let run_multi ~until ~max_steps (nodes : Instance.t array) node_steps =
   done;
   !steps
 
-let run_single ~until ~max_steps nd node_steps =
-  let steps = ref 0 in
-  let continue = ref true in
-  while !continue && !steps < max_steps do
-    if past_deadline until nd then continue := false
-    else
-      match step_node nd with
-      | `Progress -> incr steps
-      | `Quiescent -> continue := false
-  done;
-  node_steps.(0) <- !steps;
-  !steps
-
 (** Run a cluster of Cache Kernel instances until every node is quiescent,
     the optional simulated-time bound is reached, or [max_steps] engine
-    steps have executed.  Multi-node clusters use the windowed schedule.
-    Returns the number of steps taken. *)
+    steps have executed.  Every cluster size, one node included, uses the
+    windowed schedule.  Returns the number of steps taken. *)
 let run ?until_us ?(max_steps = 200_000_000) (nodes : Instance.t array) =
   let until = Option.map Hw.Cost.cycles_of_us until_us in
   let n = Array.length nodes in
   if n = 0 then 0
   else begin
     let node_steps = Array.make n 0 in
-    let steps =
-      if n = 1 then run_single ~until ~max_steps nodes.(0) node_steps
-      else run_multi ~until ~max_steps nodes node_steps
-    in
+    let steps = run_multi ~until ~max_steps nodes node_steps in
     Array.iter sync_clocks nodes;
     (* per-node step attribution: the wall-clock harness divides the
        [engine.steps] counter by real elapsed time for an events/s figure *)

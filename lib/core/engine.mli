@@ -9,17 +9,6 @@
 
 exception Kernel_bug of string
 
-val step_node : ?horizon:int -> Instance.t -> [ `Progress | `Quiescent ]
-(** Advance one node by one step: a due event, a thread step, or an idle
-    advance.  [`Quiescent] means nothing can happen until external input
-    (another node's message) arrives.  [horizon] (absolute cycles) caps
-    idle jumps at the earliest instant a peer could still deliver traffic
-    — {!run} derives it from the other nodes' clocks. *)
-
-val sync_clocks : Instance.t -> unit
-(** Level all CPU clocks to the node's latest time (end-of-run idle
-    accounting). *)
-
 val window_caps : times:int array -> active:bool array -> int array -> unit
 (** [window_caps ~times ~active caps] sets each [caps.(i)] to the minimum
     of [times.(m) + Hw.Cost.fiber_packet] over active nodes [m <> i]
@@ -31,9 +20,12 @@ val run : ?until_us:float -> ?max_steps:int -> Instance.t array -> int
     the simulated-time bound is reached, or [max_steps] engine steps have
     executed.  Returns the number of steps taken.
 
-    Multi-node clusters advance in windows bounded by the conservative
-    lookahead cap: each node steps in turn while below every active
-    peer's clock plus the minimum link latency, and a node that sends a
-    frame stops at the earliest instant a reply could come back.
-    Interconnect frames land on the destination's event queue when they
-    are sent. *)
+    Every cluster size, one node included, advances in windows bounded by
+    the conservative lookahead cap: each node steps in turn while below
+    every active peer's clock plus the minimum link latency, and a node
+    that sends a frame stops at the earliest instant a reply could come
+    back.  A lone node has no peer, so only [until_us] bounds it: no idle
+    jump, even to a far-future timer, carries a node's clock past the
+    deadline.  Interconnect frames land on the destination's event queue
+    when they are sent.  At the end every CPU clock of a node is levelled
+    to the node's latest time. *)

@@ -5,15 +5,13 @@
    this state live in {!Api}, {!Replacement}, {!Signals} and {!Engine}. *)
 
 (* Pre-interned handles for the per-event metrics on the engine's hottest
-   paths (dispatch, preemption, fault forwarding, trap forwarding).  Interned
-   once at {!create} so recording is one mutable update, not a string-keyed
+   paths (dispatch, fault and trap handling latency).  Interned once at
+   {!create} so recording is one mutable update, not a string-keyed
    [Hashtbl.find] per event; the export still lists them by name, in this
-   registration order. *)
+   registration order.  Events that {!Stats} already counts (forwarded
+   faults and traps, preemptions) have no second counter here. *)
 type hot = {
-  faults_forwarded : int ref;
-  traps_forwarded : int ref;
   dispatches : int ref;
-  preemptions : int ref;
   dispatch_us : Metrics.hist;
   fault_handle_us : Metrics.hist;
   trap_forward_us : Metrics.hist;
@@ -21,10 +19,7 @@ type hot = {
 
 let make_hot metrics =
   {
-    faults_forwarded = Metrics.counter_ref metrics "fault.forwarded";
-    traps_forwarded = Metrics.counter_ref metrics "trap.forwarded";
     dispatches = Metrics.counter_ref metrics "sched.dispatches";
-    preemptions = Metrics.counter_ref metrics "sched.preemptions";
     dispatch_us = Metrics.hist metrics "sched.dispatch_us";
     fault_handle_us = Metrics.hist metrics "fault.handle_us";
     trap_forward_us = Metrics.hist metrics "trap.forward_us";

@@ -27,7 +27,6 @@ let deliver_now t (th : Thread_obj.t) ~va ~fast_path =
   trace t (Trace.Signal_delivered { thread = th.Thread_obj.oid; va; fast_path });
   if fast_path then t.stats.Stats.signals_fast <- t.stats.Stats.signals_fast + 1
   else t.stats.Stats.signals_slow <- t.stats.Stats.signals_slow + 1;
-  count t (if fast_path then "signal.fast" else "signal.slow");
   match th.Thread_obj.state with
   | Thread_obj.Blocked Thread_obj.On_signal ->
     (* The thread is parked on its wait-for-signal trap; queue the address
@@ -45,17 +44,12 @@ let deliver_now t (th : Thread_obj.t) ~va ~fast_path =
     charge t Config.c_signal_queue;
     if Thread_obj.queue_signal th ~depth_limit:Config.signal_queue_depth va then begin
       t.stats.Stats.signals_queued <- t.stats.Stats.signals_queued + 1;
-      count t "signal.queued";
       trace t (Trace.Signal_queued { thread = th.Thread_obj.oid; va })
     end
-    else begin
-      t.stats.Stats.signals_dropped <- t.stats.Stats.signals_dropped + 1;
-      count t "signal.dropped"
-    end;
+    else t.stats.Stats.signals_dropped <- t.stats.Stats.signals_dropped + 1;
     false
   | Thread_obj.Exited ->
     t.stats.Stats.signals_dropped <- t.stats.Stats.signals_dropped + 1;
-    count t "signal.dropped";
     false
 
 (* Chaos recovery: a dropped delivery was scheduled for redelivery on the

@@ -73,13 +73,11 @@ type t = {
   mutable state : run_state;
   mutable ready_since : Hw.Cost.cycles;
   mutable slice_left : Hw.Cost.cycles;
-  signal_q : int Queue.t;
-  mutable signal_overflow : int;
+  signal_q : int Queue.t; (* bounded; {!Stats} counts the drops *)
   mutable affinity : int option;
   mutable locked : bool;
   mutable unload_pending : bool;
   mutable recently_used : bool;
-  mutable fault_depth : int;
   mutable fault_key : int; (* runaway-fault detection: last faulting page *)
   mutable fault_repeat : int;
   mutable consumed : Hw.Cost.cycles; (* lifetime CPU consumption *)
@@ -104,12 +102,10 @@ let create ~owner ~space ~tag ~priority ~start =
       ready_since = 0;
       slice_left = 0;
       signal_q = Queue.create ();
-      signal_overflow = 0;
       affinity = None;
       locked = false;
       unload_pending = false;
       recently_used = true;
-      fault_depth = 0;
       fault_key = -1;
       fault_repeat = 0;
       consumed = 0;
@@ -133,6 +129,12 @@ let pop_frame t =
     t.frames <- rest;
     f
 
+(** Handler frames on the stack: how deeply the thread's faults and traps
+    are nested.  Counted from the frames themselves, so a thread reloaded
+    from state written back mid-handler keeps its depth. *)
+let handler_depth t =
+  List.fold_left (fun n f -> if f.mode = Kernel_mode then n + 1 else n) 0 t.frames
+
 (** Mode the thread is currently executing in. *)
 let mode t = match top t with Some f -> f.mode | None -> User
 
@@ -145,10 +147,7 @@ let save t =
   }
 
 let queue_signal t ~depth_limit va =
-  if Queue.length t.signal_q >= depth_limit then begin
-    t.signal_overflow <- t.signal_overflow + 1;
-    false
-  end
+  if Queue.length t.signal_q >= depth_limit then false
   else begin
     Queue.push va t.signal_q;
     true

@@ -48,65 +48,6 @@ type event =
   | Migrate_readopt of { xfer : int }
   | Custom of string
 
-let pp_event ppf = function
-  | Fault_trap { thread; va; kind } ->
-    Fmt.pf ppf "fault-trap %a va=%a (%s)" Oid.pp thread Hw.Addr.pp_addr va kind
-  | Forward_to_kernel { thread; kernel } ->
-    Fmt.pf ppf "forward %a -> %a" Oid.pp thread Oid.pp kernel
-  | Handler_running { thread } -> Fmt.pf ppf "handler-running %a" Oid.pp thread
-  | Mapping_loaded { space; va; pfn } ->
-    Fmt.pf ppf "mapping-loaded %a va=%a pfn=%d" Oid.pp space Hw.Addr.pp_addr va pfn
-  | Exception_complete { thread } -> Fmt.pf ppf "exception-complete %a" Oid.pp thread
-  | Thread_resumed { thread } -> Fmt.pf ppf "thread-resumed %a" Oid.pp thread
-  | Object_loaded { oid } -> Fmt.pf ppf "loaded %a" Oid.pp oid
-  | Object_written_back { oid; to_kernel } ->
-    Fmt.pf ppf "writeback %a -> %a" Oid.pp oid Oid.pp to_kernel
-  | Mapping_written_back { space; va; to_kernel } ->
-    Fmt.pf ppf "mapping-writeback %a va=%a -> %a" Oid.pp space Hw.Addr.pp_addr va Oid.pp
-      to_kernel
-  | Signal_delivered { thread; va; fast_path } ->
-    Fmt.pf ppf "signal %a va=%a%s" Oid.pp thread Hw.Addr.pp_addr va
-      (if fast_path then " (rtlb)" else "")
-  | Signal_queued { thread; va } ->
-    Fmt.pf ppf "signal-queued %a va=%a" Oid.pp thread Hw.Addr.pp_addr va
-  | Trap_forwarded { thread; kernel } ->
-    Fmt.pf ppf "trap-forward %a -> %a" Oid.pp thread Oid.pp kernel
-  | Thread_preempted { thread; cpu } -> Fmt.pf ppf "preempt %a cpu%d" Oid.pp thread cpu
-  | Thread_dispatched { thread; cpu } -> Fmt.pf ppf "dispatch %a cpu%d" Oid.pp thread cpu
-  | Quota_exceeded { kernel; cpu } ->
-    Fmt.pf ppf "quota-exceeded %a cpu%d" Oid.pp kernel cpu
-  | Consistency_flush { pfn } -> Fmt.pf ppf "consistency-flush pfn=%d" pfn
-  | Injected { site } -> Fmt.pf ppf "inject %s" site
-  | Recovered { site } -> Fmt.pf ppf "recover %s" site
-  | Audit_violation { check; subject } -> Fmt.pf ppf "audit-violation %s %s" check subject
-  | Audit_repaired { check; subject } -> Fmt.pf ppf "audit-repaired %s %s" check subject
-  | Forward_timeout { thread; escalated } ->
-    Fmt.pf ppf "forward-timeout %a%s" Oid.pp thread
-      (if escalated then " (escalated)" else " (re-forwarded)")
-  | Migrate_out { oid; dst; xfer; bytes } ->
-    Fmt.pf ppf "migrate-out %a -> node%d xfer=%d (%d B)" Oid.pp oid dst xfer bytes
-  | Migrate_in { xfer; src; bytes } ->
-    Fmt.pf ppf "migrate-in xfer=%d <- node%d (%d B)" xfer src bytes
-  | Migrate_acked { xfer; ok } ->
-    Fmt.pf ppf "migrate-acked xfer=%d %s" xfer (if ok then "ok" else "failed")
-  | Migrate_forwarded { xfer; va } ->
-    Fmt.pf ppf "migrate-forwarded xfer=%d va=%a" xfer Hw.Addr.pp_addr va
-  | Checkpointed { restore; bytes } ->
-    Fmt.pf ppf "%s %d B" (if restore then "restored" else "checkpointed") bytes
-  | Tier_move { block; to_fast; batch } ->
-    Fmt.pf ppf "tier-move block=%d -> %s (batch %d)" block
-      (if to_fast then "fast" else "slow")
-      batch
-  | Node_suspect { node } -> Fmt.pf ppf "node%d suspect" node
-  | Node_dead { node; epoch } -> Fmt.pf ppf "node%d dead (fenced at epoch %d)" node epoch
-  | Node_restart { node; epoch } -> Fmt.pf ppf "node%d restarted (epoch %d)" node epoch
-  | Fence_reject { src; epoch } ->
-    Fmt.pf ppf "fence-reject frame from node%d (stale epoch %d)" src epoch
-  | Net_partition { healed } ->
-    Fmt.pf ppf "net %s" (if healed then "healed" else "partitioned")
-  | Migrate_readopt { xfer } -> Fmt.pf ppf "migrate-readopt xfer=%d" xfer
-  | Custom s -> Fmt.string ppf s
-
 let event_name = function
   | Fault_trap _ -> "fault_trap"
   | Forward_to_kernel _ -> "forward_to_kernel"
@@ -191,6 +132,12 @@ let event_fields ev =
   | Net_partition { healed } -> [ ("healed", Json.Bool healed) ]
   | Migrate_readopt { xfer } -> [ ("xfer", Json.Int xfer) ]
   | Custom s -> [ ("text", Json.String s) ]
+
+(* The text form is the JSON export's vocabulary: the event's name, then
+   [key=value] for each of its fields. *)
+let pp_event ppf ev =
+  Fmt.string ppf (event_name ev);
+  List.iter (fun (k, v) -> Fmt.pf ppf " %s=%s" k (Json.to_string v)) (event_fields ev)
 
 type entry = { time : Hw.Cost.cycles; event : event }
 

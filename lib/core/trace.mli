@@ -42,10 +42,13 @@ type event =
   | Migrate_readopt of { xfer : int }
   | Custom of string
 
-val pp_event : event Fmt.t
-
 val event_name : event -> string
 (** Stable snake_case tag used by the JSON export. *)
+
+val pp_event : event Fmt.t
+(** One line of text in the JSON export's vocabulary: {!event_name}, then
+    [key=value] for each field the export writes, values in JSON syntax
+    (e.g. [forward_to_kernel thread="..." kernel="..."]). *)
 
 type entry = { time : Hw.Cost.cycles; event : event }
 

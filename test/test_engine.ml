@@ -154,6 +154,58 @@ let test_exit_trap () =
   Alcotest.(check bool) "nothing runs after exit" false !after;
   Alcotest.(check int) "descriptor freed" 0 (Caches.Thread_cache.live inst.Instance.threads)
 
+(* A thread written back mid-handler comes back with its handler frames:
+   its nesting depth is those frames, so with [Config.max_fault_depth] of
+   them restored, a fault in the top handler may not forward again. *)
+let test_restored_frames_count_toward_depth () =
+  let inst, first, _ = make () in
+  let spec2 =
+    {
+      Kernel_obj.name = "nested";
+      handlers = Kernel_obj.null_handlers;
+      cpu_percent = [| 100 |];
+      max_priority = 31;
+      max_locked = 4;
+    }
+  in
+  let k2 = ok (Api.load_kernel inst ~caller:first spec2) in
+  let sp2 = ok (Api.load_space inst ~caller:k2 ~tag:9 ()) in
+  ok (Api.set_kernel_space inst ~caller:first ~kernel:k2 ~space:sp2);
+  let handler status = Thread_obj.frame ~mode:Thread_obj.Kernel_mode ~kernel:k2 status in
+  let done_ = Hw.Exec.Done Hw.Exec.Unit_payload in
+  let faulting =
+    Hw.Exec.start (fun () ->
+        ignore (Hw.Exec.mem_read 0x40000000);
+        Hw.Exec.Unit_payload)
+  in
+  let frames =
+    (handler faulting :: List.init (Config.max_fault_depth - 1) (fun _ -> handler done_))
+    @ [ Thread_obj.frame done_ ]
+  in
+  ignore
+    (ok
+       (Api.load_thread inst ~caller:k2 ~space:sp2 ~priority:8 ~tag:0
+          ~start:
+            (Thread_obj.Saved { frames; resume_value = None; pending_signals = [] })
+          ()));
+  ignore (Engine.run [| inst |]);
+  Alcotest.(check int) "the fault at full depth was not forwarded" 0
+    inst.Instance.stats.Stats.faults_forwarded;
+  Alcotest.(check int) "the thread was killed" 0
+    (Caches.Thread_cache.live inst.Instance.threads)
+
+(* A lone node stops at the run deadline: an idle jump towards a far
+   timer is capped at [until_us], not carried to the timer. *)
+let test_single_node_deadline () =
+  let inst, _, _ = make ~cpus:2 () in
+  let fired = ref false in
+  Hw.Mpm.after inst.Instance.node ~delay:(Hw.Cost.cycles_of_us 10_000.0) (fun () ->
+      fired := true);
+  ignore (Engine.run ~until_us:1000.0 [| inst |]);
+  Alcotest.(check (float 0.0)) "clock stops at the deadline" 1000.0
+    (Workload.Setup.now_us inst);
+  Alcotest.(check bool) "the timer has not fired" false !fired
+
 (* -- Window caps -- *)
 
 (* The per-window cap loop as the engine ran it before the one-pass
@@ -200,6 +252,10 @@ let () =
             test_runaway_fault_killed;
           Alcotest.test_case "signal queue is bounded" `Quick test_signal_queue_bound;
           Alcotest.test_case "exit trap" `Quick test_exit_trap;
+          Alcotest.test_case "restored handler frames count toward the depth" `Quick
+            test_restored_frames_count_toward_depth;
+          Alcotest.test_case "a single node stops at the deadline" `Quick
+            test_single_node_deadline;
         ] );
       ("window caps", [ QCheck_alcotest.to_alcotest prop_window_caps ]);
     ]

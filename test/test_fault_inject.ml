@@ -472,7 +472,7 @@ let test_fig2_dropped_forward () =
   Alcotest.(check bool) "forwards were dropped" true (injected > 0);
   Alcotest.(check int) "every drop recovered" injected (counter inst "recover.fault.forward");
   Alcotest.(check bool) "retried forwards reached the kernel" true
-    (counter inst "fault.forwarded" >= 4)
+    (inst.Instance.stats.Stats.faults_forwarded >= 4)
 
 let test_fig2_stale_handler_space () =
   let config = { Config.default with Config.chaos = chaos ~stale_rate:1.0 () } in
