@@ -7,9 +7,6 @@
     in-process registry for live moves and restart fresh from program
     bodies on checkpoint restore. *)
 
-val version : int
-val magic : string
-
 type page = { index : int; data : Bytes.t }
 
 type segment_image = {

@@ -8,10 +8,10 @@
    - capture: deschedule/unload the target (an active thread's unload is
      deferred to its next kernel exit, so capture retries on a timer until
      the writeback record has landed);
-   - ship: encode the image once, then transmit it as MTU-sized slices
-     through the transport the SRM provides; chunk loss and duplication
-     are recovered by a retransmit watchdog on the source and idempotent
-     reassembly plus re-acks on the destination;
+   - ship: encode the image once, then send it as MTU-sized [Chunk]
+     messages through the [send] function the SRM provides; chunk loss and
+     duplication are recovered by a retransmit watchdog on the source and
+     idempotent reassembly plus re-acks on the destination;
    - apply: rebuild spaces, segments and page payloads, adopt the threads
      into the local thread library, and load them through the usual
      stale-retry path;
@@ -28,18 +28,15 @@
 open Cachekernel
 open Aklib
 
-type transport = {
-  send_chunk : dst:int -> xfer:int -> seq:int -> total:int -> buf:Bytes.t -> off:int -> len:int -> unit;
-  send_ack : dst:int -> xfer:int -> ok:bool -> unit;
-  send_signal : dst:int -> xfer:int -> tag:int -> va:int -> unit;
-  send_ctl : dst:int -> xfer:int -> op:int -> unit;
-}
-
-(* Control ops of the commit protocol (the [send_ctl] wire payload). *)
-let op_commit = 0 (* src -> dst: image acked, schedule the parked threads *)
-let op_commit_ack = 1 (* dst -> src: scheduled; the source may free the image *)
-let op_abort = 2 (* src -> dst: transfer re-adopted at the source, purge it *)
-let op_abort_ack = 3 (* dst -> src: purged (or never landed) *)
+type msg =
+  | Chunk of { seq : int; total : int; buf : Bytes.t; off : int; len : int }
+  | Applied (* dst -> src: image applied and parked *)
+  | Refused (* dst -> src: image could not be decoded or applied *)
+  | Signal of { tag : int; va : int } (* src stub -> dst: a signal for source thread [tag] *)
+  | Commit (* src -> dst: image acked, schedule the parked threads *)
+  | Commit_ack (* dst -> src: scheduled; the source may free the image *)
+  | Abort (* src -> dst: transfer re-adopted at the source, purge it *)
+  | Abort_ack (* dst -> src: purged (or never landed) *)
 
 (* In-process residue of a migrating thread: the part of the image the
    codec cannot carry.  The destination plane consumes it when the byte
@@ -56,7 +53,7 @@ let registry : (int * int, residue) Hashtbl.t = Hashtbl.create 32
    image, and the source retains it until the destination confirms it
    scheduled the parked threads.  A crash of either side in either phase
    resolves by re-adoption from the retained image — it is freed only on
-   [op_commit_ack]. *)
+   [Commit_ack]. *)
 type phase = Shipping | Committing
 
 type sending = {
@@ -69,10 +66,11 @@ type sending = {
   mutable s_retries : int; (* resends in the current phase *)
 }
 
-(* Destination-side record of an applied transfer.  Threads are adopted
-   but *parked* (not scheduled) until the source's commit arrives, so an
-   un-acked or un-committed copy never executes — the crash-atomicity
-   invariant is that at most one side ever schedules the object. *)
+(* Record of an applied transfer: a landing at the destination, or a
+   re-adoption at the source.  Threads are adopted but *parked* (not
+   scheduled) until the source's commit arrives, so an un-acked or
+   un-committed copy never executes — the crash-atomicity invariant is
+   that at most one side ever schedules the object. *)
 type landing = {
   l_threads : (int * int) list; (* (src tag, local id) *)
   l_space_tags : int list;
@@ -94,14 +92,14 @@ type incoming = {
 type t = {
   ak : App_kernel.t;
   node_id : int;
-  transport : transport;
+  send : dst:int -> xfer:int -> msg -> unit;
   sends : (int, sending) Hashtbl.t; (* xfer -> transfer not yet commit-acked *)
   incoming : (int, incoming) Hashtbl.t; (* xfer -> reassembly *)
   landings : (int, landing) Hashtbl.t; (* transfers applied here *)
   aborts : (int, int) Hashtbl.t; (* xfer -> dst: abort owed to the target *)
   forwards : (int, int * int) Hashtbl.t; (* local thread id -> (xfer, dst) *)
-  pending : (int, (int * int) list ref) Hashtbl.t;
-      (* signals that beat the commit: xfer -> (src tag, va) *)
+  pending : (int, (int * int) list) Hashtbl.t;
+      (* signals that beat the commit, newest first: xfer -> (src tag, va) *)
   mutable on_step : (string -> unit) option; (* crash-point sweep hook *)
   mutable next_xfer : int;
 }
@@ -121,42 +119,6 @@ let step t name = match t.on_step with None -> () | Some f -> f name
    installed. *)
 let step_chunk t side seq =
   match t.on_step with None -> () | Some f -> f (Printf.sprintf "%s.chunk.%d" side seq)
-
-(* -- forwarding stub (source side) -------------------------------------- *)
-
-(* A signal raised against the old residence of a migrated thread: forward
-   it to the destination plane, which posts it against the thread's new
-   identifier.  Returns false if [id] never migrated from here. *)
-let forward_signal t id ~va =
-  match Hashtbl.find_opt t.forwards id with
-  | None -> false
-  | Some (xfer, dst) ->
-    let i = inst t in
-    Instance.count i "migrate.forwarded";
-    Instance.trace i (Trace.Migrate_forwarded { xfer; va });
-    t.transport.send_signal ~dst ~xfer ~tag:id ~va;
-    true
-
-let create ~ak ~node_id ~transport =
-  let t =
-    {
-      ak;
-      node_id;
-      transport;
-      sends = Hashtbl.create 8;
-      incoming = Hashtbl.create 8;
-      landings = Hashtbl.create 8;
-      aborts = Hashtbl.create 8;
-      forwards = Hashtbl.create 8;
-      pending = Hashtbl.create 8;
-      on_step = None;
-      next_xfer = 0;
-    }
-  in
-  (* signals raised here against threads that migrated away re-target
-     through the plane *)
-  Thread_lib.set_forwarder ak.App_kernel.threads (fun id ~va -> forward_signal t id ~va);
-  t
 
 let fresh_xfer t =
   t.next_xfer <- t.next_xfer + 1;
@@ -391,7 +353,7 @@ let schedule_landing t ~xfer (l : landing) ~counter =
         match List.assoc_opt tag l.l_threads with
         | Some id -> deliver_local t ~local_id:id ~va
         | None -> Instance.count i "migrate.signals_dropped")
-      (List.rev !sigs)
+      (List.rev sigs)
 
 (* Destroy a landing: retire its threads (descheduling live ones), release
    its spaces, and drop the signals queued for it.  Registry residue is
@@ -417,28 +379,44 @@ let purge_landing t ~xfer (l : landing) =
   Hashtbl.remove t.pending xfer;
   Instance.count i "migrate.purged"
 
+(* A signal for source thread [tag] of transfer [xfer].  Until the landing
+   is committed its threads are parked, so the signal waits in [pending]:
+   [schedule_landing] delivers it at the commit, [purge_landing] drops it
+   with the landing. *)
+let land_signal t ~xfer ~tag ~va =
+  let committed =
+    match Hashtbl.find_opt t.landings xfer with
+    | Some l when l.l_committed -> List.assoc_opt tag l.l_threads
+    | Some _ | None -> None
+  in
+  match committed with
+  | Some local_id -> deliver_local t ~local_id ~va
+  | None ->
+    let sigs = Option.value ~default:[] (Hashtbl.find_opt t.pending xfer) in
+    Hashtbl.replace t.pending xfer ((tag, va) :: sigs)
+
+(* -- giving a transfer back (source side) ------------------------------- *)
+
 (* Re-adopt a retained image at the source: the transfer failed terminally
-   (apply error, retransmit exhaustion, target death), so the copy here is
-   authoritative again.  Forwarding stubs for its threads come down —
-   signals raised against the old ids reach the re-adopted copy through
-   the landing routing, not the wire. *)
-let readopt t ~xfer ~tags image =
+   (refused, retransmits exhausted, target lost the parked copy or died),
+   so the copy here is authoritative again.  The threads come back under
+   fresh local ids in a committed landing of this plane; the forwarding
+   stubs for their old ids stay, and {!forward_signal} delivers through
+   that landing.  If the re-adoption fails the stubs come down. *)
+let give_back t ~xfer ~owe_abort (s : sending) =
   let i = inst t in
-  List.iter (fun tag -> Hashtbl.remove t.forwards tag) tags;
-  match Codec.decode image with
+  Hashtbl.remove t.sends xfer;
+  if owe_abort then Hashtbl.replace t.aborts xfer s.s_dst;
+  match Result.bind (Codec.decode s.s_image) (apply t ~xfer) with
   | Error msg ->
-    Logs.warn (fun m -> m "migrate: re-adopt decode failed for xfer %d: %s" xfer msg);
+    Logs.warn (fun m -> m "migrate: re-adopt failed for xfer %d: %s" xfer msg);
+    List.iter (Hashtbl.remove t.forwards) s.s_tags;
     Instance.count i "migrate.readopt_failed"
-  | Ok img -> (
-    match apply t ~xfer img with
-    | Error msg ->
-      Logs.warn (fun m -> m "migrate: re-adopt failed for xfer %d: %s" xfer msg);
-      Instance.count i "migrate.readopt_failed"
-    | Ok l ->
-      schedule_landing t ~xfer l ~counter:"migrate.readopt_loads";
-      List.iter (fun tag -> Hashtbl.remove registry (xfer, tag)) tags;
-      Instance.count i "migrate.readopted";
-      Instance.trace i (Trace.Migrate_readopt { xfer }))
+  | Ok l ->
+    schedule_landing t ~xfer l ~counter:"migrate.readopt_loads";
+    List.iter (fun tag -> Hashtbl.remove registry (xfer, tag)) s.s_tags;
+    Instance.count i "migrate.readopted";
+    Instance.trace i (Trace.Migrate_readopt { xfer })
 
 (* -- shipping ----------------------------------------------------------- *)
 
@@ -446,11 +424,10 @@ let chunk_bytes t =
   let cfg = (inst t).Instance.config.Config.migrate_chunk_bytes in
   max 1 (min cfg (Hw.Nic.Fiber.mtu - 64))
 
-(* Transmit every chunk of a transfer: chunk [seq] is the slice of the
-   retained image at [seq * s_chunk], framed by the transport.  Each chunk
-   consults the migrate.drop fault site: an injected fault models the
-   frame vanishing on the fiber — the retransmit watchdog is the recovery
-   moment. *)
+(* Send every chunk of a transfer: chunk [seq] is the slice of the
+   retained image at [seq * s_chunk].  Each chunk consults the
+   migrate.drop fault site: an injected fault models the frame vanishing
+   on the fiber — the retransmit watchdog is the recovery moment. *)
 let send_chunks t ~xfer (s : sending) =
   let i = inst t in
   let size = Bytes.length s.s_image in
@@ -458,8 +435,8 @@ let send_chunks t ~xfer (s : sending) =
   let send seq =
     let off = seq * s.s_chunk in
     Instance.count i "migrate.chunks_out";
-    t.transport.send_chunk ~dst:s.s_dst ~xfer ~seq ~total ~buf:s.s_image ~off
-      ~len:(min s.s_chunk (size - off))
+    t.send ~dst:s.s_dst ~xfer
+      (Chunk { seq; total; buf = s.s_image; off; len = min s.s_chunk (size - off) })
   in
   let seq = ref 0 in
   while !seq < total && not (halted t) do
@@ -479,7 +456,7 @@ let send_chunks t ~xfer (s : sending) =
    [max_retries] resends per phase.  [Shipping] resends the chunks, and
    counts from the image's wire time: it cannot be acked earlier.  On
    exhaustion the transfer is abandoned and re-adopted here.
-   [Committing] resends [op_commit]: a lost commit (or its ack) leaves the
+   [Committing] resends [Commit]: a lost commit (or its ack) leaves the
    target parked and the source retaining the image.  On exhaustion the
    transfer stays put — the failure detector's peer_dead/peer_rejoined
    notifications resolve it.  A timer armed in one phase does nothing once
@@ -508,15 +485,13 @@ let rec arm_watchdog t ~xfer =
         | Some s when s.s_phase = phase -> (
           match phase with
           | Shipping when s.s_retries >= max_retries ->
-            Hashtbl.remove t.sends xfer;
             Instance.count i "migrate.abandoned";
             (* crash-atomicity: the unreachable target may still hold (or
                later assemble) the shipped image — the retained image
                becomes authoritative again here, and the target is owed an
                abort so a resurrected copy cannot outlive this one *)
-            Hashtbl.replace t.aborts xfer s.s_dst;
-            t.transport.send_ctl ~dst:s.s_dst ~xfer ~op:op_abort;
-            readopt t ~xfer ~tags:s.s_tags s.s_image
+            t.send ~dst:s.s_dst ~xfer Abort;
+            give_back t ~xfer ~owe_abort:true s
           | Committing when s.s_retries >= max_retries ->
             Instance.count i "migrate.commit_stalled"
           | Shipping ->
@@ -527,7 +502,7 @@ let rec arm_watchdog t ~xfer =
           | Committing ->
             s.s_retries <- s.s_retries + 1;
             Instance.count i "migrate.commit_resends";
-            t.transport.send_ctl ~dst:s.s_dst ~xfer ~op:op_commit;
+            t.send ~dst:s.s_dst ~xfer Commit;
             arm_watchdog t ~xfer)
         | Some _ | None -> ())
 
@@ -555,7 +530,7 @@ let ship t ~dst ~xfer ~oid img =
     arm_watchdog t ~xfer
   end
 
-(* -- thread migration --------------------------------------------------- *)
+(* -- capture: one path for a thread and for a space ---------------------- *)
 
 (* Hand a captured image's threads over to transfer [xfer]: each leaves
    its residue in the registry and its entry here, and a forwarding stub
@@ -574,108 +549,96 @@ let hand_over t ~dst ~xfer (img : Codec.image) =
       Hashtbl.replace t.forwards id (xfer, dst))
     img.Codec.threads
 
-let capture_thread t ~dst ~xfer (e : Thread_lib.entry) =
-  let img = image_of t.ak ~own:[ e ] ~xfer [] in
-  hand_over t ~dst ~xfer img;
-  Instance.count (inst t) "migrate.moves";
-  ship t ~dst ~xfer ~oid:e.Thread_lib.oid img
+(* What one quiesce attempt left of a move's target: gone (or refused), a
+   writeback still in flight, or ready — the oid the trace names, the
+   own-space threads and the spaces {!image_of} captures. *)
+type quiesced =
+  | Gone
+  | Busy
+  | Ready of { oid : Oid.t; own : Thread_lib.entry list; spaces : Segment_mgr.vspace list }
 
 let capture_retry_us = 100.0
 let capture_max_attempts = 16
 
-(* Capture cannot complete yet: count it and call [retry] with the next
-   attempt number after [capture_retry_us], or give the move up once
-   [capture_max_attempts] are spent. *)
-let defer_capture t ~attempts retry =
-  let i = inst t in
-  if attempts < capture_max_attempts then begin
-    Instance.count i "migrate.capture_deferred";
-    Hw.Mpm.after i.Instance.node ~delay:(Hw.Cost.cycles_of_us capture_retry_us) (fun () ->
-        retry (attempts + 1))
-  end
-  else Instance.count i "migrate.aborted"
-
 (* An active thread's unload is deferred to its next kernel exit
    (api.ml's unload_pending), so the writeback record may not have landed
-   yet when [deschedule] returns: poll on a timer until the entry shows
-   the saved state. *)
-let rec try_capture_thread t ~dst ~xfer ~id ~attempts =
+   yet when [quiesce] returns: poll every [capture_retry_us] until it
+   reports [Ready], and give the move up after [capture_max_attempts].
+   Then capture, hand the threads over, release the spaces (the same
+   release as process exit) and ship. *)
+let rec capture t ~dst ~xfer ~quiesce attempts =
   let i = inst t in
-  match Thread_lib.entry t.ak.App_kernel.threads id with
-  | None -> Instance.count i "migrate.aborted"
-  | Some ({ Thread_lib.run = Thread_lib.Unloaded _; _ } as e) -> capture_thread t ~dst ~xfer e
-  | Some ({ Thread_lib.run = Thread_lib.Loaded; _ } as e) -> (
-    match Thread_lib.deschedule t.ak.App_kernel.threads id with
-    | Error _ -> Instance.count i "migrate.aborted"
-    | Ok () -> (
-      match e.Thread_lib.run with
-      | Thread_lib.Unloaded _ -> capture_thread t ~dst ~xfer e
-      | Thread_lib.Loaded ->
-        defer_capture t ~attempts (fun attempts -> try_capture_thread t ~dst ~xfer ~id ~attempts)))
+  match quiesce () with
+  | Busy when attempts < capture_max_attempts ->
+    Instance.count i "migrate.capture_deferred";
+    Hw.Mpm.after i.Instance.node ~delay:(Hw.Cost.cycles_of_us capture_retry_us) (fun () ->
+        capture t ~dst ~xfer ~quiesce (attempts + 1))
+  | Gone | Busy -> Instance.count i "migrate.aborted"
+  | Ready { oid; own; spaces } ->
+    let img = image_of t.ak ~own ~xfer spaces in
+    hand_over t ~dst ~xfer img;
+    List.iter (Segment_mgr.release_space t.ak.App_kernel.mgr) spaces;
+    Instance.count i (if spaces = [] then "migrate.moves" else "migrate.space_moves");
+    ship t ~dst ~xfer ~oid img
+
+let move t ~dst quiesce =
+  let xfer = fresh_xfer t in
+  capture t ~dst ~xfer ~quiesce 0;
+  Ok xfer
 
 (* Move one thread of the kernel's own address space to [dst].  Returns
    the transfer id immediately; capture and shipping complete
    asynchronously (watch migrate.pause_us / the Migrate_acked trace). *)
 let move_thread t ~dst id =
-  match Thread_lib.entry t.ak.App_kernel.threads id with
-  | None -> Error Api.Stale_reference
-  | Some _ ->
-    let xfer = fresh_xfer t in
-    try_capture_thread t ~dst ~xfer ~id ~attempts:0;
-    Ok xfer
-
-(* -- space migration ---------------------------------------------------- *)
-
-let capture_space t ~dst ~xfer (vsp : Segment_mgr.vspace) =
-  let img = image_of t.ak ~xfer [ vsp ] in
-  let oid = vsp.Segment_mgr.oid in
-  hand_over t ~dst ~xfer img;
-  Segment_mgr.release_space t.ak.App_kernel.mgr vsp;
-  Instance.count (inst t) "migrate.space_moves";
-  ship t ~dst ~xfer ~oid img
-
-let rec try_capture_space t ~dst ~xfer ~tag ~attempts =
-  let i = inst t in
-  match Segment_mgr.space_by_tag t.ak.App_kernel.mgr tag with
-  | None -> Instance.count i "migrate.aborted"
-  | Some vsp -> (
-    (* unload threads first (space unload would write them back anyway,
-       but descheduling through the thread library keeps its records in
-       step), then the space itself *)
-    let loaded () =
-      List.filter
-        (fun (e : Thread_lib.entry) -> e.Thread_lib.run = Thread_lib.Loaded)
-        (Thread_lib.of_space t.ak.App_kernel.threads tag)
-    in
-    List.iter
-      (fun (e : Thread_lib.entry) -> ignore (Thread_lib.deschedule t.ak.App_kernel.threads e.Thread_lib.id))
-      (loaded ());
-    let unloaded =
-      if not vsp.Segment_mgr.loaded then Ok ()
-      else
-        Api.unload_space i ~caller:(App_kernel.oid t.ak) vsp.Segment_mgr.oid
-    in
-    let quiesced =
-      match unloaded with
-      | Error _ -> false
-      | Ok () ->
-        (* any thread still Loaded has a deferred writeback in flight *)
-        loaded () = [] && not vsp.Segment_mgr.loaded
-    in
-    if quiesced then capture_space t ~dst ~xfer vsp
-    else defer_capture t ~attempts (fun attempts -> try_capture_space t ~dst ~xfer ~tag ~attempts))
+  let threads = t.ak.App_kernel.threads in
+  let quiesce () =
+    match Thread_lib.entry threads id with
+    | None -> Gone
+    | Some e -> (
+      match Thread_lib.deschedule threads id with
+      | Error _ -> Gone
+      | Ok () -> (
+        match e.Thread_lib.run with
+        | Thread_lib.Unloaded _ -> Ready { oid = e.Thread_lib.oid; own = [ e ]; spaces = [] }
+        | Thread_lib.Loaded -> Busy))
+  in
+  if Option.is_none (Thread_lib.entry threads id) then Error Api.Stale_reference
+  else move t ~dst quiesce
 
 (* Move a whole address space — regions, segment contents and resident
-   threads — to [dst].  Asynchronous, like {!move_thread}. *)
+   threads — to [dst].  Asynchronous, like {!move_thread}.  Its threads
+   are descheduled first (the space unload would write them back anyway,
+   but descheduling through the thread library keeps its records in
+   step), then the space itself is unloaded. *)
 let move_space t ~dst tag =
-  match Segment_mgr.space_by_tag t.ak.App_kernel.mgr tag with
+  let i = inst t in
+  let mgr = t.ak.App_kernel.mgr and threads = t.ak.App_kernel.threads in
+  let quiesce () =
+    match Segment_mgr.space_by_tag mgr tag with
+    | None -> Gone
+    | Some vsp ->
+      let loaded () =
+        List.filter
+          (fun (e : Thread_lib.entry) -> e.Thread_lib.run = Thread_lib.Loaded)
+          (Thread_lib.of_space threads tag)
+      in
+      List.iter
+        (fun (e : Thread_lib.entry) -> ignore (Thread_lib.deschedule threads e.Thread_lib.id))
+        (loaded ());
+      let unloaded =
+        if not vsp.Segment_mgr.loaded then Ok ()
+        else Api.unload_space i ~caller:(App_kernel.oid t.ak) vsp.Segment_mgr.oid
+      in
+      (* any thread still Loaded has a deferred writeback in flight *)
+      if Result.is_ok unloaded && loaded () = [] && not vsp.Segment_mgr.loaded then
+        Ready { oid = vsp.Segment_mgr.oid; own = []; spaces = [ vsp ] }
+      else Busy
+  in
+  match Segment_mgr.space_by_tag mgr tag with
   | None -> Error Api.Stale_reference
   | Some v when Option.equal ( == ) (Some v) t.ak.App_kernel.own_space ->
     Error (Api.Bad_argument "the kernel's own space does not move")
-  | Some _ ->
-    let xfer = fresh_xfer t in
-    try_capture_space t ~dst ~xfer ~tag ~attempts:0;
-    Ok xfer
+  | Some _ -> move t ~dst quiesce
 
 (* -- receive side ------------------------------------------------------- *)
 
@@ -707,13 +670,13 @@ let assemble inc =
     inc.i_parts;
   image
 
-let recv_chunk t ~src ~xfer ~seq ~total ~buf ~off ~len =
+let land_chunk t ~src ~xfer ~seq ~total ~buf ~off ~len =
   let i = inst t in
   match Hashtbl.find_opt t.landings xfer with
   | Some _ ->
     (* a retransmission crossed our ack — possibly from a restarted source
        incarnation, whose image is byte-identical: the landing stands *)
-    t.transport.send_ack ~dst:src ~xfer ~ok:true
+    t.send ~dst:src ~xfer Applied
   | None ->
     let inc =
       match Hashtbl.find_opt t.incoming xfer with
@@ -742,65 +705,64 @@ let recv_chunk t ~src ~xfer ~seq ~total ~buf ~off ~len =
         | Error msg ->
           Logs.warn (fun m -> m "migrate: rejecting image for xfer %d: %s" xfer msg);
           Instance.count i "migrate.decode_errors";
-          t.transport.send_ack ~dst:src ~xfer ~ok:false
+          t.send ~dst:src ~xfer Refused
         | Ok img -> (
           match apply t ~xfer img with
           | Ok _landing ->
             step t "dst.applied";
-            if not (halted t) then t.transport.send_ack ~dst:src ~xfer ~ok:true
+            if not (halted t) then t.send ~dst:src ~xfer Applied
           | Error msg ->
             Logs.warn (fun m -> m "migrate: apply failed for xfer %d: %s" xfer msg);
             Instance.count i "migrate.apply_errors";
-            t.transport.send_ack ~dst:src ~xfer ~ok:false)
+            t.send ~dst:src ~xfer Refused)
       end
     | Some _ | None -> Instance.count i "migrate.chunks_rejected"
 
-let recv_ack t ~xfer ~ok =
+let recv t ~src ~xfer msg =
   let i = inst t in
-  match Hashtbl.find_opt t.sends xfer with
-  | Some ({ s_phase = Shipping; _ } as s) ->
-    Instance.trace i (Trace.Migrate_acked { xfer; ok });
-    if ok then begin
-      (* image applied and parked at the target: retain the image and
-         drive the commit handshake — only [op_commit_ack] frees it *)
-      s.s_phase <- Committing;
-      s.s_retries <- 0;
-      step t "src.acked";
-      if not (halted t) then begin
-        t.transport.send_ctl ~dst:s.s_dst ~xfer ~op:op_commit;
-        arm_watchdog t ~xfer
+  match msg with
+  | Chunk { seq; total; buf; off; len } -> land_chunk t ~src ~xfer ~seq ~total ~buf ~off ~len
+  | Applied | Refused -> (
+    let ok = msg = Applied in
+    match Hashtbl.find_opt t.sends xfer with
+    | Some ({ s_phase = Shipping; _ } as s) ->
+      Instance.trace i (Trace.Migrate_acked { xfer; ok });
+      if ok then begin
+        (* image applied and parked at the target: retain the image and
+           drive the commit handshake — only [Commit_ack] frees it *)
+        s.s_phase <- Committing;
+        s.s_retries <- 0;
+        step t "src.acked";
+        if not (halted t) then begin
+          t.send ~dst:s.s_dst ~xfer Commit;
+          arm_watchdog t ~xfer
+        end
       end
-    end
-    else begin
-      (* the target could not apply: the copy here is authoritative *)
-      Hashtbl.remove t.sends xfer;
-      Instance.count i "migrate.failed";
-      readopt t ~xfer ~tags:s.s_tags s.s_image
-    end
-  | Some { s_phase = Committing; _ } | None -> (
-    (* duplicate ack — or a late landing of a transfer already re-adopted
-       here: remind the target it owes us a purge *)
-    match Hashtbl.find_opt t.aborts xfer with
-    | Some dst -> t.transport.send_ctl ~dst ~xfer ~op:op_abort
-    | None -> ())
-
-(* Commit-protocol control frames. *)
-let recv_ctl t ~src ~xfer ~op =
-  let i = inst t in
-  if op = op_commit then begin
+      else begin
+        (* the target could not apply: the copy here is authoritative *)
+        Instance.count i "migrate.failed";
+        give_back t ~xfer ~owe_abort:false s
+      end
+    | Some { s_phase = Committing; _ } | None -> (
+      (* duplicate ack — or a late landing of a transfer already re-adopted
+         here: remind the target it owes us a purge *)
+      match Hashtbl.find_opt t.aborts xfer with
+      | Some dst -> t.send ~dst ~xfer Abort
+      | None -> ()))
+  | Signal { tag; va } -> land_signal t ~xfer ~tag ~va
+  | Commit -> (
     match Hashtbl.find_opt t.landings xfer with
     | Some l when not l.l_committed ->
       schedule_landing t ~xfer l ~counter:"migrate.adopted";
       Instance.count i "migrate.committed";
       step t "dst.committed";
-      if not (halted t) then t.transport.send_ctl ~dst:src ~xfer ~op:op_commit_ack
-    | Some _ -> t.transport.send_ctl ~dst:src ~xfer ~op:op_commit_ack
+      if not (halted t) then t.send ~dst:src ~xfer Commit_ack
+    | Some _ -> t.send ~dst:src ~xfer Commit_ack
     | None ->
       (* we crashed after acking and the restart purged the parked copy:
          tell the source its retained image is authoritative *)
-      t.transport.send_ctl ~dst:src ~xfer ~op:op_abort_ack
-  end
-  else if op = op_commit_ack then begin
+      t.send ~dst:src ~xfer Abort_ack)
+  | Commit_ack -> (
     match Hashtbl.find_opt t.sends xfer with
     | Some ({ s_phase = Committing; _ } as s) ->
       Hashtbl.remove t.sends xfer;
@@ -808,50 +770,62 @@ let recv_ctl t ~src ~xfer ~op =
       Instance.observe i "migrate.pause_us" (now_us t -. s.s_started);
       Instance.count i "migrate.completed";
       step t "src.done"
-    | Some { s_phase = Shipping; _ } | None -> ()
-  end
-  else if op = op_abort then begin
+    | Some { s_phase = Shipping; _ } | None -> ())
+  | Abort ->
     (match Hashtbl.find_opt t.landings xfer with
     | Some l -> purge_landing t ~xfer l
     | None ->
       Hashtbl.remove t.incoming xfer;
       Hashtbl.remove t.pending xfer);
     Instance.count i "migrate.aborts_in";
-    t.transport.send_ctl ~dst:src ~xfer ~op:op_abort_ack
-  end
-  else if op = op_abort_ack then begin
+    t.send ~dst:src ~xfer Abort_ack
+  | Abort_ack -> (
     Hashtbl.remove t.aborts xfer;
     match Hashtbl.find_opt t.sends xfer with
     | Some ({ s_phase = Committing; _ } as s) ->
       (* the target lost the parked copy before commit: the retained
          image is authoritative again *)
-      Hashtbl.remove t.sends xfer;
-      readopt t ~xfer ~tags:s.s_tags s.s_image
-    | Some { s_phase = Shipping; _ } | None -> ()
-  end
+      give_back t ~xfer ~owe_abort:false s
+    | Some { s_phase = Shipping; _ } | None -> ())
 
-(* A signal forwarded by the source's stub.  Until the landing is
-   committed its threads are parked, so the signal waits in [pending]:
-   [schedule_landing] delivers it at the commit, [purge_landing] drops it
-   with the landing. *)
-let recv_signal t ~xfer ~tag ~va =
-  let committed =
-    match Hashtbl.find_opt t.landings xfer with
-    | Some l when l.l_committed -> List.assoc_opt tag l.l_threads
-    | Some _ | None -> None
+(* -- forwarding stub (source side) -------------------------------------- *)
+
+(* A signal raised against the old residence of a migrated thread: forward
+   it to the destination plane, which posts it against the thread's new
+   identifier — or, once the transfer was given back, deliver it through
+   the re-adoption's landing here.  Returns false if [id] never migrated
+   from here. *)
+let forward_signal t id ~va =
+  match Hashtbl.find_opt t.forwards id with
+  | None -> false
+  | Some (xfer, dst) ->
+    let i = inst t in
+    Instance.count i "migrate.forwarded";
+    Instance.trace i (Trace.Migrate_forwarded { xfer; va });
+    if Hashtbl.mem t.landings xfer then land_signal t ~xfer ~tag:id ~va
+    else t.send ~dst ~xfer (Signal { tag = id; va });
+    true
+
+let create ~ak ~node_id ~send =
+  let t =
+    {
+      ak;
+      node_id;
+      send;
+      sends = Hashtbl.create 8;
+      incoming = Hashtbl.create 8;
+      landings = Hashtbl.create 8;
+      aborts = Hashtbl.create 8;
+      forwards = Hashtbl.create 8;
+      pending = Hashtbl.create 8;
+      on_step = None;
+      next_xfer = 0;
+    }
   in
-  match committed with
-  | Some local_id -> deliver_local t ~local_id ~va
-  | None ->
-    let l =
-      match Hashtbl.find_opt t.pending xfer with
-      | Some l -> l
-      | None ->
-        let l = ref [] in
-        Hashtbl.replace t.pending xfer l;
-        l
-    in
-    l := (tag, va) :: !l
+  (* signals raised here against threads that migrated away re-target
+     through the plane *)
+  Thread_lib.set_forwarder ak.App_kernel.threads (fun id ~va -> forward_signal t id ~va);
+  t
 
 (* -- failure-detector notifications ------------------------------------- *)
 
@@ -876,10 +850,8 @@ let peer_dead t ~node =
      cannot duplicate the threads *)
   List.iter
     (fun (xfer, s) ->
-      Hashtbl.remove t.sends xfer;
-      Hashtbl.replace t.aborts xfer node;
       Instance.count i "migrate.peer_dead_recovered";
-      readopt t ~xfer ~tags:s.s_tags s.s_image)
+      give_back t ~xfer ~owe_abort:true s)
     (sends_to t ~phase:Shipping ~node);
   (* committing transfers sit in the commit-uncertainty window: the
      destination may have committed (the copy survives its restart via the
@@ -897,10 +869,10 @@ let peer_dead t ~node =
    re-deliver every protocol duty owed to the new incarnation. *)
 let peer_rejoined t ~node =
   List.iter
-    (fun (xfer, dst) -> t.transport.send_ctl ~dst ~xfer ~op:op_abort)
+    (fun (xfer, dst) -> t.send ~dst ~xfer Abort)
     (sorted_bindings t.aborts (fun dst -> dst = node));
   List.iter
-    (fun (xfer, _) -> t.transport.send_ctl ~dst:node ~xfer ~op:op_commit)
+    (fun (xfer, _) -> t.send ~dst:node ~xfer Commit)
     (sends_to t ~phase:Committing ~node);
   List.iter (fun (xfer, s) -> send_chunks t ~xfer s) (sends_to t ~phase:Shipping ~node)
 
@@ -910,7 +882,7 @@ let peer_rejoined t ~node =
    (parked) landings must not be resurrected by the reboot's
    resume-threads pass — the source still holds the authoritative image
    and will either re-commit (our purge makes the commit answer
-   [op_abort_ack], pushing re-adoption to the source) or has already
+   [Abort_ack], pushing re-adoption to the source) or has already
    re-adopted.  Partial reassemblies died with the NIC buffers. *)
 let purge_uncommitted t =
   List.iter
@@ -932,11 +904,11 @@ let resume_transfers t =
     (in_phase Shipping);
   List.iter
     (fun (xfer, s) ->
-      t.transport.send_ctl ~dst:s.s_dst ~xfer ~op:op_commit;
+      t.send ~dst:s.s_dst ~xfer Commit;
       arm_watchdog t ~xfer)
     (in_phase Committing);
   List.iter
-    (fun (xfer, dst) -> t.transport.send_ctl ~dst ~xfer ~op:op_abort)
+    (fun (xfer, dst) -> t.send ~dst ~xfer Abort)
     (sorted_bindings t.aborts (fun _ -> true))
 
 (* -- balancing helper --------------------------------------------------- *)

@@ -1,11 +1,22 @@
 (** The live-migration plane: capture → ship → apply → forward.
 
     The paper's writeback images are location-independent, so a migration
-    is an unload at the source, a chunked transfer of the {!Codec} image
-    over the transport the SRM provides, and a reload at the destination
-    through the normal [Api.load_*] path (stale-id retry included).  Chunk loss/duplication is recovered by a retransmit
-    watchdog plus idempotent reassembly and re-acks; a forwarding stub at
-    the source re-targets signals raised against the old residence.
+    is an unload at the source, a chunked transfer of the {!Codec} image,
+    and a reload at the destination through the normal [Api.load_*] path
+    (stale-id retry included).  Everything the plane puts on the wire is
+    one {!msg}, handed to the [send] function its owner (the SRM's
+    distributed layer) provides, and everything it receives comes back
+    through {!recv}; the plane never touches the wire format itself.
+    Chunk loss/duplication is recovered by a retransmit watchdog plus
+    idempotent reassembly and re-acks; a forwarding stub at the source
+    re-targets signals raised against the old residence.
+
+    Commit protocol: an applied image is *parked* at the destination
+    (adopted, not scheduled) until the source's [Commit] arrives; the
+    source retains the encoded image until [Commit_ack].  A crash of
+    either side at any protocol step therefore leaves exactly one side
+    holding an authoritative, runnable copy: the source until commit, the
+    destination after.
 
     Suspended continuations travel through an in-process registry keyed by
     (transfer id, source thread tag) — the codec carries only structural
@@ -14,33 +25,24 @@
 open Cachekernel
 open Aklib
 
-(** Send closures the owner (the SRM's distributed layer) provides; the
-    plane never touches the wire format itself. *)
-type transport = {
-  send_chunk : dst:int -> xfer:int -> seq:int -> total:int -> buf:Bytes.t -> off:int -> len:int -> unit;
-      (** chunk [seq] of [total] is the [len] bytes of [buf] at [off]; the
-          transport frames it and must not keep [buf] *)
-  send_ack : dst:int -> xfer:int -> ok:bool -> unit;
-  send_signal : dst:int -> xfer:int -> tag:int -> va:int -> unit;
-  send_ctl : dst:int -> xfer:int -> op:int -> unit;
-}
-
-(** {2 Commit-protocol control ops} ([send_ctl] / {!recv_ctl} payloads).
-
-    An acked image is *parked* at the destination (adopted, not scheduled)
-    until the source's [op_commit] arrives; the source retains the encoded
-    image until [op_commit_ack].  A crash of either side at any protocol
-    step therefore leaves exactly one side holding an authoritative,
-    runnable copy: the source until commit, the destination after. *)
-
-val op_commit : int
-val op_commit_ack : int
-val op_abort : int
-val op_abort_ack : int
+(** One message of a transfer; every one travels with its transfer id. *)
+type msg =
+  | Chunk of { seq : int; total : int; buf : Bytes.t; off : int; len : int }
+      (** src → dst: part [seq] of [total] is the [len] bytes of [buf] at
+          [off]; [send] copies them into its frame and keeps no reference
+          to [buf] *)
+  | Applied  (** dst → src: the image is applied and parked *)
+  | Refused  (** dst → src: the image could not be decoded or applied *)
+  | Signal of { tag : int; va : int }
+      (** src stub → dst: a signal for the thread the source knew as [tag] *)
+  | Commit  (** src → dst: schedule the parked threads *)
+  | Commit_ack  (** dst → src: scheduled; the source frees the image *)
+  | Abort  (** src → dst: the source re-adopted; purge the landing *)
+  | Abort_ack  (** dst → src: purged (or never landed) *)
 
 type t
 
-val create : ak:App_kernel.t -> node_id:int -> transport:transport -> t
+val create : ak:App_kernel.t -> node_id:int -> send:(dst:int -> xfer:int -> msg -> unit) -> t
 
 val move_thread : t -> dst:int -> int -> (int, Api.error) result
 (** Migrate the thread with the given local id (own-space threads only) to
@@ -54,40 +56,35 @@ val move_space : t -> dst:int -> int -> (int, Api.error) result
 
 val in_flight : t -> bool
 (** Any outgoing transfer not yet commit-acked (still shipping, or acked
-    and awaiting the destination's [op_commit_ack])? *)
+    and awaiting the destination's [Commit_ack])? *)
 
 val forward_signal : t -> int -> va:int -> bool
 (** Source-side stub: forward a signal aimed at a migrated-away thread
-    (by its old local id) to its new residence.  False if the id never
+    (by its old local id) to its new residence.  If the transfer was
+    given back and the thread re-adopted here under a fresh id, the stub
+    stays and delivers through the re-adoption.  False if the id never
     migrated from this node. *)
 
-(** {1 Receive side — called by the transport owner} *)
+val recv : t -> src:int -> xfer:int -> msg -> unit
+(** A message of transfer [xfer] from node [src] (epoch fencing happens
+    before the plane, in the SRM's wire layer).
 
-val recv_chunk :
-  t -> src:int -> xfer:int -> seq:int -> total:int -> buf:Bytes.t -> off:int -> len:int -> unit
-(** The part is the [len] bytes of [buf] at [off] (typically a view into
-    the received frame, kept uncopied until the image is complete; [buf]
-    must not change afterwards).  A part of a transfer that has already
-    landed is answered with a fresh ack and otherwise ignored: a
-    retransmission, possibly from a restarted source incarnation, carries
-    a byte-identical image, so the landing stands.  Epoch fencing happens
-    before the plane, in the SRM's wire layer.
+    A [Chunk]'s bytes may be a view into the received frame: they are
+    kept uncopied until the image is complete, so [buf] must not change
+    afterwards.  A part of a transfer that has already landed is answered
+    with a fresh [Applied] and otherwise ignored: a retransmission,
+    possibly from a restarted source incarnation, carries a byte-identical
+    image, so the landing stands.  The chunk size is learned from the
+    parts themselves.  A part that cannot belong to a well-formed
+    transfer is dropped and counted in [migrate.chunks_rejected]: [total]
+    below 1, or implying an image over {!Codec.max_image_bytes}, or
+    differing from the transfer's first part; [seq] out of range; a
+    non-last part empty or of a different length from the others; a last
+    part longer than the others.
 
-    The chunk size is learned from the parts themselves.  A part that
-    cannot belong to a well-formed transfer is dropped and counted in
-    [migrate.chunks_rejected]: [total] below 1, or implying an image over
-    {!Codec.max_image_bytes}, or differing from the transfer's first part;
-    [seq] out of range; a non-last part empty or of a different length
-    from the others; a last part longer than the others. *)
-
-val recv_ack : t -> xfer:int -> ok:bool -> unit
-
-val recv_signal : t -> xfer:int -> tag:int -> va:int -> unit
-(** A signal forwarded by the source's stub.  It is delivered at once if
-    the transfer's landing is committed, and otherwise waits until the
-    commit schedules the thread (or the landing is purged). *)
-
-val recv_ctl : t -> src:int -> xfer:int -> op:int -> unit
+    A [Signal] is delivered at once if the transfer's landing is
+    committed, and otherwise waits until the commit schedules the thread
+    (or the landing is purged). *)
 
 (** {1 Failure-detector integration} *)
 

@@ -42,22 +42,27 @@ open Cachekernel
 type message =
   | Load_report of { node : int; runnable : int }
   | Coschedule of { gang : int; priority : int }
-  | Migrate_chunk of { xfer : int; seq : int; total : int; buf : Bytes.t; off : int; len : int }
-      (* the [len] bytes of [buf] at [off]: a slice of the sender's image,
-         or a view into the received frame *)
-  | Migrate_ack of { xfer : int; ok : bool }
-  | Migrate_signal of { xfer : int; tag : int; va : int }
   | Heartbeat of { node : int; runnable : int; your_epoch : int }
       (* [your_epoch] is the sender's fence for the *destination*: a
          receiver whose own epoch is below it has been declared dead and
          must self-fence *)
-  | Migrate_ctl of { xfer : int; op : int }
-      (* commit-protocol control frame; [op] is a {!Migrate.Plane} op_* *)
+  | Migrate of { xfer : int; msg : Migrate.Plane.msg }
+      (* a migration-plane message; a chunk's bytes are a slice of the
+         sender's image, or a view into the received frame *)
 
 (* Wire encoding: little-endian int32 words; word 0 the tag, word 1 the
-   sender's epoch.  Fixed-size messages are 2–3 payload words;
-   Migrate_chunk carries a length-prefixed byte payload after a 6-word
-   header. *)
+   sender's epoch.  Fixed-size messages are 2–3 payload words; a chunk
+   carries a length-prefixed byte payload after a 6-word header.  The two
+   migration acks share tag 3 and the four commit-protocol controls tag
+   6, told apart by the code word after the transfer id. *)
+
+(* The payload-free migration messages: (message, tag, code word). *)
+let migrate_codes =
+  Migrate.Plane.
+    [
+      (Refused, 3, 0); (Applied, 3, 1);
+      (Commit, 6, 0); (Commit_ack, 6, 1); (Abort, 6, 2); (Abort_ack, 6, 3);
+    ]
 
 (* A frame of header words followed by [extra] bytes for the caller. *)
 let words ~epoch ?(extra = 0) tag ws =
@@ -67,17 +72,24 @@ let words ~epoch ?(extra = 0) tag ws =
   List.iteri (fun i w -> Bytes.set_int32_le b (4 * (i + 2)) (Int32.of_int w)) ws;
   b
 
-let encode ?(epoch = 1) = function
-  | Load_report { node; runnable } -> words ~epoch 0 [ node; runnable ]
-  | Coschedule { gang; priority } -> words ~epoch 1 [ gang; priority ]
-  | Migrate_chunk { xfer; seq; total; buf; off; len } ->
+(* The frame of [Migrate { xfer; msg }], built without the wrapper: the
+   plane's [send] frames every chunk through here. *)
+let encode_migrate ~epoch xfer (msg : Migrate.Plane.msg) =
+  match msg with
+  | Chunk { seq; total; buf; off; len } ->
     let b = words ~epoch ~extra:len 2 [ xfer; seq; total; len ] in
     Bytes.blit buf off b 24 len;
     b
-  | Migrate_ack { xfer; ok } -> words ~epoch 3 [ xfer; (if ok then 1 else 0) ]
-  | Migrate_signal { xfer; tag; va } -> words ~epoch 4 [ xfer; tag; va ]
+  | Signal { tag; va } -> words ~epoch 4 [ xfer; tag; va ]
+  | _ ->
+    let _, tag, code = List.find (fun (m, _, _) -> m = msg) migrate_codes in
+    words ~epoch tag [ xfer; code ]
+
+let encode ?(epoch = 1) = function
+  | Load_report { node; runnable } -> words ~epoch 0 [ node; runnable ]
+  | Coschedule { gang; priority } -> words ~epoch 1 [ gang; priority ]
   | Heartbeat { node; runnable; your_epoch } -> words ~epoch 5 [ node; runnable; your_epoch ]
-  | Migrate_ctl { xfer; op } -> words ~epoch 6 [ xfer; op ]
+  | Migrate { xfer; msg } -> encode_migrate ~epoch xfer msg
 
 let decode b =
   let len = Bytes.length b in
@@ -97,24 +109,19 @@ let decode b =
             let plen = w 5 in
             if plen < 0 || len < 24 + plen then None
             else
-              Some (Migrate_chunk { xfer = w 2; seq = w 3; total = w 4; buf = b; off = 24; len = plen })
-        | 3 ->
-          if len < 16 then None
-          else (
-            match w 3 with
-            | 0 -> Some (Migrate_ack { xfer = w 2; ok = false })
-            | 1 -> Some (Migrate_ack { xfer = w 2; ok = true })
-            | _ -> None)
+              Some
+                (Migrate
+                   { xfer = w 2; msg = Chunk { seq = w 3; total = w 4; buf = b; off = 24; len = plen } })
         | 4 ->
-          if len < 20 then None else Some (Migrate_signal { xfer = w 2; tag = w 3; va = w 4 })
+          if len < 20 then None
+          else Some (Migrate { xfer = w 2; msg = Signal { tag = w 3; va = w 4 } })
         | 5 ->
           if len < 20 then None
           else Some (Heartbeat { node = w 2; runnable = w 3; your_epoch = w 4 })
-        | 6 ->
-          if len < 16 then None
-          else
-            let op = w 3 in
-            if op < 0 || op > 3 then None else Some (Migrate_ctl { xfer = w 2; op })
+        | (3 | 6) as tag when len >= 16 ->
+          List.find_map
+            (fun (msg, t, c) -> if t = tag && c = w 3 then Some (Migrate { xfer = w 2; msg }) else None)
+            migrate_codes
         | _ -> None
       in
       Option.map (fun m -> (epoch, m)) msg
@@ -425,11 +432,7 @@ let handle t (pkt : Hw.Interconnect.packet) =
       | Load_report { node; runnable } -> record_report t ~node ~runnable
       | Heartbeat { node; runnable; _ } -> record_report t ~node ~runnable
       | Coschedule { gang; priority } -> apply_cosched t ~gang ~priority
-      | Migrate_chunk { xfer; seq; total; buf; off; len } ->
-        Migrate.Plane.recv_chunk t.plane ~src ~xfer ~seq ~total ~buf ~off ~len
-      | Migrate_ack { xfer; ok } -> Migrate.Plane.recv_ack t.plane ~xfer ~ok
-      | Migrate_signal { xfer; tag; va } -> Migrate.Plane.recv_signal t.plane ~xfer ~tag ~va
-      | Migrate_ctl { xfer; op } -> Migrate.Plane.recv_ctl t.plane ~src ~xfer ~op
+      | Migrate { xfer; msg } -> Migrate.Plane.recv t.plane ~src ~xfer msg
     end
 
 (* Reports merged with the live local count, in ascending node order —
@@ -513,20 +516,8 @@ let start srm ~net =
       ~now:(fun () -> Hw.Mpm.now node)
   in
   let epoch = ref 1 in
-  let transmit msg ~dst = Hw.Nic.Fiber.transmit nic ~dst (encode ~epoch:!epoch msg) in
-  let transport =
-    {
-      Migrate.Plane.send_chunk =
-        (fun ~dst ~xfer ~seq ~total ~buf ~off ~len ->
-          transmit (Migrate_chunk { xfer; seq; total; buf; off; len }) ~dst);
-      send_ack = (fun ~dst ~xfer ~ok -> transmit (Migrate_ack { xfer; ok }) ~dst);
-      send_signal = (fun ~dst ~xfer ~tag ~va -> transmit (Migrate_signal { xfer; tag; va }) ~dst);
-      send_ctl = (fun ~dst ~xfer ~op -> transmit (Migrate_ctl { xfer; op }) ~dst);
-    }
-  in
-  let plane =
-    Migrate.Plane.create ~ak:srm.Manager.ak ~node_id:node.Hw.Mpm.node_id ~transport
-  in
+  let send ~dst ~xfer msg = Hw.Nic.Fiber.transmit nic ~dst (encode_migrate ~epoch:!epoch xfer msg) in
+  let plane = Migrate.Plane.create ~ak:srm.Manager.ak ~node_id:node.Hw.Mpm.node_id ~send in
   let t =
     {
       srm;

@@ -29,17 +29,12 @@ open Cachekernel
 type message =
   | Load_report of { node : int; runnable : int }
   | Coschedule of { gang : int; priority : int }
-  | Migrate_chunk of { xfer : int; seq : int; total : int; buf : Bytes.t; off : int; len : int }
-      (** one chunk of a {!Migrate.Codec} image: the [len] bytes of [buf]
-          at [off].  {!decode} returns a view into the frame, not a copy. *)
-  | Migrate_ack of { xfer : int; ok : bool }
-  | Migrate_signal of { xfer : int; tag : int; va : int }
-      (** a signal forwarded from a migrated thread's old residence *)
   | Heartbeat of { node : int; runnable : int; your_epoch : int }
       (** failure-detector beacon; [your_epoch] is the sender's fence for
           the destination — a receiver below it must self-fence *)
-  | Migrate_ctl of { xfer : int; op : int }
-      (** migration commit-protocol frame; [op] is a [Migrate.Plane.op_*] *)
+  | Migrate of { xfer : int; msg : Migrate.Plane.msg }
+      (** one message of migration transfer [xfer]; {!decode} returns a
+          [Chunk]'s bytes as a view into the frame, not a copy *)
 
 val encode : ?epoch:int -> message -> Bytes.t
 (** Frame the message with the sender's incarnation [epoch] (word 1 of the
@@ -47,7 +42,8 @@ val encode : ?epoch:int -> message -> Bytes.t
 
 val decode : Bytes.t -> (int * message) option
 (** [(epoch, message)].  Truncated or malformed frames decode to [None],
-    never an exception.  A [Migrate_chunk]'s bytes stay in the frame. *)
+    never an exception.  A chunk's bytes stay in the frame; an ack word
+    other than 0/1 or a control code outside 0–3 is malformed. *)
 
 type peer_state = Alive | Suspect | Dead
 

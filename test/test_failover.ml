@@ -299,26 +299,39 @@ let test_loaded_cluster_replay () =
 
 let ws_name = "fows"
 
-(* A 3-node cluster (0 witness/leader, 1 source, 2 destination) with a
-   4-page space and one spinning thread on the source, ready to migrate.
-   Returns the thread's progress counter too. *)
-let migration_setup ?(config = fo_config ()) () =
+(* What moves from node 1 to node 2: the workspace (a 4-page space with
+   one spinning thread) through [move_space], or one spinning thread of
+   the kernel's own space through [move_thread], the balancer's path. *)
+type target = Space | Thread
+
+(* A 3-node cluster (0 witness/leader, 1 source, 2 destination) holding
+   the [target] on the source.  Returns the cluster, a function that
+   starts the move, and the thread's progress counter. *)
+let migration_setup ?(config = fo_config ()) ?(target = Space) () =
   let c = C.create ~config ~n:3 () in
   let ak1 = (C.srm c 1).Srm.Manager.ak in
-  let mgr = ak1.App_kernel.mgr in
-  let ws = 4 in
-  let vsp = ok (Segment_mgr.create_space mgr) in
-  let seg = Segment_mgr.create_segment mgr ~name:ws_name ~pages:ws in
-  Segment_mgr.write_segment_now mgr seg ~offset:0
-    (Bytes.init (ws * Hw.Addr.page_size) (fun i -> Char.chr (1 + (i mod 251))));
-  Segment_mgr.attach_region mgr vsp
-    (Region.v ~va_start:0x40000000 ~pages:ws ~segment:seg ~seg_offset:0 ());
+  let plane = Srm.Distrib.plane (C.dist c 1) in
   let progress = ref 0 in
-  ignore
-    (ok
-       (Thread_lib.spawn ak1.App_kernel.threads ~space_tag:vsp.Segment_mgr.tag ~priority:8
-          (Hw.Exec.unit_body (spin_body progress))));
-  (c, vsp.Segment_mgr.tag, progress)
+  let body = Hw.Exec.unit_body (spin_body progress) in
+  let move =
+    match target with
+    | Thread ->
+      let id = ok (App_kernel.spawn_internal ak1 ~priority:8 body) in
+      fun () -> ignore (ok (Migrate.Plane.move_thread plane ~dst:2 id))
+    | Space ->
+      let mgr = ak1.App_kernel.mgr in
+      let ws = 4 in
+      let vsp = ok (Segment_mgr.create_space mgr) in
+      let seg = Segment_mgr.create_segment mgr ~name:ws_name ~pages:ws in
+      Segment_mgr.write_segment_now mgr seg ~offset:0
+        (Bytes.init (ws * Hw.Addr.page_size) (fun i -> Char.chr (1 + (i mod 251))));
+      Segment_mgr.attach_region mgr vsp
+        (Region.v ~va_start:0x40000000 ~pages:ws ~segment:seg ~seg_offset:0 ());
+      ignore
+        (ok (Thread_lib.spawn ak1.App_kernel.threads ~space_tag:vsp.Segment_mgr.tag ~priority:8 body));
+      fun () -> ignore (ok (Migrate.Plane.move_space plane ~dst:2 vsp.Segment_mgr.tag))
+  in
+  (c, move, progress)
 
 (* The workspace travels under a fresh local space tag at each residence,
    so the authoritative copy is identified by its segment's name: a node
@@ -333,39 +346,55 @@ let ws_space (ak : App_kernel.t) =
         vsp.Segment_mgr.regions)
     (Segment_mgr.list_spaces ak.App_kernel.mgr)
 
-let live_copy_census c =
+(* (nodes holding the target, its live threads across the cluster).  A
+   moved own-space thread is the only thread any kernel's own space
+   holds, so a node holds it when its own space has a thread. *)
+let live_copy_census ?(target = Space) c =
   let holders = ref 0 and live_threads = ref 0 in
   Array.iter
     (fun i ->
       let ak = (C.srm c i).Srm.Manager.ak in
-      match ws_space ak with
+      let on vsp = Thread_lib.of_space ak.App_kernel.threads vsp.Segment_mgr.tag in
+      let held =
+        match target with
+        | Space -> ws_space ak
+        | Thread -> Option.bind ak.App_kernel.own_space (fun v -> if on v = [] then None else Some v)
+      in
+      match held with
       | None -> ()
       | Some vsp ->
         incr holders;
-        live_threads :=
-          !live_threads + List.length (Thread_lib.of_space ak.App_kernel.threads vsp.Segment_mgr.tag))
+        live_threads := !live_threads + List.length (on vsp))
     [| 0; 1; 2 |];
   (!holders, !live_threads)
 
-(* Run one clean migration and record the protocol steps actually hit, in
-   order — the sweep then crashes at each of them, so new steps are swept
-   automatically and a renamed step fails loudly. *)
-let discover_steps () =
-  let c, tag, _ = migration_setup () in
+(* Run one clean migration and record the protocol steps it hits: exactly
+   the sequence [set_step_hook] documents, every chunk sent before the
+   first one lands.  The failure detector is off, so nothing but the move
+   happens.  The sweep then crashes at each of these steps, so new steps
+   are swept automatically and a renamed step fails loudly. *)
+let discover_steps ?(target = Space) () =
+  let c, move, _ = migration_setup ~config:Config.default ~target () in
   let seen = ref [] in
-  let hook name = if not (List.mem name !seen) then seen := name :: !seen in
+  let hook name = seen := name :: !seen in
   Migrate.Plane.set_step_hook (Srm.Distrib.plane (C.dist c 1)) (Some hook);
   Migrate.Plane.set_step_hook (Srm.Distrib.plane (C.dist c 2)) (Some hook);
   C.run ~until_us:2_000.0 c;
-  ignore (ok (Migrate.Plane.move_space (Srm.Distrib.plane (C.dist c 1)) ~dst:2 tag));
+  move ();
   C.run ~until_us:40_000.0 c;
-  let holders, live = live_copy_census c in
   Alcotest.(check (pair int int)) "clean migration: one live copy at dst" (1, 1)
-    (holders, live);
+    (live_copy_census ~target c);
+  let chunks side =
+    List.init (counter (C.inst c 1) "migrate.chunks_out") (Printf.sprintf "%s.chunk.%d" side)
+  in
+  Alcotest.(check (list string)) "clean migration: the documented step order"
+    (("src.capture" :: chunks "src") @ chunks "dst"
+    @ [ "dst.applied"; "src.acked"; "dst.committed"; "src.done" ])
+    (List.rev !seen);
   List.rev !seen
 
-let sweep_one step =
-  let c, tag, _ = migration_setup () in
+let sweep_one ?(target = Space) step =
+  let c, move, _ = migration_setup ~target () in
   let victim = if String.length step >= 4 && String.sub step 0 4 = "src." then 1 else 2 in
   C.run ~until_us:2_000.0 c;
   let fired = ref false in
@@ -376,7 +405,7 @@ let sweep_one step =
     end
   in
   Migrate.Plane.set_step_hook (Srm.Distrib.plane (C.dist c victim)) (Some hook);
-  ignore (ok (Migrate.Plane.move_space (Srm.Distrib.plane (C.dist c 1)) ~dst:2 tag));
+  move ();
   C.run ~until_us:80_000.0 c;
   Alcotest.(check bool) (step ^ ": crash point exercised") true !fired;
   Alcotest.(check bool)
@@ -387,8 +416,8 @@ let sweep_one step =
     (step ^ ": victim rejoined under a bumped epoch")
     true
     (Srm.Distrib.epoch (C.dist c victim) >= 2);
-  let holders, live = live_copy_census c in
-  Alcotest.(check int) (step ^ ": exactly one node holds the workspace") 1 holders;
+  let holders, live = live_copy_census ~target c in
+  Alcotest.(check int) (step ^ ": exactly one node holds the target") 1 holders;
   Alcotest.(check int) (step ^ ": exactly one live thread") 1 live;
   Array.iter (audit_clean step) (C.insts c)
 
@@ -408,6 +437,11 @@ let test_crash_point_sweep_dst () =
     (List.mem "dst.chunk.0" dst_steps && List.mem "dst.chunk.1" dst_steps);
   List.iter sweep_one dst_steps
 
+(* The thread move shares the capture path and the protocol: crash the
+   source or the destination at each of its steps. *)
+let test_crash_point_sweep_thread () =
+  List.iter (sweep_one ~target:Thread) (discover_steps ~target:Thread ())
+
 (* -- recovery branches of the commit protocol ------------------------------
 
    The heartbeat detector is off (the default config), so no [peer_dead]
@@ -418,7 +452,7 @@ let test_crash_point_sweep_dst () =
    source's protocol step [step], and run until every resend schedule has
    run out (7 timers of 800 us doubling: ~102 ms). *)
 let recovery_run ~step action =
-  let c, tag, progress = migration_setup ~config:Config.default () in
+  let c, move, progress = migration_setup ~config:Config.default () in
   C.run ~until_us:2_000.0 c;
   let src = Srm.Distrib.plane (C.dist c 1) in
   let fired = ref false in
@@ -429,7 +463,7 @@ let recovery_run ~step action =
            fired := true;
            action c
          end));
-  ignore (ok (Migrate.Plane.move_space src ~dst:2 tag));
+  move ();
   C.run ~until_us:150_000.0 c;
   Alcotest.(check bool) (step ^ ": hook fired") true !fired;
   (c, progress)
@@ -551,6 +585,8 @@ let () =
             test_crash_point_sweep_src;
           Alcotest.test_case "crash-point sweep (destination side)" `Slow
             test_crash_point_sweep_dst;
+          Alcotest.test_case "crash-point sweep (thread move)" `Slow
+            test_crash_point_sweep_thread;
         ] );
       ( "migration recovery",
         [

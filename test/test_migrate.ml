@@ -19,16 +19,34 @@ let print_msg (epoch, m) =
       Printf.sprintf "Load_report(%d,%d)" node runnable
     | Srm.Distrib.Coschedule { gang; priority } ->
       Printf.sprintf "Coschedule(%d,%d)" gang priority
-    | Srm.Distrib.Migrate_chunk { xfer; seq; total; len; _ } ->
-      Printf.sprintf "Migrate_chunk(%d,%d/%d,%dB)" xfer seq total len
-    | Srm.Distrib.Migrate_ack { xfer; ok } -> Printf.sprintf "Migrate_ack(%d,%b)" xfer ok
-    | Srm.Distrib.Migrate_signal { xfer; tag; va } ->
-      Printf.sprintf "Migrate_signal(%d,%d,0x%x)" xfer tag va
     | Srm.Distrib.Heartbeat { node; runnable; your_epoch } ->
       Printf.sprintf "Heartbeat(%d,%d,e%d)" node runnable your_epoch
-    | Srm.Distrib.Migrate_ctl { xfer; op } -> Printf.sprintf "Migrate_ctl(%d,op%d)" xfer op
+    | Srm.Distrib.Migrate { xfer; msg } ->
+      Printf.sprintf "Migrate(%d,%s)" xfer
+        (match msg with
+        | Migrate.Plane.Chunk { seq; total; len; _ } -> Printf.sprintf "Chunk(%d/%d,%dB)" seq total len
+        | Applied -> "Applied"
+        | Refused -> "Refused"
+        | Signal { tag; va } -> Printf.sprintf "Signal(%d,0x%x)" tag va
+        | Commit -> "Commit"
+        | Commit_ack -> "Commit_ack"
+        | Abort -> "Abort"
+        | Abort_ack -> "Abort_ack")
   in
   Printf.sprintf "e%d:%s" epoch body
+
+let gen_plane_msg =
+  let open QCheck.Gen in
+  let w = int_bound 0xFFFFFF in
+  oneof
+    [
+      map
+        (fun (seq, total, s) ->
+          Migrate.Plane.Chunk { seq; total; buf = Bytes.of_string s; off = 0; len = String.length s })
+        (triple (int_bound 4096) (int_bound 4096) (string_size (int_bound 300)));
+      map2 (fun tag va -> Migrate.Plane.Signal { tag; va }) w w;
+      oneofl Migrate.Plane.[ Applied; Refused; Commit; Commit_ack; Abort; Abort_ack ];
+    ]
 
 let gen_msg =
   let open QCheck.Gen in
@@ -40,21 +58,12 @@ let gen_msg =
           (fun node runnable -> Srm.Distrib.Load_report { node; runnable })
           (int_bound 255) w;
         map2 (fun gang priority -> Srm.Distrib.Coschedule { gang; priority }) w (int_bound 31);
-        map
-          (fun (xfer, seq, total, s) ->
-            Srm.Distrib.Migrate_chunk
-              { xfer; seq; total; buf = Bytes.of_string s; off = 0; len = String.length s })
-          (quad w (int_bound 4096) (int_bound 4096) (string_size (int_bound 300)));
-        map2 (fun xfer okb -> Srm.Distrib.Migrate_ack { xfer; ok = okb }) w bool;
-        map
-          (fun (xfer, tag, va) -> Srm.Distrib.Migrate_signal { xfer; tag; va })
-          (triple w w w);
+        map2 (fun xfer msg -> Srm.Distrib.Migrate { xfer; msg }) w gen_plane_msg;
         map2
           (fun (node, runnable) your_epoch ->
             Srm.Distrib.Heartbeat { node; runnable; your_epoch })
           (pair (int_bound 255) w)
           (int_bound 0xFFFF);
-        map2 (fun xfer op -> Srm.Distrib.Migrate_ctl { xfer; op }) w (int_bound 3);
       ]
   in
   map2 (fun epoch m -> (1 + epoch, m)) (int_bound 0xFFFF) body
@@ -63,8 +72,9 @@ let gen_msg =
    they carry. *)
 let same_msg a b =
   match (a, b) with
-  | ( Srm.Distrib.Migrate_chunk { xfer; seq; total; buf; off; len },
-      Srm.Distrib.Migrate_chunk { xfer = x'; seq = s'; total = t'; buf = b'; off = o'; len = l' } ) ->
+  | ( Srm.Distrib.Migrate { xfer; msg = Migrate.Plane.Chunk { seq; total; buf; off; len } },
+      Srm.Distrib.Migrate
+        { xfer = x'; msg = Migrate.Plane.Chunk { seq = s'; total = t'; buf = b'; off = o'; len = l' } } ) ->
     xfer = x' && seq = s' && total = t' && Bytes.sub buf off len = Bytes.sub b' o' l'
   | _ -> a = b
 
@@ -96,19 +106,20 @@ let test_wire_garbage () =
   let bad_tag = Bytes.make 12 '\000' in
   Bytes.set_int32_le bad_tag 0 9l;
   none "unknown tag" bad_tag;
-  let ack = Srm.Distrib.encode (Srm.Distrib.Migrate_ack { xfer = 5; ok = true }) in
+  let migrate xfer msg = Srm.Distrib.encode (Srm.Distrib.Migrate { xfer; msg }) in
+  let ack = migrate 5 Migrate.Plane.Applied in
   Bytes.set_int32_le ack 12 7l;
   none "ack with non-boolean word" ack;
   let neg_epoch = Srm.Distrib.encode (Srm.Distrib.Load_report { node = 1; runnable = 2 }) in
   Bytes.set_int32_le neg_epoch 4 (-1l);
   none "negative epoch" neg_epoch;
-  let bad_op = Srm.Distrib.encode (Srm.Distrib.Migrate_ctl { xfer = 3; op = 0 }) in
+  let bad_op = migrate 3 Migrate.Plane.Commit in
   Bytes.set_int32_le bad_op 12 9l;
   none "ctl with out-of-range op" bad_op;
+  Bytes.set_int32_le bad_op 12 (-1l);
+  none "ctl with negative op" bad_op;
   let chunk =
-    Srm.Distrib.encode
-      (Srm.Distrib.Migrate_chunk
-         { xfer = 1; seq = 0; total = 1; buf = Bytes.make 8 'p'; off = 0; len = 8 })
+    migrate 1 (Migrate.Plane.Chunk { seq = 0; total = 1; buf = Bytes.make 8 'p'; off = 0; len = 8 })
   in
   let overlong = Bytes.copy chunk in
   Bytes.set_int32_le overlong 20 64l;
@@ -116,6 +127,38 @@ let test_wire_garbage () =
   let negative = Bytes.copy chunk in
   Bytes.set_int32_le negative 20 (-1l);
   none "chunk with negative payload length" negative
+
+(* Each migration message has a fixed tag word and frame size, which set
+   a transfer's wire time: chunk 24 + len bytes, acks 16, signal 20,
+   commit-protocol controls 16. *)
+let test_wire_sizes () =
+  let frame msg = Srm.Distrib.encode ~epoch:3 (Srm.Distrib.Migrate { xfer = 7; msg }) in
+  List.iter
+    (fun (what, msg, tag, size) ->
+      let b = frame msg in
+      Alcotest.(check (pair int int)) (what ^ ": tag word and size") (tag, size)
+        (Int32.to_int (Bytes.get_int32_le b 0), Bytes.length b))
+    Migrate.Plane.
+      [
+        ("chunk", Chunk { seq = 0; total = 1; buf = Bytes.make 100 'c'; off = 10; len = 37 }, 2, 24 + 37);
+        ("empty chunk", Chunk { seq = 0; total = 1; buf = Bytes.empty; off = 0; len = 0 }, 2, 24);
+        ("applied", Applied, 3, 16);
+        ("refused", Refused, 3, 16);
+        ("signal", Signal { tag = 4; va = 0x2000 }, 4, 20);
+        ("commit", Commit, 6, 16);
+        ("commit ack", Commit_ack, 6, 16);
+        ("abort", Abort, 6, 16);
+        ("abort ack", Abort_ack, 6, 16);
+      ];
+  (* the word after the transfer id: ack 0/1, control code 0-3 *)
+  List.iter
+    (fun (what, msg, code) ->
+      Alcotest.(check int) (what ^ ": code word") code (Int32.to_int (Bytes.get_int32_le (frame msg) 12)))
+    Migrate.Plane.
+      [
+        ("refused", Refused, 0); ("applied", Applied, 1); ("commit", Commit, 0);
+        ("commit ack", Commit_ack, 1); ("abort", Abort, 2); ("abort ack", Abort_ack, 3);
+      ]
 
 let test_codec_corruption () =
   let img =
@@ -547,7 +590,7 @@ let spaces_holding (ak : App_kernel.t) name =
    Exactly one copy of the workspace stays live, at the source, its thread
    keeps running, and node 1 gets back the frames the refused image had
    filled. *)
-let test_refused_landing () =
+let refused_landing body =
   let nodes = two_nodes ~dst_config:{ Config.default with Config.space_cache = 4 } () in
   let i0, srm0, d0 = List.nth nodes 0 in
   let i1, srm1, _ = List.nth nodes 1 in
@@ -565,11 +608,11 @@ let test_refused_landing () =
   Segment_mgr.write_segment_now mgr seg ~offset:0 (Bytes.make (2 * Hw.Addr.page_size) '\005');
   Segment_mgr.attach_region mgr vsp
     (Region.v ~va_start:0x40000000 ~pages:2 ~segment:seg ~seg_offset:0 ());
-  let progress = ref 0 in
-  ignore
-    (ok
-       (Thread_lib.spawn ak0.App_kernel.threads ~space_tag:vsp.Segment_mgr.tag ~priority:8
-          (Hw.Exec.unit_body (spin_body progress))));
+  let id =
+    ok
+      (Thread_lib.spawn ak0.App_kernel.threads ~space_tag:vsp.Segment_mgr.tag ~priority:8
+         (Hw.Exec.unit_body body))
+  in
   let insts = [| i0; i1 |] in
   ignore (Engine.run ~until_us:2_000.0 insts);
   ignore (ok (Migrate.Plane.move_space (Srm.Distrib.plane d0) ~dst:1 vsp.Segment_mgr.tag));
@@ -577,6 +620,14 @@ let test_refused_landing () =
   Alcotest.(check int) "destination could not apply" 1 (counter i1 "migrate.apply_errors");
   Alcotest.(check int) "negative ack counted" 1 (counter i0 "migrate.failed");
   Alcotest.(check int) "re-adopted at the source" 1 (counter i0 "migrate.readopted");
+  (nodes, id, frames1)
+
+let test_refused_landing () =
+  let progress = ref 0 in
+  let nodes, _, frames1 = refused_landing (spin_body progress) in
+  let i0, srm0, _ = List.nth nodes 0 in
+  let i1, srm1, _ = List.nth nodes 1 in
+  let ak0 = srm0.Srm.Manager.ak and ak1 = srm1.Srm.Manager.ak in
   Alcotest.(check int) "never completed" 0 (counter i0 "migrate.completed");
   Alcotest.(check int) "nothing adopted at node 1" 0 (counter i1 "migrate.adopted");
   Alcotest.(check (pair int int)) "one live copy, at the source" (1, 0)
@@ -584,8 +635,32 @@ let test_refused_landing () =
   Alcotest.(check int) "node 1 frames returned" frames1
     (Frame_alloc.available ak1.App_kernel.frames);
   let before = !progress in
-  ignore (Engine.run ~until_us:60_000.0 insts);
+  ignore (Engine.run ~until_us:60_000.0 [| i0; i1 |]);
   Alcotest.(check bool) "the re-adopted thread runs" true (!progress > before);
+  List.iter (fun (i, _, _) -> audit_clean i) nodes
+
+(* The re-adopted thread has a fresh local id, but the stub keeps its old
+   one valid: a signal against the old id reaches it through the
+   re-adoption, not the wire. *)
+let test_old_id_after_readopt () =
+  let seen = ref [] in
+  let rec body () =
+    (match Hw.Exec.trap Api.Ck_wait_signal with
+    | Api.Ck_signal va -> seen := va :: !seen
+    | _ -> ());
+    body ()
+  in
+  let nodes, id, _ = refused_landing body in
+  let i0, srm0, _ = List.nth nodes 0 in
+  let i1, _, _ = List.nth nodes 1 in
+  let threads0 = srm0.Srm.Manager.ak.App_kernel.threads in
+  Alcotest.(check bool) "the old id has no entry" true (Option.is_none (Thread_lib.entry threads0 id));
+  Alcotest.(check bool) "a signal on the old id is accepted" true
+    (Thread_lib.signal threads0 id ~va:0x3000);
+  ignore (Engine.run ~until_us:60_000.0 [| i0; i1 |]);
+  Alcotest.(check int) "delivered at the source" 1 (counter i0 "migrate.signals_delivered");
+  Alcotest.(check int) "nothing sent to node 1" 0 (counter i1 "migrate.signals_delivered");
+  Alcotest.(check (list int)) "the re-adopted thread saw it" [ 0x3000 ] !seen;
   List.iter (fun (i, _, _) -> audit_clean i) nodes
 
 (* -- forwarding stub -- *)
@@ -661,7 +736,7 @@ let receiver () =
 
 let feed plane ~xfer ~seq ~total ?(off = 0) ?len part =
   let len = Option.value len ~default:(Bytes.length part - off) in
-  Migrate.Plane.recv_chunk plane ~src:0 ~xfer ~seq ~total ~buf:part ~off ~len
+  Migrate.Plane.recv plane ~src:0 ~xfer (Migrate.Plane.Chunk { seq; total; buf = part; off; len })
 
 let test_forged_chunks () =
   let i1, plane = receiver () in
@@ -784,17 +859,16 @@ let reassembly_fuzz =
       let frames =
         Array.init total (fun seq ->
             let off = seq * chunk in
-            Srm.Distrib.encode
-              (Srm.Distrib.Migrate_chunk
-                 { xfer = 9; seq; total; buf = image; off; len = min chunk (size - off) }))
+            let msg = Migrate.Plane.Chunk { seq; total; buf = image; off; len = min chunk (size - off) } in
+            Srm.Distrib.encode (Srm.Distrib.Migrate { xfer = 9; msg }))
       in
       List.iter (fun (seq, muts) -> frames.(seq mod total) <- Mutation.apply frames.(seq mod total) muts) hits;
       let frames = if reverse then Array.of_list (List.rev (Array.to_list frames)) else frames in
       Array.iter
         (fun frame ->
           match Srm.Distrib.decode frame with
-          | Some (_, Srm.Distrib.Migrate_chunk { xfer; seq; total; buf; off; len }) ->
-            Migrate.Plane.recv_chunk plane ~src:0 ~xfer ~seq ~total ~buf ~off ~len
+          | Some (_, Srm.Distrib.Migrate { xfer; msg = Migrate.Plane.Chunk _ as msg }) ->
+            Migrate.Plane.recv plane ~src:0 ~xfer msg
           | Some _ | None -> ())
         frames;
       hits <> [] || counter i1 "migrate.bytes_in" = size)
@@ -895,6 +969,7 @@ let () =
           QCheck_alcotest.to_alcotest wire_roundtrip;
           QCheck_alcotest.to_alcotest wire_truncation;
           Alcotest.test_case "malformed frames rejected" `Quick test_wire_garbage;
+          Alcotest.test_case "migration frames keep their sizes" `Quick test_wire_sizes;
           Alcotest.test_case "corrupt image rejected" `Quick test_codec_corruption;
           Alcotest.test_case "negative thread space index rejected" `Quick
             (forged_image_rejected forged_negative_space);
@@ -919,6 +994,8 @@ let () =
           Alcotest.test_case "forwarding stub" `Quick test_forwarding;
           Alcotest.test_case "refused landing re-adopts at the source" `Quick
             test_refused_landing;
+          Alcotest.test_case "old id reaches the re-adopted thread" `Quick
+            test_old_id_after_readopt;
           Alcotest.test_case "signal forwarded during the commit window" `Quick
             test_signal_in_commit_window;
         ] );
