@@ -81,16 +81,12 @@ let prepare inst ~name ?(cpu_percent = 100) ?(max_priority = 24) ?(max_locked = 
   if cfg.Config.fast_tier_slots > 0 then begin
     Backing_store.configure_tiers store ~slots:cfg.Config.fast_tier_slots;
     Backing_store.set_observer store
-      ~count:(fun name -> Instance.count inst name)
       ~service:(fun ~fast cycles ->
         Instance.observe_cycles inst
           (if fast then "tier.service_fast_us" else "tier.service_slow_us")
           cycles)
       ~move:(fun ~block ~to_fast ~batch ->
-        Instance.trace inst (Trace.Tier_move { block; to_fast; batch }));
-    (* the auditor's per-tier conservation check reaches the store through
-       the same hook the SRM ledger uses *)
-    Instance.add_audit_hook inst (fun ~repair -> Backing_store.audit_tiers store ~repair)
+        Instance.trace inst (Trace.Tier_move { block; to_fast; batch }))
   end;
   let oid_ref = ref Oid.none in
   let kernel () = !oid_ref in

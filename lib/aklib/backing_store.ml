@@ -16,16 +16,14 @@
    Fast-tier images are trimmed page images ([Hw.Phys_mem.image]), the
    zero-tail form the disk stores; whole-page reads pad them back out.
    Blocks keep their disk-allocated numbers in either tier, so callers
-   ([Segment_mgr], migration, checkpoint) never see the split; per-block
-   metadata designates which tier holds the one authoritative copy.  With
+   ([Segment_mgr], migration, checkpoint) never see the split; a block is
+   fast exactly when the [fast] table holds its image, and that image is
+   then the one authoritative copy.  With
    [fast_tier_slots = 0] (the default) none of this exists and every path
    below reduces to the seed's flat store, bit for bit — the equivalence
    suite in test_tiers pins that. *)
 
-type tier = Fast | Slow
-
 type meta = {
-  mutable tier : tier; (* which tier holds the authoritative image *)
   mutable last_touch : Hw.Cost.cycles;
       (* last transfer touching this block: the demotion order *)
   mutable gen : int; (* bumped per overwrite/free: in-flight moves that
@@ -35,17 +33,15 @@ type meta = {
 type tiering = {
   slots : int; (* fast-tier capacity, > 0 *)
   fast : (int, Bytes.t) Hashtbl.t; (* block -> authoritative page image *)
-  meta : (int, meta) Hashtbl.t; (* block -> tier metadata *)
-  mutable fast_live : int; (* derived fast-image count; audited *)
+  meta : (int, meta) Hashtbl.t; (* block -> demotion order, generation *)
   mutable demoting : bool; (* at most one demotion batch in flight *)
   mutable promotes : int;
   mutable demotes : int;
   mutable fast_hits : int;
   mutable slow_hits : int;
-  (* observability, installed by App_kernel: counters, per-tier service
-     latency histograms, Tier_move trace events.  Recording never charges
-     cycles (DESIGN.md section 7). *)
-  mutable obs_count : string -> unit;
+  (* observability, installed by App_kernel: per-tier service latency
+     histograms, Tier_move trace events.  Recording never charges cycles
+     (DESIGN.md section 7). *)
   mutable obs_service : fast:bool -> Hw.Cost.cycles -> unit;
   mutable obs_move : block:int -> to_fast:bool -> batch:int -> unit;
 }
@@ -92,33 +88,30 @@ let configure_tiers t ~slots =
           slots;
           fast = Hashtbl.create 64;
           meta = Hashtbl.create 64;
-          fast_live = 0;
           demoting = false;
           promotes = 0;
           demotes = 0;
           fast_hits = 0;
           slow_hits = 0;
-          obs_count = ignore;
           obs_service = (fun ~fast:_ _ -> ());
           obs_move = (fun ~block:_ ~to_fast:_ ~batch:_ -> ());
         }
 
-let set_observer t ~count ~service ~move =
+let set_observer t ~service ~move =
   match t.tiers with
   | None -> ()
   | Some tr ->
-    tr.obs_count <- count;
     tr.obs_service <- service;
     tr.obs_move <- move
 
 (* Run [go] through the injection plane at store site [io] ([bstore] for
    disk transfers, [tier.promote] / [tier.demote] for the tier paths).
    An injected failure schedules a retry after an exponentially-backed-off
-   delay on the node's event queue; the plane never fails the same site
-   twice in a row, so the retry is guaranteed to transfer (a
-   transient-fault model — [io_max_retries] is a belt-and-braces bound,
-   not a load-bearing one).  An injected delay just starts the transfer
-   late and completes on its own. *)
+   delay on the node's event queue.  The plane never fails the same site
+   twice in a row, but another transfer's attempt can take the retry's
+   guaranteed pass, so one transfer can fail again; past
+   [Fault_inject.io_max_retries] it is let through.  An injected delay
+   just starts the transfer late and completes on its own. *)
 let attempt t (io : Cachekernel.Fault_inject.io_site) go =
   match t.fi with
   | None -> go ()
@@ -131,11 +124,11 @@ let attempt t (io : Cachekernel.Fault_inject.io_site) go =
       | `Ok_after_fail ->
         report Fault_inject.recover ".fail";
         go ()
-      | `Fail when n <= Fault_inject.io_max_retries fi ->
+      | `Fail when n <= Fault_inject.io_max_retries ->
         report Fault_inject.inject ".fail";
         t.retries <- t.retries + 1;
         let backoff =
-          Fault_inject.io_retry_backoff_us fi *. (2.0 ** float_of_int (n - 1))
+          Fault_inject.io_retry_backoff_us *. (2.0 ** float_of_int (n - 1))
         in
         Hw.Event_queue.schedule t.events
           ~time:(t.now () + Hw.Cost.cycles_of_us backoff)
@@ -164,16 +157,12 @@ let free_block t b =
        restart the block's next life at generation 0, letting a move
        captured under the previous life match again once the new tenant
        reaches the same generation.  Keeping the entry makes generations
-       monotonic per block across recycles; the other fields reset to the
-       fresh-block defaults of [get_meta]. *)
-    if Hashtbl.mem tr.fast b then begin
-      Hashtbl.remove tr.fast b;
-      tr.fast_live <- tr.fast_live - 1
-    end;
+       monotonic per block across recycles; [last_touch] resets to the
+       fresh-block default of [get_meta]. *)
+    Hashtbl.remove tr.fast b;
     (match Hashtbl.find_opt tr.meta b with
     | Some m ->
       m.gen <- m.gen + 1;
-      m.tier <- Slow;
       m.last_touch <- min_int / 2
     | None -> ()));
   Hw.Disk.free_block t.disk b
@@ -185,8 +174,8 @@ let get_meta tr block =
   | Some m -> m
   | None ->
     (* blocks written outside the tiered paths (boot loading, restage)
-       default to the slow tier, untouched in the distant past *)
-    let m = { tier = Slow; last_touch = min_int / 2; gen = 0 } in
+       were untouched in the distant past *)
+    let m = { last_touch = min_int / 2; gen = 0 } in
     Hashtbl.replace tr.meta block m;
     m
 
@@ -194,7 +183,7 @@ let get_meta tr block =
    images per disk write (one seek amortized across the batch) -- *)
 
 let rec maybe_demote t tr =
-  if (not tr.demoting) && tr.fast_live > tr.slots then begin
+  if (not tr.demoting) && Hashtbl.length tr.fast > tr.slots then begin
     (* victims: the least-recently-touched fast images *)
     let candidates =
       Hashtbl.fold (fun block _ acc -> (block, (get_meta tr block).last_touch) :: acc)
@@ -207,7 +196,7 @@ let rec maybe_demote t tr =
     in
     (* drain exactly to capacity: a one-block overflow must not demote a
        full batch and strand the fast tier below capacity *)
-    let victims = take (min demote_batch (tr.fast_live - tr.slots)) candidates in
+    let victims = take (min demote_batch (Hashtbl.length tr.fast - tr.slots)) candidates in
     if victims <> [] then begin
       tr.demoting <- true;
       attempt t Cachekernel.Fault_inject.tier_demote (fun () ->
@@ -230,12 +219,9 @@ let rec maybe_demote t tr =
               Array.iter
                 (fun (block, gen, _) ->
                   match Hashtbl.find_opt tr.meta block with
-                  | Some m when m.gen = gen && m.tier = Fast ->
-                    m.tier <- Slow;
+                  | Some m when m.gen = gen && Hashtbl.mem tr.fast block ->
                     Hashtbl.remove tr.fast block;
-                    tr.fast_live <- tr.fast_live - 1;
                     tr.demotes <- tr.demotes + 1;
-                    tr.obs_count "tier.demote";
                     tr.obs_move ~block ~to_fast:false ~batch:n
                   | _ -> () (* overwritten or freed mid-flight: the live
                                copy (if any) stays where it is *))
@@ -244,12 +230,6 @@ let rec maybe_demote t tr =
               maybe_demote t tr))
     end
   end
-
-(* Install [data] as [block]'s fast-tier image (page-out or promotion
-   completion). *)
-let install_fast tr ~block data =
-  if not (Hashtbl.mem tr.fast block) then tr.fast_live <- tr.fast_live + 1;
-  Hashtbl.replace tr.fast block data
 
 (** Write frames [pfns] to the blocks [block], [block + 1], ... as one
     batch; [k ()] runs once on completion.  The batch is one [bstore]
@@ -267,18 +247,14 @@ let page_out_batch t ~block ~pfns k =
   | Some tr ->
     (* fast-first: each image lands in the fast tier, and LRU demotion
        ([maybe_demote]) moves it to disk once it goes stale *)
-    let metas =
-      Array.init n (fun i ->
-          let m = get_meta tr (block + i) in
-          m.last_touch <- t.now ();
-          m.gen <- m.gen + 1;
-          m)
-    in
+    for i = 0 to n - 1 do
+      let m = get_meta tr (block + i) in
+      m.last_touch <- t.now ();
+      m.gen <- m.gen + 1
+    done;
     attempt t Cachekernel.Fault_inject.bstore (fun () ->
         Array.iteri
-          (fun i pfn ->
-            metas.(i).tier <- Fast;
-            install_fast tr ~block:(block + i) (Hw.Phys_mem.image t.mem ~pfn))
+          (fun i pfn -> Hashtbl.replace tr.fast (block + i) (Hw.Phys_mem.image t.mem ~pfn))
           pfns;
         Hw.Event_queue.schedule t.events
           ~time:(t.now () + fast_latency n)
@@ -296,11 +272,9 @@ let promote t tr ~block data =
         ~time:(t.now () + fast_latency 1)
         (fun () ->
           match Hashtbl.find_opt tr.meta block with
-          | Some m when m.gen = gen0 && m.tier = Slow ->
-            m.tier <- Fast;
-            install_fast tr ~block data;
+          | Some m when m.gen = gen0 && not (Hashtbl.mem tr.fast block) ->
+            Hashtbl.replace tr.fast block data;
             tr.promotes <- tr.promotes + 1;
-            tr.obs_count "tier.promote";
             tr.obs_move ~block ~to_fast:true ~batch:1;
             maybe_demote t tr
           | _ -> () (* overwritten or freed while the copy was in flight *)))
@@ -316,15 +290,9 @@ let page_in t ~block ~pfn k =
     let start = t.now () in
     let m = get_meta tr block in
     m.last_touch <- start;
-    let fast_hit = m.tier = Fast && Hashtbl.mem tr.fast block in
-    if fast_hit then begin
-      tr.fast_hits <- tr.fast_hits + 1;
-      tr.obs_count "tier.hit.fast"
-    end
-    else begin
-      tr.slow_hits <- tr.slow_hits + 1;
-      tr.obs_count "tier.hit.slow"
-    end;
+    let fast_hit = Hashtbl.mem tr.fast block in
+    if fast_hit then tr.fast_hits <- tr.fast_hits + 1
+    else tr.slow_hits <- tr.slow_hits + 1;
     attempt t Cachekernel.Fault_inject.bstore (fun () ->
         (* re-check at transfer time: an injected delay can outlive a
            demotion, in which case the image is now on disk *)
@@ -348,26 +316,17 @@ let write_block_now t ~block data =
   | None -> ()
   | Some tr ->
     (* the raw write lands on the disk: retire any fast image *)
-    (match Hashtbl.find_opt tr.meta block with
-    | Some m ->
-      m.gen <- m.gen + 1;
-      m.tier <- Slow
-    | None -> ());
-    if Hashtbl.mem tr.fast block then begin
-      Hashtbl.remove tr.fast block;
-      tr.fast_live <- tr.fast_live - 1
-    end);
+    (match Hashtbl.find_opt tr.meta block with Some m -> m.gen <- m.gen + 1 | None -> ());
+    Hashtbl.remove tr.fast block);
   Hw.Disk.write_page_now t.disk ~block data
 
 (** Synchronous block read that honours the tier split: migration and
     checkpoint capture must see the authoritative copy wherever it lives. *)
 let read_block_now t ~block =
   let page = Bytes.make Hw.Addr.page_size '\000' in
-  (match t.tiers with
-  | Some tr when Hashtbl.mem tr.fast block && (get_meta tr block).tier = Fast ->
-    let data = Hashtbl.find tr.fast block in
-    Bytes.blit data 0 page 0 (Bytes.length data)
-  | _ -> Hw.Disk.read_into_now t.disk ~block ~off:0 page ~pos:0 ~len:Hw.Addr.page_size);
+  (match Option.bind t.tiers (fun tr -> Hashtbl.find_opt tr.fast block) with
+  | Some data -> Bytes.blit data 0 page 0 (Bytes.length data)
+  | None -> Hw.Disk.read_into_now t.disk ~block ~off:0 page ~pos:0 ~len:Hw.Addr.page_size);
   page
 
 (** Demote every fast-tier image to the paging disk as one timed
@@ -378,95 +337,11 @@ let checkpoint_flush t k =
   | None -> 0
   | Some tr ->
     let images = Hashtbl.fold (fun block data acc -> (block, data) :: acc) tr.fast [] in
-    List.iter
-      (fun (block, _) ->
-        (get_meta tr block).tier <- Slow;
-        Hashtbl.remove tr.fast block;
-        tr.fast_live <- tr.fast_live - 1;
-        tr.demotes <- tr.demotes + 1;
-        tr.obs_count "tier.checkpoint_flush")
-      images;
-    if images <> [] then Hw.Disk.write_images t.disk (Array.of_list images) k;
-    List.length images
-
-(* -- audit: per-tier conservation --
-
-   Every writeback image resides in exactly one tier: a fast image must be
-   designated fast by its metadata (else there are two authoritative
-   copies), Fast metadata must have an image (else there are none), and
-   the derived fast-image count must match a recount. *)
-
-let audit_tiers t ~repair =
-  match t.tiers with
-  | None -> []
-  | Some tr ->
-    let acc = ref [] in
-    let add subject detail repaired =
-      acc := ("tier", subject, detail, repaired) :: !acc
-    in
-    Hashtbl.fold
-      (fun block _ l ->
-        match Hashtbl.find_opt tr.meta block with
-        | Some m when m.tier = Fast -> l
-        | _ -> block :: l)
-      tr.fast []
-    |> List.iter (fun block ->
-           let repaired =
-             repair
-             &&
-             (* removing the image shrinks the fast tier: keep the derived
-                count in step, or this repair manufactures a fast_live
-                drift for the same pass to flag *)
-             (Hashtbl.remove tr.fast block;
-              tr.fast_live <- tr.fast_live - 1;
-              true)
-           in
-           add (Fmt.str "block %d" block)
-             "fast image not designated fast (two authoritative copies)" repaired);
-    Hashtbl.fold
-      (fun block m l -> if m.tier = Fast && not (Hashtbl.mem tr.fast block) then (block, m) :: l else l)
-      tr.meta []
-    |> List.iter (fun (block, m) ->
-           let repaired =
-             repair
-             &&
-             (m.tier <- Slow;
-              true)
-           in
-           add (Fmt.str "block %d" block)
-             "designated fast but image missing (disk copy is authoritative)" repaired);
-    let actual = Hashtbl.length tr.fast in
-    let live = tr.fast_live in
-    if live <> actual then begin
-      let repaired =
-        repair
-        &&
-        (tr.fast_live <- actual;
-         true)
-      in
-      add "fast_live" (Fmt.str "counter %d, recount %d" live actual) repaired
-    end;
-    List.rev !acc
-
-(** Seed one tier-conservation corruption (for the audit tests).  Returns
-    [false] if the store holds no fast image to corrupt. *)
-let corrupt_tier_for_test t kind =
-  match t.tiers with
-  | None -> false
-  | Some tr -> (
-    match Hashtbl.fold (fun b _ acc -> match acc with None -> Some b | s -> s) tr.fast None with
-    | None -> false
-    | Some block -> (
-      match kind with
-      | `Orphan_image ->
-        (get_meta tr block).tier <- Slow;
-        true
-      | `Missing_image ->
-        Hashtbl.remove tr.fast block;
-        true
-      | `Drift ->
-        tr.fast_live <- tr.fast_live + 1;
-        true))
+    let n = List.length images in
+    Hashtbl.clear tr.fast;
+    tr.demotes <- tr.demotes + n;
+    if n > 0 then Hw.Disk.write_images t.disk (Array.of_list images) k;
+    n
 
 let page_ins t = t.page_ins
 let page_outs t = t.page_outs

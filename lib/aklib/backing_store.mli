@@ -39,14 +39,14 @@ val configure_tiers : t -> slots:int -> unit
 
 val set_observer :
   t ->
-  count:(string -> unit) ->
   service:(fast:bool -> Hw.Cost.cycles -> unit) ->
   move:(block:int -> to_fast:bool -> batch:int -> unit) ->
   unit
-(** Install observability sinks for the tiered store: [count] per-event
-    counters ([tier.hit.fast], [tier.promote], ...), [service] per-tier
+(** Install observability sinks for the tiered store: [service] per-tier
     fault-service latency, [move] per-block tier transitions (the
-    [Tier_move] trace event).  No-op on a flat store. *)
+    [Tier_move] trace event).  Event counts are {!tier_promotes},
+    {!tier_demotes}, {!tier_fast_hits} and {!tier_slow_hits}.  No-op on a
+    flat store. *)
 
 val alloc_block : t -> int
 (** A block from the disk's allocator ({!Hw.Disk.alloc_block}). *)
@@ -87,17 +87,6 @@ val checkpoint_flush : t -> (unit -> unit) -> int
     [Hw.Disk.run_latency n] later.  With nothing to flush (always on a flat
     store) it returns [0] and [k] never runs. *)
 
-val audit_tiers : t -> repair:bool -> (string * string * string * bool) list
-(** Per-tier conservation check (check name ["tier"]): every writeback
-    image lives in exactly one tier and the derived fast-resident count
-    matches a recount.  Returns [(check, subject, detail, repaired)] rows
-    in {!Cachekernel.Audit} hook format. *)
-
-val corrupt_tier_for_test :
-  t -> [ `Orphan_image | `Missing_image | `Drift ] -> bool
-(** Seed one tier-conservation violation (audit tests only).  Returns
-    [false] when there is no fast-tier image to corrupt. *)
-
 val page_ins : t -> int
 val page_outs : t -> int
 
@@ -105,6 +94,9 @@ val retries : t -> int
 (** Transfer attempts re-issued after an injected failure. *)
 
 val fast_resident : t -> int
+(** Fast-tier images held now: a block is fast exactly when the fast tier
+    holds its image. *)
+
 val tier_promotes : t -> int
 val tier_demotes : t -> int
 val tier_fast_hits : t -> int

@@ -1,10 +1,9 @@
 (* Cross-layer invariant auditor with self-healing repair.
 
    The paper's safety argument rests on dependency-ordered replacement
-   (section 4.2, Figure 6) and conserved SRM grants (section 3); the fault
-   plane of PR 2 perturbs the system but nothing proved the caches, MMU
-   state and ledgers stay mutually consistent afterwards.  This module
-   walks one Cache Kernel instance and checks
+   (section 4.2, Figure 6); the fault plane perturbs the system, and this
+   module checks that the caches and MMU state stay mutually consistent
+   afterwards.  It walks one Cache Kernel instance and checks
 
    - dependency: every loaded object's dependency chain is resident
      (mapping -> space -> kernel, mapping -> signal thread, thread ->
@@ -16,9 +15,11 @@
    - conservation: per object type, loads = unloads + discarded + resident
      (the writeback channel loses nothing);
    - quota: per-kernel consumed cycles stay within the premium-charging
-     envelope of the current epoch;
-   - ledger: whatever extra checks upper layers registered through
-     {!Instance.add_audit_hook} hooks (the SRM group/CPU/net conservation, the tiered backing store).
+     envelope of the current epoch.
+
+   The SRM ledger and the tiered store's residency keep one record each
+   (the live grants; the fast-tier image table), so there is nothing of
+   theirs to recount here.
 
    Checks never charge simulated cycles — auditing is observability, and
    instrumentation must not perturb the cost model (DESIGN.md section 7).
@@ -29,7 +30,7 @@
 open Instance
 
 type violation = {
-  check : string; (* dependency | translation | counter | conservation | quota | ledger *)
+  check : string; (* dependency | translation | counter | conservation | quota *)
   subject : string; (* the object or counter found inconsistent *)
   detail : string;
   repaired : bool;
@@ -405,13 +406,6 @@ let run ?(repair = false) t =
   check_counters t ~repair acc;
   check_conservation t ~repair acc;
   check_quota t ~repair acc;
-  List.iter
-    (fun extra ->
-      List.iter
-        (fun (check, subject, detail, repaired) ->
-          flag t acc ~check ~subject ~detail ~repaired)
-        (extra ~repair))
-    t.audit_hooks;
   { at_us = Hw.Cost.us_of_cycles (Hw.Mpm.now t.node); violations = List.rev !acc }
 
 let violation_json v =

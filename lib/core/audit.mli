@@ -2,10 +2,9 @@
 
     Walks one Cache Kernel instance and checks that the four object
     caches, the MMU state (page tables, TLBs, reverse TLBs), the derived
-    counters, the per-type load/unload statistics and any registered
-    upper-layer ledgers ({!Instance.add_audit_hook}) are mutually consistent
-    — the invariants the paper's dependency-ordered replacement (section
-    4.2, Figure 6) and SRM grant conservation (section 3) promise.
+    counters and the per-type load/unload statistics are mutually
+    consistent — the invariants the paper's dependency-ordered replacement
+    (section 4.2, Figure 6) promises.
 
     Checks charge no simulated cycles.  With [~repair:true], recoverable
     drift is fixed in place: counters are recounted, stale TLB/RTLB/page
@@ -17,7 +16,7 @@
 type violation = {
   check : string;
       (** invariant class: ["dependency"], ["translation"], ["counter"],
-          ["conservation"], ["quota"] or an upper layer's tag (["ledger"]) *)
+          ["conservation"] or ["quota"] *)
   subject : string;  (** the object or counter found inconsistent *)
   detail : string;
   repaired : bool;

@@ -20,8 +20,6 @@ type chaos = {
   chaos_seed : int; (* root seed; each named site derives its own stream *)
   io_fail : float; (* a backing-store transfer fails (retried with backoff) *)
   io_delay : float; (* a backing-store transfer is delayed by Fault_inject.io_delay_us *)
-  io_retry_backoff_us : float; (* base retry backoff; doubles per attempt *)
-  io_max_retries : int;
   signal_drop : float; (* a signal delivery is dropped (redelivered later) *)
   signal_dup : float; (* a signal delivery is duplicated *)
   stale_rate : float; (* an object load observes a stale space identifier *)
@@ -43,8 +41,6 @@ let chaos_default =
     chaos_seed = 42;
     io_fail = 0.0;
     io_delay = 0.0;
-    io_retry_backoff_us = 200.0;
-    io_max_retries = 4;
     signal_drop = 0.0;
     signal_dup = 0.0;
     stale_rate = 0.0;

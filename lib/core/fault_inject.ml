@@ -173,13 +173,14 @@ let signal_fate t =
       else `Deliver
     end
 
-(* -- recovery parameters (safe defaults when chaos is off) -- *)
+(* -- recovery parameters -- *)
 
-let io_max_retries t =
-  match t.chaos with Some c -> c.Config.io_max_retries | None -> 0
-
-let io_retry_backoff_us t =
-  match t.chaos with Some c -> c.Config.io_retry_backoff_us | None -> 0.0
+(* a failed transfer retries after [io_retry_backoff_us], doubling per
+   attempt, at most [io_max_retries] times: the plane never fails one site
+   twice in a row, but two interleaved transfers can each draw the one
+   failure, so a single transfer can fail more than once *)
+let io_max_retries = 4
+let io_retry_backoff_us = 200.0
 
 (* delay before a dropped signal is redelivered; drops only happen with
    chaos on *)

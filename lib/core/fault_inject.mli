@@ -72,8 +72,12 @@ val io_fate : t -> io_site -> [ `Ok | `Ok_after_fail | `Fail | `Delay of float ]
 val signal_fate : t -> [ `Deliver | `Drop | `Duplicate ]
 (** Site [signal]: fate of one signal delivery. *)
 
-val io_max_retries : t -> int
-val io_retry_backoff_us : t -> float
+val io_max_retries : int
+val io_retry_backoff_us : float
+(** A store transfer that draws a failure retries after
+    [io_retry_backoff_us] (200), doubling per attempt, at most
+    [io_max_retries] (4) times before it is let through. *)
+
 val redeliver_backoff_us : float
 (** Simulated us before a dropped signal is redelivered. *)
 

@@ -51,12 +51,6 @@ type t = {
       (* physical page -> callback(offset): Cache Kernel device drivers
          observing message-mode writes to device regions (section 2.2) *)
   mutable last_audit : Hw.Cost.cycles; (* periodic-audit bookkeeping *)
-  mutable audit_hooks : (repair:bool -> (string * string * string * bool) list) list;
-      (* extra invariant checks registered by upper layers (the SRM ledger,
-         the tiered backing store of each application kernel): each returns
-         (check, subject, detail, repaired) tuples.  Closures rather than a
-         typed interface because lib/core cannot depend on lib/srm or
-         lib/aklib; a list because independent layers each contribute one *)
   mutable on_misbehaving : kernel:Oid.t -> thread:Oid.t -> unit;
       (* Figure-2 watchdog escalation: a kernel failed twice to resolve a
          forwarded fault.  The SRM replaces the default no-op *)
@@ -179,7 +173,6 @@ let create ?(config = Config.default) node =
       crashed_at_us = 0.0;
       device_hooks = Hashtbl.create 8;
       last_audit = 0;
-      audit_hooks = [];
       on_misbehaving = (fun ~kernel:_ ~thread:_ -> ());
       sched_resolve = (fun _ -> None); (* filled below, once [t] exists *)
       elig_normal = [||]; (* filled lazily by {!Engine} *)
@@ -203,10 +196,6 @@ let create ?(config = Config.default) node =
   | Some us -> Hw.Mpm.at node ~time:(Hw.Cost.cycles_of_us us) (fun () -> crash t)
   | None -> ());
   t
-
-(** Register an extra audit hook; {!Audit.run} consults hooks in
-    registration order after the built-in checks. *)
-let add_audit_hook t f = t.audit_hooks <- t.audit_hooks @ [ f ]
 
 (* Observability recording: counts and observes but never charges cycles,
    so instrumentation cannot perturb the cost model (DESIGN.md section 7). *)

@@ -4,43 +4,35 @@
    capacity to application kernels.  Resources are allocated in large units
    that the application kernel can then suballocate internally" (section 3):
    memory in page groups over periods of seconds to minutes, processors and
-   network capacity as percentages over the same extended periods. *)
+   network capacity as percentages over the same extended periods.
+
+   The live grants are the only record: committed capacity is their sum and
+   the free groups are the governed ones no grant holds, so the ledger is
+   conserved by construction. *)
 
 type grant = {
   kernel_name : string;
-  mutable groups : int list;
-  mutable cpu_percent : int array;
-  mutable net_percent : int;
-  mutable released : bool;
+  groups : int list;
+  cpu_percent : int; (* of every processor *)
+  net_percent : int;
 }
 
 type t = {
-  all_groups : int list; (* every group the ledger governs, fixed at create *)
   mutable free_groups : int list;
-  cpu_committed : int array; (* percentage committed per CPU *)
-  mutable net_committed : int;
-  mutable grants : grant list;
+  mutable grants : grant list; (* live grants, most recent first *)
 }
 
-let create ~groups ~n_cpus =
-  {
-    all_groups = groups;
-    free_groups = groups;
-    cpu_committed = Array.make n_cpus 0;
-    net_committed = 0;
-    grants = [];
-  }
-
+let create ~groups = { free_groups = groups; grants = [] }
 let free_group_count t = List.length t.free_groups
 let grants t = t.grants
+let committed t field = List.fold_left (fun acc g -> acc + field g) 0 t.grants
 
 (** Reserve [n] page groups, [cpu] percent of every processor and [net]
     percent of network capacity for [kernel_name]. *)
 let allocate t ~kernel_name ~group_count ~cpu_percent ~net_percent =
   if List.length t.free_groups < group_count then Error `No_memory
-  else if Array.exists (fun c -> c + cpu_percent > 100) t.cpu_committed then
-    Error `No_cpu
-  else if t.net_committed + net_percent > 100 then Error `No_net
+  else if committed t (fun g -> g.cpu_percent) + cpu_percent > 100 then Error `No_cpu
+  else if committed t (fun g -> g.net_percent) + net_percent > 100 then Error `No_net
   else begin
     let rec take n acc rest =
       if n = 0 then (List.rev acc, rest)
@@ -48,100 +40,15 @@ let allocate t ~kernel_name ~group_count ~cpu_percent ~net_percent =
     in
     let groups, rest = take group_count [] t.free_groups in
     t.free_groups <- rest;
-    Array.iteri (fun i c -> t.cpu_committed.(i) <- c + cpu_percent) t.cpu_committed;
-    t.net_committed <- t.net_committed + net_percent;
-    let g =
-      {
-        kernel_name;
-        groups;
-        cpu_percent = Array.map (fun _ -> cpu_percent) t.cpu_committed;
-        net_percent;
-        released = false;
-      }
-    in
+    let g = { kernel_name; groups; cpu_percent; net_percent } in
     t.grants <- g :: t.grants;
     Ok g
   end
 
 (** Return a grant's resources to the pool (kernel swapped out or exited).
-    Idempotent: a double release returns nothing twice — every resource
-    field is zeroed with the first release and guarded by [released], so a
-    stale handle cannot double-subtract committed capacity and corrupt
-    other kernels' headroom. *)
+    Idempotent: a grant no longer listed has already been returned. *)
 let release t (g : grant) =
-  if not g.released then begin
-    g.released <- true;
+  if List.memq g t.grants then begin
     t.free_groups <- g.groups @ t.free_groups;
-    Array.iteri
-      (fun i c -> t.cpu_committed.(i) <- max 0 (c - g.cpu_percent.(i)))
-      t.cpu_committed;
-    t.net_committed <- max 0 (t.net_committed - g.net_percent);
-    t.grants <- List.filter (fun x -> x != g) t.grants;
-    g.groups <- [];
-    Array.fill g.cpu_percent 0 (Array.length g.cpu_percent) 0;
-    g.net_percent <- 0
+    t.grants <- List.filter (fun x -> x != g) t.grants
   end
-
-(* -- Conservation audit --
-
-   free_groups plus the granted groups must partition the governed set,
-   and committed CPU/net percentages must equal the sums over live
-   grants.  Returns (check, subject, detail, repaired) tuples in the shape
-   {!Cachekernel.Instance.add_audit_hook} expects; with [repair] the
-   committed totals are recomputed from the grants and leaked groups are
-   returned to the free pool. *)
-let audit t ~repair =
-  let viols = ref [] in
-  let flag subject detail repaired =
-    viols := ("ledger", subject, detail, repaired) :: !viols
-  in
-  (* group conservation: no group lost, none double-owned *)
-  let held = t.free_groups @ List.concat_map (fun g -> g.groups) t.grants in
-  let sorted = List.sort compare held in
-  let expected = List.sort compare t.all_groups in
-  if sorted <> expected then begin
-    let leaked = List.filter (fun g -> not (List.mem g held)) t.all_groups in
-    let repaired =
-      repair
-      &&
-      (t.free_groups <- t.free_groups @ leaked;
-       true)
-    in
-    flag "groups"
-      (Printf.sprintf "held %d of %d governed groups (%d leaked)" (List.length held)
-         (List.length t.all_groups) (List.length leaked))
-      repaired
-    (* double-owned groups are not repairable here: revoking either owner
-       would yank memory a kernel believes it holds *)
-  end;
-  (* committed capacity = sum over live grants *)
-  Array.iteri
-    (fun i c ->
-      let sum = List.fold_left (fun a g -> a + g.cpu_percent.(i)) 0 t.grants in
-      if c <> sum then begin
-        let repaired =
-          repair
-          &&
-          (t.cpu_committed.(i) <- sum;
-           true)
-        in
-        flag
-          (Printf.sprintf "cpu_committed[%d]" i)
-          (Printf.sprintf "recorded %d%%, grants sum to %d%%" c sum)
-          repaired
-      end)
-    t.cpu_committed;
-  let net_sum = List.fold_left (fun a g -> a + g.net_percent) 0 t.grants in
-  if t.net_committed <> net_sum then begin
-    let detail =
-      Printf.sprintf "recorded %d%%, grants sum to %d%%" t.net_committed net_sum
-    in
-    let repaired =
-      repair
-      &&
-      (t.net_committed <- net_sum;
-       true)
-    in
-    flag "net_committed" detail repaired
-  end;
-  List.rev !viols

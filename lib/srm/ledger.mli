@@ -1,18 +1,23 @@
 (** The system resource manager's allocation ledger (section 3): memory in
     page groups, processors and network capacity as percentages, granted
-    over extended periods for application kernels to suballocate. *)
+    over extended periods for application kernels to suballocate.
 
-type grant = {
+    The live grants are the only record: committed processor and network
+    capacity are sums over them, so free plus granted groups always
+    partition the governed set. *)
+
+type grant = private {
   kernel_name : string;
-  mutable groups : int list;
-  mutable cpu_percent : int array;
-  mutable net_percent : int;
-  mutable released : bool;  (** set by {!release}; makes release idempotent *)
+  groups : int list;
+  cpu_percent : int;  (** of every processor *)
+  net_percent : int;
 }
 
 type t
 
-val create : groups:int list -> n_cpus:int -> t
+val create : groups:int list -> t
+(** A ledger governing [groups], all free. *)
+
 val free_group_count : t -> int
 
 val grants : t -> grant list
@@ -25,15 +30,10 @@ val allocate :
   cpu_percent:int ->
   net_percent:int ->
   (grant, [ `No_memory | `No_cpu | `No_net ]) result
+(** Grant [group_count] free page groups, [cpu_percent] of every processor
+    and [net_percent] of network capacity, if the live grants leave room
+    (at most 100% committed of each). *)
 
 val release : t -> grant -> unit
-(** Return a grant's resources to the pool.  Idempotent: releasing the
-    same grant twice returns its resources exactly once. *)
-
-val audit : t -> repair:bool -> (string * string * string * bool) list
-(** Conservation audit in the shape {!Cachekernel.Instance.add_audit_hook}
-    expects: [(check, subject, detail, repaired)] tuples, [check] =
-    ["ledger"].  Verifies free + granted page groups partition the
-    governed set and that committed CPU/net percentages equal the sums
-    over live grants; with [repair] recomputes committed totals from the
-    grants and returns leaked groups to the free pool. *)
+(** Return a grant's resources to the pool.  Idempotent: releasing a grant
+    that is no longer listed does nothing. *)

@@ -66,16 +66,13 @@ let boot inst ?(own_groups = 2) () =
       {
         inst;
         ak;
-        ledger = Ledger.create ~groups:pool ~n_cpus:(Instance.n_cpus inst);
+        ledger = Ledger.create ~groups:pool;
         kernels = [];
         taps = [];
         kernel_writebacks = 0;
         misbehaving = [];
       }
     in
-    (* the invariant auditor reaches the SRM's ledger through this hook
-       (the core library cannot depend on the srm layer directly) *)
-    Instance.add_audit_hook inst (fun ~repair -> Ledger.audit t.ledger ~repair);
     inst.Instance.on_misbehaving <-
       (fun ~kernel ~thread ->
         t.misbehaving <- (kernel, thread) :: t.misbehaving;
@@ -102,7 +99,8 @@ let install t (l : launched) =
         ignore
           (Api.set_mem_access t.inst ~caller:(oid t) ~kernel:koid ~group:g Kernel_obj.Read_write))
       l.grant.Ledger.groups;
-    ignore (Api.set_cpu_quota t.inst ~caller:(oid t) ~kernel:koid l.grant.Ledger.cpu_percent);
+    let percent = Array.make (Instance.n_cpus t.inst) l.grant.Ledger.cpu_percent in
+    ignore (Api.set_cpu_quota t.inst ~caller:(oid t) ~kernel:koid percent);
     Result.map (fun () -> l.loaded <- true) (App_kernel.install l.ak ~oid:koid)
 
 (** Launch an application kernel prepared with {!App_kernel.prepare}:

@@ -4,7 +4,7 @@
    - a qcheck property: arbitrary load/unload workloads under stale
      injection leave every audited invariant intact
    - seeded corruptions — counter drift, orphaned mappings, conservation
-     drift, bogus page-table/TLB/RTLB entries, quota and ledger damage —
+     drift, bogus page-table/TLB/RTLB entries, quota damage —
      are each detected, repaired, and a re-audit comes back clean
    - the periodic engine audit fires on Config.audit_interval_us
    - the Figure-2 forwarding watchdog re-forwards a wedged handler once,
@@ -281,97 +281,6 @@ let test_quota_corruption () =
       k.Kernel_obj.consumed.(0) <- -100);
   detect_repair_reaudit "negative quota consumption" inst ~check:"quota"
 
-(* -- tiered backing store: per-tier conservation through the audit hook -- *)
-
-(* Run a tiered paging workload and keep the instance and app kernel alive
-   so the store can be corrupted afterwards.  Slots above the working set
-   keep every paged-out image fast-resident, guaranteeing
-   there is an image for [corrupt_tier_for_test] to damage. *)
-let tier_run () =
-  let inst_r = ref None and ak_r = ref None in
-  ignore
-    (Workload.Sweeps.tier_point ~slots:64 ~hot:24 ~cold:12 ~passes:2 ~frames:24
-       ~finish:(fun inst ak ->
-         inst_r := Some inst;
-         ak_r := Some ak)
-       ());
-  match (!inst_r, !ak_r) with
-  | Some inst, Some ak -> (inst, ak)
-  | _ -> Alcotest.fail "tier workload did not run"
-
-let seed_tier_corruption kind =
-  let inst, ak = tier_run () in
-  let store = ak.App_kernel.store in
-  check_clean "tier workload audits clean" (Audit.run inst);
-  Alcotest.(check bool) "fast tier populated" true
-    (Backing_store.fast_resident store > 0);
-  Alcotest.(check bool) "corruption seeded" true
-    (Backing_store.corrupt_tier_for_test store kind);
-  inst
-
-let test_tier_orphan_image () =
-  let inst = seed_tier_corruption `Orphan_image in
-  detect_repair_reaudit "orphaned fast image" inst ~check:"tier"
-
-let test_tier_missing_image () =
-  let inst = seed_tier_corruption `Missing_image in
-  detect_repair_reaudit "missing fast image" inst ~check:"tier"
-
-let test_tier_live_drift () =
-  let inst = seed_tier_corruption `Drift in
-  detect_repair_reaudit "fast_live drift" inst ~check:"tier"
-
-(* -- SRM ledger conservation, standalone and through the instance hook -- *)
-
-let test_ledger_audit () =
-  let l = Srm.Ledger.create ~groups:[ 0; 1; 2; 3 ] ~n_cpus:2 in
-  let g =
-    match
-      Srm.Ledger.allocate l ~kernel_name:"a" ~group_count:2 ~cpu_percent:30
-        ~net_percent:10
-    with
-    | Ok g -> g
-    | Error _ -> Alcotest.fail "allocate failed"
-  in
-  Alcotest.(check bool) "clean ledger audits clean" true (Srm.Ledger.audit l ~repair:false = []);
-  (* net drift: committed no longer equals the sum over grants *)
-  g.Srm.Ledger.net_percent <- g.Srm.Ledger.net_percent + 25;
-  let viols = Srm.Ledger.audit l ~repair:true in
-  Alcotest.(check bool) "net drift detected" true
-    (List.exists (fun (_, s, _, _) -> s = "net_committed") viols);
-  Alcotest.(check bool) "net drift repaired" true
-    (List.for_all (fun (_, _, _, repaired) -> repaired) viols);
-  Alcotest.(check bool) "ledger clean after repair" true
-    (Srm.Ledger.audit l ~repair:false = []);
-  (* group leak: a granted group vanishes from every holder *)
-  g.Srm.Ledger.groups <- List.tl g.Srm.Ledger.groups;
-  let viols = Srm.Ledger.audit l ~repair:true in
-  Alcotest.(check bool) "leak detected" true
-    (List.exists (fun (_, s, _, _) -> s = "groups") viols);
-  Alcotest.(check bool) "leak repaired" true
-    (Srm.Ledger.audit l ~repair:false = [])
-
-let test_srm_audit_hook () =
-  let inst = Workload.Setup.instance ~cpus:1 () in
-  let srm = ok (Srm.Manager.boot inst ()) in
-  let g =
-    match
-      Srm.Ledger.allocate (Srm.Manager.ledger srm) ~kernel_name:"guest" ~group_count:1
-        ~cpu_percent:20 ~net_percent:5
-    with
-    | Ok g -> g
-    | Error _ -> Alcotest.fail "allocate failed"
-  in
-  check_clean "booted SRM audits clean" (Audit.run inst);
-  g.Srm.Ledger.net_percent <- 0;
-  let r = Audit.run ~repair:true inst in
-  Alcotest.(check bool) "ledger check reached through the hook" true (has_check "ledger" r);
-  check_clean "repaired through the hook" (Audit.run inst);
-  (* the misbehaving-kernel escalation hook feeds the SRM's record *)
-  inst.Instance.on_misbehaving ~kernel:(Srm.Manager.oid srm) ~thread:Oid.none;
-  Alcotest.(check bool) "escalation recorded" true (srm.Srm.Manager.misbehaving <> []);
-  Alcotest.(check int) "escalation counted" 1 (counter inst "srm.misbehaving")
-
 (* -- periodic audit from the engine -- *)
 
 let test_periodic_audit () =
@@ -452,17 +361,6 @@ let () =
           Alcotest.test_case "detached mapping pte" `Quick test_detached_mapping_pte;
           Alcotest.test_case "stale TLB and RTLB" `Quick test_stale_tlb_and_rtlb;
           Alcotest.test_case "quota corruption" `Quick test_quota_corruption;
-        ] );
-      ( "tier",
-        [
-          Alcotest.test_case "orphaned fast image" `Quick test_tier_orphan_image;
-          Alcotest.test_case "missing fast image" `Quick test_tier_missing_image;
-          Alcotest.test_case "fast_live drift" `Quick test_tier_live_drift;
-        ] );
-      ( "ledger",
-        [
-          Alcotest.test_case "conservation and repair" `Quick test_ledger_audit;
-          Alcotest.test_case "instance hook via SRM boot" `Quick test_srm_audit_hook;
         ] );
       ("periodic", [ Alcotest.test_case "engine interval" `Quick test_periodic_audit ]);
       ( "watchdog",

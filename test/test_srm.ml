@@ -19,7 +19,7 @@ let make ?(cpus = 2) () =
 (* -- Ledger -- *)
 
 let test_ledger () =
-  let l = Srm.Ledger.create ~groups:[ 0; 1; 2; 3 ] ~n_cpus:2 in
+  let l = Srm.Ledger.create ~groups:[ 0; 1; 2; 3 ] in
   let g1 =
     match Srm.Ledger.allocate l ~kernel_name:"a" ~group_count:3 ~cpu_percent:60 ~net_percent:50 with
     | Ok g -> g
@@ -40,11 +40,11 @@ let test_ledger () =
   | Error _ -> Alcotest.fail "release freed capacity"
 
 (* Regression: releasing the same grant twice must return its resources
-   exactly once.  The old release zeroed groups and net but left
-   cpu_percent intact and had no guard, so a stale handle double-subtracted
-   committed CPU capacity and inflated other kernels' headroom. *)
+   exactly once.  An early release had no guard, so a stale handle
+   double-subtracted committed CPU capacity and inflated other kernels'
+   headroom. *)
 let test_ledger_double_release () =
-  let l = Srm.Ledger.create ~groups:[ 0; 1; 2; 3 ] ~n_cpus:2 in
+  let l = Srm.Ledger.create ~groups:[ 0; 1; 2; 3 ] in
   let alloc name cpu net =
     match
       Srm.Ledger.allocate l ~kernel_name:name ~group_count:1 ~cpu_percent:cpu
@@ -57,7 +57,6 @@ let test_ledger_double_release () =
   let _gb = alloc "b" 40 30 in
   Srm.Ledger.release l ga;
   Srm.Ledger.release l ga;
-  Alcotest.(check bool) "released flag set" true ga.Srm.Ledger.released;
   Alcotest.(check int) "groups returned once" 3 (Srm.Ledger.free_group_count l);
   Alcotest.(check int) "only b's grant remains" 1 (List.length (Srm.Ledger.grants l));
   (* committed capacity reflects exactly b's grant: a request that fits the
@@ -66,10 +65,98 @@ let test_ledger_double_release () =
   (match Srm.Ledger.allocate l ~kernel_name:"c" ~group_count:1 ~cpu_percent:60 ~net_percent:70 with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "headroom freed by the release was refused");
-  (match Srm.Ledger.allocate l ~kernel_name:"d" ~group_count:1 ~cpu_percent:1 ~net_percent:1 with
+  match Srm.Ledger.allocate l ~kernel_name:"d" ~group_count:1 ~cpu_percent:1 ~net_percent:1 with
   | Error `No_cpu | Error `No_net -> ()
-  | _ -> Alcotest.fail "over-committed: the double release leaked capacity");
-  Alcotest.(check bool) "ledger audits clean" true (Srm.Ledger.audit l ~repair:false = [])
+  | _ -> Alcotest.fail "over-committed: the double release leaked capacity"
+
+(* Random allocate/release sequences, double releases included, against a
+   model that keeps only counts: every result and every free count must
+   match it, and after each step the free groups and the live grants'
+   groups must partition the governed set. *)
+type ledger_op = Alloc of int * int * int | Release of int
+
+let ledger_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map3 (fun n c k -> Alloc (n, c, k)) (int_bound 4) (int_bound 60) (int_bound 60));
+        (2, map (fun i -> Release i) (int_bound 12));
+      ])
+
+let pp_ledger_op = function
+  | Alloc (n, c, k) -> Printf.sprintf "alloc %d groups %d%% cpu %d%% net" n c k
+  | Release i -> Printf.sprintf "release #%d" i
+
+let ledger_model =
+  QCheck.Test.make ~count:300 ~name:"ledger matches a counting model"
+    QCheck.(make ~print:Print.(list pp_ledger_op) Gen.(list_size (int_range 1 40) ledger_op_gen))
+    (fun ops ->
+      let governed = List.init 8 Fun.id in
+      let l = Srm.Ledger.create ~groups:governed in
+      (* every grant ever made, in order, with whether the model holds it *)
+      let handles = ref [||] in
+      let live = Hashtbl.create 8 in
+      let free = ref (List.length governed) in
+      let sum f = Hashtbl.fold (fun _ g acc -> acc + f g) live 0 in
+      let step op =
+        (match op with
+        | Alloc (n, cpu, net) ->
+          let want =
+            if !free < n then Error `No_memory
+            else if sum (fun (_, c, _) -> c) + cpu > 100 then Error `No_cpu
+            else if sum (fun (_, _, k) -> k) + net > 100 then Error `No_net
+            else Ok ()
+          in
+          let got =
+            Srm.Ledger.allocate l ~kernel_name:"k" ~group_count:n ~cpu_percent:cpu
+              ~net_percent:net
+          in
+          (match (want, got) with
+          | Ok (), Ok g ->
+            if List.length g.Srm.Ledger.groups <> n then
+              QCheck.Test.fail_reportf "granted %d groups, asked %d"
+                (List.length g.Srm.Ledger.groups) n;
+            Hashtbl.replace live (Array.length !handles) (n, cpu, net);
+            handles := Array.append !handles [| g |];
+            free := !free - n
+          | Error w, Error g when w = g -> ()
+          | _ -> QCheck.Test.fail_reportf "%s: result differs from the model" (pp_ledger_op op))
+        | Release i when i < Array.length !handles ->
+          Srm.Ledger.release l !handles.(i);
+          (match Hashtbl.find_opt live i with
+          | Some (n, _, _) ->
+            Hashtbl.remove live i;
+            free := !free + n
+          | None -> ())
+        | Release _ -> ());
+        if Srm.Ledger.free_group_count l <> !free then
+          QCheck.Test.fail_reportf "%s: %d free groups, model %d" (pp_ledger_op op)
+            (Srm.Ledger.free_group_count l) !free;
+        if List.length (Srm.Ledger.grants l) <> Hashtbl.length live then
+          QCheck.Test.fail_reportf "%s: %d live grants, model %d" (pp_ledger_op op)
+            (List.length (Srm.Ledger.grants l)) (Hashtbl.length live);
+        (* granted groups are distinct governed groups, and with the free
+           count they cover the governed set exactly *)
+        let granted = List.concat_map (fun g -> g.Srm.Ledger.groups) (Srm.Ledger.grants l) in
+        if
+          List.sort_uniq compare granted <> List.sort compare granted
+          || not (List.for_all (fun g -> List.mem g governed) granted)
+          || List.length granted + Srm.Ledger.free_group_count l <> List.length governed
+        then QCheck.Test.fail_reportf "%s: free and granted groups do not partition" (pp_ledger_op op)
+      in
+      List.iter step ops;
+      true)
+
+(* The SRM records the application kernels the forwarding watchdog
+   escalates as misbehaving (section 2's fault containment). *)
+let test_misbehaving_recorded () =
+  let inst, srm = make () in
+  let r = Audit.run inst in
+  Alcotest.(check int) "booted SRM audits clean" 0 (List.length r.Audit.violations);
+  inst.Instance.on_misbehaving ~kernel:(Srm.Manager.oid srm) ~thread:Oid.none;
+  Alcotest.(check bool) "escalation recorded" true (srm.Srm.Manager.misbehaving <> []);
+  Alcotest.(check int) "escalation counted" 1
+    (Metrics.counter inst.Instance.metrics "srm.misbehaving")
 
 (* -- Launch: grants actually bound the launched kernel -- *)
 
@@ -327,6 +414,7 @@ let () =
           Alcotest.test_case "allocate and release" `Quick test_ledger;
           Alcotest.test_case "double release is idempotent" `Quick
             test_ledger_double_release;
+          QCheck_alcotest.to_alcotest ledger_model;
         ] );
       ( "launch",
         [
@@ -334,6 +422,8 @@ let () =
           Alcotest.test_case "kernel swap out and in" `Quick test_kernel_swap;
           Alcotest.test_case "a reload keeps the grant's percentage" `Quick
             test_reload_keeps_grant;
+          Alcotest.test_case "misbehaving kernels are recorded" `Quick
+            test_misbehaving_recorded;
         ] );
       ("policing", [ Alcotest.test_case "rate disconnect/reconnect" `Quick test_io_policing ]);
       ( "distrib",
