@@ -11,9 +11,10 @@ type t = {
   mutable free : int list; (* free page frame numbers *)
   mutable groups : int list; (* page groups owned *)
   mutable total : int;
+  mutable reserved : int; (* frames [take] removed for good *)
 }
 
-let create () = { free = []; groups = []; total = 0 }
+let create () = { free = []; groups = []; total = 0; reserved = 0 }
 
 (** Add all frames of page group [g] to the pool. *)
 let add_group t g =
@@ -37,6 +38,7 @@ let take t n =
   in
   let taken, rest = loop n [] t.free in
   t.free <- rest;
+  t.reserved <- t.reserved + n;
   taken
 
 let alloc t =
@@ -49,4 +51,5 @@ let alloc t =
 let free t pfn = t.free <- pfn :: t.free
 let available t = List.length t.free
 let total t = t.total
+let pageable t = t.total - t.reserved
 let groups t = t.groups

@@ -18,4 +18,10 @@ val alloc : t -> int option
 val free : t -> int -> unit
 val available : t -> int
 val total : t -> int
+(** Frames of every group added, reserved ones included. *)
+
+val pageable : t -> int
+(** Frames the segment manager can page with: [total] less those [take]
+    reserved. *)
+
 val groups : t -> int list

@@ -15,13 +15,16 @@ type resident = {
          block and frees this one, and whoever drops the page frees it *)
   mutable mappers : (int * int) list; (* (space tag, va) of loaded mappings *)
   mutable referenced : bool;
-      (* used since the Clock hand last passed: set by a demand fault's
+      (* used since the hand last passed: set by a demand fault's
          mapping load and by a writeback's referenced bit, never by
          prefetch; the hand clears it *)
   mutable cow_pending : (t * int) option;
       (* this residency was created optimistically for a deferred copy from
          (segment, page); if the mapping is written back unmodified the copy
          never happened and the page reverts *)
+  mutable faults : int;
+      (* faults served on the page, this residency and the remembered ones
+         before it; the segment manager halves it as it ages *)
 }
 
 and page_state =
@@ -38,13 +41,16 @@ and t = {
   mutable file_backed : bool;
       (* the pages' blocks belong to a file (shared read-only program
          text): paging reads them but never writes or frees them *)
+  mutable history : (int, int) Hashtbl.t option;
+      (* fault counts of pages that lost their frame, by page: sparse, and
+         absent until the segment first loses one *)
 }
 
 let resident ?backing pfn =
-  { pfn; dirty = false; backing; mappers = []; referenced = false; cow_pending = None }
+  { pfn; dirty = false; backing; mappers = []; referenced = false; cow_pending = None; faults = 0 }
 
 let create ~id ~name ~pages =
-  { id; name; pages; table = Hashtbl.create 16; file_backed = false }
+  { id; name; pages; table = Hashtbl.create 16; file_backed = false; history = None }
 
 let state t page =
   if page < 0 || page >= t.pages then invalid_arg "Segment.state: page out of range";

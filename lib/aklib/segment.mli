@@ -14,12 +14,15 @@ type resident = {
           block and frees this one, and whoever drops the page frees it *)
   mutable mappers : (int * int) list;  (** (space tag, va) of loaded mappings *)
   mutable referenced : bool;
-      (** used since the Clock hand last passed: set by a demand fault's
+      (** used since the hand last passed: set by a demand fault's
           mapping load and by a writeback's referenced bit, never by
           prefetch; the hand clears it *)
   mutable cow_pending : (t * int) option;
       (** optimistic residency for a deferred copy from (segment, page);
           reverted if the mapping writes back unmodified *)
+  mutable faults : int;
+      (** faults served on the page, this residency and the remembered
+          ones before it; the segment manager halves it as it ages *)
 }
 
 and page_state =
@@ -36,10 +39,14 @@ and t = {
   mutable file_backed : bool;
       (** the pages' blocks belong to a file (shared read-only program
           text): paging reads them but never writes or frees them *)
+  mutable history : (int, int) Hashtbl.t option;
+      (** fault counts of pages that lost their frame, by page: sparse,
+          and [None] until the segment first loses one *)
 }
 
 val resident : ?backing:int -> int -> resident
-(** A fresh residency in frame [pfn]: clean, unmapped, unreferenced. *)
+(** A fresh residency in frame [pfn]: clean, unmapped, unreferenced, no
+    faults counted. *)
 
 val create : id:int -> name:string -> pages:int -> t
 val state : t -> int -> page_state

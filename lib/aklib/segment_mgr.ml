@@ -6,10 +6,15 @@
    loading of mapping descriptors on page faults."
 
    This is where paging *policy* lives: frame allocation, page replacement
-   (Clock with a pluggable [keep] test), backing-store I/O, zero-fill and
-   copy-on-write — everything a monolithic kernel's VM system does, but in
-   user mode, driving the Cache Kernel through load/unload of mappings and
-   reading the referenced/modified bits out of writeback records.
+   (one hand, a pluggable [rank] and [keep]), backing-store I/O, zero-fill
+   and copy-on-write — everything a monolithic kernel's VM system does, but
+   in user mode, driving the Cache Kernel through load/unload of mappings
+   and reading the referenced/modified bits out of writeback records.
+
+   The default rank is a page's fault count, which only the application
+   kernel can keep: it sees every fault on its pages and remembers a page
+   after eviction, where the Cache Kernel's referenced bits last only as
+   long as a mapping.
 
    The hand launders; it does not write.  A dirty victim is set aside and
    the hand moves on to a clean one, so a fault waits for one disk read,
@@ -48,21 +53,60 @@ type stats = {
 }
 
 (* The hand's bookkeeping.  A residency has at most one entry across
-   [clock], [laundry] and [in_flight]: [install] queues it once, the hand
+   [buckets], [laundry] and [in_flight]: [install] queues it once, the hand
    pops it before setting it aside, and a completed batch requeues only
    the pages it does not free.  So the hand never visits a page that is
    set aside or in flight. *)
+module Ranks = Map.Make (Int)
+
+type entry = {
+  seg : Segment.t;
+  page : int;
+  r : Segment.resident;
+      (* the residency the entry names; it goes stale when the page leaves
+         it *)
+}
+
+(* A bucket is a FIFO ring, so that requeueing a page the hand passes over
+   allocates nothing. *)
+type bucket = { mutable ring : entry array; mutable head : int; mutable len : int }
+
+let vacant =
+  { seg = Segment.create ~id:0 ~name:"" ~pages:0; page = 0; r = Segment.resident 0 }
+
+let bucket_push b e =
+  let cap = Array.length b.ring in
+  if b.len = cap then begin
+    let ring = Array.make (max 16 (2 * cap)) vacant in
+    for i = 0 to b.len - 1 do
+      ring.(i) <- b.ring.((b.head + i) mod cap)
+    done;
+    b.ring <- ring;
+    b.head <- 0
+  end;
+  b.ring.((b.head + b.len) mod Array.length b.ring) <- e;
+  b.len <- b.len + 1
+
+let bucket_pop b =
+  let e = b.ring.(b.head) in
+  b.ring.(b.head) <- vacant;
+  b.head <- (b.head + 1) mod Array.length b.ring;
+  b.len <- b.len - 1;
+  e
+
 type hand = {
-  clock : (Segment.t * int * Segment.resident) Queue.t;
-      (* eviction candidates in the order the Clock hand visits them; an
-         entry names one residency and goes stale when the page leaves it *)
-  mutable laundry : (Segment.t * int * Segment.resident) list;
+  mutable buckets : bucket Ranks.t;
+      (* eviction candidates by rank, each bucket in the order the hand
+         visits it; one bucket when the rank is constant *)
+  mutable size : int; (* entries across the buckets, stale ones included *)
+  mutable laundry : entry list;
       (* dirty victims set aside by the hand and not yet written, newest
-         first; out of [clock] until their batch completes *)
-  mutable in_flight : (Segment.t * int * Segment.resident) array list;
-      (* batches written and not yet complete *)
+         first; out of the buckets until their batch completes *)
+  mutable in_flight : entry array list; (* batches written and not yet complete *)
   mutable waiters : (unit -> unit) list;
       (* evictors blocked until the next batch completes *)
+  mutable remembering : Segment.t list; (* segments with a [history] *)
+  mutable since_aging : int; (* faults served since counts last halved *)
 }
 
 type t = {
@@ -78,6 +122,9 @@ type t = {
   mutable keep : Segment.t -> int -> Segment.resident -> bool;
       (* policy hook: page replacement.  Whether the hand passes over this
          page once more.  Default: Clock's test. *)
+  mutable rank : Segment.t -> int -> Segment.resident -> int;
+      (* policy hook: page replacement.  The hand visits lower ranks first.
+         Default: the page's fault count. *)
   mutable on_consistency : t -> Kernel_obj.fault_ctx -> bool;
       (* policy hook: consistency faults (remote/failed memory).  A
          distributed-shared-memory layer installs its protocol here;
@@ -95,32 +142,143 @@ let default_segv t (ctx : Kernel_obj.fault_ctx) =
    visit or still mapped. *)
 let clock_keep _seg _page (r : Segment.resident) = r.Segment.referenced || r.Segment.mappers <> []
 
-(* The hand.  A page [keep] passes over has its bit cleared and is requeued;
-   the first it does not is the victim.  An entry whose page has since left
-   that residency is dropped.  After 2 x queue-length passes (every page
-   kept) the next live entry is taken as it is. *)
-let next_victim t =
-  let clock = t.hand.clock in
-  let rec scan budget =
-    match Queue.take_opt clock with
-    | None -> None
-    | Some ((seg, page, r) as entry) -> (
-      match Segment.state seg page with
-      | Segment.In_memory r' when r' == r ->
-        if budget > 0 && t.keep seg page r then begin
-          r.Segment.referenced <- false;
-          Queue.push entry clock;
-          scan (budget - 1)
-        end
-        else Some entry
-      | _ -> scan budget (* stale candidate *))
-  in
-  scan (2 * Queue.length clock)
+(* Fault frequency: the pages that fault least go first. *)
+let fault_rank _seg _page (r : Segment.resident) = r.Segment.faults
 
-(* Make [r] the page's residency and queue it for the hand. *)
+let live e =
+  match Hashtbl.find e.seg.Segment.table e.page with
+  | Segment.In_memory r -> r == e.r
+  | _ | (exception Not_found) -> false
+
+(* Queue [e] as the newest of rank [k]. *)
+let requeue t k e =
+  let h = t.hand in
+  let b =
+    match Ranks.find_opt k h.buckets with
+    | Some b -> b
+    | None ->
+      let b = { ring = [||]; head = 0; len = 0 } in
+      h.buckets <- Ranks.add k b h.buckets;
+      b
+  in
+  bucket_push b e;
+  h.size <- h.size + 1
+
+let enqueue t e = requeue t (t.rank e.seg e.page e.r) e
+
+(* The hand.  It walks the buckets in ascending rank, one lap of each, and
+   takes rounds of laps until a victim turns up.  A page [keep] passes
+   over has its bit cleared and goes to the back of its bucket; the first
+   it does not is the victim.  An entry whose page has since left that
+   residency is dropped, and one whose rank rose since it was queued moves
+   up without a visit.  After 2 x (entries) passes (every page kept) the
+   next live entry is taken as it is.  With one bucket this is Clock. *)
+let next_victim t =
+  let h = t.hand in
+  let budget = ref (2 * h.size) in
+  let rec lap k b n =
+    if n = 0 then None
+    else begin
+      let e = bucket_pop b in
+      h.size <- h.size - 1;
+      if not (live e) then lap k b (n - 1) (* stale candidate *)
+      else
+        let rank = t.rank e.seg e.page e.r in
+        if rank > k then begin
+          (* it faulted since it was queued *)
+          requeue t rank e;
+          lap k b (n - 1)
+        end
+        else if !budget > 0 && t.keep e.seg e.page e.r then begin
+          e.r.Segment.referenced <- false;
+          decr budget;
+          if rank = k then begin
+            bucket_push b e;
+            h.size <- h.size + 1
+          end
+          else requeue t rank e;
+          lap k b (n - 1)
+        end
+        else Some e
+    end
+  in
+  let rec round above =
+    let next =
+      match above with
+      | None -> Ranks.min_binding_opt h.buckets
+      | Some a -> Ranks.find_first_opt (fun k -> k > a) h.buckets
+    in
+    match next with
+    | None -> if h.size = 0 then None else round None
+    | Some (k, b) -> (
+      let found = lap k b b.len in
+      if b.len = 0 then h.buckets <- Ranks.remove k h.buckets;
+      match found with Some _ -> found | None -> round (Some k))
+  in
+  round None
+
+(* Make [r] the page's residency and queue it for the hand; the page's
+   remembered faults join its count. *)
 let install t seg page (r : Segment.resident) =
   Segment.set_state seg page (Segment.In_memory r);
-  Queue.push (seg, page, r) t.hand.clock
+  (match seg.Segment.history with
+  | Some hist -> (
+    match Hashtbl.find_opt hist page with
+    | Some n ->
+      Hashtbl.remove hist page;
+      r.Segment.faults <- r.Segment.faults + n
+    | None -> ())
+  | None -> ());
+  enqueue t { seg; page; r }
+
+(* A page lost its frame: remember its faults. *)
+let remember t seg page (r : Segment.resident) =
+  if r.Segment.faults > 0 then begin
+    let hist =
+      match seg.Segment.history with
+      | Some hist -> hist
+      | None ->
+        let hist = Hashtbl.create 16 in
+        seg.Segment.history <- Some hist;
+        t.hand.remembering <- seg :: t.hand.remembering;
+        hist
+    in
+    Hashtbl.replace hist page r.Segment.faults
+  end
+
+(* Halve every count, resident and remembered, and requeue the candidates
+   by their new ranks in walk order: within a new rank, the pages of the
+   lower old rank first, each oldest first. *)
+let age t =
+  let h = t.hand in
+  let halve e = if live e then e.r.Segment.faults <- e.r.Segment.faults / 2 in
+  let queued =
+    List.concat_map
+      (fun (_, b) -> List.init b.len (fun i -> b.ring.((b.head + i) mod Array.length b.ring)))
+      (Ranks.bindings h.buckets)
+  in
+  List.iter halve queued;
+  List.iter halve h.laundry;
+  List.iter (Array.iter halve) h.in_flight;
+  List.iter
+    (fun (seg : Segment.t) ->
+      Option.iter
+        (Hashtbl.filter_map_inplace (fun _ n -> if n > 1 then Some (n / 2) else None))
+        seg.Segment.history)
+    h.remembering;
+  h.buckets <- Ranks.empty;
+  h.size <- 0;
+  List.iter (enqueue t) queued
+
+(* One fault served: counts halve after each 10 x F, F the frames the
+   manager pages with (TinyLFU's sample window). *)
+let tick t =
+  let h = t.hand in
+  h.since_aging <- h.since_aging + 1;
+  if h.since_aging >= 10 * Frame_alloc.pageable t.env.frames then begin
+    h.since_aging <- 0;
+    age t
+  end
 
 let create env =
   let t =
@@ -129,7 +287,16 @@ let create env =
       spaces = Hashtbl.create 16;
       next_space_tag = 1;
       next_segment_id = 1;
-      hand = { clock = Queue.create (); laundry = []; in_flight = []; waiters = [] };
+      hand =
+        {
+          buckets = Ranks.empty;
+          size = 0;
+          laundry = [];
+          in_flight = [];
+          waiters = [];
+          remembering = [];
+          since_aging = 0;
+        };
       stats =
         {
           soft_faults = 0;
@@ -142,6 +309,7 @@ let create env =
         };
       on_segv = default_segv;
       keep = clock_keep;
+      rank = fault_rank;
       on_consistency = (fun _ _ -> false);
     }
   in
@@ -304,6 +472,9 @@ let release_space t vsp =
       pages
   in
   List.iter release_segment segs;
+  (* the segments go, and their fault history with them *)
+  List.iter (fun (seg : Segment.t) -> seg.Segment.history <- None) segs;
+  t.hand.remembering <- List.filter (fun s -> not (List.memq s segs)) t.hand.remembering;
   (* refused while a thread of the space still runs (a process in its
      exit trap): [vsp.loaded] stays true, and the owner unloads it later *)
   if vsp.loaded then ignore (Api.unload_space t.env.inst ~caller:(t.env.kernel ()) vsp.oid);
@@ -311,7 +482,7 @@ let release_space t vsp =
 
 (* -- Laundering --
 
-   The Clock hand never writes.  A dirty victim is set aside in the
+   The hand never writes.  A dirty victim is set aside in the
    laundry and the hand moves on to a clean one, which goes at once; every
    [launder_batch] dirty pages leave as one sequential disk write to a run
    of fresh blocks (WSClock, Carr & Hennessy 1981).  A page stays
@@ -333,10 +504,12 @@ let launder_batch = 8
    before they can use them. *)
 let launder_max_in_flight = 4
 
-(* Release a victim's frame: the page is no longer resident. *)
-let release t (r : Segment.resident) =
+(* Release a victim's frame: the page is no longer resident, and its
+   faults are remembered. *)
+let release t e =
   t.stats.evictions <- t.stats.evictions + 1;
-  Frame_alloc.free t.env.frames r.Segment.pfn
+  remember t e.seg e.page e.r;
+  Frame_alloc.free t.env.frames e.r.Segment.pfn
 
 let laundry_full t = List.compare_length_with t.hand.laundry launder_batch >= 0
 let can_submit t = List.compare_length_with t.hand.in_flight launder_max_in_flight < 0
@@ -345,15 +518,16 @@ let can_submit t = List.compare_length_with t.hand.in_flight launder_max_in_flig
    send a full laundry that was waiting for room, wake the evictors. *)
 let rec launder_done t batch =
   Array.iter
-    (fun ((seg, page, (r : Segment.resident)) as entry) ->
-      match Segment.state seg page with
-      | Segment.In_memory r' when r' == r ->
+    (fun e ->
+      if live e then begin
+        let r = e.r in
         if r.Segment.mappers = [] && not r.Segment.dirty then begin
-          Segment.set_state seg page (Segment.On_disk (Option.get r.Segment.backing));
-          release t r
+          Segment.set_state e.seg e.page (Segment.On_disk (Option.get r.Segment.backing));
+          release t e
         end
-        else Queue.push entry t.hand.clock
-      | _ -> () (* the page left residency meanwhile; its frame is not ours *))
+        else enqueue t e
+      end
+      (* else the page left residency meanwhile; its frame is not ours *))
     batch;
   t.hand.in_flight <- List.filter (fun b -> b != batch) t.hand.in_flight;
   if laundry_full t then submit_laundry t;
@@ -365,29 +539,22 @@ let rec launder_done t batch =
    its block in a fresh run; the block it had holds a stale image and is
    freed (a file's block is not the page's to free). *)
 and submit_laundry t =
-  let batch =
-    List.rev t.hand.laundry
-    |> List.filter (fun (seg, page, r) ->
-           match Segment.state seg page with
-           | Segment.In_memory r' -> r' == r
-           | _ -> false)
-    |> Array.of_list
-  in
+  let batch = List.rev t.hand.laundry |> List.filter live |> Array.of_list in
   t.hand.laundry <- [];
   let n = Array.length batch in
   if n > 0 then begin
     let store = t.env.store in
     let first = Backing_store.alloc_run store n in
     Array.iteri
-      (fun i ((seg : Segment.t), _, (r : Segment.resident)) ->
-        if not seg.Segment.file_backed then
-          Option.iter (Backing_store.free_block store) r.Segment.backing;
-        r.Segment.backing <- Some (first + i);
-        r.Segment.dirty <- false)
+      (fun i e ->
+        if not e.seg.Segment.file_backed then
+          Option.iter (Backing_store.free_block store) e.r.Segment.backing;
+        e.r.Segment.backing <- Some (first + i);
+        e.r.Segment.dirty <- false)
       batch;
     t.hand.in_flight <- batch :: t.hand.in_flight;
     Backing_store.page_out_batch store ~block:first
-      ~pfns:(Array.map (fun (_, _, (r : Segment.resident)) -> r.Segment.pfn) batch)
+      ~pfns:(Array.map (fun e -> e.r.Segment.pfn) batch)
       (fun () -> launder_done t batch)
   end
 
@@ -416,21 +583,23 @@ let rec reclaim t ~thread budget =
   let wait () = if wait_for_laundry t ~thread then `Waited else `Nothing in
   match if laundry_full t then None else next_victim t with
   | None -> wait ()
-  | Some ((seg, page, r) as entry) -> (
+  | Some e -> (
+    let r = e.r in
     unmap_residents t r;
     match r.Segment.cow_pending with
     | Some parent when not r.Segment.dirty ->
-      revert_cow t seg page r parent;
-      release t r;
+      revert_cow t e.seg e.page r parent;
+      release t e;
       `Freed r.Segment.pfn
     | _ when r.Segment.dirty ->
-      set_aside t entry;
+      set_aside t e;
       if budget > 0 && not (laundry_full t) then reclaim t ~thread (budget - 1) else wait ()
     | _ ->
-      (match r.Segment.backing with
-      | Some block -> Segment.set_state seg page (Segment.On_disk block)
-      | None -> Segment.set_state seg page Segment.Zero);
-      release t r;
+      Segment.set_state e.seg e.page
+        (match r.Segment.backing with
+        | Some block -> Segment.On_disk block
+        | None -> Segment.Zero);
+      release t e;
       `Freed r.Segment.pfn)
 
 (** Evict one resident page and return its frame, laundering dirty
@@ -631,13 +800,18 @@ let load_siblings t seg page (r : Segment.resident) ~skip =
         then record_mapper r vsp' va')
     (viewers t seg page)
 
-(* Serve a fault against [region] at [va]. *)
+(* Serve a fault against [region] at [va].  The fault counts against the
+   residency it maps: the page's own, or the parent page a copy-on-write
+   read shares. *)
 let serve t vsp (region : Region.t) ~va ~(access : Hw.Mmu.access) ~thread =
+  tick t;
   let page = Region.page_index region va in
   let seg = region.Region.segment in
+  let count (r : Segment.resident) = r.Segment.faults <- r.Segment.faults + 1 in
   (* the page is resident as [r]: its mapping (combined resume) and any
      clustered prefetch in one [load], then a message page's siblings *)
   let demand (r : Segment.resident) =
+    count r;
     let cands = prefetch_candidates t vsp region ~page in
     let entries =
       (va, r.Segment.pfn, None)
@@ -678,6 +852,7 @@ let serve t vsp (region : Region.t) ~va ~(access : Hw.Mmu.access) ~thread =
             mappers = [ (vsp.tag, va) ];
             referenced = true;
             cow_pending = Some (parent, ppage);
+            faults = 1;
           }
         in
         install t seg page r;
@@ -689,6 +864,7 @@ let serve t vsp (region : Region.t) ~va ~(access : Hw.Mmu.access) ~thread =
     match ensure_resident t parent ppage ~thread with
     | None -> ()
     | Some pres ->
+      count pres;
       if load t vsp region ~writable:false ~resume:true [ (va, pres.Segment.pfn, None) ] = [ true ]
       then record_demand pres vsp va)
   | Segment.In_memory r ->
@@ -740,7 +916,7 @@ and handle_vm_fault t (ctx : Kernel_obj.fault_ctx) =
 (** Digest a mapping writeback: fold the referenced/modified bits into our
     records and clear the mapper entry.  This is how the application kernel
     learns whether a page must reach backing store before frame reuse, and
-    whether the Clock hand should pass over it. *)
+    whether the hand should pass over it. *)
 let handle_mapping_writeback t ~space_tag (state : Wb.mapping_state) =
   match space_by_tag t space_tag with
   | None -> ()

@@ -1,10 +1,18 @@
 (** The segment manager: the memory-management class library of section 3.
 
     Paging *policy* lives here, in user mode: frame allocation, page
-    replacement (a Clock hand with one pluggable [keep] test),
-    backing-store I/O, zero fill and copy-on-write — driving the Cache
-    Kernel through mapping load/unload and digesting the
+    replacement, backing-store I/O, zero fill and copy-on-write — driving
+    the Cache Kernel through mapping load/unload and digesting the
     referenced/modified bits out of writeback records.
+
+    Page replacement is one hand over candidates held in per-rank FIFO
+    buckets.  It walks them in ascending [rank], oldest first within a
+    rank, and [keep] gives a page Clock's second chance.  The default
+    rank is the page's fault count: every fault the manager serves on it,
+    remembered across evictions in the segment's sparse [history], and
+    halved after each 10 x F faults, F the frames the manager pages with
+    ({!Frame_alloc.pageable}).  A constant rank makes one bucket, which is
+    Clock.  Neither the counts nor the hand charge simulated cycles.
 
     Dirty victims are laundered (WSClock): the hand sets them aside and
     evicts the next clean page, and every {!launder_batch} dirty pages
@@ -18,7 +26,7 @@
     [min k (Config.mapping_batch_max - 1)] resident, unmapped neighbours
     of the faulting page in the same batched call; the depth is fixed.
 
-    Policy hooks ([on_segv], [keep], [on_consistency]) are
+    Policy hooks ([on_segv], [keep], [rank], [on_consistency]) are
     mutable fields, the simulation analogue of overriding the C++
     library's virtual methods.  The manager alone holds the hand's queue,
     the laundry and the spaces; a policy sees only what the hand asks.
@@ -57,7 +65,8 @@ type stats = {
 }
 
 type hand
-(** The Clock hand's queue and the laundry; private to the manager. *)
+(** The hand's buckets, the laundry and the fault-count aging; private to
+    the manager. *)
 
 type t = {
   env : env;
@@ -73,10 +82,19 @@ type t = {
   mutable keep : Segment.t -> int -> Segment.resident -> bool;
       (** policy hook: page replacement.  [keep seg page r]: whether the
           hand passes over segment page [page], resident as [r], once more
-          (clearing [r.referenced]).  The first page not kept is the
-          victim; after 2 x queue-length passes the next goes regardless.
-          Only the hand asks, and never about a page set aside or in
-          flight.  Default: Clock, [r.referenced || r.mappers <> []]. *)
+          (clearing [r.referenced] and sending it to the back of its
+          bucket).  The hand takes one lap of each bucket in ascending
+          rank, in rounds; the first page not kept is the victim, and
+          after 2 x (candidates) passes the next goes regardless.  Only
+          the hand asks, and never about a page set aside or in flight.
+          Default: Clock's test, [r.referenced || r.mappers <> []]. *)
+  mutable rank : Segment.t -> int -> Segment.resident -> int;
+      (** policy hook: page replacement.  [rank seg page r]: the bucket the
+          hand visits the page in, lower first.  Read when the page is
+          queued and again when the hand meets it; a page whose rank rose
+          meanwhile moves up unvisited.  It must not change while the hand
+          scans.  Default: fault frequency, [r.faults].  A constant rank
+          is Clock (FIFO, with a [keep] that keeps nothing). *)
   mutable on_consistency : t -> Kernel_obj.fault_ctx -> bool;
       (** policy hook: consistency faults; a DSM layer installs its
           protocol here *)

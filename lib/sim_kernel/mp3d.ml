@@ -207,11 +207,12 @@ let run t ~steps ?workers () =
 
 (** Install the application-specific page-replacement policy: keep a
     particle page while any of its cells is in the active window and let
-    it go otherwise, whatever its mapping and referenced bit say; Clock
-    decides the other pages.  This is the application-controlled physical
+    it go otherwise, whatever its mapping and referenced bit say; Clock's
+    test decides the other pages.  The hand's default fault-count rank
+    still orders every page.  This is the application-controlled physical
     memory of Harty & Cheriton that the Cache Kernel model exports to user
     level.  Scattered pages mix every cell, so the window says nothing
-    about them and Clock decides those too. *)
+    about them and Clock's test decides those too. *)
 let install_locality_aware_eviction t =
   let mgr = t.ak.App_kernel.mgr in
   let default = mgr.Segment_mgr.keep in

@@ -473,11 +473,14 @@ let fp () =
    resident.  Gate: LRU's SK us/access strictly below Clock's, the
    end-to-end number that justifies keeping LRU next to Clock.
 
-   The paging pair replays one Zipf page trace over a bounded frame pool
-   twice: with the segment manager's default Clock, and with a [keep] test
-   that keeps nothing, so the hand evicts in install order (FIFO), ignoring
-   the referenced bits.  Gate: Clock's us/access strictly below FIFO's, the
-   number that justifies the hand. *)
+   The paging rows replay one Zipf page trace over a bounded frame pool
+   three times: FIFO (a constant rank and a [keep] that keeps nothing, so
+   the hand evicts in install order), Clock (a constant rank: one bucket,
+   second chance for referenced or mapped pages) and the segment manager's
+   default fault frequency.  An OPT row gives Belady's page-ins on the same
+   trace and frames, the bound for any policy.  Gates: Clock's us/access
+   strictly below FIFO's and frequency's below Clock's, the numbers that
+   justify the hand and its rank. *)
 let pl () =
   let c2_pages = 512 and c2_passes = 4 in
   let point kind =
@@ -516,16 +519,24 @@ let pl () =
           num "us_per_access" p.zp_us_per_access;
         ] )
   in
+  let constant_rank (m : Aklib.Segment_mgr.t) = m.Aklib.Segment_mgr.rank <- (fun _ _ _ -> 0) in
   let fifo_us, fifo =
-    paging "fifo" (fun m -> m.Aklib.Segment_mgr.keep <- (fun _ _ _ -> false))
+    paging "fifo" (fun m ->
+        constant_rank m;
+        m.Aklib.Segment_mgr.keep <- (fun _ _ _ -> false))
   in
-  let clock_us, clock_paging = paging "clock" ignore in
+  let clock_us, clock_paging = paging "clock" constant_rank in
+  let freq_us, freq_paging = paging "frequency" ignore in
+  let opt =
+    Json.Obj [ str "page_replacement" "opt"; int "page_ins" (Sweeps.zipf_opt_page_ins ()) ]
+  in
   {
-    rows = [ clock; lru; fifo; clock_paging ];
+    rows = [ clock; lru; fifo; clock_paging; freq_paging; opt ];
     gates =
       [
         ("lru SK us/access < clock", lru_sk < clock_sk);
         ("clock page-replacement us/access < fifo", clock_us < fifo_us);
+        ("frequency page-replacement us/access < clock", freq_us < clock_us);
       ];
   }
 

@@ -255,27 +255,34 @@ let zipf_trace ~seed ~pages ~s n =
       done;
       !lo)
 
+let zipf_pages = 512
+let zipf_frames = 128
+let zipf_accesses = 4000
+let zipf_point_trace () = zipf_trace ~seed:1 ~pages:zipf_pages ~s:0.9 zipf_accesses
+
+(* Every third access writes. *)
+let zipf_writes i = i mod 3 = 0
+
 (** One thread replays a seeded Zipf(0.9) trace of 4 000 accesses over
     512 pages, every third access a write, against 128 physical frames.
     The 64-entry mapping cache is smaller than the frame pool, so most
     resident pages are unmapped and their referenced bits have come back
     in writebacks: the information page replacement has to work with.
     [manage] sees the segment manager before the run; the PL scenario
-    installs a FIFO victim hook there to measure the default Clock
-    against. *)
+    installs its FIFO and Clock hooks there to measure the default fault
+    frequency against. *)
 let zipf_point ?(manage = fun _ -> ()) () =
-  let pages = 512 and frames = 128 and accesses = 4000 in
   let config = { Config.default with Config.mapping_cache = 64 } in
-  let inst, ak, vsp, _ = segment_setup ~config ~prepare:ignore ~name:"zipf" pages in
+  let inst, ak, vsp, _ = segment_setup ~config ~prepare:ignore ~name:"zipf" zipf_pages in
   manage ak.App_kernel.mgr;
-  let spare = Frame_alloc.available ak.App_kernel.frames - frames in
+  let spare = Frame_alloc.available ak.App_kernel.frames - zipf_frames in
   if spare > 0 then ignore (Frame_alloc.take ak.App_kernel.frames spare);
-  let trace = zipf_trace ~seed:1 ~pages ~s:0.9 accesses in
+  let trace = zipf_point_trace () in
   let body () =
     Array.iteri
       (fun i page ->
         let va = base + (page * Hw.Addr.page_size) in
-        if i mod 3 = 0 then Hw.Exec.mem_write va i else ignore (Hw.Exec.mem_read va))
+        if zipf_writes i then Hw.Exec.mem_write va i else ignore (Hw.Exec.mem_read va))
       trace
   in
   let elapsed = run_body inst ak vsp body in
@@ -284,8 +291,23 @@ let zipf_point ?(manage = fun _ -> ()) () =
     zp_page_ins = Backing_store.page_ins store;
     zp_page_outs = Backing_store.page_outs store;
     zp_evictions = (Segment_mgr.stats ak.App_kernel.mgr).Segment_mgr.evictions;
-    zp_us_per_access = elapsed /. float_of_int accesses;
+    zp_us_per_access = elapsed /. float_of_int zipf_accesses;
   }
+
+(** Page-ins of Belady's OPT on [zipf_point]'s trace and frame count: a
+    miss on a page written before is a page-in, as in the simulator (a
+    page never written refaults as a zero fill). *)
+let zipf_opt_page_ins () =
+  let trace = zipf_point_trace () in
+  let miss = Belady.replay ~frames:zipf_frames trace in
+  let written = Hashtbl.create 64 in
+  let page_ins = ref 0 in
+  Array.iteri
+    (fun i page ->
+      if miss.(i) && Hashtbl.mem written page then incr page_ins;
+      if zipf_writes i then Hashtbl.replace written page ())
+    trace;
+  !page_ins
 
 (* -- TS: tiered-backing-store sweep -- *)
 

@@ -359,6 +359,163 @@ let test_keep_nothing_is_fifo () =
   done;
   Alcotest.(check (list int)) "evicted in install order" [ 2; 0; 3; 1 ] (List.rev !gone)
 
+(* -- Fault frequency: the hand's rank -- *)
+
+(* A reference Clock over one queue, for clean pages: a resident page is
+   referenced (the manager's bit), mapped, and used through its mapping
+   since it was loaded (the Cache Kernel's bit, which the mapping's
+   writeback reports). *)
+type model_page = { mutable referenced : bool; mutable mapped : bool; mutable used : bool }
+
+let model_clock ~frames ops =
+  let queue = Queue.create () and pages = Hashtbl.create 8 and victims = ref [] in
+  let evict () =
+    let rec scan budget =
+      let p = Queue.pop queue in
+      let m = Hashtbl.find pages p in
+      if budget > 0 && (m.referenced || m.mapped) then begin
+        m.referenced <- false;
+        Queue.push p queue;
+        scan (budget - 1)
+      end
+      else begin
+        Hashtbl.remove pages p;
+        victims := p :: !victims
+      end
+    in
+    scan (2 * Queue.length queue)
+  in
+  List.iter
+    (fun (read, p) ->
+      match (read, Hashtbl.find_opt pages p) with
+      | true, Some m when m.mapped -> m.used <- true
+      | true, Some m ->
+        m.mapped <- true;
+        m.referenced <- true;
+        m.used <- true
+      | true, None ->
+        if Hashtbl.length pages = frames then evict ();
+        Hashtbl.replace pages p { referenced = true; mapped = true; used = true };
+        Queue.push p queue
+      | false, Some m when m.mapped ->
+        if m.used then m.referenced <- true;
+        m.mapped <- false;
+        m.used <- false
+      | false, _ -> ())
+    ops;
+  List.rev !victims
+
+(* The same operations on the segment manager with a constant rank: one
+   thread reads pages (a fault when unmapped) and unloads their mappings
+   (writebacks); the victims are the pages that leave residency. *)
+let manager_clock ~frames ~pages ops =
+  let inst, ak = make () in
+  hostage_all_but ak frames;
+  ak.App_kernel.mgr.Segment_mgr.rank <- (fun _ _ _ -> 0);
+  let vsp, seg = one_segment_space ak ~name:"model" ~pages in
+  let victims = ref [] in
+  ignore
+    (spawn_user ak vsp ~priority:8 (fun () ->
+         List.iter
+           (fun (read, p) ->
+             let before = List.filter (is_resident seg) (List.init pages Fun.id) in
+             if read then ignore (Hw.Exec.mem_read (base + (p * Hw.Addr.page_size)))
+             else if is_resident seg p then unmap_pages ak seg [ p ];
+             victims := List.filter (fun q -> not (is_resident seg q)) before @ !victims)
+           ops));
+  ignore (Engine.run [| inst |]);
+  List.rev !victims
+
+let prop_constant_rank_is_clock =
+  let pages = 6 and frames = 3 in
+  QCheck.Test.make ~name:"a constant rank evicts as a queue Clock does" ~count:100
+    QCheck.(list_of_size (Gen.int_range 1 60) (pair bool (int_bound (pages - 1))))
+    (fun ops -> manager_clock ~frames ~pages ops = model_clock ~frames ops)
+
+(* Fault page [p] of [vsp]'s segment once more: unload its mapping, if
+   any, and read it. *)
+let refault inst ak vsp seg p =
+  if is_resident seg p then unmap_pages ak seg [ p ];
+  read_pages inst ak vsp [ p ]
+
+let history seg page =
+  Option.bind seg.Segment.history (fun hist -> Hashtbl.find_opt hist page)
+
+(* Page 0 faults three times and is evicted: the segment remembers 3, and
+   the page's next residency starts from it.  Releasing the space drops
+   the history with the segment. *)
+let test_count_survives_eviction () =
+  let inst, ak = make () in
+  let mgr = ak.App_kernel.mgr in
+  let vsp, seg = one_segment_space ak ~name:"history" ~pages:2 in
+  Alcotest.(check bool) "no history yet" true (seg.Segment.history = None);
+  for _ = 1 to 3 do
+    refault inst ak vsp seg 0
+  done;
+  Alcotest.(check int) "three faults counted" 3 (resident seg 0).Segment.faults;
+  unmap_pages ak seg [ 0 ];
+  evict ak;
+  Alcotest.(check (option int)) "remembered after eviction" (Some 3) (history seg 0);
+  read_pages inst ak vsp [ 0 ];
+  Alcotest.(check int) "the next residency goes on from it" 4 (resident seg 0).Segment.faults;
+  Alcotest.(check (option int)) "and the history lets it go" None (history seg 0);
+  unmap_pages ak seg [ 0 ];
+  evict ak;
+  Alcotest.(check (option int)) "remembered again" (Some 4) (history seg 0);
+  Segment_mgr.release_space mgr vsp;
+  Alcotest.(check bool) "released with the segment" true (seg.Segment.history = None)
+
+(* With F pageable frames, every count halves at the 10 x F-th fault,
+   resident and remembered alike; the fault that ages them then counts. *)
+let test_counts_halve () =
+  let inst, ak = make () in
+  hostage_all_but ak 4;
+  let f = Frame_alloc.pageable ak.App_kernel.frames in
+  let vsp, seg = one_segment_space ak ~name:"aging" ~pages:2 in
+  for _ = 1 to 3 do
+    refault inst ak vsp seg 1
+  done;
+  unmap_pages ak seg [ 1 ];
+  evict ak;
+  for _ = 1 to (10 * f) - 4 do
+    refault inst ak vsp seg 0
+  done;
+  Alcotest.(check int) "one fault short of the window" ((10 * f) - 4)
+    (resident seg 0).Segment.faults;
+  Alcotest.(check (option int)) "page 1 remembered" (Some 3) (history seg 1);
+  refault inst ak vsp seg 0;
+  Alcotest.(check int) "resident count halved, then counted"
+    ((((10 * f) - 4) / 2) + 1)
+    (resident seg 0).Segment.faults;
+  Alcotest.(check (option int)) "remembered count halved" (Some 1) (history seg 1)
+
+(* Without frame pressure nothing is evicted, so no segment keeps a
+   history, not even after its space is released. *)
+let test_no_eviction_no_history () =
+  let inst, ak = make () in
+  let vsp, seg = one_segment_space ak ~name:"roomy" ~pages:16 in
+  read_pages inst ak vsp (List.init 16 Fun.id);
+  refault inst ak vsp seg 3;
+  Alcotest.(check int) "no evictions" 0
+    (Segment_mgr.stats ak.App_kernel.mgr).Segment_mgr.evictions;
+  Alcotest.(check int) "faults were counted" 2 (resident seg 3).Segment.faults;
+  Segment_mgr.release_space ak.App_kernel.mgr vsp;
+  Alcotest.(check bool) "no history" true (seg.Segment.history = None)
+
+(* The hand goes to the page that faulted least, although it is younger
+   and the older one is neither referenced nor mapped. *)
+let test_fewest_faults_go_first () =
+  let inst, ak = make () in
+  let vsp, seg = one_segment_space ak ~name:"lfu" ~pages:2 in
+  refault inst ak vsp seg 0;
+  refault inst ak vsp seg 0;
+  refault inst ak vsp seg 1;
+  unmap_pages ak seg [ 0; 1 ];
+  List.iter (fun p -> (resident seg p).Segment.referenced <- false) [ 0; 1 ];
+  evict ak;
+  Alcotest.(check (list bool)) "the once-faulted page went" [ true; false ]
+    (List.map (is_resident seg) [ 0; 1 ])
+
 (* -- Laundering: the hand sets dirty victims aside and writes them in
    batches -- *)
 
@@ -869,6 +1026,17 @@ let prop_frame_alloc =
       List.iter (Frame_alloc.free fa) allocated;
       ok_distinct && Frame_alloc.available fa = Hw.Addr.pages_per_group)
 
+let test_pageable () =
+  let fa = Frame_alloc.create () in
+  Frame_alloc.add_group fa 0;
+  Frame_alloc.add_group fa 1;
+  let n = 2 * Hw.Addr.pages_per_group in
+  ignore (Frame_alloc.take fa 100);
+  ignore (Frame_alloc.alloc fa);
+  Alcotest.(check (pair int int)) "total counts the reserved frames, pageable does not"
+    (n, n - 100)
+    (Frame_alloc.total fa, Frame_alloc.pageable fa)
+
 let test_segv_hook_retry () =
   (* a segv handler that maps the missing page and retries: the user-level
      recovery path of section 2.1 *)
@@ -926,6 +1094,15 @@ let () =
             test_queue_names_the_residency;
           Alcotest.test_case "keeping nothing evicts in install order" `Quick
             test_keep_nothing_is_fifo;
+        ] );
+      ( "frequency",
+        [
+          qcheck prop_constant_rank_is_clock;
+          Alcotest.test_case "the fewest faults go first" `Quick test_fewest_faults_go_first;
+          Alcotest.test_case "a count survives eviction" `Quick test_count_survives_eviction;
+          Alcotest.test_case "counts halve after 10 x F faults" `Quick test_counts_halve;
+          Alcotest.test_case "no eviction, no history" `Quick test_no_eviction_no_history;
+          Alcotest.test_case "pageable frames exclude reserved ones" `Quick test_pageable;
         ] );
       ( "laundering",
         [

@@ -155,6 +155,34 @@ let test_registry_scenarios () =
       end)
     Workload.Bench.all
 
+(* -- Belady's OPT -- *)
+
+let opt_misses ~frames trace =
+  Array.fold_left (fun n m -> if m then n + 1 else n) 0 (Workload.Belady.replay ~frames trace)
+
+let fifo_misses ~frames trace =
+  let q = Queue.create () and misses = ref 0 in
+  Array.iter
+    (fun page ->
+      if not (Queue.fold (fun found p -> found || p = page) false q) then begin
+        incr misses;
+        if Queue.length q = frames then ignore (Queue.pop q);
+        Queue.push page q
+      end)
+    trace;
+  !misses
+
+(* The textbook reference string (Silberschatz) over 3 frames: 9 misses. *)
+let test_opt_textbook () =
+  let trace = [| 7; 0; 1; 2; 0; 3; 0; 4; 2; 3; 0; 3; 2; 1; 2; 0; 1; 7; 0; 1 |] in
+  Alcotest.(check (pair int int)) "OPT and FIFO misses" (9, 15)
+    (opt_misses ~frames:3 trace, fifo_misses ~frames:3 trace)
+
+let prop_opt_below_fifo =
+  QCheck.Test.make ~name:"OPT misses no more than FIFO" ~count:300
+    QCheck.(pair (int_range 1 6) (array_of_size (Gen.int_bound 200) (int_bound 9)))
+    (fun (frames, trace) -> opt_misses ~frames trace <= fifo_misses ~frames trace)
+
 let () =
   Alcotest.run "workload-shapes"
     [
@@ -178,6 +206,11 @@ let () =
         [
           Alcotest.test_case "ipc ordering" `Quick test_ipc_shape;
           Alcotest.test_case "mp3d locality" `Slow test_mp3d_shape;
+        ] );
+      ( "belady",
+        [
+          Alcotest.test_case "textbook string" `Quick test_opt_textbook;
+          QCheck_alcotest.to_alcotest prop_opt_below_fifo;
         ] );
       ( "registry",
         [
