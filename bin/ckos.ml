@@ -5,17 +5,20 @@
      run    — boot a UNIX emulator, run a small process tree, print stats
               (the default command; --metrics-out/--trace-out export the
               observability layer's JSON; --audit/--audit-out run the
-              invariant auditor afterwards and fail on unrepaired
-              violations)
+              invariant auditor afterwards and fail on any violation; a
+              chaos run is always audited, and fails on any violation)
      trace  — run one demand-paged program with the event trace enabled
      bench  — run the named benchmark scenarios (all by default), print
               their tables and gates, merge them into BENCH_metrics.json
      cluster — run a multi-node cluster and print a digest of every
                node's metrics and trace; the same flags give the same
-               digest
+               digest; with chaos on, every node is audited and any
+               violation fails the run
      checkpoint — run the UNIX session and save its image to a file
      restore    — replay the session in a fresh process, restore the image,
-                  and verify memory content and syscall results match *)
+                  and verify memory content and syscall results match
+
+   Every audit only detects: an invariant violation exits nonzero. *)
 
 open Cmdliner
 open Cachekernel
@@ -71,16 +74,20 @@ let print_chaos_balance inst =
       if i > 0 || r > 0 then Fmt.pr "  %-14s inject %5d   recover %5d@." site i r)
     Fault_inject.sites
 
-(* Post-run invariant audit (with repair).  Exits nonzero if anything the
-   repair pass could not fix remains — the CI chaos jobs rely on this. *)
-let run_audit inst ~audit_out =
-  let report = Audit.run ~repair:true inst in
+(* Print a post-run invariant audit and exit nonzero on any violation —
+   the CI chaos jobs rely on this. *)
+let check_audit ~audit_out report =
   Fmt.pr "%a@." Audit.pp_report report;
   Option.iter (fun path -> write_json path "audit report" (Audit.report_json report)) audit_out;
-  if Audit.unrepaired report <> [] then begin
-    Fmt.epr "ckos: audit found unrepaired invariant violations@.";
+  if not (Audit.clean report) then begin
+    Fmt.epr "ckos: audit found invariant violations@.";
     Stdlib.exit 1
   end
+
+(* A chaos run is audited as soon as the engine returns, before anything
+   is printed or exported. *)
+let chaos_audit (inst : Instance.t) =
+  if Fault_inject.enabled inst.Instance.fi then Some (Audit.run inst) else None
 
 let run_workload cpus procs chaos chaos_seed partition_at partition_for partition_minority
     prefetch policy tiers audit audit_out metrics_out trace_out =
@@ -104,6 +111,7 @@ let run_workload cpus procs chaos chaos_seed partition_at partition_for partitio
     }
   in
   let inst, emu = Workload.Session.run ~config ~cpus ~procs ~tracing:(trace_out <> None) () in
+  let audited = chaos_audit inst in
   Fmt.pr "ran %d processes in %.1f ms simulated (%d syscalls)@."
     emu.Unix_emu.Emulator.spawned
     (Hw.Cost.us_of_cycles (Hw.Mpm.now inst.Instance.node) /. 1000.)
@@ -114,7 +122,11 @@ let run_workload cpus procs chaos chaos_seed partition_at partition_for partitio
     (Space_accounting.measure inst);
   if chaos > 0.0 then print_chaos_balance inst;
   export_observability inst ~metrics_out ~trace_out;
-  if audit || audit_out <> None then run_audit inst ~audit_out
+  let wanted = audit || audit_out <> None in
+  match audited with
+  | Some report when wanted || not (Audit.clean report) -> check_audit ~audit_out report
+  | None when wanted -> check_audit ~audit_out (Audit.run inst)
+  | _ -> ()
 
 let show_trace metrics_out trace_out =
   let inst = Workload.Setup.instance ~cpus:1 () in
@@ -191,7 +203,7 @@ let run_checkpoint cpus procs pause_us out =
   Fmt.pr "checkpointed %d spaces at %.0f us (%d B image, digest %08x) to %s@."
     (List.length img.Migrate.Codec.spaces)
     pause_us bytes digest out;
-  run_audit inst ~audit_out:None
+  check_audit ~audit_out:None (Audit.run inst)
 
 let run_restore file =
   let data =
@@ -240,7 +252,7 @@ let run_restore file =
         (List.length r.Migrate.Checkpoint.threads)
         file restored_digest;
       List.iter (fun f -> Fmt.epr "ckos: restore mismatch: %s@." f) !failures;
-      run_audit inst ~audit_out:None;
+      check_audit ~audit_out:None (Audit.run inst);
       if !failures <> [] then Stdlib.exit 1)
 
 let run_bench names =
@@ -275,8 +287,8 @@ let audit_flag =
     value & flag
     & info [ "audit" ]
         ~doc:
-          "After the run, audit every cross-layer invariant (with repair) and \
-           exit nonzero if unrepaired violations remain.")
+          "After the run, audit every cross-layer invariant and exit nonzero \
+           on any violation.")
 
 let audit_out =
   Arg.(
@@ -432,6 +444,7 @@ let run_cluster nodes until_us load chaos chaos_seed partition_at
   done;
   Workload.Cluster.run ~until_us c;
   let insts = Workload.Cluster.insts c in
+  let audits = Array.map chaos_audit insts in
   Fmt.pr "cluster: %d nodes, %.0f us simulated@." nodes until_us;
   Array.iter
     (fun (i : Instance.t) ->
@@ -447,7 +460,19 @@ let run_cluster nodes until_us load chaos chaos_seed partition_at
     (fun path ->
       write_json path "metrics"
         (Json.List (Array.to_list (Array.map Instance.metrics_json insts))))
-    metrics_out
+    metrics_out;
+  let failed = ref false in
+  Array.iteri
+    (fun i -> function
+      | Some report when not (Audit.clean report) ->
+        Fmt.pr "node %d %a@." (Instance.node_id insts.(i)) Audit.pp_report report;
+        failed := true
+      | _ -> ())
+    audits;
+  if !failed then begin
+    Fmt.epr "ckos: audit found invariant violations@.";
+    Stdlib.exit 1
+  end
 
 let cluster_cmd =
   let nodes = Arg.(value & opt int 4 & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size.") in

@@ -99,6 +99,9 @@ type hand = {
       (* eviction candidates by rank, each bucket in the order the hand
          visits it; one bucket when the rank is constant *)
   mutable size : int; (* entries across the buckets, stale ones included *)
+  mutable released : int;
+      (* residencies [release_space] ended since the buckets were last
+         swept: at least as many as the stale entries it left there *)
   mutable laundry : entry list;
       (* dirty victims set aside by the hand and not yet written, newest
          first; out of the buckets until their batch completes *)
@@ -217,6 +220,24 @@ let next_victim t =
   in
   round None
 
+(* Drop the stale entries from every bucket, keeping the order of the
+   rest.  [release_space] sweeps once the residencies it ended reach half
+   the entries, so a manager that never evicts does not keep a dead
+   space's pages, and each release pays O(1) amortised. *)
+let sweep t =
+  let h = t.hand in
+  let buckets = Ranks.bindings h.buckets in
+  h.buckets <- Ranks.empty;
+  h.size <- 0;
+  h.released <- 0;
+  List.iter
+    (fun (k, b) ->
+      for i = 0 to b.len - 1 do
+        let e = b.ring.((b.head + i) mod Array.length b.ring) in
+        if live e then requeue t k e
+      done)
+    buckets
+
 (* Make [r] the page's residency and queue it for the hand; the page's
    remembered faults join its count. *)
 let install t seg page (r : Segment.resident) =
@@ -291,6 +312,7 @@ let create env =
         {
           buckets = Ranks.empty;
           size = 0;
+          released = 0;
           laundry = [];
           in_flight = [];
           waiters = [];
@@ -450,6 +472,7 @@ let release_space t vsp =
         match Segment.state seg page with
         | Segment.In_memory r when (not (mapped_elsewhere r)) && heirs_of seg page = [] ->
           Frame_alloc.free t.env.frames r.Segment.pfn;
+          t.hand.released <- t.hand.released + 1;
           Segment.set_state seg page
             (match r.Segment.backing with Some b -> Segment.On_disk b | None -> Segment.Zero)
         | _ -> () (* a share, reverted by its writeback, or not ours to free *))
@@ -460,7 +483,9 @@ let release_space t vsp =
         | Segment.In_memory r, _ when mapped_elsewhere r -> () (* the hand's *)
         | st, (heir, hpage) :: rest ->
           (match st with
-          | Segment.In_memory r -> install t heir hpage r
+          | Segment.In_memory r ->
+            install t heir hpage r;
+            t.hand.released <- t.hand.released + 1
           | st -> Segment.set_state heir hpage st);
           List.iter (fun (s, p) -> Segment.set_state s p (Segment.Cow_of (heir, hpage))) rest;
           Segment.set_state seg page Segment.Zero
@@ -475,6 +500,7 @@ let release_space t vsp =
   (* the segments go, and their fault history with them *)
   List.iter (fun (seg : Segment.t) -> seg.Segment.history <- None) segs;
   t.hand.remembering <- List.filter (fun s -> not (List.memq s segs)) t.hand.remembering;
+  if 2 * t.hand.released >= t.hand.size then sweep t;
   (* refused while a thread of the space still runs (a process in its
      exit trap): [vsp.loaded] stays true, and the owner unloads it later *)
   if vsp.loaded then ignore (Api.unload_space t.env.inst ~caller:(t.env.kernel ()) vsp.oid);

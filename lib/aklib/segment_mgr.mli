@@ -120,7 +120,10 @@ val release_space : t -> vspace -> unit
     read-only); a page another live space still maps stays for the
     hand; a page another live segment names through [Cow_of] goes to
     that segment (the others naming it then name that one); every other
-    frame, and every block a file does not own, is freed.  Last the Cache
+    frame, and every block a file does not own, is freed.  Once the
+    residencies released since the last sweep reach half the hand's
+    entries, the hand drops its stale entries (order kept), so it does
+    not hold a dead space's segments.  Last the Cache
     Kernel space is unloaded — unless a thread of it is still running,
     when [loaded] stays true for the caller to unload it later — and the
     space is forgotten: no tag, identifier or checkpoint reaches it. *)

@@ -1,4 +1,4 @@
-(** Cross-layer invariant auditor with self-healing repair.
+(** Cross-layer invariant auditor.
 
     Walks one Cache Kernel instance and checks that the four object
     caches, the MMU state (page tables, TLBs, reverse TLBs), the derived
@@ -6,12 +6,12 @@
     consistent — the invariants the paper's dependency-ordered replacement
     (section 4.2, Figure 6) promises.
 
-    Checks charge no simulated cycles.  With [~repair:true], recoverable
-    drift is fixed in place: counters are recounted, stale TLB/RTLB/page
-    table entries flushed, orphaned objects written back to their owners
-    through the ordinary writeback channel.  Every finding raises an
-    [audit.violation.<check>] metric (and [audit.repair.<check>] when
-    repaired) plus [Audit_violation] / [Audit_repaired] trace events. *)
+    The audit only detects: it changes no object and charges no simulated
+    cycles, so auditing twice reports the same violations.  Every finding
+    raises an [audit.violation.<check>] metric and an [Audit_violation]
+    trace event; every audit counts [audit.runs].  The engine never audits:
+    whoever reports a run ([ckos], the chaos and failover tests, perfbench)
+    audits it after the engine returns. *)
 
 type violation = {
   check : string;
@@ -19,19 +19,15 @@ type violation = {
           ["conservation"] or ["quota"] *)
   subject : string;  (** the object or counter found inconsistent *)
   detail : string;
-  repaired : bool;
 }
 
 type report = { at_us : float; violations : violation list }
 
-val run : ?repair:bool -> Instance.t -> report
-(** Audit the instance; [repair] defaults to [false] (detect only). *)
+val run : Instance.t -> report
+(** Audit the instance. *)
 
 val clean : report -> bool
 (** No violations at all. *)
-
-val unrepaired : report -> violation list
-(** Violations the repair pass could not (or was not asked to) fix. *)
 
 val violation_json : violation -> Json.t
 val report_json : report -> Json.t

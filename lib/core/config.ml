@@ -71,11 +71,7 @@ type t = {
          (the ablation of section 4.1's design choice) *)
   (* fault injection *)
   chaos : chaos option; (* None = injection plane disabled entirely *)
-  (* robustness: auditing, forwarding watchdog *)
-  audit_interval_us : float;
-      (* periodic invariant audit from the engine, simulated us between
-         runs; 0 disables the periodic audit (on-demand and end-of-chaos
-         audits are unaffected) *)
+  (* robustness: forwarding watchdog *)
   forward_deadline_us : float;
       (* Figure-2 watchdog: a forwarded fault unresolved after this many
          simulated us is re-forwarded once, then escalated to the SRM as a
@@ -120,7 +116,6 @@ let default =
     trace_capacity = 65536;
     rtlb_enabled = true;
     chaos = None;
-    audit_interval_us = 0.0;
     forward_deadline_us = 0.0;
     migrate_chunk_bytes = 1024;
     balance_interval_us = 0.0;

@@ -459,15 +459,6 @@ let roll_quota_epoch t ~now_cycles =
     t.quota_epoch_start <- now_cycles
   end
 
-(* Periodic self-audit (repairing), every [Config.audit_interval_us] of
-   simulated time; 0 disables it. *)
-let maybe_audit t ~now_cycles =
-  let iv = t.config.Config.audit_interval_us in
-  if iv > 0.0 && now_cycles - t.last_audit >= Hw.Cost.cycles_of_us iv then begin
-    t.last_audit <- now_cycles;
-    ignore (Audit.run ~repair:true t)
-  end
-
 let dispatch t ~cpu_id oid (th : Thread_obj.t) =
   let cpu = t.node.Hw.Mpm.cpus.(cpu_id) in
   Hw.Cpu.idle_until cpu th.Thread_obj.ready_since;
@@ -487,7 +478,6 @@ let step_cpu t ~cpu_id =
   t.active_cpu <- cpu_id;
   let cpu = t.node.Hw.Mpm.cpus.(cpu_id) in
   roll_quota_epoch t ~now_cycles:cpu.Hw.Cpu.local_time;
-  maybe_audit t ~now_cycles:cpu.Hw.Cpu.local_time;
   ensure_sched_caches t;
   let resolve = t.sched_resolve in
   let roid = t.running.(cpu_id) in
@@ -763,11 +753,6 @@ let run ?until_us ?(max_steps = 200_000_000) (nodes : Instance.t array) =
       (fun idx nd ->
         if node_steps.(idx) > 0 then
           Metrics.incr ~by:node_steps.(idx) nd.metrics "engine.steps")
-      nodes;
-    (* every chaos run ends with a repairing audit: the injection plane must
-       never leave the caches, MMU state or ledgers inconsistent *)
-    Array.iter
-      (fun nd -> if Fault_inject.enabled nd.fi then ignore (Audit.run ~repair:true nd))
       nodes;
     steps
   end

@@ -50,7 +50,6 @@ type t = {
   device_hooks : (int, int -> unit) Hashtbl.t;
       (* physical page -> callback(offset): Cache Kernel device drivers
          observing message-mode writes to device regions (section 2.2) *)
-  mutable last_audit : Hw.Cost.cycles; (* periodic-audit bookkeeping *)
   mutable on_misbehaving : kernel:Oid.t -> thread:Oid.t -> unit;
       (* Figure-2 watchdog escalation: a kernel failed twice to resolve a
          forwarded fault.  The SRM replaces the default no-op *)
@@ -172,7 +171,6 @@ let create ?(config = Config.default) node =
       halted = false;
       crashed_at_us = 0.0;
       device_hooks = Hashtbl.create 8;
-      last_audit = 0;
       on_misbehaving = (fun ~kernel:_ ~thread:_ -> ());
       sched_resolve = (fun _ -> None); (* filled below, once [t] exists *)
       elig_normal = [||]; (* filled lazily by {!Engine} *)
@@ -222,7 +220,7 @@ let find_thread t oid = Caches.Thread_cache.find t.threads oid
 
 (* The locked-object ledger (section 2): a lock counts against the kernel
    that owns the object, whoever set it.  These two are the only writers of
-   [locked_count] apart from the audit's repair. *)
+   [locked_count]. *)
 let take_lock t ~owner =
   match find_kernel t owner with
   | Some k -> k.Kernel_obj.locked_count <- k.Kernel_obj.locked_count + 1

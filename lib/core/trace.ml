@@ -32,7 +32,6 @@ type event =
   | Injected of { site : string }
   | Recovered of { site : string }
   | Audit_violation of { check : string; subject : string }
-  | Audit_repaired of { check : string; subject : string }
   | Forward_timeout of { thread : Oid.t; escalated : bool }
   | Migrate_out of { oid : Oid.t; dst : int; xfer : int; bytes : int }
   | Migrate_in of { xfer : int; src : int; bytes : int }
@@ -68,7 +67,6 @@ let event_name = function
   | Injected _ -> "injected"
   | Recovered _ -> "recovered"
   | Audit_violation _ -> "audit_violation"
-  | Audit_repaired _ -> "audit_repaired"
   | Forward_timeout _ -> "forward_timeout"
   | Migrate_out _ -> "migrate_out"
   | Migrate_in _ -> "migrate_in"
@@ -110,8 +108,6 @@ let event_fields ev =
   | Injected { site } -> [ ("site", Json.String site) ]
   | Recovered { site } -> [ ("site", Json.String site) ]
   | Audit_violation { check; subject } ->
-    [ ("check", Json.String check); ("subject", Json.String subject) ]
-  | Audit_repaired { check; subject } ->
     [ ("check", Json.String check); ("subject", Json.String subject) ]
   | Forward_timeout { thread; escalated } ->
     [ oid "thread" thread; ("escalated", Json.Bool escalated) ]

@@ -26,7 +26,6 @@ type event =
   | Injected of { site : string }
   | Recovered of { site : string }
   | Audit_violation of { check : string; subject : string }
-  | Audit_repaired of { check : string; subject : string }
   | Forward_timeout of { thread : Oid.t; escalated : bool }
   | Migrate_out of { oid : Oid.t; dst : int; xfer : int; bytes : int }
   | Migrate_in of { xfer : int; src : int; bytes : int }

@@ -4,9 +4,11 @@
    - a qcheck property: arbitrary load/unload workloads under stale
      injection leave every audited invariant intact
    - seeded corruptions — counter drift, orphaned mappings, conservation
-     drift, bogus page-table/TLB/RTLB entries, quota damage —
-     are each detected, repaired, and a re-audit comes back clean
-   - the periodic engine audit fires on Config.audit_interval_us
+     drift, bogus page-table/TLB/RTLB entries, quota damage — are each
+     flagged with their check and subject, and a second audit reports the
+     same violations (auditing changes nothing)
+   - a corruption made before a chaos run is still reported after it: the
+     engine does not audit, so nothing erases it
    - the Figure-2 forwarding watchdog re-forwards a wedged handler once,
      then escalates to the SRM hook and kills the thread *)
 
@@ -23,14 +25,12 @@ let check_clean what r =
   if not (Audit.clean r) then
     Alcotest.failf "%s: %a" what (fun ppf -> Audit.pp_report ppf) r
 
-let has_check c (r : Audit.report) =
-  List.exists (fun (v : Audit.violation) -> v.Audit.check = c) r.Audit.violations
+let found (r : Audit.report) =
+  List.map (fun (v : Audit.violation) -> (v.Audit.check, v.Audit.subject)) r.Audit.violations
 
-let all_repaired (r : Audit.report) = Audit.unrepaired r = []
-
-(* The `ckos trace` demo workload: one thread demand-faulting [pages]
-   pages, leaving live spaces, mappings and translation state behind. *)
-let fig2_run ?(pages = 4) ?(config = Config.default) () =
+(* The `ckos trace` demo workload, before it runs: one thread that will
+   demand-fault [pages] pages. *)
+let fig2_setup ?(pages = 4) ?(config = Config.default) () =
   let inst = Workload.Setup.instance ~config ~cpus:1 () in
   let ak = Workload.Setup.first_kernel inst in
   let mgr = ak.App_kernel.mgr in
@@ -45,6 +45,12 @@ let fig2_run ?(pages = 4) ?(config = Config.default) () =
                for i = 0 to pages - 1 do
                  Hw.Exec.mem_write (0x40000000 + (i * Hw.Addr.page_size)) i
                done))));
+  (inst, vsp)
+
+(* ... and run, leaving live spaces, mappings and translation state
+   behind. *)
+let fig2_run ?pages ?config () =
+  let inst, vsp = fig2_setup ?pages ?config () in
   ignore (Engine.run [| inst |]);
   (inst, vsp)
 
@@ -84,7 +90,7 @@ let test_exact_counters () =
     Replacement.writeback_mapping inst ~reason:Wb.Requested sp m;
     Alcotest.(check int) "second visit is a no-op" (before - 1) sp.Space_obj.mapping_count);
   Alcotest.(check int) "recount still matches" (live sp) sp.Space_obj.mapping_count;
-  check_clean "post-writeback audit" (Audit.run ~repair:false inst)
+  check_clean "post-writeback audit" (Audit.run inst)
 
 let test_clean_after_crash () =
   (* node crash discards descriptors without writeback; the [discarded]
@@ -184,110 +190,163 @@ let qcheck_workload_invariants =
     QCheck.(list_of_size (QCheck.Gen.int_range 0 80) (pair small_int small_int))
     run_ops_and_audit
 
-(* -- seeded corruptions: detect, repair, re-audit clean -- *)
+(* -- seeded corruptions: each is flagged, and flagging changes nothing -- *)
 
-let detect_repair_reaudit what inst ~check =
-  let r = Audit.run ~repair:true inst in
-  Alcotest.(check bool) (what ^ " detected") true (has_check check r);
-  Alcotest.(check bool) (what ^ " repaired") true (all_repaired r);
-  check_clean (what ^ " re-audit") (Audit.run inst);
-  Alcotest.(check bool)
-    (what ^ " repair counted")
-    true
-    (counter inst ("audit.repair." ^ check) > 0)
+(* The audit flags every (check, subject) of [expected] — nothing else
+   when [exact] — counts them, and a second audit reports the same. *)
+let detects ?(exact = true) what inst expected =
+  let r = Audit.run inst in
+  let got = found r in
+  List.iter
+    (fun (check, subject) ->
+      if not (List.mem (check, subject) got) then
+        Alcotest.failf "%s: [%s] %s not flagged in %a" what check subject Audit.pp_report r;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: audit.violation.%s counted" what check)
+        true
+        (counter inst ("audit.violation." ^ check) > 0))
+    expected;
+  if exact then
+    Alcotest.(check (list (pair string string)))
+      (what ^ ": nothing else flagged")
+      (List.sort compare expected) (List.sort compare got);
+  let again = Audit.run inst in
+  Alcotest.(check (list (pair string string))) (what ^ ": a second audit agrees") got (found again);
+  Alcotest.(check (list string))
+    (what ^ ": with the same details")
+    (List.map (fun (v : Audit.violation) -> v.Audit.detail) r.Audit.violations)
+    (List.map (fun (v : Audit.violation) -> v.Audit.detail) again.Audit.violations)
+
+let oid_field (o : Oid.t) field = Fmt.str "%a.%s" Oid.pp o field
+
+let first_kernel (inst : Instance.t) =
+  match Caches.Kernel_cache.fold inst.Instance.kernels (fun l k -> k :: l) [] with
+  | [ k ] -> k
+  | ks -> Alcotest.failf "expected one kernel, found %d" (List.length ks)
 
 let test_counter_drift () =
   let inst, vsp = fig2_run () in
   let sp = demo_space inst vsp in
   sp.Space_obj.mapping_count <- sp.Space_obj.mapping_count + 3;
   sp.Space_obj.thread_count <- sp.Space_obj.thread_count + 2;
-  detect_repair_reaudit "counter drift" inst ~check:"counter"
+  detects "counter drift" inst
+    [
+      ("counter", oid_field sp.Space_obj.oid "mapping_count");
+      ("counter", oid_field sp.Space_obj.oid "thread_count");
+    ]
 
 let test_locked_drift () =
   let inst, _ = fig2_run () in
-  Caches.Kernel_cache.iter inst.Instance.kernels (fun (k : Kernel_obj.t) ->
-      k.Kernel_obj.locked_count <- k.Kernel_obj.locked_count + 1);
-  detect_repair_reaudit "locked_count drift" inst ~check:"counter"
+  let k = first_kernel inst in
+  k.Kernel_obj.locked_count <- k.Kernel_obj.locked_count + 1;
+  detects "locked_count drift" inst [ ("counter", oid_field k.Kernel_obj.oid "locked_count") ]
+
+(* Rip the space out of its cache slot behind replacement's back: its
+   mappings become orphans.  Returns the orphans' subjects. *)
+let orphan_space inst vsp =
+  let sp = demo_space inst vsp in
+  let orphans =
+    List.map
+      (fun (m : Mappings.m) ->
+        ( "dependency",
+          Fmt.str "mapping %a/%a" Oid.pp m.Mappings.space Hw.Addr.pp_addr m.Mappings.va ))
+      (Mappings.of_space inst.Instance.mappings ~space_slot:(Space_obj.asid sp))
+  in
+  ignore (Caches.Space_cache.unload inst.Instance.spaces sp.Space_obj.oid);
+  orphans
 
 let test_orphan_mapping () =
-  (* rip the space out of its cache slot behind replacement's back: its
-     mappings become orphans and the space's stats drift *)
   let inst, vsp = fig2_run () in
-  let sp = demo_space inst vsp in
-  Alcotest.(check bool) "mappings exist" true (sp.Space_obj.mapping_count > 0);
-  ignore (Caches.Space_cache.unload inst.Instance.spaces sp.Space_obj.oid);
-  let r = Audit.run ~repair:true inst in
-  Alcotest.(check bool) "orphans detected" true (has_check "dependency" r);
-  Alcotest.(check bool) "orphans repaired" true (all_repaired r);
-  check_clean "re-audit" (Audit.run inst);
-  (* the repair went through the writeback channel, not a silent drop *)
-  Alcotest.(check bool) "orphan writebacks pushed" true
-    (inst.Instance.stats.Stats.mappings.Stats.writebacks > 0)
+  let orphans = orphan_space inst vsp in
+  Alcotest.(check bool) "mappings exist" true (orphans <> []);
+  (* the space's stats drift and its translations go stale too *)
+  detects ~exact:false "orphan mapping" inst (("conservation", "spaces") :: orphans)
 
 let test_orphan_locked_mapping () =
-  (* a locked orphan's lock leaves with it: the repairing pass must not
-     report a counter drift of its own making *)
   let inst, vsp = fig2_run () in
   let sp = demo_space inst vsp in
   ok
     (Api.load_mapping inst ~caller:sp.Space_obj.owner ~space:sp.Space_obj.oid
        (Api.mapping ~va:0x50000000 ~pfn:100 ~lock:true ()));
-  ignore (Caches.Space_cache.unload inst.Instance.spaces sp.Space_obj.oid);
-  let r = Audit.run ~repair:true inst in
-  Alcotest.(check bool) "orphans detected" true (has_check "dependency" r);
-  Alcotest.(check bool) "orphans repaired" true (all_repaired r);
-  if has_check "counter" r then
-    Alcotest.failf "repair manufactured a counter violation: %a" Audit.pp_report r;
-  check_clean "re-audit" (Audit.run inst)
+  let locked =
+    ("dependency", Fmt.str "mapping %a/%a" Oid.pp sp.Space_obj.oid Hw.Addr.pp_addr 0x50000000)
+  in
+  let orphans = orphan_space inst vsp in
+  Alcotest.(check bool) "the locked mapping is an orphan" true (List.mem locked orphans);
+  detects ~exact:false "locked orphan mapping" inst orphans
 
 let test_conservation_drift () =
   let inst, _ = fig2_run () in
   let c = inst.Instance.stats.Stats.mappings in
   c.Stats.loads <- c.Stats.loads + 5;
-  detect_repair_reaudit "conservation drift" inst ~check:"conservation"
+  detects "conservation drift" inst [ ("conservation", "mappings") ]
 
 let test_bogus_page_table_entry () =
   let inst, vsp = fig2_run () in
   let sp = demo_space inst vsp in
   let bogus = Hw.Page_table.make_entry ~frame:5 ~flags:Hw.Page_table.rw () in
   ignore (Hw.Page_table.insert sp.Space_obj.table 0x7F000000 bogus);
-  detect_repair_reaudit "bogus page-table entry" inst ~check:"translation"
+  detects "bogus page-table entry" inst
+    [ ("translation", Fmt.str "pte %a/%a" Oid.pp sp.Space_obj.oid Hw.Addr.pp_addr 0x7F000000) ]
 
 let test_detached_mapping_pte () =
   (* replace a live mapping's page-table entry with a different object:
-     the shared-by-reference agreement breaks *)
+     the shared-by-reference agreement breaks both ways *)
   let inst, vsp = fig2_run () in
   let sp = demo_space inst vsp in
   let impostor = Hw.Page_table.make_entry ~frame:9 ~flags:Hw.Page_table.rw () in
   ignore (Hw.Page_table.insert sp.Space_obj.table 0x40000000 impostor);
-  detect_repair_reaudit "detached mapping pte" inst ~check:"translation"
+  detects "detached mapping pte" inst
+    [
+      ( "translation",
+        Fmt.str "mapping %a/%a" Oid.pp sp.Space_obj.oid Hw.Addr.pp_addr 0x40000000 );
+      ("translation", Fmt.str "pte %a/%a" Oid.pp sp.Space_obj.oid Hw.Addr.pp_addr 0x40000000);
+    ]
 
 let test_stale_tlb_and_rtlb () =
   let inst, vsp = fig2_run () in
   let sp = demo_space inst vsp in
   let cpu = inst.Instance.node.Hw.Mpm.cpus.(0) in
   let bogus = Hw.Page_table.make_entry ~frame:7 ~flags:Hw.Page_table.rw () in
-  Hw.Tlb.insert cpu.Hw.Cpu.tlb ~asid:(Space_obj.asid sp) ~vpn:999 ~pte:bogus;
+  let asid = Space_obj.asid sp in
+  Hw.Tlb.insert cpu.Hw.Cpu.tlb ~asid ~vpn:999 ~pte:bogus;
   Hw.Rtlb.insert cpu.Hw.Cpu.rtlb ~pfn:777 ~va_base:0 ~tag:0;
-  detect_repair_reaudit "stale TLB/RTLB entries" inst ~check:"translation";
-  Alcotest.(check bool) "tlb entry flushed" true
-    (Hw.Tlb.lookup cpu.Hw.Cpu.tlb ~asid:(Space_obj.asid sp) ~vpn:999 = None);
-  Alcotest.(check bool) "rtlb entry flushed" true
-    (Hw.Rtlb.lookup cpu.Hw.Cpu.rtlb ~pfn:777 = None)
+  detects "stale TLB/RTLB entries" inst
+    [
+      ("translation", Printf.sprintf "tlb cpu0 asid=%d vpn=999" asid);
+      ("translation", "rtlb cpu0 pfn=777");
+    ];
+  Alcotest.(check bool) "tlb entry left in place" true
+    (Hw.Tlb.lookup cpu.Hw.Cpu.tlb ~asid ~vpn:999 <> None);
+  Alcotest.(check bool) "rtlb entry left in place" true
+    (Hw.Rtlb.lookup cpu.Hw.Cpu.rtlb ~pfn:777 <> None)
 
 let test_quota_corruption () =
   let inst, _ = fig2_run () in
-  Caches.Kernel_cache.iter inst.Instance.kernels (fun (k : Kernel_obj.t) ->
-      k.Kernel_obj.consumed.(0) <- -100);
-  detect_repair_reaudit "negative quota consumption" inst ~check:"quota"
+  let k = first_kernel inst in
+  k.Kernel_obj.consumed.(0) <- -100;
+  detects "negative quota consumption" inst [ ("quota", oid_field k.Kernel_obj.oid "consumed[0]") ]
 
-(* -- periodic audit from the engine -- *)
+(* -- the engine does not audit -- *)
 
-let test_periodic_audit () =
-  let config = { Config.default with Config.audit_interval_us = 200.0 } in
-  let inst, _ = fig2_run ~config () in
-  Alcotest.(check bool) "periodic audits ran" true (counter inst "audit.runs" >= 2);
-  Alcotest.(check int) "nothing to repair" 0 (counter inst "audit.repair.counter")
+let test_corruption_survives_chaos_run () =
+  (* drift the lock ledger, then run under chaos: the run neither repairs
+     nor hides the drift, so the audit after it still reports it *)
+  let config =
+    {
+      Config.default with
+      Config.chaos = Some { Config.chaos_default with Config.forward_drop = 0.5 };
+    }
+  in
+  let inst, _ = fig2_setup ~config () in
+  let k = first_kernel inst in
+  k.Kernel_obj.locked_count <- k.Kernel_obj.locked_count + 1;
+  ignore (Engine.run [| inst |]);
+  Alcotest.(check bool) "chaos injected something" true
+    (counter inst "inject.fault.forward" > 0);
+  Alcotest.(check int) "the engine ran no audit" 0 (counter inst "audit.runs");
+  detects "drift across a chaos run" inst
+    [ ("counter", oid_field k.Kernel_obj.oid "locked_count") ]
 
 (* -- Figure-2 forwarding watchdog -- *)
 
@@ -361,8 +420,9 @@ let () =
           Alcotest.test_case "detached mapping pte" `Quick test_detached_mapping_pte;
           Alcotest.test_case "stale TLB and RTLB" `Quick test_stale_tlb_and_rtlb;
           Alcotest.test_case "quota corruption" `Quick test_quota_corruption;
+          Alcotest.test_case "reported after a chaos run" `Quick
+            test_corruption_survives_chaos_run;
         ] );
-      ("periodic", [ Alcotest.test_case "engine interval" `Quick test_periodic_audit ]);
       ( "watchdog",
         [
           Alcotest.test_case "stuck handler escalates" `Quick test_watchdog_escalation;

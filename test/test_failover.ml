@@ -223,6 +223,7 @@ let partition_chaos_run seed =
   let c = C.create ~config:(fo_config ~chaos ()) ~n:4 () in
   Array.iter (fun (i : Instance.t) -> Trace.enable i.Instance.trace) (C.insts c);
   C.run ~until_us:40_000.0 c;
+  Array.iter (audit_clean (Printf.sprintf "partition chaos seed %d" seed)) (C.insts c);
   let per_node name = Array.to_list (Array.map (fun i -> counter i name) (C.insts c)) in
   let self_fenced = List.fold_left ( + ) 0 (per_node "fd.self_fenced") in
   let restarts = List.fold_left ( + ) 0 (per_node "srm.restart") in
@@ -280,6 +281,7 @@ let loaded_cluster_run seed =
   ignore (C.spawn_load c 0 ~iterations:2_000 8);
   ignore (C.spawn_load c 1 ~iterations:2_000 2);
   C.run ~until_us:30_000.0 c;
+  Array.iter (audit_clean (Printf.sprintf "loaded cluster seed %d" seed)) (C.insts c);
   let moves = Array.fold_left (fun a i -> a + counter i "balance.moves") 0 (C.insts c) in
   let all_up = Array.for_all (fun (i : Instance.t) -> not i.Instance.halted) (C.insts c) in
   (C.fingerprint (C.insts c), moves, all_up)

@@ -11,6 +11,8 @@
    - the X3 kill-one-MPM scenario: survivors keep progressing, the crashed
      kernel is restarted by the SRM from its writeback image
    - inject/recover counter balance on a chaos-enabled UNIX workload
+   - every chaos run ends with a detect-only audit that finds nothing,
+     including a qcheck over generated chaos seeds, rates and tier sizes
    - Json round-trip edge cases and Metrics empty-histogram reads
 
    CHAOS_SEED parameterizes every chaos configuration (default 42) so CI
@@ -47,6 +49,11 @@ let chaos ?(io_fail = 0.0) ?(io_delay = 0.0) ?(tier_fail = 0.0) ?(tier_delay = 0
     }
 
 let counter (inst : Instance.t) name = Metrics.counter inst.Instance.metrics name
+
+(* A chaos run is audited once the engine returns; it must find nothing. *)
+let audit_clean what (inst : Instance.t) =
+  let report = Audit.run inst in
+  if not (Audit.clean report) then Alcotest.failf "%s: %a" what Audit.pp_report report
 
 (* -- qcheck state machine: object caches under stale injection -- *)
 
@@ -241,6 +248,7 @@ let unix_run ~chaos () =
   in
   ignore (ok (Unix_emu.Emulator.start_init emu init));
   ignore (Engine.run [| inst |]);
+  audit_clean "unix chaos run" inst;
   inst
 
 let test_deterministic_replay () =
@@ -320,7 +328,9 @@ let tier_run ?(tier_fail = 0.0) ?(tier_delay = 0.0) ?(io_fail = 0.0) () =
       ~finish:(fun _ ak -> ak_ref := Some ak)
       ()
   in
-  (pt, Option.get !inst_ref, Option.get !ak_ref)
+  let inst = Option.get !inst_ref in
+  audit_clean "tier chaos run" inst;
+  (pt, inst, Option.get !ak_ref)
 
 (* After recovery, every page of the workload's segment reads back the
    bytes it last wrote, from its frame or, through [read_block_now], from
@@ -450,8 +460,7 @@ let launder_run ~io_fail ~io_delay =
   done;
   Alcotest.(check bool) "several batches went out" true
     (Backing_store.page_outs ak.App_kernel.store > 4 * Segment_mgr.launder_batch);
-  let report = Audit.run ~repair:false inst in
-  if not (Audit.clean report) then Alcotest.failf "audit: %a" Audit.pp_report report;
+  audit_clean "laundering chaos run" inst;
   inst
 
 let test_launder_chaos ~io_fail ~io_delay kind () =
@@ -483,6 +492,7 @@ let fig2_run ?(pages = 4) ~config () =
                done;
                done_ := true))));
   ignore (Engine.run [| inst |]);
+  audit_clean "fig2 chaos run" inst;
   (inst, ak, done_)
 
 let test_fig2_dropped_forward () =
@@ -607,7 +617,34 @@ let test_x3_crash_restart () =
   ok (Srm.Manager.restart_node srm1);
   Alcotest.(check int) "restart counted as recovery" 1 (counter i1 "recover.node.crash");
   ignore (Engine.run ~until_us:80_000.0 insts);
-  Alcotest.(check int) "guest resumed from its writeback image and finished" 50 !progress1
+  Alcotest.(check int) "guest resumed from its writeback image and finished" 50 !progress1;
+  audit_clean "crashed and restarted node" i1
+
+(* -- generated chaos runs --
+
+   `ckos run --chaos R --chaos-seed S --tiers T` drawn at random: the
+   quickstart UNIX session under every rate-driven site, audited after the
+   engine returns.  Nothing repairs state during or after a run, so any
+   inconsistency the plane leaves behind shows here. *)
+
+let qcheck_chaos_sessions =
+  QCheck.Test.make ~count:25 ~name:"generated chaos sessions audit clean"
+    QCheck.(
+      triple (int_range 1 1_000_000) (oneofl [ 0.05; 0.2; 0.5 ]) (oneofl [ 0; 4 ]))
+    (fun (seed, rate, tiers) ->
+      let config =
+        {
+          Config.default with
+          Config.chaos = Workload.Session.chaos ~rate ~seed ();
+          fast_tier_slots = tiers;
+        }
+      in
+      let inst, _ = Workload.Session.run ~config ~cpus:4 ~procs:4 ~tracing:false () in
+      let report = Audit.run inst in
+      if not (Audit.clean report) then
+        QCheck.Test.fail_reportf "seed %d rate %g tiers %d: %a" seed rate tiers
+          Audit.pp_report report;
+      true)
 
 (* -- Json edge cases -- *)
 
@@ -673,6 +710,7 @@ let () =
       ( "replay",
         [ Alcotest.test_case "same seed, same run" `Quick test_deterministic_replay ] );
       ("balance", [ Alcotest.test_case "inject = recover" `Quick test_counter_balance ]);
+      ("audit", [ QCheck_alcotest.to_alcotest qcheck_chaos_sessions ]);
       ( "tier",
         [
           Alcotest.test_case "fail mid-promotion/demotion recovers" `Quick

@@ -517,7 +517,7 @@ let policy_churn kind () =
                   ~pfn:(64 + (i * 4) + p) ~signal_thread:th ()))
         done)
   done;
-  let r = Audit.run ~repair:false inst in
+  let r = Audit.run inst in
   if not (Audit.clean r) then
     Alcotest.failf "churn under %s left violations: %a" (Policy.kind_name kind)
       (fun ppf -> Audit.pp_report ppf)
@@ -613,7 +613,7 @@ let test_consistency_cascade_idempotent () =
   Alcotest.(check int) "mapping_count exact" 0 spobj.Space_obj.mapping_count;
   Alcotest.(check bool) "consistency flushes recorded" true
     (inst.Instance.stats.Stats.consistency_flushes >= 2);
-  let r = Audit.run ~repair:false inst in
+  let r = Audit.run inst in
   if not (Audit.clean r) then
     Alcotest.failf "cascade left violations: %a" (fun ppf -> Audit.pp_report ppf) r
 

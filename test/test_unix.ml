@@ -156,6 +156,46 @@ let test_dead_child_leaves_no_mapper () =
     [ (init_p.Process.vspace.Aklib.Segment_mgr.tag, Process.data_base) ]
     !mappers
 
+(* A wave of children dirties pages and exits; init reaps them all.  The
+   segment manager never evicts here, so only [release_space] can take a
+   dead child's pages off the hand: once the wave is reaped, nothing holds
+   a child's segments, and a collection frees them. *)
+let test_reaped_wave_leaves_the_hand () =
+  let inst, emu = boot () in
+  let wave = 6 in
+  let segs = Weak.create (4 * wave) in
+  let next = ref 0 in
+  let child =
+    Syscall.program "job" (fun () ->
+        for i = 0 to 7 do
+          Hw.Exec.mem_write (Process.data_base + (i * Hw.Addr.page_size)) i
+        done;
+        let p = Option.get (Emulator.proc emu (Syscall.getpid ())) in
+        List.iter
+          (fun seg ->
+            Weak.set segs !next (Some seg);
+            incr next)
+          (Aklib.Segment_mgr.segments p.Process.vspace);
+        0)
+  in
+  let init =
+    Syscall.program "init" (fun () ->
+        let pids = List.init wave (fun _ -> Syscall.spawn child) in
+        List.iter (fun _ -> ignore (Syscall.wait ())) pids;
+        0)
+  in
+  ignore (ok (Emulator.start_init emu init));
+  ignore (Engine.run [| inst |]);
+  Alcotest.(check bool) "the children's segments were seen" true (!next >= wave);
+  Gc.full_major ();
+  for i = 0 to !next - 1 do
+    if Weak.check segs i then Alcotest.failf "segment %d of a reaped child is still held" i
+  done;
+  (* the manager is still alive here: it just holds no dead segment *)
+  Alcotest.(check int) "every process exited" (wave + 1) emu.Emulator.exited;
+  Alcotest.(check bool) "init's space is still listed" true
+    (Aklib.Segment_mgr.list_spaces emu.Emulator.ak.Aklib.App_kernel.mgr <> [])
+
 (* init's wait() sleeps until its child exits.  That wakeup is the wait's:
    init's next sleep still sleeps. *)
 let test_wait_spends_its_wakeup () =
@@ -781,6 +821,8 @@ let () =
             test_cow_child_outlives_parent;
           Alcotest.test_case "a dead COW child leaves no mapper" `Quick
             test_dead_child_leaves_no_mapper;
+          Alcotest.test_case "a reaped wave leaves the hand" `Quick
+            test_reaped_wave_leaves_the_hand;
           Alcotest.test_case "SIGSEGV terminates" `Quick test_sigsegv;
           Alcotest.test_case "stable pids across reloads" `Quick
             test_stable_pid_across_reloads;
