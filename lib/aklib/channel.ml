@@ -98,20 +98,3 @@ let rec recv (ep : endpoint) =
       (slot, read_slot ep ~slot ~len)
     | None -> recv ep)
   | _ -> recv ep
-
-(** Wait for a signal and dispatch over several endpoints.  Returns the
-    endpoint index, slot and message. *)
-let rec recv_any (eps : endpoint array) =
-  match Hw.Exec.trap Api.Ck_wait_signal with
-  | Api.Ck_signal va -> (
-    let rec scan i =
-      if i >= Array.length eps then None
-      else
-        match decode eps.(i) va with Some slot -> Some (i, slot) | None -> scan (i + 1)
-    in
-    match scan 0 with
-    | Some (i, slot) ->
-      let len = Hw.Exec.mem_read (eps.(i).bell_va + (4 * slot)) in
-      (i, slot, read_slot eps.(i) ~slot ~len)
-    | None -> recv_any eps)
-  | _ -> recv_any eps

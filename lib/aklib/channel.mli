@@ -44,7 +44,3 @@ val read_slot : endpoint -> slot:int -> len:int -> int list
 
 val recv : endpoint -> int * int list
 (** (thread context) Block until a message arrives; returns (slot, words). *)
-
-val recv_any : endpoint array -> int * int * int list
-(** (thread context) Wait on several endpoints; returns (endpoint index,
-    slot, words). *)

@@ -1,6 +1,7 @@
 (* Generic descriptor cache: a fixed array of slots with generation-tagged
    identifiers and pluggable victim selection ({!Policy}; clock
-   second-chance by default).
+   second-chance by default).  The victim scan is {!Policy.select}, the
+   same one the mapping cache calls.
 
    The kernel, address-space and thread caches are instances of this
    functor ({!Caches}); the mapping cache has its own structure
@@ -98,7 +99,7 @@ module Make (D : DESC) = struct
   (** Victim selection under the configured policy: returns an unlocked,
       evictable descriptor.  [None] if every live descriptor is locked or
       unevictable. *)
-  let victim t = Policy.select_object t.policy (view t)
+  let victim t = Policy.select t.policy (view t)
 
   (** Slots examined by the most recent {!victim} call — the replacement
       effort metric ({!Metrics} victim_scan histograms). *)

@@ -210,7 +210,7 @@ let of_signal_thread t ~thread =
     [aged_referenced] so the writeback record still reports "referenced
     since load". *)
 let victim t ~protected =
-  Policy.select_mapping t.policy
+  Policy.select t.policy
     {
       (* slots past the grown storage have never held a mapping *)
       Policy.get = (fun slot -> if slot < Array.length t.slots then t.slots.(slot) else None);

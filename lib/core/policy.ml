@@ -9,7 +9,7 @@
    Determinism: no wall clock and no randomness.  Time is a virtual tick
    advanced on loads and selections, so equal traces give equal victim
    sequences — the property the qcheck equivalence suite pins down for
-   Clock against the seed implementation. *)
+   Clock against both seed scans. *)
 
 type kind = Clock | Lru
 
@@ -70,37 +70,21 @@ let on_load t ~slot =
 
 (* -- Selection -- *)
 
-(* Clock, object-cache semantics: bit-exact with the seed
-   [Cache_slots.Make.victim] — second chance over at most 2n slots, with
-   the first candidate as fallback when every candidate stays referenced. *)
-let clock_object t v =
-  let n = t.capacity in
-  let result = ref None in
-  let fallback = ref None in
-  let i = ref 0 in
-  while !result = None && !i < 2 * n do
-    (match v.get t.hand with
-    | Some d when v.candidate d ->
-      if v.referenced d then v.clear_referenced d else result := Some d;
-      if !fallback = None then fallback := Some d
-    | _ -> ());
-    t.hand <- (t.hand + 1) mod n;
-    incr i
-  done;
-  t.last_scan <- !i;
-  match (!result, !fallback) with Some d, _ -> Some d | None, f -> f
-
-(* Clock, mapping-cache semantics: bit-exact with the seed
-   [Mappings.victim] — second chance only during the first n
-   examinations, no fallback. *)
-let clock_mapping t v =
+(* Clock: second chance over at most 2n slots.  The first n examinations
+   visit every slot once and clear each referenced candidate's bit, so the
+   second lap takes the first candidate past the hand.  That makes this
+   one loop bit-exact with both seed scans: the object caches' (whose
+   answer for a scan where every candidate stays referenced had no case
+   to serve) and the mapping cache's (whose second chance only while
+   i < n never refused one). *)
+let clock t v =
   let n = t.capacity in
   let result = ref None in
   let i = ref 0 in
   while !result = None && !i < 2 * n do
     (match v.get t.hand with
-    | Some m when v.candidate m ->
-      if v.referenced m && !i < n then v.clear_referenced m else result := Some m
+    | Some d as slot when v.candidate d ->
+      if v.referenced d then v.clear_referenced d else result := slot
     | _ -> ());
     t.hand <- (t.hand + 1) mod n;
     incr i
@@ -133,5 +117,4 @@ let lru t v =
   t.last_scan <- n;
   !best
 
-let select_object t v = match t.kind with Clock -> clock_object t v | Lru -> lru t v
-let select_mapping t v = match t.kind with Clock -> clock_mapping t v | Lru -> lru t v
+let select t v = match t.kind with Clock -> clock t v | Lru -> lru t v

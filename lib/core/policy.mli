@@ -4,9 +4,10 @@
     and the mapping cache ({!Mappings}) is delegated to a policy object.
     Two policies are provided:
 
-    - {b Clock}: the second-chance clock scan the caches shipped with —
-      bit-exact with the seed implementation (same hand movement, same
-      victim sequence, same scan lengths).
+    - {b Clock}: one second-chance scan ({!select}) for all four caches,
+      bit-exact with both loops the caches shipped with, the object
+      caches' and the mapping cache's (same hand movement, same victim
+      sequence, same scan lengths).
     - {b Lru}: strict least-recently-used over sampled reference bits.
       The hardware referenced / [recently_used] bits are the only touch
       record the Cache Kernel keeps, so the policy samples and clears
@@ -40,16 +41,11 @@ type 'd view = {
           record needs it, e.g. [aged_referenced] on mappings) *)
 }
 
-val select_object : t -> 'd view -> 'd option
-(** Victim selection with the object-cache semantics of
-    {!Cache_slots.Make.victim}: under Clock, a full second-chance scan
-    over at most [2n] slots with a first-candidate fallback when every
-    candidate keeps its reference bit. *)
-
-val select_mapping : t -> 'd view -> 'd option
-(** Victim selection with the mapping-cache semantics of
-    {!Mappings.victim}: under Clock, second chance only during the
-    first [n] examinations and no fallback. *)
+val select : t -> 'd view -> 'd option
+(** A victim among the candidates, [None] when there is none.  Under
+    Clock, a second-chance scan from the hand over at most [2n] slots:
+    the first lap clears the reference bits, so the second takes the
+    first candidate past the hand. *)
 
 val last_scan_length : t -> int
 (** Slots examined by the most recent selection. *)

@@ -14,16 +14,15 @@
 
    Each priority level is a ring buffer of identifiers (power-of-two
    capacity, grown on demand) rather than a linked [Queue.t]: enqueue and
-   scan allocate nothing in steady state, and the preemption check
-   ({!highest_ready_pri}) is a read-only scan that stops at the first
-   eligible entry instead of cycling every identifier through pop/push
-   cells on each engine step. *)
+   scan allocate nothing in steady state.  Dispatch ({!pick}) and the
+   preemption check ({!highest_ready_pri}) share one walk ({!scan}) that
+   stops at the first eligible entry and writes nothing unless it dropped
+   a stale one, so the per-step check is a read-only walk. *)
 
 type t = {
   mutable bufs : Oid.t array array; (* index = priority; ring buffers *)
   heads : int array; (* physical index of each ring's logical head *)
   lens : int array;
-  mutable approx_ready : int;
   mutable top_hint : int;
       (* upper bound on the highest non-empty priority: every queue above it
          is empty, so scans start here instead of at [priorities - 1].
@@ -40,11 +39,8 @@ let create ~priorities =
     bufs = Array.init priorities (fun _ -> Array.make initial_cap Oid.none);
     heads = Array.make priorities 0;
     lens = Array.make priorities 0;
-    approx_ready = 0;
     top_hint = -1;
   }
-
-let priorities t = Array.length t.bufs
 
 (* Double ring [p], linearising entries to start at physical 0. *)
 let grow t p =
@@ -65,67 +61,60 @@ let enqueue t ~priority oid =
   let buf = t.bufs.(p) in
   buf.((t.heads.(p) + t.lens.(p)) land (Array.length buf - 1)) <- oid;
   t.lens.(p) <- t.lens.(p) + 1;
-  if p > t.top_hint then t.top_hint <- p;
-  t.approx_ready <- t.approx_ready + 1
+  if p > t.top_hint then t.top_hint <- p
 
 (* Lower the hint past queues a scan proved empty: [p] was examined and is
    empty, so if the hint still points at it, pull it down.  Only adjacent
    steps — the scan visits priorities downward, so the hint follows. *)
 let lower_hint t p = if t.top_hint = p && t.lens.(p) = 0 then t.top_hint <- p - 1
 
-(* Scan ring [p] looking for an eligible thread, compacting in place as it
-   goes: stale entries are dropped, ineligible-but-live entries keep their
-   relative FIFO order ahead of the unexamined remainder (never rotated to
-   the tail — rotating on every failed pick would silently reorder
-   same-priority round robin), and the found entry (if any) is removed.
-   Returns the found pair. *)
-let scan_queue t p ~resolve ~eligible =
+(* Walk ring [p] to its first eligible entry and return its identifier
+   ([Oid.none] when there is none), compacting in place: stale entries
+   met on the way are dropped, ineligible-but-live ones keep their FIFO
+   order ahead of the rest (never rotated to the tail — rotating on every
+   failed pick would silently reorder same-priority round robin), and
+   with [~take] the found entry leaves the ring too.  Entries behind the
+   found one are never examined, and a walk that removes nothing writes
+   nothing. *)
+let scan t p ~resolve ~eligible ~take =
   let buf = t.bufs.(p) in
   let mask = Array.length buf - 1 in
-  let head = t.heads.(p) in
-  let n = t.lens.(p) in
-  let w = ref 0 in
-  let found = ref None in
-  let r = ref 0 in
-  while !found = None && !r < n do
+  let head = t.heads.(p) and n = t.lens.(p) in
+  let w = ref 0 and r = ref 0 and found = ref Oid.none in
+  while Oid.is_none !found && !r < n do
     let oid = buf.((head + !r) land mask) in
     (match resolve oid with
-    | None -> t.approx_ready <- t.approx_ready - 1 (* stale: drop *)
-    | Some d ->
-      if eligible oid d then begin
-        t.approx_ready <- t.approx_ready - 1;
-        found := Some (oid, d)
-      end
-      else begin
-        if !w <> !r then buf.((head + !w) land mask) <- oid;
-        incr w
-      end);
+    | None -> () (* stale: drop *)
+    | Some d when eligible oid d -> found := oid
+    | Some _ ->
+      if !w <> !r then buf.((head + !w) land mask) <- oid;
+      incr w);
     incr r
   done;
-  if !w <> !r then
-    if !w = 0 then begin
-      (* nothing kept ahead of the gap: advance the head past it (the
-         common case — the first entry was eligible) instead of sliding
-         the whole tail down.  Clear the vacated leading slots so dropped
-         identifiers are collectable. *)
-      for i = 0 to !r - 1 do
+  (* entries from [stop] on stay where they are; a peek keeps the found one *)
+  let stop = if take || Oid.is_none !found then !r else !r - 1 in
+  let w = !w in
+  if w <> stop then begin
+    let len = w + n - stop in
+    if w = 0 then begin
+      (* nothing kept ahead of the gap (the common case: the first entry
+         was taken): advance the head past it instead of sliding the tail *)
+      for i = 0 to stop - 1 do
         buf.((head + i) land mask) <- Oid.none
       done;
-      t.heads.(p) <- (head + !r) land mask;
-      t.lens.(p) <- n - !r
+      t.heads.(p) <- (head + stop) land mask
     end
     else begin
-      (* dropped entries opened a gap: slide the unexamined tail down *)
-      for i = !r to n - 1 do
-        buf.((head + !w) land mask) <- buf.((head + i) land mask);
-        incr w
+      for i = stop to n - 1 do
+        buf.((head + w + i - stop) land mask) <- buf.((head + i) land mask)
       done;
-      (* clear vacated tail slots so dropped identifiers are collectable *)
-      for i = !w to n - 1 do
+      (* clear vacated slots so dropped identifiers are collectable *)
+      for i = len to n - 1 do
         buf.((head + i) land mask) <- Oid.none
-      done;
-      t.lens.(p) <- !w
+      done
     end;
+    t.lens.(p) <- len
+  end;
   !found
 
 (** Dequeue the highest-priority eligible thread.  Starts at the
@@ -135,76 +124,29 @@ let pick t ~resolve ~eligible =
   let rec loop p =
     if p < 0 then None
     else
-      match scan_queue t p ~resolve ~eligible with
-      | Some _ as r -> r
-      | None ->
+      let oid = scan t p ~resolve ~eligible ~take:true in
+      if Oid.is_none oid then begin
         lower_hint t p;
         loop (p - 1)
+      end
+      else (* resolved live by the walk a moment ago *)
+        Option.map (fun d -> (oid, d)) (resolve oid)
   in
   loop t.top_hint
 
 (** Priority of the best eligible thread, without dequeuing (used for
-    preemption decisions); -1 when none.  Stale identifiers encountered
-    before the first eligible entry are dropped (and [approx_ready]
-    decremented); the scan short-circuits at the first eligible entry, so
-    the common per-step preemption check is a read-only walk. *)
+    preemption decisions); -1 when none.  Stale identifiers met before the
+    first eligible entry are dropped; those behind it are left for a later
+    walk, so the common per-step check costs no writes. *)
 let highest_ready_pri t ~resolve ~eligible =
   let rec loop p =
     if p < 0 then -1
-    else begin
-      let buf = t.bufs.(p) in
-      let mask = Array.length buf - 1 in
-      let head = t.heads.(p) in
-      let n = t.lens.(p) in
-      let w = ref 0 in
-      let found = ref false in
-      let r = ref 0 in
-      while (not !found) && !r < n do
-        let oid = buf.((head + !r) land mask) in
-        (match resolve oid with
-        | None -> t.approx_ready <- t.approx_ready - 1 (* stale: drop *)
-        | Some d ->
-          if eligible oid d then found := true
-          else begin
-            if !w <> !r then buf.((head + !w) land mask) <- oid;
-            incr w
-          end);
-        if not !found then incr r
-      done;
-      if !found then begin
-        if !w <> !r then begin
-          (* keep the eligible entry and unexamined tail contiguous *)
-          for i = !r to n - 1 do
-            buf.((head + !w) land mask) <- buf.((head + i) land mask);
-            incr w
-          done;
-          for i = !w to n - 1 do
-            buf.((head + i) land mask) <- Oid.none
-          done;
-          t.lens.(p) <- !w
-        end;
-        p
-      end
-      else begin
-        if !w <> !r then begin
-          for i = !w to n - 1 do
-            buf.((head + i) land mask) <- Oid.none
-          done;
-          t.lens.(p) <- !w
-        end;
-        lower_hint t p;
-        loop (p - 1)
-      end
+    else if Oid.is_none (scan t p ~resolve ~eligible ~take:false) then begin
+      lower_hint t p;
+      loop (p - 1)
     end
+    else p
   in
   loop t.top_hint
-
-(** Option view of {!highest_ready_pri} (kept for tests and callers that
-    want the priority as data rather than a sentinel). *)
-let highest_ready t ~resolve ~eligible =
-  match highest_ready_pri t ~resolve ~eligible with -1 -> None | p -> Some p
-
-(** True when no queue holds any entry at all (stale ones included). *)
-let looks_empty t = Array.for_all (fun n -> n = 0) t.lens
 
 let length t = Array.fold_left ( + ) 0 t.lens

@@ -16,10 +16,6 @@
 open Cachekernel
 open Aklib
 
-type stats = { mutable swap_outs : int; mutable swap_ins : int }
-
-let stats = { swap_outs = 0; swap_ins = 0 }
-
 (* Push every resident page of [seg] to disk and free its frames. *)
 let evacuate_segment (emu : Emulator.t) seg =
   let ak = emu.Emulator.ak in
@@ -54,7 +50,6 @@ let swap_out (emu : Emulator.t) (p : Process.t) =
   match p.Process.state with
   | Process.Zombie _ | Process.Swapped -> ()
   | _ ->
-    stats.swap_outs <- stats.swap_outs + 1;
     p.Process.swapped_from <- Some p.Process.state;
     ignore (Thread_lib.deschedule emu.Emulator.ak.App_kernel.threads p.Process.thread);
     if p.Process.vspace.Segment_mgr.loaded then
@@ -73,7 +68,6 @@ let swap_out (emu : Emulator.t) (p : Process.t) =
 let swap_in (emu : Emulator.t) (p : Process.t) =
   match p.Process.state with
   | Process.Swapped -> (
-    stats.swap_ins <- stats.swap_ins + 1;
     match Segment_mgr.reload_space emu.Emulator.ak.App_kernel.mgr p.Process.vspace with
     | Error e -> Error e
     | Ok _ -> (

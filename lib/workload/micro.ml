@@ -34,49 +34,104 @@ let null_spec inst name : Kernel_obj.spec =
 
 (* -- Table 2 rows -- *)
 
-let mapping_times () =
+(* Which objects a load installs: the measured ones, the ones that fill
+   the cache, and the measured ones that each displace a victim. *)
+type phase = Plain | Fill | Wb
+
+(* One object kind's side of a Table 2 row, on an instance whose first
+   kernel is [caller]: [load phase i] installs the [i]-th object of a
+   phase, [unload i] removes the [i]-th object [Plain] loads installed,
+   and [fill ()] loads the cache to capacity. *)
+type kind = { n : int; load : phase -> int -> unit; unload : int -> unit; fill : unit -> unit }
+
+(* On a fresh instance: time [n] loads, then their [n] unloads, fill the
+   cache, then time [n] more loads, each of which displaces a victim. *)
+let row make =
   let inst = Setup.instance ~config:small_config () in
-  let ak = Setup.first_kernel inst in
-  let caller = App_kernel.oid ak in
-  let space = Setup.ok (Api.load_space inst ~caller ~tag:1 ()) in
-  let n = 256 in
-  let load_one i =
-    Setup.time_host inst (fun () ->
-        Setup.ok
-          (Api.load_mapping inst ~caller ~space
-             (Api.mapping ~va:(0x40000000 + (i * Hw.Addr.page_size)) ~pfn:(512 + i) ())))
-  in
-  let loads = List.init n load_one in
-  let unloads =
-    List.init n (fun i ->
-        Setup.time_host inst (fun () ->
-            Setup.ok
-              (Api.unload_mapping inst ~caller ~space
-                 ~va:(0x40000000 + (i * Hw.Addr.page_size)))))
-  in
-  (* fill the cache so every further load displaces a victim *)
-  let cap = small_config.Config.mapping_cache in
-  for i = 0 to cap - 1 do
-    Setup.ok
-      (Api.load_mapping inst ~caller ~space
-         (Api.mapping ~va:(0x50000000 + (i * Hw.Addr.page_size)) ~pfn:(1024 + i) ()))
-  done;
-  let loads_wb =
-    List.init n (fun i ->
-        Setup.time_host inst (fun () ->
-            Setup.ok
-              (Api.load_mapping inst ~caller ~space
-                 (Api.mapping
-                    ~va:(0x60000000 + (i * Hw.Addr.page_size))
-                    ~pfn:(4096 + i) ()))))
-  in
+  let k = make inst (App_kernel.oid (Setup.first_kernel inst)) in
+  let timed f = List.init k.n (fun i -> Setup.time_host inst (fun () -> f i)) in
+  let loads = timed (k.load Plain) in
+  let unloads = timed k.unload in
+  k.fill ();
+  let loads_wb = timed (k.load Wb) in
   { load = avg loads; load_wb = avg loads_wb; unload = avg unloads }
+
+let page base i = base + (i * Hw.Addr.page_size)
+
+let mappings inst caller =
+  let space = Setup.ok (Api.load_space inst ~caller ~tag:1 ()) in
+  let load phase i =
+    let va, pfn =
+      match phase with
+      | Plain -> (0x40000000, 512)
+      | Fill -> (0x50000000, 1024)
+      | Wb -> (0x60000000, 4096)
+    in
+    Setup.ok
+      (Api.load_mapping inst ~caller ~space (Api.mapping ~va:(page va i) ~pfn:(pfn + i) ()))
+  in
+  {
+    n = 256;
+    load;
+    unload =
+      (fun i -> Setup.ok (Api.unload_mapping inst ~caller ~space ~va:(page 0x40000000 i)));
+    fill =
+      (fun () ->
+        for i = 0 to small_config.Config.mapping_cache - 1 do
+          load Fill i
+        done);
+  }
+
+(* Threads, spaces and kernels: [load phase i] returns the new object's
+   identifier.  Unloads go newest first, and the fill ignores failures. *)
+let objects ~n ~cap ~load ~unload =
+  let oids = Array.make n Oid.none in
+  {
+    n;
+    load =
+      (fun phase i ->
+        match phase with
+        | Plain -> oids.(i) <- Setup.ok (load Plain i)
+        | _ -> ignore (Setup.ok (load phase i)));
+    unload = (fun i -> Setup.ok (unload oids.(n - 1 - i)));
+    fill =
+      (fun () ->
+        for i = 0 to cap - 1 do
+          ignore (load Fill i)
+        done);
+  }
+
+let tag phase i = i + match phase with Plain -> 0 | Fill -> 1000 | Wb -> 5000
+
+let threads inst caller =
+  let space = Setup.ok (Api.load_space inst ~caller ~tag:1 ()) in
+  let body () = Hw.Exec.Unit_payload in
+  objects ~n:64 ~cap:small_config.Config.thread_cache
+    ~load:(fun phase i ->
+      Api.load_thread inst ~caller ~space ~priority:8 ~tag:(tag phase i)
+        ~start:(Thread_obj.Fresh body) ())
+    ~unload:(Api.unload_thread inst ~caller)
+
+let spaces inst caller =
+  objects ~n:32 ~cap:small_config.Config.space_cache
+    ~load:(fun phase i -> Api.load_space inst ~caller ~tag:(tag phase i) ())
+    ~unload:(Api.unload_space inst ~caller)
+
+(* Stay under the kernel-cache capacity: the first kernel holds a locked
+   slot, so n leaves one more free and the fill loads one fewer. *)
+let kernels inst caller =
+  let name = function Plain -> "k" | Fill -> "f" | Wb -> "w" in
+  objects
+    ~n:(small_config.Config.kernel_cache - 2)
+    ~cap:(small_config.Config.kernel_cache - 1)
+    ~load:(fun phase i ->
+      Api.load_kernel inst ~caller (null_spec inst (Printf.sprintf "%s%d" (name phase) i)))
+    ~unload:(Api.unload_kernel inst ~caller)
 
 (* The optimized combined load-and-resume: the load itself plus the
    combined return path, versus the plain load plus a separate
    exception-complete trap (section 2.1). *)
-let optimized_mapping_times () =
-  let t = mapping_times () in
+let optimized (t : op_times) =
   let combined_return = Hw.Cost.us_of_cycles Config.c_combined_resume in
   let separate_return =
     Hw.Cost.us_of_cycles (Hw.Cost.trap_entry + Hw.Cost.exception_return)
@@ -88,117 +143,15 @@ let optimized_mapping_times () =
     (* unload has no resume variant; report the plain path *)
   }
 
-let thread_times () =
-  let inst = Setup.instance ~config:small_config () in
-  let ak = Setup.first_kernel inst in
-  let caller = App_kernel.oid ak in
-  let space = Setup.ok (Api.load_space inst ~caller ~tag:1 ()) in
-  let body () = Hw.Exec.Unit_payload in
-  let n = 64 in
-  let oids = ref [] in
-  let loads =
-    List.init n (fun i ->
-        Setup.time_host inst (fun () ->
-            let oid =
-              Setup.ok
-                (Api.load_thread inst ~caller ~space ~priority:8 ~tag:i
-                   ~start:(Thread_obj.Fresh body) ())
-            in
-            oids := oid :: !oids))
-  in
-  let unloads =
-    List.map
-      (fun oid ->
-        Setup.time_host inst (fun () -> Setup.ok (Api.unload_thread inst ~caller oid)))
-      !oids
-  in
-  let cap = small_config.Config.thread_cache in
-  for i = 0 to cap - 1 do
-    ignore
-      (Api.load_thread inst ~caller ~space ~priority:8 ~tag:(1000 + i)
-         ~start:(Thread_obj.Fresh body) ())
-  done;
-  let loads_wb =
-    List.init n (fun i ->
-        Setup.time_host inst (fun () ->
-            Setup.ok
-              (Api.load_thread inst ~caller ~space ~priority:8 ~tag:(5000 + i)
-                 ~start:(Thread_obj.Fresh body) ())
-            |> ignore))
-  in
-  { load = avg loads; load_wb = avg loads_wb; unload = avg unloads }
-
-let space_times () =
-  let inst = Setup.instance ~config:small_config () in
-  let ak = Setup.first_kernel inst in
-  let caller = App_kernel.oid ak in
-  let n = 32 in
-  let oids = ref [] in
-  let loads =
-    List.init n (fun i ->
-        Setup.time_host inst (fun () ->
-            oids := Setup.ok (Api.load_space inst ~caller ~tag:i ()) :: !oids))
-  in
-  let unloads =
-    List.map
-      (fun oid ->
-        Setup.time_host inst (fun () -> Setup.ok (Api.unload_space inst ~caller oid)))
-      !oids
-  in
-  let cap = small_config.Config.space_cache in
-  for i = 0 to cap - 1 do
-    ignore (Api.load_space inst ~caller ~tag:(1000 + i) ())
-  done;
-  let loads_wb =
-    List.init n (fun i ->
-        Setup.time_host inst (fun () ->
-            ignore (Setup.ok (Api.load_space inst ~caller ~tag:(5000 + i) ()))))
-  in
-  { load = avg loads; load_wb = avg loads_wb; unload = avg unloads }
-
-let kernel_times () =
-  let inst = Setup.instance ~config:small_config () in
-  let ak = Setup.first_kernel inst in
-  let caller = App_kernel.oid ak in
-  (* stay under the kernel-cache capacity (one slot is the first kernel) *)
-  let n = small_config.Config.kernel_cache - 2 in
-  let oids = ref [] in
-  let loads =
-    List.init n (fun i ->
-        Setup.time_host inst (fun () ->
-            oids :=
-              Setup.ok
-                (Api.load_kernel inst ~caller (null_spec inst (Printf.sprintf "k%d" i)))
-              :: !oids))
-  in
-  let unloads =
-    List.map
-      (fun oid ->
-        Setup.time_host inst (fun () -> Setup.ok (Api.unload_kernel inst ~caller oid)))
-      !oids
-  in
-  let cap = small_config.Config.kernel_cache in
-  for i = 0 to cap - 2 do
-    (* -1: the first kernel occupies a locked slot *)
-    ignore (Api.load_kernel inst ~caller (null_spec inst (Printf.sprintf "f%d" i)))
-  done;
-  let loads_wb =
-    List.init n (fun i ->
-        Setup.time_host inst (fun () ->
-            ignore
-              (Setup.ok
-                 (Api.load_kernel inst ~caller (null_spec inst (Printf.sprintf "w%d" i))))))
-  in
-  { load = avg loads; load_wb = avg loads_wb; unload = avg unloads }
-
 (** Table 2: all rows. *)
 let table2 () =
+  let m = row mappings in
   [
-    ("Mappings", mapping_times ());
-    ("(optimized)", optimized_mapping_times ());
-    ("Threads", thread_times ());
-    ("AddrSpaces", space_times ());
-    ("Kernel", kernel_times ());
+    ("Mappings", m);
+    ("(optimized)", optimized m);
+    ("Threads", row threads);
+    ("AddrSpaces", row spaces);
+    ("Kernel", row kernels);
   ]
 
 (* -- Section 5.3: trap forwarding (M1) -- *)

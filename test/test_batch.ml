@@ -13,9 +13,10 @@
    - prefetch stays inside the faulting region's bounds (checked against
      the Mapping_loaded trace events) and actually pays: the 1024-page
      sweep past a 256-mapping cache gets faster with prefetch on
-   - scheduler: [approx_ready] does not drift under random
-     enqueue/stale-drop/pick interleavings (regression for the top_hint
-     dispatch shortcut riding along with this work) *)
+   - scheduler: [pick] and [highest_ready_pri] agree with a FIFO model
+     under random enqueue/stale-drop/block/pick interleavings, keep
+     skipped (ineligible) entries in FIFO order and leave the queues
+     exactly empty once drained *)
 
 open Cachekernel
 open Aklib
@@ -279,9 +280,9 @@ let test_prefetch_under_chaos () =
     (Workload.Setup.now_us inst)
     (Workload.Setup.now_us inst2)
 
-(* -- scheduler: approx_ready under enqueue/stale-drop/pick interleavings -- *)
+(* -- scheduler: pick and highest_ready_pri against a FIFO model -- *)
 
-type sched_op = Enq of int | Kill | Pick | Highest
+type sched_op = Enq of int | Kill of int | Block of int | Pick | Highest
 
 let gen_ops =
   QCheck.Gen.(
@@ -289,40 +290,46 @@ let gen_ops =
       (frequency
          [
            (4, map (fun p -> Enq p) (int_range 0 9));
-           (2, return Kill);
+           (2, map (fun k -> Kill k) (int_bound 1000));
+           (2, map (fun k -> Block k) (int_bound 1000));
            (3, return Pick);
            (1, return Highest);
          ]))
 
 let print_op = function
   | Enq p -> Printf.sprintf "Enq %d" p
-  | Kill -> "Kill"
+  | Kill k -> Printf.sprintf "Kill %d" k
+  | Block k -> Printf.sprintf "Block %d" k
   | Pick -> "Pick"
   | Highest -> "Highest"
 
 let arb_ops = QCheck.make ~print:QCheck.Print.(list print_op) gen_ops
 
-(* Reference model: per-priority FIFO lists plus a liveness set.  Stale
-   entries are invisible to it; the scheduler must agree on every pick and
-   highest_ready result, and after a full drain its approx_ready and queue
-   lengths must both be exactly zero — the "no drift" property. *)
-let qcheck_sched_no_drift =
-  QCheck.Test.make ~count:200 ~name:"scheduler approx_ready does not drift" arb_ops
+(* Reference model: per-priority FIFO lists plus a table of the live
+   entries and whether each is blocked (ineligible).  Stale entries are
+   invisible to it and blocked ones are skipped in place; the scheduler
+   must agree on every pick and highest_ready_pri result.  The drain
+   picks what is eligible, then unblocks everything and picks the rest,
+   so entries that were skipped must still be in FIFO order; after it
+   the queues are exactly empty. *)
+let qcheck_sched_model =
+  QCheck.Test.make ~count:200 ~name:"scheduler walk matches a FIFO model" arb_ops
     (fun ops ->
       let prios = 10 in
       let s = Scheduler.create ~priorities:prios in
       let model = Array.make prios [] in
-      let alive = Hashtbl.create 32 in
+      let blocked = Hashtbl.create 32 in
       let next = ref 0 in
-      let resolve oid = if Hashtbl.mem alive oid then Some () else None in
-      let eligible _ _ = true in
+      let resolve oid = if Hashtbl.mem blocked oid then Some () else None in
+      let eligible oid () = not (Hashtbl.find blocked oid) in
+      let ready o = Hashtbl.find_opt blocked o = Some false in
       let model_pick () =
         let rec at p =
           if p < 0 then None
           else
-            match List.filter (fun o -> Hashtbl.mem alive o) model.(p) with
-            | [] -> at (p - 1)
-            | o :: _ ->
+            match List.find_opt ready model.(p) with
+            | None -> at (p - 1)
+            | Some o ->
               model.(p) <- List.filter (fun o' -> not (Oid.equal o' o)) model.(p);
               Some o
         in
@@ -330,42 +337,42 @@ let qcheck_sched_no_drift =
       in
       let model_highest () =
         let rec at p =
-          if p < 0 then None
-          else if List.exists (fun o -> Hashtbl.mem alive o) model.(p) then Some p
-          else at (p - 1)
+          if p < 0 then -1 else if List.exists ready model.(p) then p else at (p - 1)
         in
         at (prios - 1)
+      in
+      (* the [k]-th live thread, in identifier order *)
+      let nth_live k =
+        match List.sort Oid.compare (Hashtbl.fold (fun o _ acc -> o :: acc) blocked []) with
+        | [] -> None
+        | live -> Some (List.nth live (k mod List.length live))
       in
       let step op =
         match op with
         | Enq p ->
           let oid = Oid.v ~kind:Oid.Thread ~slot:!next ~gen:1 in
           incr next;
-          Hashtbl.replace alive oid ();
+          Hashtbl.replace blocked oid false;
           Scheduler.enqueue s ~priority:p oid;
           model.(p) <- model.(p) @ [ oid ];
           true
-        | Kill -> (
-          (* unload a random live thread: its queue entry goes stale *)
-          match Hashtbl.fold (fun o () acc -> o :: acc) alive [] with
-          | [] -> true
-          | o :: _ ->
-            Hashtbl.remove alive o;
-            true)
+        | Kill k ->
+          (* unload a live thread: its queue entry goes stale *)
+          Option.iter (Hashtbl.remove blocked) (nth_live k);
+          true
+        | Block k ->
+          Option.iter
+            (fun o -> Hashtbl.replace blocked o (not (Hashtbl.find blocked o)))
+            (nth_live k);
+          true
         | Pick -> (
           match (Scheduler.pick s ~resolve ~eligible, model_pick ()) with
           | None, None -> true
           | Some (o, ()), Some o' -> Oid.equal o o'
           | Some _, None | None, Some _ -> false)
-        | Highest -> (
-          match (Scheduler.highest_ready s ~resolve ~eligible, model_highest ()) with
-          | None, None -> true
-          | Some p, Some p' -> p = p'
-          | _ -> false)
+        | Highest -> Scheduler.highest_ready_pri s ~resolve ~eligible = model_highest ()
       in
       let agreed = List.for_all step ops in
-      (* drain: every remaining live entry comes out in model order, then
-         both approx_ready and the physical queues are exactly empty *)
       let rec drain () =
         match (Scheduler.pick s ~resolve ~eligible, model_pick ()) with
         | None, None -> true
@@ -373,8 +380,9 @@ let qcheck_sched_no_drift =
         | _ -> false
       in
       let drained = drain () in
-      agreed && drained && s.Scheduler.approx_ready = 0 && Scheduler.length s = 0
-      && Scheduler.looks_empty s)
+      Hashtbl.filter_map_inplace (fun _ _ -> Some false) blocked;
+      let unblocked = drain () in
+      agreed && drained && unblocked && Scheduler.length s = 0)
 
 let () =
   Alcotest.run "batch"
@@ -392,5 +400,5 @@ let () =
           Alcotest.test_case "speeds up the 1024-page sweep" `Slow test_prefetch_effective;
           Alcotest.test_case "survives backing-store chaos" `Quick test_prefetch_under_chaos;
         ] );
-      ("scheduler", [ QCheck_alcotest.to_alcotest qcheck_sched_no_drift ]);
+      ("scheduler", [ QCheck_alcotest.to_alcotest qcheck_sched_model ]);
     ]

@@ -1,12 +1,16 @@
 (* Replacement-policy tests.
 
-   - qcheck equivalence: the Clock policy behind the {!Policy} interface
-     reproduces the seed victim scans bit-for-bit — identical victim
+   - qcheck equivalence: the one Clock scan behind {!Policy.select}
+     reproduces both seed victim scans bit-for-bit — identical victim
      sequences, last_scan_length values and cache state on random
-     load/touch/flag/unload/victim traces, for both the object-cache
-     semantics (2n scan, unconditional second chance, first-candidate
-     fallback) and the mapping-cache semantics (second chance only during
-     the first n examinations, no fallback, aged_referenced accumulation)
+     load/touch/flag/unload/victim traces, against verbatim replicas of
+     the object-cache scan (2n scan, unconditional second chance,
+     first-candidate fallback) and the mapping-cache scan (second chance
+     only during the first n examinations, no fallback, aged_referenced
+     accumulation)
+   - Clock's second lap: with every candidate referenced and the hand
+     mid-array, both caches take the first candidate past the hand after
+     n + offset + 1 slots; with no candidate, None after 2n slots
    - LRU ordering unit tests (mapping and object caches, protected
      candidates, storage grown past its first 64 slots), flag parsing,
      and the one config field reaching all four caches
@@ -375,6 +379,70 @@ let map_trace_equivalence =
     (QCheck.make ~print:QCheck.Print.(pair int (list (pair int int))) gen)
     (fun (capacity, ops) -> run_map_trace capacity ops)
 
+(* -- Clock: the lap the seed fallback claimed -- *)
+
+(* With every candidate referenced, the first lap clears each bit and the
+   second takes the first candidate past the hand, after n + offset + 1
+   examinations; the object caches' seed fallback (first candidate when
+   all stay referenced) never had a case to serve.  Both caches are set
+   up alike: n = 8, a first selection parks the hand at 4 by leaving
+   only slot 3 a candidate, then slots 1 and 6 are the referenced
+   candidates, so slot 6 (offset 2) is taken after 11 slots. *)
+let n_clock = 8
+
+let test_clock_object_second_lap () =
+  let t = Tcache.create ~capacity:n_clock () in
+  let ds =
+    Array.init n_clock (fun key ->
+        let d = { Tdesc.oid = Oid.none; key; locked = key <> 3; evictable = true; ru = false } in
+        ignore (Option.get (Tcache.load t d));
+        d)
+  in
+  Alcotest.(check (option int)) "the lone candidate" (Some 3)
+    (Option.map (fun v -> v.Tdesc.key) (Tcache.victim t));
+  Array.iter
+    (fun d ->
+      d.Tdesc.locked <- d.Tdesc.key <> 1 && d.Tdesc.key <> 6;
+      d.Tdesc.ru <- true)
+    ds;
+  Alcotest.(check (option int)) "first candidate past the hand" (Some 6)
+    (Option.map (fun v -> v.Tdesc.key) (Tcache.victim t));
+  Alcotest.(check int) "n + offset + 1 slots" (n_clock + 2 + 1) (Tcache.last_scan_length t);
+  Alcotest.(check bool) "the first lap cleared both candidates" false
+    (ds.(1).Tdesc.ru || ds.(6).Tdesc.ru)
+
+let test_clock_mapping_second_lap () =
+  let t = Mappings.create ~capacity:n_clock () in
+  let ms = Array.init n_clock (fun seq -> Option.get (fresh_mapping t ~seq)) in
+  let only slots m = not (List.mem m.Mappings.slot slots) in
+  Alcotest.(check (option int)) "the lone candidate" (Some 3)
+    (Option.map (fun m -> m.Mappings.slot) (Mappings.victim t ~protected:(only [ 3 ])));
+  Array.iter (fun m -> m.Mappings.pte.Hw.Page_table.referenced <- true) ms;
+  Alcotest.(check (option int)) "first candidate past the hand" (Some 6)
+    (Option.map (fun m -> m.Mappings.slot) (Mappings.victim t ~protected:(only [ 1; 6 ])));
+  Alcotest.(check int) "n + offset + 1 slots" (n_clock + 2 + 1) (Mappings.last_scan_length t);
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) "bit aged into the writeback record" true
+        (ms.(s).Mappings.aged_referenced && not ms.(s).Mappings.pte.Hw.Page_table.referenced))
+    [ 1; 6 ]
+
+let test_clock_no_candidate () =
+  let t = Tcache.create ~capacity:n_clock () in
+  for key = 0 to n_clock - 1 do
+    ignore
+      (Tcache.load t { Tdesc.oid = Oid.none; key; locked = true; evictable = true; ru = true })
+  done;
+  Alcotest.(check bool) "object cache: no victim" true (Tcache.victim t = None);
+  Alcotest.(check int) "object cache: 2n slots" (2 * n_clock) (Tcache.last_scan_length t);
+  let m = Mappings.create ~capacity:n_clock () in
+  for seq = 0 to n_clock - 1 do
+    ignore (fresh_mapping m ~seq)
+  done;
+  Alcotest.(check bool) "mapping cache: no victim" true
+    (Mappings.victim m ~protected:(fun _ -> true) = None);
+  Alcotest.(check int) "mapping cache: 2n slots" (2 * n_clock) (Mappings.last_scan_length m)
+
 (* -- LRU ordering -- *)
 
 let no_protect = fun (_ : Mappings.m) -> false
@@ -651,6 +719,15 @@ let () =
     [
       ( "equivalence",
         [ qcheck obj_trace_equivalence; qcheck map_trace_equivalence ] );
+      ( "clock",
+        [
+          Alcotest.test_case "object cache takes the first candidate on lap two" `Quick
+            test_clock_object_second_lap;
+          Alcotest.test_case "mapping cache takes the first candidate on lap two" `Quick
+            test_clock_mapping_second_lap;
+          Alcotest.test_case "no candidate: None after 2n slots" `Quick
+            test_clock_no_candidate;
+        ] );
       ( "ordering",
         [
           Alcotest.test_case "lru" `Quick test_lru_order;

@@ -1,7 +1,8 @@
 (* Observability layer: the bounded trace ring, the metrics registry and
    its JSON export, plus regression tests for the two scheduler-queue bugs
-   fixed alongside them (stale identifiers lingering in [highest_ready],
-   [scan_queue] rotating same-priority round-robin order). *)
+   fixed alongside them (stale identifiers lingering behind the
+   preemption check, a failed pick rotating same-priority round-robin
+   order). *)
 
 open Cachekernel
 
@@ -143,7 +144,7 @@ let test_trace_json () =
 let resolve_in tbl o = Hashtbl.find_opt tbl o
 
 let test_scan_preserves_fifo () =
-  (* Bug: scan_queue rotated ineligible-but-live entries to the tail, so a
+  (* Bug: the pick walk rotated ineligible-but-live entries to the tail, so a
      failed pick silently reordered same-priority round robin.  Skipped
      entries must come back ahead of the unexamined remainder. *)
   let s = Scheduler.create ~priorities:4 in
@@ -171,9 +172,9 @@ let test_scan_preserves_fifo () =
     (List.rev !order = [ a; c ])
 
 let test_highest_ready_drops_stale () =
-  (* Bug: highest_ready never removed stale identifiers, so every preemption
-     check re-resolved the same dead threads forever and approx_ready never
-     converged.  The scan now short-circuits at the first eligible entry,
+  (* Bug: the preemption check never removed stale identifiers, so every
+     check re-resolved the same dead threads forever.  The walk now
+     short-circuits at the first eligible entry,
      so the contract is: every stale identifier *encountered* (ahead of
      the first eligible entry) is dropped; ones behind it are never
      touched — zero cost per check — and fall to a later pick's scan. *)
@@ -184,12 +185,10 @@ let test_highest_ready_drops_stale () =
   List.iter (fun o -> Hashtbl.replace live o ()) [ a; c ];
   (* b was unloaded since being enqueued; it sits ahead of the live pair *)
   let p =
-    Scheduler.highest_ready s ~resolve:(resolve_in live) ~eligible:(fun _ () -> true)
+    Scheduler.highest_ready_pri s ~resolve:(resolve_in live) ~eligible:(fun _ () -> true)
   in
-  Alcotest.(check (option int)) "priority of the best live thread" (Some 1) p;
+  Alcotest.(check int) "priority of the best live thread" 1 p;
   Alcotest.(check int) "stale entry removed from the queue" 2 (Scheduler.length s);
-  Alcotest.(check int) "approx_ready decremented for the stale entry" 2
-    s.Scheduler.approx_ready;
   (* and the survivors keep their FIFO order *)
   let order = ref [] in
   let rec drain () =
@@ -200,8 +199,7 @@ let test_highest_ready_drops_stale () =
     | None -> ()
   in
   drain ();
-  Alcotest.(check bool) "a before c" true (List.rev !order = [ a; c ]);
-  Alcotest.(check int) "approx_ready reaches 0 once drained" 0 s.Scheduler.approx_ready
+  Alcotest.(check bool) "a before c" true (List.rev !order = [ a; c ])
 
 let () =
   Alcotest.run "trace"
